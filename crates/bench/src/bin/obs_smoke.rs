@@ -135,15 +135,12 @@ fn main() {
     svc.inject_cache_entry_for_test(
         certify::fingerprint(&target),
         Arc::new(CacheEntry {
-            problem: decoy.clone(),
             counts: vec![0; 3],
             output_counts: vec![0; 3],
             schedule: Schedule::empty(3),
             objective: d.objective,
             certificate: d.certificate.clone().expect("fresh solve certifies"),
             nodes: d.nodes,
-            hint_accepted: false,
-            solved_warm: false,
         }),
     );
     let r = svc.solve(&target).expect("service recovers from the reject");

@@ -1,23 +1,20 @@
 //! Ablations of the design choices DESIGN.md calls out:
 //!
-//! 1. **Plunging** in branch & bound vs pure best-first (node counts),
-//! 2. **log-log-log interpolation** vs raw linear interpolation for
+//! 1. **log-log-log interpolation** vs raw linear interpolation for
 //!    paper-scale extrapolation,
-//! 3. **Optimal MILP schedule** vs the greedy heuristic vs the paper's
+//! 2. **Optimal MILP schedule** vs the greedy heuristic vs the paper's
 //!    status-quo fixed-frequency baseline, across budgets.
 
 use crate::table::TextTable;
 use insitu_core::baseline::{feasible_objective, fixed_frequency, greedy};
 use insitu_core::solve_aggregate;
 use insitu_types::{AnalysisProfile, ResourceConfig, ScheduleProblem};
-use milp::{solve, Model, SolveOptions};
+use milp::SolveOptions;
 use perfmodel::BilinearGrid;
 
-/// Outcome of the three ablations.
+/// Outcome of the two ablations.
 #[derive(Debug)]
 pub struct Outcome {
-    /// `(nodes with plunging, nodes pure best-first)`.
-    pub bnb_nodes: (usize, usize),
     /// `(relative error log-space, relative error raw-linear)` at a 4x
     /// extrapolation of a power-law kernel.
     pub interp_err: (f64, f64),
@@ -26,31 +23,6 @@ pub struct Outcome {
     pub baseline_rows: Vec<(f64, f64, f64, Option<f64>)>,
     /// Printable report.
     pub report: String,
-}
-
-/// The instance class that motivated plunging: a time-indexed scheduling
-/// formulation whose LP bound sits on a wide fractional plateau above the
-/// integer optimum. Without an incumbent nothing prunes, and pure
-/// best-first explores the plateau breadth-first (measured: 30k+ nodes,
-/// still no incumbent); a single dive reaches an integral leaf in ~30
-/// nodes and the integral-objective gap then prunes the plateau.
-fn hard_instance() -> Model {
-    let p = ScheduleProblem::new(
-        vec![
-            AnalysisProfile::new("a")
-                .with_compute(1.0, 0.0)
-                .with_output(0.5, 0.0, 1)
-                .with_interval(4),
-            AnalysisProfile::new("b")
-                .with_compute(3.0, 0.0)
-                .with_output(0.5, 0.0, 1)
-                .with_interval(6)
-                .with_weight(2.0),
-        ],
-        ResourceConfig::from_total_threshold(24, 12.0, 1e9, 1e9),
-    )
-    .expect("valid");
-    insitu_core::formulation::build_exact(&p).0
 }
 
 fn scheduling_problem(budget: f64) -> ScheduleProblem {
@@ -76,39 +48,9 @@ fn scheduling_problem(budget: f64) -> ScheduleProblem {
     .unwrap()
 }
 
-/// Runs all three ablations.
+/// Runs both ablations.
 pub fn run() -> Outcome {
-    // --- 1. plunging ---
-    // rounding is disabled in both arms so the ablation isolates how each
-    // search order *finds* its first incumbent: that is exactly what
-    // plunging is for (with rounding on, both arms start with the same
-    // incumbent and explore nearly identical trees)
-    let m = hard_instance();
-    let base = SolveOptions {
-        rounding_heuristic: false,
-        abs_gap: 0.999, // integral objective
-        max_nodes: 400,
-        ..SolveOptions::default()
-    };
-    let with = solve(&m, &base).expect("plunging solves this");
-    let bnb_nodes = match solve(
-        &m,
-        &SolveOptions {
-            plunge: false,
-            ..base
-        },
-    ) {
-        Ok(sol) => {
-            assert!((with.objective - sol.objective).abs() < 1e-9);
-            (with.nodes, sol.nodes)
-        }
-        // pure best-first commonly exhausts the node budget here — report
-        // the cap as a lower bound on its cost
-        Err(milp::SolveError::NodeLimit { nodes, .. }) => (with.nodes, nodes),
-        Err(e) => panic!("unexpected solver error: {e}"),
-    };
-
-    // --- 2. interpolation space ---
+    // --- 1. interpolation space ---
     let f = |n: f64, p: f64| 2e-6 * n / p;
     let xs = [1e6, 4e6, 16e6];
     let ys = [512.0, 2048.0, 8192.0];
@@ -126,7 +68,7 @@ pub fn run() -> Outcome {
         (raw.query(nq, pq) - truth).abs() / truth,
     );
 
-    // --- 3. optimal vs heuristics ---
+    // --- 2. optimal vs heuristics ---
     let opts = SolveOptions {
         abs_gap: 0.999,
         ..SolveOptions::default()
@@ -153,17 +95,13 @@ pub fn run() -> Outcome {
         ]);
     }
     let report = format!(
-        "B&B nodes on the plateau instance: plunging {} vs pure best-first {} (node cap = lower bound)\n\
-         Power-law extrapolation (4x beyond grid): log-space err {:.2e} vs raw linear {:.1}%\n\
+        "Power-law extrapolation (4x beyond grid): log-space err {:.2e} vs raw linear {:.1}%\n\
          Scheduling objective vs baselines:\n{}",
-        bnb_nodes.0,
-        bnb_nodes.1,
         interp_err.0,
         interp_err.1 * 100.0,
         t.render()
     );
     Outcome {
-        bnb_nodes,
         interp_err,
         baseline_rows,
         report,
@@ -173,17 +111,6 @@ pub fn run() -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plunging_explores_far_fewer_nodes() {
-        let o = run();
-        assert!(
-            o.bnb_nodes.0 * 4 <= o.bnb_nodes.1,
-            "plunging {} not clearly better than best-first {}",
-            o.bnb_nodes.0,
-            o.bnb_nodes.1
-        );
-    }
 
     #[test]
     fn log_space_extrapolation_wins() {

@@ -5,9 +5,10 @@
 //! Zipf(`s`) popularity law — a few hot instances dominate, a long tail
 //! stays cold — which is the workload the instance cache is built for.
 //! Every request shuffles its analysis order (the canonicalizer must
-//! still hit), and a fixed fraction perturbs one compute time to
-//! exercise the warm-start path. Each worker count gets a **fresh**
-//! service, so hit/dedup/warm counters are comparable across the sweep.
+//! still hit), and a fixed fraction perturbs one compute time into a
+//! near miss (a distinct fingerprint, so a fresh solve). Each worker
+//! count gets a **fresh** service, so hit/dedup counters are comparable
+//! across the sweep.
 //!
 //! [`Outcome::to_json`] serializes the `bench/service-sweep/v1` schema
 //! documented in `EXPERIMENTS.md` (`BENCH_service.json`). Interpret
@@ -69,12 +70,12 @@ pub const STREAM_SMOKE: StreamParams = StreamParams {
 };
 
 /// Outcome classes a request can resolve to, in report order.
-pub const CLASSES: [&str; 4] = ["hit", "dedup", "warm", "fresh"];
+pub const CLASSES: [&str; 3] = ["hit", "dedup", "fresh"];
 
 /// Latency quantiles of one outcome class at one worker count.
 #[derive(Debug, Clone)]
 pub struct LatencyRow {
-    /// Outcome class (`hit`/`dedup`/`warm`/`fresh`).
+    /// Outcome class (`hit`/`dedup`/`fresh`).
     pub class: &'static str,
     /// Requests that resolved to this class.
     pub count: u64,
@@ -101,8 +102,6 @@ pub struct SweepPoint {
     pub misses: u64,
     /// Actual solver invocations.
     pub solves: u64,
-    /// Solves whose incumbent was seeded from a cached neighbor.
-    pub warm_starts: u64,
     /// Cache evictions.
     pub evictions: u64,
     /// `hits / requests`.
@@ -262,7 +261,6 @@ pub fn run(workers: &[usize], params: &StreamParams) -> Outcome {
             dedup_waits: counter(&svc, "service.dedup_waits"),
             misses: counter(&svc, "service.misses"),
             solves,
-            warm_starts: counter(&svc, "service.warm_starts"),
             evictions: counter(&svc, "service.evictions"),
             hit_rate: hits as f64 / served.max(1) as f64,
             wall_s,
@@ -284,7 +282,7 @@ pub fn run(workers: &[usize], params: &StreamParams) -> Outcome {
     }
 
     let mut table = TextTable::new(&[
-        "workers", "requests", "hits", "dedup", "misses", "warm", "hit-rate", "req/s", "solves/s",
+        "workers", "requests", "hits", "dedup", "misses", "hit-rate", "req/s", "solves/s",
     ]);
     for p in &points {
         table.row(&cells([
@@ -293,7 +291,6 @@ pub fn run(workers: &[usize], params: &StreamParams) -> Outcome {
             &p.hits,
             &p.dedup_waits,
             &p.misses,
-            &p.warm_starts,
             &format!("{:.3}", p.hit_rate),
             &format!("{:.0}", p.requests_per_sec),
             &format!("{:.0}", p.solves_per_sec),
@@ -342,7 +339,6 @@ impl Outcome {
                 o.insert("dedup_waits".into(), Value::Number(p.dedup_waits as f64));
                 o.insert("misses".into(), Value::Number(p.misses as f64));
                 o.insert("solves".into(), Value::Number(p.solves as f64));
-                o.insert("warm_starts".into(), Value::Number(p.warm_starts as f64));
                 o.insert("evictions".into(), Value::Number(p.evictions as f64));
                 o.insert("hit_rate".into(), Value::Number(p.hit_rate));
                 o.insert("wall_s".into(), Value::Number(p.wall_s));

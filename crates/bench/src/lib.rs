@@ -1,7 +1,8 @@
 //! Benchmark & reproduction harness.
 //!
-//! One binary per paper table/figure (see `src/bin/`), backed by this
-//! library:
+//! `reproduce_all` prints every paper table/figure (`--only <section>`
+//! for one; the other binaries in `src/bin/` are sweeps and CI smoke
+//! stages), backed by this library:
 //!
 //! * [`measure`] — runs the *real* mdsim/amrsim kernels at laptop scale and
 //!   extracts per-element unit costs (the workspace's HPM profiling pass),
@@ -12,7 +13,7 @@
 //! * [`table`] — text-table formatting for the reproduction reports.
 //!
 //! Absolute numbers will differ from the paper (its substrate was a Blue
-//! Gene/Q; ours is a calibrated model), but each binary prints the paper's
+//! Gene/Q; ours is a calibrated model), but each section prints the paper's
 //! values next to ours so the *shape* — who wins, what decays, where the
 //! crossovers sit — can be compared directly.
 

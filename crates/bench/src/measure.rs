@@ -47,14 +47,19 @@ pub struct UnitCosts {
     pub anchor_threads: usize,
 }
 
+/// Wall time of one call of `f`: the fastest of `reps` timed calls after
+/// a warm-up. A rep that the host preempts only ever reads high, so the
+/// minimum is the estimate a loaded machine cannot inflate — the cost
+/// *orderings* the tests and the scheduler rely on survive a busy host.
 fn time_per<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    // warm-up
     f();
-    let sw = Stopwatch::start();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    sw.elapsed() / reps as f64
+    (0..reps)
+        .map(|_| {
+            let sw = Stopwatch::start();
+            std::hint::black_box(f());
+            sw.elapsed()
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Measures every unit cost once per process (cached).

@@ -1099,10 +1099,11 @@ mod tests {
         assert!(r.new_objective < r.old_objective);
         // the composite schedule keeps the executed prefix, drops the rest
         assert_eq!(report.schedule.per_analysis[0].analysis_steps, vec![2]);
+        // one spin where the static schedule has four: at the spin's 5 ms
+        // floor the static run (>= 20 ms) could not have met the 8 ms
+        // budget. The adaptive run's own wall total is not asserted — a
+        // loaded host stretches one measured spin past any fixed bound.
         assert_eq!(report.run.analysis_times[0].analyze_count, 1);
-        // within the total budget that the static schedule (4 spins =
-        // 20 ms vs 8 ms) could not have met
-        assert!(report.run.total_analysis_time() < 0.008);
         // the reschedule span and event are both in the timeline
         let tl = tracer.timeline();
         let span = tl.spans_named(SPAN_RESCHEDULE).next().expect("span");

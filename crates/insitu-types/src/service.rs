@@ -21,15 +21,16 @@ pub const SERVICE_SCHEMA: &str = "service/v1";
 /// How a response was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResponseSource {
-    /// Solved cold: no cached neighbor, no identical in-flight solve.
+    /// Solved from scratch: not cached, no identical in-flight solve.
     Fresh,
     /// Served from the solved-instance cache.
     Hit,
     /// Coalesced onto an identical in-flight solve (one solve, many
     /// waiters).
     Dedup,
-    /// Solved, but warm-started from the cached incumbent of the nearest
-    /// cached neighbor.
+    /// Solved, but warm-started from a cached neighbor's incumbent.
+    /// Reserved: `service/v1` is versioned, so the name stays parseable,
+    /// but the current `SolveService` never emits it.
     Warm,
 }
 
@@ -98,7 +99,8 @@ pub struct ServiceResponse {
     /// Branch-and-bound nodes of the underlying solve (0 for cache hits).
     pub solver_nodes: usize,
     /// Whether the underlying solve's warm-start hint seeded the
-    /// incumbent (always `false` for cache hits and cold solves).
+    /// incumbent. Goes with [`ResponseSource::Warm`]: the current
+    /// `SolveService` always sends `false`.
     pub hint_accepted: bool,
 }
 

@@ -2,26 +2,21 @@
 //!
 //! Best-first search on LP-relaxation bounds with two-tier variable
 //! selection — reliability pseudocost branching falling back to parallel
-//! strong branching ([`crate::BranchRule`]) — plunging dives, and an
-//! optional multi-threaded node pool.
+//! strong branching — plunging dives, and an optional multi-threaded node
+//! pool.
 //!
 //! # Branching
 //!
-//! At every fractional node the search picks the branching variable with
-//! the configured [`crate::BranchRule`]:
-//!
-//! * **MostFractional** — the variable whose LP value is closest to 0.5
-//!   (ties to the lowest index); no extra LPs.
-//! * **Pseudocost** (default) — per-variable up/down *pseudocosts* (mean
-//!   per-unit LP-bound degradation, learned from every child LP the search
-//!   solves) rank the candidates by the product of their estimated
-//!   degradations. Candidates whose pseudocosts are not yet reliable
-//!   (`pseudocost_reliability`), or all of them near the root
-//!   (`strong_branch_depth`), are *strong branched*: both child LPs are
-//!   solved — concurrently via `parallel::map_chunks`, warm-started from
-//!   the node basis — and scored by actual degradation. The winner's probe
-//!   LPs are reused as the real children, so no LP is ever solved twice;
-//!   probes are not search nodes and never appear in the certificate.
+//! At every fractional node per-variable up/down *pseudocosts* (mean
+//! per-unit LP-bound degradation, learned from every child LP the search
+//! solves) rank the candidates by the product of their estimated
+//! degradations. Candidates whose pseudocosts are not yet reliable
+//! (`PSEUDOCOST_RELIABILITY`), or all of them near the root
+//! (`STRONG_BRANCH_DEPTH`), are *strong branched*: both child LPs are
+//! solved — concurrently via `parallel::map_chunks`, warm-started from
+//! the node basis — and scored by actual degradation. The winner's probe
+//! LPs are reused as the real children, so no LP is ever solved twice;
+//! probes are not search nodes and never appear in the certificate.
 //!
 //! The pseudocost table is shared across workers under one mutex and
 //! updated in deterministic within-node order (down before up, ascending
@@ -60,17 +55,17 @@
 //! `docs/SOLVER.md` for the full guarantee.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtOrd};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use insitu_types::{CutProof, NodeCert, NodeOutcome, SearchCertificate};
 
-use crate::cuts::{self, CutKey, NodeCut};
+use crate::cuts;
 use crate::error::SolveError;
 use crate::model::{Model, Sense};
-use crate::options::{BranchRule, CutPolicy, SolveOptions};
+use crate::options::SolveOptions;
 use crate::simplex::{solve_lp_relaxation_warm, Basis, LpPoint};
 use crate::solution::Solution;
 use crate::stats::{CutStats, IncumbentEvent, SolveStats};
@@ -95,10 +90,6 @@ struct Node {
     parent: Option<u64>,
     /// Final simplex basis of this node's LP, used to warm-start children.
     basis: Option<Basis>,
-    /// Node-local cover cuts inherited from ancestors
-    /// ([`CutPolicy::Full`] only; empty otherwise). Shared down the
-    /// subtree — children clone the `Arc`, not the rows.
-    cuts: Arc<Vec<NodeCut>>,
 }
 
 impl PartialEq for Node {
@@ -121,21 +112,14 @@ impl Ord for Node {
     }
 }
 
-fn apply_overrides(model: &Model, overrides: &[(usize, f64, f64)]) -> Model {
+/// The model a child LP actually solves: the frozen root model (which
+/// already carries the root cut pool) with the node's bound overrides.
+fn child_model(model: &Model, overrides: &[(usize, f64, f64)]) -> Model {
     let mut m = model.clone();
     for &(v, lo, hi) in overrides {
         m.vars[v].lower = m.vars[v].lower.max(lo);
         m.vars[v].upper = m.vars[v].upper.min(hi);
     }
-    m
-}
-
-/// The model a child LP actually solves: the frozen root model (which
-/// already carries the root cut pool) with the node's bound overrides and
-/// its inherited node-local cut rows appended.
-fn child_model(model: &Model, overrides: &[(usize, f64, f64)], cuts: &[NodeCut]) -> Model {
-    let mut m = apply_overrides(model, overrides);
-    m.cons.extend(cuts.iter().map(|c| c.con.clone()));
     m
 }
 
@@ -167,19 +151,6 @@ fn fractional_candidates(model: &Model, values: &[f64], tol: f64) -> Vec<Candida
         }
     }
     out
-}
-
-/// The historical most-fractional rule: minimum distance to 0.5, ties to
-/// the lowest variable index (candidates arrive in ascending order, so
-/// strict `<` keeps the first).
-fn most_fractional(cands: &[Candidate]) -> Candidate {
-    let mut best = cands[0];
-    for c in &cands[1..] {
-        if c.dist < best.dist {
-            best = *c;
-        }
-    }
-    best
 }
 
 /// Per-variable branching pseudocosts: mean per-unit LP-bound degradation
@@ -230,9 +201,9 @@ impl Pseudocosts {
     }
 
     /// A pseudocost is reliable once both directions have been observed
-    /// at least `reliability` times (`0` = always reliable).
-    fn reliable(&self, var: usize, reliability: usize) -> bool {
-        self.down_cnt[var].min(self.up_cnt[var]) as usize >= reliability
+    /// at least [`PSEUDOCOST_RELIABILITY`] times.
+    fn reliable(&self, var: usize) -> bool {
+        self.down_cnt[var].min(self.up_cnt[var]) >= PSEUDOCOST_RELIABILITY
     }
 
     /// `(down, up)` per-unit degradation estimates. An unobserved
@@ -275,7 +246,7 @@ enum Probe {
 fn probe_side(sh: &Shared<'_>, node: &Node, var: usize, lo: f64, hi: f64) -> Probe {
     let mut overrides = node.overrides.clone();
     overrides.push((var, lo, hi));
-    let child = child_model(sh.model, &overrides, &node.cuts);
+    let child = child_model(sh.model, &overrides);
     if child.vars[var].lower > child.vars[var].upper {
         return Probe::Empty;
     }
@@ -317,39 +288,38 @@ struct BranchChoice {
 /// Degradation products compare with this floor so a zero-degradation
 /// direction cannot erase the other direction's signal.
 const SCORE_EPS: f64 = 1e-6;
+/// A variable's pseudocost is *reliable* once both its down- and
+/// up-branch have been observed at least this many times; unreliable
+/// candidates are strong-branched.
+const PSEUDOCOST_RELIABILITY: u32 = 4;
+/// At node depths shallower than this, *every* candidate is
+/// strong-branched regardless of reliability — the top of the tree is
+/// where a bad branching variable costs the most nodes.
+const STRONG_BRANCH_DEPTH: usize = 4;
+/// At most this many candidates are strong-branched per node (the most
+/// fractional ones win the slots).
+const STRONG_BRANCH_LIMIT: usize = 8;
 
-/// Picks the branching variable per `opts.branch_rule`. See the module
-/// docs for the scheme; score ties break to the most fractional candidate
-/// and then the lowest variable index, which keeps the serial search
-/// bitwise-reproducible.
+/// Picks the branching variable. See the module docs for the scheme;
+/// score ties break to the most fractional candidate and then the lowest
+/// variable index, which keeps the serial search bitwise-reproducible.
 fn select_branch(
     sh: &Shared<'_>,
     node: &Node,
     cands: &[Candidate],
 ) -> Result<BranchChoice, SolveError> {
-    let mf = most_fractional(cands);
-    if matches!(sh.opts.branch_rule, BranchRule::MostFractional) {
-        return Ok(BranchChoice {
-            var: mf.var,
-            value: mf.value,
-            probes: None,
-        });
-    }
-
     // --- tier 2: strong-branch the unreliable (or shallow-depth) set ---
-    let strong_all = node.overrides.len() < sh.opts.strong_branch_depth;
+    let strong_all = node.overrides.len() < STRONG_BRANCH_DEPTH;
     let mut strong: Vec<usize> = {
         let pc = sh.pseudo.lock().unwrap();
         (0..cands.len())
-            .filter(|&ci| {
-                strong_all || !pc.reliable(cands[ci].var, sh.opts.pseudocost_reliability)
-            })
+            .filter(|&ci| strong_all || !pc.reliable(cands[ci].var))
             .collect()
     };
     // the most fractional candidates win the probe slots (stable sort
     // keeps ascending variable order on distance ties)...
     strong.sort_by(|&a, &b| cands[a].dist.total_cmp(&cands[b].dist));
-    strong.truncate(sh.opts.strong_branch_limit.max(1));
+    strong.truncate(STRONG_BRANCH_LIMIT);
     // ...and probes/updates run in ascending variable order
     strong.sort_unstable();
 
@@ -501,8 +471,7 @@ struct Shared<'m> {
     pseudocost_branches: AtomicUsize,
     /// Branching pseudocosts shared by every worker; see [`Pseudocosts`].
     pseudo: Mutex<Pseudocosts>,
-    /// Revised-engine counters, aggregated across workers (all zero when
-    /// the dense oracle engine is selected).
+    /// LP-engine counters, aggregated across workers.
     refactorizations: AtomicUsize,
     max_eta_len: AtomicUsize,
     ftran_ns: AtomicU64,
@@ -512,20 +481,6 @@ struct Shared<'m> {
     events: Mutex<Vec<IncumbentEvent>>,
     /// Certificate node log; only written when `opts.certificate` is set.
     cert: Mutex<Vec<NodeCert>>,
-    /// Rows of `model` that belong to the original problem; rows beyond
-    /// this are frozen root pool cuts. Node separation scans only the
-    /// original rows.
-    base_rows: usize,
-    /// Dedup keys of the frozen root pool, so tree nodes never re-append
-    /// a cut the root already carries.
-    root_cut_keys: BTreeSet<CutKey>,
-    /// Remaining global budget for node-local cuts
-    /// (`max_cuts − root pool size`); reserved with a CAS loop.
-    cut_budget: AtomicUsize,
-    /// Node-local cover cuts actually appended.
-    node_cuts: AtomicUsize,
-    /// Validity proofs: root pool first, then node cuts in append order.
-    cut_proofs: Mutex<Vec<CutProof>>,
     search_start: Instant,
 }
 
@@ -562,7 +517,7 @@ impl<'m> Shared<'m> {
         }
     }
 
-    /// Accumulates one LP solve's revised-engine counters.
+    /// Accumulates one LP solve's engine counters.
     fn absorb_telemetry(&self, t: &crate::stats::LpTelemetry) {
         self.refactorizations
             .fetch_add(t.refactorizations, AtOrd::Relaxed);
@@ -599,111 +554,6 @@ impl<'m> Shared<'m> {
                 outcome,
             });
         }
-    }
-}
-
-/// How deep in the tree node-local cover separation still runs
-/// ([`CutPolicy::Full`]); deeper nodes branch without re-separating.
-const NODE_CUT_MAX_DEPTH: usize = 4;
-/// Cover cuts appended per separating node.
-const NODE_CUTS_PER_NODE: usize = 2;
-
-/// Reserves up to `want` units from a shared budget counter; returns how
-/// many were actually granted.
-fn reserve_budget(budget: &AtomicUsize, want: usize) -> usize {
-    let mut cur = budget.load(AtOrd::Relaxed);
-    loop {
-        let take = want.min(cur);
-        if take == 0 {
-            return 0;
-        }
-        match budget.compare_exchange(cur, cur - take, AtOrd::Relaxed, AtOrd::Relaxed) {
-            Ok(_) => return take,
-            Err(now) => cur = now,
-        }
-    }
-}
-
-/// What became of a node after local cover separation.
-enum NodeCutAct {
-    /// Still open (possibly with a tightened LP point); keep plunging.
-    Kept,
-    /// Separation pruned it (bound domination or an infeasible cut LP);
-    /// its certificate record is already written.
-    Pruned,
-}
-
-/// [`CutPolicy::Full`] node separation: look for violated cover cuts at
-/// the node's LP point, append up to [`NODE_CUTS_PER_NODE`] (within the
-/// shared budget), and re-solve the node LP warm from the extended basis.
-/// The tightened point replaces the node's; domination and infeasibility
-/// prune immediately. Cuts are inherited by the whole subtree via
-/// [`Node::cuts`].
-fn try_node_cuts(sh: &Shared<'_>, node: &mut Node) -> Result<NodeCutAct, SolveError> {
-    let mut cands = cuts::node_cover_cuts(sh.model, sh.base_rows, &node.values);
-    cands.retain(|c| {
-        !sh.root_cut_keys.contains(&c.key) && !node.cuts.iter().any(|n| n.key == c.key)
-    });
-    cands.truncate(NODE_CUTS_PER_NODE);
-    let take = reserve_budget(&sh.cut_budget, cands.len());
-    cands.truncate(take);
-    if cands.is_empty() {
-        return Ok(NodeCutAct::Kept);
-    }
-    let mut new_cuts = (*node.cuts).clone();
-    let mut proofs = Vec::with_capacity(cands.len());
-    for c in cands {
-        proofs.push(c.proof);
-        new_cuts.push(NodeCut { con: c.con, key: c.key });
-    }
-    let appended = proofs.len();
-    let child = child_model(sh.model, &node.overrides, &new_cuts);
-    // extended basis hint: each appended row's slack column enters basic
-    let hint = node.basis.as_ref().map(|b| {
-        let mut h = b.clone();
-        let ncols = h.at_upper.len();
-        for i in 0..appended {
-            h.basic.push(ncols + i);
-            h.at_upper.push(false);
-        }
-        h
-    });
-    sh.node_cuts.fetch_add(appended, AtOrd::Relaxed);
-    if sh.opts.certificate {
-        sh.cut_proofs.lock().unwrap().extend(proofs);
-    }
-    match solve_lp_relaxation_warm(&child, sh.opts, hint.as_ref()) {
-        Ok((relax, point)) => {
-            sh.lp_pivots.fetch_add(relax.iterations, AtOrd::Relaxed);
-            sh.absorb_telemetry(&point.telemetry);
-            if point.warm {
-                sh.warm_started.fetch_add(1, AtOrd::Relaxed);
-            }
-            // cuts only tighten; keep the old bound if numerics nudged it
-            // the other way (certificate monotonicity depends on it)
-            if sh.sign * relax.objective < sh.sign * node.bound {
-                node.bound = relax.objective;
-                node.key = sh.sign * relax.objective;
-            }
-            node.values = relax.values;
-            node.basis = Some(point.basis);
-            node.cuts = Arc::new(new_cuts);
-            if sh.dominated(node.bound) {
-                sh.pruned_bound.fetch_add(1, AtOrd::Relaxed);
-                sh.record(node.seq, node.parent, node.bound, NodeOutcome::PrunedBound);
-                return Ok(NodeCutAct::Pruned);
-            }
-            Ok(NodeCutAct::Kept)
-        }
-        Err(SolveError::Infeasible) => {
-            // cover cuts preserve every integer point, so an empty cut LP
-            // proves the subtree holds none — same prune as a plain
-            // infeasible child, and the cut proofs above justify the rows
-            sh.pruned_infeasible.fetch_add(1, AtOrd::Relaxed);
-            sh.record(node.seq, node.parent, node.bound, NodeOutcome::PrunedInfeasible);
-            Ok(NodeCutAct::Pruned)
-        }
-        Err(e) => Err(e),
     }
 }
 
@@ -759,21 +609,6 @@ fn worker(sh: &Shared<'_>, total: usize) {
                 sh.record(node.seq, node.parent, node.bound, NodeOutcome::PrunedBound);
                 continue 'outer; // this dive is dominated; pick next best
             }
-            // node-local cover separation (root already separated serially)
-            let mut node = node;
-            if matches!(sh.opts.cut_policy, CutPolicy::Full)
-                && !node.overrides.is_empty()
-                && node.overrides.len() <= NODE_CUT_MAX_DEPTH
-            {
-                match try_node_cuts(sh, &mut node) {
-                    Ok(NodeCutAct::Kept) => {}
-                    Ok(NodeCutAct::Pruned) => continue 'outer,
-                    Err(e) => {
-                        sh.fail(e);
-                        return;
-                    }
-                }
-            }
             let cands = fractional_candidates(sh.model, &node.values, sh.opts.tol);
             if cands.is_empty() {
                 // integral: candidate incumbent (snap values to integers)
@@ -803,7 +638,6 @@ fn worker(sh: &Shared<'_>, total: usize) {
                 sh.record(node.seq, node.parent, node.bound, NodeOutcome::Branched);
                 let var = choice.var;
                 let floor = choice.value.floor();
-                let learn = matches!(sh.opts.branch_rule, BranchRule::Pseudocost);
                 let mut cached = choice.probes.map(|[down, up]| [Some(down), Some(up)]);
                 let mut children: Vec<Node> = Vec::with_capacity(2);
                 for (side, (lo, hi)) in [(f64::NEG_INFINITY, floor), (floor + 1.0, f64::INFINITY)]
@@ -818,7 +652,7 @@ fn worker(sh: &Shared<'_>, total: usize) {
                     let probe = match cached.as_mut() {
                         Some(pair) => pair[side].take().expect("probe consumed once"),
                         None => {
-                            let child_model = child_model(sh.model, &overrides, &node.cuts);
+                            let child_model = child_model(sh.model, &overrides);
                             if child_model.vars[var].lower > child_model.vars[var].upper {
                                 Probe::Empty
                             } else {
@@ -833,21 +667,18 @@ fn worker(sh: &Shared<'_>, total: usize) {
                                         if point.warm {
                                             sh.warm_started.fetch_add(1, AtOrd::Relaxed);
                                         }
-                                        if learn {
-                                            // child solves feed the table too
-                                            let deg = (sh.sign * (node.bound - relax.objective))
-                                                .max(0.0);
-                                            let c = cands
-                                                .iter()
-                                                .find(|c| c.var == var)
-                                                .expect("chosen var is a candidate");
-                                            let width =
-                                                if side == 0 { c.frac } else { 1.0 - c.frac };
-                                            sh.pseudo
-                                                .lock()
-                                                .unwrap()
-                                                .observe(var, side == 1, deg / width);
-                                        }
+                                        // child solves feed the table too
+                                        let deg =
+                                            (sh.sign * (node.bound - relax.objective)).max(0.0);
+                                        let c = cands
+                                            .iter()
+                                            .find(|c| c.var == var)
+                                            .expect("chosen var is a candidate");
+                                        let width = if side == 0 { c.frac } else { 1.0 - c.frac };
+                                        sh.pseudo
+                                            .lock()
+                                            .unwrap()
+                                            .observe(var, side == 1, deg / width);
                                         Probe::Solved(Box::new((relax, point)))
                                     }
                                     Err(SolveError::Infeasible) => Probe::Infeasible,
@@ -896,7 +727,6 @@ fn worker(sh: &Shared<'_>, total: usize) {
                                 seq: sh.next_seq.fetch_add(1, AtOrd::Relaxed),
                                 parent: Some(node.seq),
                                 basis: Some(point.basis),
-                                cuts: node.cuts.clone(),
                             });
                         }
                         Probe::Fatal(e) => {
@@ -905,12 +735,9 @@ fn worker(sh: &Shared<'_>, total: usize) {
                         }
                     }
                 }
-                // dive into the better child, park the other (or park
-                // both when plunging is disabled — pure best-first)
+                // dive into the better child, park the other
                 children.sort(); // ascending: last = best (key, FIFO seq)
-                if sh.opts.plunge {
-                    cur = children.pop();
-                }
+                cur = children.pop();
                 for sibling in children {
                     sh.push_node(sibling);
                 }
@@ -998,15 +825,9 @@ fn solve_seeded(
     let mut solve_span = opts.trace.span("milp.solve");
     model.validate()?;
     let t_presolve = Instant::now();
-    let presolved;
-    let model = if opts.presolve {
-        let mut reduced = model.clone();
-        crate::presolve::presolve(&mut reduced, opts.tol)?;
-        presolved = reduced;
-        &presolved
-    } else {
-        model
-    };
+    let mut presolved = model.clone();
+    crate::presolve::presolve(&mut presolved, opts.tol)?;
+    let model = &presolved;
     let presolve_time = t_presolve.elapsed();
     let sign = match model.sense {
         Sense::Maximize => 1.0,
@@ -1024,13 +845,9 @@ fn solve_seeded(
         root_bound_after: root.objective,
         ..CutStats::default()
     };
-    let base_rows = model.cons.len();
     let mut root_proofs: Vec<CutProof> = Vec::new();
-    let mut root_keys: Vec<CutKey> = Vec::new();
     let augmented;
-    let model = if !matches!(opts.cut_policy, CutPolicy::Off)
-        && !model.integer_vars().is_empty()
-    {
+    let model = if !model.integer_vars().is_empty() {
         let t_cuts = Instant::now();
         let rc = cuts::separate_root(model, opts, root, root_point)?;
         cut_stats.separation_time = t_cuts.elapsed();
@@ -1042,7 +859,6 @@ fn solve_seeded(
         root = rc.relax;
         root_point = rc.point;
         root_proofs = rc.proofs;
-        root_keys = rc.keys;
         augmented = rc.model;
         &augmented
     } else {
@@ -1079,11 +895,6 @@ fn solve_seeded(
         error: Mutex::new(None),
         events: Mutex::new(Vec::new()),
         cert: Mutex::new(Vec::new()),
-        base_rows,
-        root_cut_keys: root_keys.into_iter().collect(),
-        cut_budget: AtomicUsize::new(opts.max_cuts.saturating_sub(root_proofs.len())),
-        node_cuts: AtomicUsize::new(0),
-        cut_proofs: Mutex::new(root_proofs),
         search_start: Instant::now(),
     };
     let root_bound = root.objective;
@@ -1100,10 +911,8 @@ fn solve_seeded(
             }
         }
     }
-    if opts.rounding_heuristic {
-        if let Some((values, objective)) = rounded_candidate(model, &root.values, opts.tol) {
-            sh.offer_incumbent(values, objective);
-        }
+    if let Some((values, objective)) = rounded_candidate(model, &root.values, opts.tol) {
+        sh.offer_incumbent(values, objective);
     }
     sh.pool.lock().unwrap().heap.push(Node {
         overrides: Vec::new(),
@@ -1113,7 +922,6 @@ fn solve_seeded(
         seq: sh.next_seq.fetch_add(1, AtOrd::Relaxed),
         parent: None,
         basis: Some(root_point.basis),
-        cuts: Arc::new(Vec::new()),
     });
 
     let t_search = Instant::now();
@@ -1152,11 +960,7 @@ fn solve_seeded(
                 ftran_time: std::time::Duration::from_nanos(sh.ftran_ns.load(AtOrd::Relaxed)),
                 btran_time: std::time::Duration::from_nanos(sh.btran_ns.load(AtOrd::Relaxed)),
                 incumbent_updates: sh.events.lock().unwrap().drain(..).collect(),
-                cuts: CutStats {
-                    node_cuts: sh.node_cuts.load(AtOrd::Relaxed),
-                    cuts_applied: cut_stats.cuts_applied + sh.node_cuts.load(AtOrd::Relaxed),
-                    ..cut_stats
-                },
+                cuts: cut_stats,
                 presolve_time,
                 root_lp_time,
                 search_time,
@@ -1172,7 +976,7 @@ fn solve_seeded(
                         maximize: matches!(model.sense, Sense::Maximize),
                         proven_optimal: true,
                         nodes,
-                        cuts: std::mem::take(&mut *sh.cut_proofs.lock().unwrap()),
+                        cuts: root_proofs,
                     })
                 } else {
                     None
@@ -1302,33 +1106,10 @@ mod tests {
         assert_eq!(s.int_value(k1), 10);
     }
 
-    #[test]
-    fn plunging_and_pure_best_first_agree() {
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..8).map(|i| m.binary(&format!("x{i}"))).collect();
-        let w = [3.0, 5.0, 2.0, 7.0, 4.0, 1.0, 6.0, 2.5];
-        let p = [9.0, 12.0, 4.0, 15.0, 8.0, 2.0, 11.0, 5.0];
-        m.add_con(
-            LinExpr::sum(vars.iter().zip(w).map(|(&v, w)| (v, w))),
-            Cmp::Le,
-            14.0,
-        );
-        m.set_objective(LinExpr::sum(vars.iter().zip(p).map(|(&v, p)| (v, p))));
-        let with = solve(&m, &opts()).unwrap();
-        let without = solve(
-            &m,
-            &SolveOptions {
-                plunge: false,
-                ..opts()
-            },
-        )
-        .unwrap();
-        assert!((with.objective - without.objective).abs() < 1e-9);
-        assert!(with.proven_optimal && without.proven_optimal);
-    }
-
-    #[test]
-    fn node_limit_reported() {
+    /// Pick 6.5 of 14 near-equal items: the LP vertex is fractional,
+    /// rounding it is infeasible, and the root cuts leave a gap, so the
+    /// search has to branch.
+    fn branching_knapsack() -> Model {
         let mut m = Model::new(Sense::Maximize);
         let mut obj = LinExpr::new();
         let mut row = LinExpr::new();
@@ -1339,9 +1120,14 @@ mod tests {
         }
         m.add_con(row, Cmp::Le, 13.0); // forces fractionality
         m.set_objective(obj);
+        m
+    }
+
+    #[test]
+    fn node_limit_reported() {
+        let m = branching_knapsack();
         let tight = SolveOptions {
             max_nodes: 2,
-            rounding_heuristic: false,
             ..opts()
         };
         match solve(&m, &tight) {
@@ -1425,30 +1211,10 @@ mod tests {
 
     #[test]
     fn warm_starts_are_used() {
-        // force branching so children exist, then check the counter
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.int_var("x", 0.0, 10.0);
-        let y = m.int_var("y", 0.0, 10.0);
-        m.add_con(LinExpr::new().term(x, 2.0).term(y, 2.0), Cmp::Le, 5.0);
-        m.set_objective(LinExpr::new().term(x, 1.0).term(y, 1.0));
-        let no_heuristic = SolveOptions {
-            rounding_heuristic: false,
-            ..opts()
-        };
-        let s = solve(&m, &no_heuristic).unwrap();
-        let cold = solve(
-            &m,
-            &SolveOptions {
-                warm_start: false,
-                ..no_heuristic.clone()
-            },
-        )
-        .unwrap();
-        assert_eq!(s.objective.to_bits(), cold.objective.to_bits());
-        assert_eq!(cold.stats.warm_started, 0);
-        if s.nodes > 1 {
-            assert!(s.stats.warm_started > 0, "stats: {}", s.stats);
-        }
+        // an instance the root cuts do not close, so children exist
+        let s = solve(&branching_knapsack(), &opts()).unwrap();
+        assert!(s.nodes > 1, "want a real tree, got {} node(s)", s.nodes);
+        assert!(s.stats.warm_started > 0, "stats: {}", s.stats);
     }
 
     #[test]
@@ -1476,13 +1242,9 @@ mod tests {
     #[test]
     fn hint_seeds_the_incumbent_before_search() {
         let m = tied_knapsack();
-        let quiet = SolveOptions {
-            rounding_heuristic: false,
-            ..opts()
-        };
         // the optimal point itself as hint: the first incumbent event must
         // land at node 0 (before any node was explored)
-        let s = solve_with_hint(&m, &quiet, &[1.0, 1.0, 0.0, 0.0]).unwrap();
+        let s = solve_with_hint(&m, &opts(), &[1.0, 1.0, 0.0, 0.0]).unwrap();
         assert_eq!(s.objective.round(), 10.0);
         assert!(s.proven_optimal);
         let first = s.stats.incumbent_updates.first().expect("hint recorded");
@@ -1521,7 +1283,6 @@ mod tests {
         let m = tied_knapsack();
         let with_cert = SolveOptions {
             certificate: true,
-            rounding_heuristic: false,
             ..opts()
         };
         let s = solve_with_hint(&m, &with_cert, &[0.0, 1.0, 1.0, 0.0]).unwrap();

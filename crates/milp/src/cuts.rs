@@ -34,11 +34,10 @@
 //!
 //! # The root pool
 //!
-//! [`separate_root`] runs up to [`crate::SolveOptions::cut_rounds`] rounds:
-//! separate, dedup against every cut ever tried (bit-exact keys), rank by
-//! violation, append up to the remaining [`crate::SolveOptions::max_cuts`]
-//! budget, warm re-solve the LP dual-simplex style from the extended basis,
-//! then age the pool — a cut slack at the re-solved vertex for
+//! [`separate_root`] runs up to [`CUT_ROUNDS`] rounds: separate, dedup
+//! against every cut ever tried (bit-exact keys), rank by violation,
+//! append up to the remaining [`MAX_CUTS`] budget, warm re-solve the LP
+//! dual-simplex style from the extended basis, then age the pool — a cut slack at the re-solved vertex for
 //! [`CUT_AGE_ROUNDS`] consecutive rounds is evicted (its slack column is
 //! necessarily basic, so the basis survives the row deletion) and the LP is
 //! re-solved once more. The loop is fully serial and runs before any worker
@@ -53,7 +52,7 @@ use insitu_types::{CutProof, GomoryVar};
 use crate::error::SolveError;
 use crate::expr::{LinExpr, Var};
 use crate::model::{Cmp, Constraint, Model, VarKind};
-use crate::options::{SimplexEngine, SolveOptions};
+use crate::options::SolveOptions;
 use crate::revised::TableauView;
 use crate::simplex::{solve_lp_relaxation_warm, LpPoint};
 use crate::solution::Solution;
@@ -83,6 +82,12 @@ const RHS_MARGIN: f64 = 1e-7;
 const CUT_AGE_ROUNDS: u8 = 2;
 /// Bound-improvement stall threshold (relative) that ends the root loop.
 const STALL_TOL: f64 = 1e-9;
+/// Maximum root separation rounds; separation stops early when a round
+/// adds no cut or the bound stalls.
+const CUT_ROUNDS: usize = 8;
+/// Hard cap on the root pool. A round that over-generates keeps its
+/// most-violated cuts.
+const MAX_CUTS: usize = 64;
 
 // ---------------------------------------------------------------------------
 // exact rational arithmetic (separator-local; the checker in `certify` has
@@ -249,8 +254,8 @@ fn next_up(x: f64) -> f64 {
 
 /// Bit-exact identity of a cut row in model space: comparison direction,
 /// sorted `(var, coeff-bits)` terms, and rhs bits. Used for dedup across
-/// separation rounds and between root pool and node cuts.
-pub(crate) type CutKey = (bool, Vec<(usize, u64)>, u64);
+/// separation rounds.
+type CutKey = (bool, Vec<(usize, u64)>, u64);
 
 fn cut_key(con: &Constraint) -> CutKey {
     let mut terms: Vec<(usize, u64)> = con
@@ -266,32 +271,22 @@ fn cut_key(con: &Constraint) -> CutKey {
 /// One separated cut: the model-space row to append, its validity proof,
 /// and ranking metadata.
 #[derive(Debug, Clone)]
-pub(crate) struct CutCandidate {
+struct CutCandidate {
     /// Model-space inequality to append.
-    pub(crate) con: Constraint,
+    con: Constraint,
     /// Exact-arithmetic validity certificate.
-    pub(crate) proof: CutProof,
+    proof: CutProof,
     /// Dedup identity.
-    pub(crate) key: CutKey,
+    key: CutKey,
     /// Violation at the LP vertex the cut was separated from.
-    pub(crate) violation: f64,
+    violation: f64,
     /// True for Gomory cuts (cover otherwise).
-    pub(crate) gomory: bool,
-}
-
-/// A node-local cut row plus its dedup key, shared down the subtree.
-#[derive(Debug, Clone)]
-pub(crate) struct NodeCut {
-    /// The appended inequality.
-    pub(crate) con: Constraint,
-    /// Dedup identity (against the root pool and ancestor cuts).
-    pub(crate) key: CutKey,
+    gomory: bool,
 }
 
 /// A pool member with its activity-aging counter.
 struct ActiveCut {
     proof: CutProof,
-    key: CutKey,
     idle: u8,
 }
 
@@ -311,8 +306,6 @@ pub(crate) struct RootCuts {
     pub(crate) point: LpPoint,
     /// Validity proofs of the surviving pool cuts, in row order.
     pub(crate) proofs: Vec<CutProof>,
-    /// Dedup keys of the surviving pool cuts, in row order.
-    pub(crate) keys: Vec<CutKey>,
     /// Gomory candidates generated across all rounds (pre-selection).
     pub(crate) gomory_generated: usize,
     /// Cover candidates generated across all rounds (pre-selection).
@@ -425,19 +418,14 @@ fn cover_cuts_into(
 
 /// Separates GMI cuts from the optimal tableau of `point.basis` over
 /// `model`. Requires every model variable to map to a single structural
-/// column ([`ColMap::Direct`], true for finite-lower-bound models) and the
-/// revised engine; otherwise quietly separates nothing.
-fn gomory_cuts_into(
-    model: &Model,
-    opts: &SolveOptions,
-    point: &LpPoint,
-    out: &mut Vec<CutCandidate>,
-) {
+/// column ([`ColMap::Direct`], true for finite-lower-bound models);
+/// otherwise quietly separates nothing.
+fn gomory_cuts_into(model: &Model, point: &LpPoint, out: &mut Vec<CutCandidate>) {
     let Ok(sf) = StandardForm::from_model(model) else { return };
     if !sf.var_map.iter().all(|m| matches!(m, ColMap::Direct(_))) {
         return;
     }
-    let Some(mut view) = TableauView::new(&sf, opts, &point.basis) else { return };
+    let Some(mut view) = TableauView::new(&sf, &point.basis) else { return };
     let n_struct = sf.n_struct;
     let integral: Vec<bool> = model
         .vars
@@ -626,14 +614,6 @@ pub(crate) fn separate_root(
     relax: Solution,
     point: LpPoint,
 ) -> Result<RootCuts, SolveError> {
-    // basis chaining across separation re-solves is internal machinery,
-    // not the user-facing warm-start knob: forcing it on keeps the cut
-    // pool (and thus the returned tied vertex) identical whether or not
-    // the tree search warm-starts (`docs/SOLVER.md` § warm_start)
-    let opts = &SolveOptions {
-        warm_start: true,
-        ..opts.clone()
-    };
     let base_rows = base.cons.len();
     let mut model = base.clone();
     let mut relax = relax;
@@ -645,16 +625,14 @@ pub(crate) fn separate_root(
     let mut total_pivots = relax.iterations;
     let mut total_tele = point.telemetry;
 
-    for _round in 0..opts.cut_rounds {
-        let budget = opts.max_cuts.saturating_sub(active.len());
+    for _round in 0..CUT_ROUNDS {
+        let budget = MAX_CUTS.saturating_sub(active.len());
         if budget == 0 {
             break;
         }
         let mut cands: Vec<CutCandidate> = Vec::new();
         cover_cuts_into(&model, 0..base_rows, &relax.values, &mut cands);
-        if matches!(opts.engine, SimplexEngine::Revised) {
-            gomory_cuts_into(&model, opts, &point, &mut cands);
-        }
+        gomory_cuts_into(&model, &point, &mut cands);
         for c in &cands {
             if c.gomory {
                 gomory_generated += 1;
@@ -680,8 +658,8 @@ pub(crate) fn separate_root(
         for (i, cand) in cands.into_iter().enumerate() {
             hint.basic.push(ncols_old + i);
             hint.at_upper.push(false);
-            seen.insert(cand.key.clone());
-            active.push(ActiveCut { proof: cand.proof, key: cand.key, idle: 0 });
+            seen.insert(cand.key);
+            active.push(ActiveCut { proof: cand.proof, idle: 0 });
             model.cons.push(cand.con);
         }
         let (r2, p2) = solve_lp_relaxation_warm(&model, opts, Some(&hint))?;
@@ -778,8 +756,7 @@ pub(crate) fn separate_root(
     relax.iterations = total_pivots;
     point.telemetry = total_tele;
     Ok(RootCuts {
-        proofs: active.iter().map(|a| a.proof.clone()).collect(),
-        keys: active.iter().map(|a| a.key.clone()).collect(),
+        proofs: active.into_iter().map(|a| a.proof).collect(),
         model,
         relax,
         point,
@@ -787,23 +764,6 @@ pub(crate) fn separate_root(
         cover_generated,
         aged_out,
     })
-}
-
-/// Separates violated cover cuts at a tree node's LP point, against the
-/// *root* binary bounds (node overrides may fix members without affecting
-/// validity). Returns candidates sorted by violation; the caller dedups
-/// against the root pool and ancestor cuts, then truncates to its budget.
-pub(crate) fn node_cover_cuts(
-    root_model: &Model,
-    base_rows: usize,
-    values: &[f64],
-) -> Vec<CutCandidate> {
-    let mut out = Vec::new();
-    cover_cuts_into(root_model, 0..base_rows, values, &mut out);
-    out.sort_by(|a, b| {
-        b.violation.total_cmp(&a.violation).then_with(|| a.key.cmp(&b.key))
-    });
-    out
 }
 
 #[cfg(test)]
@@ -958,7 +918,7 @@ mod tests {
         let (relax, point) = solve_lp_relaxation_warm(&m, &opts, None).unwrap();
         assert!((relax.objective - 2.5).abs() < 1e-6);
         let mut out = Vec::new();
-        gomory_cuts_into(&m, &opts, &point, &mut out);
+        gomory_cuts_into(&m, &point, &mut out);
         assert!(!out.is_empty(), "fractional basic integer row must separate");
         let mut cut_model = m.clone();
         for c in &out {
@@ -982,24 +942,11 @@ mod tests {
         let a = run();
         // the GMI cut from x+y = 2.5 closes the gap to the integer hull
         assert!(a.relax.objective <= 2.5 - 1e-4, "bound must tighten");
-        assert!(!a.proofs.is_empty());
+        assert!(!a.proofs.is_empty() && a.proofs.len() <= MAX_CUTS);
         assert_eq!(a.model.cons.len(), m.cons.len() + a.proofs.len());
         assert_cuts_valid(&a.model, m.cons.len());
         let b = run();
         assert_eq!(a.proofs, b.proofs, "root pool must be bitwise reproducible");
         assert_eq!(a.relax.objective.to_bits(), b.relax.objective.to_bits());
-    }
-
-    #[test]
-    fn separate_root_respects_budget() {
-        let m = knapsack();
-        let opts = SolveOptions {
-            max_cuts: 0,
-            ..SolveOptions::default()
-        };
-        let (relax, point) = solve_lp_relaxation_warm(&m, &opts, None).unwrap();
-        let rc = separate_root(&m, &opts, relax, point).unwrap();
-        assert!(rc.proofs.is_empty());
-        assert_eq!(rc.model.cons.len(), m.cons.len());
     }
 }

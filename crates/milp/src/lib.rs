@@ -10,11 +10,12 @@
 //!   pricing over the CSC constraint matrix, with dual-simplex **warm
 //!   starts** that refactorize a parent [`Basis`] directly,
 //! * a bounded-variable, two-phase primal **simplex** on a dense tableau
-//!   ([`simplex`]), kept as the differential oracle behind
-//!   [`SimplexEngine::DenseTableau`],
-//! * **branch & bound** with best-first node selection,
-//!   most-fractional branching and optional multi-threaded search
-//!   ([`branch`]; see [`SolveOptions::threads`]),
+//!   ([`simplex`]), kept off every solve path as the oracle the LP-level
+//!   differential tests compare the revised simplex against,
+//! * **branch & cut** with best-first node selection and plunging,
+//!   pseudocost/strong branching, exactly-certified root Gomory + cover
+//!   cuts, and optional multi-threaded search ([`branch`]; see
+//!   [`SolveOptions::threads`]),
 //! * solver **telemetry** — node/prune/pivot counters, the incumbent
 //!   timeline and per-phase wall times ([`SolveStats`], returned in every
 //!   [`Solution`]),
@@ -83,9 +84,9 @@ pub use branch::{solve, solve_with_hint};
 pub use error::SolveError;
 pub use expr::{LinExpr, Var};
 pub use model::{Cmp, Model, Sense, VarKind};
-pub use options::{BranchRule, CutPolicy, SimplexEngine, SolveOptions};
+pub use options::SolveOptions;
 pub use presolve::{presolve, PresolveStats};
-pub use simplex::{solve_lp_relaxation, Basis};
+pub use simplex::{solve_lp_relaxation, solve_lp_relaxation_dense, Basis};
 pub use solution::Solution;
 pub use stats::{CutStats, IncumbentEvent, LpTelemetry, SolveStats};
 pub use trace::{SearchTrace, TraceNode, SEARCHTRACE_SCHEMA};

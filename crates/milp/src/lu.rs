@@ -11,8 +11,8 @@
 //!   basis — trading a bounded amount of stability for fill-in control;
 //! * an **eta file**: a product-form update per basis exchange, so a pivot
 //!   costs `O(nnz)` instead of a refactorization. The file is folded back
-//!   into a fresh LU every [`crate::SolveOptions::refactor_interval`]
-//!   pivots (and on demand, e.g. after a warm start).
+//!   into a fresh LU every `revised::REFACTOR_INTERVAL` pivots (and on
+//!   demand, e.g. after a warm start).
 //!
 //! Two solve directions are exposed, both allocation-free after
 //! construction (callers pass scratch buffers):

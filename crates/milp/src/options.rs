@@ -1,78 +1,9 @@
-//! Solver configuration knobs.
-
-/// Which LP engine solves each relaxation.
-///
-/// Both engines implement the same bounded-variable two-phase primal
-/// simplex with identical tolerances and solve every LP to proven
-/// optimality, so they return the same objectives — the choice is purely
-/// about cost per iteration. The differential fuzz harness cross-checks
-/// the two on every corpus instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimplexEngine {
-    /// Sparse revised simplex: LU-factorized basis with eta updates,
-    /// BTRAN/FTRAN solves, partial pricing. Cost per iteration tracks the
-    /// nonzero count. The default.
-    #[default]
-    Revised,
-    /// Dense tableau (the original engine). Cost per iteration is
-    /// O(rows · cols) regardless of sparsity; kept as the differential
-    /// oracle and for tiny instances.
-    DenseTableau,
-}
-
-/// Variable-selection rule used by branch & bound at every fractional
-/// node.
-///
-/// Both rules explore a valid search tree and return the identical
-/// lexicographic optimum — the choice only affects how many nodes the
-/// search visits before closing the tree. See `docs/SOLVER.md` for the
-/// branching contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BranchRule {
-    /// The historical rule: branch on the integer variable whose LP value
-    /// is closest to 0.5 (ties to the lowest variable index). No extra
-    /// LPs are solved to pick the variable. Kept for the ablation bench
-    /// and as the conservative baseline.
-    MostFractional,
-    /// Reliability pseudocost branching with a strong-branching fallback
-    /// (the default). Per-variable up/down degradation averages are
-    /// learned from every child LP the search solves; candidates whose
-    /// pseudocosts are not yet reliable — or every candidate at depths
-    /// shallower than [`SolveOptions::strong_branch_depth`] — are *strong
-    /// branched*: both child LPs are solved (concurrently, warm-started
-    /// from the node basis) and scored by their actual bound degradation.
-    /// The chosen candidate's probe LPs are reused as the real children,
-    /// so strong branching never solves the same LP twice.
-    #[default]
-    Pseudocost,
-}
-
-/// Where cutting planes are separated during branch & cut.
-///
-/// Cuts tighten the LP relaxation without excluding any integer point,
-/// so — like the branching knobs — the policy changes the search tree
-/// shape (node counts, separation work) but never the returned
-/// proven-optimal objective. Every emitted cut carries an exact-rational
-/// validity proof in the certificate (`insitu_types::cert::CutProof`);
-/// see `docs/SOLVER.md` and `docs/CERTIFY.md`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CutPolicy {
-    /// No cuts: every node solves the raw relaxation (the pre-branch-and-
-    /// cut behaviour, kept for the ablation bench and as the baseline).
-    Off,
-    /// Separate at the root only (the default): up to
-    /// [`SolveOptions::cut_rounds`] rounds of Gomory + cover separation
-    /// before the tree search starts. The surviving pool is frozen into
-    /// the model every node solves, so the root pool — and hence the
-    /// node-zero bound — is identical at any thread count.
-    #[default]
-    Root,
-    /// Root separation plus bounded cover-cut re-separation at shallow
-    /// tree nodes (locally appended, globally valid). Gomory cuts stay
-    /// root-only: a tableau row read under branching bounds is not valid
-    /// for the whole tree.
-    Full,
-}
+//! Solver configuration: limits, tolerances, and what to record.
+//!
+//! There is one solve path. Algorithmic choices (LP engine, branching
+//! rule, cut separation, plunging, presolve) are fixed — their tuning
+//! constants live as private `const`s next to the code that reads them,
+//! and `docs/SOLVER.md` § Decisions records the evidence for each.
 
 /// Tunable limits and tolerances for [`crate::solve`].
 ///
@@ -94,25 +25,11 @@ pub struct SolveOptions {
     /// Stop as soon as the incumbent is within this absolute gap of the
     /// best bound (0 = prove optimality exactly).
     pub abs_gap: f64,
-    /// Try rounding the LP relaxation to seed an incumbent.
-    pub rounding_heuristic: bool,
-    /// Dive from each popped node to an integral leaf (best-first with
-    /// plunging). Disabling reverts to pure best-first — exposed for the
-    /// ablation bench; leave on for real solves.
-    pub plunge: bool,
-    /// Run bound-propagation presolve on the root model.
-    pub presolve: bool,
     /// Worker threads for the branch-and-bound search. `1` (the default)
     /// runs fully serial on the calling thread; `0` means one worker per
     /// available CPU. The parallel search returns the same objective as
     /// the serial one — see `docs/SOLVER.md` for the exact guarantee.
     pub threads: usize,
-    /// Warm-start child LPs from the parent's simplex basis (dual-simplex
-    /// repair after the branching bound change). Falls back to a cold
-    /// two-phase solve whenever the repair fails, so this is purely a
-    /// performance knob; results are identical either way because every
-    /// LP is solved to optimality.
-    pub warm_start: bool,
     /// Record a machine-checkable pruning certificate
     /// ([`insitu_types::SearchCertificate`]) in
     /// [`crate::SolveStats::certificate`]: one record per search node with
@@ -120,43 +37,6 @@ pub struct SolveOptions {
     /// `certify` crate) can re-derive that the tree was closed. Off by
     /// default — the log costs one small allocation per node.
     pub certificate: bool,
-    /// LP engine used for every relaxation (root, children, pure LP
-    /// solves). See [`SimplexEngine`]; results are engine-independent.
-    pub engine: SimplexEngine,
-    /// Revised simplex only: refactorize the basis after this many eta
-    /// updates. Smaller = more numerically conservative, larger = fewer
-    /// (expensive) factorizations. Clamped to at least 1.
-    pub refactor_interval: usize,
-    /// Variable-selection rule at fractional nodes. See [`BranchRule`].
-    pub branch_rule: BranchRule,
-    /// [`BranchRule::Pseudocost`] only: a variable's pseudocost is
-    /// *reliable* once both its down- and up-branch have been observed at
-    /// least this many times; unreliable candidates are strong-branched.
-    /// `0` trusts pseudocost estimates immediately (pure pseudocost
-    /// branching — combined with `strong_branch_depth: 0` no strong
-    /// branching ever runs).
-    pub pseudocost_reliability: usize,
-    /// [`BranchRule::Pseudocost`] only: at node depths shallower than
-    /// this, *every* candidate is strong-branched regardless of
-    /// reliability — the top of the tree is where a bad branching
-    /// variable costs the most nodes.
-    pub strong_branch_depth: usize,
-    /// [`BranchRule::Pseudocost`] only: at most this many candidates are
-    /// strong-branched per node (the most fractional ones win the slots).
-    /// Clamped to at least 1 whenever the strong set is non-empty.
-    pub strong_branch_limit: usize,
-    /// Where cutting planes are separated. See [`CutPolicy`]; results are
-    /// policy-independent (cuts never exclude an integer point).
-    pub cut_policy: CutPolicy,
-    /// Maximum root separation rounds: each round reads Gomory rows from
-    /// the current basis, separates covers from the current fractional
-    /// point, and re-solves the enlarged LP dual-simplex-warm. Separation
-    /// stops early when a round adds no cut or the bound stalls.
-    pub cut_rounds: usize,
-    /// Hard cap on cuts applied across the whole solve (root pool plus
-    /// node-local cover cuts). The pool evicts the least-violated cuts
-    /// first when a round over-generates.
-    pub max_cuts: usize,
     /// Span sink for solver tracing: [`crate::solve`] opens a
     /// `milp.solve` span (tagged with node/cut counts and the objective)
     /// on this handle, nested under whatever span — and request
@@ -172,36 +52,14 @@ impl Default for SolveOptions {
             max_simplex_iters: 200_000,
             max_nodes: 200_000,
             abs_gap: 1e-9,
-            rounding_heuristic: true,
-            plunge: true,
-            presolve: true,
             threads: 1,
-            warm_start: true,
             certificate: false,
-            engine: SimplexEngine::default(),
-            refactor_interval: 64,
-            branch_rule: BranchRule::default(),
-            pseudocost_reliability: 4,
-            strong_branch_depth: 4,
-            strong_branch_limit: 8,
-            cut_policy: CutPolicy::default(),
-            cut_rounds: 8,
-            max_cuts: 64,
             trace: obs::TraceHandle::disabled(),
         }
     }
 }
 
 impl SolveOptions {
-    /// A cheaper preset for large time-indexed formulations: a small
-    /// optimality gap is accepted to cut tail nodes.
-    pub fn fast() -> Self {
-        SolveOptions {
-            abs_gap: 1e-6,
-            ..Self::default()
-        }
-    }
-
     /// Number of workers the search will actually spawn: `threads`, with
     /// `0` resolved to the available CPU count.
     pub fn effective_threads(&self) -> usize {
@@ -222,49 +80,34 @@ mod tests {
     fn defaults_are_sane() {
         let o = SolveOptions::default();
         assert!(o.tol > 0.0 && o.tol < 1e-3);
+        assert!(o.max_simplex_iters > 1000);
         assert!(o.max_nodes > 1000);
-        assert!(o.rounding_heuristic);
+        assert!(o.abs_gap >= 0.0 && o.abs_gap < o.tol);
         assert_eq!(o.threads, 1);
-        assert!(o.warm_start);
-        assert_eq!(o.engine, SimplexEngine::Revised);
-        assert!(o.refactor_interval >= 1);
-        assert_eq!(o.branch_rule, BranchRule::Pseudocost);
-        assert!(o.pseudocost_reliability >= 1);
-        assert!(o.strong_branch_depth >= 1);
-        assert!(o.strong_branch_limit >= 1);
-        assert_eq!(o.cut_policy, CutPolicy::Root);
-        assert!(o.cut_rounds >= 1);
-        assert!(o.max_cuts >= 1);
+        assert!(!o.certificate);
+        assert!(!o.trace.enabled());
     }
 
+    /// Every field is named and there is no `..`: adding a knob to
+    /// [`SolveOptions`] breaks this test, so the next option is a visible
+    /// diff here and not only in the struct.
     #[test]
-    fn cuts_off_is_expressible() {
-        // the ablation baseline: branch & bound with no separation at all
+    fn every_field_is_named() {
         let o = SolveOptions {
-            cut_policy: CutPolicy::Off,
-            ..SolveOptions::default()
+            tol: 1e-6,
+            max_simplex_iters: 200_000,
+            max_nodes: 200_000,
+            abs_gap: 1e-9,
+            threads: 1,
+            certificate: false,
+            trace: obs::TraceHandle::disabled(),
         };
-        assert_eq!(o.cut_policy, CutPolicy::Off);
-        assert_ne!(o.cut_policy, SolveOptions::default().cut_policy);
-    }
-
-    #[test]
-    fn pure_pseudocost_config_disables_strong_branching() {
-        // The knob combination the ablation bench and the knob-matrix test
-        // rely on: reliability 0 + depth 0 means no strong-branch LPs.
-        let o = SolveOptions {
-            pseudocost_reliability: 0,
-            strong_branch_depth: 0,
-            ..SolveOptions::default()
-        };
-        assert_eq!(o.branch_rule, BranchRule::Pseudocost);
-        assert_eq!(o.pseudocost_reliability, 0);
-        assert_eq!(o.strong_branch_depth, 0);
-    }
-
-    #[test]
-    fn fast_preset_loosens_gap() {
-        assert!(SolveOptions::fast().abs_gap > SolveOptions::default().abs_gap);
+        let d = SolveOptions::default();
+        assert_eq!(
+            (o.tol, o.max_simplex_iters, o.max_nodes, o.abs_gap),
+            (d.tol, d.max_simplex_iters, d.max_nodes, d.abs_gap)
+        );
+        assert_eq!((o.threads, o.certificate), (d.threads, d.certificate));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   read-only),
 //! * an LU factorization of the current basis with an eta file of
 //!   product-form updates ([`crate::lu`]), refactorized every
-//!   [`SolveOptions::refactor_interval`] pivots,
+//!   `REFACTOR_INTERVAL` pivots,
 //! * the basic-variable values `x_B`, updated incrementally and
 //!   recomputed exactly at every refactorization.
 //!
@@ -43,6 +43,10 @@ const COST_TOL: f64 = 1e-7;
 const FEAS_TOL: f64 = 1e-6;
 /// Smallest partial-pricing candidate block.
 const PRICE_BLOCK_MIN: usize = 64;
+/// The basis is refactorized after this many eta updates. Smaller is more
+/// numerically conservative, larger means fewer (expensive)
+/// factorizations.
+const REFACTOR_INTERVAL: usize = 64;
 
 /// Working state of one revised-simplex solve.
 struct Engine<'a> {
@@ -69,7 +73,6 @@ struct Engine<'a> {
     x_basic: Vec<f64>,
     fac: Factorization,
     iterations: usize,
-    refactor_interval: usize,
     tele: LpTelemetry,
     /// Rotating start column of the partial-pricing scan.
     price_start: usize,
@@ -90,7 +93,7 @@ struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// Engine with the all-artificial starting basis (phase-1 ready).
-    fn cold(sf: &'a StandardForm, opts: &SolveOptions) -> Engine<'a> {
+    fn cold(sf: &'a StandardForm) -> Engine<'a> {
         let m = sf.nrows();
         let n = sf.ncols();
         let n_total = n + m;
@@ -133,7 +136,6 @@ impl<'a> Engine<'a> {
             x_basic,
             fac: Factorization::new(lu),
             iterations: 0,
-            refactor_interval: opts.refactor_interval.max(1),
             tele: LpTelemetry::default(),
             price_start: 0,
             sv: vec![0.0; m],
@@ -271,7 +273,7 @@ impl<'a> Engine<'a> {
         self.iterations += 1;
         let pushed = self.fac.push_eta(r, &self.sw);
         self.tele.max_eta_len = self.tele.max_eta_len.max(self.fac.eta_len());
-        if (!pushed || self.fac.eta_len() >= self.refactor_interval) && !self.refactor() {
+        if (!pushed || self.fac.eta_len() >= REFACTOR_INTERVAL) && !self.refactor() {
             // the basis went numerically singular: no stable way forward
             return Err(SolveError::IterationLimit {
                 iterations: self.iterations,
@@ -607,11 +609,7 @@ impl<'a> TableauView<'a> {
     /// Refactorizes `basis` over `sf`. `None` when the basis does not fit
     /// this standard form (row/column counts, duplicates, artificials) or
     /// is numerically singular — callers just skip Gomory separation then.
-    pub(crate) fn new(
-        sf: &'a StandardForm,
-        opts: &SolveOptions,
-        basis: &Basis,
-    ) -> Option<TableauView<'a>> {
+    pub(crate) fn new(sf: &'a StandardForm, basis: &Basis) -> Option<TableauView<'a>> {
         let m = sf.nrows();
         let n = sf.ncols();
         if basis.basic.len() != m || basis.at_upper.len() != n {
@@ -624,7 +622,7 @@ impl<'a> TableauView<'a> {
             }
             seen[j] = true;
         }
-        let mut e = Engine::cold(sf, opts);
+        let mut e = Engine::cold(sf);
         e.basis.copy_from_slice(&basis.basic);
         e.in_basis.fill(false);
         for &j in &basis.basic {
@@ -712,7 +710,7 @@ fn try_warm<'a>(
         }
         seen[j] = true;
     }
-    let mut e = Engine::cold(sf, opts);
+    let mut e = Engine::cold(sf);
     e.basis.copy_from_slice(&hint.basic);
     e.in_basis.fill(false);
     for &j in &hint.basic {
@@ -758,7 +756,7 @@ pub fn solve_standard_revised(
             return Ok(e.finish(true));
         }
     }
-    let mut e = Engine::cold(sf, opts);
+    let mut e = Engine::cold(sf);
     // --- phase 1: minimize the sum of artificials ---
     let mut cost1 = vec![0.0; e.n_total];
     for c in cost1.iter_mut().skip(e.n) {
@@ -794,21 +792,10 @@ mod tests {
     use super::*;
     use crate::expr::LinExpr;
     use crate::model::{Cmp, Model, Sense};
-    use crate::options::SimplexEngine;
-    use crate::simplex::{solve_lp_relaxation, solve_standard, solve_standard_warm};
+    use crate::simplex::{solve_lp_relaxation, solve_lp_relaxation_dense};
 
     fn opts() -> SolveOptions {
-        SolveOptions {
-            engine: SimplexEngine::Revised,
-            ..SolveOptions::default()
-        }
-    }
-
-    fn dense_opts() -> SolveOptions {
-        SolveOptions {
-            engine: SimplexEngine::DenseTableau,
-            ..SolveOptions::default()
-        }
+        SolveOptions::default()
     }
 
     #[test]
@@ -821,7 +808,7 @@ mod tests {
         m.add_con(LinExpr::new().term(x, 3.0).term(y, 2.0), Cmp::Le, 18.0);
         m.set_objective(LinExpr::new().term(x, 3.0).term(y, 5.0));
         let s = solve_lp_relaxation(&m, &opts()).unwrap();
-        let d = solve_lp_relaxation(&m, &dense_opts()).unwrap();
+        let d = solve_lp_relaxation_dense(&m, &opts()).unwrap();
         assert!((s.objective - 36.0).abs() < 1e-6);
         assert!((s.objective - d.objective).abs() < 1e-9);
     }
@@ -846,10 +833,10 @@ mod tests {
 
     #[test]
     fn telemetry_counts_refactorizations() {
-        // enough columns to force pivots; a tiny refactor interval forces
-        // several refactorizations and a bounded eta file
+        // enough pivots to outrun the refactor interval: the eta file must
+        // be folded back at least once mid-phase and stay bounded
         let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..12)
+        let vars: Vec<_> = (0..200)
             .map(|i| m.num_var(&format!("x{i}"), 0.0, 3.0))
             .collect();
         for w in vars.windows(2) {
@@ -860,16 +847,14 @@ mod tests {
             );
         }
         m.set_objective(LinExpr::sum(vars.iter().map(|&v| (v, 1.0))));
-        let tight = SolveOptions {
-            refactor_interval: 2,
-            ..opts()
-        };
         let sf = StandardForm::from_model(&m).unwrap();
-        let p = solve_standard(&sf, &tight).unwrap();
-        assert!(p.telemetry.refactorizations > 0, "{:?}", p.telemetry);
-        assert!(p.telemetry.max_eta_len <= 2);
-        let loose = solve_standard(&sf, &opts()).unwrap();
-        assert!((loose.objective - p.objective).abs() < 1e-9);
+        let p = solve_standard_revised(&sf, &opts(), None).unwrap();
+        assert!(p.iterations > REFACTOR_INTERVAL, "{} pivots", p.iterations);
+        // one refactorization opens phase 2; more means the interval fired
+        assert!(p.telemetry.refactorizations >= 2, "{:?}", p.telemetry);
+        assert!(p.telemetry.max_eta_len <= REFACTOR_INTERVAL);
+        let d = solve_lp_relaxation_dense(&m, &opts()).unwrap();
+        assert!((d.objective - p.objective).abs() < 1e-9);
     }
 
     #[test]
@@ -886,13 +871,13 @@ mod tests {
         );
         m.set_objective(LinExpr::new().term(x, 3.0).term(y, 4.0).term(z, 1.0));
         let sf = StandardForm::from_model(&m).unwrap();
-        let parent = solve_standard(&sf, &opts()).unwrap();
+        let parent = solve_standard_revised(&sf, &opts(), None).unwrap();
         assert!(!parent.warm);
         let mut child = m.clone();
         child.vars[0].upper = 1.0;
         let csf = StandardForm::from_model(&child).unwrap();
-        let warm = solve_standard_warm(&csf, &opts(), Some(&parent.basis)).unwrap();
-        let cold = solve_standard(&csf, &opts()).unwrap();
+        let warm = solve_standard_revised(&csf, &opts(), Some(&parent.basis)).unwrap();
+        let cold = solve_standard_revised(&csf, &opts(), None).unwrap();
         assert!((warm.objective - cold.objective).abs() < 1e-9);
         assert!(warm.warm, "expected the sparse warm path to succeed");
         // the warm path refactorized the parent basis directly
@@ -915,8 +900,8 @@ mod tests {
             basic: vec![0, 1],
             at_upper: vec![false; sf.ncols()],
         };
-        let cold = solve_standard(&sf, &opts()).unwrap();
-        let s = solve_standard_warm(&sf, &opts(), Some(&hint)).unwrap();
+        let cold = solve_standard_revised(&sf, &opts(), None).unwrap();
+        let s = solve_standard_revised(&sf, &opts(), Some(&hint)).unwrap();
         assert!(!s.warm, "singular hint must fall back");
         assert!((s.objective - cold.objective).abs() < 1e-9);
     }
@@ -1006,7 +991,7 @@ mod tests {
                 .term(x4, 6.0),
         );
         let s = solve_lp_relaxation(&m, &opts()).unwrap();
-        let d = solve_lp_relaxation(&m, &dense_opts()).unwrap();
+        let d = solve_lp_relaxation_dense(&m, &opts()).unwrap();
         assert!((s.objective + 0.05).abs() < 1e-6, "got {}", s.objective);
         assert!((s.objective - d.objective).abs() < 1e-9);
     }

@@ -363,26 +363,26 @@ mod tests {
     use super::*;
     use crate::expr::LinExpr;
     use crate::model::{Cmp, Model, Sense};
-    use crate::options::{CutPolicy, SolveOptions};
+    use crate::options::SolveOptions;
 
     fn certified_solve() -> SearchCertificate {
-        // a knapsack awkward enough to force real branching
+        // three overlapping knapsack rows: the root cut pool leaves a gap,
+        // so the search really branches
         let mut m = Model::new(Sense::Maximize);
-        let w = [5.0, 7.0, 4.0, 3.0, 6.0, 5.0, 8.0];
-        let v = [8.0, 11.0, 6.0, 4.0, 9.0, 7.0, 13.0];
-        let mut cap_row = LinExpr::new();
-        let mut obj = LinExpr::new();
-        for i in 0..w.len() {
-            let x = m.binary("x");
-            cap_row = cap_row.term(x, w[i]);
-            obj = obj.term(x, v[i]);
+        let xs: Vec<_> = (0..12).map(|i| m.binary(&format!("x{i}"))).collect();
+        for r in 0..3 {
+            let row = LinExpr::sum(
+                xs.iter()
+                    .enumerate()
+                    .map(|(i, &x)| (x, ((i * 7 + r * 13) % 11 + 3) as f64)),
+            );
+            m.add_con(row, Cmp::Le, 31.0 + 3.0 * r as f64);
         }
-        m.add_con(cap_row, Cmp::Le, 17.0);
-        m.set_objective(obj);
+        m.set_objective(LinExpr::sum(
+            xs.iter().enumerate().map(|(i, &x)| (x, ((i * 5) % 9 + 4) as f64)),
+        ));
         let opts = SolveOptions {
             certificate: true,
-            cut_policy: CutPolicy::Off,
-            rounding_heuristic: false,
             ..SolveOptions::default()
         };
         crate::solve(&m, &opts).unwrap().stats.certificate.unwrap()

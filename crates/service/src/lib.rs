@@ -16,13 +16,13 @@
 //!   in-flight instance is never solved twice.
 //! * **A bounded LRU of solved instances** — schedules *plus their
 //!   [`insitu_types::SearchCertificate`]s*, so a
-//!   hit can be re-proved. Misses with a cached near neighbor are
-//!   warm-started from the neighbor's optimal counts through
-//!   [`milp::solve_with_hint`] ([`ResponseSource::Warm`]).
+//!   hit can be re-proved. A miss is solved from scratch
+//!   ([`ResponseSource::Fresh`]); the wire schema's
+//!   [`ResponseSource::Warm`] is never produced by this server.
 //!
 //! **The certification gate:** the fingerprint is a cache key, not a
-//! proof. Every served schedule — hit, dedup fan-out, warm-started or
-//! cold — is re-certified by the independent [`certify`] crate against
+//! proof. Every served schedule — hit, dedup fan-out or fresh solve —
+//! is re-certified by the independent [`certify`] crate against
 //! the *requester's own instance* before it leaves the service. A hash
 //! collision (or cache corruption) therefore degrades to a fresh solve,
 //! never to a wrong answer: [`SolveService::solve`] only ever returns

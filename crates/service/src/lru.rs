@@ -77,11 +77,6 @@ impl<K: Eq + Copy, V> Lru<K, V> {
         None
     }
 
-    /// Entries from least- to most-recently-used (i.e. eviction order).
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (&K, &V)> {
-        self.entries.iter().map(|(k, v)| (k, v))
-    }
-
     /// Keys in eviction order (least-recently-used first).
     pub fn keys(&self) -> Vec<K> {
         self.entries.iter().map(|(k, _)| *k).collect()

@@ -1,4 +1,4 @@
-//! The solve server: fingerprint → dedup → cache → warm-start → certify.
+//! The solve server: fingerprint → dedup → cache → solve → certify.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -6,7 +6,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use certify::{Fingerprint, Verdict};
-use insitu_core::aggregate::{solve_aggregate_counts, solve_aggregate_counts_with_hint};
+use insitu_core::aggregate::solve_aggregate_counts;
 use insitu_core::placement::place_schedule;
 use insitu_types::canonical::{canonicalize, from_canonical, from_canonical_schedule};
 use insitu_types::json::{self, Value};
@@ -27,11 +27,6 @@ pub struct ServiceConfig {
     /// so hits can be re-proved. Defaults to a serial solver — the
     /// service parallelizes *across* requests, not within one.
     pub solver: SolveOptions,
-    /// Warm-start cache misses from the optimal counts of their nearest
-    /// cached neighbor (same analysis count). Never changes the returned
-    /// optimum — an unhelpful or infeasible hint is ignored by the
-    /// solver — it only prunes the search earlier.
-    pub warm_start: bool,
     /// Entries retained by the always-on flight recorder (recent
     /// spans/events/counter deltas for the `flightrec/v1` post-mortem
     /// dumped on certify-reject, INVALID and solver-error paths).
@@ -48,7 +43,6 @@ impl Default for ServiceConfig {
                 certificate: true,
                 ..SolveOptions::default()
             },
-            warm_start: true,
             flight_capacity: 256,
         }
     }
@@ -86,8 +80,6 @@ impl std::error::Error for ServiceError {}
 /// with deduplicated waiters.
 #[derive(Debug)]
 pub struct CacheEntry {
-    /// The canonical problem that was solved (analyses name-sorted).
-    pub problem: ScheduleProblem,
     /// Optimal analysis counts, canonical order.
     pub counts: Vec<usize>,
     /// Optimal output counts, canonical order.
@@ -101,11 +93,6 @@ pub struct CacheEntry {
     pub certificate: SearchCertificate,
     /// Branch-and-bound nodes of the producing solve.
     pub nodes: usize,
-    /// Whether the producing solve was warm-started and the hint seeded
-    /// the incumbent.
-    pub hint_accepted: bool,
-    /// Whether the producing solve was given a warm-start hint at all.
-    pub solved_warm: bool,
 }
 
 /// One served response, in the **requester's** analysis order.
@@ -133,12 +120,12 @@ pub struct Reply {
     /// Branch-and-bound nodes of the producing solve (also for hits:
     /// the nodes the *cached* solve cost).
     pub nodes: usize,
-    /// Whether the producing solve's warm-start hint seeded the incumbent.
-    pub hint_accepted: bool,
 }
 
 impl Reply {
-    /// Renders the reply as a `service/v1` wire response.
+    /// Renders the reply as a `service/v1` wire response. The schema's
+    /// `hint_accepted` field is always `false`: the server solves every
+    /// miss without a hint.
     pub fn to_response(&self, id: u64) -> ServiceResponse {
         ServiceResponse {
             id,
@@ -150,7 +137,7 @@ impl Reply {
             counts: self.counts.clone(),
             output_counts: self.output_counts.clone(),
             solver_nodes: self.nodes,
-            hint_accepted: self.hint_accepted,
+            hint_accepted: false,
         }
     }
 }
@@ -193,7 +180,7 @@ struct State {
 enum Action {
     Serve(Arc<CacheEntry>),
     Wait(Arc<InFlight>),
-    Lead(Arc<InFlight>, Option<(Vec<usize>, Vec<usize>)>),
+    Lead(Arc<InFlight>),
 }
 
 /// The multi-tenant solve server. Cheap to share: all methods take
@@ -328,8 +315,8 @@ impl SolveService {
                 let class = match reply.source {
                     ResponseSource::Hit => "hit",
                     ResponseSource::Dedup => "dedup",
-                    ResponseSource::Warm => "warm",
-                    ResponseSource::Fresh => "fresh",
+                    // never produced by this server; kept in the wire schema
+                    ResponseSource::Warm | ResponseSource::Fresh => "fresh",
                 };
                 span.tag("class", class);
                 self.registry
@@ -373,7 +360,6 @@ impl SolveService {
                 output_counts: Vec::new(),
                 certificate: None,
                 nodes: 0,
-                hint_accepted: false,
             });
         }
 
@@ -387,22 +373,17 @@ impl SolveService {
                 Action::Wait(in_flight.clone())
             } else {
                 self.registry.add("service.misses", 1);
-                let hint = if self.config.warm_start {
-                    nearest_neighbor(&state.cache, &canon)
-                } else {
-                    None
-                };
                 let in_flight = Arc::new(InFlight::new());
                 state.in_flight.insert(fp, in_flight.clone());
-                Action::Lead(in_flight, hint)
+                Action::Lead(in_flight)
             }
         };
 
         let (entry, source) = match action {
             Action::Serve(entry) => (entry, ResponseSource::Hit),
             Action::Wait(in_flight) => (in_flight.wait()?, ResponseSource::Dedup),
-            Action::Lead(in_flight, hint) => {
-                let result = self.solve_fresh(&canon, hint.as_ref());
+            Action::Lead(in_flight) => {
+                let result = self.solve_fresh(&canon);
                 {
                     let mut state = self.state.lock().expect("service state poisoned");
                     state.in_flight.remove(&fp);
@@ -415,13 +396,7 @@ impl SolveService {
                     }
                 }
                 in_flight.publish(result.clone());
-                let entry = result?;
-                let source = if entry.solved_warm {
-                    ResponseSource::Warm
-                } else {
-                    ResponseSource::Fresh
-                };
-                (entry, source)
+                (result?, ResponseSource::Fresh)
             }
         };
         span.tag("source", source.as_str());
@@ -441,7 +416,7 @@ impl SolveService {
                 // leave the post-mortem before the state changes: the ring
                 // still holds the events leading up to the reject
                 self.flight_dump("certify-reject", Some(fp), Some("INVALID"));
-                let entry = self.solve_fresh(&canon, None)?;
+                let entry = self.solve_fresh(&canon)?;
                 let mut state = self.state.lock().expect("service state poisoned");
                 state.cache.insert(fp, entry.clone());
                 drop(state);
@@ -485,31 +460,20 @@ impl SolveService {
         }
     }
 
-    /// Solves the canonical instance cold (or warm-started from a
-    /// neighbor's counts) and certifies the result before anyone sees it.
-    fn solve_fresh(
-        &self,
-        canon: &ScheduleProblem,
-        hint: Option<&(Vec<usize>, Vec<usize>)>,
-    ) -> Result<Arc<CacheEntry>, ServiceError> {
+    /// Solves the canonical instance and certifies the result before
+    /// anyone sees it.
+    fn solve_fresh(&self, canon: &ScheduleProblem) -> Result<Arc<CacheEntry>, ServiceError> {
         let mut opts = self.config.solver.clone();
         opts.certificate = true;
         // the solver opens its own `milp.solve` span on this handle,
         // nested under the request span and carrying its trace context
         opts.trace = self.trace.clone();
         let mut solve_span = self.trace.span("service.solve");
-        let agg = match hint {
-            Some((counts, output_counts)) => {
-                self.registry.add("service.warm_starts", 1);
-                solve_aggregate_counts_with_hint(canon, &opts, counts, output_counts)
-            }
-            None => solve_aggregate_counts(canon, &opts),
-        }
-        .map_err(|e| ServiceError::Solve(e.to_string()))?;
+        let agg = solve_aggregate_counts(canon, &opts)
+            .map_err(|e| ServiceError::Solve(e.to_string()))?;
         self.registry.add("service.solves", 1);
         agg.stats.export_into(&self.registry);
         solve_span.tag("nodes", agg.nodes);
-        solve_span.tag("warm", hint.is_some());
         drop(solve_span);
 
         let schedule = place_schedule(canon, &agg.counts, &agg.output_counts);
@@ -530,15 +494,12 @@ impl SolveService {
             return Err(ServiceError::Certification(cert.problems));
         }
         Ok(Arc::new(CacheEntry {
-            problem: canon.clone(),
             counts: agg.counts,
             output_counts: agg.output_counts,
             schedule,
             objective: agg.objective,
             certificate,
             nodes: agg.nodes,
-            hint_accepted: agg.stats.hint_accepted,
-            solved_warm: hint.is_some(),
         }))
     }
 
@@ -572,7 +533,6 @@ impl SolveService {
             output_counts: from_canonical(&entry.output_counts, perm),
             certificate: Some(entry.certificate.clone()),
             nodes: entry.nodes,
-            hint_accepted: entry.hint_accepted,
         })
     }
 
@@ -595,69 +555,8 @@ fn latency_hist_name(class: &str) -> &'static str {
     match class {
         "hit" => "service.request.latency_s.hit",
         "dedup" => "service.request.latency_s.dedup",
-        "warm" => "service.request.latency_s.warm",
         _ => "service.request.latency_s.fresh",
     }
-}
-
-/// Scale-free distance between two field values; `0` for identical,
-/// bounded by `1` per field.
-fn rel(x: f64, y: f64) -> f64 {
-    if x == y {
-        return 0.0;
-    }
-    if !x.is_finite() || !y.is_finite() {
-        return 1.0;
-    }
-    (x - y).abs() / (1.0 + x.abs() + y.abs())
-}
-
-/// Structural distance between two canonical instances with the same
-/// analysis count; `None` when the shapes are incomparable.
-fn distance(a: &ScheduleProblem, b: &ScheduleProblem) -> Option<f64> {
-    if a.len() != b.len() {
-        return None;
-    }
-    let (ra, rb) = (&a.resources, &b.resources);
-    let mut d = rel(ra.steps as f64, rb.steps as f64)
-        + rel(ra.step_threshold, rb.step_threshold)
-        + rel(ra.mem_threshold, rb.mem_threshold)
-        + rel(ra.io_bandwidth, rb.io_bandwidth);
-    for (x, y) in a.analyses.iter().zip(&b.analyses) {
-        if x.name != y.name {
-            d += 1.0;
-        }
-        d += rel(x.fixed_time, y.fixed_time)
-            + rel(x.step_time, y.step_time)
-            + rel(x.compute_time, y.compute_time)
-            + rel(x.output_time, y.output_time)
-            + rel(x.fixed_mem, y.fixed_mem)
-            + rel(x.step_mem, y.step_mem)
-            + rel(x.compute_mem, y.compute_mem)
-            + rel(x.output_mem, y.output_mem)
-            + rel(x.weight, y.weight)
-            + rel(x.min_interval as f64, y.min_interval as f64)
-            + rel(x.output_every as f64, y.output_every as f64);
-    }
-    Some(d)
-}
-
-/// The optimal counts of the cached instance nearest to `canon`
-/// (most-recently-used wins ties), for warm-starting a miss.
-fn nearest_neighbor(
-    cache: &Lru<Fingerprint, Arc<CacheEntry>>,
-    canon: &ScheduleProblem,
-) -> Option<(Vec<usize>, Vec<usize>)> {
-    let mut best: Option<(f64, &Arc<CacheEntry>)> = None;
-    // MRU → LRU, strict `<`: among equal distances the hottest entry wins
-    for (_, entry) in cache.iter().rev() {
-        if let Some(d) = distance(canon, &entry.problem) {
-            if best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, entry));
-            }
-        }
-    }
-    best.map(|(_, e)| (e.counts.clone(), e.output_counts.clone()))
 }
 
 fn error_json(id: Option<u64>, message: &str) -> String {
@@ -730,26 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn near_miss_is_warm_started_and_optimum_matches_cold() {
-        let cold = SolveService::new(ServiceConfig {
-            warm_start: false,
-            ..ServiceConfig::default()
-        });
-        let warm = SolveService::new(ServiceConfig::default());
-        let base = problem(&[("rdf", 0.5), ("msd", 1.0)]);
-        let near = problem(&[("rdf", 0.55), ("msd", 1.0)]);
-        warm.solve(&base).unwrap();
-        let w = warm.solve(&near).unwrap();
-        assert_eq!(w.source, ResponseSource::Warm);
-        let c = cold.solve(&near).unwrap();
-        assert_eq!(c.source, ResponseSource::Fresh);
-        assert_eq!(w.objective, c.objective);
-        assert_eq!(w.schedule, c.schedule);
-        let snap = warm.registry().snapshot();
-        assert_eq!(snap.counter("service.warm_starts"), Some(1));
-    }
-
-    #[test]
     fn invalid_problem_is_rejected() {
         let svc = SolveService::new(ServiceConfig::default());
         let mut p = problem(&[("a", 0.5)]);
@@ -784,6 +663,15 @@ mod tests {
         assert_eq!(resp.source, ResponseSource::Fresh);
         assert_eq!(resp.verdict, "PROVED");
         assert_eq!(resp.counts.len(), 1);
+        assert!(!resp.hint_accepted);
+
+        // the versioned schema still reads what this server no longer sends
+        let old = out
+            .replace("\"source\":\"fresh\"", "\"source\":\"warm\"")
+            .replace("\"hint_accepted\":false", "\"hint_accepted\":true");
+        let old: ServiceResponse = json::from_str(&old).unwrap();
+        assert_eq!(old.source, ResponseSource::Warm);
+        assert!(old.hint_accepted);
 
         let err = svc.handle_json("{\"schema\":\"service/v1\"}");
         assert!(err.contains("\"error\""));
@@ -793,7 +681,6 @@ mod tests {
     fn eviction_is_counted_and_capacity_respected() {
         let svc = SolveService::new(ServiceConfig {
             cache_capacity: 1,
-            warm_start: false,
             ..ServiceConfig::default()
         });
         svc.solve(&problem(&[("a", 0.5)])).unwrap();
@@ -889,15 +776,12 @@ mod tests {
             let d = svc.solve(&decoy).unwrap();
             assert_eq!(d.source, ResponseSource::Hit);
             Arc::new(CacheEntry {
-                problem: decoy.clone(),
                 counts: vec![0; 3],
                 output_counts: vec![0; 3],
                 schedule: Schedule::empty(3),
                 objective: d.objective,
                 certificate: d.certificate.clone().unwrap(),
                 nodes: d.nodes,
-                hint_accepted: false,
-                solved_warm: false,
             })
         };
         let fp = certify::fingerprint(&target);
@@ -927,16 +811,5 @@ mod tests {
         let manual = svc.dump_flight("operator");
         assert!(manual.contains("\"reason\":\"operator\""));
         assert_eq!(svc.last_flight_dump().unwrap(), manual);
-    }
-
-    #[test]
-    fn distance_prefers_closer_instances() {
-        let a = problem(&[("rdf", 0.5)]);
-        let near = problem(&[("rdf", 0.51)]);
-        let far = problem(&[("rdf", 3.0)]);
-        let other = problem(&[("rdf", 0.5), ("msd", 1.0)]);
-        assert_eq!(distance(&a, &a), Some(0.0));
-        assert!(distance(&a, &near).unwrap() < distance(&a, &far).unwrap());
-        assert_eq!(distance(&a, &other), None);
     }
 }

@@ -16,17 +16,30 @@ const ATOMS: usize = 12_544; // the paper's small case
 const STEPS: usize = 100;
 const FRAME_EVERY: usize = 10;
 
+/// The trajectory file: named per process so concurrent runs do not share
+/// it, and removed however `main` ends.
+struct TempTrajectory(std::path::PathBuf);
+
+impl Drop for TempTrajectory {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
 fn main() {
     let mut sys = water_ions(&BuilderParams {
         n_particles: ATOMS,
         ..Default::default()
     });
-    let path = std::env::temp_dir().join("postprocess_vs_insitu.trj");
+    let traj = TempTrajectory(
+        std::env::temp_dir().join(format!("postprocess_vs_insitu_{}.trj", std::process::id())),
+    );
+    let path = &traj.0;
 
     // --- simulation with in-situ MSD + trajectory output ---
     let mut msd = Msd::new("msd", vec![Species::Hydronium, Species::Ion]);
     msd.setup(&sys);
-    let mut writer = TrajectoryWriter::create(&path).expect("create trajectory");
+    let mut writer = TrajectoryWriter::create(path).expect("create trajectory");
     let mut insitu = 0.0;
     let sw_total = Stopwatch::start();
     for j in 1..=STEPS {
@@ -47,7 +60,7 @@ fn main() {
 
     // --- post-processing: read it all back, recompute the MSD series ---
     let sw = Stopwatch::start();
-    let frames = TrajectoryReader::open(&path)
+    let frames = TrajectoryReader::open(path)
         .expect("open")
         .read_all()
         .expect("read");
@@ -71,7 +84,7 @@ fn main() {
         series.push(sum / tracked.len() as f64);
     }
     let analyze = sw.elapsed();
-    std::fs::remove_file(&path).ok();
+    drop(traj);
 
     println!("\n                      read (s)   analyze (s)");
     println!("post-processing     {read:>9.4}   {analyze:>10.4}");

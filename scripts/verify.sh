@@ -37,21 +37,19 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # lint drift: clippy clean across the workspace, warnings are errors
 run cargo clippy --workspace --all-targets -- -D warnings
 
-# perf smoke: the engine sweep's CI grid plus the branching ablation's
-# smoke instances (most-fractional vs two-tier pseudocost) and the cut
-# ablation's smoke instances (CutPolicy Off vs Root vs Full), timed so
-# gross LP-engine, branching or separation regressions show up.
-# --check-cuts gates on cuts-on total nodes <= cuts-off (cuts must never
-# grow the search; equal optima are asserted inside the sweep). Full
-# sweep: solver_bench, committed as BENCH_milp.json
-run bash -c 'time ./target/release/solver_bench --smoke --check-cuts --out target/BENCH_milp_smoke.json'
+# the repo benchmark (BENCHMARK.json) is its own workspace with path
+# deps on crates/*: build it, run its smoke pass and its tests here, so
+# an API change that breaks benchmark/ fails this script. Its solve-scale
+# workload is the solver layer's perf gate.
+run cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --seed 7 --smoke
+run cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 # sim-kernel smoke: the (size x threads) proxy sweep's CI grid, timed so
 # gross kernel regressions show up too (full sweep: sim_bench)
 run bash -c 'time ./target/release/sim_bench --smoke --out target/BENCH_sim_smoke.json'
 
 # solve-service smoke: the Zipf request-stream sweep's CI grid, timed —
-# cache hit-rate, dedup, and warm-start accounting on the reduced stream
+# cache hit-rate and dedup accounting on the reduced stream
 # (full sweep: service_bench, committed as BENCH_service.json)
 run bash -c 'time ./target/release/service_bench --smoke --out target/BENCH_service_smoke.json'
 

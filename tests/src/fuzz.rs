@@ -9,10 +9,9 @@
 //! vertices keep the Gomory/cover separators busy.
 //!
 //! [`differential_check`] is the oracle composition: the serial and
-//! parallel branch & bound (both cut-generating by default), the cut-free
-//! search, the node-re-separating `CutPolicy::Full` search, the
-//! brute-force enumerator and the independent exact-rational certifier
-//! must all agree before an instance passes. Any
+//! parallel branch & cut, the dense-tableau LP oracle on the root
+//! relaxation, the brute-force enumerator and the independent
+//! exact-rational certifier must all agree before an instance passes. Any
 //! failure is reduced by [`shrink`] and written to `tests/corpus/` as a
 //! `{"problem": ...}` case file (the same shape `certify`'s `recheck`
 //! example reads), so the next run — and the next engineer — replays it.
@@ -23,7 +22,7 @@ use insitu_types::json::{FromJson, ToJson, Value};
 use insitu_types::{
     AnalysisProfile, ResourceConfig, Schedule, ScheduleProblem, SearchCertificate,
 };
-use milp::{CutPolicy, SimplexEngine, SolveError, SolveOptions};
+use milp::{SolveError, SolveOptions};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -46,33 +45,6 @@ pub fn parallel_opts() -> SolveOptions {
         threads: 3,
         certificate: true,
         ..SolveOptions::default()
-    }
-}
-
-/// Serial options forcing the dense-tableau oracle engine, so every fuzz
-/// case cross-checks the revised simplex against the independent dense
-/// implementation.
-pub fn dense_opts() -> SolveOptions {
-    SolveOptions {
-        engine: SimplexEngine::DenseTableau,
-        ..serial_opts()
-    }
-}
-
-/// Serial options with all cutting planes disabled — the pure
-/// branch & bound oracle the cut-generating default is checked against.
-pub fn cuts_off_opts() -> SolveOptions {
-    SolveOptions {
-        cut_policy: CutPolicy::Off,
-        ..serial_opts()
-    }
-}
-
-/// Serial options with node-local re-separation on top of the root pool.
-pub fn cuts_full_opts() -> SolveOptions {
-    SolveOptions {
-        cut_policy: CutPolicy::Full,
-        ..serial_opts()
     }
 }
 
@@ -167,39 +139,22 @@ pub fn differential_check(problem: &ScheduleProblem) -> Result<(), String> {
         ));
     }
 
-    // 2. sparse (default) vs dense-tableau LP engine on the same search
-    let dense = milp::solve(&built.model, &dense_opts())
-        .map_err(|e| format!("dense-engine solve failed: {e}"))?;
-    if !close(serial.objective, dense.objective) {
+    // 2. the shipped revised simplex vs the dense-tableau oracle on the
+    //    model's LP relaxation (the solve above found an integer point, so
+    //    the relaxation is feasible and both must find its optimum)
+    let revised = milp::solve_lp_relaxation(&built.model, &serial_opts())
+        .map_err(|e| format!("revised LP relaxation failed: {e}"))?;
+    let dense = milp::solve_lp_relaxation_dense(&built.model, &serial_opts())
+        .map_err(|e| format!("dense LP relaxation failed: {e}"))?;
+    if !close(revised.objective, dense.objective) {
         return Err(format!(
-            "revised-engine objective {} != dense-engine objective {}",
-            serial.objective, dense.objective
+            "revised LP objective {} != dense LP objective {}",
+            revised.objective, dense.objective
         ));
     }
 
-    // 2b. cut ablation: cutting planes must never move the optimum. The
-    //    default runs above already carry the root pool (CutPolicy::Root);
-    //    here the cut-free search and the node-re-separating search must
-    //    land on the same objective, and the Full policy's cut-bearing
-    //    certificate is checked against the replay in stage 5
-    let off = milp::solve(&built.model, &cuts_off_opts())
-        .map_err(|e| format!("cuts-off solve failed: {e}"))?;
-    if !close(serial.objective, off.objective) {
-        return Err(format!(
-            "cuts-on objective {} != cuts-off objective {}",
-            serial.objective, off.objective
-        ));
-    }
-    let full = milp::solve(&built.model, &cuts_full_opts())
-        .map_err(|e| format!("cuts-full solve failed: {e}"))?;
-    if !close(serial.objective, full.objective) {
-        return Err(format!(
-            "cuts-on objective {} != cuts-full objective {}",
-            serial.objective, full.objective
-        ));
-    }
-
-    // 3. brute-force enumeration (the model is pure-integer by design)
+    // 3. brute-force enumeration (the model is pure-integer by design):
+    //    cutting planes, branching and presolve must never move the optimum
     match milp::brute::brute_force(&built.model, BRUTE_CAP) {
         Ok(brute) => {
             if !close(brute.objective, serial.objective) {
@@ -242,17 +197,6 @@ pub fn differential_check(problem: &ScheduleProblem) -> Result<(), String> {
     let problems = certify::check_certificate(cert, report.objective);
     if !problems.is_empty() {
         return Err(format!("certificate does not close: {problems:?}"));
-    }
-    // the Full policy's certificate carries node-local cover cuts on top
-    // of the root pool; every recorded cut proof must re-derive exactly
-    let full_cert = full
-        .stats
-        .certificate
-        .as_ref()
-        .ok_or("cuts-full solve did not emit a certificate")?;
-    let problems = certify::check_certificate(full_cert, report.objective);
-    if !problems.is_empty() {
-        return Err(format!("cuts-full certificate does not close: {problems:?}"));
     }
 
     // 6. on small memory-free instances the exact time-indexed formulation

@@ -1,23 +1,23 @@
-//! Property tests: the sparse revised simplex and the dense-tableau oracle
-//! are interchangeable.
+//! Property tests: the shipped sparse revised simplex against the
+//! dense-tableau oracle (`milp::solve_lp_relaxation_dense`, a reference
+//! implementation that is on no solve path).
 //!
-//! Two layers are exercised. On raw random bounded LPs the engines must
-//! agree on feasibility and (when feasible) on the optimal objective. On
-//! random paper-shaped scheduling problems the full branch & bound run
-//! under either engine must reach the same optimum, and both runs' placed
-//! schedules plus pruning certificates must pass the independent
-//! exact-rational `certify::certify` check (`Verdict::Proved`).
+//! Two layers are exercised. On raw random bounded LPs the two
+//! implementations must agree on feasibility and (when feasible) on the
+//! optimal objective. On random paper-shaped scheduling problems the full
+//! branch & cut run's placed schedule plus pruning certificate must pass
+//! the independent exact-rational `certify::certify` check
+//! (`Verdict::Proved`).
 
 use insitu_core::placement::place_schedule;
 use insitu_core::aggregate::solve_aggregate_counts;
 use insitu_types::{AnalysisProfile, ResourceConfig, ScheduleProblem};
-use milp::{solve_lp_relaxation, Cmp, LinExpr, Model, Sense, SimplexEngine, SolveError,
-           SolveOptions};
+use milp::{solve_lp_relaxation, solve_lp_relaxation_dense, Cmp, LinExpr, Model, Sense,
+           SolveError, SolveOptions};
 use proptest::prelude::*;
 
-fn engine_opts(engine: SimplexEngine) -> SolveOptions {
+fn opts() -> SolveOptions {
     SolveOptions {
-        engine,
         threads: 1,
         certificate: true,
         ..SolveOptions::default()
@@ -153,8 +153,8 @@ proptest! {
     #[test]
     fn engines_agree_on_random_bounded_lps(lp in arb_lp()) {
         let model = lp.build();
-        let revised = solve_lp_relaxation(&model, &engine_opts(SimplexEngine::Revised));
-        let dense = solve_lp_relaxation(&model, &engine_opts(SimplexEngine::DenseTableau));
+        let revised = solve_lp_relaxation(&model, &opts());
+        let dense = solve_lp_relaxation_dense(&model, &opts());
         match (revised, dense) {
             (Ok(r), Ok(d)) => {
                 prop_assert!(close(r.objective, d.objective),
@@ -172,22 +172,14 @@ proptest! {
         }
     }
 
-    /// Full branch & bound on paper-shaped scheduling problems: identical
-    /// objective under either engine, and both runs' placed schedules +
-    /// certificates pass the exact-rational certifier.
+    /// Full branch & cut on paper-shaped scheduling problems: the placed
+    /// schedule + certificate pass the exact-rational certifier.
     #[test]
-    fn both_engines_certify_on_scheduling_problems(problem in arb_problem()) {
-        for engine in [SimplexEngine::Revised, SimplexEngine::DenseTableau] {
-            let agg = solve_aggregate_counts(&problem, &engine_opts(engine)).unwrap();
-            let schedule = place_schedule(&problem, &agg.counts, &agg.output_counts);
-            let cert = certify::certify(&problem, &schedule, agg.stats.certificate.as_ref());
-            prop_assert_eq!(cert.verdict, certify::Verdict::Proved,
-                "{:?} engine failed certification: {:?}", engine, cert.problems);
-        }
-        let r = solve_aggregate_counts(&problem, &engine_opts(SimplexEngine::Revised)).unwrap();
-        let d = solve_aggregate_counts(&problem, &engine_opts(SimplexEngine::DenseTableau))
-            .unwrap();
-        prop_assert!(close(r.objective, d.objective),
-            "revised {} != dense {}", r.objective, d.objective);
+    fn solves_certify_on_scheduling_problems(problem in arb_problem()) {
+        let agg = solve_aggregate_counts(&problem, &opts()).unwrap();
+        let schedule = place_schedule(&problem, &agg.counts, &agg.output_counts);
+        let cert = certify::certify(&problem, &schedule, agg.stats.certificate.as_ref());
+        prop_assert_eq!(cert.verdict, certify::Verdict::Proved,
+            "failed certification: {:?}", cert.problems);
     }
 }

@@ -76,17 +76,6 @@ proptest! {
     }
 
     #[test]
-    fn warm_and_cold_solves_agree(model in arb_model()) {
-        let warm = solve(&model, &SolveOptions::default()).unwrap();
-        let cold = solve(&model, &SolveOptions {
-            warm_start: false,
-            ..SolveOptions::default()
-        }).unwrap();
-        prop_assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-        prop_assert_eq!(&warm.values, &cold.values);
-    }
-
-    #[test]
     fn single_thread_node_counts_repeat(model in arb_model()) {
         let a = solve(&model, &opts_with(1)).unwrap();
         let b = solve(&model, &opts_with(1)).unwrap();
