@@ -13,12 +13,15 @@
 //!   `latency_s`, `p50`/`p90`/`p99`, `nodes`, `evictions`, or `misses`:
 //!   a rise beyond the threshold is a regression;
 //! * everything else (counts, seeds, schema constants) is informational
-//!   and never fails the diff.
+//!   and never fails the diff — as is a `pNN` quantile whose sibling
+//!   `count` leaves fewer than ten samples beyond that percentile in
+//!   either file (the p50 of a 5-request dedup class is one log₂ bucket
+//!   flip away from ±100 %).
 //!
 //! The threshold is a relative percentage (default 20). Exit status is 0
 //! when no tracked metric regresses beyond it, 1 otherwise, 2 on usage or
-//! parse errors. Comparing a file against itself always exits 0 — the
-//! `verify.sh` smoke stage relies on that.
+//! parse errors. `verify.sh` runs it on the committed
+//! `BENCH_service.json` against the recording that file replaced.
 
 use bench::table::{cells, TextTable};
 use insitu_types::json::Value;
@@ -57,6 +60,22 @@ fn direction(path: &str) -> Direction {
     } else {
         Direction::Informational
     }
+}
+
+/// True for a `pNN` leaf whose histogram — the sibling `count` leaf, in
+/// either file — has fewer than ten samples beyond that percentile.
+fn too_few_samples(path: &str, files: [&std::collections::BTreeMap<&str, f64>; 2]) -> bool {
+    let Some((parent, leaf)) = path.rsplit_once('.') else {
+        return false;
+    };
+    let Some(q) = leaf.strip_prefix('p').and_then(|n| n.parse::<f64>().ok()) else {
+        return false;
+    };
+    let count = format!("{parent}.count");
+    files.iter().any(|f| {
+        f.get(count.as_str())
+            .is_some_and(|n| n * (1.0 - q / 100.0) < 10.0)
+    })
 }
 
 /// Recursively flattens every numeric leaf into `(dotted.path, value)`.
@@ -147,7 +166,11 @@ fn main() {
             continue;
         };
         compared += 1;
-        let dir = direction(path);
+        let dir = if too_few_samples(path, [&base, &cand]) {
+            Direction::Informational
+        } else {
+            direction(path)
+        };
         let delta_pct = if *b == 0.0 {
             if *c == 0.0 {
                 0.0

@@ -161,7 +161,7 @@ fn main() {
 
     // --- 5: search trace from a real workload certificate -------------
     let cert = cert.as_ref().expect("smoke stream includes a fresh certified solve");
-    let trace = milp::SearchTrace::from_certificate(cert, 64);
+    let trace = milp::SearchTrace::from_certificate(cert.get(), 64);
     let trace_json = trace.to_json_string();
     let round = milp::SearchTrace::from_json(&trace_json).expect("searchtrace round-trips");
     assert_eq!(&round, &trace);

@@ -29,9 +29,79 @@ use std::collections::BTreeMap;
 /// absorbs representation noise in the recorded LP objectives.
 pub const BOUND_TOL: f64 = 1e-6;
 
+/// A [`SearchCertificate`] whose requester-independent half has been
+/// checked: the tree closes, bounds are monotone, every [`CutProof`]
+/// re-derives exactly, and the solver claimed proven optimality.
+///
+/// None of that depends on who asks — it is a pure function of the
+/// certificate value — so it is decided once, in [`CheckedCertificate::check`],
+/// the only constructor. The field is private and access is read-only:
+/// holding a `CheckedCertificate` *is* the evidence that the closure
+/// checks passed on exactly these bytes. What still depends on the
+/// requester (is the schedule feasible for *their* instance, does *their*
+/// replayed Eq. 1 objective equal the certificate's claim) is
+/// [`crate::certify_checked`]'s job, on every reply.
+#[derive(Debug)]
+pub struct CheckedCertificate {
+    cert: SearchCertificate,
+}
+
+impl CheckedCertificate {
+    /// Runs the closure checks and, when none fails, wraps `cert` as their
+    /// witness. `Err` lists every problem found, exactly as
+    /// [`crate::certify`] would report them.
+    pub fn check(cert: SearchCertificate) -> Result<CheckedCertificate, Vec<String>> {
+        let problems = optimality_problems(&cert);
+        if problems.is_empty() {
+            Ok(CheckedCertificate { cert })
+        } else {
+            Err(problems)
+        }
+    }
+
+    /// The certificate the checks passed on.
+    pub fn get(&self) -> &SearchCertificate {
+        &self.cert
+    }
+}
+
+/// Everything that keeps a certificate from proving optimality, whoever
+/// asks: [`closure_problems`] plus the solver's own `proven_optimal` flag.
+pub(crate) fn optimality_problems(cert: &SearchCertificate) -> Vec<String> {
+    let mut problems = closure_problems(cert);
+    if !cert.proven_optimal {
+        problems.push("solver did not claim proven optimality".into());
+    }
+    problems
+}
+
+/// Puts the objective comparison in front of `problems`: `claimed` (a
+/// certificate's objective) must equal `expected` (the exactly replayed
+/// Eq. 1 objective) within [`BOUND_TOL`]. A non-finite claim is
+/// [`closure_problems`]' to report.
+pub(crate) fn with_objective_check(
+    claimed: f64,
+    expected: f64,
+    mut problems: Vec<String>,
+) -> Vec<String> {
+    if claimed.is_finite() && (claimed - expected).abs() > BOUND_TOL {
+        problems.insert(
+            0,
+            format!("certificate claims objective {claimed}, caller expected {expected}"),
+        );
+    }
+    problems
+}
+
 /// Checks the closure of a pruning certificate against the claimed
 /// `objective`. Returns every problem found (empty = certificate holds).
 pub fn check_certificate(cert: &SearchCertificate, objective: f64) -> Vec<String> {
+    with_objective_check(cert.objective, objective, closure_problems(cert))
+}
+
+/// The objective-independent part of [`check_certificate`]: tree closure,
+/// bound monotonicity and every cut proof. Depends on nothing but `cert`.
+fn closure_problems(cert: &SearchCertificate) -> Vec<String> {
     let mut problems = Vec::new();
     // sense-adjusted value: larger is better in both senses
     let adj = |x: f64| if cert.maximize { x } else { -x };
@@ -39,12 +109,6 @@ pub fn check_certificate(cert: &SearchCertificate, objective: f64) -> Vec<String
     if !cert.objective.is_finite() || !cert.dual_bound.is_finite() {
         problems.push("certificate objective/dual bound not finite".into());
         return problems;
-    }
-    if (cert.objective - objective).abs() > BOUND_TOL {
-        problems.push(format!(
-            "certificate claims objective {}, caller expected {}",
-            cert.objective, objective
-        ));
     }
     if cert.nodes.is_empty() {
         problems.push("certificate has no nodes".into());
@@ -252,19 +316,25 @@ fn check_gomory(
     if vars.is_empty() {
         return Err("gomory base row has no variables".into());
     }
-    let mut base: BTreeMap<usize, &GomoryVar> = BTreeMap::new();
-    for g in vars {
-        if base.insert(g.var, g).is_some() {
+    // variable -> position in `vars` (and in `exact` below)
+    let mut base: BTreeMap<usize, usize> = BTreeMap::new();
+    for (k, g) in vars.iter().enumerate() {
+        if base.insert(g.var, k).is_some() {
             return Err(format!("duplicate variable {} in base row", g.var));
         }
     }
-    // shifted right-hand side b' = base_rhs - sum coeff_j * bound_j
+    // each variable's exact (coeff, bound), converted once for all three
+    // loops; shifted right-hand side b' = base_rhs - sum coeff_j * bound_j
     let mut bp = rat(base_rhs, "base rhs")?;
+    let mut exact: Vec<(Rat, Rat)> = Vec::with_capacity(vars.len());
     for g in vars {
-        let shift = rat(g.coeff, "base coefficient")?
-            .mul(&rat(g.bound, "shift bound")?)
+        let coeff = rat(g.coeff, "base coefficient")?;
+        let bound = rat(g.bound, "shift bound")?;
+        let shift = coeff
+            .mul(&bound)
             .map_err(overflow("shifting the base row"))?;
         bp = bp.sub(&shift).map_err(overflow("shifting the base row"))?;
+        exact.push((coeff, bound));
     }
     let f0 = frac_rat(&bp).map_err(overflow("taking frac(b')"))?;
     if f0.is_zero() {
@@ -287,8 +357,7 @@ fn check_gomory(
         }
     }
 
-    for g in vars {
-        let d = rat(g.coeff, "base coefficient")?;
+    for (g, &(d, bound)) in vars.iter().zip(&exact) {
         let d = if g.at_upper {
             Rat::ZERO.sub(&d).map_err(overflow("negating d_j"))?
         } else {
@@ -297,7 +366,7 @@ fn check_gomory(
         let exact = if g.integral {
             // the integer treatment is only sound when the shift keeps the
             // variable on the integer lattice
-            if !frac_rat(&rat(g.bound, "shift bound")?)
+            if !frac_rat(&bound)
                 .map_err(overflow("checking bound integrality"))?
                 .is_zero()
             {
@@ -342,7 +411,7 @@ fn check_gomory(
     let mut rhs_t = rat(cut_rhs, "cut rhs")?;
     for (&v, c) in &rec {
         let shift = c
-            .mul(&rat(base[&v].bound, "shift bound")?)
+            .mul(&exact[base[&v]].1)
             .map_err(overflow("shifting the cut rhs"))?;
         rhs_t = rhs_t.sub(&shift).map_err(overflow("shifting the cut rhs"))?;
     }
@@ -429,6 +498,19 @@ mod tests {
         }
     }
 
+    /// The problems `check_certificate` finds when handed the certificate's
+    /// own objective (so none of them is about the objective), after
+    /// asserting that [`CheckedCertificate::check`] refuses the certificate
+    /// for exactly those reasons — or admits it when there are none.
+    fn both(c: &SearchCertificate) -> Vec<String> {
+        let problems = check_certificate(c, c.objective);
+        match CheckedCertificate::check(c.clone()) {
+            Ok(_) => assert!(problems.is_empty(), "witness built over {problems:?}"),
+            Err(refused) => assert_eq!(refused, problems),
+        }
+        problems
+    }
+
     fn with_cuts(cuts: Vec<CutProof>) -> SearchCertificate {
         let mut c = good();
         c.cuts = cuts;
@@ -438,7 +520,7 @@ mod tests {
     #[test]
     fn valid_cuts_pass() {
         let c = with_cuts(vec![gomory_example(), cover_example()]);
-        assert!(check_certificate(&c, 5.0).is_empty());
+        assert!(both(&c).is_empty());
     }
 
     #[test]
@@ -454,7 +536,7 @@ mod tests {
             cut: vec![(0, 0.25), (1, 0.75)],
             cut_rhs: 0.125,
         };
-        assert!(check_certificate(&with_cuts(vec![weak]), 5.0).is_empty());
+        assert!(both(&with_cuts(vec![weak])).is_empty());
     }
 
     #[test]
@@ -468,7 +550,7 @@ mod tests {
             cut: vec![(1, 0.25)], // below the exact 0.5: claims too much
             cut_rhs: 0.25,
         };
-        let p = check_certificate(&with_cuts(vec![bad]), 5.0);
+        let p = both(&with_cuts(vec![bad]));
         assert!(
             p.iter().any(|m| m.contains("below the exact GMI")),
             "{p:?}"
@@ -486,7 +568,7 @@ mod tests {
             cut: vec![(1, 0.5)],
             cut_rhs: 0.5, // above f0 = 0.25: cuts off feasible points
         };
-        let p = check_certificate(&with_cuts(vec![bad]), 5.0);
+        let p = both(&with_cuts(vec![bad]));
         assert!(p.iter().any(|m| m.contains("above the exact GMI")), "{p:?}");
     }
 
@@ -504,7 +586,7 @@ mod tests {
             cut: vec![(0, 1.0)],
             cut_rhs: 0.25,
         };
-        let p = check_certificate(&with_cuts(vec![bad]), 5.0);
+        let p = both(&with_cuts(vec![bad]));
         assert!(p.iter().any(|m| m.contains("flagged integral")), "{p:?}");
     }
 
@@ -519,7 +601,7 @@ mod tests {
             cut: vec![(1, 0.5), (7, 1.0)], // var 7 is not in the base row
             cut_rhs: 0.25,
         };
-        let p = check_certificate(&with_cuts(vec![bad]), 5.0);
+        let p = both(&with_cuts(vec![bad]));
         assert!(p.iter().any(|m| m.contains("outside its base row")), "{p:?}");
     }
 
@@ -545,14 +627,14 @@ mod tests {
             cut: vec![(0, -0.5)],
             cut_rhs: -1.0, // shifted: −1 − (−0.5·2) = 0 ≤ f0 ✓
         };
-        assert!(check_certificate(&with_cuts(vec![ok]), 5.0).is_empty());
+        assert!(both(&with_cuts(vec![ok])).is_empty());
         let bad = CutProof::Gomory {
             vars,
             base_rhs: -1.75,
             cut: vec![(0, 0.5)], // shifted h = −0.5 < g = 0
             cut_rhs: -1.0,
         };
-        let p = check_certificate(&with_cuts(vec![bad]), 5.0);
+        let p = both(&with_cuts(vec![bad]));
         assert!(p.iter().any(|m| m.contains("below the exact GMI")), "{p:?}");
     }
 
@@ -564,7 +646,7 @@ mod tests {
             rhs: 6.0, // capacity raised: 5 ≤ 6, not a cover any more
             members: vec![0, 2],
         };
-        let p = check_certificate(&with_cuts(vec![bad]), 5.0);
+        let p = both(&with_cuts(vec![bad]));
         assert!(p.iter().any(|m| m.contains("does not exceed")), "{p:?}");
         // member not on the row
         let bad = CutProof::Cover {
@@ -572,7 +654,7 @@ mod tests {
             rhs: 4.0,
             members: vec![0, 5],
         };
-        let p = check_certificate(&with_cuts(vec![bad]), 5.0);
+        let p = both(&with_cuts(vec![bad]));
         assert!(p.iter().any(|m| m.contains("not in the row")), "{p:?}");
         // non-positive member coefficient
         let bad = CutProof::Cover {
@@ -580,13 +662,13 @@ mod tests {
             rhs: 2.0,
             members: vec![0, 2],
         };
-        let p = check_certificate(&with_cuts(vec![bad]), 5.0);
+        let p = both(&with_cuts(vec![bad]));
         assert!(p.iter().any(|m| m.contains("non-positive")), "{p:?}");
     }
 
     #[test]
     fn valid_certificate_passes() {
-        assert!(check_certificate(&good(), 5.0).is_empty());
+        assert!(both(&good()).is_empty());
     }
 
     #[test]
@@ -598,23 +680,26 @@ mod tests {
         c.nodes[0].lp_bound = 4.5;
         c.nodes[1].lp_bound = 5.0;
         c.nodes[2].lp_bound = 6.1; // worse than optimum: prune justified
-        assert!(check_certificate(&c, 5.0).is_empty());
+        assert!(both(&c).is_empty());
         // a min-sense prune with a *better* (smaller) bound must fail
         c.nodes[2].lp_bound = 4.6;
-        assert!(!check_certificate(&c, 5.0).is_empty());
+        assert!(!both(&c).is_empty());
     }
 
     #[test]
     fn objective_mismatch_detected() {
         let p = check_certificate(&good(), 7.0);
         assert!(p.iter().any(|m| m.contains("caller expected")));
+        // whose objective is "expected" is the requester's business: the
+        // witness does not depend on it
+        assert!(CheckedCertificate::check(good()).is_ok());
     }
 
     #[test]
     fn unjustified_bound_prune_detected() {
         let mut c = good();
         c.nodes[2].lp_bound = 6.0; // could still hide a better solution
-        let p = check_certificate(&c, 5.0);
+        let p = both(&c);
         assert!(p.iter().any(|m| m.contains("still beats")), "{p:?}");
     }
 
@@ -622,7 +707,7 @@ mod tests {
     fn too_good_integral_leaf_detected() {
         let mut c = good();
         c.nodes[1].outcome = NodeOutcome::Integral { objective: 5.4 };
-        let p = check_certificate(&c, 5.0);
+        let p = both(&c);
         assert!(p.iter().any(|m| m.contains("better than claimed")), "{p:?}");
     }
 
@@ -630,7 +715,7 @@ mod tests {
     fn missing_child_detected() {
         let mut c = good();
         c.nodes.pop();
-        let p = check_certificate(&c, 5.0);
+        let p = both(&c);
         assert!(p.iter().any(|m| m.contains("expected 2")), "{p:?}");
     }
 
@@ -639,31 +724,31 @@ mod tests {
         // duplicate id
         let mut c = good();
         c.nodes[2].id = 1;
-        assert!(check_certificate(&c, 5.0)
+        assert!(both(&c)
             .iter()
             .any(|m| m.contains("duplicate")));
         // dangling parent
         let mut c = good();
         c.nodes[2].parent = Some(99);
-        assert!(check_certificate(&c, 5.0)
+        assert!(both(&c)
             .iter()
             .any(|m| m.contains("dangling")));
         // two roots
         let mut c = good();
         c.nodes[2].parent = None;
-        assert!(check_certificate(&c, 5.0)
+        assert!(both(&c)
             .iter()
             .any(|m| m.contains("exactly one root")));
         // parent that was never branched
         let mut c = good();
         c.nodes[0].outcome = NodeOutcome::PrunedBound;
-        assert!(check_certificate(&c, 5.0)
+        assert!(both(&c)
             .iter()
             .any(|m| m.contains("not branched")));
         // empty certificate
         let mut c = good();
         c.nodes.clear();
-        assert!(check_certificate(&c, 5.0)
+        assert!(both(&c)
             .iter()
             .any(|m| m.contains("no nodes")));
     }
@@ -672,7 +757,7 @@ mod tests {
     fn bound_monotonicity_enforced() {
         let mut c = good();
         c.nodes[1].lp_bound = 6.0; // child better than parent: impossible
-        let p = check_certificate(&c, 5.0);
+        let p = both(&c);
         assert!(p.iter().any(|m| m.contains("improves on parent")), "{p:?}");
     }
 
@@ -681,7 +766,7 @@ mod tests {
         let mut c = good();
         c.objective = 6.0;
         c.nodes[1].outcome = NodeOutcome::Integral { objective: 6.0 };
-        let p = check_certificate(&c, 6.0);
+        let p = both(&c);
         assert!(p.iter().any(|m| m.contains("root relaxation")), "{p:?}");
     }
 
@@ -689,12 +774,12 @@ mod tests {
     fn non_finite_values_rejected() {
         let mut c = good();
         c.nodes[2].lp_bound = f64::NAN;
-        assert!(!check_certificate(&c, 5.0).is_empty());
+        assert!(!both(&c).is_empty());
         let mut c = good();
         c.dual_bound = f64::INFINITY;
-        assert!(!check_certificate(&c, 5.0).is_empty());
+        assert!(!both(&c).is_empty());
         let mut c = good();
         c.abs_gap = -1.0;
-        assert!(!check_certificate(&c, 5.0).is_empty());
+        assert!(!both(&c).is_empty());
     }
 }

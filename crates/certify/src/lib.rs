@@ -11,12 +11,17 @@
 //!   pruning certificate closes: no leaf of the search tree can hide a
 //!   better schedule, modulo only the solver-attested LP bounds.
 //! * [`Verdict::FeasibleOnly`] — the schedule is feasible, but no
-//!   optimality certificate was supplied (or the solver did not claim
-//!   proven optimality), so it might be sub-optimal.
+//!   optimality certificate was supplied, so it might be sub-optimal.
 //! * [`Verdict::Invalid`] — the schedule violates a constraint, the
-//!   claimed objective is wrong, or the certificate fails its closure
-//!   checks. The offending facts are listed in
+//!   claimed objective is wrong, or the supplied certificate fails its
+//!   closure checks (a solver that did not claim proven optimality
+//!   counts). The offending facts are listed in
 //!   [`Certification::problems`].
+//!
+//! A service that re-serves one solve to many requesters splits the work
+//! along what depends on the requester: [`CheckedCertificate::check`]
+//! decides the closure half once per certificate, [`certify_checked`] the
+//! replay + objective half on every reply.
 //!
 //! This crate deliberately depends only on `insitu-types` (the data
 //! model). It shares **no code** with the MILP formulations in
@@ -30,7 +35,7 @@ pub mod rational;
 pub mod replay;
 pub mod suffix;
 
-pub use certificate::{check_certificate, BOUND_TOL};
+pub use certificate::{check_certificate, CheckedCertificate, BOUND_TOL};
 pub use fingerprint::{fingerprint, Fingerprint};
 pub use rational::{Rat, RatError};
 pub use replay::{replay, replay_time_series, ReplayReport, Violation, ViolationKind};
@@ -43,8 +48,10 @@ use insitu_types::{Schedule, ScheduleProblem, SearchCertificate};
 pub enum Verdict {
     /// Feasible, and the optimality certificate closes.
     Proved,
-    /// Feasible, but optimality was not (successfully) certified because
-    /// no certificate was supplied.
+    /// Feasible, and no certificate was supplied, so optimality is not
+    /// claimed either way. A certificate that *is* supplied and fails —
+    /// including one whose solver did not claim proven optimality — is
+    /// [`Verdict::Invalid`], never this.
     FeasibleOnly,
     /// Constraint violation, objective mismatch, or broken certificate.
     Invalid,
@@ -111,39 +118,12 @@ pub fn certify(
     schedule: &Schedule,
     certificate: Option<&SearchCertificate>,
 ) -> Certification {
-    let report = match replay::replay(problem, schedule) {
-        Ok(r) => r,
-        Err(e) => {
-            return Certification::invalid(
-                vec![format!("exact replay impossible: {e}")],
-                None,
-            )
-        }
-    };
-    if !report.is_feasible() {
-        let problems = report.messages();
-        return Certification::invalid(problems, Some(report));
-    }
-    let Some(cert) = certificate else {
-        return Certification {
-            verdict: Verdict::FeasibleOnly,
-            replay: Some(report),
-            problems: Vec::new(),
-        };
-    };
-    let mut problems = certificate::check_certificate(cert, report.objective.to_f64());
-    if !cert.proven_optimal {
-        problems.push("solver did not claim proven optimality".into());
-    }
-    Certification {
-        verdict: if problems.is_empty() {
-            Verdict::Proved
-        } else {
-            Verdict::Invalid
-        },
-        replay: Some(report),
-        problems,
-    }
+    stamp(
+        replay::replay(problem, schedule),
+        "replay",
+        certificate,
+        certificate::optimality_problems,
+    )
 }
 
 /// Certifies a mid-run reschedule: a suffix `schedule` against the suffix
@@ -163,13 +143,55 @@ pub fn certify_suffix(
     carry: &suffix::SuffixCarry,
     certificate: Option<&SearchCertificate>,
 ) -> Certification {
-    let report = match suffix::replay_suffix(problem, schedule, carry) {
+    stamp(
+        suffix::replay_suffix(problem, schedule, carry),
+        "suffix replay",
+        certificate,
+        certificate::optimality_problems,
+    )
+}
+
+/// The per-reply half of [`certify`], for a certificate whose closure was
+/// already decided by [`CheckedCertificate::check`]: replays `schedule`
+/// against `problem` exactly (Eqs. 2–9, the requester's instance in the
+/// requester's order) and compares the replayed Eq. 1 objective with the
+/// certificate's claim within [`BOUND_TOL`].
+///
+/// Same verdict and same problem strings as
+/// `certify(problem, schedule, Some(certificate.get()))` — the closure
+/// checks that call would repeat depend on nothing `problem` or
+/// `schedule` supply, and `certificate` is the witness that they passed.
+/// Never returns [`Verdict::FeasibleOnly`].
+pub fn certify_checked(
+    problem: &ScheduleProblem,
+    schedule: &Schedule,
+    certificate: &CheckedCertificate,
+) -> Certification {
+    // nothing left to find: `certificate` exists because
+    // `optimality_problems` came back empty on it
+    stamp(
+        replay::replay(problem, schedule),
+        "replay",
+        Some(certificate.get()),
+        |_| Vec::new(),
+    )
+}
+
+/// The one body behind [`certify`], [`certify_suffix`] and
+/// [`certify_checked`], which differ only in the replay they hand in and
+/// in whether the certificate's closure still has to be checked
+/// (`closure_problems`, run only once the replay is feasible). The
+/// objective comparison and the verdict rule live here and nowhere else.
+fn stamp(
+    report: Result<ReplayReport, RatError>,
+    what: &str,
+    certificate: Option<&SearchCertificate>,
+    closure_problems: impl FnOnce(&SearchCertificate) -> Vec<String>,
+) -> Certification {
+    let report = match report {
         Ok(r) => r,
         Err(e) => {
-            return Certification::invalid(
-                vec![format!("exact suffix replay impossible: {e}")],
-                None,
-            )
+            return Certification::invalid(vec![format!("exact {what} impossible: {e}")], None)
         }
     };
     if !report.is_feasible() {
@@ -183,10 +205,11 @@ pub fn certify_suffix(
             problems: Vec::new(),
         };
     };
-    let mut problems = certificate::check_certificate(cert, report.objective.to_f64());
-    if !cert.proven_optimal {
-        problems.push("solver did not claim proven optimality".into());
-    }
+    let problems = certificate::with_objective_check(
+        cert.objective,
+        report.objective.to_f64(),
+        closure_problems(cert),
+    );
     Certification {
         verdict: if problems.is_empty() {
             Verdict::Proved
@@ -303,6 +326,41 @@ mod tests {
             .problems
             .iter()
             .any(|p| p.contains("proven optimality")));
+    }
+
+    #[test]
+    fn certify_checked_is_certify_minus_the_closure_checks() {
+        let same = |a: &Certification, b: &Certification| {
+            assert_eq!((a.verdict, &a.problems, &a.replay), (b.verdict, &b.problems, &b.replay));
+        };
+        let (p, s) = (problem(), feasible_schedule());
+        let checked = CheckedCertificate::check(matching_cert()).unwrap();
+        let c = certify_checked(&p, &s, &checked);
+        assert_eq!(c.verdict, Verdict::Proved, "{:?}", c.problems);
+        same(&c, &certify(&p, &s, Some(checked.get())));
+
+        // a schedule the requester's instance rules out: same complaints
+        let mut over = Schedule::empty(1);
+        over.per_analysis[0] = AnalysisSchedule::new(vec![10, 20, 30, 40, 50, 60], vec![]);
+        let c = certify_checked(&p, &over, &checked);
+        assert_eq!(c.verdict, Verdict::Invalid);
+        same(&c, &certify(&p, &over, Some(checked.get())));
+
+        // a feasible schedule that scores something else (3, not 4): the
+        // closed certificate is about another optimum
+        let mut fewer = Schedule::empty(1);
+        fewer.per_analysis[0] = AnalysisSchedule::new(vec![10, 50], vec![]);
+        let c = certify_checked(&p, &fewer, &checked);
+        assert_eq!(c.verdict, Verdict::Invalid);
+        assert_eq!(c.problems.len(), 1);
+        assert!(c.problems[0].contains("caller expected 3"), "{:?}", c.problems);
+        same(&c, &certify(&p, &fewer, Some(checked.get())));
+
+        // no witness for a certificate that does not prove optimality
+        let mut unproven = matching_cert();
+        unproven.proven_optimal = false;
+        let refused = CheckedCertificate::check(unproven.clone()).unwrap_err();
+        assert_eq!(refused, certify(&p, &s, Some(&unproven)).problems);
     }
 
     #[test]

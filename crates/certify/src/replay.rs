@@ -192,10 +192,14 @@ pub fn replay(problem: &ScheduleProblem, schedule: &Schedule) -> Result<ReplayRe
     }
 
     // --- time recursion (Eqs. 2–4), exact ---
+    // each active analysis's Table-1 parameters are converted once, here,
+    // and reused by the memory recursion below
+    let mut profiles: Vec<Option<ExactProfile>> = Vec::with_capacity(problem.len());
     let mut total_time = Rat::ZERO;
     for (i, s) in schedule.per_analysis.iter().enumerate() {
         if s.count() == 0 {
-            continue; // inactive analyses cost nothing (Eq. 3 gate)
+            profiles.push(None); // inactive analyses cost nothing (Eq. 3 gate)
+            continue;
         }
         let p = exact_profile(&problem.analyses[i])?;
         // Eq. 3 seed, then one Eq. 2 update per simulation step
@@ -210,6 +214,7 @@ pub fn replay(problem: &ScheduleProblem, schedule: &Schedule) -> Result<ReplayRe
             }
         }
         total_time = total_time.add(&t)?;
+        profiles.push(Some(p));
     }
     let budget = time_budget(problem)?;
     if let Some(budget) = &budget {
@@ -234,14 +239,11 @@ pub fn replay(problem: &ScheduleProblem, schedule: &Schedule) -> Result<ReplayRe
     } else {
         Some(Rat::from_f64_exact(problem.resources.mem_threshold)?)
     };
-    let mut mem_end: Vec<Rat> = Vec::with_capacity(problem.len());
-    for (i, s) in schedule.per_analysis.iter().enumerate() {
-        mem_end.push(if s.count() > 0 {
-            Rat::from_f64_exact(problem.analyses[i].fixed_mem)? // Eq. 6 seed
-        } else {
-            Rat::ZERO
-        });
-    }
+    // Eq. 6 seed: an active analysis starts at its fixed allocation
+    let mut mem_end: Vec<Rat> = profiles
+        .iter()
+        .map(|p| p.as_ref().map_or(Rat::ZERO, |p| p.fm))
+        .collect();
     // peak starts at the step-0 total (the Eq. 6 fixed allocations)
     let mut peak_memory = Rat::ZERO;
     for m in &mem_end {
@@ -250,10 +252,7 @@ pub fn replay(problem: &ScheduleProblem, schedule: &Schedule) -> Result<ReplayRe
     for j in 1..=steps {
         let mut step_total = Rat::ZERO;
         for (i, s) in schedule.per_analysis.iter().enumerate() {
-            if s.count() == 0 {
-                continue;
-            }
-            let p = exact_profile(&problem.analyses[i])?;
+            let Some(p) = &profiles[i] else { continue };
             // Eq. 5: start-of-step footprint grows by im (+cm, +om)
             let mut m_start = mem_end[i].add(&p.im)?;
             if s.runs_at(j) {

@@ -77,18 +77,22 @@ pub fn memory_state_at(
     if schedule.per_analysis.len() != problem.len() || set_up.len() != problem.len() {
         return Err(RatError::NonFinite); // shape mismatch, as in replay_time_series
     }
-    let mut mem_end: Vec<Option<Rat>> = Vec::with_capacity(problem.len());
+    // exact Table-1 parameters, once per set-up analysis
+    let mut profiles = Vec::with_capacity(problem.len());
     for (i, up) in set_up.iter().enumerate() {
-        mem_end.push(if *up {
-            Some(Rat::from_f64_exact(problem.analyses[i].fixed_mem)?)
+        profiles.push(if *up {
+            Some(exact_profile(&problem.analyses[i])?)
         } else {
             None
         });
     }
+    let mut mem_end: Vec<Option<Rat>> =
+        profiles.iter().map(|p| p.as_ref().map(|p| p.fm)).collect();
     for j in 1..=step.min(problem.resources.steps) {
         for (i, s) in schedule.per_analysis.iter().enumerate() {
-            let Some(m) = &mem_end[i] else { continue };
-            let p = exact_profile(&problem.analyses[i])?;
+            let (Some(m), Some(p)) = (&mem_end[i], &profiles[i]) else {
+                continue;
+            };
             let mut m_start = m.add(&p.im)?;
             if s.runs_at(j) {
                 m_start = m_start.add(&p.cm)?;
@@ -187,6 +191,8 @@ pub fn replay_suffix(
         Some(Rat::from_f64_exact(problem.resources.mem_threshold)?)
     };
     base.violations.retain(|v| v.kind != ViolationKind::Memory);
+    // exact Table-1 parameters, once per analysis the suffix keeps active
+    let mut profiles = Vec::with_capacity(problem.len());
     let mut mem_end: Vec<Option<Rat>> = Vec::with_capacity(problem.len());
     let mut idle_held = Rat::ZERO; // held by analyses the suffix deactivates
     for (i, s) in schedule.per_analysis.iter().enumerate() {
@@ -195,12 +201,12 @@ pub fn replay_suffix(
             None => None,
         };
         if s.count() > 0 {
-            mem_end.push(Some(match held {
-                Some(m) => m,
-                None => Rat::from_f64_exact(problem.analyses[i].fixed_mem)?,
-            }));
+            let p = exact_profile(&problem.analyses[i])?;
+            mem_end.push(Some(held.unwrap_or(p.fm)));
+            profiles.push(Some(p));
         } else {
             mem_end.push(None);
+            profiles.push(None);
             if let Some(m) = held {
                 idle_held = idle_held.add(&m)?;
             }
@@ -213,8 +219,9 @@ pub fn replay_suffix(
     for j in 1..=steps {
         let mut step_total = idle_held;
         for (i, s) in schedule.per_analysis.iter().enumerate() {
-            let Some(m) = &mem_end[i] else { continue };
-            let p = exact_profile(&problem.analyses[i])?;
+            let (Some(m), Some(p)) = (&mem_end[i], &profiles[i]) else {
+                continue;
+            };
             let mut m_start = m.add(&p.im)?;
             if s.runs_at(j) {
                 m_start = m_start.add(&p.cm)?;

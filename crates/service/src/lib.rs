@@ -23,7 +23,11 @@
 //! **The certification gate:** the fingerprint is a cache key, not a
 //! proof. Every served schedule — hit, dedup fan-out or fresh solve —
 //! is re-certified by the independent [`certify`] crate against
-//! the *requester's own instance* before it leaves the service. A hash
+//! the *requester's own instance* before it leaves the service: exact
+//! replay plus the objective comparison on every reply
+//! ([`certify::certify_checked`]), the certificate's closure once per
+//! solve ([`certify::CheckedCertificate`] — the only kind of certificate
+//! a cache entry can hold). A hash
 //! collision (or cache corruption) therefore degrades to a fresh solve,
 //! never to a wrong answer: [`SolveService::solve`] only ever returns
 //! `PROVED` or `FEASIBLE-ONLY` replies.

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use certify::{Fingerprint, Verdict};
+use certify::{CheckedCertificate, Fingerprint, Verdict};
 use insitu_core::aggregate::solve_aggregate_counts;
 use insitu_core::placement::place_schedule;
 use insitu_types::canonical::{canonicalize, from_canonical, from_canonical_schedule};
@@ -88,9 +88,11 @@ pub struct CacheEntry {
     pub schedule: Schedule,
     /// Optimal Eq. 1 objective.
     pub objective: f64,
-    /// The solver's machine-checkable optimality certificate — cached so
-    /// hits can be re-proved against the requester's instance.
-    pub certificate: SearchCertificate,
+    /// The solver's machine-checkable optimality certificate, closure
+    /// already checked — the type admits no other kind. Cached so every
+    /// hit can be re-proved against the requester's instance by the
+    /// replay + objective half alone, and shared with each [`Reply`].
+    pub certificate: Arc<CheckedCertificate>,
     /// Branch-and-bound nodes of the producing solve.
     pub nodes: usize,
 }
@@ -114,28 +116,43 @@ pub struct Reply {
     pub counts: Vec<usize>,
     /// Optimal output counts, requester order.
     pub output_counts: Vec<usize>,
-    /// The optimality certificate the verdict was checked against
-    /// (`None` only for the trivial zero-analysis instance).
-    pub certificate: Option<SearchCertificate>,
+    /// The optimality certificate the verdict was checked against,
+    /// shared with the cache entry it came from (`None` only for the
+    /// trivial zero-analysis instance).
+    pub certificate: Option<Arc<CheckedCertificate>>,
     /// Branch-and-bound nodes of the producing solve (also for hits:
     /// the nodes the *cached* solve cost).
     pub nodes: usize,
 }
 
 impl Reply {
+    /// The bare certificate, for a client that re-certifies the reply
+    /// itself (`certify::certify(problem, &reply.schedule, ..)`) instead
+    /// of trusting this service's witness.
+    pub fn search_certificate(&self) -> Option<&SearchCertificate> {
+        self.certificate.as_deref().map(CheckedCertificate::get)
+    }
+
     /// Renders the reply as a `service/v1` wire response. The schema's
     /// `hint_accepted` field is always `false`: the server solves every
     /// miss without a hint.
     pub fn to_response(&self, id: u64) -> ServiceResponse {
+        self.clone().into_response(id)
+    }
+
+    /// [`Reply::to_response`] for a caller that is done with the reply:
+    /// moves the schedule and counts into the response instead of cloning
+    /// them.
+    pub fn into_response(self, id: u64) -> ServiceResponse {
         ServiceResponse {
             id,
             fingerprint: self.fingerprint.to_hex(),
             source: self.source,
             verdict: self.verdict.to_string(),
             objective: self.objective,
-            schedule: self.schedule.clone(),
-            counts: self.counts.clone(),
-            output_counts: self.output_counts.clone(),
+            schedule: self.schedule,
+            counts: self.counts,
+            output_counts: self.output_counts,
             solver_nodes: self.nodes,
             hint_accepted: false,
         }
@@ -453,7 +470,7 @@ impl SolveService {
     pub fn handle_json(&self, request: &str) -> String {
         match json::from_str::<ServiceRequest>(request) {
             Ok(req) => match self.solve(&req.problem) {
-                Ok(reply) => json::to_string(&reply.to_response(req.id)),
+                Ok(reply) => json::to_string(&reply.into_response(req.id)),
                 Err(e) => error_json(Some(req.id), &e.to_string()),
             },
             Err(e) => error_json(None, &e.to_string()),
@@ -480,19 +497,23 @@ impl SolveService {
         let certificate = agg
             .stats
             .certificate
-            .clone()
             .ok_or_else(|| ServiceError::Solve("solver returned no certificate".into()))?;
         // leader-side gate: a result that does not certify against the
-        // canonical instance never reaches the cache or any waiter
-        let cert = {
+        // canonical instance never reaches the cache or any waiter. The
+        // certificate's closure is checked here, once; every reply built
+        // from this entry re-runs only what depends on its requester
+        let certificate = {
             let mut cspan = self.trace.span("service.certify");
-            let cert = certify::certify(canon, &schedule, Some(&certificate));
+            self.registry.add("service.certificate_checks", 1);
+            let certificate = CheckedCertificate::check(certificate)
+                .map_err(ServiceError::Certification)?;
+            let cert = certify::certify_checked(canon, &schedule, &certificate);
             cspan.tag("verdict", cert.verdict.to_string());
-            cert
+            if cert.verdict == Verdict::Invalid {
+                return Err(ServiceError::Certification(cert.problems));
+            }
+            Arc::new(certificate)
         };
-        if cert.verdict == Verdict::Invalid {
-            return Err(ServiceError::Certification(cert.problems));
-        }
         Ok(Arc::new(CacheEntry {
             counts: agg.counts,
             output_counts: agg.output_counts,
@@ -516,7 +537,7 @@ impl SolveService {
         let schedule = from_canonical_schedule(&entry.schedule, perm);
         let cert = {
             let mut cspan = self.trace.span("service.certify");
-            let cert = certify::certify(problem, &schedule, Some(&entry.certificate));
+            let cert = certify::certify_checked(problem, &schedule, &entry.certificate);
             cspan.tag("verdict", cert.verdict.to_string());
             cert
         };
@@ -604,10 +625,16 @@ mod tests {
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.objective, b.objective);
         assert_ne!(a.verdict, Verdict::Invalid);
+        // the hit shares the solve's checked certificate, it does not copy it
+        assert!(Arc::ptr_eq(
+            a.certificate.as_ref().unwrap(),
+            b.certificate.as_ref().unwrap()
+        ));
         let snap = svc.registry().snapshot();
         assert_eq!(snap.counter("service.requests"), Some(2));
         assert_eq!(snap.counter("service.hits"), Some(1));
         assert_eq!(snap.counter("service.solves"), Some(1));
+        assert_eq!(snap.counter("service.certificate_checks"), Some(1));
     }
 
     #[test]
@@ -624,7 +651,7 @@ mod tests {
         assert_eq!(a.schedule.per_analysis[1], b.schedule.per_analysis[0]);
         assert_eq!(a.counts[0], b.counts[1]);
         // and each certifies against its own instance
-        let cert = certify::certify(&q, &b.schedule, b.certificate.as_ref());
+        let cert = certify::certify(&q, &b.schedule, b.search_certificate());
         assert_eq!(cert.verdict, Verdict::Proved);
     }
 
@@ -760,6 +787,49 @@ mod tests {
     }
 
     #[test]
+    fn colliding_entry_with_a_feasible_schedule_is_rejected_on_the_objective() {
+        // a simulated fingerprint collision at its most benign: the planted
+        // schedule is the target's own optimum, so the replay is feasible,
+        // and the certificate is a genuine checked one — of another
+        // instance. Only the objective comparison is left to object.
+        let svc = SolveService::new(ServiceConfig::default());
+        let target = problem(&[("rdf", 0.5), ("msd", 1.0)]);
+        let decoy = problem(&[("a", 0.9), ("b", 1.3), ("c", 0.2)]);
+        let (canon, _) = canonicalize(&target);
+        let own = svc.solve(&canon).unwrap(); // canonical order in, canonical order out
+        let other = svc.solve(&decoy).unwrap();
+        assert_ne!(own.objective, other.objective);
+        let foreign = other.certificate.clone().unwrap();
+
+        let stamp = certify::certify_checked(&canon, &own.schedule, &foreign);
+        assert_eq!(stamp.verdict, Verdict::Invalid);
+        assert!(stamp.replay.as_ref().unwrap().is_feasible());
+        assert_eq!(stamp.problems.len(), 1, "{:?}", stamp.problems);
+        assert!(stamp.problems[0].contains("certificate claims objective"));
+
+        let fp = certify::fingerprint(&target);
+        svc.inject_cache_entry_for_test(
+            fp,
+            Arc::new(CacheEntry {
+                counts: own.counts.clone(),
+                output_counts: own.output_counts.clone(),
+                schedule: own.schedule.clone(),
+                objective: own.objective,
+                certificate: foreign,
+                nodes: own.nodes,
+            }),
+        );
+        let r = svc.solve(&target).unwrap();
+        assert_eq!(r.source, ResponseSource::Fresh);
+        assert_eq!(r.verdict, Verdict::Proved);
+        assert_eq!(r.objective, own.objective);
+        let snap = svc.registry().snapshot();
+        assert_eq!(snap.counter("service.certify_rejects"), Some(1));
+        let dump = svc.last_flight_dump().unwrap();
+        assert!(dump.contains("\"reason\":\"certify-reject\""), "{dump}");
+    }
+
+    #[test]
     fn forced_certify_reject_dumps_flightrec_and_recovers() {
         let tracer = Arc::new(obs::Tracer::with_capacity(1024));
         let svc = SolveService::new(ServiceConfig::default()).with_observability(
@@ -771,7 +841,9 @@ mod tests {
         svc.solve(&decoy).unwrap();
         // plant the decoy's entry under the target's fingerprint: the next
         // target request hits, fails the certification gate, and must fall
-        // back to a fresh solve
+        // back to a fresh solve. The certificate is the decoy's own checked
+        // one (there is no other way to build an entry): it closes, the
+        // replay against the target is what does not
         let planted = {
             let d = svc.solve(&decoy).unwrap();
             assert_eq!(d.source, ResponseSource::Hit);

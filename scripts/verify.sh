@@ -76,9 +76,20 @@ run ./target/release/obs_smoke --out target
 run ./target/release/trace_view target/obs_smoke_timeline.json --chrome target/obs_smoke_trace_view.chrome.json
 run ./target/release/trace_view target/obs_smoke_searchtrace.json
 
-# bench_diff smoke: self-comparison of the committed service benchmark
-# must report zero regressions (exit nonzero otherwise)
-run ./target/release/bench_diff BENCH_service.json BENCH_service.json
+# bench_diff gate: the committed service benchmark against the recording
+# it replaced — HEAD's while a re-recording is still uncommitted, else the
+# one before the commit that last touched the file. Exits nonzero when a
+# tracked metric is >20 % worse than that recording.
+if git diff --quiet HEAD -- BENCH_service.json; then
+    prev="$(git rev-list -1 HEAD -- BENCH_service.json)~1"
+else
+    prev=HEAD
+fi
+if git show "$prev:BENCH_service.json" > target/BENCH_service_prev.json 2>/dev/null; then
+    run ./target/release/bench_diff target/BENCH_service_prev.json BENCH_service.json
+else
+    echo "bench_diff: no earlier BENCH_service.json in this checkout's history, skipped"
+fi
 
 echo
 echo "verify: all green"

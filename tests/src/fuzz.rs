@@ -198,6 +198,8 @@ pub fn differential_check(problem: &ScheduleProblem) -> Result<(), String> {
     if !problems.is_empty() {
         return Err(format!("certificate does not close: {problems:?}"));
     }
+    // ... and checking it once then replaying per reply is the same decision
+    witness_agrees(problem, &schedule, cert)?;
 
     // 6. on small memory-free instances the exact time-indexed formulation
     //    is equivalent (see aggregate's module docs) — cross-check it
@@ -212,6 +214,81 @@ pub fn differential_check(problem: &ScheduleProblem) -> Result<(), String> {
                 "exact formulation objective {exact_obj} != aggregate objective {}",
                 serial.objective
             ));
+        }
+    }
+    Ok(())
+}
+
+/// The check-once / replay-every-reply split must decide exactly what the
+/// one-call path decides. For `cert` and a few corruptions of it:
+/// [`certify::CheckedCertificate::check`] admits the certificate iff
+/// `check_certificate` finds no objective-independent problem and the
+/// solver claimed optimality; and for `schedule`, the empty schedule and a
+/// truncated one, [`certify::certify_checked`] returns the verdict, the
+/// problem strings and the replay [`certify::certify`] returns.
+pub fn witness_agrees(
+    problem: &ScheduleProblem,
+    schedule: &Schedule,
+    cert: &SearchCertificate,
+) -> Result<(), String> {
+    let mut truncated = schedule.clone();
+    for s in &mut truncated.per_analysis {
+        if let Some(last) = s.analysis_steps.pop() {
+            s.output_steps.retain(|&j| j != last);
+        }
+    }
+    let schedules = [schedule.clone(), Schedule::empty(problem.len()), truncated];
+
+    let mut unproven = cert.clone();
+    unproven.proven_optimal = false;
+    let mut open_tree = cert.clone();
+    open_tree.nodes.pop();
+    let mut loose_prune = cert.clone();
+    for n in &mut loose_prune.nodes {
+        if n.parent.is_some() {
+            n.lp_bound += if cert.maximize { 10.0 } else { -10.0 };
+        }
+    }
+    let mut bad_cut = cert.clone();
+    for cut in &mut bad_cut.cuts {
+        match cut {
+            insitu_types::CutProof::Gomory { cut_rhs, .. } => *cut_rhs += 1.0,
+            insitu_types::CutProof::Cover { rhs, .. } => *rhs += 1e6,
+        }
+    }
+
+    for (what, c) in [
+        ("as emitted", cert),
+        ("unproven", &unproven),
+        ("last node dropped", &open_tree),
+        ("child bounds loosened", &loose_prune),
+        ("cuts tampered", &bad_cut),
+    ] {
+        let mut independent = certify::check_certificate(c, c.objective);
+        if !c.proven_optimal {
+            independent.push("solver did not claim proven optimality".into());
+        }
+        let checked = match certify::CheckedCertificate::check(c.clone()) {
+            Ok(checked) if independent.is_empty() => checked,
+            Err(refused) if refused == independent => continue,
+            other => {
+                return Err(format!(
+                    "certificate {what}: check() gave {:?}, check_certificate {independent:?}",
+                    other.map(|_| "a witness")
+                ))
+            }
+        };
+        for s in &schedules {
+            let one_call = certify::certify(problem, s, Some(c));
+            let split = certify::certify_checked(problem, s, &checked);
+            if (one_call.verdict, &one_call.problems, &one_call.replay)
+                != (split.verdict, &split.problems, &split.replay)
+            {
+                return Err(format!(
+                    "certificate {what}: certify says {} {:?}, certify_checked {} {:?}",
+                    one_call.verdict, one_call.problems, split.verdict, split.problems
+                ));
+            }
         }
     }
     Ok(())

@@ -79,6 +79,10 @@ fn corpus_replays_clean() {
         // cases that carry a solved schedule (e.g. the exemplar the README
         // points `recheck` at) must still certify exactly as recorded
         if let Some(s) = &schedule {
+            if let Some(cert) = &certificate {
+                fuzz::witness_agrees(&problem, s, cert)
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            }
             let c = certify::certify(&problem, s, certificate.as_ref());
             match certificate {
                 Some(_) => assert_eq!(

@@ -118,7 +118,7 @@ fn hammered_service_serves_only_certified_results() {
                             // client-side proof: the reply must certify
                             // against *this* request, in *this* order
                             let cert =
-                                certify::certify(&p, &reply.schedule, reply.certificate.as_ref());
+                                certify::certify(&p, &reply.schedule, reply.search_certificate());
                             if cert.verdict != certify::Verdict::Proved {
                                 errors.lock().unwrap().push(format!(
                                     "thread {t} iter {i}: served {} result: {:?}",
@@ -174,6 +174,13 @@ fn hammered_service_serves_only_certified_results() {
         "no deduplication happened ({solves} solves for {requests} requests)"
     );
     assert_eq!(snap.counter("service.certify_rejects").unwrap_or(0), 0);
+    // a certificate's closure is checked once, by the solve that produced
+    // it — hits and dedup waiters re-run only the replay + objective half
+    assert_eq!(
+        snap.counter("service.certificate_checks").unwrap_or(0),
+        solves,
+        "closure checks must track solves, not requests ({requests})"
+    );
 }
 
 #[test]
@@ -214,7 +221,7 @@ fn duplicate_burst_is_solved_exactly_once() {
     let bits = replies[0].1.objective.to_bits();
     for (p, reply) in &replies {
         assert_eq!(reply.objective.to_bits(), bits, "burst optimum drifted");
-        let cert = certify::certify(p, &reply.schedule, reply.certificate.as_ref());
+        let cert = certify::certify(p, &reply.schedule, reply.search_certificate());
         assert_eq!(cert.verdict, certify::Verdict::Proved, "{:?}", cert.problems);
     }
 }
@@ -372,7 +379,7 @@ fn certify_reject_under_load_dumps_a_parseable_flight_record() {
 
     // nothing unproved escaped, despite the poisoned entry
     for (p, reply) in &replies {
-        let cert = certify::certify(p, &reply.schedule, reply.certificate.as_ref());
+        let cert = certify::certify(p, &reply.schedule, reply.search_certificate());
         assert_eq!(cert.verdict, certify::Verdict::Proved, "{:?}", cert.problems);
     }
     let snap = service.registry().snapshot();
