@@ -34,9 +34,19 @@
 //! lock-free atomic copy of the incumbent objective (stale reads are safe —
 //! they only make pruning conservative, never wrong).
 //!
-//! Child LPs are warm-started from the parent's simplex basis and repaired
-//! with dual-simplex pivots (see [`crate::simplex`]); a cold two-phase
-//! solve is the automatic fallback, so warm starts never change results.
+//! # What a child LP is
+//!
+//! The frozen model (post-presolve, with the root cut pool) is lowered to
+//! a [`StandardForm`] **once per solve**. A node carries only its
+//! column-bound overrides ([`ColBound`], the branching bounds mapped
+//! through the form's `var_map`); its LP, and every strong-branch probe, is
+//! "that form + those overrides" handed to
+//! [`crate::revised::solve_bound_edit`] — no model is cloned, validated or
+//! lowered per LP. When a node is branched its basis is LU-factorized once
+//! ([`FactoredBasis`]) and all of its probes and children warm-start from
+//! those shared factors, each repairing its own bound change with
+//! dual-simplex pivots (see [`crate::simplex`]); a cold two-phase solve is
+//! the automatic fallback, so warm starts never change results.
 //!
 //! # Determinism
 //!
@@ -66,17 +76,19 @@ use crate::cuts;
 use crate::error::SolveError;
 use crate::model::{Model, Sense};
 use crate::options::SolveOptions;
-use crate::simplex::{solve_lp_relaxation_warm, Basis, LpPoint};
+use crate::revised::{solve_bound_edit, FactoredBasis};
+use crate::simplex::{solve_lowered, Basis, LpPoint};
 use crate::solution::Solution;
+use crate::standard::{ColBound, StandardForm};
 use crate::stats::{CutStats, IncumbentEvent, SolveStats};
 use parallel::{map_chunks, Exec};
 
-/// A live search node: bound overrides relative to the original model plus
-/// the LP optimum of the node.
+/// A live search node: bound overrides relative to the solve's one
+/// standard form plus the LP optimum of the node.
 #[derive(Debug, Clone)]
 struct Node {
-    /// `(var, lower, upper)` overrides accumulated from the root.
-    overrides: Vec<(usize, f64, f64)>,
+    /// Column-bound overrides accumulated from the root, one per level.
+    overrides: Vec<ColBound>,
     /// LP relaxation optimum of this node, in model-variable space.
     values: Vec<f64>,
     /// LP relaxation objective (model sense).
@@ -89,7 +101,7 @@ struct Node {
     /// Certificate parent link (`None` for the root).
     parent: Option<u64>,
     /// Final simplex basis of this node's LP, used to warm-start children.
-    basis: Option<Basis>,
+    basis: Basis,
 }
 
 impl PartialEq for Node {
@@ -112,17 +124,6 @@ impl Ord for Node {
     }
 }
 
-/// The model a child LP actually solves: the frozen root model (which
-/// already carries the root cut pool) with the node's bound overrides.
-fn child_model(model: &Model, overrides: &[(usize, f64, f64)]) -> Model {
-    let mut m = model.clone();
-    for &(v, lo, hi) in overrides {
-        m.vars[v].lower = m.vars[v].lower.max(lo);
-        m.vars[v].upper = m.vars[v].upper.min(hi);
-    }
-    m
-}
-
 /// One fractional integer variable of a node's LP point.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
@@ -134,11 +135,11 @@ struct Candidate {
     dist: f64,
 }
 
-/// Every fractional integer variable of an LP point, in ascending
-/// variable order. Empty means the point is integral.
-fn fractional_candidates(model: &Model, values: &[f64], tol: f64) -> Vec<Candidate> {
+/// Every fractional variable among `int_vars` (ascending) of an LP point,
+/// in ascending variable order. Empty means the point is integral.
+fn fractional_candidates(int_vars: &[usize], values: &[f64], tol: f64) -> Vec<Candidate> {
     let mut out = Vec::new();
-    for i in model.integer_vars() {
+    for &i in int_vars {
         let v = values[i];
         let frac = v - v.floor();
         if frac > tol && frac < 1.0 - tol {
@@ -234,34 +235,53 @@ enum Probe {
     /// The child LP is infeasible.
     Infeasible,
     /// The child LP optimum, reusable as the real child node.
-    Solved(Box<(Solution, LpPoint)>),
+    Solved(Box<LpPoint>),
     /// A fatal LP error to propagate.
     Fatal(SolveError),
 }
 
-/// Solves one strong-branch child LP, warm-started from the node basis,
-/// accounting pivots/telemetry exactly like a regular child solve (the
+/// Solves one child LP — a strong-branch probe or a real child — as a
+/// bound edit on the solve's standard form: `bounds` is the parent's
+/// overrides plus the branching bound, last. Warm-started from the
+/// parent's factorized basis; pivots and telemetry are accounted here (a
 /// chosen candidate's probes become the real children, so nothing is
 /// counted twice).
-fn probe_side(sh: &Shared<'_>, node: &Node, var: usize, lo: f64, hi: f64) -> Probe {
-    let mut overrides = node.overrides.clone();
-    overrides.push((var, lo, hi));
-    let child = child_model(sh.model, &overrides);
-    if child.vars[var].lower > child.vars[var].upper {
+fn child_lp(sh: &Shared<'_>, warm: Option<&FactoredBasis<'_>>, bounds: &[ColBound]) -> Probe {
+    // the branching column's domain, after every override on it
+    let &(col, ..) = bounds.last().expect("a child has a branching bound");
+    let (lo, hi) = bounds
+        .iter()
+        .filter(|b| b.0 == col)
+        .fold((sh.sf.lower[col], sh.sf.upper[col]), |(lo, hi), b| {
+            (lo.max(b.1), hi.min(b.2))
+        });
+    if lo > hi {
         return Probe::Empty;
     }
-    match solve_lp_relaxation_warm(&child, sh.opts, node.basis.as_ref()) {
-        Ok((relax, point)) => {
-            sh.lp_pivots.fetch_add(relax.iterations, AtOrd::Relaxed);
+    match solve_bound_edit(sh.sf, bounds, sh.opts, warm) {
+        Ok(point) => {
+            sh.lp_pivots.fetch_add(point.iterations, AtOrd::Relaxed);
             sh.absorb_telemetry(&point.telemetry);
             if point.warm {
                 sh.warm_started.fetch_add(1, AtOrd::Relaxed);
             }
-            Probe::Solved(Box::new((relax, point)))
+            Probe::Solved(Box::new(point))
         }
         Err(SolveError::Infeasible) => Probe::Infeasible,
         Err(e) => Probe::Fatal(e),
     }
+}
+
+/// `node`'s overrides plus the bound `lo <= x_var <= hi`, in column space.
+fn child_bounds(sh: &Shared<'_>, node: &Node, var: usize, lo: f64, hi: f64) -> Vec<ColBound> {
+    let mut bounds = Vec::with_capacity(node.overrides.len() + 1);
+    bounds.extend_from_slice(&node.overrides);
+    bounds.push(
+        sh.sf
+            .col_bound(var, lo, hi)
+            .expect("integer variables are never split"),
+    );
+    bounds
 }
 
 /// Sense-adjusted LP-bound degradation of a probed child vs. its parent
@@ -269,7 +289,7 @@ fn probe_side(sh: &Shared<'_>, node: &Node, var: usize, lo: f64, hi: f64) -> Pro
 /// whole subtree).
 fn probe_degradation(sign: f64, parent_bound: f64, probe: &Probe) -> f64 {
     match probe {
-        Probe::Solved(b) => (sign * (parent_bound - b.0.objective)).max(0.0),
+        Probe::Solved(p) => (sign * (parent_bound - p.objective)).max(0.0),
         _ => f64::INFINITY,
     }
 }
@@ -306,6 +326,7 @@ const STRONG_BRANCH_LIMIT: usize = 8;
 fn select_branch(
     sh: &Shared<'_>,
     node: &Node,
+    warm: Option<&FactoredBasis<'_>>,
     cands: &[Candidate],
 ) -> Result<BranchChoice, SolveError> {
     // --- tier 2: strong-branch the unreliable (or shallow-depth) set ---
@@ -330,10 +351,9 @@ fn select_branch(
         let (evals, _) = map_chunks(&exec, strong.len(), |k| {
             let c = &cands[strong[k]];
             let floor = c.value.floor();
-            [
-                probe_side(sh, node, c.var, f64::NEG_INFINITY, floor),
-                probe_side(sh, node, c.var, floor + 1.0, f64::INFINITY),
-            ]
+            let down = child_bounds(sh, node, c.var, f64::NEG_INFINITY, floor);
+            let up = child_bounds(sh, node, c.var, floor + 1.0, f64::INFINITY);
+            [child_lp(sh, warm, &down), child_lp(sh, warm, &up)]
         });
         let mut lps = 0usize;
         for (k, pair) in evals.into_iter().enumerate() {
@@ -353,12 +373,12 @@ fn select_branch(
         for &ci in &strong {
             let c = &cands[ci];
             let pair = probes[ci].as_ref().expect("probed candidate");
-            if let Probe::Solved(b) = &pair[0] {
-                let deg = (sh.sign * (node.bound - b.0.objective)).max(0.0);
+            if let Probe::Solved(p) = &pair[0] {
+                let deg = (sh.sign * (node.bound - p.objective)).max(0.0);
                 pc.observe(c.var, false, deg / c.frac);
             }
-            if let Probe::Solved(b) = &pair[1] {
-                let deg = (sh.sign * (node.bound - b.0.objective)).max(0.0);
+            if let Probe::Solved(p) = &pair[1] {
+                let deg = (sh.sign * (node.bound - p.objective)).max(0.0);
                 pc.observe(c.var, true, deg / (1.0 - c.frac));
             }
         }
@@ -451,7 +471,12 @@ struct Pool {
 
 /// All cross-worker state of one solve.
 struct Shared<'m> {
+    /// The frozen model: presolved, with the root cut pool appended.
     model: &'m Model,
+    /// `model` lowered — once; every tree LP is a bound edit on it.
+    sf: &'m StandardForm,
+    /// `model`'s integer variables, ascending.
+    int_vars: Vec<usize>,
     opts: &'m SolveOptions,
     /// +1 for maximization, -1 for minimization (keys are `sign * obj`).
     sign: f64,
@@ -609,11 +634,11 @@ fn worker(sh: &Shared<'_>, total: usize) {
                 sh.record(node.seq, node.parent, node.bound, NodeOutcome::PrunedBound);
                 continue 'outer; // this dive is dominated; pick next best
             }
-            let cands = fractional_candidates(sh.model, &node.values, sh.opts.tol);
+            let cands = fractional_candidates(&sh.int_vars, &node.values, sh.opts.tol);
             if cands.is_empty() {
                 // integral: candidate incumbent (snap values to integers)
                 let mut values = node.values.clone();
-                for i in sh.model.integer_vars() {
+                for &i in &sh.int_vars {
                     values[i] = values[i].round();
                 }
                 let objective = sh.model.objective_value(&values);
@@ -625,10 +650,17 @@ fn worker(sh: &Shared<'_>, total: usize) {
                 );
                 sh.offer_incumbent(values, objective);
             } else {
+                // one factorization of this node's basis serves all of its
+                // probes and children; a singular one sends them down the
+                // cold path
+                let warm = FactoredBasis::new(sh.sf, &node.basis);
+                if warm.is_some() {
+                    sh.refactorizations.fetch_add(1, AtOrd::Relaxed);
+                }
                 // pick the branching variable BEFORE recording Branched:
                 // strong-branch probes are not nodes and a fatal probe LP
                 // must abort without a dangling Branched record
-                let choice = match select_branch(sh, &node, &cands) {
+                let choice = match select_branch(sh, &node, warm.as_ref(), &cands) {
                     Ok(c) => c,
                     Err(e) => {
                         sh.fail(e);
@@ -644,50 +676,28 @@ fn worker(sh: &Shared<'_>, total: usize) {
                     .into_iter()
                     .enumerate()
                 {
-                    let mut overrides = node.overrides.clone();
-                    overrides.push((var, lo, hi));
+                    let overrides = child_bounds(sh, &node, var, lo, hi);
                     // a strong-branched winner reuses its probe LPs as the
                     // real children (pivots/telemetry/pseudocosts already
                     // accounted at probe time); otherwise solve fresh
                     let probe = match cached.as_mut() {
                         Some(pair) => pair[side].take().expect("probe consumed once"),
                         None => {
-                            let child_model = child_model(sh.model, &overrides);
-                            if child_model.vars[var].lower > child_model.vars[var].upper {
-                                Probe::Empty
-                            } else {
-                                match solve_lp_relaxation_warm(
-                                    &child_model,
-                                    sh.opts,
-                                    node.basis.as_ref(),
-                                ) {
-                                    Ok((relax, point)) => {
-                                        sh.lp_pivots.fetch_add(relax.iterations, AtOrd::Relaxed);
-                                        sh.absorb_telemetry(&point.telemetry);
-                                        if point.warm {
-                                            sh.warm_started.fetch_add(1, AtOrd::Relaxed);
-                                        }
-                                        // child solves feed the table too
-                                        let deg =
-                                            (sh.sign * (node.bound - relax.objective)).max(0.0);
-                                        let c = cands
-                                            .iter()
-                                            .find(|c| c.var == var)
-                                            .expect("chosen var is a candidate");
-                                        let width = if side == 0 { c.frac } else { 1.0 - c.frac };
-                                        sh.pseudo
-                                            .lock()
-                                            .unwrap()
-                                            .observe(var, side == 1, deg / width);
-                                        Probe::Solved(Box::new((relax, point)))
-                                    }
-                                    Err(SolveError::Infeasible) => Probe::Infeasible,
-                                    Err(e) => {
-                                        sh.fail(e);
-                                        return;
-                                    }
-                                }
+                            let probe = child_lp(sh, warm.as_ref(), &overrides);
+                            if let Probe::Solved(point) = &probe {
+                                // child solves feed the table too
+                                let deg = (sh.sign * (node.bound - point.objective)).max(0.0);
+                                let c = cands
+                                    .iter()
+                                    .find(|c| c.var == var)
+                                    .expect("chosen var is a candidate");
+                                let width = if side == 0 { c.frac } else { 1.0 - c.frac };
+                                sh.pseudo
+                                    .lock()
+                                    .unwrap()
+                                    .observe(var, side == 1, deg / width);
                             }
+                            probe
                         }
                     };
                     match probe {
@@ -703,30 +713,29 @@ fn worker(sh: &Shared<'_>, total: usize) {
                                 NodeOutcome::PrunedInfeasible,
                             );
                         }
-                        Probe::Solved(boxed) => {
-                            let (relax, point) = *boxed;
+                        Probe::Solved(point) => {
                             // bound-based pruning at generation time (also
                             // re-checks cached probes against incumbents
                             // that arrived after the probe was solved)
-                            if sh.dominated(relax.objective) {
+                            if sh.dominated(point.objective) {
                                 sh.pruned_bound.fetch_add(1, AtOrd::Relaxed);
                                 let id = sh.next_seq.fetch_add(1, AtOrd::Relaxed);
                                 sh.record(
                                     id,
                                     Some(node.seq),
-                                    relax.objective,
+                                    point.objective,
                                     NodeOutcome::PrunedBound,
                                 );
                                 continue;
                             }
                             children.push(Node {
                                 overrides,
-                                key: sh.sign * relax.objective,
-                                bound: relax.objective,
-                                values: relax.values,
+                                key: sh.sign * point.objective,
+                                bound: point.objective,
+                                values: sh.sf.extract(&point.x),
                                 seq: sh.next_seq.fetch_add(1, AtOrd::Relaxed),
                                 parent: Some(node.seq),
-                                basis: Some(point.basis),
+                                basis: point.basis,
                             });
                         }
                         Probe::Fatal(e) => {
@@ -834,8 +843,11 @@ fn solve_seeded(
         Sense::Minimize => -1.0,
     };
 
+    // the one lowering of this solve; root separation re-lowers only when
+    // it changes the row set and hands the final form back
     let t_root = Instant::now();
-    let (mut root, mut root_point) = solve_lp_relaxation_warm(model, opts, None)?;
+    let sf = StandardForm::from_model(model)?;
+    let (mut root, mut root_point) = solve_lowered(&sf, opts, None)?;
     let root_lp_time = t_root.elapsed();
 
     // --- root cut separation (serial, so the pool is thread-count
@@ -847,9 +859,10 @@ fn solve_seeded(
     };
     let mut root_proofs: Vec<CutProof> = Vec::new();
     let augmented;
-    let model = if !model.integer_vars().is_empty() {
+    let int_vars = model.integer_vars();
+    let (model, sf) = if !int_vars.is_empty() {
         let t_cuts = Instant::now();
-        let rc = cuts::separate_root(model, opts, root, root_point)?;
+        let rc = cuts::separate_root(model, sf, opts, root, root_point)?;
         cut_stats.separation_time = t_cuts.elapsed();
         cut_stats.gomory_generated = rc.gomory_generated;
         cut_stats.cover_generated = rc.cover_generated;
@@ -860,14 +873,16 @@ fn solve_seeded(
         root_point = rc.point;
         root_proofs = rc.proofs;
         augmented = rc.model;
-        &augmented
+        (&augmented, rc.sf)
     } else {
-        model
+        (model, sf)
     };
 
     let threads = opts.effective_threads().max(1);
     let sh = Shared {
         model,
+        sf: &sf,
+        int_vars,
         opts,
         sign,
         pool: Mutex::new(Pool {
@@ -921,7 +936,7 @@ fn solve_seeded(
         values: root.values,
         seq: sh.next_seq.fetch_add(1, AtOrd::Relaxed),
         parent: None,
-        basis: Some(root_point.basis),
+        basis: root_point.basis,
     });
 
     let t_search = Instant::now();
@@ -1123,6 +1138,24 @@ mod tests {
         m
     }
 
+    /// A 3-row knapsack over 18 items with incommensurable weights: the
+    /// root cuts leave a real tree (dozens of nodes, hundreds of probes).
+    fn deep_knapsack() -> Model {
+        let mut m = Model::new(Sense::Maximize);
+        let vars: Vec<_> = (0..18).map(|i| m.binary(&format!("x{i}"))).collect();
+        let mut state = 12345u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) % 37) as f64 + 5.0
+        };
+        for _ in 0..3 {
+            let row = LinExpr::sum(vars.iter().map(|&v| (v, next())));
+            m.add_con(row, Cmp::Le, 170.5);
+        }
+        m.set_objective(LinExpr::sum(vars.iter().map(|&v| (v, next()))));
+        m
+    }
+
     #[test]
     fn node_limit_reported() {
         let m = branching_knapsack();
@@ -1215,6 +1248,47 @@ mod tests {
         let s = solve(&branching_knapsack(), &opts()).unwrap();
         assert!(s.nodes > 1, "want a real tree, got {} node(s)", s.nodes);
         assert!(s.stats.warm_started > 0, "stats: {}", s.stats);
+    }
+
+    /// The structural guard against a per-LP lowering coming back: however
+    /// many nodes and probes a solve runs, the model is lowered once for
+    /// the root plus at most twice per separation round (a round's append,
+    /// an aging eviction).
+    #[test]
+    fn one_solve_lowers_the_model_a_bounded_number_of_times() {
+        use crate::standard::LOWERINGS;
+        let m = deep_knapsack();
+        let before = LOWERINGS.with(|c| c.get());
+        let s = solve(&m, &opts()).unwrap();
+        let lowerings = LOWERINGS.with(|c| c.get()) - before;
+        assert!(s.nodes > 10 && s.stats.strong_branch_lps > 2 * cuts::CUT_ROUNDS + 1);
+        assert!(
+            (1..=1 + 2 * cuts::CUT_ROUNDS).contains(&lowerings),
+            "{lowerings} lowerings for {} nodes, {} probe LPs",
+            s.nodes,
+            s.stats.strong_branch_lps
+        );
+    }
+
+    /// Probes of one node run on several threads against one shared
+    /// factorization; whatever the interleaving, the optimum is the serial
+    /// one and the factorizations stay fewer than the LPs that used them.
+    #[test]
+    fn shared_factorization_serves_probes_on_any_thread_count() {
+        let m = deep_knapsack();
+        let serial = solve(&m, &opts()).unwrap();
+        for threads in [1, 2, 4] {
+            let s = solve(&m, &SolveOptions { threads, ..opts() }).unwrap();
+            assert_eq!(s.objective.to_bits(), serial.objective.to_bits(), "{threads} threads");
+            assert!(s.proven_optimal);
+            assert!(s.stats.strong_branch_lps > 0 && s.stats.warm_started > 0);
+            assert!(
+                s.stats.refactorizations < s.stats.warm_started,
+                "{threads} threads: {} factorizations for {} warm LPs",
+                s.stats.refactorizations,
+                s.stats.warm_started
+            );
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::expr::{LinExpr, Var};
 use crate::model::{Cmp, Constraint, Model, VarKind};
 use crate::options::SolveOptions;
 use crate::revised::TableauView;
-use crate::simplex::{solve_lp_relaxation_warm, LpPoint};
+use crate::simplex::{solve_lowered, LpPoint};
 use crate::solution::Solution;
 use crate::standard::{ColMap, StandardForm};
 
@@ -84,7 +84,7 @@ const CUT_AGE_ROUNDS: u8 = 2;
 const STALL_TOL: f64 = 1e-9;
 /// Maximum root separation rounds; separation stops early when a round
 /// adds no cut or the bound stalls.
-const CUT_ROUNDS: usize = 8;
+pub(crate) const CUT_ROUNDS: usize = 8;
 /// Hard cap on the root pool. A round that over-generates keeps its
 /// most-violated cuts.
 const MAX_CUTS: usize = 64;
@@ -104,44 +104,88 @@ struct R {
     d: i128,
 }
 
-fn gcd(mut a: i128, mut b: i128) -> i128 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+/// `gcd(|a|, |b|)`, at least 1. Unsigned: `|i128::MIN|` has no `i128`.
+/// Binary (shift-and-subtract): nearly every operand pair here has a power
+/// of two on one side — f64s are dyadic — where a 128-bit `%` per step is
+/// the expensive way to count trailing zeros.
+fn gcd(a: i128, b: i128) -> u128 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
+    if a == 0 || b == 0 {
+        return (a | b).max(1);
     }
-    a.abs().max(1)
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            (a, b) = (b, a);
+        }
+        b -= a;
+        if b == 0 || a == 1 {
+            return a << shift;
+        }
+    }
 }
+
+/// [`gcd`] as a divisor for `i128` operands; `None` only for `2¹²⁷`
+/// (both arguments `i128::MIN`).
+fn gcd_i(a: i128, b: i128) -> Option<i128> {
+    i128::try_from(gcd(a, b)).ok()
+}
+
+/// [`R::from_f64`] refuses numerators at or beyond this magnitude — inside
+/// `i128` (`2¹²⁷ ≈ 1.7e38`) with a little room to spare.
+const FROM_F64_LIMIT: u128 = 1.5e38_f64 as u128;
 
 impl R {
     const ZERO: R = R { n: 0, d: 1 };
     const ONE: R = R { n: 1, d: 1 };
 
+    /// `n / d` in lowest terms with a positive denominator; `None` when
+    /// `d` is zero or a reduced magnitude does not fit `i128` (a `2¹²⁷`
+    /// that came in as `i128::MIN`).
     fn make(n: i128, d: i128) -> Option<R> {
         if d == 0 {
             return None;
         }
-        let (n, d) = if d < 0 { (n.checked_neg()?, d.checked_neg()?) } else { (n, d) };
         let g = gcd(n, d);
-        Some(R { n: n / g, d: d / g })
+        let num = i128::try_from(n.unsigned_abs() / g).ok()?;
+        let den = i128::try_from(d.unsigned_abs() / g).ok()?;
+        Some(R { n: if (n < 0) != (d < 0) { -num } else { num }, d: den })
     }
 
-    /// Exact conversion: every finite f64 is a dyadic rational; `None`
-    /// when the scaled numerator or denominator leaves `i128`.
+    /// Exact conversion: every finite f64 is the dyadic rational
+    /// `±mantissa · 2^exponent`, read off the bits. `None` when the
+    /// denominator would pass `2¹²⁶` or the numerator reach
+    /// [`FROM_F64_LIMIT`].
     fn from_f64(x: f64) -> Option<R> {
         if !x.is_finite() {
             return None;
         }
-        let mut num = x;
-        let mut den: i128 = 1;
-        while num != num.trunc() {
-            num *= 2.0;
-            den = den.checked_mul(2)?;
+        let bits = x.to_bits();
+        let biased = ((bits >> 52) & 0x7ff) as i32;
+        let frac = bits & ((1u64 << 52) - 1);
+        // value = mant · 2^exp (subnormals have no implicit leading one)
+        let (mant, exp) = if biased == 0 { (frac, -1074) } else { (frac | (1 << 52), biased - 1075) };
+        if mant == 0 {
+            return Some(R::ZERO);
         }
-        if num.abs() >= 1.5e38 {
-            return None; // would not fit i128
-        }
-        R::make(num as i128, den)
+        // lowest terms: an odd mantissa over (or times) a power of two
+        let tz = mant.trailing_zeros();
+        let (mant, exp) = ((mant >> tz) as u128, exp + tz as i32);
+        let (num, den) = if exp >= 0 {
+            // a shift that would push a set bit out is beyond the limit too
+            if exp as u32 >= mant.leading_zeros() || mant << exp >= FROM_F64_LIMIT {
+                return None;
+            }
+            ((mant << exp) as i128, 1)
+        } else {
+            if exp < -126 {
+                return None;
+            }
+            (mant as i128, 1i128 << -exp)
+        };
+        Some(R { n: if x < 0.0 { -num } else { num }, d: den })
     }
 
     fn is_zero(&self) -> bool {
@@ -149,7 +193,7 @@ impl R {
     }
 
     fn add(&self, o: &R) -> Option<R> {
-        let g = gcd(self.d, o.d);
+        let g = gcd_i(self.d, o.d)?;
         let (da, db) = (self.d / g, o.d / g);
         let n = self.n.checked_mul(db)?.checked_add(o.n.checked_mul(da)?)?;
         R::make(n, self.d.checked_mul(db)?)
@@ -161,8 +205,8 @@ impl R {
 
     fn mul(&self, o: &R) -> Option<R> {
         // cross-reduce before multiplying to delay overflow
-        let g1 = gcd(self.n, o.d);
-        let g2 = gcd(o.n, self.d);
+        let g1 = gcd_i(self.n, o.d)?;
+        let g2 = gcd_i(o.n, self.d)?;
         let n = (self.n / g1).checked_mul(o.n / g2)?;
         let d = (self.d / g2).checked_mul(o.d / g1)?;
         R::make(n, d)
@@ -191,8 +235,8 @@ impl R {
 
     /// Exact comparison; `None` on overflow of the cross products.
     fn cmp(&self, o: &R) -> Option<std::cmp::Ordering> {
-        let g1 = gcd(self.n, o.n);
-        let g2 = gcd(self.d, o.d);
+        let g1 = gcd_i(self.n, o.n)?;
+        let g2 = gcd_i(self.d, o.d)?;
         let a = (self.n / g1).checked_mul(o.d / g2)?;
         let b = (o.n / g1).checked_mul(self.d / g2)?;
         // dividing both numerators by g1 can flip both signs when g1 "sees"
@@ -291,8 +335,8 @@ struct ActiveCut {
 }
 
 /// Everything [`separate_root`] hands back to the search: the augmented
-/// (frozen) model, the re-solved root optimum over it, the surviving cut
-/// proofs, and separation counters. `relax.iterations` and
+/// (frozen) model and its lowering, the re-solved root optimum over it, the
+/// surviving cut proofs, and separation counters. `relax.iterations` and
 /// `point.telemetry` are *cumulative* over the incoming root solve plus
 /// every separation re-solve, so the caller seeds its counters exactly as
 /// it would from a cut-free root.
@@ -300,6 +344,8 @@ pub(crate) struct RootCuts {
     /// Base model plus the surviving pool rows (appended after
     /// `base_rows`).
     pub(crate) model: Model,
+    /// `model` in standard form — the one lowering every tree LP edits.
+    pub(crate) sf: StandardForm,
     /// Optimum of `model`'s LP relaxation.
     pub(crate) relax: Solution,
     /// Basis/telemetry snapshot matching `relax`.
@@ -417,15 +463,19 @@ fn cover_cuts_into(
 // ---------------------------------------------------------------------------
 
 /// Separates GMI cuts from the optimal tableau of `point.basis` over
-/// `model`. Requires every model variable to map to a single structural
-/// column ([`ColMap::Direct`], true for finite-lower-bound models);
-/// otherwise quietly separates nothing.
-fn gomory_cuts_into(model: &Model, point: &LpPoint, out: &mut Vec<CutCandidate>) {
-    let Ok(sf) = StandardForm::from_model(model) else { return };
+/// `sf`, the lowering of `model`. Requires every model variable to map to
+/// a single structural column ([`ColMap::Direct`], true for
+/// finite-lower-bound models); otherwise quietly separates nothing.
+fn gomory_cuts_into(
+    model: &Model,
+    sf: &StandardForm,
+    point: &LpPoint,
+    out: &mut Vec<CutCandidate>,
+) {
     if !sf.var_map.iter().all(|m| matches!(m, ColMap::Direct(_))) {
         return;
     }
-    let Some(mut view) = TableauView::new(&sf, &point.basis) else { return };
+    let Some(mut view) = TableauView::new(sf, &point.basis) else { return };
     let n_struct = sf.n_struct;
     let integral: Vec<bool> = model
         .vars
@@ -445,7 +495,7 @@ fn gomory_cuts_into(model: &Model, point: &LpPoint, out: &mut Vec<CutCandidate>)
         }
         let beta = view.row(r, &mut alpha);
         if let Some(cand) =
-            derive_gomory(model, &sf, &view, &alpha, beta, &integral, &point.x)
+            derive_gomory(model, sf, &view, &alpha, beta, &integral, &point.x)
         {
             out.push(cand);
         }
@@ -472,6 +522,8 @@ fn derive_gomory(
         col: usize,
         coeff: f64,
         bound: f64,
+        /// `coeff` and `bound` as exact rationals, converted once.
+        exact: (R, R),
         at_upper: bool,
         int_shift: bool,
     }
@@ -494,7 +546,8 @@ fn derive_gomory(
             && integral[col]
             && bound.fract() == 0.0
             && bound.abs() < 9.0e15;
-        base.push(BaseVar { col, coeff: a, bound, at_upper, int_shift });
+        let exact = (R::from_f64(a)?, R::from_f64(bound)?);
+        base.push(BaseVar { col, coeff: a, bound, exact, at_upper, int_shift });
     }
     if base.is_empty() {
         return None;
@@ -502,7 +555,7 @@ fn derive_gomory(
     // b' = β − Σ αⱼ·boundⱼ ;  f₀ = frac(b')
     let mut bp = R::from_f64(beta)?;
     for v in &base {
-        bp = bp.sub(&R::from_f64(v.coeff)?.mul(&R::from_f64(v.bound)?)?)?;
+        bp = bp.sub(&v.exact.0.mul(&v.exact.1)?)?;
     }
     let f0 = bp.frac()?;
     if f0.is_zero() {
@@ -514,14 +567,12 @@ fn derive_gomory(
     }
     let ratio = f0.div(&R::ONE.sub(&f0)?)?;
     // per-variable GMI coefficient in shifted space, rounded outward into
-    // the original space
+    // the original space; the rhs is f₀ back-shifted by the recorded
+    // coefficients, rounded down
     let mut cut: Vec<(usize, f64)> = Vec::new();
+    let mut target = f0;
     for v in &base {
-        let d = if v.at_upper {
-            R::from_f64(v.coeff)?.neg()?
-        } else {
-            R::from_f64(v.coeff)?
-        };
+        let d = if v.at_upper { v.exact.0.neg()? } else { v.exact.0 };
         let g = if v.int_shift {
             let fj = d.frac()?;
             fj.min(&ratio.mul(&R::ONE.sub(&fj)?)?)?
@@ -534,13 +585,8 @@ fn derive_gomory(
         let c = if v.at_upper { -mag } else { mag };
         if c != 0.0 {
             cut.push((v.col, c));
+            target = target.add(&R::from_f64(c)?.mul(&v.exact.1)?)?;
         }
-    }
-    // rhs: f₀ back-shifted by the recorded coefficients, rounded down
-    let mut target = f0;
-    for &(col, c) in &cut {
-        let v = base.iter().find(|v| v.col == col).expect("cut var is a base var");
-        target = target.add(&R::from_f64(c)?.mul(&R::from_f64(v.bound)?)?)?;
     }
     let cut_rhs = f64_at_most(&target)?;
     let proof = CutProof::Gomory {
@@ -604,12 +650,16 @@ fn derive_gomory(
 // the root loop
 // ---------------------------------------------------------------------------
 
-/// Runs root-node separation rounds over `base`, returning the augmented
-/// model, its re-solved LP optimum, and the surviving pool (see
-/// [`RootCuts`]). Fully serial and deterministic; the caller freezes the
-/// returned model for the whole tree.
+/// Runs root-node separation rounds over `base` (lowered as `sf`, with LP
+/// optimum `relax`/`point`), returning the augmented model, its lowering,
+/// its re-solved LP optimum, and the surviving pool (see [`RootCuts`]).
+/// Fully serial and deterministic; the caller freezes the returned model
+/// for the whole tree. The model is lowered again only when its row set
+/// changes — a round's append, an aging eviction — and that one form
+/// serves both the warm re-solve and the next round's Gomory separation.
 pub(crate) fn separate_root(
     base: &Model,
+    mut sf: StandardForm,
     opts: &SolveOptions,
     relax: Solution,
     point: LpPoint,
@@ -632,7 +682,7 @@ pub(crate) fn separate_root(
         }
         let mut cands: Vec<CutCandidate> = Vec::new();
         cover_cuts_into(&model, 0..base_rows, &relax.values, &mut cands);
-        gomory_cuts_into(&model, &point, &mut cands);
+        gomory_cuts_into(&model, &sf, &point, &mut cands);
         for c in &cands {
             if c.gomory {
                 gomory_generated += 1;
@@ -662,7 +712,8 @@ pub(crate) fn separate_root(
             active.push(ActiveCut { proof: cand.proof, idle: 0 });
             model.cons.push(cand.con);
         }
-        let (r2, p2) = solve_lp_relaxation_warm(&model, opts, Some(&hint))?;
+        sf = StandardForm::from_model(&model)?;
+        let (r2, p2) = solve_lowered(&sf, opts, Some(&hint))?;
         total_pivots += r2.iterations;
         total_tele.absorb(&p2.telemetry);
         relax = r2;
@@ -741,7 +792,8 @@ pub(crate) fn separate_root(
                     active.remove(i);
                 }
                 aged_out += evict.len();
-                let (r3, p3) = solve_lp_relaxation_warm(&model, opts, Some(&hint))?;
+                sf = StandardForm::from_model(&model)?;
+                let (r3, p3) = solve_lowered(&sf, opts, Some(&hint))?;
                 total_pivots += r3.iterations;
                 total_tele.absorb(&p3.telemetry);
                 relax = r3;
@@ -758,6 +810,7 @@ pub(crate) fn separate_root(
     Ok(RootCuts {
         proofs: active.into_iter().map(|a| a.proof).collect(),
         model,
+        sf,
         relax,
         point,
         gomory_generated,
@@ -784,6 +837,108 @@ mod tests {
         assert_eq!(r(7.0).floor(), r(7.0));
         assert!(r(0.1).to_f64() - 0.1 == 0.0); // exact dyadic of the f64 0.1
         assert!(R::from_f64(f64::NAN).is_none());
+    }
+
+    /// The conversion `from_f64` replaced: double until integral, then
+    /// reduce. Kept here as the oracle for the bit decoder.
+    fn from_f64_by_doubling(x: f64) -> Option<R> {
+        if !x.is_finite() {
+            return None;
+        }
+        let (mut num, mut den) = (x, 1i128);
+        while num != num.trunc() {
+            num *= 2.0;
+            den = den.checked_mul(2)?;
+        }
+        if num.abs() >= 1.5e38 {
+            return None;
+        }
+        R::make(num as i128, den)
+    }
+
+    #[test]
+    fn from_f64_decodes_bits_like_the_doubling_loop() {
+        let mut xs = vec![
+            0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 2.5, 1e-7, 1e-11, 7.0e15, 9.0e15, 1e22, -1e30,
+            2f64.powi(100), 2f64.powi(126), 2f64.powi(127), 1.4999e38, 1.5e38, -1.5e38, 1.6e38,
+            3e38, f64::MAX, f64::MIN_POSITIVE, 5e-324, 2f64.powi(-126), 2f64.powi(-127),
+            3.0 * 2f64.powi(-126), 3.0 * 2f64.powi(-128), (1u64 << 53) as f64 - 1.0,
+        ];
+        // a deterministic sweep over magnitudes and mantissa patterns
+        let mut state = 0x9e3779b97f4a7c15u64;
+        for _ in 0..2000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let mant = (state >> 11) as f64 / (1u64 << 53) as f64 + 0.5;
+            xs.push(mant * 2f64.powi((state % 300) as i32 - 150));
+            xs.push(-((state % 1000) as f64) / 64.0);
+        }
+        for x in xs {
+            assert_eq!(R::from_f64(x), from_f64_by_doubling(x), "x = {x:e}");
+        }
+        assert!(R::from_f64(f64::INFINITY).is_none());
+    }
+
+    #[test]
+    fn binary_gcd_agrees_with_euclid() {
+        fn euclid(mut a: u128, mut b: u128) -> u128 {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a.max(1)
+        }
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..4000 {
+            // mixed widths, shared odd factors and shared powers of two
+            let wide = |n: &mut dyn FnMut() -> u64| ((n() as i128) << 64 | n() as i128) >> (n() % 120);
+            let common = (next() % 1000 + 1) as i128;
+            let (a, b) = match i % 4 {
+                0 => (wide(&mut next), wide(&mut next)),
+                1 => (wide(&mut next), 1i128 << (next() % 127)),
+                2 => ((next() % 100_000) as i128 * common, (next() % 100_000) as i128 * common),
+                _ => (-(wide(&mut next).abs()), (next() as i128) << (next() % 60)),
+            };
+            assert_eq!(gcd(a, b), euclid(a.unsigned_abs(), b.unsigned_abs()), "gcd({a}, {b})");
+        }
+    }
+
+    #[test]
+    fn i128_min_never_panics_or_wraps() {
+        let min = i128::MIN;
+        // |MIN| = 2¹²⁷ is a u128, not an i128
+        assert_eq!(gcd(min, min), 1u128 << 127);
+        assert_eq!(gcd(min, 0), 1u128 << 127);
+        assert_eq!(gcd(min, 6), 2);
+        assert_eq!(gcd(0, 0), 1);
+        assert_eq!(gcd_i(min, min), None);
+        // reduced values that fit are kept, with the sign on the numerator...
+        assert_eq!(R::make(min, 2), Some(R { n: -(1i128 << 126), d: 1 }));
+        assert_eq!(R::make(min, -4), Some(R { n: 1i128 << 125, d: 1 }));
+        assert_eq!(R::make(min, min), Some(R::ONE));
+        // ...and ones that do not are refused instead of wrapping
+        assert_eq!(R::make(min, 1), None);
+        assert_eq!(R::make(min, -1), None);
+        assert_eq!(R::make(min, 3), None);
+        assert_eq!(R::make(1, min), None);
+        // a value sitting exactly on MIN flows through every operation as
+        // `None` (the cut is skipped) or a correct result
+        let edge = R { n: min, d: 1 };
+        assert_eq!(edge.neg(), None);
+        assert_eq!(edge.add(&R::ONE), Some(R { n: min + 1, d: 1 }));
+        assert_eq!(edge.sub(&R::ONE), None);
+        assert_eq!(edge.mul(&R { n: 1, d: 2 }), Some(R { n: -(1i128 << 126), d: 1 }));
+        assert_eq!(edge.mul(&R::ONE), None);
+        assert_eq!(edge.cmp(&edge), None);
+        assert_eq!(edge.le(&R::ZERO), None);
+        assert_eq!(edge.floor(), edge);
+        assert_eq!(edge.frac(), None);
     }
 
     #[test]
@@ -915,10 +1070,11 @@ mod tests {
     fn gomory_cut_is_violated_by_vertex_and_valid_for_integers() {
         let m = fractional_pair();
         let opts = SolveOptions::default();
-        let (relax, point) = solve_lp_relaxation_warm(&m, &opts, None).unwrap();
+        let sf = StandardForm::from_model(&m).unwrap();
+        let (relax, point) = solve_lowered(&sf, &opts, None).unwrap();
         assert!((relax.objective - 2.5).abs() < 1e-6);
         let mut out = Vec::new();
-        gomory_cuts_into(&m, &point, &mut out);
+        gomory_cuts_into(&m, &sf, &point, &mut out);
         assert!(!out.is_empty(), "fractional basic integer row must separate");
         let mut cut_model = m.clone();
         for c in &out {
@@ -936,8 +1092,9 @@ mod tests {
         let m = fractional_pair();
         let opts = SolveOptions::default();
         let run = || {
-            let (relax, point) = solve_lp_relaxation_warm(&m, &opts, None).unwrap();
-            separate_root(&m, &opts, relax, point).unwrap()
+            let sf = StandardForm::from_model(&m).unwrap();
+            let (relax, point) = solve_lowered(&sf, &opts, None).unwrap();
+            separate_root(&m, sf, &opts, relax, point).unwrap()
         };
         let a = run();
         // the GMI cut from x+y = 2.5 closes the gap to the integer hull

@@ -1,7 +1,5 @@
 //! Linear expressions over model variables.
 
-use std::collections::HashMap;
-
 /// Handle to a model variable. Cheap to copy; only valid for the
 /// [`crate::Model`] that created it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -82,15 +80,23 @@ impl LinExpr {
         }
     }
 
-    /// Folds duplicate variables and drops zero coefficients.
+    /// Folds duplicate variables and drops zero coefficients; the result
+    /// lists each variable once, ascending. Duplicates are summed in the
+    /// order they were appended (a stable sort, then a merge of equal
+    /// neighbours), so the outcome is a function of the term list alone.
     pub fn compact(&self) -> LinExpr {
-        let mut map: HashMap<Var, f64> = HashMap::with_capacity(self.terms.len());
-        for &(v, c) in &self.terms {
-            *map.entry(v).or_insert(0.0) += c;
+        let mut terms = self.terms.clone();
+        if !terms.windows(2).all(|w| w[0].0 < w[1].0) {
+            terms.sort_by_key(|&(v, _)| v);
+            terms.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
         }
-        let mut terms: Vec<(Var, f64)> =
-            map.into_iter().filter(|&(_, c)| c != 0.0).collect();
-        terms.sort_unstable_by_key(|&(v, _)| v);
+        terms.retain(|&(_, c)| c != 0.0);
         LinExpr {
             terms,
             constant: self.constant,
@@ -156,6 +162,26 @@ mod tests {
             .term(y, 0.5);
         let c = e.compact();
         assert_eq!(c.terms, vec![(y, 2.5)]);
+    }
+
+    #[test]
+    fn compact_sorts_and_sums_duplicates_in_append_order() {
+        let (x, y, z) = (Var(0), Var(1), Var(2));
+        // float addition is not associative: (1e16 + -1e16) + 1 = 1, but
+        // 1e16 + (-1e16 + 1) = 0 — append order decides, not a hash
+        let e = LinExpr::new()
+            .term(z, 2.0)
+            .term(x, 1e16)
+            .term(y, 0.0)
+            .term(x, -1e16)
+            .term(x, 1.0);
+        assert_eq!(e.compact().terms, vec![(x, 1.0), (z, 2.0)]);
+        // already ascending and duplicate-free: only zeros are dropped
+        let sorted = LinExpr::new().term(x, 3.0).term(y, 0.0).term(z, -1.0).plus(4.0);
+        let c = sorted.compact();
+        assert_eq!(c.terms, vec![(x, 3.0), (z, -1.0)]);
+        assert_eq!(c.constant, 4.0);
+        assert_eq!(c.compact(), c);
     }
 
     #[test]

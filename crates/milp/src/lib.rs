@@ -7,8 +7,10 @@
 //!   linear constraints and a linear objective,
 //! * a **sparse revised simplex** LP engine ([`revised`]): LU-factorized
 //!   basis ([`lu`]) with eta updates, BTRAN/FTRAN solves and partial
-//!   pricing over the CSC constraint matrix, with dual-simplex **warm
-//!   starts** that refactorize a parent [`Basis`] directly,
+//!   pricing over the CSC constraint matrix; the model is lowered once per
+//!   solve and every child LP is a column-bound edit on that form, with
+//!   dual-simplex **warm starts** from a parent [`Basis`] factorized once
+//!   per node ([`revised::FactoredBasis`]),
 //! * a bounded-variable, two-phase primal **simplex** on a dense tableau
 //!   ([`simplex`]), kept off every solve path as the oracle the LP-level
 //!   differential tests compare the revised simplex against,

@@ -11,8 +11,13 @@
 //!   basis — trading a bounded amount of stability for fill-in control;
 //! * an **eta file**: a product-form update per basis exchange, so a pivot
 //!   costs `O(nnz)` instead of a refactorization. The file is folded back
-//!   into a fresh LU every `revised::REFACTOR_INTERVAL` pivots (and on
-//!   demand, e.g. after a warm start).
+//!   into a fresh LU every `revised::REFACTOR_INTERVAL` pivots.
+//!
+//! The factors depend only on which columns are basic, not on any bound,
+//! so one [`LuFactors`] can be **shared read-only** by several solves
+//! that start from the same basis ([`Factorization::shared`]): each keeps
+//! its own eta file on top. Branch & bound factorizes a node's basis once
+//! for all of that node's strong-branch probes and children.
 //!
 //! Two solve directions are exposed, both allocation-free after
 //! construction (callers pass scratch buffers):
@@ -21,6 +26,8 @@
 //!   test and for recomputing the basic-variable values;
 //! * **BTRAN** — `Bᵀ y = c`, used for the pricing duals and for the
 //!   dual-simplex row `eᵣᵀ B⁻¹ A`.
+
+use std::borrow::Cow;
 
 /// Lower/upper triangular factors of one basis, plus the row/column
 /// permutations chosen during elimination.
@@ -66,11 +73,11 @@ const SINGULAR_TOL: f64 = 1e-11;
 /// Relative threshold for Markowitz candidate pivots.
 const PIVOT_REL_TOL: f64 = 0.1;
 
-/// LU factors plus the eta file accumulated since the last
-/// refactorization.
+/// LU factors — owned, or borrowed from whoever factorized the starting
+/// basis — plus the eta file accumulated since the last refactorization.
 #[derive(Debug, Clone)]
-pub struct Factorization {
-    lu: LuFactors,
+pub struct Factorization<'a> {
+    lu: Cow<'a, LuFactors>,
     etas: Vec<Eta>,
 }
 
@@ -233,11 +240,19 @@ impl LuFactors {
     }
 }
 
-impl Factorization {
+impl<'a> Factorization<'a> {
     /// Wraps fresh LU factors with an empty eta file.
     pub fn new(lu: LuFactors) -> Self {
         Factorization {
-            lu,
+            lu: Cow::Owned(lu),
+            etas: Vec::new(),
+        }
+    }
+
+    /// An empty eta file on top of factors someone else owns.
+    pub fn shared(lu: &'a LuFactors) -> Self {
+        Factorization {
+            lu: Cow::Borrowed(lu),
             etas: Vec::new(),
         }
     }
@@ -404,6 +419,32 @@ mod tests {
         fac.btran(&mut c1, &mut y1, &mut g);
         fresh.btran(&mut c2, &mut y2, &mut g);
         assert_close(&y1, &y2);
+    }
+
+    #[test]
+    fn shared_factors_carry_independent_eta_files() {
+        let m = 7;
+        let cols = random_cols(m, 5);
+        let lu = LuFactors::factor(m, &cols).expect("nonsingular");
+        let owned = Factorization::new(lu.clone());
+        // two solves share `lu`; only one of them pivots
+        let (mut a, b) = (Factorization::shared(&lu), Factorization::shared(&lu));
+        let mut v = vec![0.0; m];
+        v[1] = 2.0;
+        v[3] = 9.0;
+        let mut w = vec![0.0; m];
+        a.ftran(&mut v, &mut w);
+        assert!(a.push_eta(3, &w));
+        assert_eq!((a.eta_len(), b.eta_len()), (1, 0));
+        // the untouched sharer still solves exactly like an owner of the
+        // same factors — bit for bit, not just closely
+        let x_true: Vec<f64> = (0..m).map(|i| 1.5 - i as f64).collect();
+        let (mut v1, mut v2) = (mul(m, &cols, &x_true), mul(m, &cols, &x_true));
+        let (mut w1, mut w2) = (vec![0.0; m], vec![0.0; m]);
+        b.ftran(&mut v1, &mut w1);
+        owned.ftran(&mut v2, &mut w2);
+        assert_eq!(w1, w2);
+        assert_close(&w1, &x_true);
     }
 
     #[test]

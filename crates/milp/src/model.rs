@@ -1,5 +1,7 @@
 //! The MILP model builder.
 
+use std::fmt;
+
 use crate::error::SolveError;
 use crate::expr::{LinExpr, Var};
 
@@ -177,7 +179,9 @@ impl Model {
             }
         }
         let width = self.vars.len();
-        let check_expr = |e: &LinExpr, what: &str| -> Result<(), SolveError> {
+        // `what` is only rendered when an error is returned: this runs on
+        // every lowering, once per constraint
+        let check_expr = |e: &LinExpr, what: &dyn fmt::Display| -> Result<(), SolveError> {
             for &(v, c) in &e.terms {
                 if v.0 >= width {
                     return Err(SolveError::BadModel(format!(
@@ -193,9 +197,9 @@ impl Model {
             }
             Ok(())
         };
-        check_expr(&self.objective, "objective")?;
+        check_expr(&self.objective, &"objective")?;
         for (k, c) in self.cons.iter().enumerate() {
-            check_expr(&c.expr, &format!("constraint #{k}"))?;
+            check_expr(&c.expr, &format_args!("constraint #{k}"))?;
             if !c.rhs.is_finite() {
                 return Err(SolveError::BadModel(format!("constraint #{k} rhs not finite")));
             }

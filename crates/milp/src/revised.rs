@@ -19,6 +19,18 @@
 //! bounded-variable ratio test. Per-pivot cost therefore tracks the
 //! nonzero count, not the matrix area.
 //!
+//! # One lowering, many LPs
+//!
+//! The engine borrows the [`StandardForm`] and keeps its *own* per-column
+//! `lower`/`upper`, so an LP is "a standard form + a list of column-bound
+//! overrides" ([`ColBound`]): [`solve_bound_edit`] never copies or rebuilds
+//! the matrix. Branch & bound lowers its frozen model once and every child
+//! LP and strong-branch probe is a bound edit on that one form. A warm
+//! start takes a [`FactoredBasis`] — the parent basis with its LU factors,
+//! which depend on no bound — so the caller factorizes once and any number
+//! of LPs share the factors read-only, each with its own eta file and its
+//! own `x_B` recomputed from its own bounds.
+//!
 //! The two engines implement the same method (bounded-variable two-phase
 //! primal simplex with dual-simplex warm-start repair) with the same
 //! tolerances, so they terminate on the same optima; every solve is an
@@ -32,7 +44,7 @@ use crate::error::SolveError;
 use crate::lu::{Factorization, LuFactors};
 use crate::options::SolveOptions;
 use crate::simplex::{Basis, LpPoint};
-use crate::standard::StandardForm;
+use crate::standard::{ColBound, StandardForm};
 use crate::stats::LpTelemetry;
 
 /// Minimum absolute pivot element accepted (same as the dense engine).
@@ -71,7 +83,7 @@ struct Engine<'a> {
     banned: Vec<bool>,
     /// Values of the basic variables, by basis position.
     x_basic: Vec<f64>,
-    fac: Factorization,
+    fac: Factorization<'a>,
     iterations: usize,
     tele: LpTelemetry,
     /// Rotating start column of the partial-pricing scan.
@@ -91,50 +103,69 @@ struct Engine<'a> {
     sg: Vec<f64>,
 }
 
+/// The sparse columns of `basis` (structural/slack from the CSC matrix,
+/// artificial `n + r` as the signed unit vector `art_sign[r]·e_r`), in
+/// basis-position order — the input of [`LuFactors::factor`].
+fn basis_columns(sf: &StandardForm, art_sign: &[f64], basis: &[usize]) -> Vec<Vec<(usize, f64)>> {
+    let n = sf.ncols();
+    basis
+        .iter()
+        .map(|&j| {
+            if j < n {
+                sf.a.col(j).collect()
+            } else {
+                vec![(j - n, art_sign[j - n])]
+            }
+        })
+        .collect()
+}
+
+/// `sf`'s column bounds intersected with the overrides `bounds`, plus one
+/// artificial per row in `[0, ∞)`. `None` when an override empties a
+/// column's domain.
+fn column_bounds(sf: &StandardForm, bounds: &[ColBound]) -> Option<(Vec<f64>, Vec<f64>)> {
+    let n_total = sf.ncols() + sf.nrows();
+    let mut lower = Vec::with_capacity(n_total);
+    lower.extend_from_slice(&sf.lower);
+    let mut upper = Vec::with_capacity(n_total);
+    upper.extend_from_slice(&sf.upper);
+    for &(j, lo, hi) in bounds {
+        lower[j] = lower[j].max(lo);
+        upper[j] = upper[j].min(hi);
+        if lower[j] > upper[j] {
+            return None;
+        }
+    }
+    lower.resize(n_total, 0.0);
+    upper.resize(n_total, f64::INFINITY);
+    Some((lower, upper))
+}
+
 impl<'a> Engine<'a> {
-    /// Engine with the all-artificial starting basis (phase-1 ready).
-    fn cold(sf: &'a StandardForm) -> Engine<'a> {
+    /// What every start shares: the given bounds (see [`column_bounds`])
+    /// and factors, nothing basic yet, `+e_r` artificials.
+    fn blank(
+        sf: &'a StandardForm,
+        (lower, upper): (Vec<f64>, Vec<f64>),
+        fac: Factorization<'a>,
+    ) -> Engine<'a> {
         let m = sf.nrows();
         let n = sf.ncols();
         let n_total = n + m;
-        let mut lower = sf.lower.clone();
-        let mut upper = sf.upper.clone();
-        lower.extend(std::iter::repeat_n(0.0, m));
-        upper.extend(std::iter::repeat_n(f64::INFINITY, m));
-        // residuals with every column at its (finite) lower bound
-        let mut resid = sf.b.clone();
-        for j in 0..n {
-            let lj = sf.lower[j];
-            if lj != 0.0 {
-                for (r, v) in sf.a.col(j) {
-                    resid[r] -= v * lj;
-                }
-            }
-        }
-        let art_sign: Vec<f64> = resid
-            .iter()
-            .map(|&r| if r < 0.0 { -1.0 } else { 1.0 })
-            .collect();
-        let x_basic: Vec<f64> = resid.iter().map(|r| r.abs()).collect();
-        let cols: Vec<Vec<(usize, f64)>> =
-            (0..m).map(|r| vec![(r, art_sign[r])]).collect();
-        let lu = LuFactors::factor(m, &cols).expect("±identity is nonsingular");
-        let mut in_basis = vec![false; n_total];
-        in_basis[n..n_total].fill(true);
         Engine {
             sf,
             m,
             n,
             n_total,
-            art_sign,
-            basis: (n..n_total).collect(),
-            in_basis,
+            art_sign: vec![1.0; m],
+            basis: Vec::with_capacity(m),
+            in_basis: vec![false; n_total],
             at_upper: vec![false; n_total],
             lower,
             upper,
             banned: vec![false; n_total],
-            x_basic,
-            fac: Factorization::new(lu),
+            x_basic: vec![0.0; m],
+            fac,
             iterations: 0,
             tele: LpTelemetry::default(),
             price_start: 0,
@@ -145,6 +176,62 @@ impl<'a> Engine<'a> {
             sr: vec![0.0; m],
             sg: vec![0.0; m],
         }
+    }
+
+    /// Engine with the all-artificial starting basis (phase-1 ready).
+    /// `None` when `bounds` empties a column's domain.
+    fn cold(sf: &'a StandardForm, bounds: &[ColBound]) -> Option<Engine<'a>> {
+        let m = sf.nrows();
+        let n = sf.ncols();
+        let (lower, upper) = column_bounds(sf, bounds)?;
+        // residuals with every column at its (finite) lower bound
+        let mut resid = sf.b.clone();
+        for (j, &lj) in lower[..n].iter().enumerate() {
+            if lj != 0.0 {
+                for (r, v) in sf.a.col(j) {
+                    resid[r] -= v * lj;
+                }
+            }
+        }
+        let art_sign: Vec<f64> = resid
+            .iter()
+            .map(|&r| if r < 0.0 { -1.0 } else { 1.0 })
+            .collect();
+        let basis: Vec<usize> = (n..n + m).collect();
+        let lu = LuFactors::factor(m, &basis_columns(sf, &art_sign, &basis))
+            .expect("±identity is nonsingular");
+        let mut e = Engine::blank(sf, (lower, upper), Factorization::new(lu));
+        e.x_basic = resid.iter().map(|r| r.abs()).collect();
+        e.art_sign = art_sign;
+        e.basis = basis;
+        e.in_basis[n..].fill(true);
+        Some(e)
+    }
+
+    /// Engine resting at `basis` (already checked against `sf`'s layout,
+    /// see [`FactoredBasis::new`]) over `fac`, the factors of exactly those
+    /// columns: no simplex iteration has run, `x_B` is computed from this
+    /// engine's own bounds, artificials are nonbasic at zero and banned.
+    /// `None` when `bounds` empties a column's domain.
+    fn at_basis(
+        sf: &'a StandardForm,
+        bounds: &[ColBound],
+        basis: &Basis,
+        fac: Factorization<'a>,
+    ) -> Option<Engine<'a>> {
+        let mut e = Engine::blank(sf, column_bounds(sf, bounds)?, fac);
+        e.basis.extend_from_slice(&basis.basic);
+        for &j in &basis.basic {
+            e.in_basis[j] = true;
+        }
+        for j in 0..e.n {
+            // bounds may have been tightened since the basis was taken;
+            // never rest at an infinite bound
+            e.at_upper[j] = basis.at_upper[j] && e.upper[j].is_finite();
+        }
+        e.banned[e.n..].fill(true);
+        e.recompute_x();
+        Some(e)
     }
 
     /// Dot product of column `j` (structural/slack from the CSC matrix,
@@ -222,17 +309,7 @@ impl<'a> Engine<'a> {
     /// Refactorizes the current basis from scratch and recomputes `x_B`.
     /// `false` means the basis is numerically singular.
     fn refactor(&mut self) -> bool {
-        let cols: Vec<Vec<(usize, f64)>> = self
-            .basis
-            .iter()
-            .map(|&j| {
-                if j < self.n {
-                    self.sf.a.col(j).collect()
-                } else {
-                    vec![(j - self.n, self.art_sign[j - self.n])]
-                }
-            })
-            .collect();
+        let cols = basis_columns(self.sf, &self.art_sign, &self.basis);
         match LuFactors::factor(self.m, &cols) {
             Some(lu) => {
                 self.fac = Factorization::new(lu);
@@ -577,13 +654,14 @@ impl<'a> Engine<'a> {
         }
         let objective = self.sf.model_objective(&x);
         self.tele.max_eta_len = self.tele.max_eta_len.max(self.fac.eta_len());
+        self.at_upper.truncate(self.n);
         LpPoint {
             x,
             objective,
             iterations: self.iterations,
             basis: Basis {
-                basic: self.basis.clone(),
-                at_upper: self.at_upper[..self.n].to_vec(),
+                basic: self.basis,
+                at_upper: self.at_upper,
             },
             warm,
             telemetry: self.tele,
@@ -591,25 +669,25 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Read-only access to the simplex tableau of an optimal basis — the
-/// Gomory separator's window into `B⁻¹A`.
+/// A warm-start [`Basis`] checked against one [`StandardForm`]'s layout,
+/// with the LU factors of its columns.
 ///
-/// Wraps an [`Engine`] refactorized at a caller-supplied basis (normally
-/// the final basis of the LP just solved) without running any simplex
-/// iterations, and exposes exactly what cut generation needs: which column
-/// is basic in each row, the basic values, the resting bounds, and full
-/// tableau rows computed on demand via BTRAN (`ρ = B⁻ᵀeᵣ`) plus one sparse
-/// dot product per column — the same machinery the dual-simplex pricing
-/// step uses, so reading a row costs one BTRAN, not a dense inversion.
-pub(crate) struct TableauView<'a> {
-    e: Engine<'a>,
+/// The factors depend on which columns are basic and on the matrix — not
+/// on any column bound — so one `FactoredBasis` serves every LP that
+/// starts from this basis over this form whatever its bound overrides:
+/// branch & bound builds one per branched node and hands it to all of the
+/// node's strong-branch probes and children ([`solve_bound_edit`]).
+#[derive(Debug)]
+pub struct FactoredBasis<'b> {
+    basis: &'b Basis,
+    lu: LuFactors,
 }
 
-impl<'a> TableauView<'a> {
-    /// Refactorizes `basis` over `sf`. `None` when the basis does not fit
-    /// this standard form (row/column counts, duplicates, artificials) or
-    /// is numerically singular — callers just skip Gomory separation then.
-    pub(crate) fn new(sf: &'a StandardForm, basis: &Basis) -> Option<TableauView<'a>> {
+impl<'b> FactoredBasis<'b> {
+    /// Factorizes `basis` over `sf`. `None` when the basis does not fit
+    /// this standard form (row/column counts, duplicate or artificial
+    /// columns) or is numerically singular — callers solve cold then.
+    pub fn new(sf: &StandardForm, basis: &'b Basis) -> Option<FactoredBasis<'b>> {
         let m = sf.nrows();
         let n = sf.ncols();
         if basis.basic.len() != m || basis.at_upper.len() != n {
@@ -622,18 +700,38 @@ impl<'a> TableauView<'a> {
             }
             seen[j] = true;
         }
-        let mut e = Engine::cold(sf);
-        e.basis.copy_from_slice(&basis.basic);
-        e.in_basis.fill(false);
-        for &j in &basis.basic {
-            e.in_basis[j] = true;
-        }
-        for j in 0..n {
-            e.at_upper[j] = basis.at_upper[j] && e.upper[j].is_finite();
-        }
-        if !e.refactor() {
-            return None;
-        }
+        let lu = LuFactors::factor(m, &basis_columns(sf, &[], &basis.basic))?;
+        Some(FactoredBasis { basis, lu })
+    }
+
+    /// Whether this basis was laid out for a form of `sf`'s shape.
+    fn fits(&self, sf: &StandardForm) -> bool {
+        self.basis.basic.len() == sf.nrows() && self.basis.at_upper.len() == sf.ncols()
+    }
+}
+
+/// Read-only access to the simplex tableau of an optimal basis — the
+/// Gomory separator's window into `B⁻¹A`.
+///
+/// Wraps an [`Engine`] resting at a caller-supplied basis (normally the
+/// final basis of the LP just solved), freshly factorized, without running
+/// any simplex iterations, and exposes exactly what cut generation needs:
+/// which column is basic in each row, the basic values, the resting
+/// bounds, and full tableau rows computed on demand via BTRAN
+/// (`ρ = B⁻ᵀeᵣ`) plus one sparse dot product per column — the same
+/// machinery the dual-simplex pricing step uses, so reading a row costs
+/// one BTRAN, not a dense inversion.
+pub(crate) struct TableauView<'a> {
+    e: Engine<'a>,
+}
+
+impl<'a> TableauView<'a> {
+    /// Factorizes `basis` over `sf`. `None` when the basis does not fit
+    /// this standard form or is numerically singular (see
+    /// [`FactoredBasis::new`]) — callers just skip Gomory separation then.
+    pub(crate) fn new(sf: &'a StandardForm, basis: &Basis) -> Option<TableauView<'a>> {
+        let lu = FactoredBasis::new(sf, basis)?.lu;
+        let e = Engine::at_basis(sf, &[], basis, Factorization::new(lu))?;
         Some(TableauView { e })
     }
 
@@ -682,81 +780,43 @@ impl<'a> TableauView<'a> {
 
 /// Phase-2 cost vector: the standard-form objective on structural + slack
 /// columns, zero on artificials.
-fn phase2_cost(sf: &StandardForm, n_total: usize) -> Vec<f64> {
-    let mut cost = vec![0.0; n_total];
+fn phase2_cost(sf: &StandardForm) -> Vec<f64> {
+    let mut cost = vec![0.0; sf.ncols() + sf.nrows()];
     cost[..sf.ncols()].copy_from_slice(&sf.c);
     cost
 }
 
-/// Tries to warm-start from a basis hint: refactorize the parent basis
-/// directly (no tableau rebuild), then repair primal feasibility with
-/// dual simplex. `None` means "fall back to the cold path".
-fn try_warm<'a>(
-    sf: &'a StandardForm,
-    opts: &SolveOptions,
-    hint: &Basis,
-) -> Result<Option<Engine<'a>>, SolveError> {
-    let m = sf.nrows();
-    let n = sf.ncols();
-    // layout compatibility: same row/column counts, all-structural basis,
-    // no duplicate columns
-    if hint.basic.len() != m || hint.at_upper.len() != n {
-        return Ok(None);
-    }
-    let mut seen = vec![false; n];
-    for &j in &hint.basic {
-        if j >= n || seen[j] {
-            return Ok(None);
-        }
-        seen[j] = true;
-    }
-    let mut e = Engine::cold(sf);
-    e.basis.copy_from_slice(&hint.basic);
-    e.in_basis.fill(false);
-    for &j in &hint.basic {
-        e.in_basis[j] = true;
-    }
-    for j in 0..n {
-        // resting bounds may have been tightened since the hint was taken;
-        // never rest at an infinite bound
-        e.at_upper[j] = hint.at_upper[j] && e.upper[j].is_finite();
-    }
-    // artificials: nonbasic at zero and permanently banned
-    for j in n..e.n_total {
-        e.banned[j] = true;
-    }
-    if !e.refactor() {
-        return Ok(None); // numerically singular hint
-    }
-    if e.primal_infeasibility() <= FEAS_TOL {
-        return Ok(Some(e));
-    }
-    let cost = phase2_cost(sf, e.n_total);
-    match e.dual_repair(&cost, opts)? {
-        true => Ok(Some(e)),
-        false => Ok(None),
-    }
-}
-
-/// Solves the standard-form LP with the revised simplex, optionally
-/// warm-starting from `hint`. Same contract as the dense engine: warm and
-/// cold paths return the same optimum; the hint only changes how many
-/// pivots it takes to get there.
-pub fn solve_standard_revised(
+/// Solves the LP "`sf` with the column bounds `bounds` intersected in",
+/// optionally warm-starting from `warm`: the engine installs the basis,
+/// shares its factors read-only, computes `x_B` from this LP's own bounds
+/// and repairs primal feasibility with dual simplex. On any trouble (the
+/// basis does not fit `sf`, no eligible entering column, pivot budget) the
+/// attempt is discarded and the cold two-phase path decides, so warm and
+/// cold solves return the same optimum; the hint only changes how many
+/// pivots it takes to get there. An override that empties a column's
+/// domain is [`SolveError::Infeasible`].
+///
+/// [`LpTelemetry::refactorizations`] of the result counts the
+/// factorizations *this* solve performed; the one behind `warm` belongs
+/// to whoever built it.
+pub fn solve_bound_edit(
     sf: &StandardForm,
+    bounds: &[ColBound],
     opts: &SolveOptions,
-    hint: Option<&Basis>,
+    warm: Option<&FactoredBasis<'_>>,
 ) -> Result<LpPoint, SolveError> {
-    if let Some(h) = hint {
-        // on any trouble the attempt is discarded and we fall through to
-        // the cold two-phase path below
-        if let Some(mut e) = try_warm(sf, opts, h)? {
-            let cost = phase2_cost(sf, e.n_total);
-            e.run(&cost, opts)?;
+    let cost2 = phase2_cost(sf);
+    if let Some(fb) = warm.filter(|fb| fb.fits(sf)) {
+        let mut e = Engine::at_basis(sf, bounds, fb.basis, Factorization::shared(&fb.lu))
+            .ok_or(SolveError::Infeasible)?;
+        // `Ok(false)` from the repair is "let the cold path decide", never
+        // a feasibility verdict
+        if e.primal_infeasibility() <= FEAS_TOL || e.dual_repair(&cost2, opts)? {
+            e.run(&cost2, opts)?;
             return Ok(e.finish(true));
         }
     }
-    let mut e = Engine::cold(sf);
+    let mut e = Engine::cold(sf, bounds).ok_or(SolveError::Infeasible)?;
     // --- phase 1: minimize the sum of artificials ---
     let mut cost1 = vec![0.0; e.n_total];
     for c in cost1.iter_mut().skip(e.n) {
@@ -782,9 +842,22 @@ pub fn solve_standard_revised(
         });
     }
     // --- phase 2: real objective ---
-    let cost2 = phase2_cost(sf, e.n_total);
     e.run(&cost2, opts)?;
     Ok(e.finish(false))
+}
+
+/// Solves the standard-form LP with the revised simplex, optionally
+/// warm-starting from `hint` (factorized here, and counted in the
+/// result's telemetry): [`solve_bound_edit`] with no bound override.
+pub fn solve_standard_revised(
+    sf: &StandardForm,
+    opts: &SolveOptions,
+    hint: Option<&Basis>,
+) -> Result<LpPoint, SolveError> {
+    let warm = hint.and_then(|h| FactoredBasis::new(sf, h));
+    let mut point = solve_bound_edit(sf, &[], opts, warm.as_ref())?;
+    point.telemetry.refactorizations += usize::from(warm.is_some());
+    Ok(point)
 }
 
 #[cfg(test)]
@@ -880,8 +953,82 @@ mod tests {
         let cold = solve_standard_revised(&csf, &opts(), None).unwrap();
         assert!((warm.objective - cold.objective).abs() < 1e-9);
         assert!(warm.warm, "expected the sparse warm path to succeed");
-        // the warm path refactorized the parent basis directly
+        // the hint was factorized for this solve, and counted
         assert!(warm.telemetry.refactorizations >= 1);
+    }
+
+    #[test]
+    fn children_are_bound_edits_over_one_shared_factorization() {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.num_var("x", 0.0, 4.0);
+        let y = m.num_var("y", 0.0, 4.0);
+        let z = m.num_var("z", 0.0, 4.0);
+        m.add_con(
+            LinExpr::new().term(x, 2.0).term(y, 3.0).term(z, 1.0),
+            Cmp::Le,
+            10.0,
+        );
+        m.set_objective(LinExpr::new().term(x, 3.0).term(y, 4.0).term(z, 1.0));
+        let sf = StandardForm::from_model(&m).unwrap();
+        let parent = solve_standard_revised(&sf, &opts(), None).unwrap();
+        // one factorization, two children with different bounds on y
+        let fb = FactoredBasis::new(&sf, &parent.basis).expect("optimal basis factorizes");
+        for (lo, hi) in [(f64::NEG_INFINITY, 1.0), (2.0, f64::INFINITY)] {
+            let bound = sf.col_bound(y.index(), lo, hi).unwrap();
+            let edit = solve_bound_edit(&sf, &[bound], &opts(), Some(&fb)).unwrap();
+            // the same LP the long way: a re-lowered model, its own factors
+            let mut child = m.clone();
+            child.vars[y.index()].lower = child.vars[y.index()].lower.max(lo);
+            child.vars[y.index()].upper = child.vars[y.index()].upper.min(hi);
+            let csf = StandardForm::from_model(&child).unwrap();
+            let rebuilt = solve_standard_revised(&csf, &opts(), Some(&parent.basis)).unwrap();
+            assert_eq!(edit.objective.to_bits(), rebuilt.objective.to_bits());
+            assert_eq!(edit.basis, rebuilt.basis);
+            assert_eq!(edit.iterations, rebuilt.iterations);
+            assert!(edit.warm && rebuilt.warm);
+            // the shared factorization is its builder's to count
+            assert_eq!(edit.telemetry.refactorizations, 0);
+            assert_eq!(rebuilt.telemetry.refactorizations, 1);
+        }
+        // the parent form is untouched by either child
+        assert_eq!((sf.lower[1], sf.upper[1]), (0.0, 4.0));
+    }
+
+    #[test]
+    fn emptied_domain_is_infeasible_warm_or_cold() {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.num_var("x", 0.0, 4.0);
+        m.add_con(LinExpr::var(x), Cmp::Le, 3.0);
+        m.set_objective(LinExpr::var(x));
+        let sf = StandardForm::from_model(&m).unwrap();
+        let parent = solve_standard_revised(&sf, &opts(), None).unwrap();
+        let fb = FactoredBasis::new(&sf, &parent.basis);
+        let crossed = [(0, 5.0, f64::INFINITY)];
+        for warm in [fb.as_ref(), None] {
+            assert_eq!(
+                solve_bound_edit(&sf, &crossed, &opts(), warm).unwrap_err(),
+                SolveError::Infeasible
+            );
+        }
+    }
+
+    #[test]
+    fn factored_basis_of_another_form_is_ignored() {
+        let mut small = Model::new(Sense::Maximize);
+        let x = small.num_var("x", 0.0, 4.0);
+        small.add_con(LinExpr::var(x), Cmp::Le, 3.0);
+        small.set_objective(LinExpr::var(x));
+        let ssf = StandardForm::from_model(&small).unwrap();
+        let sp = solve_standard_revised(&ssf, &opts(), None).unwrap();
+        let fb = FactoredBasis::new(&ssf, &sp.basis).unwrap();
+        let mut big = small.clone();
+        let y = big.num_var("y", 0.0, 1.0);
+        big.add_con(LinExpr::var(y), Cmp::Le, 0.5);
+        let bsf = StandardForm::from_model(&big).unwrap();
+        assert!(FactoredBasis::new(&bsf, &sp.basis).is_none());
+        let p = solve_bound_edit(&bsf, &[], &opts(), Some(&fb)).unwrap();
+        assert!(!p.warm, "a basis laid out for another form must not be installed");
+        assert!((p.objective - 3.0).abs() < 1e-9);
     }
 
     #[test]

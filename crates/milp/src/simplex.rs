@@ -1,8 +1,13 @@
 //! LP entry points and the dense-tableau reference implementation.
 //!
 //! Every LP the solver meets — root, child, strong-branch probe, cut
-//! re-solve — goes through [`solve_lp_relaxation_warm`] to the sparse
-//! revised simplex in [`crate::revised`]. The dense tableau implemented
+//! re-solve — is solved by the sparse revised simplex in
+//! [`crate::revised`]. [`solve_lp_relaxation_warm`] is the thin
+//! lower-then-solve wrapper for callers that hold a [`Model`]; the solver
+//! itself lowers once and solves every later LP on that
+//! [`StandardForm`] (`solve_lowered` for the root and the cut re-solves,
+//! [`crate::revised::solve_bound_edit`] for every tree LP). The dense
+//! tableau implemented
 //! here is an independently coded **oracle**: it is not on any solve
 //! path, and exists so the LP-level differential tests
 //! (`tests/tests/engine_equivalence.rs`, the fuzz harness) have a second
@@ -24,15 +29,16 @@
 //! # Warm starts
 //!
 //! Branch & bound re-solves near-identical LPs: a child differs from its
-//! parent by one tightened variable bound. [`solve_lp_relaxation_warm`]
-//! accepts the parent's final [`Basis`]; the revised engine refactorizes
-//! it and repairs the (usually small) primal infeasibility with
-//! bounded-variable **dual simplex** pivots instead of running phase 1
-//! from scratch. The repair is purely an accelerator: on any trouble —
-//! singular basis hint, layout mismatch, iteration budget, no eligible
-//! entering column — it falls back to the cold two-phase path, so warm
-//! and cold solves always agree (every LP is solved to proven optimality
-//! either way).
+//! parent by one tightened column bound. The revised engine starts from
+//! the parent's final [`Basis`] — factorized once per node
+//! ([`crate::revised::FactoredBasis`]) and shared by all of the node's
+//! probes and children — and repairs the (usually small) primal
+//! infeasibility with bounded-variable **dual simplex** pivots instead of
+//! running phase 1 from scratch. The repair is purely an accelerator: on
+//! any trouble — singular basis hint, layout mismatch, iteration budget,
+//! no eligible entering column — it falls back to the cold two-phase
+//! path, so warm and cold solves always agree (every LP is solved to
+//! proven optimality either way).
 
 use crate::error::SolveError;
 use crate::options::SolveOptions;
@@ -477,9 +483,17 @@ pub fn solve_lp_relaxation_warm(
     opts: &SolveOptions,
     hint: Option<&Basis>,
 ) -> Result<(Solution, LpPoint), SolveError> {
-    let sf = StandardForm::from_model(model)?;
-    let point = crate::revised::solve_standard_revised(&sf, opts, hint)?;
-    Ok((to_solution(&sf, &point), point))
+    solve_lowered(&StandardForm::from_model(model)?, opts, hint)
+}
+
+/// [`solve_lp_relaxation_warm`] on a model that is already lowered.
+pub(crate) fn solve_lowered(
+    sf: &StandardForm,
+    opts: &SolveOptions,
+    hint: Option<&Basis>,
+) -> Result<(Solution, LpPoint), SolveError> {
+    let point = crate::revised::solve_standard_revised(sf, opts, hint)?;
+    Ok((to_solution(sf, &point), point))
 }
 
 /// [`solve_lp_relaxation`] on the dense-tableau oracle instead of the

@@ -12,7 +12,12 @@
 //! and `=` rows a fixed slack in `[0, 0]`. Variables with an infinite lower
 //! bound are negated (if the upper bound is finite) or split into a
 //! difference of two non-negative columns, so the finite-lower-bound
-//! invariant always holds.
+//! invariant always holds. Bounds are kept as bounds (nothing is shifted
+//! to zero), which is what makes a branch-and-bound child cheap: it is
+//! this same form with a few column bounds tightened ([`ColBound`],
+//! [`StandardForm::col_bound`]), handed to
+//! [`crate::revised::solve_bound_edit`] — the model is lowered once per
+//! solve (and once per change of the root cut-row set), never per LP.
 
 use crate::error::SolveError;
 use crate::expr::LinExpr;
@@ -184,6 +189,18 @@ pub enum ColMap {
     },
 }
 
+/// A column-bound override `(col, lo, hi)`: the LP is solved with
+/// `max(lower[col], lo) <= x_col <= min(upper[col], hi)`.
+pub type ColBound = (usize, f64, f64);
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`StandardForm::from_model`] on this thread — the guard
+    /// that keeps a per-LP lowering from coming back (see the test in
+    /// `branch.rs`).
+    pub(crate) static LOWERINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// A model lowered to standard form, with the bookkeeping needed to map a
 /// standard-form point back to model-variable space.
 #[derive(Debug, Clone)]
@@ -215,6 +232,8 @@ impl StandardForm {
     /// integer variables with a doubly-infinite domain (branch & bound
     /// could not terminate on those).
     pub fn from_model(model: &Model) -> Result<Self, SolveError> {
+        #[cfg(test)]
+        LOWERINGS.with(|c| c.set(c.get() + 1));
         model.validate()?;
         let mut lower = Vec::new();
         let mut upper = Vec::new();
@@ -314,6 +333,19 @@ impl StandardForm {
     /// Number of columns (structural + slack).
     pub fn ncols(&self) -> usize {
         self.a.ncols
+    }
+
+    /// The column-space image of the model-space bound `lo <= x_var <= hi`
+    /// (either side may be infinite): `x = col` keeps it, `x = -col` turns
+    /// `x <= hi` into `col >= -hi`. `None` for a split (free) variable,
+    /// whose bound is not a column bound; integer variables — the only
+    /// ones branching tightens — are never split.
+    pub fn col_bound(&self, var: usize, lo: f64, hi: f64) -> Option<ColBound> {
+        match self.var_map[var] {
+            ColMap::Direct(c) => Some((c, lo, hi)),
+            ColMap::Negated(c) => Some((c, -hi, -lo)),
+            ColMap::Split { .. } => None,
+        }
     }
 
     /// Maps a standard-form point back to model-variable values.

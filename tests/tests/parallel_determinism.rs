@@ -88,9 +88,15 @@ proptest! {
     }
 }
 
-/// Regression: pins the serial node count on a fixed instance so any
-/// change to the search order (heap tie-break, plunging, pruning) shows
-/// up as a diff instead of silent drift.
+/// Regression: pins the serial search on a fixed instance so any change
+/// to what the search computes (heap tie-break, plunging, pruning, the
+/// arithmetic of a child LP) shows up as a diff instead of silent drift.
+///
+/// The constants are what the commit before PR 14 produced, when every
+/// child LP cloned, re-validated and re-lowered the model and refactorized
+/// the parent basis for itself. PR 14 made a child LP a bound edit on one
+/// standard form over one shared parent factorization: the same nodes,
+/// pivots and incumbent bit for bit, with fewer factorizations.
 #[test]
 fn node_count_determinism_regression() {
     let mut m = Model::new(Sense::Maximize);
@@ -116,4 +122,22 @@ fn node_count_determinism_regression() {
     // telemetry mirrors the top-level counters
     assert_eq!(runs[0].stats.nodes_explored, runs[0].nodes);
     assert_eq!(runs[0].stats.lp_pivots, runs[0].iterations);
+
+    // the search of the parent commit, bit for bit (x7 really is -0.0)
+    const PARENT_NODES: usize = 2;
+    const PARENT_PIVOTS: usize = 22;
+    const PARENT_VALUES: [f64; 8] = [1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, -0.0];
+    const PARENT_REFACTORIZATIONS: usize = 10;
+    let r = &runs[0];
+    assert_eq!(r.nodes, PARENT_NODES);
+    assert_eq!(r.iterations, PARENT_PIVOTS);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&r.values), bits(&PARENT_VALUES), "{:?}", r.values);
+    assert_eq!(r.objective.to_bits(), 33.0f64.to_bits());
+    assert!(r.stats.strong_branch_lps > 0, "want probes on this instance");
+    assert!(
+        r.stats.refactorizations < PARENT_REFACTORIZATIONS,
+        "probes must share their node's factorization: {} refactorizations",
+        r.stats.refactorizations
+    );
 }
