@@ -224,16 +224,6 @@ fn closure_problems(cert: &SearchCertificate) -> Vec<String> {
     problems
 }
 
-/// Exact floor of a rational (denominator is normalized positive).
-fn floor_rat(r: &Rat) -> Result<Rat, RatError> {
-    Rat::new(r.numer().div_euclid(r.denom()), 1)
-}
-
-/// Exact fractional part in `[0, 1)`.
-fn frac_rat(r: &Rat) -> Result<Rat, RatError> {
-    r.sub(&floor_rat(r)?)
-}
-
 fn rat(x: f64, what: &str) -> Result<Rat, String> {
     Rat::from_f64_exact(x).map_err(|e| format!("{what} {x} not exactly representable: {e:?}"))
 }
@@ -307,6 +297,12 @@ fn check_cover(row: &[(usize, f64)], rhs: f64, members: &[usize]) -> Result<(), 
 /// valid iff its shifted coefficients dominate (`h_j ≥ g_j`) and its
 /// shifted right-hand side is no larger than `f0` — then
 /// `Σ h t ≥ Σ g t ≥ f0 ≥ rhs_t` for every feasible point.
+///
+/// Everything here is dyadic except the ratio `f0/(1−f0)`. Writing
+/// `f0 = p/2^k` in lowest terms, `1−f0 = q/2^k` with `q = 2^k − p > 0`, so
+/// the ratio is `p/q` and it is never formed: `frac(d_j) ≤ p/q·(1−frac(d_j))`
+/// is `frac(d_j) ≤ f0` (multiply out by `1−f0 > 0`), and `p/q·t ≤ h_j` is
+/// `p·t ≤ q·h_j` (multiply by `q > 0`) — see [`Rat::times_ratio_le`].
 fn check_gomory(
     vars: &[GomoryVar],
     base_rhs: f64,
@@ -316,12 +312,18 @@ fn check_gomory(
     if vars.is_empty() {
         return Err("gomory base row has no variables".into());
     }
-    // variable -> position in `vars` (and in `exact` below)
-    let mut base: BTreeMap<usize, usize> = BTreeMap::new();
-    for (k, g) in vars.iter().enumerate() {
-        if base.insert(g.var, k).is_some() {
-            return Err(format!("duplicate variable {} in base row", g.var));
-        }
+    // positions in `vars` ordered by variable index: the lookup table for
+    // the recorded cut's terms. Of several repeated variables the one whose
+    // repeat comes first in the row is reported.
+    let mut by_var: Vec<usize> = (0..vars.len()).collect();
+    by_var.sort_unstable_by_key(|&k| (vars[k].var, k));
+    if let Some(repeat) = by_var
+        .windows(2)
+        .filter(|w| vars[w[0]].var == vars[w[1]].var)
+        .map(|w| w[1])
+        .min()
+    {
+        return Err(format!("duplicate variable {} in base row", vars[repeat].var));
     }
     // each variable's exact (coeff, bound), converted once for all three
     // loops; shifted right-hand side b' = base_rhs - sum coeff_j * bound_j
@@ -336,69 +338,74 @@ fn check_gomory(
         bp = bp.sub(&shift).map_err(overflow("shifting the base row"))?;
         exact.push((coeff, bound));
     }
-    let f0 = frac_rat(&bp).map_err(overflow("taking frac(b')"))?;
+    let f0 = bp.frac();
     if f0.is_zero() {
         return Err("base row is integral at the recorded basis (f0 = 0)".into());
     }
     let one = Rat::from_int(1);
     let one_minus_f0 = one.sub(&f0).map_err(overflow("computing 1-f0"))?;
-    let ratio = f0
-        .div(&one_minus_f0)
-        .map_err(overflow("computing f0/(1-f0)"))?;
+    // f0/(1-f0) = p/q: the two share their power-of-two denominator
+    let (p, q) = (f0.numer(), one_minus_f0.numer());
 
-    // recorded cut, indexed; every term must sit on a base-row variable
-    let mut rec: BTreeMap<usize, Rat> = BTreeMap::new();
+    // recorded cut by position in `vars`; every term must sit on a
+    // base-row variable
+    let mut rec: Vec<Option<Rat>> = vec![None; vars.len()];
     for &(v, c) in cut {
-        if !base.contains_key(&v) {
+        let Ok(at) = by_var.binary_search_by_key(&v, |&k| vars[k].var) else {
             return Err(format!("cut references variable {v} outside its base row"));
-        }
-        if rec.insert(v, rat(c, "cut coefficient")?).is_some() {
+        };
+        if rec[by_var[at]].replace(rat(c, "cut coefficient")?).is_some() {
             return Err(format!("duplicate variable {v} in cut"));
         }
     }
 
-    for (g, &(d, bound)) in vars.iter().zip(&exact) {
+    for ((g, &(d, bound)), c) in vars.iter().zip(&exact).zip(&rec) {
         let d = if g.at_upper {
             Rat::ZERO.sub(&d).map_err(overflow("negating d_j"))?
         } else {
             d
         };
-        let exact = if g.integral {
+        // the exact coefficient is `t`, or `p/q·t` when `scaling` names the
+        // step that multiplies by the ratio
+        let (t, scaling) = if g.integral {
             // the integer treatment is only sound when the shift keeps the
             // variable on the integer lattice
-            if !frac_rat(&bound)
-                .map_err(overflow("checking bound integrality"))?
-                .is_zero()
-            {
+            if !bound.frac().is_zero() {
                 return Err(format!(
                     "variable {} flagged integral but its shift bound {} is not",
                     g.var, g.bound
                 ));
             }
-            let fj = frac_rat(&d).map_err(overflow("taking frac(d_j)"))?;
-            let alt = ratio
-                .mul(&one.sub(&fj).map_err(overflow("computing 1-f_j"))?)
-                .map_err(overflow("scaling 1-f_j"))?;
-            if fj.le(&alt).map_err(overflow("comparing GMI branches"))? {
-                fj
+            let fj = d.frac();
+            if fj.le(&f0).map_err(overflow("comparing GMI branches"))? {
+                (fj, None)
             } else {
-                alt
+                let rest = one.sub(&fj).map_err(overflow("computing 1-f_j"))?;
+                (rest, Some("scaling 1-f_j"))
             }
+        } else if d.signum() >= 0 {
+            (d, None)
         } else {
-            let pos = d.max(&Rat::ZERO).map_err(overflow("max(d,0)"))?;
             let neg = Rat::ZERO.sub(&d).map_err(overflow("-d"))?;
-            let neg = neg.max(&Rat::ZERO).map_err(overflow("max(-d,0)"))?;
-            pos.add(&ratio.mul(&neg).map_err(overflow("scaling max(-d,0)"))?)
-                .map_err(overflow("continuous GMI coefficient"))?
+            (neg, Some("scaling max(-d,0)"))
         };
         // shifted recorded coefficient h_j = ±c_j (0 when the var is absent)
-        let c = rec.get(&g.var).copied().unwrap_or(Rat::ZERO);
+        let c = c.unwrap_or(Rat::ZERO);
         let h = if g.at_upper {
             Rat::ZERO.sub(&c).map_err(overflow("negating h_j"))?
         } else {
             c
         };
-        if !exact.le(&h).map_err(overflow("dominance comparison"))? {
+        let dominated = match scaling {
+            None => t.le(&h).map_err(overflow("dominance comparison"))?,
+            Some(_) => t.times_ratio_le(p, q, &h),
+        };
+        if !dominated {
+            // only the message needs the exact coefficient written out
+            let exact = match scaling {
+                None => t.to_string(),
+                Some(step) => t.times_ratio_display(p, q).map_err(overflow(step))?,
+            };
             return Err(format!(
                 "cut coefficient on variable {} is {} in shifted space, \
                  below the exact GMI coefficient {}",
@@ -409,9 +416,10 @@ fn check_gomory(
 
     // shifted recorded rhs must not exceed f0
     let mut rhs_t = rat(cut_rhs, "cut rhs")?;
-    for (&v, c) in &rec {
+    for &k in &by_var {
+        let Some(c) = rec[k] else { continue };
         let shift = c
-            .mul(&exact[base[&v]].1)
+            .mul(&exact[k].1)
             .map_err(overflow("shifting the cut rhs"))?;
         rhs_t = rhs_t.sub(&shift).map_err(overflow("shifting the cut rhs"))?;
     }
@@ -781,5 +789,228 @@ mod tests {
         let mut c = good();
         c.abs_gap = -1.0;
         assert!(!both(&c).is_empty());
+    }
+
+    // -- differential: the dyadic `check_gomory` against the general-fraction
+    //    one it replaced (`crate::fraction`, test-only) ----------------------
+
+    use crate::fraction::{self, Frac};
+    use proptest::prelude::*;
+
+    type Proof = (Vec<GomoryVar>, f64, Vec<(usize, f64)>, f64);
+
+    /// Runs both checkers on one proof. Wherever the reference decides —
+    /// accepts, or rejects for any reason but its own arithmetic giving up —
+    /// the verdict and the message must be identical, byte for byte; where it
+    /// overflowed the new checker is free to decide. Returns the reference's
+    /// verdict (`None`: it overflowed).
+    fn agree((vars, base_rhs, cut, cut_rhs): &Proof) -> Option<bool> {
+        let new = check_gomory(vars, *base_rhs, cut, *cut_rhs);
+        let old = fraction::check_gomory(vars, *base_rhs, cut, *cut_rhs);
+        match &old {
+            Err(why) if why.starts_with("rational arithmetic failed") => None,
+            _ => {
+                assert_eq!(new, old, "on {vars:?} = {base_rhs}, cut {cut:?} >= {cut_rhs}");
+                Some(old.is_ok())
+            }
+        }
+    }
+
+    fn ulps(x: f64, n: i64) -> f64 {
+        if x == 0.0 {
+            return n as f64 * f64::from_bits(1);
+        }
+        // toward larger magnitude for positive n, sign kept
+        f64::from_bits((x.to_bits() as i64 + n) as u64)
+    }
+
+    /// Every way the existing tamper tests corrupt a proof, applied at every
+    /// position: nudged and shifted coefficients and right-hand sides,
+    /// dropped, repeated and foreign cut terms, repeated base variables (one
+    /// and two of them, to pin which is reported), flipped flags, fractional
+    /// and unrepresentable bounds.
+    fn tamperings(proof: &Proof) -> Vec<Proof> {
+        let (vars, base_rhs, cut, cut_rhs) = proof;
+        let mut out = Vec::new();
+        let mut push = |v: &Vec<GomoryVar>, b: f64, c: &Vec<(usize, f64)>, r: f64| {
+            out.push((v.clone(), b, c.clone(), r));
+        };
+        for i in 0..cut.len() {
+            for step in [-3, -2, -1, 1, 2] {
+                let mut c = cut.clone();
+                c[i].1 = ulps(c[i].1, step);
+                push(vars, *base_rhs, &c, *cut_rhs);
+            }
+            for delta in [-0.25, 0.25] {
+                let mut c = cut.clone();
+                c[i].1 += delta;
+                push(vars, *base_rhs, &c, *cut_rhs);
+            }
+            let mut c = cut.clone();
+            c.remove(i);
+            push(vars, *base_rhs, &c, *cut_rhs);
+            let mut c = cut.clone();
+            c.push(cut[i]);
+            push(vars, *base_rhs, &c, *cut_rhs);
+        }
+        for step in [-2, -1, 1, 2] {
+            push(vars, *base_rhs, cut, ulps(*cut_rhs, step));
+        }
+        push(vars, *base_rhs, cut, cut_rhs + 0.5);
+        push(vars, *base_rhs, cut, cut_rhs - 0.5);
+        push(vars, ulps(*base_rhs, 1), cut, *cut_rhs);
+        push(vars, base_rhs.floor(), cut, *cut_rhs);
+        let foreign = vars.iter().map(|v| v.var).max().unwrap_or(0) + 7;
+        let mut c = cut.clone();
+        c.insert(c.len() / 2, (foreign, 1.0));
+        push(vars, *base_rhs, &c, *cut_rhs);
+        c.push((foreign, 1e300));
+        push(vars, *base_rhs, &c, *cut_rhs);
+        for i in 0..vars.len() {
+            let mut v = vars.clone();
+            v[i].integral = !v[i].integral;
+            push(&v, *base_rhs, cut, *cut_rhs);
+            let mut v = vars.clone();
+            v[i].at_upper = !v[i].at_upper;
+            push(&v, *base_rhs, cut, *cut_rhs);
+            let mut v = vars.clone();
+            v[i].bound += 0.5;
+            push(&v, *base_rhs, cut, *cut_rhs);
+            let mut v = vars.clone();
+            v[i].coeff = 1e300;
+            push(&v, *base_rhs, cut, *cut_rhs);
+            let mut v = vars.clone();
+            v.push(vars[i].clone());
+            push(&v, *base_rhs, cut, *cut_rhs);
+            // two repeated variables: the one whose repeat comes first wins
+            v.insert(vars.len(), vars[vars.len() - 1 - i].clone());
+            push(&v, *base_rhs, cut, *cut_rhs);
+        }
+        push(&Vec::new(), *base_rhs, cut, *cut_rhs);
+        out
+    }
+
+    /// Smallest double at or above `x` that a walk up from its nearest
+    /// double reaches — the separator's outward rounding, on the reference
+    /// fraction.
+    fn round_up(x: &Frac) -> Option<f64> {
+        let mut f = x.to_f64();
+        for _ in 0..8 {
+            if x.le(&Frac::from_f64_exact(f).ok()?).ok()? {
+                return Some(f);
+            }
+            f = ulps(f, if f > 0.0 { 1 } else { -1 });
+        }
+        None
+    }
+
+    /// Derives the GMI cut of a base row on the reference fraction and rounds
+    /// it outward, as the solver's separator does: a proof the checkers must
+    /// both accept. `None` when the reference arithmetic gives up.
+    fn derive(vars: &[GomoryVar], base_rhs: f64) -> Option<Proof> {
+        let q = |x: f64| Frac::from_f64_exact(x).ok();
+        let one = Frac::from_int(1);
+        let mut bp = q(base_rhs)?;
+        for g in vars {
+            bp = bp.sub(&q(g.coeff)?.mul(&q(g.bound)?).ok()?).ok()?;
+        }
+        let f0 = fraction::frac_rat(&bp).ok()?;
+        if f0.is_zero() {
+            return None;
+        }
+        let ratio = f0.div(&one.sub(&f0).ok()?).ok()?;
+        let (mut cut, mut target) = (Vec::new(), f0);
+        for g in vars {
+            let d = if g.at_upper { Frac::ZERO.sub(&q(g.coeff)?).ok()? } else { q(g.coeff)? };
+            let exact = if g.integral {
+                let fj = fraction::frac_rat(&d).ok()?;
+                let alt = ratio.mul(&one.sub(&fj).ok()?).ok()?;
+                if fj.le(&alt).ok()? { fj } else { alt }
+            } else if d.signum() >= 0 {
+                d
+            } else {
+                ratio.mul(&Frac::ZERO.sub(&d).ok()?).ok()?
+            };
+            let mag = round_up(&exact)?;
+            let c = if g.at_upper { -mag } else { mag };
+            if c != 0.0 {
+                cut.push((g.var, c));
+                target = target.add(&q(c)?.mul(&q(g.bound)?).ok()?).ok()?;
+            }
+        }
+        let cut_rhs = -round_up(&Frac::ZERO.sub(&target).ok()?)?;
+        Some((vars.to_vec(), base_rhs, cut, cut_rhs))
+    }
+
+    /// A base row the way a simplex tableau writes one: quotients of small
+    /// integers (full mantissas), a few round numbers, integer shift bounds.
+    fn arb_row() -> impl Strategy<Value = (Vec<GomoryVar>, f64)> {
+        let coeff = (0u8..6, -40i32..=40, 1i32..=23).prop_map(|(family, n, d)| match family {
+            0 => n as f64,
+            1 => n as f64 / 8.0,
+            2 => n as f64 * 1e-9 / d as f64,
+            _ => n as f64 / d as f64,
+        });
+        let var = (coeff, 0u8..4, 0u8..8, any::<bool>()).prop_map(|(coeff, bound, kind, at_upper)| {
+            GomoryVar { var: 0, coeff, bound: bound as f64, integral: kind < 5, at_upper }
+        });
+        (prop::collection::vec(var, 1..10), -200i32..=200, 1i32..=19, 1usize..5).prop_map(
+            |(mut vars, n, d, stride)| {
+                for (k, g) in vars.iter_mut().enumerate() {
+                    g.var = 3 + k * stride; // ascending, as the separator records them
+                }
+                (vars, n as f64 / d as f64)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn gomory_check_agrees_with_the_general_fraction_checker((vars, base_rhs) in arb_row()) {
+            let Some(proof) = derive(&vars, base_rhs) else { return Ok(()) };
+            prop_assert_eq!(agree(&proof), Some(true), "a derived cut must check: {:?}", proof);
+            // shuffled rows look the variables up the same way
+            let mut reversed = proof.clone();
+            reversed.0.reverse();
+            prop_assert_eq!(agree(&reversed), Some(true));
+            for bad in tamperings(&proof) {
+                agree(&bad);
+            }
+        }
+    }
+
+    /// The proofs a real solve emitted (the corpus exemplar), and every
+    /// tampering of them, get the same verdict and the same words from both
+    /// checkers; so do the hand-built proofs of the tests above.
+    #[test]
+    fn emitted_and_hand_built_proofs_agree_with_the_general_fraction_checker() {
+        use insitu_types::json::{FromJson, Value};
+        let text = include_str!("../../../tests/corpus/exemplar-proved.json");
+        let Value::Object(case) = Value::parse(text).expect("corpus case is JSON") else {
+            panic!("corpus case is an object");
+        };
+        let cert = SearchCertificate::from_json(&case["certificate"]).expect("certificate parses");
+        let mut proofs: Vec<Proof> = Vec::new();
+        for cut in cert.cuts.iter().chain(&[gomory_example()]) {
+            if let CutProof::Gomory { vars, base_rhs, cut, cut_rhs } = cut {
+                proofs.push((vars.clone(), *base_rhs, cut.clone(), *cut_rhs));
+            }
+        }
+        assert!(proofs.len() > 1, "the exemplar carries Gomory cuts");
+        let (mut accepted, mut rejected) = (0, 0);
+        for proof in &proofs {
+            assert_eq!(agree(proof), Some(true), "emitted proof {proof:?}");
+            for bad in tamperings(proof) {
+                match agree(&bad) {
+                    Some(true) => accepted += 1,
+                    Some(false) => rejected += 1,
+                    None => {}
+                }
+            }
+        }
+        // weakenings pass, strengthenings fail: both sides of the verdict ran
+        assert!(accepted > 10 && rejected > 10, "{accepted} accepted, {rejected} rejected");
     }
 }

@@ -31,6 +31,8 @@
 
 pub mod certificate;
 pub mod fingerprint;
+#[cfg(test)]
+mod fraction;
 pub mod rational;
 pub mod replay;
 pub mod suffix;

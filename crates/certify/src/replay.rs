@@ -12,10 +12,15 @@
 //!
 //! Comparisons against the thresholds are *exact*: the thresholds and all
 //! Table-1 parameters are dyadic rationals (lossless `f64` conversions),
-//! and sums of dyadic rationals are dyadic, so there is no epsilon
-//! anywhere in the feasibility decision. The solver's floating-point
-//! tolerance is accounted for by the *caller* choosing how much slack to
-//! allow in the objective comparison, not by loosening feasibility.
+//! and sums and integer multiples of dyadic rationals are dyadic, so there
+//! is no epsilon anywhere in the feasibility decision — and, `Rat` being a
+//! dyadic type, no gcd or division either: a step of the recursion is a
+//! shift and a checked add per analysis. Paper-shaped runs (seconds up to
+//! ~1e5, bytes up to ~1e13, a few thousand steps) stay far inside the
+//! `i128` window; leaving it is an error, never a wrapped value. The
+//! solver's floating-point tolerance is accounted for by the *caller*
+//! choosing how much slack to allow in the objective comparison, not by
+//! loosening feasibility.
 
 use crate::rational::{Rat, RatError};
 use insitu_types::{Schedule, ScheduleProblem};

@@ -16,13 +16,26 @@
 //!
 //! # Exactness contract
 //!
-//! Every coefficient of every emitted cut is derived in `i128` rational
-//! arithmetic from the *recorded* f64 base row, then rounded **outward**
-//! (coefficients up, right-hand side down) so the recorded
-//! [`CutProof`] dominates the exact GMI inequality — the property
-//! `certify::check_certificate` re-verifies. Anything that cannot be
-//! represented or would overflow simply skips the cut: separation is an
-//! optimization, never a soundness obligation.
+//! Every coefficient of every emitted cut is derived exactly from the
+//! *recorded* f64 base row, then rounded **outward** (coefficients up,
+//! right-hand side down) so the recorded [`CutProof`] dominates the exact
+//! GMI inequality — the property `certify::check_certificate` re-verifies.
+//! Anything that cannot be represented or would overflow simply skips the
+//! cut: separation is an optimization, never a soundness obligation.
+//!
+//! The arithmetic is dyadic (`R`, a numerator over a power of two): an f64
+//! is one, and so is every sum, product and fractional part of the base
+//! row, so aligning is a shift and reducing a `trailing_zeros`. The single
+//! non-dyadic quantity of the GMI formula, `f₀/(1−f₀)`, is the quotient of
+//! two odd numerators `p/q` and is never formed: `min(fⱼ, p/q·(1−fⱼ))` is
+//! decided by `fⱼ ≤ f₀`, and `p/q·t ≤ h` by `p·t ≤ q·h` in 256-bit products
+//! (`RatioTimes`). What is left of the general fraction this replaced is
+//! its window — a row is used exactly where that fraction's lowest terms fit
+//! `i128`, so the pool is the same, cut for cut — and one odd gcd per
+//! ratio-scaled coefficient, because the outward rounding starts from the
+//! quotient of the *reduced* numerator and denominator, each rounded on its
+//! own, and emits that estimate whenever it already lies above the exact
+//! value (starting from the unreduced pair moves ≈2 % of cuts by an ulp).
 //!
 //! Gomory proofs live in the **standard-form column space**: variable
 //! indices below the structural count are model variables, indices beyond
@@ -90,68 +103,47 @@ pub(crate) const CUT_ROUNDS: usize = 8;
 const MAX_CUTS: usize = 64;
 
 // ---------------------------------------------------------------------------
-// exact rational arithmetic (separator-local; the checker in `certify` has
-// its own independent implementation — solver and auditor must not share)
+// exact dyadic arithmetic (separator-local; the checker in `certify` has its
+// own independent implementation — solver and auditor must not share)
 // ---------------------------------------------------------------------------
 
-/// A reduced `i128` rational. Every operation is checked: `None` means
-/// "would overflow", and callers respond by skipping the cut.
+/// An exact dyadic rational `n / 2^k` in lowest terms (`n` odd whenever
+/// `k > 0`, `k <= 126`, `n != i128::MIN`) — which is what an f64 is, and
+/// every sum, product and fractional part of f64s. Aligning is a shift and
+/// reducing a `trailing_zeros`: no gcd, no 128-bit division. Every operation
+/// is checked: `None` means "would overflow", and callers respond by
+/// skipping the cut.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct R {
     /// Numerator (carries the sign).
     n: i128,
-    /// Denominator, always positive.
-    d: i128,
-}
-
-/// `gcd(|a|, |b|)`, at least 1. Unsigned: `|i128::MIN|` has no `i128`.
-/// Binary (shift-and-subtract): nearly every operand pair here has a power
-/// of two on one side — f64s are dyadic — where a 128-bit `%` per step is
-/// the expensive way to count trailing zeros.
-fn gcd(a: i128, b: i128) -> u128 {
-    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
-    if a == 0 || b == 0 {
-        return (a | b).max(1);
-    }
-    let shift = (a | b).trailing_zeros();
-    a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            (a, b) = (b, a);
-        }
-        b -= a;
-        if b == 0 || a == 1 {
-            return a << shift;
-        }
-    }
-}
-
-/// [`gcd`] as a divisor for `i128` operands; `None` only for `2¹²⁷`
-/// (both arguments `i128::MIN`).
-fn gcd_i(a: i128, b: i128) -> Option<i128> {
-    i128::try_from(gcd(a, b)).ok()
+    /// Binary logarithm of the denominator.
+    k: u32,
 }
 
 /// [`R::from_f64`] refuses numerators at or beyond this magnitude — inside
 /// `i128` (`2¹²⁷ ≈ 1.7e38`) with a little room to spare.
 const FROM_F64_LIMIT: u128 = 1.5e38_f64 as u128;
 
-impl R {
-    const ZERO: R = R { n: 0, d: 1 };
-    const ONE: R = R { n: 1, d: 1 };
+/// `n · 2^s` for `s < 128`, `None` when that leaves `i128`.
+fn shl(n: i128, s: u32) -> Option<i128> {
+    let r = n << s;
+    (r >> s == n).then_some(r)
+}
 
-    /// `n / d` in lowest terms with a positive denominator; `None` when
-    /// `d` is zero or a reduced magnitude does not fit `i128` (a `2¹²⁷`
-    /// that came in as `i128::MIN`).
-    fn make(n: i128, d: i128) -> Option<R> {
-        if d == 0 {
-            return None;
+impl R {
+    const ZERO: R = R { n: 0, k: 0 };
+    const ONE: R = R { n: 1, k: 0 };
+
+    /// `n / 2^k` in lowest terms; `None` for the one magnitude (`2¹²⁷`,
+    /// arriving as `i128::MIN`) whose negation has no `i128`.
+    fn make(n: i128, k: u32) -> Option<R> {
+        if n == 0 {
+            return Some(R::ZERO);
         }
-        let g = gcd(n, d);
-        let num = i128::try_from(n.unsigned_abs() / g).ok()?;
-        let den = i128::try_from(d.unsigned_abs() / g).ok()?;
-        Some(R { n: if (n < 0) != (d < 0) { -num } else { num }, d: den })
+        let t = n.trailing_zeros().min(k);
+        let n = n >> t;
+        (n != i128::MIN).then_some(R { n, k: k - t })
     }
 
     /// Exact conversion: every finite f64 is the dyadic rational
@@ -173,19 +165,19 @@ impl R {
         // lowest terms: an odd mantissa over (or times) a power of two
         let tz = mant.trailing_zeros();
         let (mant, exp) = ((mant >> tz) as u128, exp + tz as i32);
-        let (num, den) = if exp >= 0 {
+        let (num, k) = if exp >= 0 {
             // a shift that would push a set bit out is beyond the limit too
             if exp as u32 >= mant.leading_zeros() || mant << exp >= FROM_F64_LIMIT {
                 return None;
             }
-            ((mant << exp) as i128, 1)
+            ((mant << exp) as i128, 0)
         } else {
             if exp < -126 {
                 return None;
             }
-            (mant as i128, 1i128 << -exp)
+            (mant as i128, -exp as u32)
         };
-        Some(R { n: if x < 0.0 { -num } else { num }, d: den })
+        Some(R { n: if x < 0.0 { -num } else { num }, k })
     }
 
     fn is_zero(&self) -> bool {
@@ -193,80 +185,81 @@ impl R {
     }
 
     fn add(&self, o: &R) -> Option<R> {
-        let g = gcd_i(self.d, o.d)?;
-        let (da, db) = (self.d / g, o.d / g);
-        let n = self.n.checked_mul(db)?.checked_add(o.n.checked_mul(da)?)?;
-        R::make(n, self.d.checked_mul(db)?)
+        let k = self.k.max(o.k);
+        R::make(shl(self.n, k - self.k)?.checked_add(shl(o.n, k - o.k)?)?, k)
     }
 
     fn sub(&self, o: &R) -> Option<R> {
-        self.add(&R { n: o.n.checked_neg()?, d: o.d })
+        self.add(&o.neg()?)
     }
 
     fn mul(&self, o: &R) -> Option<R> {
-        // cross-reduce before multiplying to delay overflow
-        let g1 = gcd_i(self.n, o.d)?;
-        let g2 = gcd_i(o.n, self.d)?;
-        let n = (self.n / g1).checked_mul(o.n / g2)?;
-        let d = (self.d / g2).checked_mul(o.d / g1)?;
-        R::make(n, d)
-    }
-
-    fn div(&self, o: &R) -> Option<R> {
-        if o.n == 0 {
+        if self.n == 0 || o.n == 0 {
+            return Some(R::ZERO);
+        }
+        // cancel an even (hence integer) factor against the other side's
+        // denominator first: what overflows then is the reduced result
+        let s1 = self.n.trailing_zeros().min(o.k);
+        let s2 = o.n.trailing_zeros().min(self.k);
+        let k = (self.k - s2) + (o.k - s1);
+        if k > 126 {
             return None;
         }
-        self.mul(&R::make(o.d, o.n)?)
+        R::make((self.n >> s1).checked_mul(o.n >> s2)?, k)
     }
 
     fn neg(&self) -> Option<R> {
-        Some(R { n: self.n.checked_neg()?, d: self.d })
+        Some(R { n: self.n.checked_neg()?, k: self.k })
     }
 
-    /// `⌊self⌋` as a rational.
-    fn floor(&self) -> R {
-        R { n: self.n.div_euclid(self.d), d: 1 }
+    /// Fractional part `self − ⌊self⌋` in `[0, 1)`: the low `k` bits of the
+    /// two's-complement numerator, odd (so already reduced) whenever `k > 0`.
+    fn frac(&self) -> R {
+        R { n: self.n & ((1 << self.k) - 1), k: self.k }
     }
 
-    /// Fractional part in `[0, 1)`.
-    fn frac(&self) -> Option<R> {
-        self.sub(&self.floor())
+    /// Exact comparison. Total: when aligning one side overflows, that side
+    /// is the one of larger magnitude.
+    fn cmp(&self, o: &R) -> std::cmp::Ordering {
+        let signs = self.n.signum().cmp(&o.n.signum());
+        if signs.is_ne() {
+            return signs;
+        }
+        let k = self.k.max(o.k);
+        match (shl(self.n, k - self.k), shl(o.n, k - o.k)) {
+            (Some(a), Some(b)) => a.cmp(&b),
+            // same sign, and only one side is ever shifted
+            (None, _) => self.n.cmp(&0),
+            (_, None) => 0.cmp(&o.n),
+        }
     }
 
-    /// Exact comparison; `None` on overflow of the cross products.
-    fn cmp(&self, o: &R) -> Option<std::cmp::Ordering> {
-        let g1 = gcd_i(self.n, o.n)?;
-        let g2 = gcd_i(self.d, o.d)?;
-        let a = (self.n / g1).checked_mul(o.d / g2)?;
-        let b = (o.n / g1).checked_mul(self.d / g2)?;
-        // dividing both numerators by g1 can flip both signs when g1 "sees"
-        // negative values — it cannot: gcd() returns a positive value.
-        Some(a.cmp(&b))
-    }
-
-    fn le(&self, o: &R) -> Option<bool> {
-        Some(self.cmp(o)? != std::cmp::Ordering::Greater)
-    }
-
-    fn min(&self, o: &R) -> Option<R> {
-        Some(if self.le(o)? { *self } else { *o })
+    fn le(&self, o: &R) -> bool {
+        self.cmp(o).is_le()
     }
 
     fn to_f64(self) -> f64 {
-        self.n as f64 / self.d as f64
+        self.n as f64 / (1i128 << self.k) as f64
     }
 }
 
 /// Smallest f64 `≥ x` reachable within a few ulps of the rounded quotient
 /// (outward rounding for cut coefficients).
 fn f64_at_least(x: &R) -> Option<f64> {
-    let mut f = x.to_f64();
+    at_least_from(x.to_f64(), |f| x.le(f))
+}
+
+/// Walks up from the `estimate` of some exact value until `below(f)` proves
+/// that value `≤ f`. The estimate is within a few ulps of exact; it is
+/// returned as it is when it already lies above, so the emitted double is a
+/// function of the estimate, not only of the value.
+fn at_least_from(estimate: f64, below: impl Fn(&R) -> bool) -> Option<f64> {
+    let mut f = estimate;
     if !f.is_finite() {
         return None;
     }
-    // to_f64 is within a few ulps of exact; walk up until provably >= x
     for _ in 0..8 {
-        if x.le(&R::from_f64(f)?)? {
+        if below(&R::from_f64(f)?) {
             return Some(f);
         }
         f = next_up(f);
@@ -277,6 +270,105 @@ fn f64_at_least(x: &R) -> Option<f64> {
 /// Largest f64 `≤ x` (outward rounding for cut right-hand sides).
 fn f64_at_most(x: &R) -> Option<f64> {
     Some(-f64_at_least(&x.neg()?)?)
+}
+
+/// An unsigned 256-bit integer: wide enough for the product of any two
+/// `i128` magnitudes, which is what cross-multiplying a comparison by the
+/// Gomory ratio's denominator produces.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct U256 {
+    hi: u128,
+    lo: u128,
+}
+
+impl U256 {
+    /// `a · b`, exactly (schoolbook over 64-bit halves).
+    fn product(a: u128, b: u128) -> U256 {
+        const LOW: u128 = u64::MAX as u128;
+        let (a1, a0, b1, b0) = (a >> 64, a & LOW, b >> 64, b & LOW);
+        let (ll, lh, hl, hh) = (a0 * b0, a0 * b1, a1 * b0, a1 * b1);
+        let mid = (ll >> 64) + (lh & LOW) + (hl & LOW);
+        U256 { hi: hh + (lh >> 64) + (hl >> 64) + (mid >> 64), lo: (mid << 64) | (ll & LOW) }
+    }
+
+    /// `self · 2^s` for `s < 128`; `None` when a set bit leaves the top.
+    fn shl(self, s: u32) -> Option<U256> {
+        if s == 0 {
+            return Some(self);
+        }
+        if self.hi >> (128 - s) != 0 {
+            return None;
+        }
+        Some(U256 { hi: self.hi << s | self.lo >> (128 - s), lo: self.lo << s })
+    }
+}
+
+/// The one quantity of the GMI formula that is not dyadic: `p/q · t`, with
+/// `p/q = f₀/(1−f₀)` (the odd numerators of `f₀` and `1−f₀` over their common
+/// power of two) and `t > 0` dyadic. Its outward rounding compares by
+/// cross-multiplying with `q > 0` — no quotient is ever formed.
+struct RatioTimes {
+    p: u128,
+    q: u128,
+    t: R,
+}
+
+impl RatioTimes {
+    /// Exact `p/q · t ≤ h`: multiplied through by `q` and both denominators,
+    /// `p·t.n·2^a ≤ q·h.n·2^b` with one of `a`, `b` zero, the products taken
+    /// 256 bits wide. Total — the side whose shift leaves 256 bits is the
+    /// larger one.
+    fn le(&self, h: &R) -> bool {
+        if h.n <= 0 {
+            return false;
+        }
+        let low = self.t.k.min(h.k);
+        let lhs = U256::product(self.p, self.t.n.unsigned_abs()).shl(h.k - low);
+        let rhs = U256::product(self.q, h.n.unsigned_abs()).shl(self.t.k - low);
+        match (lhs, rhs) {
+            (Some(l), Some(r)) => l <= r,
+            (None, _) => false,
+            (_, None) => true,
+        }
+    }
+
+    /// The quotient of the value's *lowest-terms* numerator and denominator,
+    /// each rounded to f64 on its own: the estimate the general fraction this
+    /// type replaced gave, and `None` exactly where that fraction left
+    /// `i128`. `p`, `q` and `t`'s denominator are coprime in pairs, so the
+    /// only common factor is the odd one `t.n` shares with `q` — one
+    /// subtract-and-shift gcd, the last one on this path, kept because the
+    /// two roundings do not commute with cancelling it.
+    fn estimate(&self) -> Option<f64> {
+        let tn = self.t.n.unsigned_abs();
+        let (mut a, mut c) = (tn >> tn.trailing_zeros(), self.q);
+        while a != c {
+            if a < c {
+                (a, c) = (c, a);
+            }
+            a -= c;
+            a >>= a.trailing_zeros();
+        }
+        let n = i128::try_from(self.p.checked_mul(tn / c)?).ok()?;
+        let d = i128::try_from((self.q / c).checked_mul(1 << self.t.k)?).ok()?;
+        Some(n as f64 / d as f64)
+    }
+
+    /// Whether [`Self::estimate`] exists — answered without the gcd when the
+    /// pair already fits `i128` before anything is cancelled.
+    fn in_window(&self) -> bool {
+        let inside = |n: Option<u128>| n.is_some_and(|n| n <= i128::MAX as u128);
+        let unreduced = inside(self.p.checked_mul(self.t.n.unsigned_abs()))
+            && inside(self.q.checked_mul(1 << self.t.k));
+        unreduced || self.estimate().is_some()
+    }
+
+    /// Outward rounding, like [`f64_at_least`]: the walk starts from
+    /// [`Self::estimate`], which is the emitted coefficient whenever it
+    /// already lies above the exact value.
+    fn at_least(&self) -> Option<f64> {
+        at_least_from(self.estimate()?, |f| self.le(f))
+    }
 }
 
 /// `f64::next_up` (open-coded: stable since 1.86, but spelled out so the
@@ -406,7 +498,7 @@ fn cover_cuts_into(
             let Some(s) = sum.add(&a) else { continue 'rows };
             sum = s;
             cover.push(k);
-            if rhs.le(&sum) == Some(true) && sum != rhs {
+            if rhs.le(&sum) && sum != rhs {
                 covered = true;
                 break;
             }
@@ -421,7 +513,7 @@ fn cover_cuts_into(
             let last = *cover.last().expect("non-empty cover");
             let Some(a) = R::from_f64(terms[last].1) else { continue 'rows };
             let Some(rest) = sum.sub(&a) else { continue 'rows };
-            if rhs.le(&rest) == Some(true) && rest != rhs {
+            if rhs.le(&rest) && rest != rhs {
                 sum = rest;
                 cover.pop();
             } else {
@@ -557,7 +649,7 @@ fn derive_gomory(
     for v in &base {
         bp = bp.sub(&v.exact.0.mul(&v.exact.1)?)?;
     }
-    let f0 = bp.frac()?;
+    let f0 = bp.frac();
     if f0.is_zero() {
         return None;
     }
@@ -565,7 +657,8 @@ fn derive_gomory(
     if !(GOMORY_MIN_FRAC..=1.0 - GOMORY_MIN_FRAC).contains(&f0_f) {
         return None;
     }
-    let ratio = f0.div(&R::ONE.sub(&f0)?)?;
+    // f₀/(1−f₀) = p/q: the two share their power-of-two denominator
+    let (p, q) = (f0.n.unsigned_abs(), R::ONE.sub(&f0)?.n.unsigned_abs());
     // per-variable GMI coefficient in shifted space, rounded outward into
     // the original space; the rhs is f₀ back-shifted by the recorded
     // coefficients, rounded down
@@ -573,15 +666,28 @@ fn derive_gomory(
     let mut target = f0;
     for v in &base {
         let d = if v.at_upper { v.exact.0.neg()? } else { v.exact.0 };
-        let g = if v.int_shift {
-            let fj = d.frac()?;
-            fj.min(&ratio.mul(&R::ONE.sub(&fj)?)?)?
-        } else if R::ZERO.le(&d)? {
-            d
+        let mag = if v.int_shift {
+            // min(fⱼ, p/q·(1−fⱼ)), and fⱼ is the smaller one exactly when
+            // fⱼ ≤ f₀. The row stays inside the window the general fraction
+            // had: it is skipped when the second operand has no `i128`
+            // lowest terms, whether or not the minimum needs it — widening
+            // that changes which cuts exist, so it is not done in passing
+            let fj = d.frac();
+            let alt = RatioTimes { p, q, t: R::ONE.sub(&fj)? };
+            if fj.le(&f0) {
+                if !alt.in_window() {
+                    return None;
+                }
+                f64_at_least(&fj)?
+            } else {
+                alt.at_least()?
+            }
+        } else if d.n >= 0 {
+            f64_at_least(&d)?
         } else {
-            ratio.mul(&d.neg()?)?
+            // p/q·(−d) for a continuous variable with negative d
+            RatioTimes { p, q, t: d.neg()? }.at_least()?
         };
-        let mag = f64_at_least(&g)?;
         let c = if v.at_upper { -mag } else { mag };
         if c != 0.0 {
             cut.push((v.col, c));
@@ -819,29 +925,54 @@ pub(crate) fn separate_root(
     })
 }
 
+/// The general `i128` fraction this module computed with before [`R`] was a
+/// dyadic type, kept as the reference the tests compare against.
+#[cfg(test)]
+#[path = "cuts_oracle.rs"]
+mod oracle;
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{self, gcd, gcd_i, Q};
     use super::*;
     use crate::model::Sense;
+    use proptest::prelude::*;
 
     fn r(x: f64) -> R {
         R::from_f64(x).expect("representable")
     }
 
+    /// The reference fraction with the same value.
+    fn q_of(v: &R) -> Q {
+        Q { n: v.n, d: 1 << v.k }
+    }
+
+    /// `new` and `old` are the same number in the same lowest terms.
+    fn same(new: Option<R>, old: Option<Q>) -> bool {
+        new.map(|v| q_of(&v)) == old
+    }
+
     #[test]
     fn rational_round_trip_and_ops() {
-        assert_eq!(r(0.5), R { n: 1, d: 2 });
-        assert_eq!(r(-2.25).frac().unwrap(), R { n: 3, d: 4 });
+        assert_eq!(r(0.5), R { n: 1, k: 1 });
+        assert_eq!(r(-2.25).frac(), R { n: 3, k: 2 });
         assert_eq!(r(1.5).add(&r(0.25)).unwrap(), r(1.75));
-        assert_eq!(r(1.0).div(&r(3.0)).unwrap(), R { n: 1, d: 3 });
-        assert_eq!(r(7.0).floor(), r(7.0));
+        assert_eq!(r(1.5).mul(&r(0.25)).unwrap(), R { n: 3, k: 3 });
+        assert_eq!(r(6.0).mul(&r(1.25)).unwrap(), r(7.5));
+        assert_eq!(r(7.0).frac(), R::ZERO);
+        assert_eq!(r(0.75).cmp(&r(0.5)), std::cmp::Ordering::Greater);
+        assert!(r(-3.0).le(&r(-2.5)) && r(2.0).le(&r(2.0)) && !r(2.0).le(&r(-2.5)));
         assert!(r(0.1).to_f64() - 0.1 == 0.0); // exact dyadic of the f64 0.1
         assert!(R::from_f64(f64::NAN).is_none());
+        // a comparison whose alignment leaves i128 is still decided
+        let (wide, fine) = (R { n: 1 << 120, k: 0 }, R { n: 1, k: 100 });
+        assert!(fine.le(&wide) && !wide.le(&fine));
+        assert!(wide.neg().unwrap().le(&fine.neg().unwrap()));
     }
 
     /// The conversion `from_f64` replaced: double until integral, then
     /// reduce. Kept here as the oracle for the bit decoder.
-    fn from_f64_by_doubling(x: f64) -> Option<R> {
+    fn from_f64_by_doubling(x: f64) -> Option<Q> {
         if !x.is_finite() {
             return None;
         }
@@ -853,7 +984,7 @@ mod tests {
         if num.abs() >= 1.5e38 {
             return None;
         }
-        R::make(num as i128, den)
+        Q::make(num as i128, den)
     }
 
     #[test]
@@ -875,11 +1006,14 @@ mod tests {
             xs.push(-((state % 1000) as f64) / 64.0);
         }
         for x in xs {
-            assert_eq!(R::from_f64(x), from_f64_by_doubling(x), "x = {x:e}");
+            assert!(same(R::from_f64(x), from_f64_by_doubling(x)), "x = {x:e}");
+            assert_eq!(R::from_f64(x).map(|v| q_of(&v)), Q::from_f64(x), "x = {x:e}");
         }
         assert!(R::from_f64(f64::INFINITY).is_none());
     }
 
+    /// The reference's own gcd (shift-and-subtract) against Euclid — the
+    /// oracle is only as good as its reduction.
     #[test]
     fn binary_gcd_agrees_with_euclid() {
         fn euclid(mut a: u128, mut b: u128) -> u128 {
@@ -912,47 +1046,187 @@ mod tests {
     #[test]
     fn i128_min_never_panics_or_wraps() {
         let min = i128::MIN;
-        // |MIN| = 2¹²⁷ is a u128, not an i128
+        // the reference: |MIN| = 2¹²⁷ is a u128, not an i128
         assert_eq!(gcd(min, min), 1u128 << 127);
-        assert_eq!(gcd(min, 0), 1u128 << 127);
         assert_eq!(gcd(min, 6), 2);
-        assert_eq!(gcd(0, 0), 1);
         assert_eq!(gcd_i(min, min), None);
-        // reduced values that fit are kept, with the sign on the numerator...
-        assert_eq!(R::make(min, 2), Some(R { n: -(1i128 << 126), d: 1 }));
-        assert_eq!(R::make(min, -4), Some(R { n: 1i128 << 125, d: 1 }));
-        assert_eq!(R::make(min, min), Some(R::ONE));
-        // ...and ones that do not are refused instead of wrapping
-        assert_eq!(R::make(min, 1), None);
-        assert_eq!(R::make(min, -1), None);
-        assert_eq!(R::make(min, 3), None);
-        assert_eq!(R::make(1, min), None);
+        assert_eq!(Q::make(min, 2), Some(Q { n: -(1i128 << 126), d: 1 }));
+        assert_eq!(Q::make(min, 1), None);
+        // reduced values that fit are kept...
+        assert_eq!(R::make(min, 1), Some(R { n: -(1i128 << 126), k: 0 }));
+        assert_eq!(R::make(min, 126), Some(R { n: -2, k: 0 }));
+        // ...and the one that does not is refused instead of wrapping
+        assert_eq!(R::make(min, 0), None);
         // a value sitting exactly on MIN flows through every operation as
         // `None` (the cut is skipped) or a correct result
-        let edge = R { n: min, d: 1 };
+        let edge = R { n: min, k: 0 };
+        let half = R { n: 1, k: 1 };
         assert_eq!(edge.neg(), None);
-        assert_eq!(edge.add(&R::ONE), Some(R { n: min + 1, d: 1 }));
+        assert_eq!(edge.add(&R::ONE), Some(R { n: min + 1, k: 0 }));
         assert_eq!(edge.sub(&R::ONE), None);
-        assert_eq!(edge.mul(&R { n: 1, d: 2 }), Some(R { n: -(1i128 << 126), d: 1 }));
+        assert_eq!(R::ONE.sub(&edge), None);
+        assert_eq!(edge.add(&edge), None);
+        assert_eq!(edge.mul(&half), Some(R { n: -(1i128 << 126), k: 0 }));
         assert_eq!(edge.mul(&R::ONE), None);
-        assert_eq!(edge.cmp(&edge), None);
-        assert_eq!(edge.le(&R::ZERO), None);
-        assert_eq!(edge.floor(), edge);
-        assert_eq!(edge.frac(), None);
+        assert_eq!(edge.mul(&R { n: 3, k: 1 }), None);
+        assert_eq!(edge.mul(&R::ZERO), Some(R::ZERO));
+        assert_eq!(edge.cmp(&edge), std::cmp::Ordering::Equal);
+        assert!(edge.le(&R::ZERO) && edge.le(&half.neg().unwrap()) && !R::ZERO.le(&edge));
+        assert_eq!(edge.frac(), R::ZERO);
+        assert_eq!(R { n: min + 1, k: 1 }.frac(), half);
+        assert_eq!(edge.to_f64(), -(2f64.powi(127)));
+        assert!(!RatioTimes { p: 1, q: 3, t: R::ONE }.le(&edge));
     }
 
     #[test]
     fn directed_rounding_brackets_exact_value() {
-        // 1/3 is not a dyadic rational: at_least must round up, at_most down
-        let third = R { n: 1, d: 3 };
-        let up = f64_at_least(&third).unwrap();
-        let down = f64_at_most(&third).unwrap();
-        assert!(third.le(&R::from_f64(up).unwrap()).unwrap());
-        assert!(R::from_f64(down).unwrap().le(&third).unwrap());
-        assert!(down < up, "1/3 is not dyadic, so the bracket is strict");
+        // 1/3 is not a dyadic rational: at_least must land strictly above
+        // it, and one step further down strictly below
+        let third = RatioTimes { p: 1, q: 3, t: R::ONE };
+        let up = third.at_least().unwrap();
+        assert!(third.le(&r(up)));
+        assert!(!third.le(&r(f64::from_bits(up.to_bits() - 1))));
+        assert_eq!(up, 1.0 / 3.0 + f64::EPSILON / 4.0);
+        // a ratio that is dyadic after all (5/4 · 2/5) comes out exact
+        let half = RatioTimes { p: 5, q: 5, t: r(0.5) };
+        assert_eq!(half.at_least().unwrap(), 0.5);
         // exactly representable values pass through unchanged
         assert_eq!(f64_at_least(&r(0.75)).unwrap(), 0.75);
         assert_eq!(f64_at_most(&r(0.75)).unwrap(), 0.75);
+        // and 2⁻⁶⁰ + 1 rounds away from the value on either side
+        let fine = r(1.0).add(&R { n: 1, k: 60 }).unwrap();
+        assert_eq!(f64_at_least(&fine).unwrap(), 1.0 + f64::EPSILON);
+        assert_eq!(f64_at_most(&fine).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn wide_products_and_shifts_are_exact() {
+        let max = u128::MAX;
+        assert_eq!(U256::product(0, max), U256 { hi: 0, lo: 0 });
+        assert_eq!(U256::product(3, 5), U256 { hi: 0, lo: 15 });
+        // (2¹²⁸ − 1)² = 2²⁵⁶ − 2¹²⁹ + 1
+        assert_eq!(U256::product(max, max), U256 { hi: max - 1, lo: 1 });
+        assert_eq!(U256::product(1 << 100, 1 << 100), U256 { hi: 1 << 72, lo: 0 });
+        let v = U256 { hi: 1, lo: (1 << 127) | 1 };
+        assert_eq!(v.shl(0), Some(v));
+        assert_eq!(v.shl(1), Some(U256 { hi: 3, lo: 2 }));
+        assert_eq!(v.shl(126), Some(U256 { hi: (1 << 126) | (1 << 125), lo: 1 << 126 }));
+        assert_eq!(U256 { hi: 2, lo: 0 }.shl(127), None);
+        assert!(U256 { hi: 1, lo: 0 } > U256 { hi: 0, lo: max });
+    }
+
+    /// One `f64` from the families the separator meets or must refuse: full
+    /// 53-bit mantissas at exponents across (and past) the window, integers
+    /// near `2⁵³` and `9e15`, small integers and halves, subnormals, zeros.
+    fn arb_f64() -> impl Strategy<Value = f64> {
+        (0u8..8, 0..=u64::MAX, -130i32..=130).prop_map(|(family, bits, exp)| {
+            let unit = ((bits >> 11) | 1 << 52) as f64 / (1u64 << 52) as f64; // [1, 2)
+            let sign = if bits & 1 == 1 { -1.0 } else { 1.0 };
+            match family {
+                0 | 1 => sign * unit * 2f64.powi(exp),
+                2 => sign * unit * 2f64.powi(exp / 8),
+                3 => sign * (((1u64 << 53) - 1 - (bits >> 60)) as f64),
+                4 => sign * (9.0e15 + (bits >> 58) as f64),
+                5 => sign * ((bits >> 56) as f64) / 2.0,
+                6 => sign * f64::from_bits(bits >> 12), // subnormal
+                _ => sign * 0.0,
+            }
+        })
+    }
+
+    /// A dyadic of 1 to 100 significant bits over a denominator up to 2¹⁰⁰.
+    fn arb_dyadic() -> impl Strategy<Value = R> {
+        (0..=u64::MAX, 0..=u64::MAX, 1u32..=100, 0u32..=100, any::<bool>()).prop_map(
+            |(hi, lo, bits, k, negative)| {
+                let n = (((hi as i128) << 64 | lo as i128) & i128::MAX) >> (127 - bits);
+                R::make(if negative { -n } else { n }, k).expect("not i128::MIN")
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A random program of sums, differences and products over random
+        /// doubles, run on the dyadic type and on the general fraction it
+        /// replaced: every intermediate is the same reduced pair or `None`
+        /// on both sides, rounds to the same double, has the same fractional
+        /// part, and orders the same wherever the reference can order at all
+        /// (its comparison reduces by a gcd of the numerators before it
+        /// multiplies; the dyadic one is total).
+        #[test]
+        fn dyadic_ops_agree_with_the_general_fraction(
+            inputs in prop::collection::vec(arb_f64(), 2..6),
+            program in prop::collection::vec((0u8..4, 0usize..64, 0usize..64), 1..24),
+        ) {
+            let mut vals: Vec<(R, Q)> = Vec::new();
+            for &x in &inputs {
+                let (new, old) = (R::from_f64(x), Q::from_f64(x));
+                prop_assert!(same(new, old), "from_f64({x:e}): {new:?} vs {old:?}");
+                vals.extend(new.zip(old));
+            }
+            prop_assume!(!vals.is_empty());
+            for &(op, i, j) in &program {
+                let ((a, qa), (b, qb)) = (vals[i % vals.len()], vals[j % vals.len()]);
+                let (new, old) = match op {
+                    0 => (a.add(&b), qa.add(&qb)),
+                    1 => (a.sub(&b), qa.sub(&qb)),
+                    2 => (a.mul(&b), qa.mul(&qb)),
+                    _ => (a.neg(), qa.neg()),
+                };
+                prop_assert!(same(new, old), "op {op} on {a:?}, {b:?}: {new:?} vs {old:?}");
+                if let Some(order) = qa.cmp(&qb) {
+                    prop_assert_eq!(a.cmp(&b), order, "cmp of {:?} and {:?}", a, b);
+                    prop_assert_eq!(Some(a.le(&b)), qa.le(&qb));
+                }
+                if let Some(frac) = qa.frac() {
+                    prop_assert!(same(Some(a.frac()), Some(frac)), "frac({a:?})");
+                    prop_assert!(same(a.sub(&a.frac()), Some(qa.floor())), "floor({a:?})");
+                }
+                prop_assert_eq!(a.to_f64().to_bits(), qa.to_f64().to_bits());
+                // outward rounding walks by comparisons, so it too can only
+                // be pinned where the reference's comparisons went through
+                if let Some(up) = oracle::f64_at_least(&qa) {
+                    prop_assert_eq!(f64_at_least(&a), Some(up), "at_least({:?})", a);
+                }
+                if let Some(down) = oracle::f64_at_most(&qa) {
+                    prop_assert_eq!(f64_at_most(&a), Some(down), "at_most({:?})", a);
+                }
+                vals.extend(new.zip(old));
+            }
+        }
+
+        /// `p/q · t` compared and rounded by cross-multiplication against the
+        /// materialized, reduced `ratio.mul(t)`: the same double out of the
+        /// outward rounding wherever the reference produced one, `None`
+        /// wherever its lowest terms left `i128`, the same order against
+        /// bounds hugging the value.
+        #[test]
+        fn ratio_rounding_agrees_with_the_materialized_ratio(
+            f0 in arb_dyadic(), t in arb_dyadic(), h in arb_dyadic(), nudge in -2i64..=2,
+        ) {
+            let (f0, t) = (f0.frac(), if t.n < 0 { t.neg().unwrap() } else { t });
+            prop_assume!(!f0.is_zero() && !t.is_zero());
+            let one_minus = R::ONE.sub(&f0).unwrap();
+            let scaled = RatioTimes { p: f0.n.unsigned_abs(), q: one_minus.n.unsigned_abs(), t };
+            let ratio = q_of(&f0).div(&q_of(&one_minus)).unwrap();
+            prop_assert_eq!((ratio.n as u128, ratio.d as u128), (scaled.p, scaled.q));
+            let exact = ratio.mul(&q_of(&t));
+            prop_assert_eq!(scaled.in_window(), exact.is_some());
+            let Some(exact) = exact else {
+                prop_assert_eq!(scaled.at_least(), None, "lowest terms overflow: no estimate");
+                return Ok(());
+            };
+            if let Some(up) = oracle::f64_at_least(&exact) {
+                prop_assert_eq!(scaled.at_least(), Some(up));
+            }
+            let near = f64::from_bits((exact.to_f64().to_bits() as i64 + nudge) as u64);
+            for h in [Some(h), R::from_f64(near)].into_iter().flatten() {
+                if let Some(decided) = exact.le(&q_of(&h)) {
+                    prop_assert_eq!(scaled.le(&h), decided, "{:?} vs {:?}", exact, h);
+                }
+            }
+        }
     }
 
     fn knapsack() -> Model {
@@ -1105,5 +1379,107 @@ mod tests {
         let b = run();
         assert_eq!(a.proofs, b.proofs, "root pool must be bitwise reproducible");
         assert_eq!(a.relax.objective.to_bits(), b.relax.objective.to_bits());
+    }
+
+    /// A scheduling-shaped model (the aggregate formulation's skeleton): per
+    /// analysis a run binary, integer execution and output counts tied to it,
+    /// and one or two knapsack rows with measured-looking coefficients — the
+    /// family whose tight budgets keep the root LP fractional.
+    fn schedule_shaped(seed: u64) -> Model {
+        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let mut m = Model::new(Sense::Maximize);
+        let (mut obj, mut time, mut mem) = (LinExpr::new(), LinExpr::new(), LinExpr::new());
+        let (mut cost, mut peak) = (0.0, 0.0);
+        for i in 0..2 + (seed % 3) as usize {
+            let kmax = 1.0 + (unit() * 5.0).floor();
+            let run = m.binary(&format!("run_{i}"));
+            let k = m.int_var(&format!("k_{i}"), 0.0, kmax);
+            let q = m.int_var(&format!("q_{i}"), 0.0, kmax);
+            m.add_con(LinExpr::var(k).term(run, -kmax), Cmp::Le, 0.0);
+            m.add_con(LinExpr::var(run).term(k, -1.0), Cmp::Le, 0.0);
+            m.add_con(LinExpr::var(q).term(k, -1.0), Cmp::Le, 0.0);
+            m.add_con(LinExpr::var(q).scale(2.0).term(k, -1.0), Cmp::Ge, 0.0);
+            let (ft, ct, ot) = (unit(), unit() * 4.0, unit() * 2.0);
+            time = time.term(run, ft).term(k, ct).term(q, ot);
+            cost += ft + kmax * (ct + ot);
+            let fm = unit() * 30.0;
+            mem = mem.term(run, fm);
+            peak += fm;
+            obj = obj.term(run, 1.0).term(k, 0.5 + (unit() * 6.0).floor() * 0.5);
+        }
+        m.add_con(time, Cmp::Le, cost * (0.05 + 0.35 * unit()));
+        if seed.is_multiple_of(2) {
+            m.add_con(mem.scale(1.0 / peak), Cmp::Le, 0.1 + 0.8 * unit());
+        }
+        m.set_objective(obj);
+        m
+    }
+
+    /// Runs `derive_gomory` and the general-fraction derivation it replaced
+    /// on every eligible tableau row of `model`'s LP optimum, demands equal
+    /// candidates, then appends the cuts and goes again (later rounds read
+    /// denser rows with longer mantissas). Returns (rows compared, cuts).
+    fn compare_derivations(model: &Model, rounds: usize) -> (usize, usize) {
+        let opts = SolveOptions::default();
+        let mut model = model.clone();
+        let (mut rows, mut cuts) = (0, 0);
+        for _ in 0..rounds {
+            let sf = StandardForm::from_model(&model).unwrap();
+            let Ok((_, point)) = solve_lowered(&sf, &opts, None) else { break };
+            let Some(mut view) = TableauView::new(&sf, &point.basis) else { break };
+            let integral: Vec<bool> =
+                model.vars.iter().map(|v| v.kind == VarKind::Integer).collect();
+            let mut alpha = Vec::new();
+            let mut found = Vec::new();
+            for r in 0..view.nrows() {
+                let j0 = view.basic_col(r);
+                if j0 >= sf.n_struct || !integral[j0] {
+                    continue;
+                }
+                let beta = view.row(r, &mut alpha);
+                let new = derive_gomory(&model, &sf, &view, &alpha, beta, &integral, &point.x);
+                let old =
+                    oracle::derive_gomory(&model, &sf, &view, &alpha, beta, &integral, &point.x);
+                rows += 1;
+                match (&new, &old) {
+                    (None, None) => {}
+                    (Some(n), Some(o)) => {
+                        assert_eq!(n.proof, o.proof, "row {r}");
+                        assert_eq!(n.key, o.key, "row {r}");
+                        assert_eq!(n.con.expr, o.con.expr, "row {r}");
+                        assert_eq!(n.con.rhs.to_bits(), o.con.rhs.to_bits(), "row {r}");
+                        assert!(matches!(n.con.cmp, Cmp::Ge) && matches!(o.con.cmp, Cmp::Ge));
+                        assert_eq!(n.violation.to_bits(), o.violation.to_bits(), "row {r}");
+                        assert!(n.gomory && o.gomory);
+                    }
+                    _ => panic!("row {r}: {new:?} vs {old:?}"),
+                }
+                found.extend(new);
+            }
+            if found.is_empty() {
+                break;
+            }
+            cuts += found.len();
+            model.cons.extend(found.into_iter().map(|c| c.con));
+        }
+        (rows, cuts)
+    }
+
+    #[test]
+    fn derive_gomory_matches_the_general_fraction_derivation() {
+        let (mut rows, mut cuts) = compare_derivations(&fractional_pair(), 4);
+        for seed in 1..=200 {
+            let (r, c) = compare_derivations(&schedule_shaped(seed), 4);
+            rows += r;
+            cuts += c;
+        }
+        assert!(rows > 1000 && cuts > 300, "only {rows} rows compared, {cuts} cuts derived");
     }
 }

@@ -434,6 +434,19 @@ pub fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus")
 }
 
+/// Every `*.json` case file in the corpus, sorted by name.
+pub fn corpus_files() -> Vec<std::path::PathBuf> {
+    let dir = corpus_dir();
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    files.sort();
+    files
+}
+
 /// Writes a (shrunk) failing case into the corpus and returns its path.
 pub fn write_corpus_case(name: &str, contents: &str) -> std::path::PathBuf {
     let dir = corpus_dir();

@@ -152,3 +152,62 @@ fn schedule_permutation_round_trips_on_fuzz_instances() {
         assert_eq!(round, sched, "case {case}: permutation round-trip broke");
     }
 }
+
+/// The fingerprint is a cache key and a trace id, so its bits are a
+/// contract: `write_f64` hashes the reduced numerator/denominator of every
+/// exactly representable input and the raw bits of every other one. Pinned
+/// (at commit b860911, before `certify::Rat` became a dyadic type) for
+/// every corpus instance, for inputs at the edges of the exact-conversion
+/// window, and — as one digest — for the 200-instance fuzz corpus.
+#[test]
+fn fingerprint_bits_are_pinned() {
+    let mut got: Vec<(String, String)> = Vec::new();
+    for path in fuzz::corpus_files() {
+        let text = std::fs::read_to_string(&path).expect("readable corpus case");
+        let (problem, _, _) = fuzz::parse_case(&text).expect("corpus case parses");
+        let name = path.file_name().expect("file name").to_string_lossy().into_owned();
+        got.push((name, fingerprint(&problem).to_hex()));
+    }
+    // one field at each edge of the window: inside it the reduced pair is
+    // hashed (tag 1), outside it the bit pattern (tag 2)
+    let edges: [(&str, f64); 8] = [
+        ("0.0", 0.0),
+        ("-0.0", -0.0),
+        ("5e-324", 5e-324),
+        ("1e-30", 1e-30),
+        ("2^-126", 2f64.powi(-126)),
+        ("2^-127", 2f64.powi(-127)),
+        ("1e300", 1e300),
+        ("f64::MAX", f64::MAX),
+    ];
+    for (name, x) in edges {
+        let mut p = fuzz::gen_problem(&mut case_rng(20_150_815, 0), 0);
+        p.analyses[0].compute_time = x;
+        p.resources.mem_threshold = x;
+        got.push((format!("edge {name}"), fingerprint(&p).to_hex()));
+    }
+    let mut digest = 0u128;
+    for case in 0..200 {
+        let p = fuzz::gen_problem(&mut case_rng(20_150_815, case), case);
+        digest = digest.rotate_left(7) ^ fingerprint(&p).0;
+    }
+    got.push(("fuzz corpus digest".into(), format!("{digest:032x}")));
+
+    let want = [
+        ("adaptive-remaining-budget.json", "71b17245d25fb047da681e7c7f5d1dce"),
+        ("exemplar-proved.json", "9c2048cca3134cf66172564a8a2b3c11"),
+        ("proptest-regression-664cd834.json", "0b5a02348883ec81a40bf2c15170b532"),
+        ("regression-cm-accumulation.json", "be2f82c9017560659b64b682a1433da7"),
+        ("edge 0.0", "d94faf7e7016a9d2ae08e5d8a8d87aab"),
+        ("edge -0.0", "d94faf7e7016a9d2ae08e5d8a8d87aab"),
+        ("edge 5e-324", "740a9de3eeaaad1f15ba07ef062f70cb"),
+        ("edge 1e-30", "27647b4474e3babce71a25ccec1b64d3"),
+        ("edge 2^-126", "d058fe9f7fc857f9f8a69ccbbd56742b"),
+        ("edge 2^-127", "555190bcf3984eceee2170bd73b1fcdb"),
+        ("edge 1e300", "b7e7659308a7d1981ba3125a38f4b6db"),
+        ("edge f64::MAX", "da6110415ebd3c3e98cba1bd0ba3d59b"),
+        ("fuzz corpus digest", "f73e9c6b542ee93f7c82f2d4b18530d3"),
+    ];
+    let got: Vec<(&str, &str)> = got.iter().map(|(n, h)| (n.as_str(), h.as_str())).collect();
+    assert_eq!(got, want, "fingerprint bits moved");
+}

@@ -57,14 +57,7 @@ fn differential_fuzz() {
 /// fuzz failures alike — must pass the full differential check today.
 #[test]
 fn corpus_replays_clean() {
-    let dir = fuzz::corpus_dir();
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    entries.sort();
+    let entries = fuzz::corpus_files();
     assert!(
         !entries.is_empty(),
         "tests/corpus must contain at least the seeded regression cases"
