@@ -4,14 +4,17 @@
 //!
 //! The input schema is auto-detected:
 //!
-//! * `obs/timeline/v1` — a tracer timeline (written by `obs_smoke`, the
-//!   runtime's `--trace` flags, or a flight-recorder dump's sibling):
-//!   printed as a span tree with durations, trace ids and tags. A
+//! * `obs/timeline/v1` — a tracer timeline (`Timeline::to_json_string`:
+//!   the repo benchmark's `--trace 1` writes one per workload to
+//!   `benchmark/out/<workload>.trace.json`, `examples/md_insitu.rs`
+//!   writes one per run): printed as a span tree with durations, trace
+//!   ids and tags. A
 //!   warning line reports the exact dropped-record count whenever the
 //!   tracer overflowed, because a lossy tree is easy to misread as a
 //!   complete one.
-//! * `milp/searchtrace/v1` — a branch-&-bound search trace (see
-//!   `milp::SearchTrace`): printed via its own text-tree renderer.
+//! * `milp/searchtrace/v1` — a branch-&-bound search trace
+//!   (`milp::SearchTrace::to_json_string`, built from any reply's or
+//!   solve's search certificate): printed via its own text-tree renderer.
 //!
 //! `--chrome OUT.json` additionally writes the Chrome trace-event array
 //! for `chrome://tracing` / `ui.perfetto.dev`; for timelines this is the
@@ -205,6 +208,30 @@ fn render_timeline(tl: &Timeline) -> String {
     out
 }
 
+/// Renders one artifact: the text tree to print and the Chrome
+/// trace-event array `--chrome` writes. `Err` is the message for a
+/// document that is not JSON, has an unsupported schema, or is malformed.
+fn render(text: &str) -> Result<(String, String), String> {
+    let value = Value::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+    match value.get("schema").and_then(Value::as_str).unwrap_or("") {
+        obs::TIMELINE_SCHEMA => {
+            let tl = timeline_from_json(&value)
+                .map_err(|e| format!("malformed {}: {e}", obs::TIMELINE_SCHEMA))?;
+            Ok((render_timeline(&tl), tl.to_chrome_trace_string()))
+        }
+        milp::SEARCHTRACE_SCHEMA => {
+            let trace = milp::SearchTrace::from_json(text)
+                .map_err(|e| format!("malformed {}: {e}", milp::SEARCHTRACE_SCHEMA))?;
+            Ok((trace.to_text_tree(), trace.to_chrome_trace_string()))
+        }
+        other => Err(format!(
+            "unsupported schema `{other}` (expected {} or {})",
+            obs::TIMELINE_SCHEMA,
+            milp::SEARCHTRACE_SCHEMA
+        )),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut input = None;
@@ -240,42 +267,54 @@ fn main() {
         eprintln!("trace_view: cannot read {input}: {e}");
         std::process::exit(2);
     });
-    let value = Value::parse(&text).unwrap_or_else(|e| {
-        eprintln!("trace_view: {input} is not valid JSON: {e}");
+    let (tree, chrome) = render(&text).unwrap_or_else(|e| {
+        eprintln!("trace_view: {input}: {e}");
         std::process::exit(2);
     });
-    let schema = value.get("schema").and_then(Value::as_str).unwrap_or("");
-    let chrome = match schema {
-        obs::TIMELINE_SCHEMA => {
-            let tl = timeline_from_json(&value).unwrap_or_else(|e| {
-                eprintln!("trace_view: malformed {}: {e}", obs::TIMELINE_SCHEMA);
-                std::process::exit(2);
-            });
-            print!("{}", render_timeline(&tl));
-            tl.to_chrome_trace_string()
-        }
-        milp::SEARCHTRACE_SCHEMA => {
-            let trace = milp::SearchTrace::from_json(&text).unwrap_or_else(|e| {
-                eprintln!("trace_view: malformed {}: {e}", milp::SEARCHTRACE_SCHEMA);
-                std::process::exit(2);
-            });
-            print!("{}", trace.to_text_tree());
-            trace.to_chrome_trace_string()
-        }
-        other => {
-            eprintln!(
-                "trace_view: unsupported schema `{other}` (expected {} or {})",
-                obs::TIMELINE_SCHEMA,
-                milp::SEARCHTRACE_SCHEMA
-            );
-            std::process::exit(2);
-        }
-    };
+    print!("{tree}");
     if let Some(path) = chrome_out {
         std::fs::write(&path, chrome).unwrap_or_else(|e| {
             eprintln!("trace_view: cannot write {path}: {e}");
             std::process::exit(2);
         });
         println!("chrome trace written to {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn searchtrace_document_renders_as_tree_and_chrome_array() {
+        let node = |id, parent, depth, action, objective| milp::TraceNode {
+            id,
+            parent,
+            depth,
+            lp_bound: 7.5,
+            action,
+            objective,
+        };
+        let trace = milp::SearchTrace {
+            objective: 7.0,
+            dual_bound: 7.5,
+            maximize: true,
+            total_nodes: 5,
+            total_cuts: 2,
+            cap: 3,
+            nodes: vec![
+                node(0, None, 0, "branched", None),
+                node(1, Some(0), 1, "integral", Some(7.0)),
+                node(2, Some(0), 1, "pruned-bound", None),
+            ],
+        };
+        let (tree, chrome) = render(&trace.to_json_string()).expect("searchtrace renders");
+        assert_eq!(tree, trace.to_text_tree());
+        assert!(tree.starts_with(milp::SEARCHTRACE_SCHEMA));
+        assert!(tree.contains("└─ #2 bound=7.5 pruned-bound"), "{tree}");
+        assert!(tree.contains("2 deeper nodes not sampled"), "{tree}");
+        let events = Value::parse(&chrome).expect("chrome export is JSON");
+        // one frame per sampled node plus the process_name metadata record
+        assert_eq!(events.as_array().map(<[Value]>::len), Some(4));
     }
 }

@@ -7,8 +7,6 @@ pub mod ablation;
 pub mod fig2_interp;
 pub mod fig4_profiles;
 pub mod fig5_moldable;
-pub mod service_bench;
-pub mod sim_bench;
 pub mod table4_postproc;
 pub mod table5_threshold;
 pub mod table6_total;

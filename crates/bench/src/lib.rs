@@ -1,8 +1,9 @@
 //! Benchmark & reproduction harness.
 //!
 //! `reproduce_all` prints every paper table/figure (`--only <section>`
-//! for one; the other binaries in `src/bin/` are sweeps and CI smoke
-//! stages), backed by this library:
+//! for one) and `trace_view` renders recorded trace artifacts; performance
+//! is gated by the repo benchmark (`BENCHMARK.json`, `benchmark/`), not
+//! here. The tables are backed by this library:
 //!
 //! * [`measure`] — runs the *real* mdsim/amrsim kernels at laptop scale and
 //!   extracts per-element unit costs (the workspace's HPM profiling pass),

@@ -99,9 +99,9 @@ impl Recommendation {
             "advisor.total_outputs",
             self.output_counts.iter().sum::<usize>() as u64,
         );
-        registry.observe("advisor.objective", self.objective);
-        registry.observe("advisor.predicted_time_s", self.predicted_time);
-        registry.observe(
+        registry.observe_hist("advisor.objective", self.objective);
+        registry.observe_hist("advisor.predicted_time_s", self.predicted_time);
+        registry.observe_hist(
             "advisor.budget_utilization",
             self.report.budget_utilization(),
         );

@@ -200,18 +200,19 @@ impl RunReport {
         }
     }
 
-    /// Exports the run's measured costs into an [`obs::Registry`]:
-    /// `run.sim_s` / `run.analysis_s` meters, per-analysis
-    /// `run.analysis.<name>.{setup_s, per_step_s, analyze_s, output_s}`
-    /// and the per-kernel attribution under `run.kernel.*`.
+    /// Exports the run's measured costs into an [`obs::Registry`], one
+    /// histogram observation per run each: `run.sim_s`, `run.analysis_s`
+    /// and `run.analysis.<name>.{setup_s, per_step_s, analyze_s, output_s}`
+    /// per analysis, next to its `analyze_count` / `output_count`
+    /// counters, plus the per-kernel attribution under `run.kernel.*`.
     pub fn export_into(&self, registry: &obs::Registry) {
-        registry.observe("run.sim_s", self.sim_time);
-        registry.observe("run.analysis_s", self.total_analysis_time());
+        registry.observe_hist("run.sim_s", self.sim_time);
+        registry.observe_hist("run.analysis_s", self.total_analysis_time());
         for t in &self.analysis_times {
-            registry.observe(&format!("run.analysis.{}.setup_s", t.name), t.setup);
-            registry.observe(&format!("run.analysis.{}.per_step_s", t.name), t.per_step);
-            registry.observe(&format!("run.analysis.{}.analyze_s", t.name), t.analyze);
-            registry.observe(&format!("run.analysis.{}.output_s", t.name), t.output);
+            registry.observe_hist(&format!("run.analysis.{}.setup_s", t.name), t.setup);
+            registry.observe_hist(&format!("run.analysis.{}.per_step_s", t.name), t.per_step);
+            registry.observe_hist(&format!("run.analysis.{}.analyze_s", t.name), t.analyze);
+            registry.observe_hist(&format!("run.analysis.{}.output_s", t.name), t.output);
             registry.add(
                 &format!("run.analysis.{}.analyze_count", t.name),
                 t.analyze_count as u64,
@@ -1008,7 +1009,8 @@ mod tests {
         report.export_into(&reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("run.kernel.toy.step.calls"), Some(3));
-        assert!(snap.meter("run.sim_s").is_some());
+        assert_eq!(snap.hist("run.sim_s").unwrap().count, 1);
+        assert_eq!(snap.hist("run.kernel.toy.step.wall_s").unwrap().max, 0.75);
     }
 
     use insitu_types::{AnalysisProfile, ResourceConfig, ScheduleProblem};

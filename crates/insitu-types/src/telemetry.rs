@@ -4,7 +4,8 @@
 //! how many threads it used, how the work was chunked and how long the
 //! ordered merge of partial results took. The records accumulate on the
 //! owning state (`System`, `FlashSim`) or kernel struct and surface in the
-//! bench tables and `BENCH_sim.json`.
+//! coupler's `RunReport`, from which the repo benchmark reads its
+//! `mdsim.*`, `amrsim.*` and `parallel.*` layer metrics.
 
 use crate::json::Value;
 use std::collections::BTreeMap;
@@ -70,8 +71,9 @@ impl KernelTelemetry {
 
     /// Adds scratch-pool activity to `kernel` without counting a call.
     /// Kernels call this right after [`KernelTelemetry::record`] with the
-    /// pool-counter delta of the invocation, so `BENCH_sim.json` can show
-    /// steady-state allocations reaching zero.
+    /// pool-counter delta of the invocation, so a run report can show
+    /// steady-state allocations reaching zero (`mdsim.scratch_allocs` in
+    /// `BENCHMARK.json`).
     pub fn record_scratch(&mut self, kernel: &str, allocs: usize, reuses: usize) {
         let r = self.kernels.entry(kernel.to_string()).or_default();
         r.scratch_allocs += allocs;
@@ -134,29 +136,16 @@ impl KernelTelemetry {
     }
 
     /// Exports every kernel record into an [`obs::Registry`] under
-    /// `<prefix>.<kernel>.{calls, wall_s, merge_s}` — the adapter that
-    /// lets simulation kernels report through the same sink as the
-    /// solver and the coupler.
+    /// `<prefix>.<kernel>.*` — the adapter that lets simulation kernels
+    /// report through the same sink as the solver and the coupler:
+    /// `calls` adds to a counter, and the record's total `wall_s` and
+    /// `merge_s` are one histogram observation each per export (the
+    /// record keeps sums, not samples, so nothing finer is invented).
     pub fn export_into(&self, prefix: &str, registry: &obs::Registry) {
         for (name, r) in &self.kernels {
             registry.add(&format!("{prefix}.{name}.calls"), r.calls as u64);
-            if r.calls > 0 {
-                let mean = r.wall_s / r.calls as f64;
-                registry.observe_agg(
-                    &format!("{prefix}.{name}.wall_s"),
-                    r.wall_s,
-                    r.calls as u64,
-                    mean,
-                    mean,
-                );
-                registry.observe_agg(
-                    &format!("{prefix}.{name}.merge_s"),
-                    r.merge_s,
-                    r.calls as u64,
-                    r.merge_s / r.calls as f64,
-                    r.merge_s / r.calls as f64,
-                );
-            }
+            registry.observe_hist(&format!("{prefix}.{name}.wall_s"), r.wall_s);
+            registry.observe_hist(&format!("{prefix}.{name}.merge_s"), r.merge_s);
         }
     }
 
@@ -180,8 +169,7 @@ impl KernelTelemetry {
         out
     }
 
-    /// JSON object keyed by kernel name (the `kernels` field of
-    /// `BENCH_sim.json`).
+    /// JSON object keyed by kernel name.
     pub fn to_json(&self) -> Value {
         let mut root = BTreeMap::new();
         for (name, r) in &self.kernels {
@@ -255,9 +243,10 @@ mod tests {
         t.export_into("sim", &reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sim.md.force.calls"), Some(2));
-        let wall = snap.meter("sim.md.force.wall_s").unwrap();
-        assert_eq!(wall.count, 2);
-        assert!((wall.sum - 0.8).abs() < 1e-12);
+        // the record's total, as measured: one observation per export
+        let wall = snap.hist("sim.md.force.wall_s").unwrap();
+        assert_eq!((wall.count, wall.min, wall.max), (1, 0.5 + 0.3, 0.5 + 0.3));
+        assert_eq!(snap.hist("sim.md.force.merge_s").unwrap().max, 0.2);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! dropped — also enters the ring) and to a
 //! [`Registry`](crate::Registry) with
 //! [`Registry::attach_flight`](crate::Registry::attach_flight)
-//! (counter increments enter as deltas).
+//! (nonzero counter increments enter as deltas).
 
 use crate::json::{push_str_lit, push_u64};
 use crate::registry::Snapshot;
@@ -138,7 +138,7 @@ impl FlightRecorder {
     ///
     /// `fingerprint` and `verdict` name the offending request when the
     /// dump was triggered by one (certify-reject, `INVALID`, solver
-    /// error); `registry` attaches a counter/meter/histogram snapshot.
+    /// error); `registry` attaches a counter/histogram snapshot.
     /// The document parses with any JSON parser
     /// (`insitu_types::json::Value::parse` in this workspace's tests).
     pub fn dump(
@@ -260,7 +260,10 @@ mod tests {
         let reg = Registry::new();
         reg.attach_flight(fr.clone());
         reg.add("service.requests", 1);
+        // a zero increment registers the counter but is not an event
+        reg.add("milp.hint_accepted", 0);
         reg.add("service.certify_rejects", 1);
+        assert_eq!(reg.snapshot().counter("milp.hint_accepted"), Some(0));
         let entries = fr.entries();
         assert_eq!(entries.len(), 2);
         assert!(matches!(

@@ -23,7 +23,7 @@
 //!
 //! The JSON export is the `obs/hist/v1` schema documented in
 //! `docs/OBSERVABILITY.md`; [`crate::Registry`] stores named `Hist`s
-//! next to its counters and meters.
+//! next to its counters.
 
 use crate::json::{push_f64, push_i64, push_str_lit, push_u64};
 use std::collections::BTreeMap;
@@ -268,8 +268,11 @@ mod tests {
             h.observe(v);
         }
         values.sort_by(f64::total_cmp);
+        let mut prev = f64::NEG_INFINITY;
         for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
             let est = h.quantile(q).unwrap();
+            assert!(est >= prev, "quantiles must be monotone in q");
+            prev = est;
             let rank = ((q * values.len() as f64).ceil() as usize).max(1);
             let truth = values[rank - 1];
             assert!(est >= truth, "q={q}: est {est} < true {truth}");

@@ -8,7 +8,7 @@
 //! is the meeting point: a **std-only, zero-dependency** tracing and
 //! metrics layer the rest of the workspace adopts.
 //!
-//! Five pieces:
+//! Six pieces:
 //!
 //! * [`Tracer`] — cheap span/event recording: monotonic timestamps from a
 //!   per-tracer epoch, thread-id tagging, automatic parenting through a
@@ -16,12 +16,12 @@
 //!   drop counter, so overload is observable instead of silent and the
 //!   hot path never reallocates. [`TraceHandle`] is the cloneable
 //!   embed-anywhere form (a disabled handle is a no-op).
-//! * [`Registry`] — one sink for counters, meters (count/sum/min/max)
-//!   and latency histograms, with deterministic snapshots, a plain-text
-//!   table and a JSON export. `KernelTelemetry`, `LpTelemetry` and
-//!   `SolveStats` all gain `export_into(&Registry)` adapters in their own
-//!   crates, so a coupled run, a solve and the bench binaries report
-//!   through this one sink.
+//! * [`Registry`] — one sink for the two metric kinds, counters and
+//!   histograms, with deterministic snapshots, a plain-text table and a
+//!   JSON export. `KernelTelemetry`, `SolveStats`, `RunReport` and
+//!   `Recommendation` each have an `export_into(&Registry)` adapter in
+//!   their own crate, so a coupled run and a solve report through this
+//!   one sink.
 //! * [`Timeline`] — the recorded span tree of a run, with exporters to a
 //!   stable JSON schema (`obs/timeline/v1`, documented in
 //!   `EXPERIMENTS.md`) and to the Chrome trace-event format
@@ -59,7 +59,7 @@ pub mod tracer;
 
 pub use flight::{FlightEntry, FlightRecorder, FLIGHTREC_SCHEMA};
 pub use hist::{Hist, HIST_SCHEMA};
-pub use registry::{Meter, Registry, Snapshot};
+pub use registry::{Registry, Snapshot};
 pub use timeline::{Timeline, TIMELINE_SCHEMA};
 pub use tracer::{
     trace_id_hex, ContextGuard, EventRecord, SpanGuard, SpanId, SpanRecord, TagValue, TraceContext,

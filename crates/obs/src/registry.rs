@@ -1,77 +1,29 @@
-//! One sink for the workspace's counters, meters, and histograms.
+//! One sink for the workspace's counters and histograms.
 //!
 //! Every telemetry struct in the workspace (`KernelTelemetry`,
-//! `LpTelemetry`, `SolveStats`, the coupler's `RunReport`) gains an
-//! `export_into(&Registry)` adapter in its own crate, so a coupled run, a
-//! solve and a bench binary all report through one [`Registry`] and print
-//! one [`Snapshot`]. Names are dotted paths (`"md.force.wall_s"`,
+//! `SolveStats`, the coupler's `RunReport`, the advisor's
+//! `Recommendation`) has an `export_into(&Registry)` adapter in its own
+//! crate, so a coupled run and a solve report through one [`Registry`]
+//! and print one [`Snapshot`]. Names are dotted paths (`"md.force.wall_s"`,
 //! `"milp.nodes_explored"`); snapshots iterate them in sorted order, so
 //! output is deterministic.
 
 use crate::flight::FlightRecorder;
 use crate::hist::Hist;
-use crate::json::{push_f64, push_str_lit, push_u64};
+use crate::json::{push_str_lit, push_u64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Aggregate of an observed f64 series: count, sum, min, max.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Meter {
-    /// Number of observations folded in.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: f64,
-    /// Smallest observed value.
-    pub min: f64,
-    /// Largest observed value.
-    pub max: f64,
-}
-
-impl Meter {
-    fn new(v: f64) -> Self {
-        Meter {
-            count: 1,
-            sum: v,
-            min: v,
-            max: v,
-        }
-    }
-
-    fn fold(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn fold_agg(&mut self, sum: f64, count: u64, min: f64, max: f64) {
-        self.count += count;
-        self.sum += sum;
-        self.min = self.min.min(min);
-        self.max = self.max.max(max);
-    }
-
-    /// Mean of the observed values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
-    meters: BTreeMap<String, Meter>,
     hists: BTreeMap<String, Hist>,
 }
 
-/// Thread-safe sink for named counters (u64, additive), meters
-/// (f64 observations aggregated as count/sum/min/max), and log₂-bucket
-/// histograms ([`Hist`], full distribution with quantile estimates).
+/// Thread-safe sink for named counters (u64, additive) and log₂-bucket
+/// histograms ([`Hist`]: count, min, max and the bucketed distribution
+/// of f64 observations, with quantile estimates).
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
@@ -91,7 +43,10 @@ impl Registry {
         let _ = self.flight.set(flight);
     }
 
-    /// Adds `v` to the counter `name` (created at zero on first use).
+    /// Adds `v` to the counter `name` (created at zero on first use). A
+    /// zero increment still creates the counter but is not an event: it
+    /// is not teed into the flight ring, whose bounded window is for
+    /// things that happened.
     pub fn add(&self, name: &str, v: u64) {
         {
             let mut inner = self.inner.lock().unwrap();
@@ -102,15 +57,23 @@ impl Registry {
                 }
             }
         }
+        if v == 0 {
+            return;
+        }
         if let Some(flight) = self.flight.get() {
             flight.record_delta(name, v);
         }
     }
 
-    /// Folds one observation `v` into the histogram `name`.
+    /// Folds one observation `v` into the histogram `name`. The name is
+    /// copied only when the histogram is new, so a steady-state
+    /// observation does not allocate.
     pub fn observe_hist(&self, name: &str, v: f64) {
         let mut inner = self.inner.lock().unwrap();
-        inner.hists.entry(name.to_string()).or_default().observe(v);
+        match inner.hists.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => inner.hists.entry(name.to_string()).or_default().observe(v),
+        }
     }
 
     /// Merges a locally-accumulated histogram shard into `name` — the
@@ -121,41 +84,10 @@ impl Registry {
             return;
         }
         let mut inner = self.inner.lock().unwrap();
-        inner.hists.entry(name.to_string()).or_default().merge(shard);
-    }
-
-    /// Folds one observation `v` into the meter `name`.
-    pub fn observe(&self, name: &str, v: f64) {
-        let mut inner = self.inner.lock().unwrap();
-        match inner.meters.get_mut(name) {
-            Some(m) => m.fold(v),
+        match inner.hists.get_mut(name) {
+            Some(h) => h.merge(shard),
             None => {
-                inner.meters.insert(name.to_string(), Meter::new(v));
-            }
-        }
-    }
-
-    /// Folds a pre-aggregated series into the meter `name` — used by
-    /// adapters whose source already kept a sum over `count` samples but
-    /// not the samples themselves. `min`/`max` fall back to `sum` when the
-    /// source tracked no extrema.
-    pub fn observe_agg(&self, name: &str, sum: f64, count: u64, min: f64, max: f64) {
-        if count == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().unwrap();
-        match inner.meters.get_mut(name) {
-            Some(m) => m.fold_agg(sum, count, min, max),
-            None => {
-                inner.meters.insert(
-                    name.to_string(),
-                    Meter {
-                        count,
-                        sum,
-                        min,
-                        max,
-                    },
-                );
+                inner.hists.insert(name.to_string(), shard.clone());
             }
         }
     }
@@ -165,7 +97,6 @@ impl Registry {
         let inner = self.inner.lock().unwrap();
         Snapshot {
             counters: inner.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            meters: inner.meters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             hists: inner.hists.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
         }
     }
@@ -176,8 +107,6 @@ impl Registry {
 pub struct Snapshot {
     /// `(name, value)` pairs, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// `(name, meter)` pairs, sorted by name.
-    pub meters: Vec<(String, Meter)>,
     /// `(name, histogram)` pairs, sorted by name.
     pub hists: Vec<(String, Hist)>,
 }
@@ -191,14 +120,6 @@ impl Snapshot {
             .map(|(_, v)| *v)
     }
 
-    /// Meter `name`, if present.
-    pub fn meter(&self, name: &str) -> Option<&Meter> {
-        self.meters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-    }
-
     /// Histogram `name`, if present.
     pub fn hist(&self, name: &str) -> Option<&Hist> {
         self.hists
@@ -207,29 +128,13 @@ impl Snapshot {
             .map(|(_, v)| v)
     }
 
-    /// Plain-text table of every counter and meter, for run footers.
+    /// Plain-text table of every counter and histogram, for run footers.
     pub fn table(&self) -> String {
         let mut out = String::new();
         if !self.counters.is_empty() {
             out.push_str("  counter                                  value\n");
             for (name, v) in &self.counters {
                 let _ = writeln!(out, "  {name:<40} {v}");
-            }
-        }
-        if !self.meters.is_empty() {
-            out.push_str(
-                "  meter                                    count        sum       mean        min        max\n",
-            );
-            for (name, m) in &self.meters {
-                let _ = writeln!(
-                    out,
-                    "  {name:<40} {:>5} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
-                    m.count,
-                    m.sum,
-                    m.mean(),
-                    m.min,
-                    m.max
-                );
             }
         }
         if !self.hists.is_empty() {
@@ -255,8 +160,8 @@ impl Snapshot {
         out
     }
 
-    /// JSON export: `{"counters": {..}, "meters": {name: {count, sum,
-    /// min, max}}}`.
+    /// JSON export: `{"counters": {name: value}, "hists": {name:
+    /// obs/hist/v1 object}}`.
     pub fn to_json_string(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
@@ -266,22 +171,6 @@ impl Snapshot {
             push_str_lit(&mut out, name);
             out.push(':');
             push_u64(&mut out, *v);
-        }
-        out.push_str("},\"meters\":{");
-        for (i, (name, m)) in self.meters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_str_lit(&mut out, name);
-            out.push_str(":{\"count\":");
-            push_u64(&mut out, m.count);
-            out.push_str(",\"sum\":");
-            push_f64(&mut out, m.sum);
-            out.push_str(",\"min\":");
-            push_f64(&mut out, m.min);
-            out.push_str(",\"max\":");
-            push_f64(&mut out, m.max);
-            out.push('}');
         }
         out.push_str("},\"hists\":{");
         for (i, (name, h)) in self.hists.iter().enumerate() {
@@ -315,51 +204,23 @@ mod tests {
     }
 
     #[test]
-    fn meters_track_count_sum_min_max() {
-        let r = Registry::new();
-        r.observe("lat", 2.0);
-        r.observe("lat", 4.0);
-        r.observe("lat", 1.0);
-        let snap = r.snapshot();
-        let m = snap.meter("lat").unwrap();
-        assert_eq!(m.count, 3);
-        assert_eq!(m.sum, 7.0);
-        assert_eq!(m.min, 1.0);
-        assert_eq!(m.max, 4.0);
-        assert!((m.mean() - 7.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn preaggregated_observations_fold_in() {
-        let r = Registry::new();
-        r.observe_agg("k", 10.0, 4, 1.0, 5.0);
-        r.observe_agg("k", 2.0, 1, 2.0, 2.0);
-        r.observe_agg("k", 0.0, 0, 0.0, 0.0); // empty series is a no-op
-        let snap = r.snapshot();
-        let m = snap.meter("k").unwrap();
-        assert_eq!(m.count, 5);
-        assert_eq!(m.sum, 12.0);
-        assert_eq!(m.min, 1.0);
-        assert_eq!(m.max, 5.0);
-    }
-
-    #[test]
     fn table_and_json_render_both_kinds() {
         let r = Registry::new();
         r.add("milp.nodes_explored", 12);
-        r.observe("md.force.wall_s", 0.25);
+        r.observe_hist("md.force.wall_s", 0.25);
         let snap = r.snapshot();
         let table = snap.table();
         assert!(table.contains("milp.nodes_explored"));
         assert!(table.contains("md.force.wall_s"));
         let json = snap.to_json_string();
         assert!(json.contains("\"milp.nodes_explored\":12"));
-        assert!(json.contains("\"md.force.wall_s\":{\"count\":1"));
+        assert!(json.contains("\"md.force.wall_s\":{\"schema\":\"obs/hist/v1\",\"count\":1"));
+        assert!(!json.contains("meters"));
         assert!(Registry::new().snapshot().table().contains("registry empty"));
     }
 
     #[test]
-    fn hists_register_next_to_counters_and_meters() {
+    fn hists_register_next_to_counters() {
         let r = Registry::new();
         r.observe_hist("service.request.latency_s.fresh", 0.25);
         r.observe_hist("service.request.latency_s.fresh", 3.0);
@@ -410,7 +271,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for _ in 0..100 {
                         r.add("hits", 1);
-                        r.observe("v", 1.0);
+                        r.observe_hist("v", 1.0);
                     }
                 })
             })
@@ -420,6 +281,6 @@ mod tests {
         }
         let snap = r.snapshot();
         assert_eq!(snap.counter("hits"), Some(400));
-        assert_eq!(snap.meter("v").unwrap().count, 400);
+        assert_eq!(snap.hist("v").unwrap().count, 400);
     }
 }

@@ -47,8 +47,9 @@
 //! assert_eq!(first.objective, second.objective);
 //! ```
 //!
-//! See `docs/SERVICE.md` for the full API and cache contract, and
-//! `service_bench` for the committed hit-rate/throughput baseline.
+//! See `docs/SERVICE.md` for the full API and cache contract; hit rate,
+//! throughput and latency are measured by the `svc-zipf` / `svc-fresh`
+//! workloads of the repo benchmark (`BENCHMARK.json`).
 
 #![warn(missing_docs)]
 

@@ -747,6 +747,14 @@ mod tests {
             1
         );
         assert_eq!(snap.hist("service.request.latency_s.hit").unwrap().count, 1);
+        // every served request lands in exactly one class histogram
+        let classed: u64 = snap
+            .hists
+            .iter()
+            .filter(|(name, _)| name.starts_with("service.request.latency_s."))
+            .map(|(_, h)| h.count)
+            .sum();
+        assert_eq!(Some(classed), snap.counter("service.requests"));
         let obj = snap.hist("service.request.objective").unwrap();
         assert_eq!(obj.count, 2);
         // both requests returned the same objective -> degenerate hist
@@ -771,6 +779,8 @@ mod tests {
         };
         let serial = run(1);
         let parallel = run(4);
+        assert_eq!(serial.dropped, 0);
+        serial.validate().expect("timeline is structurally sound");
         // every span carries a trace id, and the id sets are bitwise
         // identical across worker counts (fingerprint + stream index,
         // never arrival order)

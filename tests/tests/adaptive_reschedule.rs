@@ -74,6 +74,7 @@ fn spinners() -> Vec<Box<dyn Analysis<usize>>> {
 
 fn static_schedule(problem: &ScheduleProblem) -> Schedule {
     let rec = Advisor::default().recommend(problem).expect("solvable");
+    assert_eq!(rec.verdict, certify::Verdict::Proved);
     // under the (stale) model both analyses fit at max frequency
     assert_eq!(rec.counts, vec![10, 10], "scenario baseline moved");
     rec.schedule
@@ -140,9 +141,17 @@ fn adaptive_finishes_within_the_budget_the_static_schedule_blows() {
 
     // the reschedule event is visible in the exported timeline
     let tl = tracer.timeline();
+    tl.validate().expect("well-formed timeline");
     assert!(tl.events_named(EVENT_RESCHEDULE).count() >= 1);
     let json = tl.to_json_string();
     assert!(json.contains("\"reschedule\""));
+    // and every reschedule/v1 record re-parses
+    let records = adaptive.reschedules_json().to_string_pretty();
+    let records = insitu_types::json::Value::parse(&records).expect("records re-parse");
+    assert_eq!(
+        records.as_array().map(<[_]>::len),
+        Some(adaptive.reschedules.len())
+    );
 
     // drift attribution against the *spliced* prediction ends clean
     let drift =

@@ -15,6 +15,8 @@
 //!   the *newest* entries when it wraps.
 //! * **Trace contexts**: ids are pure functions of (fingerprint, seq) —
 //!   re-derivation anywhere reproduces them.
+//! * **Search traces** (`milp/searchtrace/v1`): the certificate a
+//!   service reply carries renders to a trace that round-trips its JSON.
 
 use insitu_types::json::Value;
 use obs::{FlightRecorder, Hist, TraceContext};
@@ -211,4 +213,31 @@ fn flight_ring_keeps_the_newest_entries_when_it_wraps() {
         .collect();
     assert_eq!(deltas, vec![6.0, 7.0, 8.0, 9.0], "oldest entries overwritten");
     assert_eq!(v.get("fingerprint"), Some(&Value::Null));
+}
+
+#[test]
+fn searchtrace_of_a_service_reply_round_trips_its_json() {
+    let problem = insitu_types::ScheduleProblem::new(
+        vec![
+            insitu_types::AnalysisProfile::new("rdf")
+                .with_compute(0.5, 0.0)
+                .with_interval(10)
+                .with_output(0.1, 0.0, 1),
+            insitu_types::AnalysisProfile::new("msd")
+                .with_compute(1.0, 0.0)
+                .with_interval(10)
+                .with_output(0.1, 0.0, 1),
+        ],
+        insitu_types::ResourceConfig::from_total_threshold(100, 8.0, 1e9, 1e9),
+    )
+    .unwrap();
+    let service = service::SolveService::new(service::ServiceConfig::default());
+    let reply = service.solve(&problem).expect("instance solves");
+    let cert = reply
+        .search_certificate()
+        .expect("a fresh reply carries its search certificate");
+    let trace = milp::SearchTrace::from_certificate(cert, 64);
+    let round = milp::SearchTrace::from_json(&trace.to_json_string())
+        .expect("milp/searchtrace/v1 parses");
+    assert_eq!(round, trace);
 }

@@ -174,6 +174,8 @@ fn hammered_service_serves_only_certified_results() {
         "no deduplication happened ({solves} solves for {requests} requests)"
     );
     assert_eq!(snap.counter("service.certify_rejects").unwrap_or(0), 0);
+    assert!(hits > 0, "a 60% duplicate mix must produce cache hits");
+    assert!(solves <= misses, "solves can only come from misses");
     // a certificate's closure is checked once, by the solve that produced
     // it — hits and dedup waiters re-run only the replay + objective half
     assert_eq!(
@@ -237,10 +239,23 @@ fn batch_results_are_independent_of_worker_count() {
             cache_capacity: 16,
             ..ServiceConfig::default()
         });
-        service.process_batch(&stream, workers)
+        let replies = service.process_batch(&stream, workers);
+        let objective_hist = service
+            .registry()
+            .snapshot()
+            .hist("service.request.objective")
+            .expect("objective histogram registered")
+            .to_json_string();
+        (replies, objective_hist)
     };
-    let serial = run(1);
-    let wide = run(4);
+    let (serial, serial_hist) = run(1);
+    let (wide, wide_hist) = run(4);
+    // wall-clock-free, so its `obs/hist/v1` snapshot depends only on the
+    // request multiset: claiming order and merge order are invisible in it
+    assert_eq!(
+        serial_hist, wide_hist,
+        "objective histogram must be bitwise identical across worker counts"
+    );
 
     for (i, (a, b)) in serial.iter().zip(&wide).enumerate() {
         match (a, b) {

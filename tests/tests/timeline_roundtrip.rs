@@ -53,7 +53,7 @@ fn traced_run(capacity: usize) -> (Arc<obs::Tracer>, Schedule, ScheduleProblem) 
     sys.tracer = handle.clone();
     let mut analyses: Vec<Box<dyn Analysis<System>>> =
         vec![Box::new(a1_hydronium_rdf()), Box::new(a2_ion_rdf())];
-    run_coupled_traced(
+    let report = run_coupled_traced(
         &mut sys,
         &mut analyses,
         &schedule,
@@ -63,6 +63,11 @@ fn traced_run(capacity: usize) -> (Arc<obs::Tracer>, Schedule, ScheduleProblem) 
         },
         &handle,
     );
+    assert!(report.sim_time > 0.0, "simulation did not run");
+    assert!(
+        report.kernel_telemetry.get("md.force").is_some(),
+        "per-kernel attribution missing from the run report"
+    );
     (tracer, schedule, problem)
 }
 
@@ -70,6 +75,7 @@ fn traced_run(capacity: usize) -> (Arc<obs::Tracer>, Schedule, ScheduleProblem) 
 fn json_export_round_trips_record_for_record() {
     let (tracer, _, _) = traced_run(8 * 1024);
     let tl = tracer.timeline();
+    tl.validate().expect("well-formed timeline");
     let doc = Value::parse(&tl.to_json_string()).expect("export parses");
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
