@@ -1,5 +1,6 @@
 //! Criterion bench: the in-situ analysis kernels across problem sizes
-//! (the measured substrate behind Figure 4's relative cost profile).
+//! (the measured substrate behind Figure 4's relative cost profile), and
+//! the MD force pass they are budgeted against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use insitu_core::runtime::Analysis as _;
@@ -35,6 +36,18 @@ fn bench_md_kernels(c: &mut Criterion) {
             b.iter(|| r2.accumulate(s));
         });
     }
+    // the step kernel itself, at the size and density `run-md-adaptive`
+    // steps: an equilibrated fluid, then the force pass alone
+    let mut sys = water_ions(&BuilderParams {
+        n_particles: 2_000,
+        ..Default::default()
+    });
+    for _ in 0..100 {
+        sys.step();
+    }
+    g.bench_function("md_force_2000", |b| {
+        b.iter(|| std::hint::black_box(sys.compute_forces()));
+    });
     g.finish();
 }
 

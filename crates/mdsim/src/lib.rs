@@ -11,8 +11,9 @@
 //!
 //! * [`system`] — SoA particle store, periodic box, velocity-Verlet
 //!   integration with a Berendsen thermostat,
-//! * [`neighbor`] — O(N) cell-list pair iteration (with an O(N²) reference
-//!   used by the tests),
+//! * [`neighbor`] — O(N) pair iteration over cells: the force kernel's
+//!   cell-sorted walk and the analyses' linked cell list (with an O(N²)
+//!   reference used by the tests),
 //! * [`force`] — truncated-shifted Lennard-Jones plus harmonic bonds,
 //! * [`builder`] — water+ions and rhodopsin-proxy system generators,
 //! * [`analysis`] — RDF (A1/A2), VACF (A3), MSD (A4), radius of gyration

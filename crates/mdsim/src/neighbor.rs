@@ -5,6 +5,11 @@
 //! cells (half stencil), so every unordered pair is visited exactly once.
 //! Falls back to a single cell per dimension for small boxes, where the
 //! stencil degenerates gracefully.
+//!
+//! Two structures share that geometry. [`SortedCells`] is the force
+//! kernel's: particles counting-sorted by cell into contiguous coordinate
+//! arrays, the periodic image folded into one shift per cell pair.
+//! [`CellList`] is the linked-list walk the RDF analyses still use.
 
 use crate::system::SimBox;
 use parallel::Exec;
@@ -209,6 +214,291 @@ impl CellList {
     }
 }
 
+/// The half stencil: a cell itself plus its 13 forward neighbours, as
+/// `[dx, dy, dz]` cell offsets in ascending `(dz, dy, dx)` order.
+const HALF_STENCIL: [[i8; 3]; 14] = [
+    [0, 0, 0],
+    [1, 0, 0],
+    [-1, 1, 0],
+    [0, 1, 0],
+    [1, 1, 0],
+    [-1, -1, 1],
+    [0, -1, 1],
+    [1, -1, 1],
+    [-1, 0, 1],
+    [0, 0, 1],
+    [1, 0, 1],
+    [-1, 1, 1],
+    [0, 1, 1],
+    [1, 1, 1],
+];
+
+/// Particles counting-sorted by cell, with their coordinates gathered
+/// into contiguous per-cell slices: the neighbour structure of the force
+/// kernel.
+///
+/// Sorted slot `k` holds particle `order()[k]`; the pair walk reports
+/// slots, not particle indices, so a caller accumulates in sorted order
+/// and scatters through `order()` once. The sort is stable — a cell lists
+/// its particles in ascending index order — and serial, so the pair visit
+/// order is a function of the positions alone.
+///
+/// Positions must lie in `[0, L]` per dimension, as `System` keeps them:
+/// the walk never divides by the box length to find an image.
+#[derive(Debug, Clone, Default)]
+pub struct SortedCells {
+    dims: [usize; 3],
+    lengths: [f64; 3],
+    cutoff: f64,
+    /// Cell `c` owns sorted slots `start[c]..start[c + 1]`.
+    start: Vec<usize>,
+    /// Particle index per sorted slot.
+    order: Vec<usize>,
+    /// Coordinates in sorted order, `sorted[d][k]`.
+    sorted: [Vec<f64>; 3],
+    /// Scratch: cell index per particle.
+    cell_idx: Vec<usize>,
+}
+
+impl SortedCells {
+    /// Re-sorts `pos` (SoA layout) for interaction `cutoff`, reusing every
+    /// allocation of the previous build while the sizes still fit.
+    ///
+    /// The per-particle cell indices are a parallel per-element map; the
+    /// count, prefix sum and scatter are one serial O(N) pass.
+    pub fn rebuild(&mut self, bounds: &SimBox, pos: &[Vec<f64>; 3], cutoff: f64, exec: &Exec) {
+        let n = pos[0].len();
+        self.cutoff = cutoff;
+        self.lengths = bounds.lengths;
+        for (dim, &len) in self.dims.iter_mut().zip(&bounds.lengths) {
+            *dim = (len / cutoff).floor().max(1.0) as usize;
+        }
+        let dims = self.dims;
+        let ncells = dims[0] * dims[1] * dims[2];
+        self.cell_idx.clear();
+        self.cell_idx.resize(n, 0);
+        parallel::fill_chunks(
+            exec,
+            &mut self.cell_idx,
+            parallel::chunk_count(n, 2048),
+            |_, first, slice| {
+                for (k, c) in slice.iter_mut().enumerate() {
+                    let i = first + k;
+                    *c = CellList::cell_of(bounds, dims, [pos[0][i], pos[1][i], pos[2][i]]);
+                }
+            },
+        );
+        // Counting sort with the counts kept two slots up: after the prefix
+        // sum `start[c + 1]` is where cell `c` begins, and using it as that
+        // cell's write cursor leaves it where cell `c + 1` begins — so once
+        // every particle is placed `start[c]` is the start of cell `c`,
+        // with no second cursor array and no shift back.
+        self.start.clear();
+        self.start.resize(ncells + 2, 0);
+        for &c in &self.cell_idx {
+            self.start[c + 2] += 1;
+        }
+        for c in 2..ncells + 2 {
+            self.start[c] += self.start[c - 1];
+        }
+        self.order.clear();
+        self.order.resize(n, 0);
+        for axis in &mut self.sorted {
+            axis.clear();
+            axis.resize(n, 0.0);
+        }
+        let [sx, sy, sz] = &mut self.sorted;
+        for (i, &c) in self.cell_idx.iter().enumerate() {
+            let k = self.start[c + 1];
+            self.start[c + 1] = k + 1;
+            self.order[k] = i;
+            sx[k] = pos[0][i];
+            sy[k] = pos[1][i];
+            sz[k] = pos[2][i];
+        }
+    }
+
+    /// Number of cells.
+    pub fn num_cells(&self) -> usize {
+        self.dims[0] * self.dims[1] * self.dims[2]
+    }
+
+    /// Particle index of every sorted slot.
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// Addresses of the six reusable arrays, to pin that a same-size
+    /// rebuild allocates nothing.
+    #[cfg(test)]
+    pub(crate) fn storage_ptrs(&self) -> [usize; 6] {
+        let [x, y, z] = &self.sorted;
+        [
+            self.start.as_ptr() as usize,
+            self.order.as_ptr() as usize,
+            self.cell_idx.as_ptr() as usize,
+            x.as_ptr() as usize,
+            y.as_ptr() as usize,
+            z.as_ptr() as usize,
+        ]
+    }
+
+    /// True when any grid dimension has <= 2 cells: the torus then reaches
+    /// one unordered cell pair through two different half-stencil offsets,
+    /// so pairs are deduplicated globally in a single full-range pass and
+    /// the image is chosen per candidate, not per cell pair.
+    pub fn is_degenerate(&self) -> bool {
+        self.dims.iter().any(|&d| d <= 2)
+    }
+
+    /// Deterministic chunk count for parallel pair iteration: a fixed
+    /// function of the cell count (see `parallel::chunk_count`), forced to
+    /// 1 on degenerate grids.
+    pub fn pair_chunks(&self) -> usize {
+        if self.is_degenerate() {
+            1
+        } else {
+            parallel::chunk_count(self.num_cells(), 32)
+        }
+    }
+
+    /// Visits every unordered pair within the cutoff whose *home* cell
+    /// (the cell owning the half stencil) has linear index in `cells`, as
+    /// `f(i, j, dx, dy, dz, r2)`: sorted slots `i` and `j`, the
+    /// minimum-image displacement `r_i - r_j` and its squared length.
+    /// Disjoint ranges covering `0..num_cells()` visit each pair exactly
+    /// once. Degenerate grids support the full range only, which
+    /// [`SortedCells::pair_chunks`] guarantees by returning one chunk.
+    pub fn for_each_pair_in(
+        &self,
+        cells: std::ops::Range<usize>,
+        mut f: impl FnMut(usize, usize, f64, f64, f64, f64),
+    ) {
+        let degenerate = self.is_degenerate();
+        debug_assert!(cells.end <= self.num_cells());
+        debug_assert!(
+            !degenerate || cells.len() == self.num_cells(),
+            "degenerate grids need the global pair dedup: full range only"
+        );
+        let [nx, ny, nz] = self.dims;
+        let cut2 = self.cutoff * self.cutoff;
+        // a neighbour coordinate one step off the grid's end is the cell at
+        // the other end, seen one box length away
+        let step = |c: usize, s: i8, n: usize, l: f64| -> (usize, f64) {
+            match c as i64 + i64::from(s) {
+                -1 => (n - 1, -l),
+                v if v == n as i64 => (0, l),
+                v => (v as usize, 0.0),
+            }
+        };
+        // both stay unallocated on a regular grid
+        let mut seen_cells = Vec::new();
+        let mut visited_pairs = std::collections::HashSet::new();
+        for c in cells {
+            let (cx, cy, cz) = (c % nx, (c / nx) % ny, c / (nx * ny));
+            let home = self.start[c]..self.start[c + 1];
+            seen_cells.clear();
+            for s in &HALF_STENCIL {
+                let (ox, shift_x) = step(cx, s[0], nx, self.lengths[0]);
+                let (oy, shift_y) = step(cy, s[1], ny, self.lengths[1]);
+                let (oz, shift_z) = step(cz, s[2], nz, self.lengths[2]);
+                let o = (oz * ny + oy) * nx + ox;
+                let other = self.start[o]..self.start[o + 1];
+                let shift = [shift_x, shift_y, shift_z];
+                if !degenerate {
+                    self.cell_pair(home.clone(), other, o == c, shift, cut2, &mut f);
+                    continue;
+                }
+                // two offsets from one cell can land on the same neighbour,
+                // and the same unordered cell pair is reachable from both
+                // of its cells
+                if seen_cells.contains(&o) {
+                    continue;
+                }
+                seen_cells.push(o);
+                if o != c && !visited_pairs.insert((c.min(o), c.max(o))) {
+                    continue;
+                }
+                self.cell_pair_folded(home.clone(), other, o == c, cut2, &mut f);
+            }
+        }
+    }
+
+    /// Candidate loop for one (home, neighbour) cell pair of a regular
+    /// grid: the neighbour's image is `shift` away for every particle in
+    /// it, so the shift comes off the home coordinate once per particle
+    /// and a candidate costs three subtractions, three multiplies and a
+    /// compare.
+    fn cell_pair(
+        &self,
+        home: std::ops::Range<usize>,
+        other: std::ops::Range<usize>,
+        same: bool,
+        shift: [f64; 3],
+        cut2: f64,
+        f: &mut impl FnMut(usize, usize, f64, f64, f64, f64),
+    ) {
+        let [x, y, z] = &self.sorted;
+        for i in home {
+            let (xi, yi, zi) = (x[i] - shift[0], y[i] - shift[1], z[i] - shift[2]);
+            let js = if same {
+                i + 1..other.end
+            } else {
+                other.clone()
+            };
+            let (xs, ys, zs) = (&x[js.clone()], &y[js.clone()], &z[js.clone()]);
+            for (k, ((&xj, &yj), &zj)) in xs.iter().zip(ys).zip(zs).enumerate() {
+                let (dx, dy, dz) = (xi - xj, yi - yj, zi - zj);
+                let r2 = dx * dx + dy * dy + dz * dz;
+                if r2 < cut2 {
+                    f(i, js.start + k, dx, dy, dz, r2);
+                }
+            }
+        }
+    }
+
+    /// Candidate loop for a degenerate grid, where one cell pair can touch
+    /// across either face: the nearer image is picked per component by a
+    /// compare and a subtract (coordinates are in `[0, L]`, so one box
+    /// length is all a difference can be off by).
+    fn cell_pair_folded(
+        &self,
+        home: std::ops::Range<usize>,
+        other: std::ops::Range<usize>,
+        same: bool,
+        cut2: f64,
+        f: &mut impl FnMut(usize, usize, f64, f64, f64, f64),
+    ) {
+        let [x, y, z] = &self.sorted;
+        let [lx, ly, lz] = self.lengths;
+        let fold = |d: f64, l: f64| {
+            if d > 0.5 * l {
+                d - l
+            } else if d < -0.5 * l {
+                d + l
+            } else {
+                d
+            }
+        };
+        for i in home {
+            let js = if same {
+                i + 1..other.end
+            } else {
+                other.clone()
+            };
+            for j in js {
+                let dx = fold(x[i] - x[j], lx);
+                let dy = fold(y[i] - y[j], ly);
+                let dz = fold(z[i] - z[j], lz);
+                let r2 = dx * dx + dy * dy + dz * dz;
+                if r2 < cut2 {
+                    f(i, j, dx, dy, dz, r2);
+                }
+            }
+        }
+    }
+}
+
 /// O(N²) reference pair iteration — the test oracle.
 pub fn brute_force_pairs(
     bounds: &SimBox,
@@ -367,6 +657,151 @@ mod tests {
         let cl = CellList::build(&bounds, &pos, 1.4);
         assert!(cl.is_degenerate());
         assert_eq!(cl.pair_chunks(), 1);
+    }
+
+    fn sorted(bounds: &SimBox, pos: &[Vec<f64>; 3], cutoff: f64) -> SortedCells {
+        let mut sc = SortedCells::default();
+        sc.rebuild(bounds, pos, cutoff, &Exec::serial());
+        sc
+    }
+
+    /// The sorted walk's pairs over `cells`, keyed by particle (not slot)
+    /// indices; panics on a pair seen twice.
+    fn sorted_pair_set(sc: &SortedCells, cells: std::ops::Range<usize>) -> HashSet<(usize, usize)> {
+        let order = sc.order();
+        pair_set(|f| {
+            sc.for_each_pair_in(cells, |i, j, _, _, _, r2| f(order[i], order[j], r2));
+        })
+    }
+
+    /// Box, cutoff, expected grid: one regular cubic grid, one regular grid
+    /// at the 3-cell minimum, and three degenerate ones (2 cells everywhere,
+    /// 2 cells along y only, 1 cell along y).
+    const SHAPES: [([f64; 3], f64, [usize; 3]); 5] = [
+        ([12.0, 12.0, 12.0], 2.5, [4, 4, 4]),
+        ([11.0, 8.0, 9.5], 2.5, [4, 3, 3]),
+        ([3.0, 3.0, 3.0], 1.4, [2, 2, 2]),
+        ([10.0, 4.0, 7.0], 1.8, [5, 2, 3]),
+        ([9.0, 2.0, 6.0], 1.5, [6, 1, 4]),
+    ];
+
+    fn shape_positions(lengths: [f64; 3], seed: u64) -> [Vec<f64>; 3] {
+        let mut pos = random_positions(200, 1.0, seed);
+        for (axis, l) in pos.iter_mut().zip(lengths) {
+            axis.iter_mut().for_each(|x| *x *= l);
+        }
+        pos
+    }
+
+    #[test]
+    fn sorted_walk_matches_brute_force_and_min_image() {
+        for (lengths, cutoff, dims) in SHAPES {
+            let bounds = SimBox { lengths };
+            let pos = shape_positions(lengths, 11);
+            let sc = sorted(&bounds, &pos, cutoff);
+            assert_eq!(sc.dims, dims);
+            let at = |p: usize| [pos[0][p], pos[1][p], pos[2][p]];
+            let order = sc.order();
+            let mut fast = HashSet::new();
+            // faces[d][0]: a pair whose lower-index particle reaches the
+            // other through the low face of dimension d; [1]: the high face
+            let mut faces = [[0usize; 2]; 3];
+            sc.for_each_pair_in(0..sc.num_cells(), |i, j, dx, dy, dz, r2| {
+                let (a, b) = (order[i], order[j]);
+                assert!(
+                    fast.insert((a.min(b), a.max(b))),
+                    "pair ({a}, {b}) visited twice"
+                );
+                let want = bounds.displacement(at(a), at(b));
+                for (got, want) in [dx, dy, dz].into_iter().zip(want) {
+                    assert!(
+                        (got - want).abs() < 1e-12,
+                        "{lengths:?}: ({a}, {b}) {got} vs {want}"
+                    );
+                }
+                assert!((r2 - (dx * dx + dy * dy + dz * dz)).abs() < 1e-12 && r2 < cutoff * cutoff);
+                for d in 0..3 {
+                    // raw minus minimum-image difference: 0, or ±L when wrapped
+                    let wrapped = (at(a)[d] - at(b)[d]) - want[d];
+                    let lower_is_first = if a < b { wrapped } else { -wrapped };
+                    if lower_is_first < -0.5 * lengths[d] {
+                        faces[d][0] += 1;
+                    } else if lower_is_first > 0.5 * lengths[d] {
+                        faces[d][1] += 1;
+                    }
+                }
+            });
+            let slow = pair_set(|f| brute_force_pairs(&bounds, &pos, cutoff, f));
+            assert_eq!(fast, slow, "{lengths:?}");
+            assert!(
+                faces.iter().flatten().all(|&count| count > 0),
+                "{lengths:?}: a periodic face saw no pair: {faces:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sorted_ranged_iteration_partitions_the_pair_set() {
+        for (lengths, cutoff, _) in SHAPES {
+            let bounds = SimBox { lengths };
+            let pos = shape_positions(lengths, 9);
+            let sc = sorted(&bounds, &pos, cutoff);
+            let ncells = sc.num_cells();
+            let full = sorted_pair_set(&sc, 0..ncells);
+            assert!(!full.is_empty());
+            if sc.is_degenerate() {
+                assert_eq!(sc.pair_chunks(), 1);
+                continue;
+            }
+            for chunks in 1..=8 {
+                let mut union = HashSet::new();
+                for c in 0..chunks {
+                    let range = parallel::chunk_bounds(ncells, chunks, c);
+                    for pair in sorted_pair_set(&sc, range) {
+                        assert!(
+                            union.insert(pair),
+                            "pair {pair:?} in two of {chunks} chunks"
+                        );
+                    }
+                }
+                assert_eq!(union, full, "{chunks} chunks");
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_order_is_stable_by_cell() {
+        let bounds = SimBox::cubic(12.0);
+        let pos = random_positions(300, 12.0, 42);
+        let sc = sorted(&bounds, &pos, 2.5);
+        assert_eq!(sc.start.len(), sc.num_cells() + 2);
+        assert_eq!(sc.start[sc.num_cells()], 300);
+        for c in 0..sc.num_cells() {
+            let slots = sc.start[c]..sc.start[c + 1];
+            assert!(
+                sc.order[slots.clone()].windows(2).all(|w| w[0] < w[1]),
+                "cell {c}"
+            );
+            for k in slots {
+                let p = sc.order[k];
+                assert_eq!(sc.cell_idx[p], c);
+                assert_eq!(
+                    [sc.sorted[0][k], sc.sorted[1][k], sc.sorted[2][k]],
+                    [pos[0][p], pos[1][p], pos[2][p]]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_empty_and_single_particle() {
+        let bounds = SimBox::cubic(5.0);
+        for n in [0, 1] {
+            let pos: [Vec<f64>; 3] = [vec![1.0; n], vec![1.0; n], vec![1.0; n]];
+            let sc = sorted(&bounds, &pos, 1.0);
+            assert_eq!(sc.num_cells(), 125);
+            sc.for_each_pair_in(0..125, |_, _, _, _, _, _| panic!("no pairs expected"));
+        }
     }
 
     #[test]

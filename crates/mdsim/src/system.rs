@@ -4,7 +4,7 @@
 //! and integration loops stream over contiguous `Vec<f64>` coordinates.
 
 use crate::force::ForceField;
-use crate::neighbor::CellList;
+use crate::neighbor::SortedCells;
 use insitu_core::runtime::Simulator;
 use insitu_types::KernelTelemetry;
 use parallel::{Exec, ScratchPool};
@@ -161,8 +161,14 @@ pub struct System {
     /// `scratch_allocs` / `scratch_reuses` on the `md.force` telemetry).
     /// Cloning a `System` starts the clone with an empty pool.
     pub scratch: ScratchPool,
-    cells: Option<CellList>,
+    /// Cell-sorted copy of the positions, re-sorted in place every step.
+    cells: SortedCells,
 }
+
+/// Most chunks the force loop splits into, whatever the cell count: each
+/// chunk carries a 3·N accumulator from `System::scratch` and adds an O(N)
+/// pass to the ordered merge.
+const FORCE_CHUNK_CAP: usize = 8;
 
 impl System {
     /// Creates an empty system in `bounds` with force field `ff`.
@@ -185,7 +191,7 @@ impl System {
             telemetry: KernelTelemetry::new(),
             tracer: obs::TraceHandle::disabled(),
             scratch: ScratchPool::new(),
-            cells: None,
+            cells: SortedCells::default(),
         }
     }
 
@@ -273,64 +279,58 @@ impl System {
     /// Recomputes forces (pairwise + bonds) into `self.force`; returns the
     /// potential energy.
     ///
-    /// The LJ pair loop runs on `self.exec`: cell-range chunks accumulate
-    /// into per-chunk force arrays that are merged in ascending chunk
-    /// order, so the result is bitwise identical for any thread count.
+    /// The LJ pair loop runs on `self.exec` over the cell-sorted particle
+    /// copy: home-cell-range chunks accumulate into per-chunk force arrays
+    /// in sorted order, merged in ascending chunk order and scattered back
+    /// to particle order once, so the result is bitwise identical for any
+    /// thread count.
     pub fn compute_forces(&mut self) -> f64 {
         for d in 0..3 {
             self.force[d].iter_mut().for_each(|f| *f = 0.0);
         }
         let n = self.len();
-        let cutoff = self.ff.cutoff;
         let mut potential = 0.0;
         let ff = self.ff;
         let bounds = self.bounds;
-        // accumulate pairwise LJ; an inert force field (ε = 0) skips the
-        // cell list entirely — bonds-only systems in huge boxes would
-        // otherwise allocate millions of empty cells every step
-        let mut fx = std::mem::take(&mut self.force[0]);
-        let mut fy = std::mem::take(&mut self.force[1]);
-        let mut fz = std::mem::take(&mut self.force[2]);
-        let tracer = self.tracer.clone();
+        // pairwise LJ; an inert force field (ε = 0) skips the cell sort
+        // entirely — bonds-only systems in huge boxes would otherwise
+        // count millions of empty cells every step
         if ff.epsilon != 0.0 {
+            let threads = self.exec.threads();
             let t0 = Instant::now();
-            let mut cells = self.cells.take().unwrap_or_else(CellList::empty);
             {
-                let mut span = tracer.span("md.cell_rebuild");
-                span.tag("threads", self.exec.threads());
-                cells.rebuild(&self.bounds, &self.pos, cutoff, &self.exec);
+                let mut span = self.tracer.span("md.cell_rebuild");
+                span.tag("threads", threads);
+                self.cells
+                    .rebuild(&self.bounds, &self.pos, ff.cutoff, &self.exec);
             }
             self.telemetry.record(
                 "md.cell_rebuild",
-                self.exec.threads(),
+                threads,
                 parallel::chunk_count(n, 2048),
                 t0.elapsed().as_secs_f64(),
                 0.0,
             );
-            // cap chunks below pair_chunks' bound: every chunk carries a
-            // 3·N scratch accumulator, and the ordered merge is O(chunks·N)
-            let chunks = cells.pair_chunks().min(self.exec.chunk_cap());
+            let cells = &self.cells;
+            let chunks = cells.pair_chunks().min(FORCE_CHUNK_CAP);
             let ncells = cells.num_cells();
-            let pos = &self.pos;
-            let cells_ref = &cells;
             let pool = &self.scratch;
             let scratch0 = pool.counters();
-            let mut force_span = tracer.span("md.force");
-            force_span.tag("threads", self.exec.threads());
+            let mut force_span = self.tracer.span("md.force");
+            force_span.tag("threads", threads);
             force_span.tag("chunks", chunks);
-            force_span.tag("chunk_cap", self.exec.chunk_cap());
-            let (parts, stats) = parallel::map_chunks(&self.exec, chunks, move |c| {
-                let mut cfx = pool.take_zeroed(n);
-                let mut cfy = pool.take_zeroed(n);
-                let mut cfz = pool.take_zeroed(n);
+            let (parts, stats) = parallel::map_chunks(&self.exec, chunks, |c| {
+                let mut cf = [
+                    pool.take_zeroed(n),
+                    pool.take_zeroed(n),
+                    pool.take_zeroed(n),
+                ];
                 let mut cpot = 0.0f64;
+                let [cfx, cfy, cfz] = &mut cf;
                 let range = parallel::chunk_bounds(ncells, chunks, c);
-                cells_ref.for_each_pair_in(&bounds, pos, range, |i, j, r2| {
+                cells.for_each_pair_in(range, |i, j, dx, dy, dz, r2| {
                     let (fscale, e) = ff.lj_pair(r2);
                     cpot += e;
-                    let dx = bounds.min_image(0, pos[0][i] - pos[0][j]);
-                    let dy = bounds.min_image(1, pos[1][i] - pos[1][j]);
-                    let dz = bounds.min_image(2, pos[2][i] - pos[2][j]);
                     cfx[i] += fscale * dx;
                     cfy[i] += fscale * dy;
                     cfz[i] += fscale * dz;
@@ -338,23 +338,28 @@ impl System {
                     cfy[j] -= fscale * dy;
                     cfz[j] -= fscale * dz;
                 });
-                (cfx, cfy, cfz, cpot)
+                (cf, cpot)
             });
+            // ordered merge into chunk 0's arrays (still sorted order),
+            // then one scatter back to particle order
             let m0 = Instant::now();
-            for (cfx, cfy, cfz, cpot) in parts {
+            let mut parts = parts.into_iter();
+            let (mut total, pot0) = parts.next().expect("at least one chunk");
+            potential += pot0;
+            for (cf, cpot) in parts {
                 potential += cpot;
-                for (dst, src) in fx.iter_mut().zip(&cfx) {
-                    *dst += src;
+                for (sum, part) in total.iter_mut().zip(cf) {
+                    for (dst, src) in sum.iter_mut().zip(&part) {
+                        *dst += src;
+                    }
+                    pool.put(part);
                 }
-                for (dst, src) in fy.iter_mut().zip(&cfy) {
-                    *dst += src;
+            }
+            for (force, sum) in self.force.iter_mut().zip(total) {
+                for (&i, &f) in cells.order().iter().zip(&sum) {
+                    force[i] = f;
                 }
-                for (dst, src) in fz.iter_mut().zip(&cfz) {
-                    *dst += src;
-                }
-                self.scratch.put(cfx);
-                self.scratch.put(cfy);
-                self.scratch.put(cfz);
+                pool.put(sum);
             }
             let merge = m0.elapsed();
             drop(force_span);
@@ -367,9 +372,9 @@ impl System {
             );
             let ds = self.scratch.counters().since(&scratch0);
             self.telemetry.record_scratch("md.force", ds.allocs, ds.reuses);
-            self.cells = Some(cells);
         }
         // bonds
+        let [fx, fy, fz] = &mut self.force;
         for b in &self.bonds {
             let pi = [self.pos[0][b.i], self.pos[1][b.i], self.pos[2][b.i]];
             let pj = [self.pos[0][b.j], self.pos[1][b.j], self.pos[2][b.j]];
@@ -384,9 +389,6 @@ impl System {
             fy[b.j] -= fmag * d[1];
             fz[b.j] -= fmag * d[2];
         }
-        self.force[0] = fx;
-        self.force[1] = fy;
-        self.force[2] = fz;
         potential
     }
 
@@ -663,16 +665,61 @@ mod tests {
     }
 
     #[test]
-    fn chunk_cap_is_tunable_and_tagged() {
-        let mut s = two_body();
-        s.exec = s.exec.with_chunk_cap(2);
-        let tracer = std::sync::Arc::new(obs::Tracer::with_capacity(64));
-        s.tracer = obs::TraceHandle::new(tracer.clone());
+    fn sorted_arrays_are_reused_across_steps() {
+        let mut s = crate::water_ions(&crate::BuilderParams {
+            n_particles: 500,
+            ..Default::default()
+        });
         s.step();
-        let tl = tracer.timeline();
-        let force = tl.spans_named("md.force").next().unwrap();
-        assert_eq!(force.tag_i64("chunk_cap"), Some(2));
-        assert!(s.telemetry.get("md.force").unwrap().chunks <= 2);
+        let before = s.cells.storage_ptrs();
+        s.step();
+        assert_eq!(
+            s.cells.storage_ptrs(),
+            before,
+            "a same-size step reallocated"
+        );
+    }
+
+    #[test]
+    fn forces_match_all_pairs_min_image_reference() {
+        let mut s = crate::water_ions(&crate::BuilderParams {
+            n_particles: 1_000,
+            ..Default::default()
+        });
+        for _ in 0..20 {
+            s.step();
+        }
+        let potential = s.compute_forces();
+        let n = s.len();
+        let mut want = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        let mut want_potential = 0.0;
+        for i in 0..n {
+            for j in i + 1..n {
+                let d = s.bounds.displacement(s.position(i), s.position(j));
+                let (fscale, e) = s.ff.lj_pair(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
+                want_potential += e;
+                for (axis, d) in want.iter_mut().zip(d) {
+                    axis[i] += fscale * d;
+                    axis[j] -= fscale * d;
+                }
+            }
+        }
+        assert!(
+            (potential - want_potential).abs() <= 1e-10 * want_potential.abs(),
+            "potential {potential} vs {want_potential}"
+        );
+        for d in 0..3 {
+            for i in 0..n {
+                let norm = (want[0][i].powi(2) + want[1][i].powi(2) + want[2][i].powi(2)).sqrt();
+                let (got, want) = (s.force[d][i], want[d][i]);
+                assert!(
+                    (got - want).abs() <= 1e-10 * norm,
+                    "f[{d}][{i}] {got} vs {want}"
+                );
+            }
+            let net: f64 = s.force[d].iter().sum();
+            assert!(net.abs() < 1e-9, "net force along {d}: {net}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Property tests for the MD substrate: the cell list must agree with the
+//! Property tests for the MD substrate: both cell walks must agree with the
 //! O(N²) oracle for arbitrary boxes/cutoffs, and core invariants must hold
 //! across random systems.
 
-use mdsim::neighbor::{brute_force_pairs, CellList};
+use mdsim::neighbor::{brute_force_pairs, CellList, SortedCells};
 use mdsim::{water_ions, BuilderParams, SimBox, Species};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -57,7 +57,29 @@ proptest! {
         brute_force_pairs(&bounds, &soa, cutoff, |i, j, _| {
             slow.insert((i.min(j), i.max(j)));
         });
-        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(&fast, &slow);
+
+        // the force kernel's sorted walk: same pairs, each once, and the
+        // displacement it hands over is the minimum image
+        let mut sorted = SortedCells::default();
+        sorted.rebuild(&bounds, &soa, cutoff, &parallel::Exec::serial());
+        let order = sorted.order();
+        let mut walked: HashSet<(usize, usize)> = HashSet::new();
+        let mut duplicates = 0usize;
+        let mut worst = 0.0f64;
+        sorted.for_each_pair_in(0..sorted.num_cells(), |i, j, dx, dy, dz, _| {
+            let (a, b) = (order[i], order[j]);
+            if !walked.insert((a.min(b), a.max(b))) {
+                duplicates += 1;
+            }
+            let want = bounds.displacement(pos[a], pos[b]);
+            for (got, want) in [dx, dy, dz].into_iter().zip(want) {
+                worst = worst.max((got - want).abs());
+            }
+        });
+        prop_assert_eq!(duplicates, 0, "sorted walk visited a pair twice");
+        prop_assert!(worst < 1e-12, "displacement off by {worst}");
+        prop_assert_eq!(walked, slow);
     }
 
     #[test]

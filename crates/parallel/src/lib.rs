@@ -32,42 +32,28 @@ use std::time::{Duration, Instant};
 /// enough slack for dynamic load balancing on oversubscribed machines.
 pub const MAX_CHUNKS: usize = 32;
 
-/// Default [`Exec::chunk_cap`]: kernels that carry a full-size scratch
-/// accumulator per chunk (the MD force loop) cap their chunk count here,
-/// because every extra chunk costs an O(N) buffer plus O(N) merge work.
-pub const DEFAULT_CHUNK_CAP: usize = 8;
-
-/// An execution context: how many worker threads kernels may use, plus the
-/// per-kernel scratch-chunk policy.
+/// An execution context: how many worker threads kernels may use.
 ///
 /// Carried by value on simulation state (`System`, `FlashSim`) so analyses
 /// that only see `&state` inherit the choice without new plumbing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exec {
     threads: usize,
-    chunk_cap: usize,
 }
 
 impl Exec {
     /// Single-threaded execution (used to pin profiling anchors).
     pub fn serial() -> Self {
-        Exec {
-            threads: 1,
-            chunk_cap: DEFAULT_CHUNK_CAP,
-        }
+        Exec { threads: 1 }
     }
 
     /// Execution with exactly `n` worker threads (clamped to >= 1).
     pub fn with_threads(n: usize) -> Self {
-        Exec {
-            threads: n.max(1),
-            chunk_cap: DEFAULT_CHUNK_CAP,
-        }
+        Exec { threads: n.max(1) }
     }
 
-    /// Reads `INSITU_THREADS` (worker count) and `INSITU_CHUNK_CAP`
-    /// (scratch-chunk cap) from the environment; threads fall back to the
-    /// machine's available parallelism, the cap to [`DEFAULT_CHUNK_CAP`].
+    /// Reads the worker count from `INSITU_THREADS`, falling back to the
+    /// machine's available parallelism.
     pub fn from_env() -> Self {
         let threads = std::env::var("INSITU_THREADS")
             .ok()
@@ -78,35 +64,12 @@ impl Exec {
                     .map(|n| n.get())
                     .unwrap_or(1)
             });
-        let chunk_cap = std::env::var("INSITU_CHUNK_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_CHUNK_CAP);
-        Exec { threads, chunk_cap }
+        Exec { threads }
     }
 
     /// Number of worker threads this context allows.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Chunk cap for kernels whose per-chunk scratch is proportional to
-    /// the whole problem (each chunk of the MD force loop accumulates into
-    /// a private 3·N buffer that must be merged). Changing the cap changes
-    /// the summation tree, so it must be fixed per run — like the chunk
-    /// count itself, it is policy, never derived from the thread count.
-    pub fn chunk_cap(&self) -> usize {
-        self.chunk_cap
-    }
-
-    /// Returns a copy with the scratch-chunk cap set to `n` (clamped
-    /// to >= 1).
-    pub fn with_chunk_cap(self, n: usize) -> Self {
-        Exec {
-            chunk_cap: n.max(1),
-            ..self
-        }
     }
 }
 
@@ -565,16 +528,6 @@ mod tests {
         assert_eq!(Exec::with_threads(0).threads(), 1);
         assert_eq!(Exec::with_threads(6).threads(), 6);
         assert!(Exec::from_env().threads() >= 1);
-    }
-
-    #[test]
-    fn exec_chunk_cap_is_policy() {
-        assert_eq!(Exec::serial().chunk_cap(), DEFAULT_CHUNK_CAP);
-        let e = Exec::with_threads(4).with_chunk_cap(3);
-        assert_eq!(e.chunk_cap(), 3);
-        assert_eq!(e.threads(), 4);
-        assert_eq!(Exec::with_threads(1).with_chunk_cap(0).chunk_cap(), 1);
-        assert!(Exec::from_env().chunk_cap() >= 1);
     }
 
     #[test]

@@ -55,14 +55,16 @@ run bash -c './target/release/trace_view benchmark/out/svc-zipf.trace.json \
 run head -n 4 target/trace_view.tree.txt
 
 # retired names stay retired: benchmark/ and `cargo test` are the only
-# gates since PR 16, and obs::Registry has no meters. History files
+# gates since PR 16, obs::Registry has no meters, and since PR 17
+# parallel::Exec is a thread count with no chunk-cap knob. History files
 # (CHANGES.md, ROADMAP.md, EXPERIMENTS.md) and benchmark/ are not searched.
 retired='service_bench|sim_bench|bench_diff|adaptive_smoke|timeline_smoke|obs_smoke'
 retired="$retired|BENCH_service\\.json|BENCH_sim\\.json|observe_agg"
+retired="$retired|INSITU_CHUNK_CAP|with_chunk_cap"
 echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then
-    echo "verify: a tracked file still names a retired binary, recording or API"
+    echo "verify: a tracked file still names a retired binary, recording, API or knob"
     exit 1
 fi
 

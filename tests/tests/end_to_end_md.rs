@@ -40,9 +40,14 @@ fn full_pipeline_respects_threshold() {
         profile(&mut a1_hydronium_rdf(), &sys),
         profile(&mut a4_msd(), &sys),
     ];
-    let sw = Stopwatch::start();
-    sys.step();
-    let step_time = sw.elapsed();
+    // min of 5 steps, like `profile`: the budget is 20 % of this, and one
+    // scheduler hiccup on a single timed step would multiply it
+    let mut step_time = f64::INFINITY;
+    for _ in 0..5 {
+        let sw = Stopwatch::start();
+        sys.step();
+        step_time = step_time.min(sw.elapsed());
+    }
     let sim_time = step_time * STEPS as f64;
 
     let problem = ScheduleProblem::new(
