@@ -123,3 +123,91 @@ fn hydro_kernels_bitwise_identical_across_thread_counts() {
         assert_bits_eq(&base, &amr_fingerprint(t), &format!("amr @ {t} threads"));
     }
 }
+
+/// FNV-1a-64 over the little-endian bytes of `words`.
+fn fnv1a64(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digest of a whole Sedov trajectory end state: `sim.time` and the raw bits
+/// of all ten variables of every interior and face-ghost cell (edge and
+/// corner ghosts are never read or written by anything) after `steps`
+/// `advance()`s.
+fn sedov_trajectory_digest(
+    blocks: usize,
+    cells: usize,
+    cfl: Option<f64>,
+    steps: usize,
+    threads: usize,
+) -> u64 {
+    const VARS: [FlowVar; amrsim::NVARS] = [
+        FlowVar::Dens,
+        FlowVar::Velx,
+        FlowVar::Vely,
+        FlowVar::Velz,
+        FlowVar::Pres,
+        FlowVar::Ener,
+        FlowVar::Eint,
+        FlowVar::Temp,
+        FlowVar::Gamc,
+        FlowVar::Vort,
+    ];
+    let mut sim = FlashSim::sedov(blocks, cells, SedovSetup::default());
+    sim.exec = Exec::with_threads(threads);
+    if let Some(cfl) = cfl {
+        sim.cfl = cfl;
+    }
+    for _ in 0..steps {
+        sim.advance();
+    }
+    let mut words = vec![sim.time.to_bits()];
+    for b in &sim.mesh.blocks {
+        let w = b.width();
+        let ghost = |g: usize| usize::from(g < amrsim::GHOST || g >= b.n + amrsim::GHOST);
+        for var in VARS {
+            for gk in 0..w {
+                for gj in 0..w {
+                    for gi in 0..w {
+                        if ghost(gi) + ghost(gj) + ghost(gk) <= 1 {
+                            words.push(b.at(var, gi, gj, gk).to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    fnv1a64(words)
+}
+
+const SEDOV_3X12_CFL02_40_STEPS: u64 = 0x692e903708751cb8;
+const SEDOV_2X8_DEFAULT_40_STEPS: u64 = 0x1c28d011cbb72bda;
+
+/// The Sedov trajectory itself, not just its thread-count invariance: both
+/// digests were recorded at commit `6fd80b8` (the per-cell sweep that
+/// evaluated every HLL face flux twice and exchanged ghosts twice a step).
+/// Any change to `amrsim::{euler, mesh}` must reproduce them bit for bit —
+/// a digest that moves means an expression was re-associated, not that the
+/// golden needs re-recording.
+#[test]
+fn sedov_trajectory_digest_pinned() {
+    for &t in &THREADS {
+        // the benchmark's run-amr-static mesh and CFL number
+        assert_eq!(
+            sedov_trajectory_digest(3, 12, Some(0.2), 40, t),
+            SEDOV_3X12_CFL02_40_STEPS,
+            "sedov(3, 12) cfl 0.2 @ {t} threads"
+        );
+        assert_eq!(
+            sedov_trajectory_digest(2, 8, None, 40, t),
+            SEDOV_2X8_DEFAULT_40_STEPS,
+            "sedov(2, 8) default cfl @ {t} threads"
+        );
+    }
+}
