@@ -107,6 +107,60 @@ impl Block {
         self.at_mut(var, i + GHOST, j + GHOST, k + GHOST)
     }
 
+    /// One variable's whole `(n+2g)³` field, ghosts included, x fastest: the
+    /// linear index of ghost-shifted `(gi, gj, gk)` is `(gk·w + gj)·w + gi`.
+    pub(crate) fn var(&self, var: FlowVar) -> &[f64] {
+        let len = self.width().pow(3);
+        &self.data[var.index() * len..(var.index() + 1) * len]
+    }
+
+    /// Mutable [`Block::var`].
+    pub(crate) fn var_mut(&mut self, var: FlowVar) -> &mut [f64] {
+        let len = self.width().pow(3);
+        &mut self.data[var.index() * len..(var.index() + 1) * len]
+    }
+
+    /// All `NVARS` fields at once as disjoint mutable slices, indexed by
+    /// [`FlowVar::index`] and laid out as [`Block::var`] describes.
+    pub(crate) fn vars_mut(&mut self) -> [&mut [f64]; NVARS] {
+        split_fields(&mut self.data)
+    }
+
+    /// Copies the `n × n` cells of `var` on the plane whose ghost-shifted
+    /// coordinate along `axis` is `c` (the other two axes run over the
+    /// interior, the lower one fastest) into `out`. Rows of a y or z plane
+    /// are contiguous and go as slices; an x plane is one strided loop.
+    pub(crate) fn read_plane(&self, var: FlowVar, axis: usize, c: usize, out: &mut [f64]) {
+        let (n, w) = (self.n, self.width());
+        let field = self.var(var);
+        for (v, row) in out.chunks_exact_mut(n).enumerate() {
+            let start = plane_row_start(w, axis, c, v);
+            if axis == 0 {
+                for (o, x) in row.iter_mut().zip(field[start..].iter().step_by(w)) {
+                    *o = *x;
+                }
+            } else {
+                row.copy_from_slice(&field[start..start + n]);
+            }
+        }
+    }
+
+    /// The inverse of [`Block::read_plane`]: writes `src` onto that plane.
+    pub(crate) fn write_plane(&mut self, var: FlowVar, axis: usize, c: usize, src: &[f64]) {
+        let (n, w) = (self.n, self.width());
+        let field = self.var_mut(var);
+        for (v, row) in src.chunks_exact(n).enumerate() {
+            let start = plane_row_start(w, axis, c, v);
+            if axis == 0 {
+                for (x, o) in field[start..].iter_mut().step_by(w).zip(row) {
+                    *x = *o;
+                }
+            } else {
+                field[start..start + n].copy_from_slice(row);
+            }
+        }
+    }
+
     /// Fills a variable (interior + ghosts) with a constant.
     pub fn fill(&mut self, var: FlowVar, value: f64) {
         let w = self.width();
@@ -133,6 +187,25 @@ impl Block {
     /// Bytes of storage held by this block.
     pub fn byte_size(&self) -> usize {
         self.data.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Splits `buf` into `K` equal consecutive fields (a `buf` too short for
+/// one element each yields empty ones).
+pub(crate) fn split_fields<const K: usize>(buf: &mut [f64]) -> [&mut [f64]; K] {
+    let mut fields = buf.chunks_exact_mut((buf.len() / K).max(1));
+    std::array::from_fn(|_| fields.next().unwrap_or_default())
+}
+
+/// Index, in a field of width `w`, of the first interior cell of in-plane
+/// row `v` on the plane `c` (ghost-shifted) normal to `axis`. The row's
+/// cells follow at stride 1 for a y or z plane and at stride `w` for an x
+/// plane (whose rows run along y).
+fn plane_row_start(w: usize, axis: usize, c: usize, v: usize) -> usize {
+    match axis {
+        0 => ((v + GHOST) * w + GHOST) * w + c,
+        1 => ((v + GHOST) * w + c) * w + GHOST,
+        _ => (c * w + v + GHOST) * w + GHOST,
     }
 }
 

@@ -1,9 +1,17 @@
 //! The block-structured mesh: block grid, ghost exchange, boundaries.
 
-use crate::block::{Block, FlowVar, GHOST, NVARS};
-use parallel::{Exec, ScratchPool};
+use crate::block::{Block, FlowVar, GHOST};
+use parallel::{Exec, ParStats, ScratchPool};
 
 /// A block-structured uniform mesh over an orthorhombic domain.
+///
+/// **Ghost invariant:** the face ghosts of the hydro state are current —
+/// [`Mesh::ghosts_current`] — whenever the mesh is at rest, i.e. between
+/// calls. Whoever writes interior cells exchanges before handing the mesh
+/// on: [`crate::sedov::SedovSetup::init`] and [`crate::euler::step_ex`] end
+/// with [`Mesh::exchange_ghosts`], and a test that pokes cells calls it
+/// itself. Readers (the Euler sweep, the vorticity stencil) rely on it and
+/// never exchange on entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mesh {
     /// Blocks per axis.
@@ -16,7 +24,8 @@ pub struct Mesh {
     pub blocks: Vec<Block>,
 }
 
-/// Variables that participate in ghost exchange (the hydro state).
+/// Variables that participate in ghost exchange (the hydro state; the
+/// other four are derived per cell or analysis scratch).
 const EXCHANGED: [FlowVar; 6] = [
     FlowVar::Dens,
     FlowVar::Velx,
@@ -24,6 +33,16 @@ const EXCHANGED: [FlowVar; 6] = [
     FlowVar::Velz,
     FlowVar::Pres,
     FlowVar::Ener,
+];
+
+/// The six block faces as `(axis, negative side?)`.
+const FACES: [(usize, bool); 6] = [
+    (0, true),
+    (0, false),
+    (1, true),
+    (1, false),
+    (2, true),
+    (2, false),
 ];
 
 impl Mesh {
@@ -105,6 +124,48 @@ impl Mesh {
             * self.cell_volume()
     }
 
+    /// For each of block `b`'s six [`FACES`], where its ghost plane comes
+    /// from: `(source block, interior plane coordinate)` — the neighbour's
+    /// far plane, or the block's own boundary plane on a domain face
+    /// (outflow / zero-gradient).
+    fn face_sources(&self, b: usize) -> [(usize, usize); 6] {
+        let n = self.block_cells;
+        let dims = self.block_dims;
+        let coords = self.blocks[b].coords;
+        let strides = [1, dims[0], dims[0] * dims[1]];
+        FACES.map(|(axis, neg)| {
+            if neg && coords[axis] > 0 {
+                (b - strides[axis], n - 1)
+            } else if !neg && coords[axis] + 1 < dims[axis] {
+                (b + strides[axis], 0)
+            } else {
+                (b, if neg { 0 } else { n - 1 })
+            }
+        })
+    }
+
+    /// Whether every face ghost of the exchanged variables equals, bit for
+    /// bit, the interior plane it mirrors — the invariant the type documents
+    /// and [`crate::euler::step_ex`] asserts in debug builds. O(surface);
+    /// meant for assertions and tests.
+    pub fn ghosts_current(&self) -> bool {
+        let plane = self.block_cells * self.block_cells;
+        let (mut ghost, mut source) = (vec![0.0; plane], vec![0.0; plane]);
+        self.blocks.iter().enumerate().all(|(b, block)| {
+            let sources = self.face_sources(b);
+            FACES.iter().zip(sources).all(|(&(axis, neg), (src, sc))| {
+                EXCHANGED.iter().all(|&var| {
+                    block.read_plane(var, axis, ghost_plane(self.block_cells, neg), &mut ghost);
+                    self.blocks[src].read_plane(var, axis, sc + GHOST, &mut source);
+                    ghost
+                        .iter()
+                        .zip(&source)
+                        .all(|(g, s)| g.to_bits() == s.to_bits())
+                })
+            })
+        })
+    }
+
     /// Fills the ghost layers of every block: interior faces copy the
     /// neighbouring block's edge cells; domain faces use outflow
     /// (zero-gradient) boundaries.
@@ -116,7 +177,8 @@ impl Mesh {
     }
 
     /// [`Mesh::exchange_ghosts`] on an explicit execution context, with
-    /// gather buffers drawn from `pool`.
+    /// gather buffers drawn from `pool`. Returns the shape and directly
+    /// timed wall of the two phases together.
     ///
     /// Runs in two phases: **gather** reads, for every block, the six
     /// source planes (neighbour far-interior plane, or the block's own
@@ -125,86 +187,57 @@ impl Mesh {
     /// buffer into its own ghost planes. The gather phase reads *interior*
     /// cells only and the scatter phase writes *ghost* cells only, so the
     /// result is bitwise identical to the serial exchange at any thread
-    /// count — no write is visible to any read.
-    pub fn exchange_ghosts_ex(&mut self, exec: &Exec, pool: &ScratchPool) {
+    /// count — no write is visible to any read. Both phases move whole
+    /// planes: the rows of a y or z face as slices, an x face in one
+    /// strided loop.
+    pub fn exchange_ghosts_ex(&mut self, exec: &Exec, pool: &ScratchPool) -> ParStats {
         let n = self.block_cells;
-        let [nbx, nby, nbz] = self.block_dims;
         let plane = n * n;
-        // six faces: (axis, negative side?)
-        const FACES: [(usize, bool); 6] =
-            [(0, true), (0, false), (1, true), (1, false), (2, true), (2, false)];
-        // phase 1: gather. One flat buffer per block, laid out face-major
-        // then variable-major: offset ((face*nvars + var)*n + row)*n + col.
-        // Every slot is overwritten, so stale pooled contents are fine.
-        let blocks = &self.blocks;
-        let (gathered, _) = parallel::map_chunks(exec, blocks.len(), |b| {
-            let bx = b % nbx;
-            let by = (b / nbx) % nby;
-            let bz = b / (nbx * nby);
-            let mut buf = pool.take(6 * EXCHANGED.len() * plane);
-            for (fi, &(axis, neg)) in FACES.iter().enumerate() {
-                let nb_coord = |c: usize, dim: usize| -> Option<usize> {
-                    if neg {
-                        c.checked_sub(1)
-                    } else if c + 1 < dim {
-                        Some(c + 1)
-                    } else {
-                        None
-                    }
-                };
-                let neighbor = match axis {
-                    0 => nb_coord(bx, nbx).map(|x| (bz * nby + by) * nbx + x),
-                    1 => nb_coord(by, nby).map(|y| (bz * nby + y) * nbx + bx),
-                    _ => nb_coord(bz, nbz).map(|z| (z * nby + by) * nbx + bx),
-                };
-                // interior source plane: the neighbour's far plane, or our
-                // own boundary plane (outflow / zero-gradient)
-                let (src, sc) = match neighbor {
-                    Some(s) => (s, if neg { n - 1 } else { 0 }),
-                    None => (b, if neg { 0 } else { n - 1 }),
-                };
-                let sb = &blocks[src];
+        // phase 1: gather. One flat buffer per block, face-major then
+        // variable-major, one `plane` each. Every slot is overwritten, so
+        // stale pooled contents are fine.
+        let slot = |face: usize, var: usize| {
+            let start = (face * EXCHANGED.len() + var) * plane;
+            start..start + plane
+        };
+        let mesh = &*self;
+        let (gathered, gather) = parallel::map_chunks(exec, mesh.blocks.len(), |b| {
+            let mut buf = pool.take(FACES.len() * EXCHANGED.len() * plane);
+            let sources = mesh.face_sources(b);
+            for (fi, (&(axis, _), (src, sc))) in FACES.iter().zip(sources).enumerate() {
                 for (vi, &var) in EXCHANGED.iter().enumerate() {
-                    let base = (fi * EXCHANGED.len() + vi) * plane;
-                    for v in 0..n {
-                        for u in 0..n {
-                            let (i, j, k) = match axis {
-                                0 => (sc, u, v),
-                                1 => (u, sc, v),
-                                _ => (u, v, sc),
-                            };
-                            buf[base + v * n + u] = sb.cell(var, i, j, k);
-                        }
-                    }
+                    mesh.blocks[src].read_plane(var, axis, sc + GHOST, &mut buf[slot(fi, vi)]);
                 }
             }
             buf
         });
         // phase 2: scatter each block's gathered planes into its ghosts
-        let gathered_ref = &gathered;
-        parallel::for_each_mut(exec, &mut self.blocks, |b, db| {
-            let buf = &gathered_ref[b];
+        let scatter = parallel::for_each_mut(exec, &mut self.blocks, |b, block| {
             for (fi, &(axis, neg)) in FACES.iter().enumerate() {
-                let gc = if neg { 0 } else { n + GHOST };
                 for (vi, &var) in EXCHANGED.iter().enumerate() {
-                    let base = (fi * EXCHANGED.len() + vi) * plane;
-                    for v in 0..n {
-                        for u in 0..n {
-                            let (gi, gj, gk) = match axis {
-                                0 => (gc, u + GHOST, v + GHOST),
-                                1 => (u + GHOST, gc, v + GHOST),
-                                _ => (u + GHOST, v + GHOST, gc),
-                            };
-                            *db.at_mut(var, gi, gj, gk) = buf[base + v * n + u];
-                        }
-                    }
+                    block.write_plane(var, axis, ghost_plane(n, neg), &gathered[b][slot(fi, vi)]);
                 }
             }
         });
         for buf in gathered {
             pool.put(buf);
         }
-        let _ = NVARS; // (documented: only the hydro state is exchanged)
+        ParStats {
+            threads_used: gather.threads_used.max(scatter.threads_used),
+            chunks: gather.chunks + scatter.chunks,
+            wall: gather.wall + scatter.wall,
+            merge: gather.merge + scatter.merge,
+        }
+    }
+}
+
+/// Ghost-shifted coordinate of the ghost plane on a block's negative or
+/// positive side.
+fn ghost_plane(n: usize, neg: bool) -> usize {
+    if neg {
+        0
+    } else {
+        n + GHOST
     }
 }
 
@@ -255,10 +288,11 @@ mod tests {
         assert_eq!(b.at(FlowVar::Pres, 5, GHOST, GHOST), 3.0); // +x ghost = cell 3
     }
 
-    #[test]
-    fn parallel_ghost_exchange_matches_serial() {
-        let mut serial = Mesh::new([2, 2, 2], 4, [1.0, 1.0, 1.0]);
-        for (bi, b) in serial.blocks.iter_mut().enumerate() {
+    /// A mesh of 4³-cell blocks whose every exchanged interior value is
+    /// distinct, ghosts left stale (zero).
+    fn numbered_mesh(block_dims: [usize; 3]) -> Mesh {
+        let mut m = Mesh::new(block_dims, 4, [1.0, 1.0, 1.0]);
+        for (bi, b) in m.blocks.iter_mut().enumerate() {
             for (vi, &var) in EXCHANGED.iter().enumerate() {
                 for i in 0..4 {
                     for j in 0..4 {
@@ -270,6 +304,54 @@ mod tests {
                 }
             }
         }
+        m
+    }
+
+    #[test]
+    fn exchange_fills_every_face_ghost_from_its_source_cell() {
+        // cell by cell through `at` / `cell`, sharing nothing with the plane
+        // copies: interior and outflow faces on every axis
+        let mut m = numbered_mesh([3, 2, 2]);
+        assert!(!m.ghosts_current());
+        m.exchange_ghosts();
+        assert!(m.ghosts_current());
+        let n = m.block_cells;
+        for (b, block) in m.blocks.iter().enumerate() {
+            for (axis, neg) in FACES {
+                let mut coords = block.coords;
+                let (src, sc) = if neg && coords[axis] > 0 {
+                    coords[axis] -= 1;
+                    (m.block_index(coords[0], coords[1], coords[2]), n - 1)
+                } else if !neg && coords[axis] + 1 < m.block_dims[axis] {
+                    coords[axis] += 1;
+                    (m.block_index(coords[0], coords[1], coords[2]), 0)
+                } else {
+                    (b, if neg { 0 } else { n - 1 })
+                };
+                let (u_axis, v_axis) = [(1, 2), (0, 2), (0, 1)][axis];
+                for var in EXCHANGED {
+                    for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
+                        let (mut ghost, mut source) = ([0; 3], [0; 3]);
+                        (ghost[u_axis], ghost[v_axis]) = (u + GHOST, v + GHOST);
+                        ghost[axis] = if neg { 0 } else { n + GHOST };
+                        (source[u_axis], source[v_axis], source[axis]) = (u, v, sc);
+                        assert_eq!(
+                            block.at(var, ghost[0], ghost[1], ghost[2]),
+                            m.blocks[src].cell(var, source[0], source[1], source[2]),
+                            "block {b} {var:?} face ({axis}, {neg}) at ({u}, {v})"
+                        );
+                    }
+                }
+            }
+        }
+        // one interior write next to a face makes the mesh stale again
+        *m.blocks[0].cell_mut(FlowVar::Ener, 3, 1, 2) += 1.0;
+        assert!(!m.ghosts_current());
+    }
+
+    #[test]
+    fn parallel_ghost_exchange_matches_serial() {
+        let mut serial = numbered_mesh([2, 2, 2]);
         let mut par = serial.clone();
         serial.exchange_ghosts();
         let pool = ScratchPool::new();

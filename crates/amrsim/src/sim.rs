@@ -31,9 +31,10 @@ pub struct FlashSim {
     pub exec: Exec,
     /// Accumulated per-kernel telemetry (block sweep, CFL reduction, ...).
     pub telemetry: KernelTelemetry,
-    /// Reusable scratch buffers for the hydro step (ghost gather planes,
-    /// per-block flux deltas): once warm, a step allocates nothing. A
-    /// cloned sim starts with an empty pool and re-warms on first step.
+    /// Reusable scratch buffers for the hydro step (one sweep buffer per
+    /// worker, one ghost gather buffer per block): once warm, a step
+    /// allocates nothing. A cloned sim starts with an empty pool and
+    /// re-warms on first step.
     pub scratch: ScratchPool,
     /// Trace sink for kernel-boundary spans (`hydro.cfl_dt`,
     /// `hydro.step`). Disabled by default; attach a handle to see the

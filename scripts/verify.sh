@@ -14,6 +14,13 @@ run() {
 run cargo build --release --workspace
 run cargo test -q --workspace
 
+# the Sedov trajectory digest and the Euler sweep's differential against
+# its per-cell reference, once more on the optimised build the benchmark
+# runs: `debug_assert!` is off there and the codegen differs, and a
+# bit-for-bit claim has to hold on the bits that ship
+run cargo test --release -q -p amrsim
+run cargo test --release -q -p integration-tests --test sim_kernel_determinism
+
 # doc-tests, separately: `cargo test` runs them per-crate, but this keeps
 # a failure attributable when only docs change
 run cargo test --doc --workspace

@@ -5,7 +5,9 @@
 //! partials are merged in ascending chunk order — so every kernel result
 //! is **bitwise identical** at 1, 2, or N threads. This file pins that
 //! for the full MD state (positions, forces, energies), every MD analysis
-//! kernel, the Euler sweep, and every hydro analysis kernel.
+//! kernel, the Euler sweep, and every hydro analysis kernel. The Sedov
+//! trajectory is also held to a recorded digest, so a kernel rewrite that
+//! claims "same bits" is checked against the bits, not against itself.
 
 use amrsim::analysis::{f1_vorticity, f2_l1_norm, f3_l2_norm};
 use amrsim::sedov::SedovSetup;
