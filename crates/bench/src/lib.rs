@@ -11,7 +11,9 @@
 //!   (partition sizes, network diameters, collective and I/O costs) to
 //!   produce paper-scale [`insitu_types::AnalysisProfile`]s — the same
 //!   measure-small/predict-big methodology as the paper's §4,
-//! * [`table`] — text-table formatting for the reproduction reports.
+//! * [`table`] — text-table formatting for the reproduction reports,
+//! * [`instances`] — the repo benchmark's solver-path instance families,
+//!   for the kernel benches (`benches/lu_kernels.rs`) and pinned tests.
 //!
 //! Absolute numbers will differ from the paper (its substrate was a Blue
 //! Gene/Q; ours is a calibrated model), but each section prints the paper's
@@ -19,6 +21,7 @@
 //! crossovers sit — can be compared directly.
 
 pub mod experiments;
+pub mod instances;
 pub mod measure;
 pub mod scale;
 pub mod table;

@@ -1,23 +1,23 @@
-//! Sparse revised simplex — the default LP engine.
+//! Sparse revised simplex — the LP engine; every LP the solver meets is
+//! solved here.
 //!
-//! Where the dense tableau engine ([`crate::simplex`]) keeps the full
-//! `B⁻¹A` matrix and pays `O(rows · cols)` per pivot, this engine keeps
-//! only
+//! Per pivot this engine pays for the nonzeros it touches, not for the
+//! `rows · cols` area of a tableau. It keeps only
 //!
 //! * the constraint matrix in CSC form ([`crate::standard::Csc`], shared,
 //!   read-only),
 //! * an LU factorization of the current basis with an eta file of
 //!   product-form updates ([`crate::lu`]), refactorized every
-//!   `REFACTOR_INTERVAL` pivots,
+//!   `REFACTOR_INTERVAL` pivots straight from the CSC columns of the basis
+//!   list,
 //! * the basic-variable values `x_B`, updated incrementally and
 //!   recomputed exactly at every refactorization.
 //!
 //! Per iteration it solves `Bᵀy = c_B` (**BTRAN**) for the pricing duals,
 //! prices nonbasic columns with **partial (candidate-block) pricing**
-//! (Dantzig within the block, with the same automatic switch to Bland's
-//! rule as the dense engine), and solves `Bw = a_j` (**FTRAN**) for the
-//! bounded-variable ratio test. Per-pivot cost therefore tracks the
-//! nonzero count, not the matrix area.
+//! (Dantzig within the block, with an automatic switch to Bland's rule
+//! against cycling), and solves `Bw = a_j` (**FTRAN**) for the
+//! bounded-variable ratio test.
 //!
 //! # One lowering, many LPs
 //!
@@ -31,12 +31,14 @@
 //! of LPs share the factors read-only, each with its own eta file and its
 //! own `x_B` recomputed from its own bounds.
 //!
-//! The two engines implement the same method (bounded-variable two-phase
-//! primal simplex with dual-simplex warm-start repair) with the same
-//! tolerances, so they terminate on the same optima; every solve is an
-//! independently proven optimum either way, which the differential fuzz
-//! harness (`tests/tests/certify_differential.rs`) cross-checks on the
-//! full seeded corpus.
+//! The method is a bounded-variable two-phase primal simplex with
+//! dual-simplex warm-start repair. The dense tableau that first implemented
+//! it ([`crate::simplex`], `O(rows · cols)` per pivot) is no engine any
+//! more: no solve path calls it and no option selects it. It survives as a
+//! doc-hidden *oracle* with the same tolerances, which
+//! `tests/tests/engine_equivalence.rs` and the differential fuzz harness
+//! (`tests/tests/certify_differential.rs`) hold this engine's feasibility
+//! verdicts and optimal objectives against (`docs/SOLVER.md` § LP engine).
 
 use std::time::Instant;
 
@@ -47,7 +49,7 @@ use crate::simplex::{Basis, LpPoint};
 use crate::standard::{ColBound, StandardForm};
 use crate::stats::LpTelemetry;
 
-/// Minimum absolute pivot element accepted (same as the dense engine).
+/// Minimum absolute pivot element accepted (same as the dense oracle).
 const PIVOT_TOL: f64 = 1e-9;
 /// Reduced-cost threshold for entering eligibility.
 const COST_TOL: f64 = 1e-7;
@@ -103,21 +105,20 @@ struct Engine<'a> {
     sg: Vec<f64>,
 }
 
-/// The sparse columns of `basis` (structural/slack from the CSC matrix,
-/// artificial `n + r` as the signed unit vector `art_sign[r]·e_r`), in
-/// basis-position order — the input of [`LuFactors::factor`].
-fn basis_columns(sf: &StandardForm, art_sign: &[f64], basis: &[usize]) -> Vec<Vec<(usize, f64)>> {
+/// LU factors of `basis` over `sf`, read in place: structural/slack columns
+/// straight from the CSC matrix, artificial `n + r` as the signed unit
+/// vector `art_sign[r]·e_r`. `None` when the basis is numerically singular.
+fn factor_basis(sf: &StandardForm, art_sign: &[f64], basis: &[usize]) -> Option<LuFactors> {
     let n = sf.ncols();
-    basis
-        .iter()
-        .map(|&j| {
-            if j < n {
-                sf.a.col(j).collect()
-            } else {
-                vec![(j - n, art_sign[j - n])]
-            }
-        })
-        .collect()
+    LuFactors::factor(sf.nrows(), |q| {
+        let j = basis[q];
+        let (structural, artificial) = if j < n {
+            (Some(sf.a.col(j)), None)
+        } else {
+            (None, Some((j - n, art_sign[j - n])))
+        };
+        structural.into_iter().flatten().chain(artificial)
+    })
 }
 
 /// `sf`'s column bounds intersected with the overrides `bounds`, plus one
@@ -198,8 +199,7 @@ impl<'a> Engine<'a> {
             .map(|&r| if r < 0.0 { -1.0 } else { 1.0 })
             .collect();
         let basis: Vec<usize> = (n..n + m).collect();
-        let lu = LuFactors::factor(m, &basis_columns(sf, &art_sign, &basis))
-            .expect("±identity is nonsingular");
+        let lu = factor_basis(sf, &art_sign, &basis).expect("±identity is nonsingular");
         let mut e = Engine::blank(sf, (lower, upper), Factorization::new(lu));
         e.x_basic = resid.iter().map(|r| r.abs()).collect();
         e.art_sign = art_sign;
@@ -309,8 +309,7 @@ impl<'a> Engine<'a> {
     /// Refactorizes the current basis from scratch and recomputes `x_B`.
     /// `false` means the basis is numerically singular.
     fn refactor(&mut self) -> bool {
-        let cols = basis_columns(self.sf, &self.art_sign, &self.basis);
-        match LuFactors::factor(self.m, &cols) {
+        match factor_basis(self.sf, &self.art_sign, &self.basis) {
             Some(lu) => {
                 self.fac = Factorization::new(lu);
                 self.tele.refactorizations += 1;
@@ -447,7 +446,7 @@ impl<'a> Engine<'a> {
             };
             let dir = if from_upper { -1.0 } else { 1.0 };
             self.ftran_col(j);
-            // --- bounded-variable ratio test (mirrors the dense engine) ---
+            // --- bounded-variable ratio test (mirrors the dense oracle) ---
             let span = self.upper[j] - self.lower[j]; // may be inf
             let mut delta = span;
             let mut leave: Option<(usize, bool)> = None;
@@ -562,7 +561,7 @@ impl<'a> Engine<'a> {
 
     /// Bounded-variable dual simplex: repairs primal infeasibility while
     /// keeping the reduced costs optimal-signed. Same contract as the
-    /// dense engine's repair: `Ok(false)` means "fall back to a cold
+    /// dense oracle's repair: `Ok(false)` means "fall back to a cold
     /// solve" and is never a feasibility verdict.
     fn dual_repair(&mut self, cost: &[f64], opts: &SolveOptions) -> Result<bool, SolveError> {
         let budget = 5 * (self.m + self.n_total) + 100;
@@ -700,7 +699,7 @@ impl<'b> FactoredBasis<'b> {
             }
             seen[j] = true;
         }
-        let lu = LuFactors::factor(m, &basis_columns(sf, &[], &basis.basic))?;
+        let lu = factor_basis(sf, &[], &basis.basic)?;
         Some(FactoredBasis { basis, lu })
     }
 

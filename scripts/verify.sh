@@ -21,6 +21,12 @@ run cargo test -q --workspace
 run cargo test --release -q -p amrsim
 run cargo test --release -q -p integration-tests --test sim_kernel_determinism
 
+# likewise the LU factorization: its differential against the full-scan
+# elimination (every factorization of every milp unit test is compared bit
+# for bit) and the pinned exact-leg LP trajectory, on the optimised build
+run cargo test --release -q -p milp
+run cargo test --release -q -p integration-tests --test lp_trajectory
+
 # doc-tests, separately: `cargo test` runs them per-crate, but this keeps
 # a failure attributable when only docs change
 run cargo test --doc --workspace

@@ -8,42 +8,16 @@
 //! the same pivots, the same refactorizations at the same moments, the same
 //! Gomory rows read off the same final basis, the same point to the last
 //! bit (signed zeros included). This test holds three of the leg's seven
-//! shapes to the values recorded at commit `5906720`, before
+//! shapes (`bench::instances::exact_leg` restates the benchmark's formula)
+//! to the values recorded at commit `5906720`, before
 //! `LuFactors::factor` stopped scanning every earlier pivot for every
 //! column. A value that moves means an operation was reordered,
 //! re-associated or skipped where the full scan performed it: find it, do
 //! not re-pin.
 
+use bench::instances::exact_leg;
 use insitu_core::formulation::build_exact;
-use insitu_types::{AnalysisProfile, ResourceConfig, ScheduleProblem};
 use milp::SolveOptions;
-
-/// `benchmark/src/gen.rs::exact_instance`, copied (tests may not depend on
-/// `benchmark/`): interval `Steps/8`, costs a formula of the analysis
-/// index, integral weights, no memory, budget at 60 % of the full cost on a
-/// per-step threshold whose product with `Steps` is exact.
-fn exact_instance(steps: usize, n: usize) -> ScheduleProblem {
-    let itv = (steps / 8).max(1);
-    let kmax = (steps / itv) as f64;
-    let mut rough = 0.0;
-    let analyses: Vec<AnalysisProfile> = (0..n)
-        .map(|i| {
-            let ct = 1.0 + 1.5 * i as f64;
-            let ot = 0.25 * (1 + i % 2) as f64;
-            rough += kmax * (ct + ot);
-            AnalysisProfile::new(format!("E{i}"))
-                .with_compute(ct, 0.0)
-                .with_output(ot, 0.0, 1)
-                .with_weight((1 + i % 3) as f64)
-                .with_interval(itv)
-        })
-        .collect();
-    let total = (rough * 0.6 * 4.0).floor() / 4.0;
-    const SCALE: f64 = (1u64 << 20) as f64;
-    let cth = (total / steps as f64 * SCALE).ceil() / SCALE;
-    ScheduleProblem::new(analyses, ResourceConfig::new(steps, cth, 1e12, 1e9))
-        .expect("generated exact instance must validate")
-}
 
 /// FNV-1a-64 over the little-endian bytes of the raw bits of `values`.
 fn digest(values: &[f64]) -> u64 {
@@ -87,7 +61,7 @@ fn exact_leg_lp_trajectory_is_the_parents() {
     };
     for pin in &PINS {
         let ctx = format!("Exact/{}x{}", pin.steps, pin.n);
-        let (model, _) = build_exact(&exact_instance(pin.steps, pin.n));
+        let (model, _) = build_exact(&exact_leg(pin.steps, pin.n));
         let sol = milp::solve(&model, &opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         let stats = &sol.stats;
         assert_eq!(stats.lp_pivots, pin.lp_pivots, "{ctx}: lp_pivots");
