@@ -71,6 +71,8 @@ pub mod brute;
 mod cuts;
 pub mod error;
 pub mod expr;
+#[doc(hidden)]
+pub mod lp_fuzz;
 pub mod lu;
 pub mod model;
 pub mod options;

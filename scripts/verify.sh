@@ -23,9 +23,12 @@ run cargo test --release -q -p integration-tests --test sim_kernel_determinism
 
 # likewise the LU factorization: its differential against the full-scan
 # elimination (every factorization of every milp unit test is compared bit
-# for bit) and the pinned exact-leg LP trajectory, on the optimised build
+# for bit), the pinned exact-leg LP trajectory and the cold-start
+# differential against the dense oracle (already run once in the debug
+# block above, as part of the workspace tests), on the optimised build
 run cargo test --release -q -p milp
 run cargo test --release -q -p integration-tests --test lp_trajectory
+run cargo test --release -q -p integration-tests --test cold_start_differential
 
 # doc-tests, separately: `cargo test` runs them per-crate, but this keeps
 # a failure attributable when only docs change
