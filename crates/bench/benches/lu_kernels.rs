@@ -1,6 +1,8 @@
 //! Criterion bench: the LU kernels of the revised simplex on two real
 //! bases — one factorization, one FTRAN of a structural column and one
-//! BTRAN of a unit vector, each on the final root basis of
+//! BTRAN of a unit vector, each on the final root basis — and the cold root
+//! LP that reaches that basis (`cold_root_lp`, with its pivot and
+//! refactorization counts printed once), of
 //!
 //! * `Exact/160x4`, the largest LP of the repo benchmark's `solve-scale`
 //!   workload (m = 1 625, mostly slack and singleton columns), and
@@ -9,7 +11,8 @@
 //!   large one.
 //!
 //! `docs/SOLVER.md` § Decisions records the figures before and after the
-//! elimination became reach-driven.
+//! elimination became reach-driven and before and after the cold start
+//! became the slack crash basis.
 
 use bench::instances::{exact_leg, service_like};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -22,7 +25,12 @@ use milp::{Model, SolveOptions};
 
 fn bench_basis(c: &mut Criterion, label: &str, model: &Model) {
     let sf = StandardForm::from_model(model).expect("lowers");
-    let root = solve_standard_revised(&sf, &SolveOptions::default(), None).expect("root LP");
+    let opts = SolveOptions::default();
+    let root = solve_standard_revised(&sf, &opts, None).expect("root LP");
+    println!(
+        "  {label}: cold root LP in {} pivots, {} refactorizations",
+        root.iterations, root.telemetry.refactorizations
+    );
     let basic = root.basis.basic;
     let m = sf.nrows();
     let factor = || LuFactors::factor(m, |q| sf.a.col(basic[q])).expect("optimal basis");
@@ -33,6 +41,9 @@ fn bench_basis(c: &mut Criterion, label: &str, model: &Model) {
         factor().fill()
     );
     let mut g = c.benchmark_group(format!("lu_kernels/{label}"));
+    g.bench_function("cold_root_lp", |b| {
+        b.iter(|| solve_standard_revised(&sf, &opts, None).expect("root LP").objective)
+    });
     g.bench_function("factor", |b| b.iter(factor));
     let fac = Factorization::new(factor());
     // the entering column: the densest nonbasic one

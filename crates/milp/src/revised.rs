@@ -31,6 +31,34 @@
 //! of LPs share the factors read-only, each with its own eta file and its
 //! own `x_B` recomputed from its own bounds.
 //!
+//! # Starting basis
+//!
+//! A cold solve — every root LP, every set-up solve, every warm child whose
+//! dual repair gave up — starts from the **slack crash basis**, not from
+//! `m` artificials. [`StandardForm::from_model`] gives every row a `+1`
+//! slack (`[0, ∞)` on an inequality, fixed `[0, 0]` on an equality), so with
+//! the structural and slack columns nonbasic at their lower bounds and
+//! `resid = b − A_N x_N`, the rule is per row:
+//!
+//! * row `r`'s own slack is basic at `resid[r]` wherever that is a feasible
+//!   value for it — the slack is `[0, ∞)` and `resid[r] ≥ 0`;
+//! * otherwise (a `≥` row with a positive right-hand side, a lower bound or
+//!   a branching override that pushed a `≤` row over, any `=` row) the row
+//!   gets the signed artificial `±e_r` basic at `|resid[r]|`, as every row
+//!   once did.
+//!
+//! Either way the basis matrix is a signed identity. Phase 1 minimizes the
+//! sum of the artificials that exist, and between the phases the ones still
+//! basic at zero are pivoted out or, on a redundant row, pinned; the
+//! artificial of a slack-started row is banned from the first pivot, as one
+//! that has left the basis is. When no row needs an artificial — the
+//! time-indexed Eq. 1–9 model without memory terms is one: every row a `≤`
+//! (or a `≥ 0`) with a non-negative right-hand side over columns resting at
+//! 0 — the slack basis is primal feasible as it stands and the solve *is*
+//! phase 2: no phase-1 pricing, no drive-out loop, no refactorization
+//! between the phases (`docs/SOLVER.md` § Decisions has the pivot counts
+//! this saves).
+//!
 //! The method is a bounded-variable two-phase primal simplex with
 //! dual-simplex warm-start repair. The dense tableau that first implemented
 //! it ([`crate::simplex`], `O(rows · cols)` per pivot) is no engine any
@@ -70,8 +98,8 @@ struct Engine<'a> {
     n: usize,
     /// `n` + one artificial per row.
     n_total: usize,
-    /// Sign of each artificial column (`±e_r`), chosen so the initial
-    /// artificial value is `|residual|`.
+    /// Sign of each artificial column (`±e_r`), chosen so an artificial
+    /// that starts basic does so at `|residual|`.
     art_sign: Vec<f64>,
     /// Column basic in each position.
     basis: Vec<usize>,
@@ -81,7 +109,8 @@ struct Engine<'a> {
     at_upper: Vec<bool>,
     lower: Vec<f64>,
     upper: Vec<f64>,
-    /// Columns banned from entering (artificials that left the basis).
+    /// Columns banned from entering: artificials that left the basis, or
+    /// whose row started on its slack.
     banned: Vec<bool>,
     /// Values of the basic variables, by basis position.
     x_basic: Vec<f64>,
@@ -179,8 +208,15 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Engine with the all-artificial starting basis (phase-1 ready).
-    /// `None` when `bounds` empties a column's domain.
+    /// Engine at the slack crash basis (module docs, § Starting basis):
+    /// every structural and slack column nonbasic at its lower bound, and
+    /// in row `r` the row's own slack basic at the residual `resid[r]`
+    /// wherever that is a feasible value for it — the slack is `[0, ∞)` and
+    /// `resid[r] ≥ 0` — or else the signed artificial `±e_r` basic at
+    /// `|resid[r]|`. The artificial of a slack-started row is banned from
+    /// the first pivot, like one that has left the basis. Phase 1 has work
+    /// exactly when some `basis[r] >= n`. `None` when `bounds` empties a
+    /// column's domain.
     fn cold(sf: &'a StandardForm, bounds: &[ColBound]) -> Option<Engine<'a>> {
         let m = sf.nrows();
         let n = sf.ncols();
@@ -198,14 +234,40 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|&r| if r < 0.0 { -1.0 } else { 1.0 })
             .collect();
-        let basis: Vec<usize> = (n..n + m).collect();
+        let basis: Vec<usize> = (0..m)
+            .map(|r| {
+                let slack = sf.n_struct + r;
+                let carries =
+                    resid[r] >= 0.0 && lower[slack] == 0.0 && upper[slack] == f64::INFINITY;
+                if carries { slack } else { n + r }
+            })
+            .collect();
         let lu = factor_basis(sf, &art_sign, &basis).expect("±identity is nonsingular");
         let mut e = Engine::blank(sf, (lower, upper), Factorization::new(lu));
         e.x_basic = resid.iter().map(|r| r.abs()).collect();
         e.art_sign = art_sign;
+        for (r, &j) in basis.iter().enumerate() {
+            e.in_basis[j] = true;
+            e.banned[n + r] = j < n;
+        }
         e.basis = basis;
-        e.in_basis[n..].fill(true);
         Some(e)
+    }
+
+    /// The start this engine had before the slack crash basis: an
+    /// artificial basic in every row. Kept for the differential sweep only
+    /// — a slack `+e_r` at `resid[r] ≥ 0` and the artificial `+e_r` at the
+    /// same value are the same column, so the factors and `x_B` of
+    /// [`Engine::cold`] stand as they are.
+    #[cfg(test)]
+    fn all_artificial(mut self) -> Engine<'a> {
+        for r in 0..self.m {
+            let was = std::mem::replace(&mut self.basis[r], self.n + r);
+            self.in_basis[was] = false;
+            self.in_basis[self.n + r] = true;
+            self.banned[self.n + r] = false;
+        }
+        self
     }
 
     /// Engine resting at `basis` (already checked against `sf`'s layout,
@@ -815,33 +877,42 @@ pub fn solve_bound_edit(
             return Ok(e.finish(true));
         }
     }
-    let mut e = Engine::cold(sf, bounds).ok_or(SolveError::Infeasible)?;
-    // --- phase 1: minimize the sum of artificials ---
-    let mut cost1 = vec![0.0; e.n_total];
-    for c in cost1.iter_mut().skip(e.n) {
-        *c = 1.0;
-    }
-    e.run(&cost1, opts)?;
-    let art_sum: f64 = (0..e.m)
-        .filter(|&k| e.basis[k] >= e.n)
-        .map(|k| e.x_basic[k])
-        .sum();
-    if art_sum > FEAS_TOL {
-        return Err(SolveError::Infeasible);
-    }
-    e.drive_out_artificials()?;
-    for j in e.n..e.n_total {
-        e.banned[j] = true;
-    }
-    // clean slate for phase 2: fold the eta file back into fresh factors
-    // and recompute x_B exactly
-    if !e.refactor() {
-        return Err(SolveError::IterationLimit {
-            iterations: e.iterations,
-        });
+    let e = Engine::cold(sf, bounds).ok_or(SolveError::Infeasible)?;
+    two_phase(e, &cost2, opts)
+}
+
+/// The cold path from a starting basis of slacks and artificials: phase 1
+/// over the artificials that are basic — none, and it is skipped whole —
+/// then phase 2 on the real objective.
+fn two_phase(mut e: Engine<'_>, cost2: &[f64], opts: &SolveOptions) -> Result<LpPoint, SolveError> {
+    if e.basis.iter().any(|&j| j >= e.n) {
+        // --- phase 1: minimize the sum of artificials ---
+        let mut cost1 = vec![0.0; e.n_total];
+        for c in cost1.iter_mut().skip(e.n) {
+            *c = 1.0;
+        }
+        e.run(&cost1, opts)?;
+        let art_sum: f64 = (0..e.m)
+            .filter(|&k| e.basis[k] >= e.n)
+            .map(|k| e.x_basic[k])
+            .sum();
+        if art_sum > FEAS_TOL {
+            return Err(SolveError::Infeasible);
+        }
+        e.drive_out_artificials()?;
+        for j in e.n..e.n_total {
+            e.banned[j] = true;
+        }
+        // clean slate for phase 2: fold the eta file back into fresh
+        // factors and recompute x_B exactly
+        if !e.refactor() {
+            return Err(SolveError::IterationLimit {
+                iterations: e.iterations,
+            });
+        }
     }
     // --- phase 2: real objective ---
-    e.run(&cost2, opts)?;
+    e.run(cost2, opts)?;
     Ok(e.finish(false))
 }
 
@@ -922,11 +993,181 @@ mod tests {
         let sf = StandardForm::from_model(&m).unwrap();
         let p = solve_standard_revised(&sf, &opts(), None).unwrap();
         assert!(p.iterations > REFACTOR_INTERVAL, "{} pivots", p.iterations);
-        // one refactorization opens phase 2; more means the interval fired
-        assert!(p.telemetry.refactorizations >= 2, "{:?}", p.telemetry);
+        // every row starts on its slack, so no refactorization opens phase
+        // 2: one counted is the interval firing
+        assert!(p.telemetry.refactorizations >= 1, "{:?}", p.telemetry);
         assert!(p.telemetry.max_eta_len <= REFACTOR_INTERVAL);
         let d = solve_lp_relaxation_dense(&m, &opts()).unwrap();
         assert!((d.objective - p.objective).abs() < 1e-9);
+    }
+
+    /// Rows whose starting basic column is an artificial.
+    fn artificial_rows(e: &Engine<'_>) -> Vec<usize> {
+        (0..e.m).filter(|&r| e.basis[r] >= e.n).collect()
+    }
+
+    /// The cold solve as it was before the slack crash basis: all `m`
+    /// artificials basic, then the same two phases.
+    fn solve_all_artificial(sf: &StandardForm, bounds: &[ColBound]) -> Result<LpPoint, SolveError> {
+        let e = Engine::cold(sf, bounds).ok_or(SolveError::Infeasible)?;
+        two_phase(e.all_artificial(), &phase2_cost(sf), &opts())
+    }
+
+    #[test]
+    fn feasible_slack_basis_skips_phase_one() {
+        // all `<=`, b >= 0, columns resting at 0: the slack basis is primal
+        // feasible as it stands
+        let mut m = Model::new(Sense::Maximize);
+        let vars: Vec<_> = (0..40)
+            .map(|i| m.num_var(&format!("x{i}"), 0.0, 3.0))
+            .collect();
+        for w in vars.windows(2) {
+            m.add_con(LinExpr::new().term(w[0], 1.0).term(w[1], 1.0), Cmp::Le, 4.0);
+        }
+        m.add_con(LinExpr::var(vars[0]), Cmp::Le, 0.0);
+        m.set_objective(LinExpr::sum(vars.iter().map(|&v| (v, 1.0))));
+        let sf = StandardForm::from_model(&m).unwrap();
+        let start = Engine::cold(&sf, &[]).unwrap();
+        assert_eq!(artificial_rows(&start), Vec::<usize>::new());
+        assert!(start.banned[start.n..].iter().all(|&b| b), "no artificial may ever enter");
+        assert_eq!(start.primal_infeasibility(), 0.0);
+        // the whole solve is phase 2 from that basis: the pivots of a bare
+        // `run` on the real objective, not one more
+        let mut phase2 = Engine::cold(&sf, &[]).unwrap();
+        phase2.run(&phase2_cost(&sf), &opts()).unwrap();
+        let p = solve_standard_revised(&sf, &opts(), None).unwrap();
+        assert_eq!(p.iterations, phase2.iterations);
+        assert!(!p.warm);
+        // and one factorization fewer than from m artificials, which
+        // refactorizes between the phases
+        let old = solve_all_artificial(&sf, &[]).unwrap();
+        assert_eq!(p.telemetry.refactorizations, 0);
+        assert_eq!(old.telemetry.refactorizations, 1);
+        assert!(old.iterations > p.iterations, "{} vs {}", old.iterations, p.iterations);
+        assert_eq!(p.objective.to_bits(), old.objective.to_bits());
+    }
+
+    #[test]
+    fn artificials_only_where_the_slack_cannot_carry_the_residual() {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.num_var("x", 0.0, 4.0);
+        let y = m.num_var("y", 0.0, 4.0);
+        m.add_con(LinExpr::new().term(x, 1.0).term(y, 2.0), Cmp::Le, 6.0);
+        m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Ge, 1.0);
+        m.add_con(LinExpr::new().term(x, 1.0).term(y, -1.0), Cmp::Le, 0.0);
+        m.add_con(LinExpr::new().term(x, 2.0).term(y, 1.0), Cmp::Eq, 3.0);
+        m.add_con(LinExpr::var(y), Cmp::Le, 3.0);
+        m.set_objective(LinExpr::new().term(x, 1.0).term(y, 1.0));
+        let sf = StandardForm::from_model(&m).unwrap();
+        let e = Engine::cold(&sf, &[]).unwrap();
+        // `>= 1` lowers to `-x - y + s = -1` (residual -1); the `=` row's
+        // slack is fixed at 0 and cannot hold its residual 3
+        assert_eq!(artificial_rows(&e), vec![1, 3]);
+        assert_eq!((e.art_sign[1], e.art_sign[3]), (-1.0, 1.0));
+        assert_eq!(e.x_basic, vec![6.0, 1.0, 0.0, 3.0, 3.0]);
+        for r in 0..e.m {
+            let artificial = r == 1 || r == 3;
+            assert_eq!(e.basis[r], if artificial { e.n + r } else { sf.n_struct + r });
+            assert_eq!(e.banned[e.n + r], !artificial);
+        }
+        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let d = solve_lp_relaxation_dense(&m, &opts()).unwrap();
+        assert!((s.objective - d.objective).abs() < 1e-9);
+        assert!((s.objective - 3.0).abs() < 1e-9, "x = 0, y = 3; got {}", s.objective);
+    }
+
+    #[test]
+    fn lifted_lower_bound_puts_the_artificial_on_the_row_it_breaks() {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.num_var("x", 0.0, 6.0);
+        let y = m.num_var("y", 0.0, 6.0);
+        let z = m.num_var("z", 0.0, 6.0);
+        m.add_con(LinExpr::new().term(x, 1.0).term(y, -1.0), Cmp::Le, 2.0);
+        m.add_con(LinExpr::new().term(x, 1.0).term(z, 1.0), Cmp::Le, 8.0);
+        m.add_con(LinExpr::new().term(y, 1.0).term(z, 1.0), Cmp::Le, 7.0);
+        m.set_objective(LinExpr::new().term(x, 1.0).term(y, 2.0).term(z, 1.0));
+        let sf = StandardForm::from_model(&m).unwrap();
+        assert_eq!(artificial_rows(&Engine::cold(&sf, &[]).unwrap()), Vec::<usize>::new());
+        // x >= 3 at y = 0 overshoots row 0 (x - y <= 2) and no other
+        let lifted = [sf.col_bound(x.index(), 3.0, f64::INFINITY).unwrap()];
+        let e = Engine::cold(&sf, &lifted).unwrap();
+        assert_eq!(artificial_rows(&e), vec![0]);
+        assert_eq!((e.art_sign[0], e.x_basic[0]), (-1.0, 1.0));
+        let edit = solve_bound_edit(&sf, &lifted, &opts(), None).unwrap();
+        // the same LP the long way: a re-lowered model
+        let mut child = m.clone();
+        child.vars[x.index()].lower = 3.0;
+        let csf = StandardForm::from_model(&child).unwrap();
+        let rebuilt = solve_standard_revised(&csf, &opts(), None).unwrap();
+        assert_eq!(edit.objective.to_bits(), rebuilt.objective.to_bits());
+        assert_eq!(edit.basis, rebuilt.basis);
+        assert_eq!(edit.iterations, rebuilt.iterations);
+        assert!(!edit.warm && !rebuilt.warm);
+        let d = solve_lp_relaxation_dense(&child, &opts()).unwrap();
+        assert!((edit.objective - d.objective).abs() < 1e-9);
+    }
+
+    /// The sweep of `tests/tests/cold_start_differential.rs`, engine
+    /// against engine: the slack crash start and the all-artificial start
+    /// it replaced reach the same verdict and the same optimum on every LP
+    /// of the family, both as cold solves.
+    #[test]
+    fn slack_crash_start_agrees_with_the_all_artificial_start() {
+        // rows by starting column, LPs by whether phase 1 ran
+        let (mut on_slack, mut on_artificial, mut skipped, mut mixed) = (0, 0, 0, 0);
+        // `<=`/`>=` rows that need an artificial, `=` rows with residual 0
+        let (mut overshot, mut fixed_at_zero) = (0, 0);
+        let (mut optimal, mut infeasible, mut unbounded) = (0, 0, 0);
+        for case in 0..600 {
+            let model = crate::lp_fuzz::random_lp(case);
+            let sf = StandardForm::from_model(&model).unwrap();
+            let e = Engine::cold(&sf, &[]).unwrap();
+            let arts = artificial_rows(&e);
+            on_artificial += arts.len();
+            on_slack += e.m - arts.len();
+            skipped += usize::from(arts.is_empty() && e.m > 0);
+            mixed += usize::from(!arts.is_empty() && arts.len() < e.m);
+            for &r in &arts {
+                let eq = model.cons[r].cmp == Cmp::Eq;
+                overshot += usize::from(!eq);
+                fixed_at_zero += usize::from(eq && e.x_basic[r] == 0.0);
+            }
+            match (solve_bound_edit(&sf, &[], &opts(), None), solve_all_artificial(&sf, &[])) {
+                (Ok(new), Ok(old)) => {
+                    assert!(
+                        (new.objective - old.objective).abs() <= 1e-9,
+                        "case {case}: {} vs {}",
+                        new.objective,
+                        old.objective
+                    );
+                    assert!(!new.warm && !old.warm, "case {case}");
+                    optimal += 1;
+                }
+                (Err(new), Err(old)) => {
+                    assert_eq!(new, old, "case {case}");
+                    match new {
+                        SolveError::Infeasible => infeasible += 1,
+                        SolveError::Unbounded => unbounded += 1,
+                        other => panic!("case {case}: {other}"),
+                    }
+                }
+                (new, old) => panic!(
+                    "case {case}: slack crash {:?} vs all-artificial {:?}",
+                    new.map(|p| p.objective),
+                    old.map(|p| p.objective)
+                ),
+            }
+        }
+        println!(
+            "rows: {on_slack} slack-started, {on_artificial} artificial ({overshot} inequality, \
+             {fixed_at_zero} `=` at 0); LPs: {skipped} without phase 1, {mixed} mixed; \
+             {optimal} optimal, {infeasible} infeasible, {unbounded} unbounded"
+        );
+        // the family must keep reaching every branch of the rule
+        assert!(on_slack >= 300 && on_artificial >= 300);
+        assert!(overshot >= 100 && fixed_at_zero >= 10);
+        assert!(skipped >= 30 && mixed >= 100);
+        assert!(optimal >= 200 && infeasible >= 40 && unbounded >= 40);
     }
 
     #[test]
