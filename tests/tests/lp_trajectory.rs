@@ -7,13 +7,40 @@
 //! claims to compute *the same thing faster* has to leave that path alone —
 //! the same pivots, the same refactorizations at the same moments, the same
 //! Gomory rows read off the same final basis, the same point to the last
-//! bit (signed zeros included). This test holds three of the leg's seven
-//! shapes (`bench::instances::exact_leg` restates the benchmark's formula)
-//! to the values recorded at commit `5906720`, before
-//! `LuFactors::factor` stopped scanning every earlier pivot for every
-//! column. A value that moves means an operation was reordered,
-//! re-associated or skipped where the full scan performed it: find it, do
-//! not re-pin.
+//! bit (signed zeros included). This test holds all seven shapes of the leg
+//! (`bench::instances::exact_leg` restates the benchmark's formula) to
+//! recorded values, and to "solved at the root, proven optimal".
+//!
+//! The path has been moved on purpose once. The values were first recorded
+//! at commit `5906720`, before `LuFactors::factor` stopped scanning every
+//! earlier pivot for every column, and PR 19 held them. At commit `c30b233`
+//! (PR 20, "Start a cold LP from the slack crash basis") a cold LP stopped
+//! starting from `m` artificials: every row of these models is a `<=` row
+//! with a non-negative right-hand side, so each starts on its own slack,
+//! phase 1 and the drive-out loop have nothing to do and the solve is phase
+//! 2 alone — a third of the pivots, from a different start, to a different
+//! vertex of the same degenerate optimal face (a different point and, on
+//! three shapes, a different number of Gomory cuts; every objective equal).
+//! What moved, old → new, pivots / refactorizations / cuts applied (the
+//! optimum's digest moved on every shape):
+//!
+//! | shape  | pivots        | refactorizations | cuts    |
+//! |--------|---------------|------------------|---------|
+//! | 64×4   | 1 170 → 448   | 19 → 7           | 4       |
+//! | 64×5   | 1 461 → 492   | 24 → 8           | 6 → 10  |
+//! | 96×4   | 2 017 → 762   | 32 → 12          | 4       |
+//! | 96×5   | 2 463 → 701   | 40 → 11          | 10 → 6  |
+//! | 128×4  | 2 486 → 815   | 39 → 13          | 4       |
+//! | 128×5  | 3 100 → 937   | 49 → 15          | 6 → 3   |
+//! | 160×4  | 3 234 → 1 006 | 51 → 16          | 4       |
+//!
+//! (The last four shapes were not pinned before; their old values are the
+//! parent commit `8a6f359`'s, read with this test's own loop.) The answers
+//! are held elsewhere and did not move: `cold_start_differential`,
+//! `engine_equivalence`, `certify_differential`, `bound_edit_differential`.
+//! From here on the rule is the old one again: a value that moves means an
+//! operation was reordered, re-associated or skipped — find it, do not
+//! re-pin.
 
 use bench::instances::exact_leg;
 use insitu_core::formulation::build_exact;
@@ -30,7 +57,7 @@ fn digest(values: &[f64]) -> u64 {
     h
 }
 
-/// What one solve of the parent commit did.
+/// What one solve did at the recording commit.
 struct Pin {
     steps: usize,
     n: usize,
@@ -43,10 +70,14 @@ struct Pin {
 }
 
 #[rustfmt::skip]
-const PINS: [Pin; 3] = [
-    Pin { steps: 64, n: 4, lp_pivots: 1170, refactorizations: 19, max_eta_len: 64, cuts_applied: 4, objective: 51.0, values_digest: 0xb378_e63a_d539_e198 },
-    Pin { steps: 64, n: 5, lp_pivots: 1461, refactorizations: 24, max_eta_len: 64, cuts_applied: 6, objective: 62.0, values_digest: 0x02a6_f905_8018_b4d8 },
-    Pin { steps: 96, n: 4, lp_pivots: 2017, refactorizations: 32, max_eta_len: 64, cuts_applied: 4, objective: 51.0, values_digest: 0xc23d_971e_6025_bd18 },
+const PINS: [Pin; 7] = [
+    Pin { steps: 64, n: 4, lp_pivots: 448, refactorizations: 7, max_eta_len: 64, cuts_applied: 4, objective: 51.0, values_digest: 0x5821_9714_659c_8f18 },
+    Pin { steps: 64, n: 5, lp_pivots: 492, refactorizations: 8, max_eta_len: 64, cuts_applied: 10, objective: 62.0, values_digest: 0xf74e_a63e_a52a_3fd8 },
+    Pin { steps: 96, n: 4, lp_pivots: 762, refactorizations: 12, max_eta_len: 64, cuts_applied: 4, objective: 51.0, values_digest: 0xc7a2_8fd3_9e2e_6098 },
+    Pin { steps: 96, n: 5, lp_pivots: 701, refactorizations: 11, max_eta_len: 64, cuts_applied: 6, objective: 62.0, values_digest: 0x8e63_8258_8c61_2f58 },
+    Pin { steps: 128, n: 4, lp_pivots: 815, refactorizations: 13, max_eta_len: 64, cuts_applied: 4, objective: 51.0, values_digest: 0x7d01_6348_f386_3b98 },
+    Pin { steps: 128, n: 5, lp_pivots: 937, refactorizations: 15, max_eta_len: 64, cuts_applied: 3, objective: 62.0, values_digest: 0x6b60_d626_cb40_c258 },
+    Pin { steps: 160, n: 4, lp_pivots: 1006, refactorizations: 16, max_eta_len: 64, cuts_applied: 4, objective: 51.0, values_digest: 0xf2f9_fe61_754b_a818 },
 ];
 
 #[test]
