@@ -1008,8 +1008,8 @@ mod tests {
 
     /// The cold solve as it was before the slack crash basis: all `m`
     /// artificials basic, then the same two phases.
-    fn solve_all_artificial(sf: &StandardForm, bounds: &[ColBound]) -> Result<LpPoint, SolveError> {
-        let e = Engine::cold(sf, bounds).ok_or(SolveError::Infeasible)?;
+    fn solve_all_artificial(sf: &StandardForm) -> Result<LpPoint, SolveError> {
+        let e = Engine::cold(sf, &[]).expect("no override, no emptied domain");
         two_phase(e.all_artificial(), &phase2_cost(sf), &opts())
     }
 
@@ -1027,20 +1027,19 @@ mod tests {
         m.add_con(LinExpr::var(vars[0]), Cmp::Le, 0.0);
         m.set_objective(LinExpr::sum(vars.iter().map(|&v| (v, 1.0))));
         let sf = StandardForm::from_model(&m).unwrap();
-        let start = Engine::cold(&sf, &[]).unwrap();
-        assert_eq!(artificial_rows(&start), Vec::<usize>::new());
-        assert!(start.banned[start.n..].iter().all(|&b| b), "no artificial may ever enter");
-        assert_eq!(start.primal_infeasibility(), 0.0);
+        let mut e = Engine::cold(&sf, &[]).unwrap();
+        assert_eq!(artificial_rows(&e), Vec::<usize>::new());
+        assert!(e.banned[e.n..].iter().all(|&b| b), "no artificial may ever enter");
+        assert_eq!(e.primal_infeasibility(), 0.0);
         // the whole solve is phase 2 from that basis: the pivots of a bare
         // `run` on the real objective, not one more
-        let mut phase2 = Engine::cold(&sf, &[]).unwrap();
-        phase2.run(&phase2_cost(&sf), &opts()).unwrap();
+        e.run(&phase2_cost(&sf), &opts()).unwrap();
         let p = solve_standard_revised(&sf, &opts(), None).unwrap();
-        assert_eq!(p.iterations, phase2.iterations);
+        assert_eq!(p.iterations, e.iterations);
         assert!(!p.warm);
         // and one factorization fewer than from m artificials, which
         // refactorizes between the phases
-        let old = solve_all_artificial(&sf, &[]).unwrap();
+        let old = solve_all_artificial(&sf).unwrap();
         assert_eq!(p.telemetry.refactorizations, 0);
         assert_eq!(old.telemetry.refactorizations, 1);
         assert!(old.iterations > p.iterations, "{} vs {}", old.iterations, p.iterations);
@@ -1132,7 +1131,7 @@ mod tests {
                 overshot += usize::from(!eq);
                 fixed_at_zero += usize::from(eq && e.x_basic[r] == 0.0);
             }
-            match (solve_bound_edit(&sf, &[], &opts(), None), solve_all_artificial(&sf, &[])) {
+            match (solve_bound_edit(&sf, &[], &opts(), None), solve_all_artificial(&sf)) {
                 (Ok(new), Ok(old)) => {
                     assert!(
                         (new.objective - old.objective).abs() <= 1e-9,
