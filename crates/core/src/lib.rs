@@ -50,7 +50,6 @@ pub mod advisor;
 pub mod aggregate;
 pub mod attribution;
 pub mod baseline;
-pub mod cosched;
 pub mod formulation;
 pub mod placement;
 pub mod runtime;

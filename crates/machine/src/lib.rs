@@ -20,13 +20,11 @@
 //! measuring all of them.
 
 pub mod collectives;
-pub mod event;
 pub mod io;
 pub mod machine;
 pub mod topology;
 
 pub use collectives::CollectiveModel;
-pub use event::{replay, ReplayCost, ReplayReport, ReplaySite};
 pub use io::{IoSubsystem, StorageTier};
 pub use machine::{Machine, NodeSpec, Partition};
 pub use topology::Torus;
