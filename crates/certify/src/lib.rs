@@ -388,7 +388,7 @@ mod tests {
         // certificate: first run at 10 needs 0 more steps from scratch,
         // but an interval clock at 0 elapsed + itv 10 pushes it out
         let blocking = suffix::SuffixCarry {
-            held_mem: vec![Some(0.0)],
+            held_mem: vec![Some(Rat::from_int(0))],
             steps_since_run: vec![Some(0)],
         };
         let mut early = Schedule::empty(1);

@@ -23,7 +23,8 @@
 //! loosening feasibility.
 
 use crate::rational::{Rat, RatError};
-use insitu_types::{Schedule, ScheduleProblem};
+use crate::suffix::SuffixCarry;
+use insitu_types::{AnalysisSchedule, Schedule, ScheduleProblem};
 
 /// Which constraint family a violation belongs to. Callers that tolerate
 /// solver-sized rounding (e.g. `insitu-core`'s `validate_schedule`) use
@@ -82,7 +83,7 @@ impl ReplayReport {
     }
 }
 
-pub(crate) fn hard(kind: ViolationKind, message: String) -> Violation {
+fn hard(kind: ViolationKind, message: String) -> Violation {
     Violation {
         kind,
         message,
@@ -123,11 +124,48 @@ pub(crate) fn exact_profile(
 /// non-finite or an intermediate value overflows `i128`); an *infeasible*
 /// schedule is an `Ok` report with non-empty `violations`.
 pub fn replay(problem: &ScheduleProblem, schedule: &Schedule) -> Result<ReplayReport, RatError> {
+    replay_seeded(problem, schedule, &SuffixCarry::fresh(problem.len()))
+}
+
+/// One step of Eqs. 5–7 for one analysis: returns the start-of-step
+/// footprint `mStart` (Eq. 5: the previous end-of-step footprint plus
+/// `im`, plus `cm` at an analysis step and `om` at an output step) and
+/// leaves the end-of-step footprint in `mem_end` (Eq. 7: writing output
+/// frees everything but the fixed buffer).
+pub(crate) fn memory_step(
+    p: &ExactProfile,
+    s: &AnalysisSchedule,
+    j: usize,
+    mem_end: &mut Rat,
+) -> Result<Rat, RatError> {
+    let mut m_start = mem_end.add(&p.im)?;
+    if s.runs_at(j) {
+        m_start = m_start.add(&p.cm)?;
+    }
+    if s.outputs_at(j) {
+        m_start = m_start.add(&p.om)?;
+    }
+    *mem_end = if s.outputs_at(j) { p.fm } else { m_start };
+    Ok(m_start)
+}
+
+/// The one body of the exact replay: Eqs. 2–9 seeded from `carry`.
+/// [`replay`] is this with [`SuffixCarry::fresh`], [`crate::replay_suffix`]
+/// this with the caller's carry. The carry enters in three places — the
+/// Eq. 9 clock of each analysis's first run, the Eq. 6 seed, and the
+/// memory still held by analyses the schedule leaves out — and a violation,
+/// once found, is never taken back.
+pub(crate) fn replay_seeded(
+    problem: &ScheduleProblem,
+    schedule: &Schedule,
+    carry: &SuffixCarry,
+) -> Result<ReplayReport, RatError> {
     let steps = problem.resources.steps;
     let mut violations = Vec::new();
 
     // --- structure: arity, ranges, sortedness, outputs ⊆ analysis steps ---
-    if schedule.per_analysis.len() != problem.len() {
+    let arity_ok = schedule.per_analysis.len() == problem.len();
+    if !arity_ok {
         violations.push(hard(
             ViolationKind::Structure,
             format!(
@@ -136,6 +174,28 @@ pub fn replay(problem: &ScheduleProblem, schedule: &Schedule) -> Result<ReplayRe
                 problem.len()
             ),
         ));
+    }
+    // a carry of the wrong shape is reported and then not used: the rest
+    // of the replay runs from scratch
+    let fresh;
+    let carry = if carry.held_mem.len() == problem.len()
+        && carry.steps_since_run.len() == problem.len()
+    {
+        carry
+    } else {
+        violations.push(hard(
+            ViolationKind::Structure,
+            format!(
+                "carry covers {}/{} analyses, problem has {}",
+                carry.held_mem.len(),
+                carry.steps_since_run.len(),
+                problem.len()
+            ),
+        ));
+        fresh = SuffixCarry::fresh(problem.len());
+        &fresh
+    };
+    if !arity_ok {
         return Ok(ReplayReport {
             total_time: Rat::ZERO,
             time_budget: time_budget(problem)?,
@@ -177,13 +237,27 @@ pub fn replay(problem: &ScheduleProblem, schedule: &Schedule) -> Result<ReplayRe
         }
     }
 
-    // --- interval constraint (Eq. 9, running total from step 0) ---
+    // --- interval constraint (Eq. 9) ---
     for (i, s) in schedule.per_analysis.iter().enumerate() {
         let a = &problem.analyses[i];
         let itv = a.min_interval.max(1);
+        // the clock of the first run: `gap` steps before the boundary when
+        // the carry says the analysis ran there, step 0 when it never ran
+        let mut carried = carry.steps_since_run[i];
         let mut last = 0usize;
         for &j in &s.analysis_steps {
-            if j >= last && j - last < itv {
+            if let Some(gap) = carried.take() {
+                if gap.saturating_add(j) < itv {
+                    violations.push(hard(
+                        ViolationKind::Interval,
+                        format!(
+                            "analysis `{}`: last prefix run {gap} steps before the boundary, \
+                             first suffix run at local step {j} violates interval {itv}",
+                            a.name
+                        ),
+                    ));
+                }
+            } else if j >= last && j - last < itv {
                 violations.push(hard(
                     ViolationKind::Interval,
                     format!(
@@ -244,31 +318,30 @@ pub fn replay(problem: &ScheduleProblem, schedule: &Schedule) -> Result<ReplayRe
     } else {
         Some(Rat::from_f64_exact(problem.resources.mem_threshold)?)
     };
-    // Eq. 6 seed: an active analysis starts at its fixed allocation
-    let mut mem_end: Vec<Rat> = profiles
-        .iter()
-        .map(|p| p.as_ref().map_or(Rat::ZERO, |p| p.fm))
-        .collect();
-    // peak starts at the step-0 total (the Eq. 6 fixed allocations)
-    let mut peak_memory = Rat::ZERO;
+    // Eq. 6 seed: an active analysis starts at what the carry says it
+    // holds, else at its fixed allocation; what an inactive one holds stays
+    // allocated and counts at every step
+    let mut idle_held = Rat::ZERO;
+    let mut mem_end = Vec::with_capacity(problem.len());
+    for (p, held) in profiles.iter().zip(&carry.held_mem) {
+        mem_end.push(match p {
+            Some(p) => held.unwrap_or(p.fm),
+            None => {
+                idle_held = idle_held.add(&held.unwrap_or(Rat::ZERO))?;
+                Rat::ZERO
+            }
+        });
+    }
+    // peak starts at the step-0 total
+    let mut peak_memory = idle_held;
     for m in &mem_end {
         peak_memory = peak_memory.add(m)?;
     }
     for j in 1..=steps {
-        let mut step_total = Rat::ZERO;
+        let mut step_total = idle_held;
         for (i, s) in schedule.per_analysis.iter().enumerate() {
             let Some(p) = &profiles[i] else { continue };
-            // Eq. 5: start-of-step footprint grows by im (+cm, +om)
-            let mut m_start = mem_end[i].add(&p.im)?;
-            if s.runs_at(j) {
-                m_start = m_start.add(&p.cm)?;
-            }
-            if s.outputs_at(j) {
-                m_start = m_start.add(&p.om)?;
-            }
-            // Eq. 7: writing output frees everything but the fixed buffer
-            mem_end[i] = if s.outputs_at(j) { p.fm } else { m_start };
-            step_total = step_total.add(&m_start)?;
+            step_total = step_total.add(&memory_step(p, s, j, &mut mem_end[i])?)?;
         }
         if let Some(mth) = &mth {
             if !step_total.le(mth)? {
@@ -374,7 +447,7 @@ pub(crate) fn time_budget(problem: &ScheduleProblem) -> Result<Option<Rat>, RatE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insitu_types::{AnalysisProfile, AnalysisSchedule, ResourceConfig};
+    use insitu_types::{AnalysisProfile, ResourceConfig};
 
     fn problem() -> ScheduleProblem {
         ScheduleProblem::new(

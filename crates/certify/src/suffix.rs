@@ -7,20 +7,20 @@
 //! Eq. 9 minimum-interval clock did not reset at the boundary. A plain
 //! [`crate::replay()`] of the suffix would miss both.
 //!
-//! [`replay_suffix`] runs the same Eqs. 2–9 recursions as
-//! [`crate::replay()`] — still entirely in exact rational arithmetic, still
-//! sharing no code with the MILP side — but seeded from a
-//! [`SuffixCarry`]: the per-analysis held memory and steps-since-last-run
-//! at the boundary. [`memory_state_at`] derives the memory half of that
-//! carry from the prefix, and [`crate::certify_suffix`] stamps a suffix
-//! schedule with the same three-way verdict as [`crate::certify`].
+//! [`replay_suffix`] is the very body of [`crate::replay()`] — one Eqs. 2–9
+//! recursion, still entirely in exact rational arithmetic, still sharing
+//! no code with the MILP side — seeded from a [`SuffixCarry`]: the
+//! per-analysis held memory and steps-since-last-run at the boundary.
+//! [`memory_state_at`] derives the memory half of that carry from the
+//! prefix, and [`crate::certify_suffix`] stamps a suffix schedule with the
+//! same three-way verdict as [`crate::certify`].
 //!
 //! The carry is deliberately *not* trusted blindly: a carry whose shape
 //! does not match the problem is a structural violation, exactly like a
 //! wrong-arity schedule.
 
 use crate::rational::{Rat, RatError};
-use crate::replay::{exact_profile, hard, ReplayReport, Violation, ViolationKind};
+use crate::replay::{exact_profile, memory_step, replay_seeded, ReplayReport};
 use insitu_types::{Schedule, ScheduleProblem};
 
 /// Prefix state carried across a mid-run reschedule boundary.
@@ -36,8 +36,9 @@ pub struct SuffixCarry {
     /// replay. `Some(m)` seeds the recursion at `m` — and if the suffix
     /// schedule *de*activates the analysis, the `m` bytes stay allocated
     /// (the runtime does not free buffers mid-run) and count against
-    /// Eq. 8 at every remaining step.
-    pub held_mem: Vec<Option<f64>>,
+    /// Eq. 8 at every remaining step. Exact, so that the state
+    /// [`memory_state_at`] derives re-enters the replay unrounded.
+    pub held_mem: Vec<Option<Rat>>,
     /// Simulation steps elapsed since each analysis last ran (the Eq. 9
     /// clock at the boundary). `None` = never ran in the prefix; the
     /// first suffix run then must wait the full `min_interval`, as in a
@@ -77,33 +78,26 @@ pub fn memory_state_at(
     if schedule.per_analysis.len() != problem.len() || set_up.len() != problem.len() {
         return Err(RatError::NonFinite); // shape mismatch, as in replay_time_series
     }
-    // exact Table-1 parameters, once per set-up analysis
-    let mut profiles = Vec::with_capacity(problem.len());
-    for (i, up) in set_up.iter().enumerate() {
-        profiles.push(if *up {
-            Some(exact_profile(&problem.analyses[i])?)
+    // each set-up analysis: its exact Table-1 parameters, converted once,
+    // and its footprint, seeded at the fixed allocation (Eq. 6)
+    let mut state = Vec::with_capacity(problem.len());
+    for (a, up) in problem.analyses.iter().zip(set_up) {
+        state.push(if *up {
+            let p = exact_profile(a)?;
+            let fm = p.fm;
+            Some((p, fm))
         } else {
             None
         });
     }
-    let mut mem_end: Vec<Option<Rat>> =
-        profiles.iter().map(|p| p.as_ref().map(|p| p.fm)).collect();
     for j in 1..=step.min(problem.resources.steps) {
-        for (i, s) in schedule.per_analysis.iter().enumerate() {
-            let (Some(m), Some(p)) = (&mem_end[i], &profiles[i]) else {
-                continue;
-            };
-            let mut m_start = m.add(&p.im)?;
-            if s.runs_at(j) {
-                m_start = m_start.add(&p.cm)?;
+        for (s, st) in schedule.per_analysis.iter().zip(&mut state) {
+            if let Some((p, mem_end)) = st {
+                memory_step(p, s, j, mem_end)?;
             }
-            if s.outputs_at(j) {
-                m_start = m_start.add(&p.om)?;
-            }
-            mem_end[i] = Some(if s.outputs_at(j) { p.fm } else { m_start });
         }
     }
-    Ok(mem_end)
+    Ok(state.into_iter().map(|st| st.map(|(_, mem_end)| mem_end)).collect())
 }
 
 /// Replays a suffix `schedule` against the suffix `problem`, seeded from
@@ -123,139 +117,20 @@ pub fn memory_state_at(
 /// * a carry whose vectors do not match the problem's arity is a
 ///   structural violation.
 ///
-/// With [`SuffixCarry::fresh`] this is exactly [`crate::replay()`].
+/// With [`SuffixCarry::fresh`] this is exactly [`crate::replay()`], which
+/// is this same body called with a fresh carry.
 pub fn replay_suffix(
     problem: &ScheduleProblem,
     schedule: &Schedule,
     carry: &SuffixCarry,
 ) -> Result<ReplayReport, RatError> {
-    let mut base = crate::replay::replay(problem, schedule)?;
-    if carry.held_mem.len() != problem.len() || carry.steps_since_run.len() != problem.len() {
-        base.violations.push(hard(
-            ViolationKind::Structure,
-            format!(
-                "carry covers {}/{} analyses, problem has {}",
-                carry.held_mem.len(),
-                carry.steps_since_run.len(),
-                problem.len()
-            ),
-        ));
-        return Ok(base);
-    }
-    if schedule.per_analysis.len() != problem.len() {
-        return Ok(base); // arity already reported by the base replay
-    }
-
-    // --- Eq. 9 with the carried clock: the base replay already enforced
-    // gaps *within* the suffix; only the boundary-crossing first run can
-    // differ, in either direction ---
-    let steps = problem.resources.steps;
-    for (i, s) in schedule.per_analysis.iter().enumerate() {
-        let a = &problem.analyses[i];
-        let itv = a.min_interval.max(1);
-        let Some(&j) = s.analysis_steps.first() else {
-            continue;
-        };
-        match carry.steps_since_run[i] {
-            // never ran: the base replay's from-zero check was correct
-            None => {}
-            Some(gap) => {
-                // drop the base replay's from-zero complaint about this
-                // first run, if any, and re-check against the real clock
-                let from_zero = format!(
-                    "analysis `{}`: steps 0 -> {j} violate interval {itv}",
-                    a.name
-                );
-                base.violations
-                    .retain(|v| !(v.kind == ViolationKind::Interval && v.message == from_zero));
-                if gap.saturating_add(j) < itv {
-                    base.violations.push(hard(
-                        ViolationKind::Interval,
-                        format!(
-                            "analysis `{}`: last prefix run {gap} steps before the boundary, \
-                             first suffix run at local step {j} violates interval {itv}",
-                            a.name
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
-    // --- Eqs. 5–8 seeded from the carry. The base replay seeded active
-    // analyses at `fixed_mem` and ignored inactive ones entirely; redo the
-    // whole recursion with the carried state ---
-    let mth = if problem.resources.mem_threshold == f64::INFINITY {
-        None
-    } else {
-        Some(Rat::from_f64_exact(problem.resources.mem_threshold)?)
-    };
-    base.violations.retain(|v| v.kind != ViolationKind::Memory);
-    // exact Table-1 parameters, once per analysis the suffix keeps active
-    let mut profiles = Vec::with_capacity(problem.len());
-    let mut mem_end: Vec<Option<Rat>> = Vec::with_capacity(problem.len());
-    let mut idle_held = Rat::ZERO; // held by analyses the suffix deactivates
-    for (i, s) in schedule.per_analysis.iter().enumerate() {
-        let held = match carry.held_mem[i] {
-            Some(m) => Some(Rat::from_f64_exact(m)?),
-            None => None,
-        };
-        if s.count() > 0 {
-            let p = exact_profile(&problem.analyses[i])?;
-            mem_end.push(Some(held.unwrap_or(p.fm)));
-            profiles.push(Some(p));
-        } else {
-            mem_end.push(None);
-            profiles.push(None);
-            if let Some(m) = held {
-                idle_held = idle_held.add(&m)?;
-            }
-        }
-    }
-    let mut peak_memory = idle_held;
-    for m in mem_end.iter().flatten() {
-        peak_memory = peak_memory.add(m)?;
-    }
-    for j in 1..=steps {
-        let mut step_total = idle_held;
-        for (i, s) in schedule.per_analysis.iter().enumerate() {
-            let (Some(m), Some(p)) = (&mem_end[i], &profiles[i]) else {
-                continue;
-            };
-            let mut m_start = m.add(&p.im)?;
-            if s.runs_at(j) {
-                m_start = m_start.add(&p.cm)?;
-            }
-            if s.outputs_at(j) {
-                m_start = m_start.add(&p.om)?;
-            }
-            mem_end[i] = Some(if s.outputs_at(j) { p.fm } else { m_start });
-            step_total = step_total.add(&m_start)?;
-        }
-        if let Some(mth) = &mth {
-            if !step_total.le(mth)? {
-                let excess = step_total.sub(mth)?;
-                base.violations.push(Violation {
-                    kind: ViolationKind::Memory,
-                    message: format!(
-                        "suffix step {j}: memory {} exceeds mth {} (exact excess {excess})",
-                        step_total.to_f64(),
-                        mth.to_f64(),
-                    ),
-                    excess: excess.to_f64(),
-                });
-            }
-        }
-        peak_memory = peak_memory.max(&step_total)?;
-    }
-    base.peak_memory = peak_memory;
-    Ok(base)
+    replay_seeded(problem, schedule, carry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::replay;
+    use crate::replay::{replay, ViolationKind};
     use insitu_types::{AnalysisProfile, AnalysisSchedule, ResourceConfig};
 
     fn problem(steps: usize, budget: f64) -> ScheduleProblem {
@@ -295,7 +170,7 @@ mod tests {
         // ...but with 6 steps already elapsed before the boundary, 6+4=10
         // satisfies the clock exactly
         let carry = SuffixCarry {
-            held_mem: vec![Some(100.0)],
+            held_mem: vec![Some(Rat::from_int(100))],
             steps_since_run: vec![Some(6)],
         };
         let r = replay_suffix(&p, &s, &carry).unwrap();
@@ -307,7 +182,7 @@ mod tests {
         let p = problem(50, 20.0);
         let s = schedule(vec![4, 14], vec![]);
         let carry = SuffixCarry {
-            held_mem: vec![Some(100.0)],
+            held_mem: vec![Some(Rat::from_int(100))],
             steps_since_run: vec![Some(5)], // 5 + 4 < 10
         };
         let r = replay_suffix(&p, &s, &carry).unwrap();
@@ -323,10 +198,42 @@ mod tests {
         let p = problem(50, 20.0);
         let s = schedule(vec![4], vec![]);
         let carry = SuffixCarry {
-            held_mem: vec![Some(100.0)],
+            held_mem: vec![Some(Rat::from_int(100))],
             steps_since_run: vec![None],
         };
         assert!(!replay_suffix(&p, &s, &carry).unwrap().is_feasible());
+    }
+
+    #[test]
+    fn a_carried_clock_never_retracts_another_analysis_violation() {
+        // two analyses with the same `name` (the field is `pub`; nothing
+        // re-validates it after `new`), both first run at local step 2,
+        // itv 5: the first is admitted by its carried clock (4 + 2 >= 5),
+        // the second never ran and is too early from zero. Admitting the
+        // first must not erase the complaint about the second.
+        let mut two = ScheduleProblem::new(
+            vec![
+                AnalysisProfile::new("a").with_compute(1.0, 0.0).with_interval(5),
+                AnalysisProfile::new("b").with_compute(1.0, 0.0).with_interval(5),
+            ],
+            ResourceConfig::from_total_threshold(20, 100.0, 1000.0, 1e9),
+        )
+        .unwrap();
+        two.analyses[1].name = "a".into();
+        let mut s = Schedule::empty(2);
+        s.per_analysis[0] = AnalysisSchedule::new(vec![2, 7], vec![]);
+        s.per_analysis[1] = AnalysisSchedule::new(vec![2, 7], vec![]);
+        assert_eq!(replay(&two, &s).unwrap().violations.len(), 2);
+        let carry = SuffixCarry {
+            held_mem: vec![None, None],
+            steps_since_run: vec![Some(4), None],
+        };
+        let r = replay_suffix(&two, &s, &carry).unwrap();
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        assert_eq!(r.violations[0].kind, ViolationKind::Interval);
+        assert!(r.violations[0].message.contains("steps 0 -> 2"));
+        let c = crate::certify_suffix(&two, &s, &carry, None);
+        assert_eq!(c.verdict, crate::Verdict::Invalid);
     }
 
     #[test]
@@ -339,7 +246,7 @@ mod tests {
         assert!(fresh.is_feasible(), "{:?}", fresh.violations);
         // carrying 141 bytes: step 10 start = 141 + 10 + 10 = 161 > 150
         let carry = SuffixCarry {
-            held_mem: vec![Some(141.0)],
+            held_mem: vec![Some(Rat::from_int(141))],
             steps_since_run: vec![Some(20)],
         };
         let r = replay_suffix(&p, &s, &carry).unwrap();
@@ -364,7 +271,7 @@ mod tests {
         // after step 10), so the peak is 900 + 20 = 920 <= 1000 — where a
         // plain replay, blind to the held memory, would report only 20
         let carry = SuffixCarry {
-            held_mem: vec![None, Some(900.0)],
+            held_mem: vec![None, Some(Rat::from_int(900))],
             steps_since_run: vec![None, Some(3)],
         };
         let r = replay_suffix(&two, &s, &carry).unwrap();

@@ -438,7 +438,7 @@ mod tests {
         // out every schedule: the carry-aware certification must reject
         // what the carry-oblivious solver proposed
         let bad = certify::SuffixCarry {
-            held_mem: vec![Some(10.0 * GIB)],
+            held_mem: vec![Some(certify::Rat::from_f64_exact(10.0 * GIB).unwrap())],
             steps_since_run: vec![Some(0)],
         };
         let err = advisor

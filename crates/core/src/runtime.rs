@@ -657,10 +657,9 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
         let attempt = (|| -> Result<_, String> {
             let rp = remaining_problem(problem, &times, &active_steps, &set_up, j, measured_cum)?;
             let tail = schedule_tail(&cur, j);
-            let held = certify::memory_state_at(problem, &cur, j, &set_up)
-                .map_err(|e| format!("carry replay failed: {e:?}"))?;
             let carry = certify::SuffixCarry {
-                held_mem: held.iter().map(|m| m.as_ref().map(|r| r.to_f64())).collect(),
+                held_mem: certify::memory_state_at(problem, &cur, j, &set_up)
+                    .map_err(|e| format!("carry replay failed: {e:?}"))?,
                 steps_since_run: cur
                     .per_analysis
                     .iter()
