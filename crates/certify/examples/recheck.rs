@@ -99,16 +99,12 @@ fn main() {
         problem.resources.steps
     );
     if let Some(r) = &c.replay {
-        let budget = r
-            .time_budget
-            .as_ref()
-            .map_or("unbounded".to_string(), |b| {
-                format!("{} s (exact {b})", b.to_f64())
-            });
         println!(
-            "time      {} (exact {}) / {budget}",
+            "time      {} (exact {}) / {} s (exact {})",
             r.total_time.to_f64(),
             r.total_time,
+            r.time_budget.to_f64(),
+            r.time_budget,
         );
         println!(
             "memory    peak {} / {} bytes",

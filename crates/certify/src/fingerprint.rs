@@ -225,7 +225,7 @@ mod tests {
 
     #[test]
     fn total_on_out_of_range_values() {
-        // +inf mem_threshold means "absent" to the replay engine; the
+        // a +inf mem_threshold is an arithmetic error to the replay; the
         // fingerprint must still be defined (bit-pattern fallback)
         let mut p = base();
         p.resources.mem_threshold = f64::INFINITY;

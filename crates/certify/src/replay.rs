@@ -60,9 +60,8 @@ pub struct Violation {
 pub struct ReplayReport {
     /// LHS of Eq. 4 — total in-situ analysis time, exact.
     pub total_time: Rat,
-    /// RHS of Eq. 4 — `cth * Steps`, exact. `None` when the problem sets
-    /// an infinite threshold, i.e. the time constraint is absent.
-    pub time_budget: Option<Rat>,
+    /// RHS of Eq. 4 — `cth * Steps`, exact.
+    pub time_budget: Rat,
     /// Peak over steps of `Σ_i mStart_{i,j}` (LHS of Eq. 8), exact.
     pub peak_memory: Rat,
     /// Eq. 1 objective `|A| + Σ_i w_i |C_i|`, exact.
@@ -296,28 +295,21 @@ pub(crate) fn replay_seeded(
         profiles.push(Some(p));
     }
     let budget = time_budget(problem)?;
-    if let Some(budget) = &budget {
-        if !total_time.le(budget)? {
-            let excess = total_time.sub(budget)?;
-            violations.push(Violation {
-                kind: ViolationKind::Time,
-                message: format!(
-                    "total analysis time {} exceeds budget {} (exact excess {excess})",
-                    total_time.to_f64(),
-                    budget.to_f64(),
-                ),
-                excess: excess.to_f64(),
-            });
-        }
+    if !total_time.le(&budget)? {
+        let excess = total_time.sub(&budget)?;
+        violations.push(Violation {
+            kind: ViolationKind::Time,
+            message: format!(
+                "total analysis time {} exceeds budget {} (exact excess {excess})",
+                total_time.to_f64(),
+                budget.to_f64(),
+            ),
+            excess: excess.to_f64(),
+        });
     }
 
     // --- memory recursion (Eqs. 5–8), exact, reset to fm at output ---
-    // +inf = memory constraint absent (same idiom as the time budget)
-    let mth = if problem.resources.mem_threshold == f64::INFINITY {
-        None
-    } else {
-        Some(Rat::from_f64_exact(problem.resources.mem_threshold)?)
-    };
+    let mth = Rat::from_f64_exact(problem.resources.mem_threshold)?;
     // Eq. 6 seed: an active analysis starts at what the carry says it
     // holds, else at its fixed allocation; what an inactive one holds stays
     // allocated and counts at every step
@@ -343,19 +335,17 @@ pub(crate) fn replay_seeded(
             let Some(p) = &profiles[i] else { continue };
             step_total = step_total.add(&memory_step(p, s, j, &mut mem_end[i])?)?;
         }
-        if let Some(mth) = &mth {
-            if !step_total.le(mth)? {
-                let excess = step_total.sub(mth)?;
-                violations.push(Violation {
-                    kind: ViolationKind::Memory,
-                    message: format!(
-                        "step {j}: memory {} exceeds mth {} (exact excess {excess})",
-                        step_total.to_f64(),
-                        mth.to_f64(),
-                    ),
-                    excess: excess.to_f64(),
-                });
-            }
+        if !step_total.le(&mth)? {
+            let excess = step_total.sub(&mth)?;
+            violations.push(Violation {
+                kind: ViolationKind::Memory,
+                message: format!(
+                    "step {j}: memory {} exceeds mth {} (exact excess {excess})",
+                    step_total.to_f64(),
+                    mth.to_f64(),
+                ),
+                excess: excess.to_f64(),
+            });
         }
         peak_memory = peak_memory.max(&step_total)?;
     }
@@ -433,15 +423,10 @@ pub fn replay_time_series(
     Ok(series)
 }
 
-/// Exact `cth * Steps` (RHS of Eq. 4); `None` when `cth` is `+inf`,
-/// meaning the time constraint is absent.
-pub(crate) fn time_budget(problem: &ScheduleProblem) -> Result<Option<Rat>, RatError> {
-    if problem.resources.step_threshold == f64::INFINITY {
-        return Ok(None);
-    }
+/// Exact `cth * Steps` (RHS of Eq. 4).
+fn time_budget(problem: &ScheduleProblem) -> Result<Rat, RatError> {
     Rat::from_f64_exact(problem.resources.step_threshold)?
         .mul_int(problem.resources.steps as i128)
-        .map(Some)
 }
 
 #[cfg(test)]
@@ -585,22 +570,22 @@ mod tests {
     }
 
     #[test]
-    fn infinite_thresholds_disable_the_checks() {
-        // +inf budget/memory = constraint absent, a modeling idiom used by
-        // the co-scheduler to re-check only the memory/structure half
-        let mut p = problem();
-        p.resources.step_threshold = f64::INFINITY;
-        p.resources.mem_threshold = f64::INFINITY;
-        let r = replay(&p, &schedule(vec![10, 20, 30, 40, 50, 60, 70, 80, 90], vec![90]))
-            .unwrap();
-        assert!(r.is_feasible(), "{:?}", r.violations);
-        assert_eq!(r.time_budget, None);
-        // NaN is still a hard error, not an absent constraint
-        p.resources.step_threshold = f64::NAN;
-        assert_eq!(
-            replay(&p, &Schedule::empty(1)),
-            Err(RatError::NonFinite)
-        );
+    fn non_finite_threshold_is_an_arithmetic_error() {
+        // a threshold is a Table-1 parameter like any other: +inf does not
+        // mean "constraint absent" (`ResourceConfig::validate` rejects it
+        // too), so there is no schedule the replay waves through unchecked
+        let s = schedule(vec![10, 20, 30, 40, 50, 60, 70, 80, 90], vec![90]);
+        for bad in [f64::INFINITY, f64::NAN] {
+            let mut p = problem();
+            p.resources.step_threshold = bad;
+            assert_eq!(replay(&p, &s), Err(RatError::NonFinite));
+            let mut p = problem();
+            p.resources.mem_threshold = bad;
+            assert_eq!(replay(&p, &s), Err(RatError::NonFinite));
+            let c = crate::certify(&p, &s, None);
+            assert_eq!(c.verdict, crate::Verdict::Invalid);
+            assert!(c.problems[0].contains("exact replay impossible"), "{:?}", c.problems);
+        }
     }
 
     #[test]
