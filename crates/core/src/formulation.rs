@@ -186,7 +186,13 @@ pub fn build_exact(problem: &ScheduleProblem) -> (Model, ExactVars) {
             }
             continue;
         }
-        let big = (a.fixed_mem + a.step_mem * steps as f64 + a.compute_mem + a.output_mem)
+        // M must cover the largest mStart the recursion can reach: compute
+        // buffers pile up until the next output (Eq. 6), so `cm` counts
+        // once per analysis step, not once
+        let big = (a.fixed_mem
+            + a.step_mem * steps as f64
+            + a.compute_mem * a.max_analysis_steps(steps) as f64
+            + a.output_mem)
             / mem_scale;
         let big = big.max(1e-12);
         let itv = a.min_interval.max(1);
