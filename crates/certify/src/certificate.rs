@@ -63,6 +63,12 @@ impl CheckedCertificate {
     pub fn get(&self) -> &SearchCertificate {
         &self.cert
     }
+
+    /// Gives the certificate back by value and the witness up: for a
+    /// caller that is done certifying and reports the bare certificate.
+    pub fn into_inner(self) -> SearchCertificate {
+        self.cert
+    }
 }
 
 /// Everything that keeps a certificate from proving optimality, whoever

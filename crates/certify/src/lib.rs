@@ -6,8 +6,9 @@
 //! one of three verdicts:
 //!
 //! * [`Verdict::Proved`] — the schedule is feasible (re-derived from the
-//!   paper's Eqs. 2–9 in exact rational arithmetic, no floats anywhere in
-//!   the feasibility decision) *and* the solver's branch-and-bound
+//!   paper's Eqs. 2–9 in exact rational arithmetic; the verdict forgives a
+//!   Time or Memory excess of at most [`EXCESS_TOL`], judged on the exact
+//!   value — see [`forgiven`]) *and* the solver's branch-and-bound
 //!   pruning certificate closes: no leaf of the search tree can hide a
 //!   better schedule, modulo only the solver-attested LP bounds.
 //! * [`Verdict::FeasibleOnly`] — the schedule is feasible, but no
@@ -43,7 +44,28 @@ pub use rational::{Rat, RatError};
 pub use replay::{replay, replay_time_series, ReplayReport, Violation, ViolationKind};
 pub use suffix::{memory_state_at, replay_suffix, SuffixCarry};
 
-use insitu_types::{Schedule, ScheduleProblem, SearchCertificate};
+use insitu_types::{ResourceConfig, Schedule, ScheduleProblem, SearchCertificate};
+
+/// Relative slack the *verdict* allows on the Eq. 4 budget and the Eq. 8
+/// threshold: schedules come out of a floating-point solve, so a placed
+/// optimum can sit a few ulps past a threshold it meets in the model. Like
+/// [`BOUND_TOL`] for LP bounds, this loosens no arithmetic — [`replay()`]
+/// stays exact and lists every excess — only what [`certify`] makes of it.
+pub const EXCESS_TOL: f64 = 1e-9;
+
+/// The forgiveness rule, the only one in the workspace: a Time or Memory
+/// violation whose *exact* excess is at most `EXCESS_TOL · (1 + |threshold|)`
+/// is dust and does not cost a schedule its verdict; a Structure or
+/// Interval violation is always fatal. A passing [`Certification`] whose
+/// replay still lists violations has forgiven exactly those.
+pub fn forgiven(violation: &Violation, resources: &ResourceConfig) -> bool {
+    let threshold = match violation.kind {
+        ViolationKind::Time => resources.total_threshold(),
+        ViolationKind::Memory => resources.mem_threshold,
+        ViolationKind::Structure | ViolationKind::Interval => return false,
+    };
+    violation.excess <= EXCESS_TOL * (1.0 + threshold.abs())
+}
 
 /// Outcome class of one certification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +97,9 @@ pub struct Certification {
     /// The stamp.
     pub verdict: Verdict,
     /// Exact replay of the feasibility recursions, when arithmetic
-    /// succeeded (`None` only for non-finite inputs or i128 overflow).
+    /// succeeded (`None` only for non-finite inputs or i128 overflow). Its
+    /// `violations` are strict: under a passing verdict they are the dust
+    /// [`forgiven`] let through.
     pub replay: Option<ReplayReport>,
     /// Everything that went wrong, in human-readable form. Empty for
     /// [`Verdict::Proved`] and [`Verdict::FeasibleOnly`].
@@ -95,11 +119,11 @@ impl Certification {
 /// Certifies `schedule` against `problem`, and the optional solver
 /// `certificate` against both.
 ///
-/// The feasibility decision is exact (rational arithmetic); the
-/// certificate checks allow [`BOUND_TOL`] of slack on solver-attested f64
-/// LP bounds only. The certificate's claimed objective is compared to the
-/// *exactly replayed* Eq. 1 objective, so the solver cannot grade its own
-/// homework.
+/// The replay is exact (rational arithmetic) and the verdict forgives only
+/// what [`forgiven`] names; the certificate checks allow [`BOUND_TOL`] of
+/// slack on solver-attested f64 LP bounds only. The certificate's claimed
+/// objective is compared to the *exactly replayed* Eq. 1 objective, so the
+/// solver cannot grade its own homework.
 ///
 /// # Examples
 ///
@@ -121,8 +145,8 @@ pub fn certify(
     certificate: Option<&SearchCertificate>,
 ) -> Certification {
     stamp(
+        &problem.resources,
         replay::replay(problem, schedule),
-        "replay",
         certificate,
         certificate::optimality_problems,
     )
@@ -146,8 +170,8 @@ pub fn certify_suffix(
     certificate: Option<&SearchCertificate>,
 ) -> Certification {
     stamp(
+        &problem.resources,
         suffix::replay_suffix(problem, schedule, carry),
-        "suffix replay",
         certificate,
         certificate::optimality_problems,
     )
@@ -172,8 +196,8 @@ pub fn certify_checked(
     // nothing left to find: `certificate` exists because
     // `optimality_problems` came back empty on it
     stamp(
+        &problem.resources,
         replay::replay(problem, schedule),
-        "replay",
         Some(certificate.get()),
         |_| Vec::new(),
     )
@@ -182,23 +206,29 @@ pub fn certify_checked(
 /// The one body behind [`certify`], [`certify_suffix`] and
 /// [`certify_checked`], which differ only in the replay they hand in and
 /// in whether the certificate's closure still has to be checked
-/// (`closure_problems`, run only once the replay is feasible). The
-/// objective comparison and the verdict rule live here and nowhere else.
+/// (`closure_problems`, run only once the replay passes). The objective
+/// comparison and the verdict rule — every violation [`forgiven`] does not
+/// excuse is fatal — live here and nowhere else.
 fn stamp(
+    resources: &ResourceConfig,
     report: Result<ReplayReport, RatError>,
-    what: &str,
     certificate: Option<&SearchCertificate>,
     closure_problems: impl FnOnce(&SearchCertificate) -> Vec<String>,
 ) -> Certification {
     let report = match report {
         Ok(r) => r,
         Err(e) => {
-            return Certification::invalid(vec![format!("exact {what} impossible: {e}")], None)
+            return Certification::invalid(vec![format!("exact replay impossible: {e}")], None)
         }
     };
-    if !report.is_feasible() {
-        let problems = report.messages();
-        return Certification::invalid(problems, Some(report));
+    let fatal: Vec<String> = report
+        .violations
+        .iter()
+        .filter(|v| !forgiven(v, resources))
+        .map(|v| v.message.clone())
+        .collect();
+    if !fatal.is_empty() {
+        return Certification::invalid(fatal, Some(report));
     }
     let Some(cert) = certificate else {
         return Certification {
@@ -395,6 +425,70 @@ mod tests {
         early.per_analysis[0] = AnalysisSchedule::new(vec![5, 50, 100], vec![]);
         let c = certify_suffix(&p, &early, &blocking, Some(&matching_cert()));
         assert_eq!(c.verdict, Verdict::Invalid);
+    }
+
+    #[test]
+    fn the_verdict_forgives_dust_and_nothing_else() {
+        // three runs of 0.1 s against a 0.3 s budget: the exact sum of the
+        // three doubles is 3/2^56 past the exact budget
+        let dusty = |itv| {
+            ScheduleProblem::new(
+                vec![AnalysisProfile::new("a")
+                    .with_compute(0.1, 0.0)
+                    .with_interval(itv)],
+                ResourceConfig::from_total_threshold(3, 0.3, 1e9, 1e9),
+            )
+            .unwrap()
+        };
+        let mut s = Schedule::empty(1);
+        s.per_analysis[0] = AnalysisSchedule::new(vec![1, 2, 3], vec![]);
+        let cert = matching_cert(); // objective 4 = 1 activation + 3 runs
+        for (certificate, verdict) in [
+            (None, Verdict::FeasibleOnly),
+            (Some(&cert), Verdict::Proved),
+        ] {
+            let c = certify(&dusty(1), &s, certificate);
+            assert_eq!(c.verdict, verdict, "{:?}", c.problems);
+            assert!(c.problems.is_empty());
+            // forgiven is not silent: the strict replay still lists it
+            let replay = c.replay.unwrap();
+            assert!(!replay.is_feasible());
+            assert_eq!(replay.violations.len(), 1);
+            assert_eq!(replay.violations[0].kind, ViolationKind::Time);
+            assert!(replay.violations[0]
+                .message
+                .contains("exact excess 3/72057594037927936"));
+        }
+        // the same schedule against itv 2 also breaks Eq. 9: INVALID, and the
+        // complaint is the interval's, not the dust's
+        let c = certify(&dusty(2), &s, Some(&cert));
+        assert_eq!(c.verdict, Verdict::Invalid);
+        assert!(!c.problems.is_empty());
+        assert!(
+            c.problems.iter().all(|p| p.contains("violate interval")),
+            "{:?}",
+            c.problems
+        );
+
+        // the rule itself: the same excess is dust on Time and Memory only,
+        // and an excess just past the tolerance is a violation
+        let resources = dusty(1).resources;
+        let v = |kind, excess| Violation {
+            kind,
+            message: String::new(),
+            excess,
+        };
+        let dust = 3.0 / 72057594037927936.0;
+        assert!(forgiven(&v(ViolationKind::Time, dust), &resources));
+        assert!(forgiven(&v(ViolationKind::Memory, dust), &resources));
+        assert!(!forgiven(&v(ViolationKind::Interval, dust), &resources));
+        assert!(!forgiven(&v(ViolationKind::Structure, dust), &resources));
+        let edge = EXCESS_TOL * (1.0 + resources.total_threshold());
+        assert!(forgiven(&v(ViolationKind::Time, edge), &resources));
+        assert!(!forgiven(
+            &v(ViolationKind::Time, edge * 1.000001),
+            &resources
+        ));
     }
 
     #[test]

@@ -18,18 +18,19 @@
 //! shift and a checked add per analysis. Paper-shaped runs (seconds up to
 //! ~1e5, bytes up to ~1e13, a few thousand steps) stay far inside the
 //! `i128` window; leaving it is an error, never a wrapped value. The
-//! solver's floating-point tolerance is accounted for by the *caller*
-//! choosing how much slack to allow in the objective comparison, not by
-//! loosening feasibility.
+//! solver's floating-point tolerance is accounted for outside this module
+//! and in one place each: [`crate::BOUND_TOL`] in the objective and LP-bound
+//! comparisons, [`crate::forgiven`] in the verdict [`crate::certify`] draws
+//! from a report. The report itself lists every excess, however small.
 
 use crate::rational::{Rat, RatError};
 use crate::suffix::SuffixCarry;
 use insitu_types::{AnalysisSchedule, Schedule, ScheduleProblem};
 
-/// Which constraint family a violation belongs to. Callers that tolerate
-/// solver-sized rounding (e.g. `insitu-core`'s `validate_schedule`) use
-/// this to distinguish hard structural breakage from hairline numeric
-/// excess; the certifier itself treats every kind as fatal.
+/// Which constraint family a violation belongs to. The replay reports
+/// every kind alike; the verdict rule ([`crate::forgiven`]) uses this to
+/// tell hard structural breakage, always fatal, from a Time or Memory
+/// excess, which is fatal above [`crate::EXCESS_TOL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationKind {
     /// Arity, step ranges, sortedness, outputs ⊄ analysis steps.
@@ -55,7 +56,8 @@ pub struct Violation {
 }
 
 /// Exact replay outcome. `violations` empty ⇔ the schedule satisfies every
-/// constraint of the paper's formulation, with zero floating-point doubt.
+/// constraint of the paper's formulation, with zero floating-point doubt
+/// (stricter than a passing verdict, which may have [`crate::forgiven`] dust).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayReport {
     /// LHS of Eq. 4 — total in-situ analysis time, exact.

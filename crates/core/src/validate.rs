@@ -7,12 +7,11 @@
 //! other. Every schedule the advisor returns has passed this check.
 //!
 //! One deliberate difference from raw [`certify::replay()`]: schedules come
-//! out of a floating-point MILP solve, so this wrapper forgives time and
-//! memory excess below a solver-sized tolerance (`1e-9` relative). The
-//! exact excess is known (the certifier computes it in rationals); the
-//! tolerance is applied to that exact value, never to a float recursion.
+//! out of a floating-point MILP solve, so a report here drops the
+//! violations the certifier's own verdict rule, [`certify::forgiven`],
+//! excuses — the same rule, applied to the same exact excess, that decides
+//! every `PROVED` / `FEASIBLE-ONLY` stamp.
 
-use certify::ViolationKind;
 use insitu_types::{Schedule, ScheduleProblem, Seconds};
 
 /// Outcome of certifying one schedule.
@@ -50,43 +49,27 @@ impl ValidationReport {
 /// Certifies `schedule` against `problem` (Eqs. 2–9 plus structure) via
 /// the exact replay in the `certify` crate.
 ///
-/// Structural and interval violations are always fatal; time and memory
-/// excess is forgiven below a `1e-9` relative tolerance because the
-/// schedule was produced by a floating-point solver. The reported
-/// `total_time` / `peak_memory` are the exactly-replayed values rounded
-/// to the nearest `f64`.
+/// `violations` is exactly [`certify::Certification::problems`] of
+/// `certify::certify(problem, schedule, None)`: empty ⇔ the verdict is not
+/// `INVALID`. The reported `total_time` / `peak_memory` are the
+/// exactly-replayed values rounded to the nearest `f64`.
 pub fn validate_schedule(problem: &ScheduleProblem, schedule: &Schedule) -> ValidationReport {
-    let time_budget = problem.resources.total_threshold();
-    let replayed = match certify::replay(problem, schedule) {
-        Ok(r) => r,
-        Err(e) => {
-            return ValidationReport {
-                total_time: 0.0,
-                time_budget,
-                peak_memory: 0.0,
-                objective: 0.0,
-                violations: vec![format!("exact replay impossible: {e}")],
-            }
+    ValidationReport::of(problem, certify::certify(problem, schedule, None))
+}
+
+impl ValidationReport {
+    /// The `f64` view of a certification of a schedule for `problem`.
+    pub(crate) fn of(problem: &ScheduleProblem, c: certify::Certification) -> Self {
+        let value = |f: fn(&certify::ReplayReport) -> certify::Rat| {
+            c.replay.as_ref().map_or(0.0, |r| f(r).to_f64())
+        };
+        ValidationReport {
+            total_time: value(|r| r.total_time),
+            time_budget: problem.resources.total_threshold(),
+            peak_memory: value(|r| r.peak_memory),
+            objective: value(|r| r.objective),
+            violations: c.problems,
         }
-    };
-    let time_tol = 1e-9 * (1.0 + time_budget.abs());
-    let mem_tol = 1e-9 * (1.0 + problem.resources.mem_threshold.abs());
-    let violations = replayed
-        .violations
-        .iter()
-        .filter(|v| match v.kind {
-            ViolationKind::Time => v.excess > time_tol,
-            ViolationKind::Memory => v.excess > mem_tol,
-            ViolationKind::Structure | ViolationKind::Interval => true,
-        })
-        .map(|v| v.message.clone())
-        .collect();
-    ValidationReport {
-        total_time: replayed.total_time.to_f64(),
-        time_budget,
-        peak_memory: replayed.peak_memory.to_f64(),
-        objective: replayed.objective.to_f64(),
-        violations,
     }
 }
 
