@@ -13,7 +13,7 @@
 
 use bench::scale::paper_quoted;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use insitu_core::aggregate::solve_aggregate_counts;
+use insitu_core::solve_aggregate;
 use insitu_types::{ResourceConfig, ScheduleProblem, GIB};
 use milp::SolveOptions;
 
@@ -57,9 +57,9 @@ fn bench_instances(c: &mut Criterion) {
     for (name, problem) in cases {
         // one un-timed telemetry pass per thread count, checking the
         // parallel solves reproduce the serial objective bitwise
-        let serial = solve_aggregate_counts(&problem, &opts_with(1)).unwrap();
+        let serial = solve_aggregate(&problem, &opts_with(1), None).unwrap();
         for threads in THREAD_SWEEP {
-            let agg = solve_aggregate_counts(&problem, &opts_with(threads)).unwrap();
+            let agg = solve_aggregate(&problem, &opts_with(threads), None).unwrap();
             assert_eq!(
                 agg.objective.to_bits(),
                 serial.objective.to_bits(),
@@ -69,15 +69,9 @@ fn bench_instances(c: &mut Criterion) {
         }
         for threads in THREAD_SWEEP {
             let opts = opts_with(threads);
-            g.bench_with_input(
-                BenchmarkId::new(name, threads),
-                &problem,
-                |b, problem| {
-                    b.iter(|| {
-                        solve_aggregate_counts(std::hint::black_box(problem), &opts).unwrap()
-                    })
-                },
-            );
+            g.bench_with_input(BenchmarkId::new(name, threads), &problem, |b, problem| {
+                b.iter(|| solve_aggregate(std::hint::black_box(problem), &opts, None).unwrap())
+            });
         }
     }
     g.finish();

@@ -76,7 +76,9 @@ pub fn run() -> Outcome {
     let mut baseline_rows = Vec::new();
     for budget in [10.0, 30.0, 60.0, 120.0, 240.0] {
         let p = scheduling_problem(budget);
-        let (_, optimal) = solve_aggregate(&p, &opts).expect("solvable");
+        let optimal = solve_aggregate(&p, &opts, None)
+            .expect("solvable")
+            .objective;
         let g = greedy(&p);
         let gobj = feasible_objective(&p, &g).expect("greedy feasible");
         let ff = fixed_frequency(&p, 100, 1);

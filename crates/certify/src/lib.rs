@@ -155,25 +155,25 @@ pub fn certify(
 /// Certifies a mid-run reschedule: a suffix `schedule` against the suffix
 /// `problem`, seeded from the executed prefix's [`SuffixCarry`].
 ///
-/// Identical to [`certify`] except that feasibility is decided by
-/// [`suffix::replay_suffix`] — the Eq. 9 interval clock and the Eqs. 5–7
-/// memory recursion start from the carried prefix state instead of zero.
-/// The certificate half is unchanged: a closing [`SearchCertificate`]
-/// upgrades the verdict to [`Verdict::Proved`] *for the suffix model the
-/// solver saw* (the solver's model is carry-oblivious; a schedule the
-/// carry rules out is still [`Verdict::Invalid`] here, whatever the
-/// certificate says).
+/// Feasibility is decided by [`suffix::replay_suffix`] — the Eq. 9
+/// interval clock and the Eqs. 5–7 memory recursion start from the carried
+/// prefix state instead of zero — so with [`SuffixCarry::fresh`] this *is*
+/// [`certify`] for a certificate whose closure [`CheckedCertificate::check`]
+/// already decided. A witness upgrades the verdict to [`Verdict::Proved`]
+/// *for the suffix model the solver saw* (the solver's model is
+/// carry-oblivious; a schedule the carry rules out is still
+/// [`Verdict::Invalid`] here, whatever the certificate says).
 pub fn certify_suffix(
     problem: &ScheduleProblem,
     schedule: &Schedule,
     carry: &suffix::SuffixCarry,
-    certificate: Option<&SearchCertificate>,
+    certificate: Option<&CheckedCertificate>,
 ) -> Certification {
     stamp(
         &problem.resources,
         suffix::replay_suffix(problem, schedule, carry),
-        certificate,
-        certificate::optimality_problems,
+        certificate.map(CheckedCertificate::get),
+        |_| Vec::new(),
     )
 }
 
@@ -412,7 +412,8 @@ mod tests {
         let fresh = suffix::SuffixCarry::fresh(1);
         let c = certify_suffix(&p, &s, &fresh, None);
         assert_eq!(c.verdict, Verdict::FeasibleOnly);
-        let c = certify_suffix(&p, &s, &fresh, Some(&matching_cert()));
+        let checked = CheckedCertificate::check(matching_cert()).unwrap();
+        let c = certify_suffix(&p, &s, &fresh, Some(&checked));
         assert_eq!(c.verdict, Verdict::Proved, "{:?}", c.problems);
         // a carry that rules the schedule out overrides even a closing
         // certificate: first run at 10 needs 0 more steps from scratch,
@@ -423,7 +424,7 @@ mod tests {
         };
         let mut early = Schedule::empty(1);
         early.per_analysis[0] = AnalysisSchedule::new(vec![5, 50, 100], vec![]);
-        let c = certify_suffix(&p, &early, &blocking, Some(&matching_cert()));
+        let c = certify_suffix(&p, &early, &blocking, Some(&checked));
         assert_eq!(c.verdict, Verdict::Invalid);
     }
 

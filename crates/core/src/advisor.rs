@@ -1,13 +1,20 @@
 //! The high-level API: "given these analyses and this machine, what should
 //! I run in-situ, how often, and when should it write output?"
+//!
+//! Every answer this workspace gives to that question — a fresh
+//! [`Advisor::recommend`], a mid-run [`Advisor::recommend_remaining`], a
+//! solve-service miss — is [`Advisor::solve_and_stamp`]: one solve, one
+//! closure check of the solver's certificate, one exact replay, one
+//! verdict from `certify`. The fresh case is the carried case with
+//! nothing carried.
 
+use certify::{Certification, CheckedCertificate, SuffixCarry, Verdict};
 use insitu_types::{Schedule, ScheduleProblem};
 use milp::{SolveError, SolveOptions, SolveStats};
 
-use crate::aggregate::{solve_aggregate_counts, solve_aggregate_counts_with_hint};
-use crate::formulation::{solve_exact_with_hint, solve_exact_with_stats};
-use crate::placement::place_schedule;
-use crate::validate::{validate_schedule, ValidationReport};
+use crate::aggregate::solve_aggregate;
+use crate::formulation::{solve_exact, Solved};
+use crate::validate::ValidationReport;
 
 /// Advisor configuration.
 #[derive(Debug, Clone)]
@@ -17,8 +24,10 @@ pub struct AdvisorOptions {
     pub solver: SolveOptions,
     /// Use the exact time-indexed formulation whenever
     /// `Steps <= exact_steps_limit`; otherwise the aggregate reformulation.
-    /// The aggregate path is exact for the model (see its module docs) and
-    /// vastly cheaper, so the default keeps this low.
+    /// The aggregate model is vastly cheaper and agrees with the exact one
+    /// on time and interval, but it is a *restriction* under memory
+    /// pressure (see its module docs), so its `PROVED` is about the model
+    /// the tree closed over. The default keeps this at 0.
     pub exact_steps_limit: usize,
 }
 
@@ -50,13 +59,14 @@ impl std::error::Error for AdvisorError {}
 /// A certified scheduling recommendation.
 #[derive(Debug, Clone)]
 pub struct Recommendation {
-    /// Certification stamp from the independent checker:
+    /// Certification stamp from `certify`, via [`Advisor::solve_and_stamp`]:
     /// [`certify::Verdict::Proved`] when the solver's branch-and-bound
-    /// pruning certificate closed under [`certify::check_certificate`],
-    /// [`certify::Verdict::FeasibleOnly`] when no certificate was produced
-    /// (e.g. the trivial zero-analysis problem). A recommendation is never
-    /// returned with [`certify::Verdict::Invalid`] — that surfaces as
-    /// [`AdvisorError::CertificationFailed`] instead.
+    /// pruning certificate closed under
+    /// [`certify::CheckedCertificate::check`] and its objective matches the
+    /// exact replay, [`certify::Verdict::FeasibleOnly`] when no certificate
+    /// was produced (e.g. the trivial zero-analysis problem). A
+    /// recommendation is never returned with [`certify::Verdict::Invalid`]
+    /// — that surfaces as [`AdvisorError::CertificationFailed`] instead.
     pub verdict: certify::Verdict,
     /// The concrete schedule (which steps each analysis runs/outputs at).
     pub schedule: Schedule,
@@ -108,25 +118,28 @@ impl Recommendation {
     }
 }
 
-/// Result of a mid-run re-solve over the remaining steps of a coupled run.
-///
-/// Produced by [`Advisor::recommend_remaining`]. Unlike a fresh
-/// [`Recommendation`], the schedule here is certified *with* the carry-in
-/// state from the already-executed prefix (held memory, last-run gaps), so
-/// the stamp covers exactly the situation the runtime will splice it into.
-#[derive(Debug, Clone)]
-pub struct RescheduleOutcome {
-    /// The re-solved schedule, indexed in remaining-problem steps (step 1
-    /// is the first step after the reschedule point).
+/// What [`Advisor::solve_and_stamp`] hands back: a solved schedule that
+/// passed the certification gate, with everything the gate established.
+#[derive(Debug)]
+pub struct Stamped {
+    /// The solved schedule, in the steps of the problem it was solved for
+    /// (for a mid-run re-solve, step 1 is the first step after the
+    /// reschedule point).
     pub schedule: Schedule,
-    /// Exact-replay objective of the new schedule (Eq. 1 over the suffix).
+    /// Exact-replay objective of `schedule` (Eq. 1), rounded to `f64`.
     pub objective: f64,
-    /// Solver telemetry for the warm-started re-solve.
+    /// Solver telemetry. Its `certificate` has moved into
+    /// [`Stamped::certificate`].
     pub stats: SolveStats,
-    /// Carry-aware certification stamp from [`certify::certify_suffix`];
-    /// never [`certify::Verdict::Invalid`] — that surfaces as
+    /// The solver's optimality certificate, closure checked — once, here
+    /// — and so fit to re-prove `schedule` for any later requester through
+    /// [`certify::certify_checked`]. `None` only when there was nothing to
+    /// solve (the zero-analysis problem).
+    pub certificate: Option<CheckedCertificate>,
+    /// The stamp and the exact replay behind it, under the carry the solve
+    /// was given; never [`certify::Verdict::Invalid`] — that surfaces as
     /// [`AdvisorError::CertificationFailed`] instead.
-    pub certification: certify::Certification,
+    pub certification: Certification,
 }
 
 /// The scheduling advisor.
@@ -141,124 +154,125 @@ impl Advisor {
         Advisor { opts }
     }
 
-    /// Solves the scheduling problem and returns a certified
-    /// recommendation.
-    pub fn recommend(&self, problem: &ScheduleProblem) -> Result<Recommendation, AdvisorError> {
-        // always ask the solver for its pruning certificate so the
-        // recommendation can be stamped, whatever the caller configured
-        let mut solver_opts = self.opts.solver.clone();
-        solver_opts.certificate = true;
-        let (schedule, solver_stats) = if problem.resources.steps <= self.opts.exact_steps_limit {
-            let (s, _, stats) =
-                solve_exact_with_stats(problem, &solver_opts).map_err(AdvisorError::Solver)?;
-            (s, stats)
-        } else {
-            let agg = solve_aggregate_counts(problem, &solver_opts)
-                .map_err(AdvisorError::Solver)?;
-            let s = place_schedule(problem, &agg.counts, &agg.output_counts);
-            (s, agg.stats)
-        };
-        let report = validate_schedule(problem, &schedule);
-        if !report.is_feasible() {
-            return Err(AdvisorError::CertificationFailed(report.violations));
-        }
-        // stamp: check the pruning certificate against the *replayed*
-        // objective. Feasibility was already decided above with the
-        // solver-sized tolerance; a broken certificate on a feasible
-        // schedule still indicates a solver bug and is an error.
-        let verdict = match &solver_stats.certificate {
-            Some(cert) => {
-                let mut problems = certify::check_certificate(cert, report.objective);
-                if !cert.proven_optimal {
-                    problems.push("solver did not claim proven optimality".into());
-                }
-                if !problems.is_empty() {
-                    return Err(AdvisorError::CertificationFailed(problems));
-                }
-                certify::Verdict::Proved
-            }
-            None => certify::Verdict::FeasibleOnly,
-        };
-        let counts: Vec<usize> = schedule.per_analysis.iter().map(|s| s.count()).collect();
-        let output_counts: Vec<usize> = schedule
-            .per_analysis
-            .iter()
-            .map(|s| s.output_count())
-            .collect();
-        Ok(Recommendation {
-            verdict,
-            objective: report.objective,
-            predicted_time: report.total_time,
-            counts,
-            output_counts,
-            report,
-            schedule,
-            solver_stats,
-        })
-    }
-
-    /// Re-solves the scheduling problem over the *remaining* steps of a
-    /// partially executed run, warm-started from the incumbent schedule.
+    /// Solves `problem` and passes the result through the certification
+    /// gate: the one path from an instance to a stamped schedule.
     ///
-    /// `remaining` is the suffix problem (measured profiles, remaining
-    /// steps, remaining pro-rated budget); `incumbent` is the not-yet-run
-    /// tail of the current schedule *re-indexed into suffix steps* and is
-    /// offered to the MILP as a seed incumbent (see
-    /// [`milp::solve_with_hint`]) — a bad hint only costs the solver its
-    /// head start, never correctness. `carry` is the exact mid-run state
-    /// (held memory per set-up analysis, steps since each last ran) taken
-    /// from [`certify::memory_state_at`].
+    /// `carried` is the state of a partially executed run — the incumbent
+    /// schedule's not-yet-run tail, offered to the MILP as a seed
+    /// incumbent (a bad one only costs the solver its head start, never
+    /// correctness), and the exact [`SuffixCarry`] the prefix leaves
+    /// behind. `None` is a run that has not started: no hint
+    /// ([`milp::solve`], the same tree as ever) and [`SuffixCarry::fresh`].
+    /// The solver's model is carry-oblivious, so a schedule the carry
+    /// rules out (held memory pushes a step over the threshold, say) is
+    /// refused here as [`AdvisorError::CertificationFailed`].
     ///
-    /// The solver itself is carry-oblivious: its model assumes a fresh
-    /// start, so the returned schedule is independently re-certified via
-    /// [`certify::certify_suffix`] *with* the carry before it is returned.
-    /// A schedule the carry rules out (e.g. held memory pushes a step over
-    /// the memory threshold) is rejected as
-    /// [`AdvisorError::CertificationFailed`] — the caller keeps the
-    /// incumbent in that case.
-    pub fn recommend_remaining(
+    /// The model is the exact time-indexed one up to
+    /// [`AdvisorOptions::exact_steps_limit`] steps and the aggregate one
+    /// above; the solver is always asked for its pruning certificate,
+    /// whatever the caller configured. `solved` sees the solver's
+    /// telemetry between the solve and the gate, so a caller that times
+    /// or counts the two halves separately can.
+    pub fn solve_and_stamp(
         &self,
-        remaining: &ScheduleProblem,
-        incumbent: &Schedule,
-        carry: &certify::SuffixCarry,
-    ) -> Result<RescheduleOutcome, AdvisorError> {
-        let mut solver_opts = self.opts.solver.clone();
-        solver_opts.certificate = true;
-        let (schedule, stats) = if remaining.resources.steps <= self.opts.exact_steps_limit {
-            let (s, _, stats) = solve_exact_with_hint(remaining, &solver_opts, incumbent)
-                .map_err(AdvisorError::Solver)?;
-            (s, stats)
+        problem: &ScheduleProblem,
+        carried: Option<(&Schedule, &SuffixCarry)>,
+        solved: impl FnOnce(&SolveStats),
+    ) -> Result<Stamped, AdvisorError> {
+        let mut solver = self.opts.solver.clone();
+        solver.certificate = true;
+        let solve = if problem.resources.steps <= self.opts.exact_steps_limit {
+            solve_exact
         } else {
-            let counts: Vec<usize> = incumbent.per_analysis.iter().map(|s| s.count()).collect();
-            let output_counts: Vec<usize> = incumbent
-                .per_analysis
-                .iter()
-                .map(|s| s.output_count())
-                .collect();
-            let agg =
-                solve_aggregate_counts_with_hint(remaining, &solver_opts, &counts, &output_counts)
-                    .map_err(AdvisorError::Solver)?;
-            let s = place_schedule(remaining, &agg.counts, &agg.output_counts);
-            (s, agg.stats)
+            solve_aggregate
+        };
+        let Solved {
+            schedule,
+            mut stats,
+            ..
+        } = solve(problem, &solver, carried.map(|(incumbent, _)| incumbent))
+            .map_err(AdvisorError::Solver)?;
+        solved(&stats);
+        let certificate = stats
+            .certificate
+            .take()
+            .map(CheckedCertificate::check)
+            .transpose()
+            .map_err(AdvisorError::CertificationFailed)?;
+        let fresh;
+        let carry = match carried {
+            Some((_, carry)) => carry,
+            None => {
+                fresh = SuffixCarry::fresh(problem.len());
+                &fresh
+            }
         };
         let certification =
-            certify::certify_suffix(remaining, &schedule, carry, stats.certificate.as_ref());
-        if certification.verdict == certify::Verdict::Invalid {
-            return Err(AdvisorError::CertificationFailed(
-                certification.problems.clone(),
-            ));
+            certify::certify_suffix(problem, &schedule, carry, certificate.as_ref());
+        if certification.verdict == Verdict::Invalid {
+            return Err(AdvisorError::CertificationFailed(certification.problems));
         }
         let objective = certification
             .replay
             .as_ref()
-            .map(|r| r.objective.to_f64())
-            .unwrap_or(0.0);
-        Ok(RescheduleOutcome {
+            .map_or(0.0, |r| r.objective.to_f64());
+        Ok(Stamped {
             schedule,
             objective,
             stats,
+            certificate,
             certification,
         })
+    }
+
+    /// Solves the scheduling problem and returns a certified
+    /// recommendation: [`Advisor::solve_and_stamp`] with nothing carried.
+    pub fn recommend(&self, problem: &ScheduleProblem) -> Result<Recommendation, AdvisorError> {
+        let Stamped {
+            schedule,
+            objective,
+            mut stats,
+            certificate,
+            certification,
+        } = self.solve_and_stamp(problem, None, |_| {})?;
+        stats.certificate = certificate.map(CheckedCertificate::into_inner);
+        let verdict = certification.verdict;
+        let report = ValidationReport::of(problem, certification);
+        Ok(Recommendation {
+            verdict,
+            counts: schedule.per_analysis.iter().map(|s| s.count()).collect(),
+            output_counts: schedule
+                .per_analysis
+                .iter()
+                .map(|s| s.output_count())
+                .collect(),
+            objective,
+            predicted_time: report.total_time,
+            report,
+            schedule,
+            solver_stats: stats,
+        })
+    }
+
+    /// Re-solves the scheduling problem over the *remaining* steps of a
+    /// partially executed run: [`Advisor::solve_and_stamp`] with the
+    /// run's state carried in.
+    ///
+    /// `remaining` is the suffix problem (measured profiles, remaining
+    /// steps, remaining pro-rated budget); `incumbent` is the not-yet-run
+    /// tail of the current schedule *re-indexed into suffix steps*;
+    /// `carry` is the exact mid-run state (held memory per set-up
+    /// analysis, steps since each last ran) taken from
+    /// [`certify::memory_state_at`]. On
+    /// [`AdvisorError::CertificationFailed`] the caller keeps the
+    /// incumbent.
+    pub fn recommend_remaining(
+        &self,
+        remaining: &ScheduleProblem,
+        incumbent: &Schedule,
+        carry: &SuffixCarry,
+    ) -> Result<Stamped, AdvisorError> {
+        self.solve_and_stamp(remaining, Some((incumbent, carry)), |_| {})
     }
 }
 

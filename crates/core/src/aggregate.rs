@@ -30,28 +30,12 @@
 use insitu_types::{Schedule, ScheduleProblem};
 use milp::{Cmp, LinExpr, Model, Sense, SolveError, SolveOptions, SolveStats, Var};
 
+use crate::formulation::Solved;
 use crate::placement::place_schedule;
 
 /// Above this `k_max` the unary memory expansion is replaced by the
 /// conservative whole-run accumulation bound.
 pub const EXPANSION_LIMIT: usize = 64;
-
-/// Result of the aggregate solve: per-analysis counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggregateSolution {
-    /// `k_i` — number of analysis steps per analysis.
-    pub counts: Vec<usize>,
-    /// `q_i` — number of output steps per analysis.
-    pub output_counts: Vec<usize>,
-    /// Objective value (Eq. 1).
-    pub objective: f64,
-    /// Branch-and-bound nodes used.
-    pub nodes: usize,
-    /// Solver telemetry from the underlying MILP solve (prune counters,
-    /// pivot counts, incumbent timeline, per-phase wall times). Empty
-    /// ([`SolveStats::default`]) for the trivial zero-analysis problem.
-    pub stats: SolveStats,
-}
 
 /// Peak memory of analysis `i` under the even placement that
 /// [`crate::placement::place_schedule`] will emit for counts `(k, q)`,
@@ -104,18 +88,17 @@ impl AggregateModel {
         }
     }
 
-    /// Inverse of [`Self::counts_from`]: maps per-analysis counts onto a
-    /// full model-variable vector, for warm-starting a re-solve via
-    /// [`milp::solve_with_hint`]. Counts that the model cannot represent —
-    /// no matching `(k, q)` pair in a unary expansion, or an analysis with
-    /// `k_max == 0` — leave that analysis inactive in the hint (which is
-    /// always representable); an altogether infeasible hint is simply
-    /// ignored by the solver.
-    pub fn hint_values(&self, counts: &[usize], output_counts: &[usize]) -> Vec<f64> {
+    /// Inverse of [`Self::counts_from`] composed with placement: maps a
+    /// schedule's per-analysis counts onto a full model-variable vector,
+    /// for warm-starting a re-solve via [`milp::solve_with_hint`]. Counts
+    /// that the model cannot represent — no matching `(k, q)` pair in a
+    /// unary expansion, or an analysis with `k_max == 0` — leave that
+    /// analysis inactive in the hint (which is always representable); an
+    /// altogether infeasible hint is simply ignored by the solver.
+    pub fn hint_values(&self, incumbent: &Schedule) -> Vec<f64> {
         let mut values = vec![0.0; self.model.num_vars()];
-        for (i, pa) in self.per_analysis.iter().enumerate() {
-            let k = counts.get(i).copied().unwrap_or(0);
-            let q = output_counts.get(i).copied().unwrap_or(0);
+        for (pa, placed) in self.per_analysis.iter().zip(&incumbent.per_analysis) {
+            let (k, q) = (placed.count(), placed.output_count());
             if k == 0 {
                 continue;
             }
@@ -154,8 +137,8 @@ impl AggregateModel {
 }
 
 /// Builds the aggregate model without solving it. See the module docs for
-/// the equivalence argument; [`solve_aggregate_counts`] is the convenience
-/// wrapper that solves the returned model.
+/// the equivalence argument; [`solve_aggregate`] is the convenience
+/// wrapper that solves the returned model and places its counts.
 pub fn build_aggregate(problem: &ScheduleProblem) -> Result<AggregateModel, SolveError> {
     problem
         .validate()
@@ -308,71 +291,41 @@ pub fn build_aggregate(problem: &ScheduleProblem) -> Result<AggregateModel, Solv
     })
 }
 
-/// Builds and solves the aggregate model, returning optimal counts.
-pub fn solve_aggregate_counts(
+/// Builds and solves the aggregate model and places the optimal counts into
+/// a concrete [`Schedule`] (even spacing, outputs distributed across
+/// analyses).
+///
+/// An `incumbent` — typically the not-yet-run tail of the current schedule
+/// during a mid-run reschedule — warm-starts branch & bound through
+/// [`AggregateModel::hint_values`] + [`milp::solve_with_hint`]; an
+/// infeasible one is ignored and the optimum is unaffected either way.
+/// Without one this is [`milp::solve`] on [`build_aggregate`]'s model.
+pub fn solve_aggregate(
     problem: &ScheduleProblem,
     opts: &SolveOptions,
-) -> Result<AggregateSolution, SolveError> {
+    incumbent: Option<&Schedule>,
+) -> Result<Solved, SolveError> {
     if problem.is_empty() {
         problem
             .validate()
             .map_err(|e| SolveError::BadModel(e.to_string()))?;
-        return Ok(AggregateSolution {
-            counts: vec![],
-            output_counts: vec![],
+        return Ok(Solved {
+            schedule: Schedule::empty(0),
             objective: 0.0,
-            nodes: 0,
             stats: SolveStats::default(),
         });
     }
     let built = build_aggregate(problem)?;
-    let sol = milp::solve(&built.model, opts)?;
+    let sol = match incumbent {
+        Some(s) => milp::solve_with_hint(&built.model, opts, &built.hint_values(s))?,
+        None => milp::solve(&built.model, opts)?,
+    };
     let (counts, output_counts) = built.counts_from(&sol.values);
-    Ok(AggregateSolution {
-        counts,
-        output_counts,
+    Ok(Solved {
+        schedule: place_schedule(problem, &counts, &output_counts),
         objective: sol.objective,
-        nodes: sol.nodes,
         stats: sol.stats,
     })
-}
-
-/// Like [`solve_aggregate_counts`], but warm-starts branch & bound from a
-/// known count vector (typically the incumbent schedule's suffix during a
-/// mid-run reschedule) via [`AggregateModel::hint_values`] +
-/// [`milp::solve_with_hint`]. An infeasible hint is ignored; the optimum
-/// is unaffected either way.
-pub fn solve_aggregate_counts_with_hint(
-    problem: &ScheduleProblem,
-    opts: &SolveOptions,
-    counts: &[usize],
-    output_counts: &[usize],
-) -> Result<AggregateSolution, SolveError> {
-    if problem.is_empty() {
-        return solve_aggregate_counts(problem, opts);
-    }
-    let built = build_aggregate(problem)?;
-    let hint = built.hint_values(counts, output_counts);
-    let sol = milp::solve_with_hint(&built.model, opts, &hint)?;
-    let (counts, output_counts) = built.counts_from(&sol.values);
-    Ok(AggregateSolution {
-        counts,
-        output_counts,
-        objective: sol.objective,
-        nodes: sol.nodes,
-        stats: sol.stats,
-    })
-}
-
-/// Solves the aggregate model and places the counts into a concrete
-/// [`Schedule`] (even spacing, outputs distributed across analyses).
-pub fn solve_aggregate(
-    problem: &ScheduleProblem,
-    opts: &SolveOptions,
-) -> Result<(Schedule, f64), SolveError> {
-    let agg = solve_aggregate_counts(problem, opts)?;
-    let schedule = place_schedule(problem, &agg.counts, &agg.output_counts);
-    Ok((schedule, agg.objective))
 }
 
 #[cfg(test)]
@@ -382,6 +335,18 @@ mod tests {
 
     fn opts() -> SolveOptions {
         SolveOptions::default()
+    }
+
+    fn counts(s: &Solved) -> Vec<usize> {
+        s.schedule.per_analysis.iter().map(|a| a.count()).collect()
+    }
+
+    fn output_counts(s: &Solved) -> Vec<usize> {
+        s.schedule
+            .per_analysis
+            .iter()
+            .map(|a| a.output_count())
+            .collect()
     }
 
     #[test]
@@ -404,13 +369,13 @@ mod tests {
         )
         .unwrap();
         let start = std::time::Instant::now();
-        let agg = solve_aggregate_counts(&p, &opts()).unwrap();
+        let agg = solve_aggregate(&p, &opts(), None).unwrap();
         let elapsed = start.elapsed().as_secs_f64();
         // cheap analyses at max frequency, expensive A4 squeezed
-        assert_eq!(agg.counts[0], 10);
-        assert_eq!(agg.counts[1], 10);
-        assert_eq!(agg.counts[2], 10);
-        assert!(agg.counts[3] < 10, "A4 got {}", agg.counts[3]);
+        assert_eq!(counts(&agg)[0], 10);
+        assert_eq!(counts(&agg)[1], 10);
+        assert_eq!(counts(&agg)[2], 10);
+        assert!(counts(&agg)[3] < 10, "A4 got {}", counts(&agg)[3]);
         // well under the paper's 0.17–1.36 s CPLEX time
         assert!(elapsed < 5.0, "solve took {elapsed}s");
     }
@@ -425,7 +390,7 @@ mod tests {
             ResourceConfig::from_total_threshold(100, 50.0, 1e9, 1e9),
         )
         .unwrap();
-        let (s, _) = solve_aggregate(&p, &opts()).unwrap();
+        let s = solve_aggregate(&p, &opts(), None).unwrap().schedule;
         assert!(s.validate_structure(&p).is_ok());
         assert_eq!(s.per_analysis[0].count(), 10);
         // output every 2 analyses => 5 outputs
@@ -446,11 +411,11 @@ mod tests {
             ResourceConfig::from_total_threshold(1000, 100.0, 250.0, 1e9),
         )
         .unwrap();
-        let agg = solve_aggregate_counts(&p, &opts()).unwrap();
-        assert!(agg.counts[0] > 0);
-        let q = agg.output_counts[0];
+        let agg = solve_aggregate(&p, &opts(), None).unwrap();
+        assert!(counts(&agg)[0] > 0);
+        let q = output_counts(&agg)[0];
         assert!(q >= 4, "need >= 4 outputs to reset 1000 steps under 250, got {q}");
-        let peak = peak_memory(&p, 0, agg.counts[0], q);
+        let peak = peak_memory(&p, 0, counts(&agg)[0], q);
         assert!(peak <= 250.0 + 1e-9);
     }
 
@@ -461,8 +426,8 @@ mod tests {
             ResourceConfig::from_total_threshold(10, 100.0, 1e9, 1e9),
         )
         .unwrap();
-        let agg = solve_aggregate_counts(&p, &opts()).unwrap();
-        assert_eq!(agg.counts[0], 0);
+        let agg = solve_aggregate(&p, &opts(), None).unwrap();
+        assert_eq!(counts(&agg)[0], 0);
         assert_eq!(agg.objective, 0.0);
     }
 
@@ -517,9 +482,9 @@ mod tests {
         assert_eq!(k_brute.len(), 2);
         assert!(q_brute.iter().zip(&k_brute).all(|(q, k)| q <= k));
         // and the wrapper extracts the same counts from the b&b solution
-        let agg = solve_aggregate_counts(&p, &opts()).unwrap();
+        let agg = solve_aggregate(&p, &opts(), None).unwrap();
         let (k_bb, _) = built.counts_from(&bb.values);
-        assert_eq!(agg.counts, k_bb);
+        assert_eq!(counts(&agg), k_bb);
     }
 
     #[test]
@@ -538,18 +503,21 @@ mod tests {
             ResourceConfig::from_total_threshold(1000, 100.0, 250.0, 1e9),
         )
         .unwrap();
-        let cold = solve_aggregate_counts(&p, &opts()).unwrap();
+        let cold = solve_aggregate(&p, &opts(), None).unwrap();
         // the optimum as hint: identical result, incumbent seeded at node 0
-        let hot = solve_aggregate_counts_with_hint(&p, &opts(), &cold.counts, &cold.output_counts)
-            .unwrap();
-        assert_eq!(cold.counts, hot.counts);
-        assert_eq!(cold.output_counts, hot.output_counts);
+        let hot = solve_aggregate(&p, &opts(), Some(&cold.schedule)).unwrap();
+        assert_eq!(counts(&cold), counts(&hot));
+        assert_eq!(output_counts(&cold), output_counts(&hot));
         assert_eq!(cold.objective.to_bits(), hot.objective.to_bits());
         let first = hot.stats.incumbent_updates.first().expect("incumbent event");
         assert_eq!(first.node, 0);
         // a nonsense hint (counts beyond kmax) degrades to the cold solve
-        let silly = solve_aggregate_counts_with_hint(&p, &opts(), &[999, 999], &[999, 0]).unwrap();
-        assert_eq!(silly.counts, cold.counts);
+        let mut beyond = Schedule::empty(2);
+        let all: Vec<usize> = (1..=999).collect();
+        beyond.per_analysis[0] = insitu_types::AnalysisSchedule::new(all.clone(), all.clone());
+        beyond.per_analysis[1] = insitu_types::AnalysisSchedule::new(all, vec![]);
+        let silly = solve_aggregate(&p, &opts(), Some(&beyond)).unwrap();
+        assert_eq!(counts(&silly), counts(&cold));
         assert_eq!(silly.objective.to_bits(), cold.objective.to_bits());
     }
 
@@ -571,8 +539,8 @@ mod tests {
                 ResourceConfig::from_total_threshold(1000, budget, 1e12, 1e9),
             )
             .unwrap();
-            let agg = solve_aggregate_counts(&p, &opts()).unwrap();
-            let total: usize = agg.counts.iter().sum();
+            let agg = solve_aggregate(&p, &opts(), None).unwrap();
+            let total: usize = counts(&agg).iter().sum();
             assert!(total <= last_total, "budget {budget}: {total} > {last_total}");
             last_total = total;
         }

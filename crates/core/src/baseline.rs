@@ -151,7 +151,9 @@ mod tests {
         for budget in [10.0, 30.0, 90.0] {
             let p = problem(budget);
             let g = greedy(&p);
-            let (_, opt) = crate::aggregate::solve_aggregate(&p, &SolveOptions::default()).unwrap();
+            let opt = crate::aggregate::solve_aggregate(&p, &SolveOptions::default(), None)
+                .unwrap()
+                .objective;
             let gobj = feasible_objective(&p, &g).unwrap();
             assert!(gobj <= opt + 1e-6, "greedy {gobj} > optimal {opt} @ {budget}");
         }

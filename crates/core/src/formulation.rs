@@ -30,7 +30,7 @@
 //! reformulation, which this module's tests cross-check on small instances.
 
 use insitu_types::{AnalysisSchedule, Schedule, ScheduleProblem};
-use milp::{Cmp, LinExpr, Model, Sense, SolveError, SolveOptions, Var};
+use milp::{Cmp, LinExpr, Model, Sense, SolveError, SolveOptions, SolveStats, Var};
 
 /// Handles to the variables of the exact formulation, for tests/inspection.
 #[derive(Debug, Clone)]
@@ -375,48 +375,44 @@ pub fn extract_schedule(
     schedule
 }
 
-/// Solves the exact time-indexed formulation and returns the schedule with
-/// its objective value.
+/// A solved model, read back as the schedule its optimum describes.
+#[derive(Debug, Clone)]
+pub struct Solved {
+    /// The concrete schedule (extracted, or placed from optimal counts).
+    pub schedule: Schedule,
+    /// The solver's objective value (Eq. 1) — a float sum over the model;
+    /// the exact one is [`certify::replay()`]'s of `schedule`.
+    pub objective: f64,
+    /// Telemetry of the underlying MILP solve ([`SolveStats::default`]
+    /// when there was nothing to solve).
+    pub stats: SolveStats,
+}
+
+/// Solves the exact time-indexed formulation.
+///
+/// An `incumbent` — typically the not-yet-run tail of the current schedule
+/// during a mid-run reschedule — warm-starts branch & bound through
+/// [`schedule_hint`] + [`milp::solve_with_hint`]; an infeasible one is
+/// ignored and the optimum is unaffected either way. Without one this is
+/// [`milp::solve`] on [`build_exact`]'s model.
 pub fn solve_exact(
     problem: &ScheduleProblem,
     opts: &SolveOptions,
-) -> Result<(Schedule, f64), SolveError> {
-    let (schedule, objective, _) = solve_exact_with_stats(problem, opts)?;
-    Ok((schedule, objective))
-}
-
-/// Like [`solve_exact`], but also returns the solver telemetry
-/// ([`milp::SolveStats`]) from the underlying MILP solve.
-pub fn solve_exact_with_stats(
-    problem: &ScheduleProblem,
-    opts: &SolveOptions,
-) -> Result<(Schedule, f64, milp::SolveStats), SolveError> {
+    incumbent: Option<&Schedule>,
+) -> Result<Solved, SolveError> {
     problem
         .validate()
         .map_err(|e| SolveError::BadModel(e.to_string()))?;
     let (model, vars) = build_exact(problem);
-    let sol = milp::solve(&model, opts)?;
-    let schedule = extract_schedule(problem, &vars, &sol);
-    Ok((schedule, sol.objective, sol.stats))
-}
-
-/// Like [`solve_exact_with_stats`], but warm-starts branch & bound from a
-/// known schedule (typically the incumbent's suffix during a mid-run
-/// reschedule) via [`schedule_hint`] + [`milp::solve_with_hint`]. An
-/// infeasible hint is ignored; the optimum is unaffected either way.
-pub fn solve_exact_with_hint(
-    problem: &ScheduleProblem,
-    opts: &SolveOptions,
-    hint: &Schedule,
-) -> Result<(Schedule, f64, milp::SolveStats), SolveError> {
-    problem
-        .validate()
-        .map_err(|e| SolveError::BadModel(e.to_string()))?;
-    let (model, vars) = build_exact(problem);
-    let values = schedule_hint(problem, &model, &vars, hint);
-    let sol = milp::solve_with_hint(&model, opts, &values)?;
-    let schedule = extract_schedule(problem, &vars, &sol);
-    Ok((schedule, sol.objective, sol.stats))
+    let sol = match incumbent {
+        Some(s) => milp::solve_with_hint(&model, opts, &schedule_hint(problem, &model, &vars, s))?,
+        None => milp::solve(&model, opts)?,
+    };
+    Ok(Solved {
+        schedule: extract_schedule(problem, &vars, &sol),
+        objective: sol.objective,
+        stats: sol.stats,
+    })
 }
 
 #[cfg(test)]
@@ -445,7 +441,11 @@ mod tests {
             ResourceConfig::from_total_threshold(20, 100.0, 1e9, 1e9),
         )
         .unwrap();
-        let (s, obj) = solve_exact(&p, &opts()).unwrap();
+        let Solved {
+            schedule: s,
+            objective: obj,
+            ..
+        } = solve_exact(&p, &opts(), None).unwrap();
         assert_eq!(s.per_analysis[0].count(), 4);
         assert_eq!(obj.round(), 5.0); // 1 (|A|) + 4 (w=1 count)
         assert!(s.per_analysis[0].min_gap().unwrap_or(usize::MAX) >= 5);
@@ -463,7 +463,7 @@ mod tests {
             ResourceConfig::from_total_threshold(10, 2.5, 1e9, 1e9),
         )
         .unwrap();
-        let (s, _) = solve_exact(&p, &opts()).unwrap();
+        let s = solve_exact(&p, &opts(), None).unwrap().schedule;
         assert_eq!(s.per_analysis[0].count(), 2);
     }
 
@@ -481,7 +481,7 @@ mod tests {
             ResourceConfig::from_total_threshold(10, 5.0, 1e9, 1e9),
         )
         .unwrap();
-        let (s, _) = solve_exact(&p, &opts()).unwrap();
+        let s = solve_exact(&p, &opts(), None).unwrap().schedule;
         assert!(s.per_analysis[0].count() > 0);
         assert_eq!(s.per_analysis[1].count(), 0, "b must be excluded");
     }
@@ -500,7 +500,7 @@ mod tests {
             ResourceConfig::from_total_threshold(12, 3.0, 1e9, 1e9),
         )
         .unwrap();
-        let (s, _) = solve_exact(&p, &opts()).unwrap();
+        let s = solve_exact(&p, &opts(), None).unwrap().schedule;
         // b should win the contested slots: 3 for b beats 3 for a
         assert_eq!(s.per_analysis[1].count(), 3);
         assert!(s.per_analysis[0].count() == 0);
@@ -518,7 +518,7 @@ mod tests {
             ResourceConfig::from_total_threshold(10, 4.0, 1e9, 1e9),
         )
         .unwrap();
-        let (s, _) = solve_exact(&p, &opts()).unwrap();
+        let s = solve_exact(&p, &opts(), None).unwrap().schedule;
         assert_eq!(s.per_analysis[0].count(), 2);
         assert_eq!(s.per_analysis[0].output_count(), 2);
         assert!(s.validate_structure(&p).is_ok());
@@ -533,7 +533,7 @@ mod tests {
             ResourceConfig::from_total_threshold(9, 10.0, 1e9, 1e9),
         )
         .unwrap();
-        let (s, _) = solve_exact(&p, &opts()).unwrap();
+        let s = solve_exact(&p, &opts(), None).unwrap().schedule;
         assert!(s.per_analysis[0].count() > 0);
         assert_eq!(s.per_analysis[0].output_count(), 0);
     }
@@ -551,7 +551,7 @@ mod tests {
             ResourceConfig::from_total_threshold(8, 10.0, 1e9, 1e9),
         )
         .unwrap();
-        let (s, _) = solve_exact(&p, &opts()).unwrap();
+        let s = solve_exact(&p, &opts(), None).unwrap().schedule;
         assert!(s.per_analysis[0].count() > 0);
         assert_eq!(s.per_analysis[1].count(), 0);
     }
@@ -570,7 +570,7 @@ mod tests {
             ResourceConfig::from_total_threshold(12, 100.0, 5e9, 1e9),
         )
         .unwrap();
-        let (s, _) = solve_exact(&p, &opts()).unwrap();
+        let s = solve_exact(&p, &opts(), None).unwrap().schedule;
         let a = &s.per_analysis[0];
         assert!(a.count() > 0, "schedule must include the analysis");
         assert!(a.output_count() > 0, "outputs are required to reset memory");
@@ -594,8 +594,16 @@ mod tests {
             ResourceConfig::from_total_threshold(12, 100.0, 5e9, 1e9),
         )
         .unwrap();
-        let (cold_s, cold_obj, _) = solve_exact_with_stats(&p, &opts()).unwrap();
-        let (hot_s, hot_obj, stats) = solve_exact_with_hint(&p, &opts(), &cold_s).unwrap();
+        let Solved {
+            schedule: cold_s,
+            objective: cold_obj,
+            ..
+        } = solve_exact(&p, &opts(), None).unwrap();
+        let Solved {
+            schedule: hot_s,
+            objective: hot_obj,
+            stats,
+        } = solve_exact(&p, &opts(), Some(&cold_s)).unwrap();
         assert_eq!(cold_obj.to_bits(), hot_obj.to_bits());
         assert_eq!(cold_s, hot_s);
         // the hint (the cold optimum itself) must be the first incumbent,
@@ -623,7 +631,11 @@ mod tests {
         assert_eq!(values[vars.run[0].index()], 1.0);
         assert_eq!(values[vars.analysis[0][10 - 5].1.index()], 1.0);
         assert_eq!(values.iter().filter(|&&v| v != 0.0).count(), 2);
-        let (s, obj, _) = solve_exact_with_hint(&p, &opts(), &bad).unwrap();
+        let Solved {
+            schedule: s,
+            objective: obj,
+            ..
+        } = solve_exact(&p, &opts(), Some(&bad)).unwrap();
         assert_eq!(s.per_analysis[0].count(), 4);
         assert_eq!(obj.round(), 5.0);
     }
@@ -632,7 +644,7 @@ mod tests {
     fn empty_problem_yields_empty_schedule() {
         let p = ScheduleProblem::new(vec![], ResourceConfig::from_total_threshold(5, 1.0, 1.0, 1.0))
             .unwrap();
-        let (s, obj) = solve_exact(&p, &opts()).unwrap();
+        let Solved { schedule: s, objective: obj, .. } = solve_exact(&p, &opts(), None).unwrap();
         assert!(s.per_analysis.is_empty());
         assert_eq!(obj, 0.0);
     }

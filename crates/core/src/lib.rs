@@ -56,9 +56,9 @@ pub mod runtime;
 pub mod validate;
 
 pub use adaptive::{AdaptiveConfig, RescheduleRecord, TriggerReason};
-pub use advisor::{Advisor, AdvisorOptions, Recommendation, RescheduleOutcome};
+pub use advisor::{Advisor, AdvisorOptions, Recommendation, Stamped};
 pub use attribution::{attribute, attribute_with_predicted, DriftReport, StepDrift};
 pub use aggregate::{build_aggregate, solve_aggregate, AggregateModel};
-pub use formulation::{solve_exact, solve_exact_with_stats};
+pub use formulation::{solve_exact, Solved};
 pub use runtime::{run_coupled, run_coupled_adaptive, run_coupled_traced, AdaptiveReport};
 pub use validate::{validate_schedule, ValidationReport};

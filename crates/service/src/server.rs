@@ -6,8 +6,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use certify::{CheckedCertificate, Fingerprint, Verdict};
-use insitu_core::aggregate::solve_aggregate_counts;
-use insitu_core::placement::place_schedule;
+use insitu_core::advisor::{Advisor, AdvisorError, AdvisorOptions};
 use insitu_types::canonical::{canonicalize, from_canonical, from_canonical_schedule};
 use insitu_types::json::{self, Value};
 use insitu_types::{
@@ -478,49 +477,63 @@ impl SolveService {
     }
 
     /// Solves the canonical instance and certifies the result before
-    /// anyone sees it.
+    /// anyone sees it: [`Advisor::solve_and_stamp`] with nothing carried,
+    /// under this service's spans and counters.
     fn solve_fresh(&self, canon: &ScheduleProblem) -> Result<Arc<CacheEntry>, ServiceError> {
-        let mut opts = self.config.solver.clone();
-        opts.certificate = true;
         // the solver opens its own `milp.solve` span on this handle,
         // nested under the request span and carrying its trace context
-        opts.trace = self.trace.clone();
-        let mut solve_span = self.trace.span("service.solve");
-        let agg = solve_aggregate_counts(canon, &opts)
-            .map_err(|e| ServiceError::Solve(e.to_string()))?;
-        self.registry.add("service.solves", 1);
-        agg.stats.export_into(&self.registry);
-        solve_span.tag("nodes", agg.nodes);
-        drop(solve_span);
-
-        let schedule = place_schedule(canon, &agg.counts, &agg.output_counts);
-        let certificate = agg
-            .stats
-            .certificate
-            .ok_or_else(|| ServiceError::Solve("solver returned no certificate".into()))?;
+        let advisor = Advisor::new(AdvisorOptions {
+            solver: SolveOptions {
+                trace: self.trace.clone(),
+                ..self.config.solver.clone()
+            },
+            exact_steps_limit: 0,
+        });
         // leader-side gate: a result that does not certify against the
         // canonical instance never reaches the cache or any waiter. The
-        // certificate's closure is checked here, once; every reply built
+        // certificate's closure is checked there, once; every reply built
         // from this entry re-runs only what depends on its requester
-        let certificate = {
-            let mut cspan = self.trace.span("service.certify");
-            self.registry.add("service.certificate_checks", 1);
-            let certificate = CheckedCertificate::check(certificate)
-                .map_err(ServiceError::Certification)?;
-            let cert = certify::certify_checked(canon, &schedule, &certificate);
-            cspan.tag("verdict", cert.verdict.to_string());
-            if cert.verdict == Verdict::Invalid {
-                return Err(ServiceError::Certification(cert.problems));
+        let mut span = Some(self.trace.span("service.solve"));
+        let stamped = advisor.solve_and_stamp(canon, None, |stats| {
+            self.registry.add("service.solves", 1);
+            stats.export_into(&self.registry);
+            if let Some(mut solve_span) = span.take() {
+                solve_span.tag("nodes", stats.nodes_explored);
             }
-            Arc::new(certificate)
+            span = Some(self.trace.span("service.certify"));
+            self.registry.add("service.certificate_checks", 1);
+        });
+        let mut span = span.expect("one of the two spans is open");
+        let stamped = match stamped {
+            Ok(stamped) => stamped,
+            Err(AdvisorError::Solver(e)) => return Err(ServiceError::Solve(e.to_string())),
+            Err(AdvisorError::CertificationFailed(problems)) => {
+                span.tag("verdict", Verdict::Invalid.to_string());
+                return Err(ServiceError::Certification(problems));
+            }
         };
+        tag_verdict(&mut span, &stamped.certification);
+        drop(span);
+        let certificate = stamped
+            .certificate
+            .ok_or_else(|| ServiceError::Solve("solver returned no certificate".into()))?;
         Ok(Arc::new(CacheEntry {
-            counts: agg.counts,
-            output_counts: agg.output_counts,
-            schedule,
-            objective: agg.objective,
-            certificate,
-            nodes: agg.nodes,
+            counts: stamped
+                .schedule
+                .per_analysis
+                .iter()
+                .map(|s| s.count())
+                .collect(),
+            output_counts: stamped
+                .schedule
+                .per_analysis
+                .iter()
+                .map(|s| s.output_count())
+                .collect(),
+            schedule: stamped.schedule,
+            objective: certificate.get().objective,
+            certificate: Arc::new(certificate),
+            nodes: stamped.stats.nodes_explored,
         }))
     }
 
@@ -538,7 +551,7 @@ impl SolveService {
         let cert = {
             let mut cspan = self.trace.span("service.certify");
             let cert = certify::certify_checked(problem, &schedule, &entry.certificate);
-            cspan.tag("verdict", cert.verdict.to_string());
+            tag_verdict(&mut cspan, &cert);
             cert
         };
         if cert.verdict == Verdict::Invalid {
@@ -568,6 +581,16 @@ impl SolveService {
             .expect("service state poisoned")
             .cache
             .insert(fp, entry);
+    }
+}
+
+/// Tags a `service.certify` span with the stamp — and, when the verdict
+/// forgave dust (`certify::forgiven`), with how many violations it forgave.
+fn tag_verdict(span: &mut obs::SpanGuard<'_>, cert: &certify::Certification) {
+    span.tag("verdict", cert.verdict.to_string());
+    let listed = cert.replay.as_ref().map_or(0, |r| r.violations.len());
+    if cert.verdict != Verdict::Invalid && listed > 0 {
+        span.tag("forgiven", listed);
     }
 }
 

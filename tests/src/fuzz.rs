@@ -207,8 +207,9 @@ pub fn differential_check(problem: &ScheduleProblem) -> Result<(), String> {
         a.fixed_mem == 0.0 && a.step_mem == 0.0 && a.compute_mem == 0.0 && a.output_mem == 0.0
     });
     if no_mem && problem.resources.steps <= 16 {
-        let (_, exact_obj, _) = formulation::solve_exact_with_stats(problem, &serial_opts())
-            .map_err(|e| format!("exact formulation failed: {e}"))?;
+        let exact_obj = formulation::solve_exact(problem, &serial_opts(), None)
+            .map_err(|e| format!("exact formulation failed: {e}"))?
+            .objective;
         if !close(exact_obj, serial.objective) {
             return Err(format!(
                 "exact formulation objective {exact_obj} != aggregate objective {}",

@@ -9,8 +9,7 @@
 //! the independent exact-rational `certify::certify` check
 //! (`Verdict::Proved`).
 
-use insitu_core::placement::place_schedule;
-use insitu_core::aggregate::solve_aggregate_counts;
+use insitu_core::solve_aggregate;
 use insitu_types::{AnalysisProfile, ResourceConfig, ScheduleProblem};
 use milp::{solve_lp_relaxation, solve_lp_relaxation_dense, Cmp, LinExpr, Model, Sense,
            SolveError, SolveOptions};
@@ -176,9 +175,8 @@ proptest! {
     /// schedule + certificate pass the exact-rational certifier.
     #[test]
     fn solves_certify_on_scheduling_problems(problem in arb_problem()) {
-        let agg = solve_aggregate_counts(&problem, &opts()).unwrap();
-        let schedule = place_schedule(&problem, &agg.counts, &agg.output_counts);
-        let cert = certify::certify(&problem, &schedule, agg.stats.certificate.as_ref());
+        let agg = solve_aggregate(&problem, &opts(), None).unwrap();
+        let cert = certify::certify(&problem, &agg.schedule, agg.stats.certificate.as_ref());
         prop_assert_eq!(cert.verdict, certify::Verdict::Proved,
             "failed certification: {:?}", cert.problems);
     }

@@ -2,9 +2,8 @@
 //! aggregate count-based reformulation agree on the optimal objective, and
 //! every schedule either path produces passes the independent validator.
 
-use insitu_core::formulation::solve_exact;
-use insitu_core::solve_aggregate;
 use insitu_core::validate_schedule;
+use insitu_core::{solve_aggregate, solve_exact, Solved};
 use insitu_types::{AnalysisProfile, ResourceConfig, ScheduleProblem};
 use milp::SolveOptions;
 use proptest::prelude::*;
@@ -56,8 +55,8 @@ proptest! {
 
     #[test]
     fn exact_equals_aggregate(problem in arb_problem()) {
-        let (exact_sched, exact_obj) = solve_exact(&problem, &opts()).unwrap();
-        let (agg_sched, agg_obj) = solve_aggregate(&problem, &opts()).unwrap();
+        let Solved { schedule: exact_sched, objective: exact_obj, .. } = solve_exact(&problem, &opts(), None).unwrap();
+        let Solved { schedule: agg_sched, objective: agg_obj, .. } = solve_aggregate(&problem, &opts(), None).unwrap();
         prop_assert!((exact_obj - agg_obj).abs() < 1e-6,
             "exact {exact_obj} vs aggregate {agg_obj}");
         // both schedules certified by the independent validator
@@ -72,7 +71,7 @@ proptest! {
 
     #[test]
     fn aggregate_never_exceeds_budget(problem in arb_problem()) {
-        let (sched, _) = solve_aggregate(&problem, &opts()).unwrap();
+        let sched = solve_aggregate(&problem, &opts(), None).unwrap().schedule;
         let report = validate_schedule(&problem, &sched);
         prop_assert!(report.total_time <= problem.resources.total_threshold() + 1e-9);
     }
@@ -82,7 +81,7 @@ proptest! {
         let greedy = insitu_core::baseline::greedy(&problem);
         let greport = validate_schedule(&problem, &greedy);
         prop_assert!(greport.is_feasible(), "greedy must be feasible: {:?}", greport.violations);
-        let (_, opt) = solve_aggregate(&problem, &opts()).unwrap();
+        let opt = solve_aggregate(&problem, &opts(), None).unwrap().objective;
         prop_assert!(greport.objective <= opt + 1e-6,
             "greedy {} > optimal {opt}", greport.objective);
     }
@@ -104,13 +103,21 @@ fn exact_model_admits_outputs_after_accumulated_compute_buffers() {
         ResourceConfig::from_total_threshold(12, 40.0, 1000.0, 1e9),
     )
     .unwrap();
-    let (agg_sched, agg_obj) = solve_aggregate(&p, &opts()).unwrap();
+    let Solved {
+        schedule: agg_sched,
+        objective: agg_obj,
+        ..
+    } = solve_aggregate(&p, &opts(), None).unwrap();
     assert_eq!(agg_obj, 7.0);
     assert_eq!(agg_sched.per_analysis[0].analysis_steps, vec![2, 4, 6, 8, 10, 12]);
     assert_eq!(agg_sched.per_analysis[0].output_steps, vec![4, 8, 12]);
     assert!(validate_schedule(&p, &agg_sched).is_feasible());
 
-    let (exact_sched, exact_obj) = solve_exact(&p, &opts()).unwrap();
+    let Solved {
+        schedule: exact_sched,
+        objective: exact_obj,
+        ..
+    } = solve_exact(&p, &opts(), None).unwrap();
     assert_eq!(exact_obj, 7.0);
     let report = validate_schedule(&p, &exact_sched);
     assert!(report.is_feasible(), "{:?}", report.violations);
@@ -137,8 +144,16 @@ fn aggregate_is_a_restriction_of_the_exact_model_under_memory_pressure() {
         ResourceConfig::from_total_threshold(12, 100.0, 10.0, 1e9),
     )
     .unwrap();
-    let (exact_sched, exact_obj) = solve_exact(&p, &opts()).unwrap();
-    let (agg_sched, agg_obj) = solve_aggregate(&p, &opts()).unwrap();
+    let Solved {
+        schedule: exact_sched,
+        objective: exact_obj,
+        ..
+    } = solve_exact(&p, &opts(), None).unwrap();
+    let Solved {
+        schedule: agg_sched,
+        objective: agg_obj,
+        ..
+    } = solve_aggregate(&p, &opts(), None).unwrap();
     assert!(validate_schedule(&p, &exact_sched).is_feasible());
     assert!(validate_schedule(&p, &agg_sched).is_feasible());
     assert!(agg_obj <= exact_obj, "aggregate {agg_obj} > exact {exact_obj}");

@@ -12,11 +12,11 @@
 //! here each order's result must certify PROVED against the *other*
 //! order's problem once permuted back.
 
-use insitu_core::aggregate::solve_aggregate_counts;
 use insitu_core::formulation;
 use insitu_core::placement::place_schedule;
+use insitu_core::solve_aggregate;
 use insitu_types::canonical::{canonical_order, to_canonical};
-use insitu_types::ScheduleProblem;
+use insitu_types::{Schedule, ScheduleProblem};
 use integration_tests::fuzz;
 use milp::SolveError;
 use rand::rngs::StdRng;
@@ -26,6 +26,14 @@ fn reversed(p: &ScheduleProblem) -> ScheduleProblem {
     let mut q = p.clone();
     q.analyses.reverse();
     q
+}
+
+/// `(|C_i|, |O_i|)` per analysis.
+fn counts(s: &Schedule) -> (Vec<usize>, Vec<usize>) {
+    s.per_analysis
+        .iter()
+        .map(|a| (a.count(), a.output_count()))
+        .unzip()
 }
 
 #[test]
@@ -38,8 +46,8 @@ fn aggregate_objective_is_insertion_order_invariant() {
             continue;
         }
         let q = reversed(&p);
-        let a = solve_aggregate_counts(&p, &fuzz::serial_opts());
-        let b = solve_aggregate_counts(&q, &fuzz::serial_opts());
+        let a = solve_aggregate(&p, &fuzz::serial_opts(), None);
+        let b = solve_aggregate(&q, &fuzz::serial_opts(), None);
         match (a, b) {
             (Ok(a), Ok(b)) => {
                 // weights are half-integers and counts are small ints, so
@@ -54,12 +62,7 @@ fn aggregate_objective_is_insertion_order_invariant() {
                 );
                 // each order's schedule, permuted into the other order,
                 // must still be PROVED optimal for that problem
-                let sched_b = place_schedule(&q, &b.counts, &b.output_counts);
-                let cert = certify::certify(
-                    &q,
-                    &sched_b,
-                    b.stats.certificate.as_ref(),
-                );
+                let cert = certify::certify(&q, &b.schedule, b.stats.certificate.as_ref());
                 assert_eq!(
                     cert.verdict,
                     certify::Verdict::Proved,
@@ -69,10 +72,12 @@ fn aggregate_objective_is_insertion_order_invariant() {
                 // both orders' counts, mapped into canonical order, must
                 // yield the same Eq. 1 objective on the canonical problem
                 // (schedules themselves may differ when optima are tied)
-                let canon_counts_a = to_canonical(&a.counts, &canonical_order(&p));
-                let canon_counts_b = to_canonical(&b.counts, &canonical_order(&q));
-                let canon_out_a = to_canonical(&a.output_counts, &canonical_order(&p));
-                let canon_out_b = to_canonical(&b.output_counts, &canonical_order(&q));
+                let (counts_a, outputs_a) = counts(&a.schedule);
+                let (counts_b, outputs_b) = counts(&b.schedule);
+                let canon_counts_a = to_canonical(&counts_a, &canonical_order(&p));
+                let canon_counts_b = to_canonical(&counts_b, &canonical_order(&q));
+                let canon_out_a = to_canonical(&outputs_a, &canonical_order(&p));
+                let canon_out_b = to_canonical(&outputs_b, &canonical_order(&q));
                 let (canon, _) = insitu_types::canonical::canonicalize(&p);
                 let obj_a = place_schedule(&canon, &canon_counts_a, &canon_out_a).objective(&canon);
                 let obj_b = place_schedule(&canon, &canon_counts_b, &canon_out_b).objective(&canon);
@@ -105,10 +110,10 @@ fn exact_formulation_objective_is_insertion_order_invariant() {
             continue;
         }
         let q = reversed(&p);
-        let a = formulation::solve_exact(&p, &fuzz::serial_opts());
-        let b = formulation::solve_exact(&q, &fuzz::serial_opts());
+        let a = formulation::solve_exact(&p, &fuzz::serial_opts(), None).map(|s| s.objective);
+        let b = formulation::solve_exact(&q, &fuzz::serial_opts(), None).map(|s| s.objective);
         match (a, b) {
-            (Ok((_, obj_a)), Ok((_, obj_b))) => {
+            (Ok(obj_a), Ok(obj_b)) => {
                 assert_eq!(
                     obj_a.to_bits(),
                     obj_b.to_bits(),
@@ -120,8 +125,7 @@ fn exact_formulation_objective_is_insertion_order_invariant() {
             (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
             (a, b) => panic!(
                 "case {case}: orders disagree on solvability: {:?} vs {:?}",
-                a.map(|(_, o)| o),
-                b.map(|(_, o)| o)
+                a, b
             ),
         }
     }

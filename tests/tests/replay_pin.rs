@@ -219,8 +219,9 @@ fn replays_match_the_recording_made_before_they_shared_one_body() {
     for case in 0..96usize {
         let mut rng = StdRng::seed_from_u64(0x5EED_2109 ^ (case as u64).wrapping_mul(0x9E37_79B9));
         let mut p = fuzz::gen_problem(&mut rng, case);
-        let (placed, _) = insitu_core::solve_aggregate(&p, &milp::SolveOptions::default())
-            .expect("fuzz family solves");
+        let placed = insitu_core::solve_aggregate(&p, &milp::SolveOptions::default(), None)
+            .expect("fuzz family solves")
+            .schedule;
         // the solver's schedule fits `mth`; a third of the cases lower it
         // afterwards so Eq. 8 has something to refuse
         if case % 3 == 1 {

@@ -49,9 +49,7 @@ fn bases(seed: u64) -> Vec<ScheduleProblem> {
         let mut rng = StdRng::seed_from_u64(seed ^ (case as u64).wrapping_mul(0x9E37_79B9));
         let p = fuzz::gen_problem(&mut rng, case);
         case += 1;
-        if p.len() >= 2
-            && insitu_core::aggregate::solve_aggregate_counts(&p, &fuzz::serial_opts()).is_ok()
-        {
+        if p.len() >= 2 && insitu_core::solve_aggregate(&p, &fuzz::serial_opts(), None).is_ok() {
             out.push(p);
         }
     }
