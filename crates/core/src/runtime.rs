@@ -1062,6 +1062,72 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_run_with_both_triggers_off_is_the_static_run() {
+        let p = ScheduleProblem::new(
+            ["a", "idle", "c"]
+                .map(|n| AnalysisProfile::new(n).with_compute(0.001, 0.0).with_interval(2))
+                .to_vec(),
+            ResourceConfig::from_total_threshold(9, 10.0, 1e9, 1e9),
+        )
+        .unwrap();
+        let mut schedule = Schedule::empty(3);
+        schedule.per_analysis[0] = AnalysisSchedule::new(vec![2, 4, 8], vec![4, 8]);
+        schedule.per_analysis[2] = AnalysisSchedule::new(vec![3, 9], vec![]);
+        let cfg = CouplerConfig { steps: 9, sim_output_every: 4 };
+        let recorders = || -> Vec<Box<dyn Analysis<usize>>> {
+            ["a", "idle", "c"]
+                .map(|n| Box::new(Recorder { name: n.into(), ..Default::default() }) as _)
+                .into()
+        };
+        // both runs under the adaptive run's own trace context, so every
+        // span of either carries the same trace id
+        let ctx = obs::TraceContext::derive(certify::fingerprint(&p).0, 0);
+        let run = |adaptive: bool| {
+            let tracer = std::sync::Arc::new(obs::Tracer::with_capacity(512));
+            let trace = obs::TraceHandle::new(tracer.clone());
+            let mut sim = CounterSim { step: 0, outputs: 0 };
+            let mut analyses = recorders();
+            let report = if adaptive {
+                let off = AdaptiveConfig {
+                    trigger_on_budget: false,
+                    drift_threshold: f64::INFINITY,
+                    ..AdaptiveConfig::default()
+                };
+                let r = run_coupled_adaptive(
+                    &mut sim, &mut analyses, &p, &schedule, &cfg, &off, &trace,
+                )
+                .unwrap();
+                assert!(r.reschedules.is_empty());
+                assert_eq!(r.schedule, schedule);
+                r.run
+            } else {
+                let _in_ctx = ctx.enter();
+                run_coupled_traced(&mut sim, &mut analyses, &schedule, &cfg, &trace)
+            };
+            assert_eq!((sim.step, sim.outputs), (9, 2));
+            // the adaptive run span alone also says which lane it is in
+            let shape = tracer
+                .timeline()
+                .structural_fingerprint()
+                .replace(&format!(" trace_id=Str({:?})", ctx.trace_id_hex()), "");
+            (report, shape)
+        };
+        let (fixed, fixed_shape) = run(false);
+        let (adaptive, adaptive_shape) = run(true);
+        assert_eq!(adaptive_shape, fixed_shape);
+        assert_eq!(adaptive.trace, fixed.trace);
+        let shape = |r: &RunReport| -> Vec<(String, usize, usize)> {
+            r.analysis_times
+                .iter()
+                .map(|t| (t.name.clone(), t.analyze_count, t.output_count))
+                .collect()
+        };
+        assert_eq!(shape(&adaptive), shape(&fixed));
+        assert_eq!(shape(&fixed)[0], ("a".to_string(), 3, 2));
+        assert_eq!(shape(&fixed)[1], ("idle".to_string(), 0, 0));
+    }
+
+    #[test]
     fn budget_blowout_triggers_an_adopted_reschedule() {
         // modeled at 0.1 ms/analyze, the hog actually spins 5 ms; the
         // first scheduled run blows the 1 ms/step pro-rated budget and
