@@ -280,38 +280,93 @@ pub fn run_coupled_traced<Sim: Simulator>(
         schedule.per_analysis.len(),
         "one schedule entry per analysis"
     );
-    let mut times: Vec<AnalysisTimes> = analyses
-        .iter()
-        .map(|a| AnalysisTimes {
-            name: a.name().to_string(),
-            ..AnalysisTimes::default()
-        })
-        .collect();
-    let active: Vec<bool> = schedule
-        .per_analysis
-        .iter()
-        .map(|s| s.count() > 0)
-        .collect();
-    let telemetry_baseline = sim.kernel_telemetry().cloned().unwrap_or_default();
-
     let mut run_span = trace.span(SPAN_RUN);
     run_span.tag("steps", cfg.steps);
     run_span.tag("analyses", analyses.len());
+    let mut coupler = Coupler::new(sim, analyses, cfg, trace);
+    coupler.setup(schedule);
+    for j in 1..=cfg.steps {
+        coupler.step(j, schedule);
+    }
+    drop(run_span);
+    coupler.report(schedule)
+}
 
-    // one-time setup (ft)
-    for (i, a) in analyses.iter_mut().enumerate() {
-        if active[i] {
-            let mut span = trace.span(SPAN_ANALYSIS_SETUP);
-            span.tag("analysis", i);
-            span.tag("name", a.name());
-            let sw = Stopwatch::start();
-            a.setup(sim.state());
-            times[i].setup = sw.elapsed();
+/// A coupled run in progress: what it has measured so far, and the two
+/// moves that advance it. [`run_coupled_traced`] is `setup` and a loop
+/// over `step`; [`run_coupled_adaptive`] is the same loop with its control
+/// block between steps, calling `setup` again for each schedule it adopts.
+struct Coupler<'a, 'b, Sim: Simulator> {
+    sim: &'a mut Sim,
+    analyses: &'a mut [Box<dyn Analysis<Sim::State> + 'b>],
+    cfg: &'a CouplerConfig,
+    trace: &'a obs::TraceHandle,
+    times: Vec<AnalysisTimes>,
+    /// `run_i` of the schedule being executed.
+    active: Vec<bool>,
+    /// Analyses whose `setup` hook has run: they hold their fixed
+    /// allocation from then on, active or not.
+    set_up: Vec<bool>,
+    /// Steps each analysis has been active for.
+    active_steps: Vec<usize>,
+    /// Measured analysis time so far: every bracket of every analysis.
+    measured_cum: f64,
+    sim_time: f64,
+    telemetry_baseline: KernelTelemetry,
+}
+
+impl<'a, 'b, Sim: Simulator> Coupler<'a, 'b, Sim> {
+    fn new(
+        sim: &'a mut Sim,
+        analyses: &'a mut [Box<dyn Analysis<Sim::State> + 'b>],
+        cfg: &'a CouplerConfig,
+        trace: &'a obs::TraceHandle,
+    ) -> Self {
+        let n = analyses.len();
+        Coupler {
+            times: analyses
+                .iter()
+                .map(|a| AnalysisTimes {
+                    name: a.name().to_string(),
+                    ..AnalysisTimes::default()
+                })
+                .collect(),
+            active: vec![false; n],
+            set_up: vec![false; n],
+            active_steps: vec![0; n],
+            measured_cum: 0.0,
+            sim_time: 0.0,
+            telemetry_baseline: sim.kernel_telemetry().cloned().unwrap_or_default(),
+            sim,
+            analyses,
+            cfg,
+            trace,
         }
     }
 
-    let mut sim_time = 0.0;
-    for j in 1..=cfg.steps {
+    /// Makes `schedule` the one being executed: the analyses it runs are
+    /// the active ones from here on, and those among them not set up yet
+    /// pay their one-time setup (`ft`) now.
+    fn setup(&mut self, schedule: &Schedule) {
+        for (i, a) in self.analyses.iter_mut().enumerate() {
+            self.active[i] = schedule.per_analysis[i].count() > 0;
+            if self.active[i] && !self.set_up[i] {
+                let mut span = self.trace.span(SPAN_ANALYSIS_SETUP);
+                span.tag("analysis", i);
+                span.tag("name", a.name());
+                let sw = Stopwatch::start();
+                a.setup(self.sim.state());
+                self.times[i].setup = sw.elapsed();
+                self.measured_cum += self.times[i].setup;
+                self.set_up[i] = true;
+            }
+        }
+    }
+
+    /// Simulation step `j` and what `schedule` couples to it, inside one
+    /// [`SPAN_STEP`] span.
+    fn step(&mut self, j: usize, schedule: &Schedule) {
+        let (trace, sim) = (self.trace, &mut *self.sim);
         let mut step_span = trace.span(SPAN_STEP);
         step_span.tag("step", j);
 
@@ -321,25 +376,29 @@ pub fn run_coupled_traced<Sim: Simulator>(
             span.tag("step", j);
             sim.advance();
         }
-        if cfg.sim_output_every > 0 && j % cfg.sim_output_every == 0 {
+        if self.cfg.sim_output_every > 0 && j % self.cfg.sim_output_every == 0 {
             let mut span = trace.span(SPAN_SIM_OUTPUT);
             span.tag("step", j);
             sim.write_output();
         }
-        sim_time += sw.elapsed();
+        self.sim_time += sw.elapsed();
 
-        for (i, a) in analyses.iter_mut().enumerate() {
-            if !active[i] {
+        for (i, a) in self.analyses.iter_mut().enumerate() {
+            if !self.active[i] {
                 continue;
             }
+            self.active_steps[i] += 1;
             let sched = &schedule.per_analysis[i];
+            let times = &mut self.times[i];
             {
                 let mut span = trace.span(SPAN_ANALYSIS_PER_STEP);
                 span.tag("step", j);
                 span.tag("analysis", i);
                 let sw = Stopwatch::start();
                 a.per_step(sim.state());
-                times[i].per_step += sw.elapsed();
+                let dt = sw.elapsed();
+                times.per_step += dt;
+                self.measured_cum += dt;
             }
             if sched.runs_at(j) {
                 let scheduled_output = sched.outputs_at(j);
@@ -351,8 +410,10 @@ pub fn run_coupled_traced<Sim: Simulator>(
                     span.tag("output", scheduled_output);
                     let sw = Stopwatch::start();
                     a.analyze(sim.state());
-                    times[i].analyze += sw.elapsed();
-                    times[i].analyze_count += 1;
+                    let dt = sw.elapsed();
+                    times.analyze += dt;
+                    times.analyze_count += 1;
+                    self.measured_cum += dt;
                 }
                 if scheduled_output {
                     let mut span = trace.span(SPAN_ANALYSIS_OUTPUT);
@@ -361,24 +422,28 @@ pub fn run_coupled_traced<Sim: Simulator>(
                     span.tag("name", a.name());
                     let sw = Stopwatch::start();
                     a.output(sim.state());
-                    times[i].output += sw.elapsed();
-                    times[i].output_count += 1;
+                    let dt = sw.elapsed();
+                    times.output += dt;
+                    times.output_count += 1;
+                    self.measured_cum += dt;
                 }
             }
         }
     }
-    drop(run_span);
 
-    let kernel_telemetry = sim
-        .kernel_telemetry()
-        .map(|t| t.delta_since(&telemetry_baseline))
-        .unwrap_or_default();
-
-    RunReport {
-        sim_time,
-        analysis_times: times,
-        trace: CouplingTrace::from_schedule(schedule, cfg.steps, cfg.sim_output_every),
-        kernel_telemetry,
+    /// The report of a finished run that executed `schedule`.
+    fn report(self, schedule: &Schedule) -> RunReport {
+        let (steps, every) = (self.cfg.steps, self.cfg.sim_output_every);
+        RunReport {
+            sim_time: self.sim_time,
+            analysis_times: self.times,
+            trace: CouplingTrace::from_schedule(schedule, steps, every),
+            kernel_telemetry: self
+                .sim
+                .kernel_telemetry()
+                .map(|t| t.delta_since(&self.telemetry_baseline))
+                .unwrap_or_default(),
+        }
     }
 }
 
@@ -490,17 +555,7 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
         exact_steps_limit: adaptive.exact_steps_limit,
     });
 
-    let mut times: Vec<AnalysisTimes> = analyses
-        .iter()
-        .map(|a| AnalysisTimes {
-            name: a.name().to_string(),
-            ..AnalysisTimes::default()
-        })
-        .collect();
     let mut cur = schedule.clone();
-    let mut active: Vec<bool> = cur.per_analysis.iter().map(|s| s.count() > 0).collect();
-    let mut set_up = active.clone();
-    let mut active_steps = vec![0usize; n];
     let mut predicted: Vec<f64> = certify::replay_time_series(problem, schedule)
         .map_err(|e| format!("predicted series replay failed: {e:?}"))?
         .iter()
@@ -516,7 +571,6 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
     let mut base_rate = problem.resources.step_threshold;
     let mut last_attempt: Option<usize> = None;
 
-    let telemetry_baseline = sim.kernel_telemetry().cloned().unwrap_or_default();
     // the whole adaptive run shares one deterministic trace context
     // (instance fingerprint, sequence 0), so its spans land in one lane
     // of the Chrome export and carry ids that reproduce across runs
@@ -527,84 +581,11 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
     run_span.tag("analyses", n);
     run_span.tag("trace_id", run_ctx.trace_id_hex());
 
-    let mut measured_cum = 0.0f64;
-    for (i, a) in analyses.iter_mut().enumerate() {
-        if active[i] {
-            let mut span = trace.span(SPAN_ANALYSIS_SETUP);
-            span.tag("analysis", i);
-            span.tag("name", a.name());
-            let sw = Stopwatch::start();
-            a.setup(sim.state());
-            times[i].setup = sw.elapsed();
-            measured_cum += times[i].setup;
-        }
-    }
-
-    let mut sim_time = 0.0;
+    let mut coupler = Coupler::new(sim, analyses, cfg, trace);
+    coupler.setup(&cur);
     for j in 1..=steps {
-        {
-            let mut step_span = trace.span(SPAN_STEP);
-            step_span.tag("step", j);
-
-            let sw = Stopwatch::start();
-            {
-                let mut span = trace.span(SPAN_SIM_ADVANCE);
-                span.tag("step", j);
-                sim.advance();
-            }
-            if cfg.sim_output_every > 0 && j % cfg.sim_output_every == 0 {
-                let mut span = trace.span(SPAN_SIM_OUTPUT);
-                span.tag("step", j);
-                sim.write_output();
-            }
-            sim_time += sw.elapsed();
-
-            for (i, a) in analyses.iter_mut().enumerate() {
-                if !active[i] {
-                    continue;
-                }
-                active_steps[i] += 1;
-                let sched = &cur.per_analysis[i];
-                {
-                    let mut span = trace.span(SPAN_ANALYSIS_PER_STEP);
-                    span.tag("step", j);
-                    span.tag("analysis", i);
-                    let sw = Stopwatch::start();
-                    a.per_step(sim.state());
-                    let dt = sw.elapsed();
-                    times[i].per_step += dt;
-                    measured_cum += dt;
-                }
-                if sched.runs_at(j) {
-                    let scheduled_output = sched.outputs_at(j);
-                    {
-                        let mut span = trace.span(SPAN_ANALYSIS_ANALYZE);
-                        span.tag("step", j);
-                        span.tag("analysis", i);
-                        span.tag("name", a.name());
-                        span.tag("output", scheduled_output);
-                        let sw = Stopwatch::start();
-                        a.analyze(sim.state());
-                        let dt = sw.elapsed();
-                        times[i].analyze += dt;
-                        times[i].analyze_count += 1;
-                        measured_cum += dt;
-                    }
-                    if scheduled_output {
-                        let mut span = trace.span(SPAN_ANALYSIS_OUTPUT);
-                        span.tag("step", j);
-                        span.tag("analysis", i);
-                        span.tag("name", a.name());
-                        let sw = Stopwatch::start();
-                        a.output(sim.state());
-                        let dt = sw.elapsed();
-                        times[i].output += dt;
-                        times[i].output_count += 1;
-                        measured_cum += dt;
-                    }
-                }
-            }
-        }
+        coupler.step(j, &cur);
+        let measured_cum = coupler.measured_cum;
 
         // ---- control loop: evaluate triggers after step j ----
         if j == steps || j % check_every != 0 {
@@ -655,10 +636,17 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
         };
 
         let attempt = (|| -> Result<_, String> {
-            let rp = remaining_problem(problem, &times, &active_steps, &set_up, j, measured_cum)?;
+            let rp = remaining_problem(
+                problem,
+                &coupler.times,
+                &coupler.active_steps,
+                &coupler.set_up,
+                j,
+                measured_cum,
+            )?;
             let tail = schedule_tail(&cur, j);
             let carry = certify::SuffixCarry {
-                held_mem: certify::memory_state_at(problem, &cur, j, &set_up)
+                held_mem: certify::memory_state_at(problem, &cur, j, &coupler.set_up)
                     .map_err(|e| format!("carry replay failed: {e:?}"))?,
                 steps_since_run: cur
                     .per_analysis
@@ -702,19 +690,8 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
                 base_step = j;
                 base_measured = measured_cum;
                 base_rate = rp.resources.step_threshold;
-                for (i, a) in analyses.iter_mut().enumerate() {
-                    active[i] = out.schedule.per_analysis[i].count() > 0;
-                    if active[i] && !set_up[i] {
-                        let mut span = trace.span(SPAN_ANALYSIS_SETUP);
-                        span.tag("analysis", i);
-                        span.tag("name", a.name());
-                        let sw = Stopwatch::start();
-                        a.setup(sim.state());
-                        times[i].setup = sw.elapsed();
-                        measured_cum += times[i].setup;
-                        set_up[i] = true;
-                    }
-                }
+                // the suffix schedule decides who is active from here on
+                coupler.setup(&out.schedule);
             }
             Err(e) => {
                 record.verdict = e;
@@ -743,18 +720,8 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
     }
     drop(run_span);
 
-    let kernel_telemetry = sim
-        .kernel_telemetry()
-        .map(|t| t.delta_since(&telemetry_baseline))
-        .unwrap_or_default();
-
     Ok(AdaptiveReport {
-        run: RunReport {
-            sim_time,
-            analysis_times: times,
-            trace: CouplingTrace::from_schedule(&cur, steps, cfg.sim_output_every),
-            kernel_telemetry,
-        },
+        run: coupler.report(&cur),
         schedule: cur,
         reschedules,
         predicted,
