@@ -55,11 +55,9 @@ pub struct AdaptiveConfig {
     pub cooldown_steps: usize,
     /// Hard cap on reschedules per run.
     pub max_reschedules: usize,
-    /// Options for the mid-run MILP re-solves.
+    /// Options for the mid-run MILP re-solves, which solve the aggregate
+    /// model.
     pub solver: SolveOptions,
-    /// Forwarded to the advisor: use the exact time-indexed formulation
-    /// when the *remaining* step count is at most this.
-    pub exact_steps_limit: usize,
 }
 
 impl Default for AdaptiveConfig {
@@ -71,7 +69,6 @@ impl Default for AdaptiveConfig {
             cooldown_steps: 4,
             max_reschedules: 3,
             solver: SolveOptions::default(),
-            exact_steps_limit: 0,
         }
     }
 }

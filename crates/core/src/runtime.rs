@@ -552,7 +552,7 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
     let check_every = adaptive.check_every.max(1);
     let advisor = Advisor::new(AdvisorOptions {
         solver: adaptive.solver.clone(),
-        exact_steps_limit: adaptive.exact_steps_limit,
+        ..AdvisorOptions::default()
     });
 
     let mut cur = schedule.clone();
