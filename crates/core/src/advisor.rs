@@ -1,11 +1,9 @@
 //! The high-level API: "given these analyses and this machine, what should
 //! I run in-situ, how often, and when should it write output?"
 //!
-//! Every answer this workspace gives to that question — a fresh
-//! [`Advisor::recommend`], a mid-run [`Advisor::recommend_remaining`], a
-//! solve-service miss — is [`Advisor::solve_and_stamp`]: one solve, one
-//! closure check of the solver's certificate, one exact replay, one
-//! verdict from `certify`. The fresh case is the carried case with
+//! Every answer to that question — [`Advisor::recommend`], a mid-run
+//! [`Advisor::recommend_remaining`], a solve-service miss — is
+//! [`Advisor::solve_and_stamp`]; the fresh case is the carried case with
 //! nothing carried.
 
 use certify::{Certification, CheckedCertificate, SuffixCarry, Verdict};
@@ -17,8 +15,7 @@ use crate::formulation::{solve_exact, Solved};
 use crate::validate::ValidationReport;
 
 /// Advisor configuration.
-#[derive(Debug, Clone)]
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct AdvisorOptions {
     /// Options forwarded to the MILP solver.
     pub solver: SolveOptions,
@@ -30,7 +27,6 @@ pub struct AdvisorOptions {
     /// the tree closed over. The default keeps this at 0.
     pub exact_steps_limit: usize,
 }
-
 
 /// Errors surfaced by the advisor.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,27 +114,24 @@ impl Recommendation {
     }
 }
 
-/// What [`Advisor::solve_and_stamp`] hands back: a solved schedule that
-/// passed the certification gate, with everything the gate established.
+/// A solved schedule that passed the certification gate
+/// ([`Advisor::solve_and_stamp`]), with what the gate established.
 #[derive(Debug)]
 pub struct Stamped {
-    /// The solved schedule, in the steps of the problem it was solved for
-    /// (for a mid-run re-solve, step 1 is the first step after the
-    /// reschedule point).
+    /// The schedule, in the steps of the problem it was solved for (for a
+    /// mid-run re-solve, step 1 follows the reschedule point).
     pub schedule: Schedule,
     /// Exact-replay objective of `schedule` (Eq. 1), rounded to `f64`.
     pub objective: f64,
-    /// Solver telemetry. Its `certificate` has moved into
-    /// [`Stamped::certificate`].
+    /// Solver telemetry; its certificate is [`Stamped::certificate`].
     pub stats: SolveStats,
-    /// The solver's optimality certificate, closure checked — once, here
-    /// — and so fit to re-prove `schedule` for any later requester through
-    /// [`certify::certify_checked`]. `None` only when there was nothing to
-    /// solve (the zero-analysis problem).
+    /// The solver's optimality certificate, closure checked once, here —
+    /// fit for [`certify::certify_checked`] on any later reply. `None`
+    /// only for the zero-analysis problem, where nothing was solved.
     pub certificate: Option<CheckedCertificate>,
-    /// The stamp and the exact replay behind it, under the carry the solve
-    /// was given; never [`certify::Verdict::Invalid`] — that surfaces as
-    /// [`AdvisorError::CertificationFailed`] instead.
+    /// The stamp, under the carry the solve was given, and the exact
+    /// replay behind it. Never [`certify::Verdict::Invalid`]: that is
+    /// [`AdvisorError::CertificationFailed`].
     pub certification: Certification,
 }
 
@@ -154,25 +147,22 @@ impl Advisor {
         Advisor { opts }
     }
 
-    /// Solves `problem` and passes the result through the certification
-    /// gate: the one path from an instance to a stamped schedule.
+    /// The one path from an instance to a stamped schedule: solve, check
+    /// the certificate's closure once, replay exactly, take `certify`'s
+    /// verdict.
     ///
-    /// `carried` is the state of a partially executed run — the incumbent
+    /// `carried` is the state of a partially executed run: the incumbent
     /// schedule's not-yet-run tail, offered to the MILP as a seed
-    /// incumbent (a bad one only costs the solver its head start, never
-    /// correctness), and the exact [`SuffixCarry`] the prefix leaves
-    /// behind. `None` is a run that has not started: no hint
-    /// ([`milp::solve`], the same tree as ever) and [`SuffixCarry::fresh`].
-    /// The solver's model is carry-oblivious, so a schedule the carry
-    /// rules out (held memory pushes a step over the threshold, say) is
-    /// refused here as [`AdvisorError::CertificationFailed`].
+    /// incumbent (a bad one costs the solver its head start, never
+    /// correctness), and the exact [`SuffixCarry`] the prefix left behind.
+    /// `None` is a run that has not started: no hint ([`milp::solve`]) and
+    /// [`SuffixCarry::fresh`]. The solver's model is carry-oblivious, so a
+    /// schedule the carry rules out (held memory pushes a step over the
+    /// threshold, say) is refused as [`AdvisorError::CertificationFailed`].
     ///
-    /// The model is the exact time-indexed one up to
-    /// [`AdvisorOptions::exact_steps_limit`] steps and the aggregate one
-    /// above; the solver is always asked for its pruning certificate,
-    /// whatever the caller configured. `solved` sees the solver's
-    /// telemetry between the solve and the gate, so a caller that times
-    /// or counts the two halves separately can.
+    /// The solver is always asked for its pruning certificate, whatever
+    /// the caller configured. `solved` sees the solver's telemetry between
+    /// the solve and the gate, for a caller that times the halves apart.
     pub fn solve_and_stamp(
         &self,
         problem: &ScheduleProblem,
@@ -186,12 +176,9 @@ impl Advisor {
         } else {
             solve_aggregate
         };
-        let Solved {
-            schedule,
-            mut stats,
-            ..
-        } = solve(problem, &solver, carried.map(|(incumbent, _)| incumbent))
-            .map_err(AdvisorError::Solver)?;
+        let (incumbent, carry) = carried.unzip();
+        let Solved { schedule, mut stats, .. } =
+            solve(problem, &solver, incumbent).map_err(AdvisorError::Solver)?;
         solved(&stats);
         let certificate = stats
             .certificate
@@ -199,26 +186,16 @@ impl Advisor {
             .map(CheckedCertificate::check)
             .transpose()
             .map_err(AdvisorError::CertificationFailed)?;
-        let fresh;
-        let carry = match carried {
-            Some((_, carry)) => carry,
-            None => {
-                fresh = SuffixCarry::fresh(problem.len());
-                &fresh
-            }
-        };
+        let carry = carry.cloned().unwrap_or_else(|| SuffixCarry::fresh(problem.len()));
         let certification =
-            certify::certify_suffix(problem, &schedule, carry, certificate.as_ref());
+            certify::certify_suffix(problem, &schedule, &carry, certificate.as_ref());
         if certification.verdict == Verdict::Invalid {
             return Err(AdvisorError::CertificationFailed(certification.problems));
         }
-        let objective = certification
-            .replay
-            .as_ref()
-            .map_or(0.0, |r| r.objective.to_f64());
+        let replayed = certification.replay.as_ref().expect("a passing verdict has a replay");
         Ok(Stamped {
+            objective: replayed.objective.to_f64(),
             schedule,
-            objective,
             stats,
             certificate,
             certification,
@@ -228,44 +205,32 @@ impl Advisor {
     /// Solves the scheduling problem and returns a certified
     /// recommendation: [`Advisor::solve_and_stamp`] with nothing carried.
     pub fn recommend(&self, problem: &ScheduleProblem) -> Result<Recommendation, AdvisorError> {
-        let Stamped {
-            schedule,
-            objective,
-            mut stats,
-            certificate,
-            certification,
-        } = self.solve_and_stamp(problem, None, |_| {})?;
-        stats.certificate = certificate.map(CheckedCertificate::into_inner);
-        let verdict = certification.verdict;
-        let report = ValidationReport::of(problem, certification);
+        let mut s = self.solve_and_stamp(problem, None, |_| {})?;
+        s.stats.certificate = s.certificate.map(CheckedCertificate::into_inner);
+        let per_analysis = &s.schedule.per_analysis;
+        let verdict = s.certification.verdict;
+        let report = ValidationReport::of(problem, s.certification);
         Ok(Recommendation {
             verdict,
-            counts: schedule.per_analysis.iter().map(|s| s.count()).collect(),
-            output_counts: schedule
-                .per_analysis
-                .iter()
-                .map(|s| s.output_count())
-                .collect(),
-            objective,
+            counts: per_analysis.iter().map(|a| a.count()).collect(),
+            output_counts: per_analysis.iter().map(|a| a.output_count()).collect(),
+            objective: s.objective,
             predicted_time: report.total_time,
             report,
-            schedule,
-            solver_stats: stats,
+            schedule: s.schedule,
+            solver_stats: s.stats,
         })
     }
 
-    /// Re-solves the scheduling problem over the *remaining* steps of a
-    /// partially executed run: [`Advisor::solve_and_stamp`] with the
-    /// run's state carried in.
+    /// Re-solves over the *remaining* steps of a partially executed run:
+    /// [`Advisor::solve_and_stamp`] with the run's state carried in.
     ///
     /// `remaining` is the suffix problem (measured profiles, remaining
     /// steps, remaining pro-rated budget); `incumbent` is the not-yet-run
     /// tail of the current schedule *re-indexed into suffix steps*;
-    /// `carry` is the exact mid-run state (held memory per set-up
-    /// analysis, steps since each last ran) taken from
+    /// `carry` is the exact mid-run state, its memory half taken from
     /// [`certify::memory_state_at`]. On
-    /// [`AdvisorError::CertificationFailed`] the caller keeps the
-    /// incumbent.
+    /// [`AdvisorError::CertificationFailed`] the caller keeps the incumbent.
     pub fn recommend_remaining(
         &self,
         remaining: &ScheduleProblem,

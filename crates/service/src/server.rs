@@ -482,13 +482,9 @@ impl SolveService {
     fn solve_fresh(&self, canon: &ScheduleProblem) -> Result<Arc<CacheEntry>, ServiceError> {
         // the solver opens its own `milp.solve` span on this handle,
         // nested under the request span and carrying its trace context
-        let advisor = Advisor::new(AdvisorOptions {
-            solver: SolveOptions {
-                trace: self.trace.clone(),
-                ..self.config.solver.clone()
-            },
-            exact_steps_limit: 0,
-        });
+        let mut solver = self.config.solver.clone();
+        solver.trace = self.trace.clone();
+        let advisor = Advisor::new(AdvisorOptions { solver, exact_steps_limit: 0 });
         // leader-side gate: a result that does not certify against the
         // canonical instance never reaches the cache or any waiter. The
         // certificate's closure is checked there, once; every reply built
@@ -517,19 +513,10 @@ impl SolveService {
         let certificate = stamped
             .certificate
             .ok_or_else(|| ServiceError::Solve("solver returned no certificate".into()))?;
+        let per_analysis = &stamped.schedule.per_analysis;
         Ok(Arc::new(CacheEntry {
-            counts: stamped
-                .schedule
-                .per_analysis
-                .iter()
-                .map(|s| s.count())
-                .collect(),
-            output_counts: stamped
-                .schedule
-                .per_analysis
-                .iter()
-                .map(|s| s.output_count())
-                .collect(),
+            counts: per_analysis.iter().map(|a| a.count()).collect(),
+            output_counts: per_analysis.iter().map(|a| a.output_count()).collect(),
             schedule: stamped.schedule,
             objective: certificate.get().objective,
             certificate: Arc::new(certificate),
