@@ -56,6 +56,26 @@ struct PerAnalysis {
     ints: Option<(Var, Var)>,
 }
 
+impl PerAnalysis {
+    /// `k_i` (analysis count) as a linear expression over the model vars.
+    fn k_expr(&self) -> LinExpr {
+        match (&self.unary, &self.ints) {
+            (Some(pairs), _) => LinExpr::sum(pairs.iter().map(|&(k, _, y)| (y, k as f64))),
+            (_, Some((k, _))) => LinExpr::var(*k),
+            _ => LinExpr::new(),
+        }
+    }
+
+    /// `q_i` (output count) as a linear expression over the model vars.
+    fn q_expr(&self) -> LinExpr {
+        match (&self.unary, &self.ints) {
+            (Some(pairs), _) => LinExpr::sum(pairs.iter().map(|&(_, q, y)| (y, q as f64))),
+            (_, Some((_, q))) => LinExpr::var(*q),
+            _ => LinExpr::new(),
+        }
+    }
+}
+
 /// The built (unsolved) aggregate MILP plus the bookkeeping needed to read
 /// per-analysis counts back out of a solution vector.
 ///
@@ -70,24 +90,6 @@ pub struct AggregateModel {
 }
 
 impl AggregateModel {
-    /// `k_i` (analysis count) as a linear expression over the model vars.
-    fn k_expr(&self, i: usize) -> LinExpr {
-        match (&self.per_analysis[i].unary, &self.per_analysis[i].ints) {
-            (Some(pairs), _) => LinExpr::sum(pairs.iter().map(|&(k, _, y)| (y, k as f64))),
-            (_, Some((k, _))) => LinExpr::var(*k),
-            _ => LinExpr::new(),
-        }
-    }
-
-    /// `q_i` (output count) as a linear expression over the model vars.
-    fn q_expr(&self, i: usize) -> LinExpr {
-        match (&self.per_analysis[i].unary, &self.per_analysis[i].ints) {
-            (Some(pairs), _) => LinExpr::sum(pairs.iter().map(|&(_, q, y)| (y, q as f64))),
-            (_, Some((_, q))) => LinExpr::var(*q),
-            _ => LinExpr::new(),
-        }
-    }
-
     /// Inverse of [`Self::counts_from`] composed with placement: maps a
     /// schedule's per-analysis counts onto a full model-variable vector,
     /// for warm-starting a re-solve via [`milp::solve_with_hint`]. Counts
@@ -125,14 +127,11 @@ impl AggregateModel {
     /// Extracts `(counts, output_counts)` from a solution vector of
     /// [`Self::model`] (from any solver — branch & bound or brute force).
     pub fn counts_from(&self, values: &[f64]) -> (Vec<usize>, Vec<usize>) {
-        let n = self.per_analysis.len();
-        let mut counts = vec![0usize; n];
-        let mut output_counts = vec![0usize; n];
-        for i in 0..n {
-            counts[i] = self.k_expr(i).eval(values).round() as usize;
-            output_counts[i] = self.q_expr(i).eval(values).round() as usize;
-        }
-        (counts, output_counts)
+        let count = |e: LinExpr| e.eval(values).round() as usize;
+        self.per_analysis
+            .iter()
+            .map(|pa| (count(pa.k_expr()), count(pa.q_expr())))
+            .unzip()
     }
 }
 
@@ -219,28 +218,11 @@ pub fn build_aggregate(problem: &ScheduleProblem) -> Result<AggregateModel, Solv
         }
     }
 
-    // k_i and q_i as expressions (same logic as AggregateModel::{k,q}_expr,
-    // local here because `pa` is not yet wrapped)
-    let k_expr = |i: usize| -> LinExpr {
-        match (&pa[i].unary, &pa[i].ints) {
-            (Some(pairs), _) => LinExpr::sum(pairs.iter().map(|&(k, _, y)| (y, k as f64))),
-            (_, Some((k, _))) => LinExpr::var(*k),
-            _ => LinExpr::new(),
-        }
-    };
-    let q_expr = |i: usize| -> LinExpr {
-        match (&pa[i].unary, &pa[i].ints) {
-            (Some(pairs), _) => LinExpr::sum(pairs.iter().map(|&(_, q, y)| (y, q as f64))),
-            (_, Some((_, q))) => LinExpr::var(*q),
-            _ => LinExpr::new(),
-        }
-    };
-
     // --- objective (Eq. 1): Σ run_i + Σ w_i k_i ---
     let mut obj = LinExpr::new();
     for (i, a) in problem.analyses.iter().enumerate() {
         obj = obj.term(pa[i].run, 1.0);
-        obj = obj.add_expr(&k_expr(i).scale(a.weight));
+        obj = obj.add_expr(&pa[i].k_expr().scale(a.weight));
     }
     m.set_objective(obj);
 
@@ -248,8 +230,8 @@ pub fn build_aggregate(problem: &ScheduleProblem) -> Result<AggregateModel, Solv
     let mut time = LinExpr::new();
     for (i, a) in problem.analyses.iter().enumerate() {
         time = time.term(pa[i].run, a.fixed_time + a.step_time * steps as f64);
-        time = time.add_expr(&k_expr(i).scale(a.compute_time));
-        time = time.add_expr(&q_expr(i).scale(a.output_time));
+        time = time.add_expr(&pa[i].k_expr().scale(a.compute_time));
+        time = time.add_expr(&pa[i].q_expr().scale(a.output_time));
     }
     m.add_con(time, Cmp::Le, problem.resources.total_threshold());
 
