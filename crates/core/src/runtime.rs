@@ -366,7 +366,7 @@ impl<'a, 'b, Sim: Simulator> Coupler<'a, 'b, Sim> {
     /// Simulation step `j` and what `schedule` couples to it, inside one
     /// [`SPAN_STEP`] span.
     fn step(&mut self, j: usize, schedule: &Schedule) {
-        let (trace, sim) = (self.trace, &mut *self.sim);
+        let (trace, sim, every) = (self.trace, &mut *self.sim, self.cfg.sim_output_every);
         let mut step_span = trace.span(SPAN_STEP);
         step_span.tag("step", j);
 
@@ -376,7 +376,7 @@ impl<'a, 'b, Sim: Simulator> Coupler<'a, 'b, Sim> {
             span.tag("step", j);
             sim.advance();
         }
-        if self.cfg.sim_output_every > 0 && j % self.cfg.sim_output_every == 0 {
+        if every > 0 && j.is_multiple_of(every) {
             let mut span = trace.span(SPAN_SIM_OUTPUT);
             span.tag("step", j);
             sim.write_output();
