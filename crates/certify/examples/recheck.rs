@@ -9,7 +9,8 @@
 //! `tests/corpus/` and the artifacts written by the differential fuzz
 //! harness all use this shape. Prints the exact replay numbers and the
 //! final verdict; exits non-zero for INVALID so the command composes in
-//! scripts.
+//! scripts. A passing verdict that forgave dust ([`certify::forgiven`])
+//! lists each forgiven violation, exact excess included, and still exits 0.
 
 use insitu_types::json::{FromJson, Value};
 use insitu_types::{Schedule, ScheduleProblem, SearchCertificate};
@@ -128,5 +129,9 @@ fn main() {
     }
     if c.verdict == certify::Verdict::Invalid {
         std::process::exit(1);
+    }
+    // a passing verdict over a replay that still lists violations
+    for v in c.replay.iter().flat_map(|r| &r.violations) {
+        println!("  forgiven: {}", v.message);
     }
 }

@@ -807,6 +807,35 @@ mod tests {
     }
 
     #[test]
+    fn a_verdict_that_forgave_dust_says_so_on_its_span() {
+        // three runs of 0.1 s overrun the double 0.3 by 3/2^56: served
+        // PROVED, and every certify span of the miss and of the hit counts
+        // the one forgiven violation; a clean instance's spans carry no tag
+        let tracer = Arc::new(obs::Tracer::with_capacity(256));
+        let svc = SolveService::new(ServiceConfig::default()).with_observability(
+            Arc::new(obs::Registry::new()),
+            obs::TraceHandle::new(tracer.clone()),
+        );
+        let dusty = ScheduleProblem::new(
+            vec![AnalysisProfile::new("a").with_compute(0.1, 0.0).with_interval(1)],
+            ResourceConfig::from_total_threshold(3, 0.3, 1e9, 1e9),
+        )
+        .unwrap();
+        for source in [ResponseSource::Fresh, ResponseSource::Hit] {
+            let reply = svc.solve(&dusty).unwrap();
+            assert_eq!((reply.source, reply.verdict, reply.objective), (source, Verdict::Proved, 4.0));
+        }
+        svc.solve(&problem(&[("rdf", 0.5)])).unwrap();
+        let forgiven: Vec<_> = tracer
+            .timeline()
+            .spans_named("service.certify")
+            .map(|s| s.tag_i64("forgiven"))
+            .collect();
+        // miss: leader gate + reply; hit: reply; then the clean miss's two
+        assert_eq!(forgiven, vec![Some(1), Some(1), Some(1), None, None]);
+    }
+
+    #[test]
     fn colliding_entry_with_a_feasible_schedule_is_rejected_on_the_objective() {
         // a simulated fingerprint collision at its most benign: the planted
         // schedule is the target's own optimum, so the replay is feasible,
