@@ -72,14 +72,17 @@ run head -n 4 target/trace_view.tree.txt
 
 # retired names stay retired: benchmark/ and `cargo test` are the only
 # gates since PR 16, obs::Registry has no meters, since PR 17
-# parallel::Exec is a thread count with no chunk-cap knob, and since PR 21
+# parallel::Exec is a thread count with no chunk-cap knob, since PR 21
 # Eqs. 1-9 have one formulation and no discrete-event replay beside the
-# exact one. History files (CHANGES.md, ROADMAP.md, EXPERIMENTS.md) and
-# benchmark/ are not searched.
+# exact one, and since PR 22 each model has one solve function and every
+# door one solve-and-stamp body. History files (CHANGES.md, ROADMAP.md,
+# EXPERIMENTS.md) and benchmark/ are not searched.
 retired='service_bench|sim_bench|bench_diff|adaptive_smoke|timeline_smoke|obs_smoke'
 retired="$retired|BENCH_service\\.json|BENCH_sim\\.json|observe_agg"
 retired="$retired|INSITU_CHUNK_CAP|with_chunk_cap"
 retired="$retired|cosched|ReplaySite|ReplayCost"
+retired="$retired|solve_aggregate_counts|solve_exact_with_hint|solve_exact_with_stats"
+retired="$retired|AggregateSolution|RescheduleOutcome"
 echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then
