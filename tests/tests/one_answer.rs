@@ -221,6 +221,15 @@ fn dust_boundary_instances_get_one_answer_from_every_door() {
     assert_eq!(strict.violations.len(), 1);
     assert!(strict.violations[0].message.contains("exact excess 99/72057594037927936"));
     assert!(certify::forgiven(&strict.violations[0], &quickstart().resources));
+
+    // the solved case `recheck` is shown on in docs/CERTIFY.md is this one
+    let path = fuzz::corpus_dir().join("forgiven/quickstart.json");
+    let text = std::fs::read_to_string(&path).expect("readable corpus case");
+    let (p, s, cert) = fuzz::parse_case(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(p, quickstart());
+    let c = certify::certify(&p, &s.expect("a schedule"), cert.as_ref());
+    assert_eq!((c.verdict, c.problems.len()), (Proved, 0));
+    assert_eq!(c.replay.unwrap().violations, strict.violations);
 }
 
 /// The rule forgives dust, not violations. The solver's own feasibility
