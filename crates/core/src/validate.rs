@@ -60,14 +60,15 @@ pub fn validate_schedule(problem: &ScheduleProblem, schedule: &Schedule) -> Vali
 impl ValidationReport {
     /// The `f64` view of a certification of a schedule for `problem`.
     pub(crate) fn of(problem: &ScheduleProblem, c: certify::Certification) -> Self {
-        let value = |f: fn(&certify::ReplayReport) -> certify::Rat| {
-            c.replay.as_ref().map_or(0.0, |r| f(r).to_f64())
-        };
+        // no replay (inexact input): nothing was measured
+        let (total_time, peak_memory, objective) = c.replay.as_ref().map_or((0.0, 0.0, 0.0), |r| {
+            (r.total_time.to_f64(), r.peak_memory.to_f64(), r.objective.to_f64())
+        });
         ValidationReport {
-            total_time: value(|r| r.total_time),
+            total_time,
             time_budget: problem.resources.total_threshold(),
-            peak_memory: value(|r| r.peak_memory),
-            objective: value(|r| r.objective),
+            peak_memory,
+            objective,
             violations: c.problems,
         }
     }
