@@ -104,8 +104,8 @@ impl Rat {
     /// Exact zero.
     pub const ZERO: Rat = Rat { num: 0, shift: 0 };
 
-    /// `num / 2^shift` brought to lowest terms.
-    fn reduced(num: i128, shift: u32) -> Rat {
+    /// `num / 2^shift` brought to lowest terms (`shift <= 126`).
+    pub(crate) fn reduced(num: i128, shift: u32) -> Rat {
         if num == 0 {
             return Rat::ZERO;
         }
@@ -166,6 +166,17 @@ impl Rat {
     /// Denominator of the reduced fraction: a positive power of two.
     pub fn denom(&self) -> i128 {
         1 << self.shift
+    }
+
+    /// Exponent of the reduced denominator.
+    pub(crate) fn shift(&self) -> u32 {
+        self.shift
+    }
+
+    /// The numerator of this value written over `2^shift`, a denominator at
+    /// least its own.
+    pub(crate) fn numer_over(&self, shift: u32) -> Result<i128, RatError> {
+        shl(self.num, shift - self.shift)
     }
 
     /// True for exact zero.

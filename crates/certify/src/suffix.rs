@@ -20,7 +20,7 @@
 //! wrong-arity schedule.
 
 use crate::rational::{Rat, RatError};
-use crate::replay::{exact_profile, memory_step, replay_seeded, ReplayReport};
+use crate::replay::{exact_profile, footprint_after, replay_seeded, ReplayReport};
 use insitu_types::{Schedule, ScheduleProblem};
 
 /// Prefix state carried across a mid-run reschedule boundary.
@@ -78,26 +78,20 @@ pub fn memory_state_at(
     if schedule.per_analysis.len() != problem.len() || set_up.len() != problem.len() {
         return Err(RatError::NonFinite); // shape mismatch, as in replay_time_series
     }
-    // each set-up analysis: its exact Table-1 parameters, converted once,
-    // and its footprint, seeded at the fixed allocation (Eq. 6)
-    let mut state = Vec::with_capacity(problem.len());
+    // every set-up analysis's exact Table-1 parameters first, so that a
+    // parameter with no exact value is reported before any sum is formed
+    let mut profiles = Vec::with_capacity(problem.len());
     for (a, up) in problem.analyses.iter().zip(set_up) {
-        state.push(if *up {
-            let p = exact_profile(a)?;
-            let fm = p.fm;
-            Some((p, fm))
-        } else {
-            None
-        });
+        profiles.push(if *up { Some(exact_profile(a)?) } else { None });
     }
-    for j in 1..=step.min(problem.resources.steps) {
-        for (s, st) in schedule.per_analysis.iter().zip(&mut state) {
-            if let Some((p, mem_end)) = st {
-                memory_step(p, s, j, mem_end)?;
-            }
-        }
-    }
-    Ok(state.into_iter().map(|st| st.map(|(_, mem_end)| mem_end)).collect())
+    // each footprint is seeded at the fixed allocation (Eq. 6) and taken
+    // through the analysis's own events up to the boundary
+    let boundary = step.min(problem.resources.steps);
+    profiles
+        .iter()
+        .zip(&schedule.per_analysis)
+        .map(|(p, s)| p.as_ref().map(|p| footprint_after(p, s, boundary)).transpose())
+        .collect()
 }
 
 /// Replays a suffix `schedule` against the suffix `problem`, seeded from
