@@ -7,8 +7,9 @@
 //! conversion is lossless — and so is every sum, product, floor and
 //! fractional part formed from one. [`Rat`] is therefore exactly that: a
 //! numerator over a power of two, in lowest terms. Aligning two values is a
-//! shift and reducing one is a `trailing_zeros`; there is no gcd and no
-//! 128-bit division anywhere on the replay path. All arithmetic is checked:
+//! shift and reducing one is a `trailing_zeros`; there is no gcd, and the
+//! replay path divides once, and only when a threshold is crossed inside an
+//! event-free run of steps (to find the step). All arithmetic is checked:
 //! instead of wrapping or saturating, an operation that would overflow
 //! `i128` returns [`RatError::Overflow`] and the certification reports
 //! "could not decide" rather than a wrong verdict.

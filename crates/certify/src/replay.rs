@@ -13,7 +13,7 @@
 //! The recursions are evaluated at what the schedule holds, not at every
 //! step of the run. Between two of its own events an analysis's footprint
 //! only grows by `im` a step, so Eqs. 5–7 are applied once per event
-//! ([`Footprint`], the one place they are written) with `im · gap` on
+//! (`Footprint`, the one place they are written) with `im · gap` on
 //! arrival; the Eq. 8 total is carried from event step to event step, and a
 //! run of steps without any event is linear in the step and so decided at
 //! its two ends; Eqs. 2–4 have the closed form `ft + it·Steps + ct·|C| +
@@ -23,13 +23,15 @@
 //! Comparisons against the thresholds are *exact*: the thresholds and all
 //! Table-1 parameters are dyadic rationals (lossless `f64` conversions),
 //! and sums and integer multiples of dyadic rationals are dyadic, so there
-//! is no epsilon anywhere in the feasibility decision — and no gcd or
-//! division either: every quantity a recursion will add is scaled once to
-//! the largest denominator `2^shift` among them, and the recursion itself
-//! is checked `i128` integer arithmetic on the numerators. Values become
-//! `Rat`s again in the report and in messages. Paper-shaped runs (seconds
-//! up to ~1e5, bytes up to ~1e13, a few thousand steps) stay far inside the
-//! `i128` window; leaving it is an error, never a wrapped value. The
+//! is no epsilon anywhere in the feasibility decision — and no gcd, and no
+//! aligning and re-reducing per sum either: every quantity a recursion will
+//! add is scaled once to the largest denominator `2^shift` among them, and
+//! the recursion itself is checked `i128` integer arithmetic on the
+//! numerators (one division, where a threshold is crossed between two
+//! events, finds the step). Values become `Rat`s again in the report and
+//! in messages. Paper-shaped runs (seconds up to ~1e5, bytes up to ~1e13,
+//! a few thousand steps) stay far inside the `i128` window; leaving it is
+//! an error, never a wrapped value. The
 //! solver's floating-point tolerance is accounted for outside this module
 //! and in one place each: [`crate::BOUND_TOL`] in the objective and LP-bound
 //! comparisons, [`crate::forgiven`] in the verdict [`crate::certify`] draws

@@ -8,11 +8,13 @@
 //! [`crate::replay()`] of the suffix would miss both.
 //!
 //! [`replay_suffix`] is the very body of [`crate::replay()`] — one Eqs. 2–9
-//! recursion, still entirely in exact rational arithmetic, still sharing
-//! no code with the MILP side — seeded from a [`SuffixCarry`]: the
-//! per-analysis held memory and steps-since-last-run at the boundary.
+//! evaluation, still entirely in exact arithmetic, still sharing no code
+//! with the MILP side — seeded from a [`SuffixCarry`]: the per-analysis
+//! held memory and steps-since-last-run at the boundary.
 //! [`memory_state_at`] derives the memory half of that carry from the
-//! prefix, and [`crate::certify_suffix`] stamps a suffix schedule with the
+//! prefix by advancing the same per-analysis Eqs. 5–7 cursor the replay
+//! advances, event by event, so it costs the prefix's events and not its
+//! length; and [`crate::certify_suffix`] stamps a suffix schedule with the
 //! same three-way verdict as [`crate::certify`].
 //!
 //! The carry is deliberately *not* trusted blindly: a carry whose shape

@@ -30,6 +30,18 @@ run cargo test --release -q -p milp
 run cargo test --release -q -p integration-tests --test lp_trajectory
 run cargo test --release -q -p integration-tests --test cold_start_differential
 
+# likewise the exact replay: its differential against the per-step
+# recursion kept as `replay::reference`, and the two recordings made
+# before it became event-driven (`replay_pin`: 2 304 triples, broken
+# schedules and carries included; `replay_pin_events`: the time series,
+# sparse long runs, the overflow boundary), on the optimised build every
+# reply is checked with. Deeper soaks: PROPTEST_CASES=300000
+run cargo test --release -q -p certify
+run cargo test --release -q -p integration-tests --test replay_pin --test replay_pin_events
+
+# the replay kernels bench compiles and runs once (`--test` times nothing)
+run cargo bench -q -p bench --bench replay_kernels -- --test
+
 # doc-tests, separately: `cargo test` runs them per-crate, but this keeps
 # a failure attributable when only docs change
 run cargo test --doc --workspace
