@@ -1,9 +1,10 @@
 //! Branch & bound for mixed-integer programs.
 //!
 //! Best-first search on LP-relaxation bounds with two-tier variable
-//! selection — reliability pseudocost branching falling back to parallel
-//! strong branching — plunging dives, and an optional multi-threaded node
-//! pool.
+//! selection — reliability pseudocost branching falling back to strong
+//! branching — and plunging dives. The search is one serial loop; the
+//! only concurrency is inside one node, where `SolveOptions::threads`
+//! solves that node's strong-branch probes side by side.
 //!
 //! # Branching
 //!
@@ -13,26 +14,22 @@
 //! degradations. Candidates whose pseudocosts are not yet reliable
 //! (`PSEUDOCOST_RELIABILITY`), or all of them near the root
 //! (`STRONG_BRANCH_DEPTH`), are *strong branched*: both child LPs are
-//! solved — concurrently via `parallel::map_chunks`, warm-started from
-//! the node basis — and scored by actual degradation. The winner's probe
-//! LPs are reused as the real children, so no LP is ever solved twice;
-//! probes are not search nodes and never appear in the certificate.
+//! solved — via `parallel::map_chunks`, warm-started from the node basis
+//! — and scored by actual degradation. The winner's probe LPs are reused
+//! as the real children, so no LP is ever solved twice; probes are not
+//! search nodes and never appear in the certificate.
 //!
-//! The pseudocost table is shared across workers under one mutex and
-//! updated in deterministic within-node order (down before up, ascending
-//! variable index), so the serial search evolves it reproducibly.
+//! Pseudocost updates are applied in a fixed within-node order (down
+//! before up, ascending variable index), after every probe of the node
+//! has returned.
 //!
-//! # Search architecture
+//! # Search
 //!
-//! One shared [`BinaryHeap`] of open nodes is drained by `N` workers
-//! (`N = SolveOptions::threads`; the default of 1 runs the identical code
-//! on the calling thread with no synchronization contention). Each worker
-//! pops the globally best-bound node and *plunges*: it dives toward an
-//! integral leaf, always following the better-bound child and parking the
-//! sibling back on the shared heap, where idle workers steal it. The
-//! incumbent is shared: updates take a mutex, while pruning reads a
-//! lock-free atomic copy of the incumbent objective (stale reads are safe —
-//! they only make pruning conservative, never wrong).
+//! `Search` owns everything a solve changes — the open-node heap, the
+//! incumbent, the pseudocost table, the certificate log and the counters —
+//! and one loop mutates it by `&mut`. The loop pops the best-bound node
+//! and *plunges*: it dives toward an integral leaf, always following the
+//! better-bound child and parking the sibling on the heap.
 //!
 //! # What a child LP is
 //!
@@ -50,25 +47,22 @@
 //!
 //! # Determinism
 //!
-//! Ties are broken identically in serial and parallel mode:
+//! Same model and options ⇒ the same search, bit for bit, at any
+//! `threads`: a probe's LP depends only on its node and bounds, and probe
+//! results are used in candidate order whichever thread finished first.
+//! Ties are broken by two rules:
 //!
 //! * **node order** — nodes with equal LP bounds pop in creation order
-//!   (each node carries a sequence number); with one thread the search is
-//!   therefore fully reproducible, node counts included,
+//!   (each node carries a sequence number),
 //! * **incumbent** — a new integral solution replaces the incumbent only
 //!   when its objective is strictly better *or* equal with lexicographically
 //!   smaller variable values (in variable creation order).
 //!
-//! With multiple threads the *explored node set* can vary between runs
-//! (incumbents arrive at different times, changing what gets pruned), but
-//! every run returns the same proven-optimal objective. See
-//! `docs/SOLVER.md` for the full guarantee.
+//! See `docs/SOLVER.md` for the full guarantee.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtOrd};
-use std::sync::{Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use insitu_types::{CutProof, NodeCert, NodeOutcome, SearchCertificate};
 
@@ -80,7 +74,7 @@ use crate::revised::{solve_bound_edit, FactoredBasis};
 use crate::simplex::{solve_lowered, Basis, LpPoint};
 use crate::solution::Solution;
 use crate::standard::{ColBound, StandardForm};
-use crate::stats::{CutStats, IncumbentEvent, SolveStats};
+use crate::stats::{CutStats, IncumbentEvent, LpTelemetry, SolveStats};
 use parallel::{map_chunks, Exec};
 
 /// A live search node: bound overrides relative to the solve's one
@@ -158,12 +152,6 @@ fn fractional_candidates(int_vars: &[usize], values: &[f64], tol: f64) -> Vec<Ca
 /// observed when branching the variable down (toward `floor`) or up
 /// (toward `floor + 1`), plus direction-wide totals for the standard
 /// global-average fallback on never-branched variables.
-///
-/// Shared across workers under one mutex; every update batch is applied
-/// in deterministic within-node order (down before up, ascending variable
-/// index), so the serial search evolves the table reproducibly. In
-/// parallel the interleaving of *nodes* may vary — that can change which
-/// variable a later node picks (and hence node counts), never the optimum.
 #[derive(Debug)]
 struct Pseudocosts {
     down_sum: Vec<f64>,
@@ -241,44 +229,40 @@ enum Probe {
 }
 
 /// Solves one child LP — a strong-branch probe or a real child — as a
-/// bound edit on the solve's standard form: `bounds` is the parent's
-/// overrides plus the branching bound, last. Warm-started from the
-/// parent's factorized basis; pivots and telemetry are accounted here (a
-/// chosen candidate's probes become the real children, so nothing is
-/// counted twice).
-fn child_lp(sh: &Shared<'_>, warm: Option<&FactoredBasis<'_>>, bounds: &[ColBound]) -> Probe {
+/// bound edit on `sf`: `bounds` is the parent's overrides plus the
+/// branching bound, last. Warm-started from the parent's factorized
+/// basis. Reads nothing but its arguments, so a node's probes can run on
+/// any threads; [`Search::account`] counts the result.
+fn child_lp(
+    sf: &StandardForm,
+    opts: &SolveOptions,
+    warm: Option<&FactoredBasis<'_>>,
+    bounds: &[ColBound],
+) -> Probe {
     // the branching column's domain, after every override on it
     let &(col, ..) = bounds.last().expect("a child has a branching bound");
     let (lo, hi) = bounds
         .iter()
         .filter(|b| b.0 == col)
-        .fold((sh.sf.lower[col], sh.sf.upper[col]), |(lo, hi), b| {
+        .fold((sf.lower[col], sf.upper[col]), |(lo, hi), b| {
             (lo.max(b.1), hi.min(b.2))
         });
     if lo > hi {
         return Probe::Empty;
     }
-    match solve_bound_edit(sh.sf, bounds, sh.opts, warm) {
-        Ok(point) => {
-            sh.lp_pivots.fetch_add(point.iterations, AtOrd::Relaxed);
-            sh.absorb_telemetry(&point.telemetry);
-            if point.warm {
-                sh.warm_started.fetch_add(1, AtOrd::Relaxed);
-            }
-            Probe::Solved(Box::new(point))
-        }
+    match solve_bound_edit(sf, bounds, opts, warm) {
+        Ok(point) => Probe::Solved(Box::new(point)),
         Err(SolveError::Infeasible) => Probe::Infeasible,
         Err(e) => Probe::Fatal(e),
     }
 }
 
 /// `node`'s overrides plus the bound `lo <= x_var <= hi`, in column space.
-fn child_bounds(sh: &Shared<'_>, node: &Node, var: usize, lo: f64, hi: f64) -> Vec<ColBound> {
+fn child_bounds(sf: &StandardForm, node: &Node, var: usize, lo: f64, hi: f64) -> Vec<ColBound> {
     let mut bounds = Vec::with_capacity(node.overrides.len() + 1);
     bounds.extend_from_slice(&node.overrides);
     bounds.push(
-        sh.sf
-            .col_bound(var, lo, hi)
+        sf.col_bound(var, lo, hi)
             .expect("integer variables are never split"),
     );
     bounds
@@ -320,107 +304,6 @@ const STRONG_BRANCH_DEPTH: usize = 4;
 /// fractional ones win the slots).
 const STRONG_BRANCH_LIMIT: usize = 8;
 
-/// Picks the branching variable. See the module docs for the scheme;
-/// score ties break to the most fractional candidate and then the lowest
-/// variable index, which keeps the serial search bitwise-reproducible.
-fn select_branch(
-    sh: &Shared<'_>,
-    node: &Node,
-    warm: Option<&FactoredBasis<'_>>,
-    cands: &[Candidate],
-) -> Result<BranchChoice, SolveError> {
-    // --- tier 2: strong-branch the unreliable (or shallow-depth) set ---
-    let strong_all = node.overrides.len() < STRONG_BRANCH_DEPTH;
-    let mut strong: Vec<usize> = {
-        let pc = sh.pseudo.lock().unwrap();
-        (0..cands.len())
-            .filter(|&ci| strong_all || !pc.reliable(cands[ci].var))
-            .collect()
-    };
-    // the most fractional candidates win the probe slots (stable sort
-    // keeps ascending variable order on distance ties)...
-    strong.sort_by(|&a, &b| cands[a].dist.total_cmp(&cands[b].dist));
-    strong.truncate(STRONG_BRANCH_LIMIT);
-    // ...and probes/updates run in ascending variable order
-    strong.sort_unstable();
-
-    let mut probes: Vec<Option<[Probe; 2]>> = (0..cands.len()).map(|_| None).collect();
-    if !strong.is_empty() {
-        sh.strong_branch_calls.fetch_add(1, AtOrd::Relaxed);
-        let exec = Exec::with_threads(sh.opts.effective_threads());
-        let (evals, _) = map_chunks(&exec, strong.len(), |k| {
-            let c = &cands[strong[k]];
-            let floor = c.value.floor();
-            let down = child_bounds(sh, node, c.var, f64::NEG_INFINITY, floor);
-            let up = child_bounds(sh, node, c.var, floor + 1.0, f64::INFINITY);
-            [child_lp(sh, warm, &down), child_lp(sh, warm, &up)]
-        });
-        let mut lps = 0usize;
-        for (k, pair) in evals.into_iter().enumerate() {
-            for p in &pair {
-                match p {
-                    Probe::Fatal(e) => return Err(e.clone()),
-                    Probe::Solved(_) | Probe::Infeasible => lps += 1,
-                    Probe::Empty => {}
-                }
-            }
-            probes[strong[k]] = Some(pair);
-        }
-        sh.strong_branch_lps.fetch_add(lps, AtOrd::Relaxed);
-
-        // batch-apply pseudocost observations in deterministic order
-        let mut pc = sh.pseudo.lock().unwrap();
-        for &ci in &strong {
-            let c = &cands[ci];
-            let pair = probes[ci].as_ref().expect("probed candidate");
-            if let Probe::Solved(p) = &pair[0] {
-                let deg = (sh.sign * (node.bound - p.objective)).max(0.0);
-                pc.observe(c.var, false, deg / c.frac);
-            }
-            if let Probe::Solved(p) = &pair[1] {
-                let deg = (sh.sign * (node.bound - p.objective)).max(0.0);
-                pc.observe(c.var, true, deg / (1.0 - c.frac));
-            }
-        }
-    }
-
-    // --- tier 1: score everyone (probed by actual degradation, the rest
-    // by pseudocost estimate), highest product wins. Ties go to the most
-    // fractional candidate, then the lowest variable index: the telescoped
-    // scheduling LPs are heavily degenerate (most branchings do not move
-    // the bound at all), so whole nodes can tie at the score floor — and
-    // falling back to index order there branches on whatever variable was
-    // created first, which is far worse than most-fractional.
-    let (mut best_ci, mut best_score, mut best_dist) = (0usize, f64::NEG_INFINITY, f64::INFINITY);
-    {
-        let pc = sh.pseudo.lock().unwrap();
-        for (ci, c) in cands.iter().enumerate() {
-            let (deg_dn, deg_up) = match &probes[ci] {
-                Some(pair) => (
-                    probe_degradation(sh.sign, node.bound, &pair[0]),
-                    probe_degradation(sh.sign, node.bound, &pair[1]),
-                ),
-                None => {
-                    let (rd, ru) = pc.rates(c.var);
-                    (rd * c.frac, ru * (1.0 - c.frac))
-                }
-            };
-            let score = deg_dn.max(SCORE_EPS) * deg_up.max(SCORE_EPS);
-            if score > best_score || (score == best_score && c.dist < best_dist) {
-                (best_ci, best_score, best_dist) = (ci, score, c.dist);
-            }
-        }
-    }
-    if probes[best_ci].is_none() {
-        sh.pseudocost_branches.fetch_add(1, AtOrd::Relaxed);
-    }
-    Ok(BranchChoice {
-        var: cands[best_ci].var,
-        value: cands[best_ci].value,
-        probes: probes.swap_remove(best_ci),
-    })
-}
-
 /// Rounds the integer variables of an LP point and keeps it if feasible.
 fn rounded_candidate(model: &Model, values: &[f64], tol: f64) -> Option<(Vec<f64>, f64)> {
     let mut values = values.to_vec();
@@ -460,17 +343,8 @@ fn improves(model: &Model, objective: f64, values: &[f64], inc: Option<&Solution
     }
 }
 
-/// Open-node pool shared by all workers.
-struct Pool {
-    heap: BinaryHeap<Node>,
-    /// Workers currently blocked waiting for work.
-    idle: usize,
-    /// Terminate flag: set on completion, node limit, or LP error.
-    done: bool,
-}
-
-/// All cross-worker state of one solve.
-struct Shared<'m> {
+/// One solve's search state, owned by the loop that changes it.
+struct Search<'m> {
     /// The frozen model: presolved, with the root cut pool appended.
     model: &'m Model,
     /// `model` lowered — once; every tree LP is a bound edit on it.
@@ -478,60 +352,44 @@ struct Shared<'m> {
     /// `model`'s integer variables, ascending.
     int_vars: Vec<usize>,
     opts: &'m SolveOptions,
+    /// Where a node's strong-branch probes run: `opts.threads` wide.
+    exec: Exec,
     /// +1 for maximization, -1 for minimization (keys are `sign * obj`).
     sign: f64,
-    pool: Mutex<Pool>,
-    work: Condvar,
-    incumbent: Mutex<Option<Solution>>,
-    /// `sign * incumbent.objective` as f64 bits, for lock-free prune reads.
-    /// Stale values only make pruning conservative.
-    inc_key: AtomicU64,
-    nodes: AtomicUsize,
-    pruned_bound: AtomicUsize,
-    pruned_infeasible: AtomicUsize,
-    lp_pivots: AtomicUsize,
-    warm_started: AtomicUsize,
-    strong_branch_calls: AtomicUsize,
-    strong_branch_lps: AtomicUsize,
-    pseudocost_branches: AtomicUsize,
-    /// Branching pseudocosts shared by every worker; see [`Pseudocosts`].
-    pseudo: Mutex<Pseudocosts>,
-    /// LP-engine counters, aggregated across workers.
-    refactorizations: AtomicUsize,
-    max_eta_len: AtomicUsize,
-    ftran_ns: AtomicU64,
-    btran_ns: AtomicU64,
-    next_seq: AtomicU64,
-    error: Mutex<Option<SolveError>>,
-    events: Mutex<Vec<IncumbentEvent>>,
+    /// Open nodes, best bound first.
+    heap: BinaryHeap<Node>,
+    incumbent: Option<Solution>,
+    pseudo: Pseudocosts,
+    /// Sequence number of the next node created.
+    next_seq: u64,
+    /// The counters; the wall times, the cut figures and the certificate
+    /// are filled in when the search ends.
+    stats: SolveStats,
+    /// LP-engine counters of every LP of the solve, root included.
+    lp: LpTelemetry,
     /// Certificate node log; only written when `opts.certificate` is set.
-    cert: Mutex<Vec<NodeCert>>,
+    cert: Vec<NodeCert>,
     search_start: Instant,
 }
 
-impl<'m> Shared<'m> {
-    fn inc_key(&self) -> f64 {
-        f64::from_bits(self.inc_key.load(AtOrd::Relaxed))
-    }
-
+impl Search<'_> {
     /// `true` when a node with LP bound `bound` cannot improve on the
     /// incumbent (within `abs_gap`).
     fn dominated(&self, bound: f64) -> bool {
-        self.sign * bound <= self.inc_key() + self.opts.abs_gap
+        self.incumbent
+            .as_ref()
+            .is_some_and(|inc| self.sign * bound <= self.sign * inc.objective + self.opts.abs_gap)
     }
 
     /// Offers an integral candidate as the new incumbent.
-    fn offer_incumbent(&self, values: Vec<f64>, objective: f64) {
-        let mut inc = self.incumbent.lock().unwrap();
-        if improves(self.model, objective, &values, inc.as_ref()) {
-            self.inc_key
-                .store((self.sign * objective).to_bits(), AtOrd::Relaxed);
-            self.events.lock().unwrap().push(IncumbentEvent {
+    fn offer_incumbent(&mut self, values: Vec<f64>, objective: f64) {
+        if improves(self.model, objective, &values, self.incumbent.as_ref()) {
+            self.stats.incumbent_updates.push(IncumbentEvent {
                 objective,
-                node: self.nodes.load(AtOrd::Relaxed),
+                node: self.stats.nodes_explored,
                 elapsed: self.search_start.elapsed(),
             });
-            *inc = Some(Solution {
+            self.incumbent = Some(Solution {
                 values,
                 objective,
                 iterations: 0,
@@ -542,37 +400,25 @@ impl<'m> Shared<'m> {
         }
     }
 
-    /// Accumulates one LP solve's engine counters.
-    fn absorb_telemetry(&self, t: &crate::stats::LpTelemetry) {
-        self.refactorizations
-            .fetch_add(t.refactorizations, AtOrd::Relaxed);
-        self.max_eta_len.fetch_max(t.max_eta_len, AtOrd::Relaxed);
-        self.ftran_ns.fetch_add(t.ftran_ns, AtOrd::Relaxed);
-        self.btran_ns.fetch_add(t.btran_ns, AtOrd::Relaxed);
-    }
-
-    /// Records a fatal error and wakes every worker to exit.
-    fn fail(&self, e: SolveError) {
-        let mut err = self.error.lock().unwrap();
-        if err.is_none() {
-            *err = Some(e);
+    /// Counts one child LP's pivots and engine counters. A chosen
+    /// candidate's probes become the real children, so each LP is counted
+    /// once, when it is solved.
+    fn account(&mut self, probe: &Probe) {
+        if let Probe::Solved(point) = probe {
+            self.stats.lp_pivots += point.iterations;
+            self.lp.absorb(&point.telemetry);
+            if point.warm {
+                self.stats.warm_started += 1;
+            }
         }
-        drop(err);
-        self.pool.lock().unwrap().done = true;
-        self.work.notify_all();
-    }
-
-    fn push_node(&self, node: Node) {
-        self.pool.lock().unwrap().heap.push(node);
-        self.work.notify_one();
     }
 
     /// Appends one node record to the pruning certificate (no-op unless
     /// `opts.certificate`). Every node id created by the search must be
     /// recorded exactly once for the tree-closure check to pass.
-    fn record(&self, id: u64, parent: Option<u64>, lp_bound: f64, outcome: NodeOutcome) {
+    fn record(&mut self, id: u64, parent: Option<u64>, lp_bound: f64, outcome: NodeOutcome) {
         if self.opts.certificate {
-            self.cert.lock().unwrap().push(NodeCert {
+            self.cert.push(NodeCert {
                 id,
                 parent,
                 lp_bound,
@@ -580,183 +426,237 @@ impl<'m> Shared<'m> {
             });
         }
     }
-}
 
-/// One worker: pop best node, plunge to a leaf, repeat until the pool
-/// drains or the solve aborts. `total` is the number of workers, needed
-/// for the all-idle termination handshake.
-fn worker(sh: &Shared<'_>, total: usize) {
-    'outer: loop {
-        // --- acquire a node (or detect termination) ---
-        let node = {
-            let mut pool = sh.pool.lock().unwrap();
-            loop {
-                if pool.done {
-                    return;
-                }
-                if let Some(n) = pool.heap.pop() {
-                    break n;
-                }
-                pool.idle += 1;
-                if pool.idle == total {
-                    // everyone idle + empty heap = search exhausted
-                    pool.done = true;
-                    sh.work.notify_all();
-                    return;
-                }
-                pool = sh.work.wait(pool).unwrap();
-                pool.idle -= 1;
-            }
-        };
-        // a dominated node popped off the heap means every *heap* node is
-        // dominated too (best-first), but in-flight dives on other workers
-        // may still push better children, so discard and keep looping
-        if sh.dominated(node.bound) {
-            sh.pruned_bound.fetch_add(1, AtOrd::Relaxed);
-            sh.record(node.seq, node.parent, node.bound, NodeOutcome::PrunedBound);
-            continue;
-        }
+    /// Issues the next node id.
+    fn next_id(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
 
-        // --- plunge: dive from this node to an integral or pruned leaf ---
-        let mut cur = Some(node);
-        while let Some(node) = cur.take() {
-            let explored = sh.nodes.fetch_add(1, AtOrd::Relaxed) + 1;
-            if explored > sh.opts.max_nodes {
-                let incumbent = sh.incumbent.lock().unwrap().as_ref().map(|s| s.objective);
-                sh.fail(SolveError::NodeLimit {
-                    nodes: explored,
-                    incumbent,
-                });
-                return;
+    /// Runs the search until the heap drains. A popped node that the
+    /// incumbent dominates is pruned; any other starts a dive that
+    /// [`Search::expand`]s one node after another until it reaches a leaf.
+    fn run(&mut self) -> Result<(), SolveError> {
+        while let Some(top) = self.heap.pop() {
+            if self.dominated(top.bound) {
+                self.stats.nodes_pruned_bound += 1;
+                self.record(top.seq, top.parent, top.bound, NodeOutcome::PrunedBound);
+                continue;
             }
-            if sh.dominated(node.bound) {
-                sh.pruned_bound.fetch_add(1, AtOrd::Relaxed);
-                sh.record(node.seq, node.parent, node.bound, NodeOutcome::PrunedBound);
-                continue 'outer; // this dive is dominated; pick next best
-            }
-            let cands = fractional_candidates(&sh.int_vars, &node.values, sh.opts.tol);
-            if cands.is_empty() {
-                // integral: candidate incumbent (snap values to integers)
-                let mut values = node.values.clone();
-                for &i in &sh.int_vars {
-                    values[i] = values[i].round();
+            // a dive child passed the same test when it was created, and
+            // only a leaf moves the incumbent, so it is not re-tested here
+            let mut dive = Some(top);
+            while let Some(node) = dive {
+                self.stats.nodes_explored += 1;
+                if self.stats.nodes_explored > self.opts.max_nodes {
+                    return Err(SolveError::NodeLimit {
+                        nodes: self.stats.nodes_explored,
+                        incumbent: self.incumbent.as_ref().map(|s| s.objective),
+                    });
                 }
-                let objective = sh.model.objective_value(&values);
-                sh.record(
-                    node.seq,
-                    node.parent,
-                    node.bound,
-                    NodeOutcome::Integral { objective },
-                );
-                sh.offer_incumbent(values, objective);
-            } else {
-                // one factorization of this node's basis serves all of its
-                // probes and children; a singular one sends them down the
-                // cold path
-                let warm = FactoredBasis::new(sh.sf, &node.basis);
-                if warm.is_some() {
-                    sh.refactorizations.fetch_add(1, AtOrd::Relaxed);
-                }
-                // pick the branching variable BEFORE recording Branched:
-                // strong-branch probes are not nodes and a fatal probe LP
-                // must abort without a dangling Branched record
-                let choice = match select_branch(sh, &node, warm.as_ref(), &cands) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        sh.fail(e);
-                        return;
-                    }
-                };
-                sh.record(node.seq, node.parent, node.bound, NodeOutcome::Branched);
-                let var = choice.var;
-                let floor = choice.value.floor();
-                let mut cached = choice.probes.map(|[down, up]| [Some(down), Some(up)]);
-                let mut children: Vec<Node> = Vec::with_capacity(2);
-                for (side, (lo, hi)) in [(f64::NEG_INFINITY, floor), (floor + 1.0, f64::INFINITY)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let overrides = child_bounds(sh, &node, var, lo, hi);
-                    // a strong-branched winner reuses its probe LPs as the
-                    // real children (pivots/telemetry/pseudocosts already
-                    // accounted at probe time); otherwise solve fresh
-                    let probe = match cached.as_mut() {
-                        Some(pair) => pair[side].take().expect("probe consumed once"),
-                        None => {
-                            let probe = child_lp(sh, warm.as_ref(), &overrides);
-                            if let Probe::Solved(point) = &probe {
-                                // child solves feed the table too
-                                let deg = (sh.sign * (node.bound - point.objective)).max(0.0);
-                                let c = cands
-                                    .iter()
-                                    .find(|c| c.var == var)
-                                    .expect("chosen var is a candidate");
-                                let width = if side == 0 { c.frac } else { 1.0 - c.frac };
-                                sh.pseudo
-                                    .lock()
-                                    .unwrap()
-                                    .observe(var, side == 1, deg / width);
-                            }
-                            probe
-                        }
-                    };
-                    match probe {
-                        Probe::Empty | Probe::Infeasible => {
-                            sh.pruned_infeasible.fetch_add(1, AtOrd::Relaxed);
-                            // no feasible LP; the parent bound is still a
-                            // valid relaxation bound for this child
-                            let id = sh.next_seq.fetch_add(1, AtOrd::Relaxed);
-                            sh.record(
-                                id,
-                                Some(node.seq),
-                                node.bound,
-                                NodeOutcome::PrunedInfeasible,
-                            );
-                        }
-                        Probe::Solved(point) => {
-                            // bound-based pruning at generation time (also
-                            // re-checks cached probes against incumbents
-                            // that arrived after the probe was solved)
-                            if sh.dominated(point.objective) {
-                                sh.pruned_bound.fetch_add(1, AtOrd::Relaxed);
-                                let id = sh.next_seq.fetch_add(1, AtOrd::Relaxed);
-                                sh.record(
-                                    id,
-                                    Some(node.seq),
-                                    point.objective,
-                                    NodeOutcome::PrunedBound,
-                                );
-                                continue;
-                            }
-                            children.push(Node {
-                                overrides,
-                                key: sh.sign * point.objective,
-                                bound: point.objective,
-                                values: sh.sf.extract(&point.x),
-                                seq: sh.next_seq.fetch_add(1, AtOrd::Relaxed),
-                                parent: Some(node.seq),
-                                basis: point.basis,
-                            });
-                        }
-                        Probe::Fatal(e) => {
-                            sh.fail(e);
-                            return;
-                        }
-                    }
-                }
-                // dive into the better child, park the other
-                children.sort(); // ascending: last = best (key, FIFO seq)
-                cur = children.pop();
-                for sibling in children {
-                    sh.push_node(sibling);
-                }
+                dive = self.expand(node)?;
             }
         }
+        Ok(())
+    }
+
+    /// Closes `node`: an integral point is offered as the incumbent, a
+    /// fractional one is branched. Returns the child the dive continues
+    /// with; its sibling, if it survives, goes on the heap.
+    fn expand(&mut self, node: Node) -> Result<Option<Node>, SolveError> {
+        let cands = fractional_candidates(&self.int_vars, &node.values, self.opts.tol);
+        if cands.is_empty() {
+            // integral: candidate incumbent (snap values to integers)
+            let mut values = node.values;
+            for &i in &self.int_vars {
+                values[i] = values[i].round();
+            }
+            let objective = self.model.objective_value(&values);
+            self.record(
+                node.seq,
+                node.parent,
+                node.bound,
+                NodeOutcome::Integral { objective },
+            );
+            self.offer_incumbent(values, objective);
+            return Ok(None);
+        }
+        // one factorization of this node's basis serves all of its probes
+        // and children; a singular one sends them down the cold path
+        let warm = FactoredBasis::new(self.sf, &node.basis);
+        if warm.is_some() {
+            self.lp.refactorizations += 1;
+        }
+        // pick the branching variable BEFORE recording Branched: probes are
+        // not nodes, and a fatal probe LP must abort without a dangling
+        // Branched record
+        let choice = self.select_branch(&node, warm.as_ref(), &cands)?;
+        self.record(node.seq, node.parent, node.bound, NodeOutcome::Branched);
+        let var = choice.var;
+        let floor = choice.value.floor();
+        let mut cached = choice.probes.map(|[down, up]| [Some(down), Some(up)]);
+        let mut children: Vec<Node> = Vec::with_capacity(2);
+        for (side, (lo, hi)) in [(f64::NEG_INFINITY, floor), (floor + 1.0, f64::INFINITY)]
+            .into_iter()
+            .enumerate()
+        {
+            let overrides = child_bounds(self.sf, &node, var, lo, hi);
+            // a strong-branched winner reuses its probe LPs as the real
+            // children (counted and learned from at probe time); otherwise
+            // solve fresh
+            let probe = match cached.as_mut() {
+                Some(pair) => pair[side].take().expect("probe consumed once"),
+                None => {
+                    let probe = child_lp(self.sf, self.opts, warm.as_ref(), &overrides);
+                    self.account(&probe);
+                    if let Probe::Solved(point) = &probe {
+                        // child solves feed the table too
+                        let deg = (self.sign * (node.bound - point.objective)).max(0.0);
+                        let c = cands
+                            .iter()
+                            .find(|c| c.var == var)
+                            .expect("chosen var is a candidate");
+                        let width = if side == 0 { c.frac } else { 1.0 - c.frac };
+                        self.pseudo.observe(var, side == 1, deg / width);
+                    }
+                    probe
+                }
+            };
+            match probe {
+                Probe::Empty | Probe::Infeasible => {
+                    self.stats.nodes_pruned_infeasible += 1;
+                    // no feasible LP; the parent bound is still a valid
+                    // relaxation bound for this child
+                    let id = self.next_id();
+                    self.record(id, Some(node.seq), node.bound, NodeOutcome::PrunedInfeasible);
+                }
+                Probe::Solved(point) => {
+                    // bound-based pruning at generation time (a cached
+                    // probe is checked against the incumbent as it is now)
+                    if self.dominated(point.objective) {
+                        self.stats.nodes_pruned_bound += 1;
+                        let id = self.next_id();
+                        self.record(id, Some(node.seq), point.objective, NodeOutcome::PrunedBound);
+                        continue;
+                    }
+                    children.push(Node {
+                        overrides,
+                        key: self.sign * point.objective,
+                        bound: point.objective,
+                        values: self.sf.extract(&point.x),
+                        seq: self.next_id(),
+                        parent: Some(node.seq),
+                        basis: point.basis,
+                    });
+                }
+                Probe::Fatal(e) => return Err(e),
+            }
+        }
+        // dive into the better child, park the other
+        children.sort(); // ascending: last = best (key, FIFO seq)
+        let best = children.pop();
+        self.heap.extend(children);
+        Ok(best)
+    }
+
+    /// Picks the branching variable. See the module docs for the scheme;
+    /// score ties break to the most fractional candidate and then the
+    /// lowest variable index.
+    fn select_branch(
+        &mut self,
+        node: &Node,
+        warm: Option<&FactoredBasis<'_>>,
+        cands: &[Candidate],
+    ) -> Result<BranchChoice, SolveError> {
+        // --- tier 2: strong-branch the unreliable (or shallow-depth) set ---
+        let strong_all = node.overrides.len() < STRONG_BRANCH_DEPTH;
+        let mut strong: Vec<usize> = (0..cands.len())
+            .filter(|&ci| strong_all || !self.pseudo.reliable(cands[ci].var))
+            .collect();
+        // the most fractional candidates win the probe slots (stable sort
+        // keeps ascending variable order on distance ties)...
+        strong.sort_by(|&a, &b| cands[a].dist.total_cmp(&cands[b].dist));
+        strong.truncate(STRONG_BRANCH_LIMIT);
+        // ...and probes/updates run in ascending variable order
+        strong.sort_unstable();
+
+        let mut probes: Vec<Option<[Probe; 2]>> = (0..cands.len()).map(|_| None).collect();
+        if !strong.is_empty() {
+            self.stats.strong_branch_calls += 1;
+            let (sf, opts) = (self.sf, self.opts);
+            let (evals, _) = map_chunks(&self.exec, strong.len(), |k| {
+                let c = &cands[strong[k]];
+                let floor = c.value.floor();
+                let down = child_bounds(sf, node, c.var, f64::NEG_INFINITY, floor);
+                let up = child_bounds(sf, node, c.var, floor + 1.0, f64::INFINITY);
+                [child_lp(sf, opts, warm, &down), child_lp(sf, opts, warm, &up)]
+            });
+            for (k, pair) in evals.into_iter().enumerate() {
+                for p in &pair {
+                    match p {
+                        Probe::Fatal(e) => return Err(e.clone()),
+                        Probe::Solved(_) | Probe::Infeasible => self.stats.strong_branch_lps += 1,
+                        Probe::Empty => {}
+                    }
+                    self.account(p);
+                }
+                probes[strong[k]] = Some(pair);
+            }
+
+            // apply pseudocost observations in candidate order
+            for &ci in &strong {
+                let c = &cands[ci];
+                let pair = probes[ci].as_ref().expect("probed candidate");
+                if let Probe::Solved(p) = &pair[0] {
+                    let deg = (self.sign * (node.bound - p.objective)).max(0.0);
+                    self.pseudo.observe(c.var, false, deg / c.frac);
+                }
+                if let Probe::Solved(p) = &pair[1] {
+                    let deg = (self.sign * (node.bound - p.objective)).max(0.0);
+                    self.pseudo.observe(c.var, true, deg / (1.0 - c.frac));
+                }
+            }
+        }
+
+        // --- tier 1: score everyone (probed by actual degradation, the rest
+        // by pseudocost estimate), highest product wins. Ties go to the most
+        // fractional candidate, then the lowest variable index: the telescoped
+        // scheduling LPs are heavily degenerate (most branchings do not move
+        // the bound at all), so whole nodes can tie at the score floor — and
+        // falling back to index order there branches on whatever variable was
+        // created first, which is far worse than most-fractional.
+        let (mut best_ci, mut best_score, mut best_dist) = (0usize, f64::NEG_INFINITY, f64::INFINITY);
+        for (ci, c) in cands.iter().enumerate() {
+            let (deg_dn, deg_up) = match &probes[ci] {
+                Some(pair) => (
+                    probe_degradation(self.sign, node.bound, &pair[0]),
+                    probe_degradation(self.sign, node.bound, &pair[1]),
+                ),
+                None => {
+                    let (rd, ru) = self.pseudo.rates(c.var);
+                    (rd * c.frac, ru * (1.0 - c.frac))
+                }
+            };
+            let score = deg_dn.max(SCORE_EPS) * deg_up.max(SCORE_EPS);
+            if score > best_score || (score == best_score && c.dist < best_dist) {
+                (best_ci, best_score, best_dist) = (ci, score, c.dist);
+            }
+        }
+        if probes[best_ci].is_none() {
+            self.stats.pseudocost_branches += 1;
+        }
+        Ok(BranchChoice {
+            var: cands[best_ci].var,
+            value: cands[best_ci].value,
+            probes: probes.swap_remove(best_ci),
+        })
     }
 }
 
 /// Solves a mixed-integer linear program to proven optimality (within
-/// `opts.abs_gap`), in serial or in parallel (`opts.threads`).
+/// `opts.abs_gap`). `opts.threads` only sets how many of a node's
+/// strong-branch probes are solved at once; the answer, every counter and
+/// the certificate are the same at any value.
 ///
 /// Errors with [`SolveError::Infeasible`] / [`SolveError::Unbounded`] when
 /// the instance has no optimum, and [`SolveError::NodeLimit`] when the node
@@ -850,8 +750,8 @@ fn solve_seeded(
     let (mut root, mut root_point) = solve_lowered(&sf, opts, None)?;
     let root_lp_time = t_root.elapsed();
 
-    // --- root cut separation (serial, so the pool is thread-count
-    // independent); the augmented model is frozen for the whole tree ---
+    // --- root cut separation; the augmented model is frozen for the whole
+    // tree ---
     let mut cut_stats = CutStats {
         root_bound_before: root.objective,
         root_bound_after: root.objective,
@@ -878,38 +778,23 @@ fn solve_seeded(
         (model, sf)
     };
 
-    let threads = opts.effective_threads().max(1);
-    let sh = Shared {
+    let mut search = Search {
         model,
         sf: &sf,
         int_vars,
         opts,
+        exec: Exec::with_threads(opts.effective_threads()),
         sign,
-        pool: Mutex::new(Pool {
-            heap: BinaryHeap::new(),
-            idle: 0,
-            done: false,
-        }),
-        work: Condvar::new(),
-        incumbent: Mutex::new(None),
-        inc_key: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        nodes: AtomicUsize::new(0),
-        pruned_bound: AtomicUsize::new(0),
-        pruned_infeasible: AtomicUsize::new(0),
-        lp_pivots: AtomicUsize::new(root.iterations),
-        warm_started: AtomicUsize::new(0),
-        strong_branch_calls: AtomicUsize::new(0),
-        strong_branch_lps: AtomicUsize::new(0),
-        pseudocost_branches: AtomicUsize::new(0),
-        pseudo: Mutex::new(Pseudocosts::new(model.num_vars())),
-        refactorizations: AtomicUsize::new(root_point.telemetry.refactorizations),
-        max_eta_len: AtomicUsize::new(root_point.telemetry.max_eta_len),
-        ftran_ns: AtomicU64::new(root_point.telemetry.ftran_ns),
-        btran_ns: AtomicU64::new(root_point.telemetry.btran_ns),
-        next_seq: AtomicU64::new(0),
-        error: Mutex::new(None),
-        events: Mutex::new(Vec::new()),
-        cert: Mutex::new(Vec::new()),
+        heap: BinaryHeap::new(),
+        incumbent: None,
+        pseudo: Pseudocosts::new(model.num_vars()),
+        next_seq: 0,
+        stats: SolveStats {
+            lp_pivots: root.iterations,
+            ..SolveStats::default()
+        },
+        lp: root_point.telemetry,
+        cert: Vec::new(),
         search_start: Instant::now(),
     };
     let root_bound = root.objective;
@@ -917,97 +802,68 @@ fn solve_seeded(
     // node is explored; presolve only tightens bounds (the variable set is
     // unchanged and every feasible integer point survives propagation), so
     // the hint vector stays aligned and checkable against `model` here
-    let mut hint_accepted = false;
     if let Some(h) = hint {
         if h.len() == model.num_vars() {
             if let Some((values, objective)) = rounded_candidate(model, h, opts.tol) {
-                sh.offer_incumbent(values, objective);
-                hint_accepted = true;
+                search.offer_incumbent(values, objective);
+                search.stats.hint_accepted = true;
             }
         }
     }
     if let Some((values, objective)) = rounded_candidate(model, &root.values, opts.tol) {
-        sh.offer_incumbent(values, objective);
+        search.offer_incumbent(values, objective);
     }
-    sh.pool.lock().unwrap().heap.push(Node {
+    let seq = search.next_id();
+    search.heap.push(Node {
         overrides: Vec::new(),
         key: sign * root.objective,
         bound: root.objective,
         values: root.values,
-        seq: sh.next_seq.fetch_add(1, AtOrd::Relaxed),
+        seq,
         parent: None,
         basis: root_point.basis,
     });
 
     let t_search = Instant::now();
-    if threads == 1 {
-        worker(&sh, 1);
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| worker(&sh, threads));
-            }
-        });
-    }
+    search.run()?;
     let search_time = t_search.elapsed();
 
-    if let Some(e) = sh.error.lock().unwrap().take() {
-        return Err(e);
+    let Some(mut sol) = search.incumbent.take() else {
+        solve_span.tag("infeasible", true);
+        return Err(SolveError::Infeasible);
+    };
+    let Search {
+        mut stats, lp, mut cert, ..
+    } = search;
+    stats.refactorizations = lp.refactorizations;
+    stats.max_eta_len = lp.max_eta_len;
+    stats.ftran_time = Duration::from_nanos(lp.ftran_ns);
+    stats.btran_time = Duration::from_nanos(lp.btran_ns);
+    stats.cuts = cut_stats;
+    stats.presolve_time = presolve_time;
+    stats.root_lp_time = root_lp_time;
+    stats.search_time = search_time;
+    if opts.certificate {
+        // a node is recorded when it is closed, not when its id is issued
+        cert.sort_by_key(|n| n.id);
+        stats.certificate = Some(SearchCertificate {
+            objective: sol.objective,
+            dual_bound: root_bound,
+            abs_gap: opts.abs_gap,
+            maximize: matches!(model.sense, Sense::Maximize),
+            proven_optimal: true,
+            nodes: cert,
+            cuts: root_proofs,
+        });
     }
-    let incumbent = sh.incumbent.lock().unwrap().take();
-    match incumbent {
-        Some(mut sol) => {
-            sol.iterations = sh.lp_pivots.load(AtOrd::Relaxed);
-            sol.nodes = sh.nodes.load(AtOrd::Relaxed);
-            sol.proven_optimal = true;
-            sol.stats = SolveStats {
-                nodes_explored: sol.nodes,
-                nodes_pruned_bound: sh.pruned_bound.load(AtOrd::Relaxed),
-                nodes_pruned_infeasible: sh.pruned_infeasible.load(AtOrd::Relaxed),
-                lp_pivots: sol.iterations,
-                warm_started: sh.warm_started.load(AtOrd::Relaxed),
-                strong_branch_calls: sh.strong_branch_calls.load(AtOrd::Relaxed),
-                strong_branch_lps: sh.strong_branch_lps.load(AtOrd::Relaxed),
-                pseudocost_branches: sh.pseudocost_branches.load(AtOrd::Relaxed),
-                hint_accepted,
-                refactorizations: sh.refactorizations.load(AtOrd::Relaxed),
-                max_eta_len: sh.max_eta_len.load(AtOrd::Relaxed),
-                ftran_time: std::time::Duration::from_nanos(sh.ftran_ns.load(AtOrd::Relaxed)),
-                btran_time: std::time::Duration::from_nanos(sh.btran_ns.load(AtOrd::Relaxed)),
-                incumbent_updates: sh.events.lock().unwrap().drain(..).collect(),
-                cuts: cut_stats,
-                presolve_time,
-                root_lp_time,
-                search_time,
-                threads,
-                certificate: if opts.certificate {
-                    let mut nodes: Vec<NodeCert> = sh.cert.lock().unwrap().drain(..).collect();
-                    // parallel workers interleave records; sort for stable output
-                    nodes.sort_by_key(|n| n.id);
-                    Some(SearchCertificate {
-                        objective: sol.objective,
-                        dual_bound: root_bound,
-                        abs_gap: opts.abs_gap,
-                        maximize: matches!(model.sense, Sense::Maximize),
-                        proven_optimal: true,
-                        nodes,
-                        cuts: root_proofs,
-                    })
-                } else {
-                    None
-                },
-            };
-            solve_span.tag("nodes", sol.nodes);
-            solve_span.tag("objective", sol.objective);
-            solve_span.tag("threads", threads);
-            solve_span.tag("cuts", sol.stats.cuts.cuts_applied);
-            Ok(sol)
-        }
-        None => {
-            solve_span.tag("infeasible", true);
-            Err(SolveError::Infeasible)
-        }
-    }
+    sol.iterations = stats.lp_pivots;
+    sol.nodes = stats.nodes_explored;
+    sol.proven_optimal = true;
+    sol.stats = stats;
+    solve_span.tag("nodes", sol.nodes);
+    solve_span.tag("objective", sol.objective);
+    solve_span.tag("cuts", sol.stats.cuts.cuts_applied);
+    Ok(sol)
 }
 
 #[cfg(test)]
@@ -1197,34 +1053,51 @@ mod tests {
         assert_eq!(a.stats.lp_pivots, b.stats.lp_pivots);
     }
 
+    /// `stats` with every wall time zeroed: what may not depend on
+    /// `threads`.
+    fn untimed(stats: &SolveStats) -> SolveStats {
+        let mut s = stats.clone();
+        s.ftran_time = Duration::ZERO;
+        s.btran_time = Duration::ZERO;
+        s.presolve_time = Duration::ZERO;
+        s.root_lp_time = Duration::ZERO;
+        s.search_time = Duration::ZERO;
+        s.cuts.separation_time = Duration::ZERO;
+        for e in &mut s.incumbent_updates {
+            e.elapsed = Duration::ZERO;
+        }
+        s
+    }
+
+    /// The search is serial at any `threads`; only a node's probes fan
+    /// out. So the whole solve — point, counters, incumbent timeline and
+    /// certificate — is the one-thread solve, and the certificate closes.
     #[test]
     fn parallel_matches_serial_objective() {
-        for threads in [2, 3, 4] {
-            for model in [tied_knapsack(), {
-                let mut m = Model::new(Sense::Minimize);
-                let x = m.int_var("x", 0.0, 10.0);
-                let y = m.int_var("y", 0.0, 10.0);
-                m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Ge, 3.0);
-                m.add_con(LinExpr::new().term(x, 2.0).term(y, 1.0), Cmp::Ge, 4.0);
-                m.set_objective(LinExpr::new().term(x, 5.0).term(y, 4.0));
-                m
-            }] {
-                let serial = solve(&model, &opts()).unwrap();
-                let par = solve(
-                    &model,
-                    &SolveOptions {
-                        threads,
-                        ..opts()
-                    },
-                )
-                .unwrap();
+        let with_cert = SolveOptions {
+            certificate: true,
+            ..opts()
+        };
+        for model in [tied_knapsack(), deep_knapsack(), {
+            let mut m = Model::new(Sense::Minimize);
+            let x = m.int_var("x", 0.0, 10.0);
+            let y = m.int_var("y", 0.0, 10.0);
+            m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Ge, 3.0);
+            m.add_con(LinExpr::new().term(x, 2.0).term(y, 1.0), Cmp::Ge, 4.0);
+            m.set_objective(LinExpr::new().term(x, 5.0).term(y, 4.0));
+            m
+        }] {
+            let serial = solve(&model, &with_cert).unwrap();
+            for threads in [0, 2, 3, 4] {
+                let par = solve(&model, &SolveOptions { threads, ..with_cert.clone() }).unwrap();
                 assert_eq!(
                     serial.objective.to_bits(),
                     par.objective.to_bits(),
                     "objective mismatch at {threads} threads"
                 );
-                assert!(par.proven_optimal);
-                assert_eq!(par.stats.threads, threads);
+                assert_eq!(serial.values, par.values, "{threads} threads");
+                assert_eq!(untimed(&serial.stats), untimed(&par.stats), "{threads} threads");
+                check_cert_closure(par.stats.certificate.as_ref().unwrap(), par.objective);
             }
         }
     }
@@ -1235,7 +1108,6 @@ mod tests {
         let s = solve(&m, &opts()).unwrap();
         assert_eq!(s.stats.nodes_explored, s.nodes);
         assert_eq!(s.stats.lp_pivots, s.iterations);
-        assert_eq!(s.stats.threads, 1);
         assert!(!s.stats.incumbent_updates.is_empty());
         // the timeline ends at the returned incumbent
         let last = s.stats.incumbent_updates.last().unwrap();
@@ -1271,7 +1143,7 @@ mod tests {
     }
 
     /// Probes of one node run on several threads against one shared
-    /// factorization; whatever the interleaving, the optimum is the serial
+    /// factorization; whatever the interleaving, the search is the serial
     /// one and the factorizations stay fewer than the LPs that used them.
     #[test]
     fn shared_factorization_serves_probes_on_any_thread_count() {
@@ -1279,8 +1151,7 @@ mod tests {
         let serial = solve(&m, &opts()).unwrap();
         for threads in [1, 2, 4] {
             let s = solve(&m, &SolveOptions { threads, ..opts() }).unwrap();
-            assert_eq!(s.objective.to_bits(), serial.objective.to_bits(), "{threads} threads");
-            assert!(s.proven_optimal);
+            assert_eq!(untimed(&s.stats), untimed(&serial.stats), "{threads} threads");
             assert!(s.stats.strong_branch_lps > 0 && s.stats.warm_started > 0);
             assert!(
                 s.stats.refactorizations < s.stats.warm_started,
@@ -1437,17 +1308,6 @@ mod tests {
             assert_eq!(plain.values, s.values);
             assert_eq!(plain.nodes, s.nodes);
         }
-    }
-
-    #[test]
-    fn parallel_certificate_closes_the_tree() {
-        let with_cert = SolveOptions {
-            certificate: true,
-            threads: 3,
-            ..opts()
-        };
-        let s = solve(&tied_knapsack(), &with_cert).unwrap();
-        check_cert_closure(s.stats.certificate.as_ref().unwrap(), s.objective);
     }
 
     #[test]

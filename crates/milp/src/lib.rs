@@ -15,9 +15,9 @@
 //!   ([`simplex`]), kept off every solve path as the oracle the LP-level
 //!   differential tests compare the revised simplex against,
 //! * **branch & cut** with best-first node selection and plunging,
-//!   pseudocost/strong branching, exactly-certified root Gomory + cover
-//!   cuts, and optional multi-threaded search ([`branch`]; see
-//!   [`SolveOptions::threads`]),
+//!   pseudocost/strong branching and exactly-certified root Gomory + cover
+//!   cuts, one serial search loop whose strong-branch probes may run on
+//!   several threads ([`branch`]; see [`SolveOptions::threads`]),
 //! * solver **telemetry** — node/prune/pivot counters, the incumbent
 //!   timeline and per-phase wall times ([`SolveStats`], returned in every
 //!   [`Solution`]),
@@ -26,9 +26,9 @@
 //!
 //! The solver is exact (optimality gap 0) on the instances produced by the
 //! in-situ scheduling formulation; it is not intended to compete with
-//! commercial solvers on industrial LPs. The determinism contract (serial
-//! runs are bitwise reproducible; parallel runs return the identical
-//! optimum) is documented in `docs/SOLVER.md` and in [`branch`].
+//! commercial solvers on industrial LPs. The determinism contract (a
+//! solve is bitwise reproducible, at any thread count) is documented in
+//! `docs/SOLVER.md` and in [`branch`].
 //!
 //! # Relation to the paper (Eqs. 1–9)
 //!

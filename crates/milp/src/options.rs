@@ -25,10 +25,11 @@ pub struct SolveOptions {
     /// Stop as soon as the incumbent is within this absolute gap of the
     /// best bound (0 = prove optimality exactly).
     pub abs_gap: f64,
-    /// Worker threads for the branch-and-bound search. `1` (the default)
-    /// runs fully serial on the calling thread; `0` means one worker per
-    /// available CPU. The parallel search returns the same objective as
-    /// the serial one — see `docs/SOLVER.md` for the exact guarantee.
+    /// Threads that solve one node's strong-branch probes side by side.
+    /// The search itself is one serial loop, so the answer, every counter
+    /// and the certificate are the same at any value. `1` (the default)
+    /// solves the probes on the calling thread; `0` means one thread per
+    /// available CPU.
     pub threads: usize,
     /// Record a machine-checkable pruning certificate
     /// ([`insitu_types::SearchCertificate`]) in
@@ -60,8 +61,8 @@ impl Default for SolveOptions {
 }
 
 impl SolveOptions {
-    /// Number of workers the search will actually spawn: `threads`, with
-    /// `0` resolved to the available CPU count.
+    /// Number of threads a node's probes run on: `threads`, with `0`
+    /// resolved to the available CPU count.
     pub fn effective_threads(&self) -> usize {
         match self.threads {
             0 => std::thread::available_parallelism()

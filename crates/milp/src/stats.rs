@@ -98,8 +98,8 @@ pub struct IncumbentEvent {
 
 /// Telemetry of one [`crate::solve`] call.
 ///
-/// Attached to every [`crate::Solution`]; all counters are totals across
-/// every worker thread. A pure LP solve leaves the node counters at zero.
+/// Attached to every [`crate::Solution`]. A pure LP solve leaves the node
+/// counters at zero.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveStats {
     /// Nodes whose LP relaxation was solved (or re-examined at the top of
@@ -147,8 +147,6 @@ pub struct SolveStats {
     pub root_lp_time: Duration,
     /// Wall time spent in the branch-and-bound search loop.
     pub search_time: Duration,
-    /// Worker threads used by the search (1 = serial).
-    pub threads: usize,
     /// Cutting-plane counters (all zeros when no cut fired). See
     /// [`CutStats`].
     pub cuts: CutStats,
@@ -165,7 +163,7 @@ impl SolveStats {
     ///
     /// ```
     /// use milp::SolveStats;
-    /// let s = SolveStats { nodes_explored: 42, threads: 1, ..Default::default() };
+    /// let s = SolveStats { nodes_explored: 42, ..Default::default() };
     /// assert!(s.summary().contains("nodes 42"));
     /// ```
     pub fn summary(&self) -> String {
@@ -174,7 +172,7 @@ impl SolveStats {
              sb {} nodes ({} lps), pc {} nodes, \
              cuts {} ({} gomory / {} cover gen, {} aged), \
              refactor {} (eta peak {}), ftran {:.1?} + btran {:.1?}, \
-             incumbents {}, t {:.1?} presolve + {:.1?} root + {:.1?} search, {} thread{}",
+             incumbents {}, t {:.1?} presolve + {:.1?} root + {:.1?} search",
             self.nodes_explored,
             self.nodes_pruned_bound,
             self.nodes_pruned_infeasible,
@@ -196,16 +194,13 @@ impl SolveStats {
             self.presolve_time,
             self.root_lp_time,
             self.search_time,
-            self.threads,
-            if self.threads == 1 { "" } else { "s" },
         )
     }
 
     /// Exports the solve into an [`obs::Registry`] under `milp.*` — the
     /// adapter that lets a solve report through the same sink as a
-    /// coupled run. Integer totals add to counters; each wall time, the
-    /// eta-file peak and the thread count are one histogram observation
-    /// per solve (the LP-engine figures under `milp.lp.*`).
+    /// coupled run. Integer totals add to counters; each wall time and the
+    /// eta-file peak are one histogram observation per solve (the LP-engine figures under `milp.lp.*`).
     pub fn export_into(&self, registry: &obs::Registry) {
         registry.add("milp.nodes_explored", self.nodes_explored as u64);
         registry.add("milp.nodes_pruned_bound", self.nodes_pruned_bound as u64);
@@ -235,7 +230,6 @@ impl SolveStats {
         registry.observe_hist("milp.presolve_s", self.presolve_time.as_secs_f64());
         registry.observe_hist("milp.root_lp_s", self.root_lp_time.as_secs_f64());
         registry.observe_hist("milp.search_s", self.search_time.as_secs_f64());
-        registry.observe_hist("milp.threads", self.threads as f64);
     }
 
     /// Multi-line report including the incumbent timeline.
@@ -275,7 +269,6 @@ mod tests {
             hint_accepted: true,
             refactorizations: 11,
             max_eta_len: 8,
-            threads: 2,
             cuts: CutStats {
                 gomory_generated: 9,
                 cover_generated: 4,
@@ -305,7 +298,6 @@ mod tests {
             "eta peak 8",
             "ftran",
             "btran",
-            "2 threads",
         ] {
             assert!(line.contains(needle), "missing {needle}: {line}");
         }
@@ -339,7 +331,6 @@ mod tests {
             lp_pivots: 99,
             strong_branch_lps: 12,
             refactorizations: 3,
-            threads: 2,
             search_time: Duration::from_millis(10),
             ..Default::default()
         };
@@ -355,7 +346,6 @@ mod tests {
         let search = snap.hist("milp.search_s").unwrap();
         assert_eq!((search.count, search.min, search.max), (2, 0.01, 0.01));
         assert_eq!(snap.hist("milp.lp.ftran_s").unwrap().count, 2);
-        assert_eq!(snap.hist("milp.threads").unwrap().max, 2.0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! cut-heavy family (tight budget + tight memory) whose fractional LP
 //! vertices keep the Gomory/cover separators busy.
 //!
-//! [`differential_check`] is the oracle composition: the serial and
-//! parallel branch & cut, the dense-tableau LP oracle on the root
+//! [`differential_check`] is the oracle composition: branch & cut with its
+//! probes on one thread and on three, the dense-tableau LP oracle on the root
 //! relaxation, the brute-force enumerator and the independent
 //! exact-rational certifier must all agree before an instance passes. Any
 //! failure is reduced by [`shrink`] and written to `tests/corpus/` as a
@@ -22,7 +22,8 @@ use insitu_types::json::{FromJson, ToJson, Value};
 use insitu_types::{
     AnalysisProfile, ResourceConfig, Schedule, ScheduleProblem, SearchCertificate,
 };
-use milp::{SolveError, SolveOptions};
+use milp::{Solution, SolveError, SolveOptions, SolveStats};
+use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -39,7 +40,8 @@ pub fn serial_opts() -> SolveOptions {
     }
 }
 
-/// Parallel solver options (3 workers) with certificate emission on.
+/// [`serial_opts`] with each node's strong-branch probes on 3 threads.
+/// The search loop stays serial, so the solve must be the serial one.
 pub fn parallel_opts() -> SolveOptions {
     SolveOptions {
         threads: 3,
@@ -117,6 +119,33 @@ pub fn gen_problem(rng: &mut StdRng, case: usize) -> ScheduleProblem {
     ScheduleProblem::new(analyses, resources).expect("generator emits valid problems")
 }
 
+/// `Ok` when two solves of one model are the same search: the optimum and
+/// its point to the bit and every `SolveStats` word but the wall times
+/// (counters, incumbent timeline by node, certificate).
+pub fn same_search(a: &Solution, b: &Solution) -> Result<(), String> {
+    fn untimed(s: &Solution) -> SolveStats {
+        let mut st = s.stats.clone();
+        st.ftran_time = Duration::ZERO;
+        st.btran_time = Duration::ZERO;
+        st.presolve_time = Duration::ZERO;
+        st.root_lp_time = Duration::ZERO;
+        st.search_time = Duration::ZERO;
+        st.cuts.separation_time = Duration::ZERO;
+        for e in &mut st.incumbent_updates {
+            e.elapsed = Duration::ZERO;
+        }
+        st
+    }
+    let bits = |s: &Solution| -> Vec<u64> { s.values.iter().map(|v| v.to_bits()).collect() };
+    if a.objective.to_bits() != b.objective.to_bits() || bits(a) != bits(b) {
+        return Err(format!("optimum {} vs {}", a.objective, b.objective));
+    }
+    if (a.nodes, a.iterations) != (b.nodes, b.iterations) || untimed(a) != untimed(b) {
+        return Err(format!("search differs:\n  {}\n  {}", a.stats, b.stats));
+    }
+    Ok(())
+}
+
 /// Relative-tolerance objective comparison for cross-solver agreement.
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
@@ -127,17 +156,13 @@ fn close(a: f64, b: f64) -> bool {
 pub fn differential_check(problem: &ScheduleProblem) -> Result<(), String> {
     let built = build_aggregate(problem).map_err(|e| format!("build_aggregate failed: {e}"))?;
 
-    // 1. serial vs parallel branch & bound on the identical model
+    // 1. the search with its probes on one thread and on three: the same
+    //    search, node for node
     let serial = milp::solve(&built.model, &serial_opts())
         .map_err(|e| format!("serial solve failed: {e}"))?;
     let par = milp::solve(&built.model, &parallel_opts())
         .map_err(|e| format!("parallel solve failed: {e}"))?;
-    if !close(serial.objective, par.objective) {
-        return Err(format!(
-            "serial objective {} != parallel objective {}",
-            serial.objective, par.objective
-        ));
-    }
+    same_search(&serial, &par).map_err(|e| format!("probe threads moved the search: {e}"))?;
 
     // 2. the shipped revised simplex vs the dense-tableau oracle on the
     //    model's LP relaxation (the solve above found an integer point, so

@@ -2,8 +2,8 @@
 //!
 //! The interesting piece is [`fuzz`]: a seeded generator of paper-shaped
 //! scheduling instances, the differential check that cross-examines the
-//! MILP pipeline (serial branch & bound vs parallel vs brute-force
-//! enumeration vs the independent `certify` checker), and a greedy
+//! MILP pipeline (branch & bound at one and three probe threads vs
+//! brute-force enumeration vs the independent `certify` checker), and a greedy
 //! shrinker that reduces any disagreement to a minimal reproducer for
 //! `tests/corpus/`.
 

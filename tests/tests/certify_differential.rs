@@ -1,9 +1,10 @@
 //! Differential fuzz harness for the MILP pipeline.
 //!
 //! Seeded random paper-shaped instances are pushed through every oracle
-//! the workspace has — serial branch & bound, parallel branch & bound,
-//! brute-force enumeration, the exact time-indexed formulation, and the
-//! independent exact-rational certifier — and all of them must agree.
+//! the workspace has — branch & bound with its probes on one thread and
+//! on three (which must be the same search), brute-force enumeration, the
+//! exact time-indexed formulation, and the independent exact-rational
+//! certifier — and all of them must agree.
 //! Any disagreement is shrunk to a minimal reproducer and written to
 //! `tests/corpus/`, which [`corpus_replays_clean`] replays on every run.
 //!

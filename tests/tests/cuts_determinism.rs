@@ -1,9 +1,9 @@
 //! Determinism of the cut-generating solver (see `docs/SOLVER.md`).
 //!
-//! Root separation runs serially before any worker thread spawns, so the
-//! root cut pool — order, coefficients, proofs, bit for bit — must be
-//! independent of the thread count, and the serial search must be fully
-//! bitwise-reproducible run to run.
+//! Root separation runs before the search, and `threads` only fans out a
+//! node's strong-branch probes, so the root cut pool — order, coefficients,
+//! proofs, bit for bit — and the whole search after it must be independent
+//! of the thread count and bitwise-reproducible run to run.
 
 use insitu_core::build_aggregate;
 use insitu_types::CutProof;
@@ -45,6 +45,9 @@ fn root_cut_pool_is_thread_count_invariant() {
             "case {case}: root cut pool must not depend on thread count"
         );
         assert_eq!(cs.dual_bound.to_bits(), cp.dual_bound.to_bits());
+        if let Err(e) = fuzz::same_search(&serial, &par) {
+            panic!("case {case}: the search must not depend on thread count: {e}");
+        }
         if !cs.cuts.is_empty() {
             with_cuts += 1;
         }
