@@ -528,7 +528,12 @@ impl Search<'_> {
                     // no feasible LP; the parent bound is still a valid
                     // relaxation bound for this child
                     let id = self.next_id();
-                    self.record(id, Some(node.seq), node.bound, NodeOutcome::PrunedInfeasible);
+                    self.record(
+                        id,
+                        Some(node.seq),
+                        node.bound,
+                        NodeOutcome::PrunedInfeasible,
+                    );
                 }
                 Probe::Solved(point) => {
                     // bound-based pruning at generation time (a cached
@@ -536,7 +541,12 @@ impl Search<'_> {
                     if self.dominated(point.objective) {
                         self.stats.nodes_pruned_bound += 1;
                         let id = self.next_id();
-                        self.record(id, Some(node.seq), point.objective, NodeOutcome::PrunedBound);
+                        self.record(
+                            id,
+                            Some(node.seq),
+                            point.objective,
+                            NodeOutcome::PrunedBound,
+                        );
                         continue;
                     }
                     children.push(Node {
@@ -589,7 +599,10 @@ impl Search<'_> {
                 let floor = c.value.floor();
                 let down = child_bounds(sf, node, c.var, f64::NEG_INFINITY, floor);
                 let up = child_bounds(sf, node, c.var, floor + 1.0, f64::INFINITY);
-                [child_lp(sf, opts, warm, &down), child_lp(sf, opts, warm, &up)]
+                [
+                    child_lp(sf, opts, warm, &down),
+                    child_lp(sf, opts, warm, &up),
+                ]
             });
             for (k, pair) in evals.into_iter().enumerate() {
                 for p in &pair {
@@ -625,7 +638,8 @@ impl Search<'_> {
         // the bound at all), so whole nodes can tie at the score floor — and
         // falling back to index order there branches on whatever variable was
         // created first, which is far worse than most-fractional.
-        let (mut best_ci, mut best_score, mut best_dist) = (0usize, f64::NEG_INFINITY, f64::INFINITY);
+        let (mut best_ci, mut best_score, mut best_dist) =
+            (0usize, f64::NEG_INFINITY, f64::INFINITY);
         for (ci, c) in cands.iter().enumerate() {
             let (deg_dn, deg_up) = match &probes[ci] {
                 Some(pair) => (
@@ -833,7 +847,10 @@ fn solve_seeded(
         return Err(SolveError::Infeasible);
     };
     let Search {
-        mut stats, lp, mut cert, ..
+        mut stats,
+        lp,
+        mut cert,
+        ..
     } = search;
     stats.refactorizations = lp.refactorizations;
     stats.max_eta_len = lp.max_eta_len;
@@ -1089,14 +1106,25 @@ mod tests {
         }] {
             let serial = solve(&model, &with_cert).unwrap();
             for threads in [0, 2, 3, 4] {
-                let par = solve(&model, &SolveOptions { threads, ..with_cert.clone() }).unwrap();
+                let par = solve(
+                    &model,
+                    &SolveOptions {
+                        threads,
+                        ..with_cert.clone()
+                    },
+                )
+                .unwrap();
                 assert_eq!(
                     serial.objective.to_bits(),
                     par.objective.to_bits(),
                     "objective mismatch at {threads} threads"
                 );
                 assert_eq!(serial.values, par.values, "{threads} threads");
-                assert_eq!(untimed(&serial.stats), untimed(&par.stats), "{threads} threads");
+                assert_eq!(
+                    untimed(&serial.stats),
+                    untimed(&par.stats),
+                    "{threads} threads"
+                );
                 check_cert_closure(par.stats.certificate.as_ref().unwrap(), par.objective);
             }
         }
@@ -1151,7 +1179,11 @@ mod tests {
         let serial = solve(&m, &opts()).unwrap();
         for threads in [1, 2, 4] {
             let s = solve(&m, &SolveOptions { threads, ..opts() }).unwrap();
-            assert_eq!(untimed(&s.stats), untimed(&serial.stats), "{threads} threads");
+            assert_eq!(
+                untimed(&s.stats),
+                untimed(&serial.stats),
+                "{threads} threads"
+            );
             assert!(s.stats.strong_branch_lps > 0 && s.stats.warm_started > 0);
             assert!(
                 s.stats.refactorizations < s.stats.warm_started,

@@ -200,7 +200,8 @@ impl SolveStats {
     /// Exports the solve into an [`obs::Registry`] under `milp.*` — the
     /// adapter that lets a solve report through the same sink as a
     /// coupled run. Integer totals add to counters; each wall time and the
-    /// eta-file peak are one histogram observation per solve (the LP-engine figures under `milp.lp.*`).
+    /// eta-file peak are one histogram observation per solve (the LP-engine
+    /// figures under `milp.lp.*`).
     pub fn export_into(&self, registry: &obs::Registry) {
         registry.add("milp.nodes_explored", self.nodes_explored as u64);
         registry.add("milp.nodes_pruned_bound", self.nodes_pruned_bound as u64);

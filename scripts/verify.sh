@@ -30,6 +30,10 @@ run cargo test --release -q -p milp
 run cargo test --release -q -p integration-tests --test lp_trajectory
 run cargo test --release -q -p integration-tests --test cold_start_differential
 
+# likewise the branch & bound search: 362 solves held word for word to the
+# recording made before it became one serial loop
+run cargo test --release -q -p integration-tests --test search_pin
+
 # likewise the exact replay: its differential against the per-step
 # recursion kept as `replay::reference`, and the two recordings made
 # before it became event-driven (`replay_pin`: 2 304 triples, broken
@@ -47,7 +51,7 @@ run cargo bench -q -p bench --bench replay_kernels -- --test
 run cargo test --doc --workspace
 
 # differential fuzz smoke: a fixed-seed bounded run of the solver
-# cross-examination (serial vs parallel vs brute force vs certifier),
+# cross-examination (one vs three probe threads vs brute force vs certifier),
 # plus replay of every reproducer in tests/corpus/. The case count is
 # overridable for deeper local soaks: CERTIFY_FUZZ_CASES=5000 ./scripts/verify.sh
 run env CERTIFY_FUZZ_CASES="${CERTIFY_FUZZ_CASES:-200}" \
@@ -87,7 +91,8 @@ run head -n 4 target/trace_view.tree.txt
 # parallel::Exec is a thread count with no chunk-cap knob, since PR 21
 # Eqs. 1-9 have one formulation and no discrete-event replay beside the
 # exact one, and since PR 22 each model has one solve function and every
-# door one solve-and-stamp body. History files (CHANGES.md, ROADMAP.md,
+# door one solve-and-stamp body; the search is one serial loop with no
+# worker count to report. History files (CHANGES.md, ROADMAP.md,
 # EXPERIMENTS.md) and benchmark/ are not searched.
 retired='service_bench|sim_bench|bench_diff|adaptive_smoke|timeline_smoke|obs_smoke'
 retired="$retired|BENCH_service\\.json|BENCH_sim\\.json|observe_agg"
@@ -95,6 +100,7 @@ retired="$retired|INSITU_CHUNK_CAP|with_chunk_cap"
 retired="$retired|cosched|ReplaySite|ReplayCost"
 retired="$retired|solve_aggregate_counts|solve_exact_with_hint|solve_exact_with_stats"
 retired="$retired|AggregateSolution|RescheduleOutcome"
+retired="$retired|milp\\.threads|THREAD_SWEEP"
 echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then

@@ -23,9 +23,9 @@ use insitu_types::{
     AnalysisProfile, ResourceConfig, Schedule, ScheduleProblem, SearchCertificate,
 };
 use milp::{Solution, SolveError, SolveOptions, SolveStats};
-use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::time::Duration;
 
 /// Enumeration cap for the brute-force oracle; instances whose model is
 /// bigger than this skip the brute stage (the other oracles still run).
