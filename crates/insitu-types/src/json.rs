@@ -11,9 +11,13 @@
 //!
 //! Numbers are rendered with Rust's shortest-round-trip float formatting,
 //! so `from_str(&to_string(x)) == x` exactly, bit for bit.
+//!
+//! The service's hot path reads and writes `service/v1` without the tree
+//! (`crate::service`), on this module's lexer, object/array walkers and
+//! number and string rules, so both paths accept and emit the same bytes.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::error::TypeError;
 use crate::problem::ScheduleProblem;
@@ -157,17 +161,9 @@ impl Value {
     /// [`MAX_DEPTH`] is rejected rather than overflowing the parser's
     /// recursion stack.
     pub fn parse(text: &str) -> Result<Value, TypeError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
+        let mut p = Parser::new(text);
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing characters after JSON document"));
-        }
+        p.finish()?;
         Ok(v)
     }
 
@@ -194,12 +190,9 @@ impl Value {
 
     pub(crate) fn expect_usize(&self, what: &str) -> Result<usize, TypeError> {
         let n = self.expect_f64(what)?;
-        if n < 0.0 || n.fract() != 0.0 || n > usize::MAX as f64 {
-            return Err(TypeError::Parse(format!(
-                "{what}: expected non-negative integer, got {n}"
-            )));
-        }
-        Ok(n as usize)
+        usize_of(n).ok_or_else(|| {
+            TypeError::Parse(format!("{what}: expected non-negative integer, got {n}"))
+        })
     }
 
     pub(crate) fn expect_str(&self, what: &str) -> Result<&str, TypeError> {
@@ -219,7 +212,18 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn render_number(n: f64, out: &mut String) {
+/// `n` as a count, if it is one: the rule of every `usize` on the wire.
+pub(crate) fn usize_of(n: f64) -> Option<usize> {
+    if n < 0.0 || n.fract() != 0.0 || n > usize::MAX as f64 {
+        None
+    } else {
+        Some(n as usize)
+    }
+}
+
+/// The one number rule of every rendered document. Generic over the sink
+/// so that a writer can measure a document before it allocates for it.
+pub(crate) fn render_number<W: core::fmt::Write>(n: f64, out: &mut W) {
     if !n.is_finite() {
         // JSON has no inf/nan; the data model never produces them, but fail
         // loudly rather than emitting invalid documents.
@@ -233,22 +237,21 @@ fn render_number(n: f64, out: &mut String) {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
+/// The one string rule of every rendered document.
+pub(crate) fn render_string<W: core::fmt::Write>(s: &str, out: &mut W) {
+    let _ = out.write_char('"');
     for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+        let _ = match c {
+            '"' => out.write_str("\\\""),
+            '\\' => out.write_str("\\\\"),
+            '\n' => out.write_str("\\n"),
+            '\r' => out.write_str("\\r"),
+            '\t' => out.write_str("\\t"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32),
+            c => out.write_char(c),
+        };
     }
-    out.push('"');
+    let _ = out.write_char('"');
 }
 
 /// Maximum array/object nesting depth [`Value::parse`] accepts. The
@@ -256,15 +259,36 @@ fn render_string(s: &str, out: &mut String) {
 /// turns a would-be stack overflow (an abort) into a parse error.
 pub const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// The lexer, and the recursive descent that builds a [`Value`] from its
+/// tokens. Crate-visible so that a typed decoder
+/// ([`crate::service::ServiceRequest::decode`]) walks a document with the
+/// same tokens, number and string rules and depth count.
+pub(crate) struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn error(&self, msg: &str) -> TypeError {
         TypeError::Parse(format!("json at byte {}: {msg}", self.pos))
+    }
+
+    /// The end of a document: nothing but whitespace may follow it.
+    pub(crate) fn finish(&mut self) -> Result<(), TypeError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.error("trailing characters after JSON document"));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -299,17 +323,105 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, TypeError> {
+    pub(crate) fn value(&mut self) -> Result<Value, TypeError> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
+            Some(b'"') => Ok(Value::String(self.string()?.into_owned())),
             Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
             Some(b'n') if self.literal("null") => Ok(Value::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(b) if b == b'-' || b.is_ascii_digit() => Ok(Value::Number(self.number()?)),
             _ => Err(self.error("expected a JSON value")),
+        }
+    }
+
+    /// A number where a value starts, as [`Parser::value`] reads it.
+    pub(crate) fn number_value(&mut self) -> Result<f64, TypeError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            _ => Err(self.error("expected a number")),
+        }
+    }
+
+    /// A string where a value starts, as [`Parser::value`] reads it.
+    pub(crate) fn string_value(&mut self) -> Result<Cow<'a, str>, TypeError> {
+        self.skip_ws();
+        self.string()
+    }
+
+    /// Walks one object, handing each key to `member` with the parser at
+    /// the member's value, which `member` must consume. Every object is
+    /// read here, the tree's and a typed decoder's alike, so the two share
+    /// one grammar and one depth count; what a member means is the
+    /// caller's.
+    pub(crate) fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), TypeError>,
+    ) -> Result<(), TypeError> {
+        self.skip_ws();
+        if self.peek() != Some(b'{') {
+            return Err(self.error("expected an object"));
+        }
+        self.enter()?;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            member(self, &key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.error("expected ',' or '}' in object")),
+            }
+        }
+    }
+
+    /// Walks one array, calling `item` with the parser at each element,
+    /// which `item` must consume. Every array is read here.
+    pub(crate) fn items(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), TypeError>,
+    ) -> Result<(), TypeError> {
+        self.skip_ws();
+        if self.peek() != Some(b'[') {
+            return Err(self.error("expected an array"));
+        }
+        self.enter()?;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(self.error("expected ',' or ']' in array")),
+            }
         }
     }
 
@@ -322,81 +434,52 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Value, TypeError> {
-        self.enter()?;
-        self.eat(b'{')?;
         let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(self.error("expected ',' or '}' in object")),
-            }
-        }
+        self.members(|p, key| {
+            map.insert(key.to_owned(), p.value()?);
+            Ok(())
+        })?;
+        Ok(Value::Object(map))
     }
 
     fn array(&mut self) -> Result<Value, TypeError> {
-        self.enter()?;
-        self.eat(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']' in array")),
-            }
-        }
+        self.items(|p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Value::Array(items))
     }
 
-    fn string(&mut self) -> Result<String, TypeError> {
+    /// A string token, borrowed from the document unless it has escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, TypeError> {
         self.eat(b'"')?;
-        let mut s = String::new();
+        let bytes = self.bytes;
+        let mut escaped: Option<String> = None;
         loop {
             let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
+            while let Some(&b) = bytes.get(self.pos) {
                 if b == b'"' || b == b'\\' {
                     break;
                 }
                 self.pos += 1;
             }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("invalid utf-8 in string"))?,
-            );
+            let run = std::str::from_utf8(&bytes[start..self.pos])
+                .map_err(|_| self.error("invalid utf-8 in string"))?;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(s);
+                    return Ok(match escaped {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let s = escaped.get_or_insert_with(String::new);
+                    s.push_str(run);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -429,7 +512,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, TypeError> {
+    fn number(&mut self) -> Result<f64, TypeError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -450,7 +533,7 @@ impl<'a> Parser<'a> {
             // must stay finite or the data model's invariants break
             return Err(self.error("number overflows the f64 range"));
         }
-        Ok(Value::Number(n))
+        Ok(n)
     }
 }
 

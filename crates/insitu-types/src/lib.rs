@@ -30,7 +30,7 @@ pub use problem::ScheduleProblem;
 pub use profile::{AnalysisId, AnalysisProfile};
 pub use resources::ResourceConfig;
 pub use schedule::{AnalysisSchedule, Schedule};
-pub use service::{ResponseSource, ServiceRequest, ServiceResponse, SERVICE_SCHEMA};
+pub use service::{ResponseHead, ResponseSource, ServiceRequest, ServiceResponse, SERVICE_SCHEMA};
 pub use telemetry::{KernelRecord, KernelTelemetry};
 pub use trace::{CouplingTrace, StepEvent};
 pub use units::{Bytes, Seconds, GIB, KIB, MIB};

@@ -7,12 +7,21 @@
 //! verdict string (`PROVED` / `FEASIBLE-ONLY` — the service never emits
 //! `INVALID`; an uncertifiable result becomes an error instead). See
 //! `docs/SERVICE.md` for the full contract.
+//!
+//! Both message types go through the generic [`Value`] tree like every
+//! other document ([`FromJson`] / [`ToJson`]). The service's own hot path
+//! does not: [`ServiceRequest::decode`] reads a request in one pass, and
+//! [`ResponseHead::render`] writes a response around a schedule rendered
+//! ahead of time. Each answers exactly what the tree does.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use crate::error::TypeError;
-use crate::json::{FromJson, ToJson, Value};
+use crate::json::{self, render_number, render_string, usize_of, FromJson, Parser, ToJson, Value};
 use crate::problem::ScheduleProblem;
+use crate::profile::AnalysisProfile;
+use crate::resources::ResourceConfig;
 use crate::schedule::Schedule;
 
 /// Schema tag stamped on every `service/v1` request and response.
@@ -220,6 +229,263 @@ impl FromJson for ServiceResponse {
     }
 }
 
+impl ServiceRequest {
+    /// Decodes a `service/v1` request: [`json::from_str`]'s answer, read in
+    /// one pass from the bytes to the [`ScheduleProblem`], with no
+    /// [`Value`] tree and no key allocated. The pass uses `json`'s own
+    /// lexer and depth count, and takes any key order, whitespace, escapes,
+    /// unknown members and repeated keys (the last one wins). Anything else
+    /// — a syntax error, a member of the wrong type, a missing field — it
+    /// hands to [`json::from_str`], so every error and its message is
+    /// `from_str`'s, and it never accepts a document `from_str` refuses.
+    pub fn decode(text: &str) -> Result<ServiceRequest, TypeError> {
+        decode_in_one_pass(text).map_or_else(|| json::from_str(text), Ok)
+    }
+}
+
+/// The one pass of [`ServiceRequest::decode`] alone: `None` wherever it
+/// leaves the request to [`json::from_str`]. Public so that the wire
+/// differential can tell which of the two answered.
+#[doc(hidden)]
+pub fn decode_in_one_pass(text: &str) -> Option<ServiceRequest> {
+    let mut p = Parser::new(text);
+    let request = request(&mut p).ok()?;
+    p.finish().ok()?;
+    Some(request)
+}
+
+/// The one pass's only error: "leave this one to `json::from_str`". Its
+/// message is never shown.
+fn defer() -> TypeError {
+    TypeError::Parse(String::new())
+}
+
+/// Skips a member no `service/v1` type has, with the depth count of the
+/// document it sits in.
+fn skip(p: &mut Parser<'_>) -> Result<(), TypeError> {
+    p.value().map(drop)
+}
+
+// Every member is kept as its last binding, as `Value::parse`'s map keeps
+// it, and converted once the object is closed, as `FromJson` converts it.
+
+fn request(p: &mut Parser<'_>) -> Result<ServiceRequest, TypeError> {
+    let (mut schema, mut id, mut problem) = (None, None, None);
+    p.members(|p, key| {
+        match key {
+            "schema" => schema = Some(p.string_value()? == SERVICE_SCHEMA),
+            "id" => id = Some(p.number_value()?),
+            "problem" => problem = Some(schedule_problem(p)?),
+            _ => skip(p)?,
+        }
+        Ok(())
+    })?;
+    if schema != Some(true) {
+        return Err(defer());
+    }
+    Ok(ServiceRequest {
+        id: id.and_then(usize_of).ok_or_else(defer)? as u64,
+        problem: problem.ok_or_else(defer)?,
+    })
+}
+
+fn schedule_problem(p: &mut Parser<'_>) -> Result<ScheduleProblem, TypeError> {
+    let (mut analyses, mut resources) = (None, None);
+    p.members(|p, key| {
+        match key {
+            "analyses" => {
+                let mut list = Vec::new();
+                p.items(|p| {
+                    list.push(analysis_profile(p)?);
+                    Ok(())
+                })?;
+                analyses = Some(list);
+            }
+            "resources" => resources = Some(resource_config(p)?),
+            _ => skip(p)?,
+        }
+        Ok(())
+    })?;
+    Ok(ScheduleProblem {
+        analyses: analyses.ok_or_else(defer)?,
+        resources: resources.ok_or_else(defer)?,
+    })
+}
+
+/// [`AnalysisProfile`]'s number members, in the order of its fields.
+const PROFILE_NUMBERS: [&str; 11] = [
+    "fixed_time",
+    "step_time",
+    "compute_time",
+    "output_time",
+    "fixed_mem",
+    "step_mem",
+    "compute_mem",
+    "output_mem",
+    "weight",
+    "min_interval",
+    "output_every",
+];
+
+/// [`ResourceConfig`]'s members, in the order of its fields.
+const RESOURCE_NUMBERS: [&str; 4] = ["steps", "step_threshold", "mem_threshold", "io_bandwidth"];
+
+/// The members of one object that are all numbers, by name, last binding
+/// kept; any other member is skipped, or read by `other`.
+fn numbers<const N: usize>(
+    p: &mut Parser<'_>,
+    names: &[&str; N],
+    mut other: impl FnMut(&mut Parser<'_>, &str) -> Result<(), TypeError>,
+) -> Result<[f64; N], TypeError> {
+    let mut values = [None; N];
+    p.members(|p, key| match names.iter().position(|&name| name == key) {
+        Some(slot) => {
+            values[slot] = Some(p.number_value()?);
+            Ok(())
+        }
+        None => other(p, key),
+    })?;
+    let mut out = [0.0; N];
+    for (out, value) in out.iter_mut().zip(values) {
+        *out = value.ok_or_else(defer)?;
+    }
+    Ok(out)
+}
+
+fn analysis_profile(p: &mut Parser<'_>) -> Result<AnalysisProfile, TypeError> {
+    let mut name = None;
+    let [fixed_time, step_time, compute_time, output_time, fixed_mem, step_mem, compute_mem, output_mem, weight, min_interval, output_every] =
+        numbers(p, &PROFILE_NUMBERS, |p, key| {
+            if key == "name" {
+                name = Some(p.string_value()?.into_owned());
+                Ok(())
+            } else {
+                skip(p)
+            }
+        })?;
+    Ok(AnalysisProfile {
+        name: name.ok_or_else(defer)?,
+        fixed_time,
+        step_time,
+        compute_time,
+        output_time,
+        fixed_mem,
+        step_mem,
+        compute_mem,
+        output_mem,
+        weight,
+        min_interval: usize_of(min_interval).ok_or_else(defer)?,
+        output_every: usize_of(output_every).ok_or_else(defer)?,
+    })
+}
+
+fn resource_config(p: &mut Parser<'_>) -> Result<ResourceConfig, TypeError> {
+    let [steps, step_threshold, mem_threshold, io_bandwidth] =
+        numbers(p, &RESOURCE_NUMBERS, |p, _| skip(p))?;
+    Ok(ResourceConfig {
+        steps: usize_of(steps).ok_or_else(defer)?,
+        step_threshold,
+        mem_threshold,
+        io_bandwidth,
+    })
+}
+
+/// Every member of a `service/v1` response but the schedule, borrowed:
+/// what [`ResponseHead::render`] writes around a schedule that was
+/// rendered ahead of time. The fields mean [`ServiceResponse`]'s.
+#[derive(Debug, Clone, Copy)]
+pub struct ResponseHead<'a> {
+    /// Correlation id of the request this answers.
+    pub id: u64,
+    /// Canonical instance fingerprint, hex.
+    pub fingerprint: &'a str,
+    /// How the result was produced.
+    pub source: ResponseSource,
+    /// Certification verdict string.
+    pub verdict: &'a str,
+    /// Optimal Eq. 1 objective value.
+    pub objective: f64,
+    /// Per-analysis analysis counts, requester order.
+    pub counts: &'a [usize],
+    /// Per-analysis output counts, requester order.
+    pub output_counts: &'a [usize],
+    /// Branch-and-bound nodes of the underlying solve.
+    pub solver_nodes: usize,
+    /// Whether a warm-start hint seeded the incumbent.
+    pub hint_accepted: bool,
+}
+
+impl ResponseHead<'_> {
+    /// The response `json::to_string(&ServiceResponse { .. })` renders,
+    /// byte for byte, with `schedule` holding each analysis's schedule as
+    /// its own document (`json::to_string(&AnalysisSchedule)`), in the
+    /// response's analysis order. Members go out in the order `ToJson`'s
+    /// sorted map writes them, numbers and strings by `json`'s own rules.
+    /// The reply is measured first, so its `String` is allocated once, at
+    /// its exact length.
+    pub fn render(&self, schedule: &[&str]) -> String {
+        let mut length = Length(0);
+        self.write(schedule, &mut length)
+            .expect("counting bytes cannot fail");
+        let mut out = String::with_capacity(length.0);
+        self.write(schedule, &mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write<W: fmt::Write>(&self, schedule: &[&str], out: &mut W) -> fmt::Result {
+        out.write_str("{\"counts\":")?;
+        write_counts(self.counts, out)?;
+        out.write_str(",\"fingerprint\":")?;
+        render_string(self.fingerprint, out);
+        out.write_str(",\"hint_accepted\":")?;
+        out.write_str(if self.hint_accepted { "true" } else { "false" })?;
+        out.write_str(",\"id\":")?;
+        render_number(self.id as f64, out);
+        out.write_str(",\"objective\":")?;
+        render_number(self.objective, out);
+        out.write_str(",\"output_counts\":")?;
+        write_counts(self.output_counts, out)?;
+        out.write_str(",\"schedule\":{\"per_analysis\":[")?;
+        for (i, analysis) in schedule.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
+            }
+            out.write_str(analysis)?;
+        }
+        out.write_str("]},\"schema\":")?;
+        render_string(SERVICE_SCHEMA, out);
+        out.write_str(",\"solver_nodes\":")?;
+        render_number(self.solver_nodes as f64, out);
+        out.write_str(",\"source\":")?;
+        render_string(self.source.as_str(), out);
+        out.write_str(",\"verdict\":")?;
+        render_string(self.verdict, out);
+        out.write_char('}')
+    }
+}
+
+fn write_counts<W: fmt::Write>(counts: &[usize], out: &mut W) -> fmt::Result {
+    out.write_char('[')?;
+    for (i, &k) in counts.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        render_number(k as f64, out);
+    }
+    out.write_char(']')
+}
+
+/// A sink that only counts the bytes written to it.
+struct Length(usize);
+
+impl fmt::Write for Length {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +531,58 @@ mod tests {
         };
         let text = json::to_string(&r);
         assert_eq!(json::from_str::<ServiceResponse>(&text).unwrap(), r);
+    }
+
+    #[test]
+    fn the_fast_paths_answer_what_the_tree_does() {
+        let r = request();
+        let text = json::to_string(&r);
+        assert_eq!(decode_in_one_pass(&text), Some(r.clone()));
+        assert_eq!(ServiceRequest::decode(&text).unwrap(), r);
+        let wrong = text.replace("service/v1", "service/v0");
+        assert_eq!(decode_in_one_pass(&wrong), None);
+        assert_eq!(
+            ServiceRequest::decode(&wrong).unwrap_err().to_string(),
+            json::from_str::<ServiceRequest>(&wrong)
+                .unwrap_err()
+                .to_string()
+        );
+
+        let mut schedule = Schedule::empty(2);
+        schedule.per_analysis[1] = AnalysisSchedule::new(vec![50, 100], vec![100]);
+        let response = ServiceResponse {
+            id: 1 << 60,
+            fingerprint: "00ff".repeat(8),
+            source: ResponseSource::Dedup,
+            verdict: "FEASIBLE-ONLY".into(),
+            objective: 2.75,
+            schedule,
+            counts: vec![0, 2],
+            output_counts: vec![0, 1],
+            solver_nodes: 9,
+            hint_accepted: true,
+        };
+        let fragments: Vec<String> = response
+            .schedule
+            .per_analysis
+            .iter()
+            .map(json::to_string)
+            .collect();
+        let fragments: Vec<&str> = fragments.iter().map(String::as_str).collect();
+        let rendered = ResponseHead {
+            id: response.id,
+            fingerprint: &response.fingerprint,
+            source: response.source,
+            verdict: &response.verdict,
+            objective: response.objective,
+            counts: &response.counts,
+            output_counts: &response.output_counts,
+            solver_nodes: response.solver_nodes,
+            hint_accepted: response.hint_accepted,
+        }
+        .render(&fragments);
+        assert_eq!(rendered, json::to_string(&response));
+        assert_eq!(rendered.capacity(), rendered.len());
     }
 
     #[test]

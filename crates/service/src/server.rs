@@ -1,8 +1,9 @@
 //! The solve server: fingerprint → dedup → cache → solve → certify.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use certify::{CheckedCertificate, Fingerprint, Verdict};
@@ -10,7 +11,8 @@ use insitu_core::advisor::{Advisor, AdvisorError, AdvisorOptions};
 use insitu_types::canonical::{canonicalize, from_canonical, from_canonical_schedule};
 use insitu_types::json::{self, Value};
 use insitu_types::{
-    ResponseSource, Schedule, ScheduleProblem, SearchCertificate, ServiceRequest, ServiceResponse,
+    ResponseHead, ResponseSource, Schedule, ScheduleProblem, SearchCertificate, ServiceRequest,
+    ServiceResponse,
 };
 use milp::SolveOptions;
 
@@ -76,24 +78,55 @@ impl std::fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// One solved canonical instance, as stored in the cache and shared
-/// with deduplicated waiters.
+/// with deduplicated waiters. Built by [`CacheEntry::new`] only, so the
+/// counts and the rendered schedule are always the schedule's.
 #[derive(Debug)]
 pub struct CacheEntry {
     /// Optimal analysis counts, canonical order.
-    pub counts: Vec<usize>,
+    counts: Vec<usize>,
     /// Optimal output counts, canonical order.
-    pub output_counts: Vec<usize>,
+    output_counts: Vec<usize>,
     /// The placed optimal schedule, canonical order.
-    pub schedule: Schedule,
+    schedule: Schedule,
+    /// Each analysis's schedule as its wire document
+    /// (`json::to_string(&AnalysisSchedule)`), canonical order: rendered
+    /// once, here, and spliced into every reply served from the entry.
+    fragments: Vec<Box<str>>,
     /// Optimal Eq. 1 objective.
-    pub objective: f64,
+    objective: f64,
     /// The solver's machine-checkable optimality certificate, closure
     /// already checked — the type admits no other kind. Cached so every
     /// hit can be re-proved against the requester's instance by the
     /// replay + objective half alone, and shared with each [`Reply`].
-    pub certificate: Arc<CheckedCertificate>,
+    certificate: Arc<CheckedCertificate>,
     /// Branch-and-bound nodes of the producing solve.
-    pub nodes: usize,
+    nodes: usize,
+}
+
+impl CacheEntry {
+    /// The entry for the placed optimal `schedule` of a canonical
+    /// instance (canonical order), its objective, its checked certificate
+    /// and the node count of the solve that found it.
+    pub fn new(
+        schedule: Schedule,
+        objective: f64,
+        certificate: Arc<CheckedCertificate>,
+        nodes: usize,
+    ) -> Self {
+        let per_analysis = &schedule.per_analysis;
+        CacheEntry {
+            counts: per_analysis.iter().map(|a| a.count()).collect(),
+            output_counts: per_analysis.iter().map(|a| a.output_count()).collect(),
+            fragments: per_analysis
+                .iter()
+                .map(|a| json::to_string(a).into_boxed_str())
+                .collect(),
+            schedule,
+            objective,
+            certificate,
+            nodes,
+        }
+    }
 }
 
 /// One served response, in the **requester's** analysis order.
@@ -132,16 +165,11 @@ impl Reply {
         self.certificate.as_deref().map(CheckedCertificate::get)
     }
 
-    /// Renders the reply as a `service/v1` wire response. The schema's
-    /// `hint_accepted` field is always `false`: the server solves every
-    /// miss without a hint.
-    pub fn to_response(&self, id: u64) -> ServiceResponse {
-        self.clone().into_response(id)
-    }
-
-    /// [`Reply::to_response`] for a caller that is done with the reply:
-    /// moves the schedule and counts into the response instead of cloning
-    /// them.
+    /// The reply as a typed `service/v1` wire response, the schedule and
+    /// counts moved into it. The schema's `hint_accepted` field is always
+    /// `false`: the server solves every miss without a hint.
+    /// [`SolveService::handle_json`] writes the same bytes that
+    /// `json::to_string` of this response does.
     pub fn into_response(self, id: u64) -> ServiceResponse {
         ServiceResponse {
             id,
@@ -174,17 +202,25 @@ impl InFlight {
     }
 
     fn publish(&self, result: Result<Arc<CacheEntry>, ServiceError>) {
-        *self.slot.lock().expect("in-flight slot poisoned") = Some(result);
+        *lock(&self.slot) = Some(result);
         self.ready.notify_all();
     }
 
     fn wait(&self) -> Result<Arc<CacheEntry>, ServiceError> {
-        let mut guard = self.slot.lock().expect("in-flight slot poisoned");
-        while guard.is_none() {
-            guard = self.ready.wait(guard).expect("in-flight slot poisoned");
-        }
-        guard.as_ref().expect("checked above").clone()
+        let slot = self
+            .ready
+            .wait_while(lock(&self.slot), |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.clone().expect("wait_while returns a filled slot")
     }
+}
+
+/// Locks `mutex` even if a thread panicked while it held it. Every update
+/// made under the service's locks is a single insert, remove or store, so
+/// a panicking holder cannot leave the data half-changed, and one panic
+/// must not take every later request down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct State {
@@ -199,6 +235,89 @@ enum Action {
     Lead(Arc<InFlight>),
 }
 
+/// A leader's duty to the waiters of its fingerprint, discharged however
+/// the lead ends: by [`Lead::publish`], or — should anything unwind past
+/// the solve's own panic boundary — by the drop, which answers every
+/// waiter with a solver error. Either way the in-flight slot is cleared, so
+/// the next request for the fingerprint leads a solve of its own.
+struct Lead<'s> {
+    service: &'s SolveService,
+    fp: Fingerprint,
+    in_flight: Arc<InFlight>,
+    done: bool,
+}
+
+impl Lead<'_> {
+    fn publish(mut self, result: Result<Arc<CacheEntry>, ServiceError>) {
+        self.end(result);
+    }
+
+    /// Clears the in-flight slot, caches a solved entry and wakes every
+    /// waiter with `result`.
+    fn end(&mut self, result: Result<Arc<CacheEntry>, ServiceError>) {
+        self.done = true;
+        {
+            let mut state = lock(&self.service.state);
+            state.in_flight.remove(&self.fp);
+            if let Ok(entry) = &result {
+                if let Some((evicted_fp, _)) = state.cache.insert(self.fp, entry.clone()) {
+                    if evicted_fp != self.fp {
+                        self.service.registry.add("service.evictions", 1);
+                    }
+                }
+            }
+        }
+        self.in_flight.publish(result);
+    }
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        if !self.done {
+            self.end(Err(ServiceError::Solve(
+                "solver panicked: the leader unwound before it published".into(),
+            )));
+        }
+    }
+}
+
+/// A reply, with what its wire form is spliced from.
+struct Served {
+    reply: Reply,
+    /// The entry the reply was served from and the requester's
+    /// permutation of it (`perm[c]` is the requester's index of canonical
+    /// analysis `c`); `None` for the zero-analysis instance.
+    from: Option<(Arc<CacheEntry>, Vec<usize>)>,
+}
+
+impl Served {
+    /// `json::to_string(&reply.into_response(id))`, byte for byte, without
+    /// the tree: the entry's rendered schedule fragments are spliced in the
+    /// requester's order.
+    fn render(&self, id: u64) -> String {
+        let reply = &self.reply;
+        let schedule = match &self.from {
+            Some((entry, perm)) => {
+                let canonical: Vec<&str> = entry.fragments.iter().map(|f| &**f).collect();
+                from_canonical(&canonical, perm)
+            }
+            None => Vec::new(),
+        };
+        ResponseHead {
+            id,
+            fingerprint: &reply.fingerprint.to_hex(),
+            source: reply.source,
+            verdict: &reply.verdict.to_string(),
+            objective: reply.objective,
+            counts: &reply.counts,
+            output_counts: &reply.output_counts,
+            solver_nodes: reply.nodes,
+            hint_accepted: false,
+        }
+        .render(&schedule)
+    }
+}
+
 /// The multi-tenant solve server. Cheap to share: all methods take
 /// `&self`, so wrap it in an [`Arc`] (or borrow it from scoped threads)
 /// and call [`SolveService::solve`] from as many client threads as you
@@ -211,6 +330,9 @@ pub struct SolveService {
     flight: Arc<obs::FlightRecorder>,
     last_dump: Mutex<Option<String>>,
     seq: AtomicU64,
+    /// Run once at the start of the next solve, inside its panic boundary.
+    #[cfg(test)]
+    fault: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 impl SolveService {
@@ -232,6 +354,8 @@ impl SolveService {
             flight,
             last_dump: Mutex::new(None),
             seq: AtomicU64::new(0),
+            #[cfg(test)]
+            fault: Mutex::new(None),
         }
     }
 
@@ -267,7 +391,7 @@ impl SolveService {
     /// The most recent `flightrec/v1` dump, if any failure path (or an
     /// explicit [`SolveService::dump_flight`]) produced one.
     pub fn last_flight_dump(&self) -> Option<String> {
-        self.last_dump.lock().expect("dump slot poisoned").clone()
+        lock(&self.last_dump).clone()
     }
 
     /// Explicit operator hook: dumps the flight recorder with the
@@ -286,7 +410,7 @@ impl SolveService {
         let snap = self.registry.snapshot();
         let hex = fp.map(|f| f.to_hex());
         let dump = self.flight.dump(reason, hex.as_deref(), verdict, Some(&snap));
-        *self.last_dump.lock().expect("dump slot poisoned") = Some(dump.clone());
+        *lock(&self.last_dump) = Some(dump.clone());
         dump
     }
 
@@ -313,6 +437,12 @@ impl SolveService {
     /// randomness — so the same `(problem, seq)` pair yields the same
     /// `trace_id` at any worker count.
     pub fn solve_seq(&self, problem: &ScheduleProblem, seq: u64) -> Result<Reply, ServiceError> {
+        self.serve_seq(problem, seq).map(|served| served.reply)
+    }
+
+    /// [`SolveService::solve_seq`], keeping what the reply's wire form is
+    /// spliced from.
+    fn serve_seq(&self, problem: &ScheduleProblem, seq: u64) -> Result<Served, ServiceError> {
         let start = Instant::now();
         problem
             .validate()
@@ -327,7 +457,7 @@ impl SolveService {
 
         let result = self.solve_in_context(problem, fp, &mut span);
         match &result {
-            Ok(reply) => {
+            Ok(Served { reply, .. }) => {
                 let class = match reply.source {
                     ResponseSource::Hit => "hit",
                     ResponseSource::Dedup => "dedup",
@@ -360,13 +490,13 @@ impl SolveService {
         problem: &ScheduleProblem,
         fp: Fingerprint,
         span: &mut obs::SpanGuard<'_>,
-    ) -> Result<Reply, ServiceError> {
+    ) -> Result<Served, ServiceError> {
         let (canon, perm) = canonicalize(problem);
 
         if canon.is_empty() {
             // the trivial instance: nothing to schedule, nothing to cache
             span.tag("source", "fresh");
-            return Ok(Reply {
+            let reply = Reply {
                 fingerprint: fp,
                 source: ResponseSource::Fresh,
                 verdict: Verdict::FeasibleOnly,
@@ -376,11 +506,12 @@ impl SolveService {
                 output_counts: Vec::new(),
                 certificate: None,
                 nodes: 0,
-            });
+            };
+            return Ok(Served { reply, from: None });
         }
 
         let action = {
-            let mut state = self.state.lock().expect("service state poisoned");
+            let mut state = lock(&self.state);
             if let Some(entry) = state.cache.get(&fp) {
                 self.registry.add("service.hits", 1);
                 Action::Serve(entry.clone())
@@ -399,26 +530,21 @@ impl SolveService {
             Action::Serve(entry) => (entry, ResponseSource::Hit),
             Action::Wait(in_flight) => (in_flight.wait()?, ResponseSource::Dedup),
             Action::Lead(in_flight) => {
-                let result = self.solve_fresh(&canon);
-                {
-                    let mut state = self.state.lock().expect("service state poisoned");
-                    state.in_flight.remove(&fp);
-                    if let Ok(entry) = &result {
-                        if let Some((evicted_fp, _)) = state.cache.insert(fp, entry.clone()) {
-                            if evicted_fp != fp {
-                                self.registry.add("service.evictions", 1);
-                            }
-                        }
-                    }
-                }
-                in_flight.publish(result.clone());
+                let lead = Lead {
+                    service: self,
+                    fp,
+                    in_flight,
+                    done: false,
+                };
+                let result = self.solve_caught(&canon);
+                lead.publish(result.clone());
                 (result?, ResponseSource::Fresh)
             }
         };
         span.tag("source", source.as_str());
 
         match self.serve(problem, &perm, fp, &entry, source) {
-            Ok(reply) => Ok(reply),
+            Ok(served) => Ok(served),
             Err(ServiceError::Certification(_))
                 if matches!(source, ResponseSource::Hit | ResponseSource::Dedup) =>
             {
@@ -432,10 +558,8 @@ impl SolveService {
                 // leave the post-mortem before the state changes: the ring
                 // still holds the events leading up to the reject
                 self.flight_dump("certify-reject", Some(fp), Some("INVALID"));
-                let entry = self.solve_fresh(&canon)?;
-                let mut state = self.state.lock().expect("service state poisoned");
-                state.cache.insert(fp, entry.clone());
-                drop(state);
+                let entry = self.solve_caught(&canon)?;
+                lock(&self.state).cache.insert(fp, entry.clone());
                 self.serve(problem, &perm, fp, &entry, ResponseSource::Fresh)
             }
             Err(e) => Err(e),
@@ -466,20 +590,55 @@ impl SolveService {
     /// Parses a `service/v1` request, solves it, and renders the
     /// `service/v1` response (or an error object carrying the request id
     /// when one could be parsed).
+    ///
+    /// Neither side builds a JSON tree. The request is read by
+    /// [`ServiceRequest::decode`] in one pass, which leaves anything it is
+    /// not sure of to `json::from_str`, so error replies carry `from_str`'s
+    /// messages. The reply is written by [`ResponseHead::render`] around
+    /// the cache entry's schedule, rendered once when the entry was made,
+    /// and is byte for byte `json::to_string(&reply.into_response(id))`.
     pub fn handle_json(&self, request: &str) -> String {
-        match json::from_str::<ServiceRequest>(request) {
-            Ok(req) => match self.solve(&req.problem) {
-                Ok(reply) => json::to_string(&reply.into_response(req.id)),
-                Err(e) => error_json(Some(req.id), &e.to_string()),
-            },
-            Err(e) => error_json(None, &e.to_string()),
+        let req = match ServiceRequest::decode(request) {
+            Ok(req) => req,
+            Err(e) => return error_json(None, &e.to_string()),
+        };
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        match self.serve_seq(&req.problem, seq) {
+            Ok(served) => served.render(req.id),
+            Err(e) => error_json(Some(req.id), &e.to_string()),
         }
+    }
+
+    /// [`SolveService::solve_fresh`] behind a panic boundary: a solve that
+    /// panics is a [`ServiceError::Solve`] for its leader and every waiter,
+    /// not a thread that unwinds out of the service.
+    fn solve_caught(&self, canon: &ScheduleProblem) -> Result<Arc<CacheEntry>, ServiceError> {
+        // the solve's own state dies with it; what it shares with the
+        // service (registry, tracer, flight recorder, state) sits behind
+        // locks that a panic cannot leave half-changed
+        panic::catch_unwind(AssertUnwindSafe(|| self.solve_fresh(canon))).unwrap_or_else(
+            |payload| {
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("a payload that is not a string");
+                Err(ServiceError::Solve(format!("solver panicked: {what}")))
+            },
+        )
     }
 
     /// Solves the canonical instance and certifies the result before
     /// anyone sees it: [`Advisor::solve_and_stamp`] with nothing carried,
     /// under this service's spans and counters.
     fn solve_fresh(&self, canon: &ScheduleProblem) -> Result<Arc<CacheEntry>, ServiceError> {
+        #[cfg(test)]
+        {
+            let fault = lock(&self.fault).take();
+            if let Some(fault) = fault {
+                fault();
+            }
+        }
         // the solver opens its own `milp.solve` span on this handle,
         // nested under the request span and carrying its trace context
         let mut solver = self.config.solver.clone();
@@ -513,15 +672,12 @@ impl SolveService {
         let certificate = stamped
             .certificate
             .ok_or_else(|| ServiceError::Solve("solver returned no certificate".into()))?;
-        let per_analysis = &stamped.schedule.per_analysis;
-        Ok(Arc::new(CacheEntry {
-            counts: per_analysis.iter().map(|a| a.count()).collect(),
-            output_counts: per_analysis.iter().map(|a| a.output_count()).collect(),
-            schedule: stamped.schedule,
-            objective: certificate.get().objective,
-            certificate: Arc::new(certificate),
-            nodes: stamped.stats.nodes_explored,
-        }))
+        Ok(Arc::new(CacheEntry::new(
+            stamped.schedule,
+            certificate.get().objective,
+            Arc::new(certificate),
+            stamped.stats.nodes_explored,
+        )))
     }
 
     /// Permutes a canonical entry into the requester's order and passes
@@ -533,7 +689,7 @@ impl SolveService {
         fp: Fingerprint,
         entry: &Arc<CacheEntry>,
         source: ResponseSource,
-    ) -> Result<Reply, ServiceError> {
+    ) -> Result<Served, ServiceError> {
         let schedule = from_canonical_schedule(&entry.schedule, perm);
         let cert = {
             let mut cspan = self.trace.span("service.certify");
@@ -544,7 +700,7 @@ impl SolveService {
         if cert.verdict == Verdict::Invalid {
             return Err(ServiceError::Certification(cert.problems));
         }
-        Ok(Reply {
+        let reply = Reply {
             fingerprint: fp,
             source,
             verdict: cert.verdict,
@@ -554,6 +710,10 @@ impl SolveService {
             output_counts: from_canonical(&entry.output_counts, perm),
             certificate: Some(entry.certificate.clone()),
             nodes: entry.nodes,
+        };
+        Ok(Served {
+            reply,
+            from: Some((entry.clone(), perm.to_vec())),
         })
     }
 
@@ -563,11 +723,14 @@ impl SolveService {
     /// real instance) to exercise the fallback and the flight dump.
     #[doc(hidden)]
     pub fn inject_cache_entry_for_test(&self, fp: Fingerprint, entry: Arc<CacheEntry>) {
-        self.state
-            .lock()
-            .expect("service state poisoned")
-            .cache
-            .insert(fp, entry);
+        lock(&self.state).cache.insert(fp, entry);
+    }
+
+    /// Runs `fault` at the start of the next solve, inside the solve's
+    /// panic boundary: a stand-in for a solver that panics or stalls.
+    #[cfg(test)]
+    fn inject_fault(&self, fault: impl FnOnce() + Send + 'static) {
+        *lock(&self.fault) = Some(Box::new(fault));
     }
 }
 
@@ -607,6 +770,7 @@ fn error_json(id: Option<u64>, message: &str) -> String {
 mod tests {
     use super::*;
     use insitu_types::{AnalysisProfile, ResourceConfig};
+    use std::time::Duration;
 
     fn problem(names_ct: &[(&str, f64)]) -> ScheduleProblem {
         ScheduleProblem::new(
@@ -712,6 +876,126 @@ mod tests {
 
         let err = svc.handle_json("{\"schema\":\"service/v1\"}");
         assert!(err.contains("\"error\""));
+    }
+
+    /// Holds the next solve until `waiters` requests wait on it, then
+    /// runs `then` in its place.
+    fn hold_the_next_solve(svc: &SolveService, waiters: u64, then: impl FnOnce() + Send + 'static) {
+        let registry = svc.registry().clone();
+        svc.inject_fault(move || {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while registry
+                .snapshot()
+                .counter("service.dedup_waits")
+                .unwrap_or(0)
+                < waiters
+            {
+                assert!(Instant::now() < deadline, "the waiters never came");
+                std::thread::yield_now();
+            }
+            then();
+        });
+    }
+
+    #[test]
+    fn a_leader_panic_answers_every_waiter_and_the_next_request_solves() {
+        const CLIENTS: usize = 8;
+        let svc = Arc::new(SolveService::new(ServiceConfig::default()));
+        let p = problem(&[("rdf", 0.5), ("msd", 1.0)]);
+        hold_the_next_solve(&svc, CLIENTS as u64 - 1, || panic!("injected solver fault"));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let (svc, p, tx) = (svc.clone(), p.clone(), tx.clone());
+                std::thread::spawn(move || tx.send(svc.solve(&p)).expect("the test listens"))
+            })
+            .collect();
+        for _ in 0..CLIENTS {
+            let result = rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a client was stranded");
+            let Err(ServiceError::Solve(message)) = &result else {
+                panic!("expected the solver error, got {result:?}");
+            };
+            assert_eq!(message, "solver panicked: injected solver fault");
+        }
+        for client in clients {
+            client.join().expect("a client thread panicked");
+        }
+        let snap = svc.registry().snapshot();
+        assert_eq!(snap.counter("service.misses"), Some(1));
+        assert_eq!(
+            snap.counter("service.dedup_waits"),
+            Some(CLIENTS as u64 - 1)
+        );
+        assert!(svc
+            .last_flight_dump()
+            .unwrap()
+            .contains("\"reason\":\"solver-error\""));
+        // nothing was cached and nothing is left in flight
+        let r = svc.solve(&p).unwrap();
+        assert_eq!(
+            (r.source, r.verdict),
+            (ResponseSource::Fresh, Verdict::Proved)
+        );
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_take_the_service_down() {
+        let svc = SolveService::new(ServiceConfig::default());
+        let p = problem(&[("rdf", 0.5)]);
+        svc.solve(&p).unwrap();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _state = svc.state.lock();
+                let _dump = svc.last_dump.lock();
+                panic!("poisoning the service's locks");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(svc.state.is_poisoned() && svc.last_dump.is_poisoned());
+        assert_eq!(svc.solve(&p).unwrap().source, ResponseSource::Hit);
+        assert_eq!(
+            svc.solve(&problem(&[("msd", 1.0)])).unwrap().source,
+            ResponseSource::Fresh
+        );
+        let dump = svc.dump_flight("operator");
+        assert_eq!(svc.last_flight_dump(), Some(dump));
+    }
+
+    #[test]
+    fn a_dedup_reply_on_the_wire_is_the_value_rendering() {
+        // the leader is held until the other request waits on it, so one
+        // reply is a dedup, the other fresh, whichever thread leads
+        let svc = SolveService::new(ServiceConfig::default());
+        let p = problem(&[("rdf", 0.5), ("msd", 1.0)]);
+        let q = problem(&[("msd", 1.0), ("rdf", 0.5)]);
+        hold_the_next_solve(&svc, 1, || {});
+        let asks = [(1_u64, &p), (1_000_000_000_000_000, &q)];
+        let wires: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = asks
+                .iter()
+                .map(|&(id, problem)| {
+                    let svc = &svc;
+                    s.spawn(move || {
+                        let problem = problem.clone();
+                        svc.handle_json(&json::to_string(&ServiceRequest { id, problem }))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut sources = Vec::new();
+        for (&(id, problem), wire) in asks.iter().zip(&wires) {
+            let source = json::from_str::<ServiceResponse>(wire).unwrap().source;
+            sources.push(source.as_str());
+            let mut reply = svc.solve(problem).unwrap();
+            assert_eq!(reply.source, ResponseSource::Hit);
+            reply.source = source;
+            assert_eq!(*wire, json::to_string(&reply.into_response(id)));
+        }
+        sources.sort_unstable();
+        assert_eq!(sources, ["dedup", "fresh"]);
     }
 
     #[test]
@@ -859,14 +1143,12 @@ mod tests {
         let fp = certify::fingerprint(&target);
         svc.inject_cache_entry_for_test(
             fp,
-            Arc::new(CacheEntry {
-                counts: own.counts.clone(),
-                output_counts: own.output_counts.clone(),
-                schedule: own.schedule.clone(),
-                objective: own.objective,
-                certificate: foreign,
-                nodes: own.nodes,
-            }),
+            Arc::new(CacheEntry::new(
+                own.schedule.clone(),
+                own.objective,
+                foreign,
+                own.nodes,
+            )),
         );
         let r = svc.solve(&target).unwrap();
         assert_eq!(r.source, ResponseSource::Fresh);
@@ -896,14 +1178,12 @@ mod tests {
         let planted = {
             let d = svc.solve(&decoy).unwrap();
             assert_eq!(d.source, ResponseSource::Hit);
-            Arc::new(CacheEntry {
-                counts: vec![0; 3],
-                output_counts: vec![0; 3],
-                schedule: Schedule::empty(3),
-                objective: d.objective,
-                certificate: d.certificate.clone().unwrap(),
-                nodes: d.nodes,
-            })
+            Arc::new(CacheEntry::new(
+                Schedule::empty(3),
+                d.objective,
+                d.certificate.clone().unwrap(),
+                d.nodes,
+            ))
         };
         let fp = certify::fingerprint(&target);
         svc.inject_cache_entry_for_test(fp, planted);

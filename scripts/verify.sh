@@ -63,6 +63,14 @@ run env CERTIFY_FUZZ_CASES="${CERTIFY_FUZZ_CASES:-200}" \
 run env SERVICE_STRESS_ITERS="${SERVICE_STRESS_ITERS:-50}" \
     cargo test -q -p integration-tests --test service_stress
 
+# the service/v1 fast paths against the Value code they replaced, on the
+# optimised build the service ships: handle_json's replies byte for byte,
+# the one-pass request decoder against json::from_str on generated,
+# respelled, truncated, flipped and adversarial requests. The case count is
+# overridable for deeper soaks: WIRE_DIFF_CASES=5000 ./scripts/verify.sh
+run env WIRE_DIFF_CASES="${WIRE_DIFF_CASES:-200}" \
+    cargo test --release -q -p integration-tests --test wire_differential
+
 # rustdoc must be warning-free (broken intra-doc links, bad code fences)
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

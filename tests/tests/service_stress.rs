@@ -361,14 +361,12 @@ fn certify_reject_under_load_dumps_a_parseable_flight_record() {
     let fp = certify::fingerprint(&target);
     service.inject_cache_entry_for_test(
         fp,
-        Arc::new(CacheEntry {
-            counts: vec![0; decoy.len()],
-            output_counts: vec![0; decoy.len()],
-            schedule: Schedule::empty(decoy.len()),
-            objective: d.objective,
-            certificate: d.certificate.clone().expect("fresh solve certifies"),
-            nodes: d.nodes,
-        }),
+        Arc::new(CacheEntry::new(
+            Schedule::empty(decoy.len()),
+            d.objective,
+            d.certificate.clone().expect("fresh solve certifies"),
+            d.nodes,
+        )),
     );
     assert!(service.last_flight_dump().is_none());
 
