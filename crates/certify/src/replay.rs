@@ -40,7 +40,6 @@
 use crate::rational::{Rat, RatError};
 use crate::suffix::SuffixCarry;
 use insitu_types::{AnalysisSchedule, Schedule, ScheduleProblem};
-use std::borrow::Cow;
 
 #[cfg(test)]
 mod reference;
@@ -51,7 +50,7 @@ mod reference;
 /// excess, which is fatal above [`crate::EXCESS_TOL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViolationKind {
-    /// Arity, step ranges, sortedness, outputs ⊄ analysis steps.
+    /// Arity, step ranges, outputs ⊄ analysis steps.
     Structure,
     /// Eq. 9 minimum-interval violations.
     Interval,
@@ -159,46 +158,18 @@ fn times(a: i128, k: usize) -> Result<i128, RatError> {
     a.checked_mul(k as i128).ok_or(RatError::Overflow)
 }
 
-/// Whether the analysis steps, and the output steps, are strictly
-/// increasing as given.
-fn in_order(s: &AnalysisSchedule) -> [bool; 2] {
-    [&s.analysis_steps, &s.output_steps].map(|list| list.windows(2).all(|w| w[0] < w[1]))
-}
-
-/// One step list as the recursions read it: its entries in `1..=limit`,
-/// strictly increasing. A list that is `ordered` (strictly increasing as
-/// given) is trimmed in place. One that is not — already a fatal
-/// `Structure` violation — is materialised as the steps at which `member`,
-/// the schedule's own `runs_at` / `outputs_at`, answers yes: that is what
-/// the per-step form of the recursions asked at every step, and a search
-/// of a slice out of order finds some of its entries and not others.
-fn events(
-    list: &[usize],
-    limit: usize,
-    ordered: bool,
-    member: impl Fn(usize) -> bool,
-) -> Cow<'_, [usize]> {
-    if ordered {
-        let from = usize::from(list.first() == Some(&0));
-        let mut to = list.len();
-        while to > from && list[to - 1] > limit {
-            to -= 1;
-        }
-        return Cow::Borrowed(&list[from..to]);
-    }
-    let mut found: Vec<usize> = list.iter().copied().filter(|j| (1..=limit).contains(j)).collect();
-    found.sort_unstable();
-    found.dedup();
-    found.retain(|&j| member(j));
-    Cow::Owned(found)
+/// One step list as the recursions read it: its entries in `1..=limit`.
+/// The list is strictly increasing (an [`AnalysisSchedule`] holds sets), so
+/// that is a slice: a leading step 0 and a tail past `limit` cut off.
+fn events(list: &[usize], limit: usize) -> &[usize] {
+    let from = usize::from(list.first() == Some(&0));
+    let to = list.partition_point(|&j| j <= limit);
+    &list[from..to]
 }
 
 /// Both step lists of one analysis within `1..=limit`: `(C_i, O_i)`.
-fn step_lists(s: &AnalysisSchedule, limit: usize, ordered: [bool; 2]) -> [Cow<'_, [usize]>; 2] {
-    [
-        events(&s.analysis_steps, limit, ordered[0], |j| s.runs_at(j)),
-        events(&s.output_steps, limit, ordered[1], |j| s.outputs_at(j)),
-    ]
+fn step_lists(s: &AnalysisSchedule, limit: usize) -> [&[usize]; 2] {
+    [events(s.analysis_steps(), limit), events(s.output_steps(), limit)]
 }
 
 /// The memory quantities Eqs. 5–7 add for one analysis over `steps` steps
@@ -307,10 +278,10 @@ pub(crate) fn footprint_after(
     s: &AnalysisSchedule,
     limit: usize,
 ) -> Result<Rat, RatError> {
-    let [runs, outs] = step_lists(s, limit, in_order(s));
-    let terms = MemTerms::new(p, None, limit, &runs, &outs);
+    let [runs, outs] = step_lists(s, limit);
+    let terms = MemTerms::new(p, None, limit, runs, outs);
     let shift = terms.shift();
-    let mut footprint = Footprint::new(&terms, shift, &runs, &outs)?;
+    let mut footprint = Footprint::new(&terms, shift, runs, outs)?;
     while let Some(j) = footprint.next_event() {
         footprint.event(j)?;
     }
@@ -385,7 +356,7 @@ pub(crate) fn replay_seeded(
     let steps = problem.resources.steps;
     let mut violations = Vec::new();
 
-    // --- structure: arity, ranges, sortedness, outputs ⊆ analysis steps ---
+    // --- structure: arity, ranges, outputs ⊆ analysis steps ---
     let arity_ok = schedule.per_analysis.len() == problem.len();
     if !arity_ok {
         violations.push(hard(
@@ -430,21 +401,11 @@ pub(crate) fn replay_seeded(
     let mut lists = Vec::with_capacity(problem.len());
     for (i, s) in schedule.per_analysis.iter().enumerate() {
         let name = &problem.analyses[i].name;
-        let ordered = in_order(s);
-        let both = [("analysis", &s.analysis_steps), ("output", &s.output_steps)];
-        for ((kind, list), ordered) in both.into_iter().zip(ordered) {
-            for w in list.windows(2).filter(|_| !ordered) {
-                if w[0] >= w[1] {
-                    violations.push(hard(
-                        ViolationKind::Structure,
-                        format!(
-                            "analysis `{name}`: {kind} steps not strictly increasing at {} -> {}",
-                            w[0], w[1]
-                        ),
-                    ));
-                }
-            }
-            for &j in list.iter() {
+        for (kind, list) in [
+            ("analysis", s.analysis_steps()),
+            ("output", s.output_steps()),
+        ] {
+            for &j in list {
                 if j == 0 || j > steps {
                     violations.push(hard(
                         ViolationKind::Structure,
@@ -453,26 +414,20 @@ pub(crate) fn replay_seeded(
                 }
             }
         }
-        // two lists in order are merged; one out of order is asked entry
-        // by entry what the schedule says of it
-        let mut ahead = &s.analysis_steps[..];
-        for &j in &s.output_steps {
-            let runs = if ordered == [true; 2] {
-                while ahead.first().is_some_and(|&c| c < j) {
-                    ahead = &ahead[1..];
-                }
-                ahead.first() == Some(&j)
-            } else {
-                s.runs_at(j)
-            };
-            if !runs {
+        // two sets in order: `O_i ⊆ C_i` is a merge
+        let mut ahead = s.analysis_steps();
+        for &j in s.output_steps() {
+            while ahead.first().is_some_and(|&c| c < j) {
+                ahead = &ahead[1..];
+            }
+            if ahead.first() != Some(&j) {
                 violations.push(hard(
                     ViolationKind::Structure,
                     format!("analysis `{name}`: output at step {j} without an analysis step"),
                 ));
             }
         }
-        lists.push(step_lists(s, steps, ordered));
+        lists.push(step_lists(s, steps));
     }
 
     // --- interval constraint (Eq. 9) ---
@@ -483,7 +438,7 @@ pub(crate) fn replay_seeded(
         // the carry says the analysis ran there, step 0 when it never ran
         let mut carried = carry.steps_since_run[i];
         let mut last = 0usize;
-        for &j in &s.analysis_steps {
+        for &j in s.analysis_steps() {
             if let Some(gap) = carried.take() {
                 if gap.saturating_add(j) < itv {
                     violations.push(hard(
@@ -495,7 +450,7 @@ pub(crate) fn replay_seeded(
                         ),
                     ));
                 }
-            } else if j >= last && j - last < itv {
+            } else if j - last < itv {
                 violations.push(hard(
                     ViolationKind::Interval,
                     format!(
@@ -666,7 +621,7 @@ pub fn replay_time_series(
     let mut active = Vec::with_capacity(problem.len());
     for (a, s) in problem.analyses.iter().zip(&schedule.per_analysis) {
         if s.count() > 0 {
-            let [runs, outs] = step_lists(s, steps, in_order(s));
+            let [runs, outs] = step_lists(s, steps);
             active.push((time_terms(&exact_profile(a)?, steps, runs.len(), outs.len()), runs, outs));
         }
     }
@@ -678,7 +633,7 @@ pub fn replay_time_series(
         let [ft, it, ct, ot] = time_scaled(terms, shift)?;
         cum = sum(cum, ft)?;
         it_sum = sum(it_sum, it)?;
-        ahead.push((ct, ot, &runs[..], &outs[..]));
+        ahead.push((ct, ot, *runs, *outs));
     }
     let mut series = Vec::with_capacity(steps + 1);
     series.push(Rat::reduced(cum, shift));
@@ -828,18 +783,12 @@ mod tests {
 
     #[test]
     fn structural_garbage_reported() {
-        let mut s = Schedule::empty(1);
-        s.per_analysis[0].analysis_steps = vec![30, 20]; // bypass sorting
-        let r = replay(&problem(), &s).unwrap();
-        assert!(r.violations.iter().any(|v| v.message.contains("strictly increasing")));
-
         let r = replay(&problem(), &schedule(vec![101], vec![])).unwrap();
         assert!(r.violations.iter().any(|v| v.message.contains("outside")));
+        let r = replay(&problem(), &schedule(vec![0, 20], vec![])).unwrap();
+        assert!(r.violations.iter().any(|v| v.message.contains("step 0 outside")));
 
-        let mut s = Schedule::empty(1);
-        s.per_analysis[0].analysis_steps = vec![20];
-        s.per_analysis[0].output_steps = vec![30];
-        let r = replay(&problem(), &s).unwrap();
+        let r = replay(&problem(), &schedule(vec![20], vec![30])).unwrap();
         assert!(r.violations.iter().any(|v| v.message.contains("without an analysis")));
 
         let r = replay(&problem(), &Schedule::empty(3)).unwrap();
@@ -997,7 +946,8 @@ mod tests {
 
     /// One `(problem, schedule, carry)` triple: 1–4 analyses over 1–48
     /// steps, `im = 0` and `im > 0` mixed, step lists sparse or dense and
-    /// broken every way the structure check knows, `mth` somewhere around
+    /// holding a step 0, a step past the end or a stray step (an output
+    /// without a run, say), `mth` somewhere around
     /// the footprint the schedule reaches, a carry of either arity. The
     /// flag says whether the case is a wild one (see [`Draw::parameter`]).
     fn triple(seed: u64) -> (ScheduleProblem, Schedule, SuffixCarry, bool) {
@@ -1020,37 +970,26 @@ mod tests {
             a.output_mem = d.parameter(wild);
             a.weight = d.range(1, 6) as f64 * 0.5;
             a.min_interval = d.range(1, steps.max(2) / 2 + 1);
-            let s = &mut schedule.per_analysis[i];
+            let (mut runs, mut outs) = (Vec::new(), Vec::new());
             if !d.chance(20) {
                 let density = [5, 25, 60, 100][d.range(0, 3)];
-                s.analysis_steps = (1..=steps).filter(|_| d.chance(density)).collect();
-                s.output_steps = s.analysis_steps.iter().copied().filter(|_| d.chance(40)).collect();
+                runs = (1..=steps).filter(|_| d.chance(density)).collect();
+                outs = runs.iter().copied().filter(|_| d.chance(40)).collect();
             }
             if d.chance(30) {
-                let lists = [&mut s.analysis_steps, &mut s.output_steps];
-                let list = &mut *lists[d.range(0, 1)];
-                match d.range(0, 4) {
-                    0 => list.insert(0, 0),
-                    1 => list.push(steps + d.range(1, 3)),
-                    2 if list.len() >= 2 => {
-                        let x = d.range(0, list.len() - 2);
-                        list.swap(x, x + 1);
-                    }
-                    3 if !list.is_empty() => {
-                        let x = d.range(0, list.len() - 1);
-                        list.insert(x, list[x]);
-                    }
-                    _ => {
-                        // a stray entry, in order
-                        list.push(d.range(0, steps + 1));
-                        list.sort_unstable();
-                    }
-                }
+                let list = if d.chance(50) { &mut runs } else { &mut outs };
+                list.push(match d.range(0, 2) {
+                    0 => 0,
+                    1 => steps + d.range(1, 3),
+                    _ => d.range(0, steps + 1),
+                });
             }
+            let s = AnalysisSchedule::new(runs, outs);
             reach += a.fixed_mem.abs()
                 + a.step_mem.abs() * steps as f64
-                + a.compute_mem.abs() * s.analysis_steps.len() as f64
+                + a.compute_mem.abs() * s.count() as f64
                 + a.output_mem.abs();
+            schedule.per_analysis[i] = s;
             analyses.push(a);
         }
         if d.chance(3) {

@@ -44,7 +44,7 @@ pub(super) fn replay_seeded(
     let steps = problem.resources.steps;
     let mut violations = Vec::new();
 
-    // --- structure: arity, ranges, sortedness, outputs ⊆ analysis steps ---
+    // --- structure: arity, ranges, outputs ⊆ analysis steps ---
     let arity_ok = schedule.per_analysis.len() == problem.len();
     if !arity_ok {
         violations.push(hard(
@@ -87,19 +87,11 @@ pub(super) fn replay_seeded(
     }
     for (i, s) in schedule.per_analysis.iter().enumerate() {
         let name = &problem.analyses[i].name;
-        for (kind, list) in [("analysis", &s.analysis_steps), ("output", &s.output_steps)] {
-            for w in list.windows(2) {
-                if w[0] >= w[1] {
-                    violations.push(hard(
-                        ViolationKind::Structure,
-                        format!(
-                            "analysis `{name}`: {kind} steps not strictly increasing at {} -> {}",
-                            w[0], w[1]
-                        ),
-                    ));
-                }
-            }
-            for &j in list.iter() {
+        for (kind, list) in [
+            ("analysis", s.analysis_steps()),
+            ("output", s.output_steps()),
+        ] {
+            for &j in list {
                 if j == 0 || j > steps {
                     violations.push(hard(
                         ViolationKind::Structure,
@@ -108,7 +100,7 @@ pub(super) fn replay_seeded(
                 }
             }
         }
-        for &j in &s.output_steps {
+        for &j in s.output_steps() {
             if !s.runs_at(j) {
                 violations.push(hard(
                     ViolationKind::Structure,
@@ -126,7 +118,7 @@ pub(super) fn replay_seeded(
         // the carry says the analysis ran there, step 0 when it never ran
         let mut carried = carry.steps_since_run[i];
         let mut last = 0usize;
-        for &j in &s.analysis_steps {
+        for &j in s.analysis_steps() {
             if let Some(gap) = carried.take() {
                 if gap.saturating_add(j) < itv {
                     violations.push(hard(

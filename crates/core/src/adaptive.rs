@@ -25,7 +25,7 @@
 //! `docs/ADAPTIVE.md`.
 
 use insitu_types::json::Value;
-use insitu_types::{ResourceConfig, Schedule, ScheduleProblem};
+use insitu_types::{AnalysisSchedule, ResourceConfig, Schedule, ScheduleProblem};
 use milp::SolveOptions;
 use std::collections::BTreeMap;
 
@@ -215,24 +215,17 @@ pub fn remaining_problem(
 /// suffix steps: a run at absolute step `s > step` becomes a run at
 /// suffix step `s - step`.
 pub fn schedule_tail(schedule: &Schedule, step: usize) -> Schedule {
+    let tail = |list: &[usize]| {
+        list.iter()
+            .filter(|&&j| j > step)
+            .map(|&j| j - step)
+            .collect()
+    };
     Schedule {
         per_analysis: schedule
             .per_analysis
             .iter()
-            .map(|s| insitu_types::AnalysisSchedule {
-                analysis_steps: s
-                    .analysis_steps
-                    .iter()
-                    .filter(|&&j| j > step)
-                    .map(|&j| j - step)
-                    .collect(),
-                output_steps: s
-                    .output_steps
-                    .iter()
-                    .filter(|&&j| j > step)
-                    .map(|&j| j - step)
-                    .collect(),
-            })
+            .map(|s| AnalysisSchedule::new(tail(s.analysis_steps()), tail(s.output_steps())))
             .collect(),
     }
 }
@@ -241,30 +234,20 @@ pub fn schedule_tail(schedule: &Schedule, step: usize) -> Schedule {
 /// schedule: keeps `schedule`'s runs at steps `<= step` and appends the
 /// suffix's runs shifted to absolute steps `step + t`.
 pub fn splice_schedule(schedule: &Schedule, step: usize, suffix: &Schedule) -> Schedule {
+    let splice = |pre: &[usize], suf: &[usize]| {
+        let kept = pre.iter().copied().filter(|&j| j <= step);
+        kept.chain(suf.iter().map(|&t| step + t)).collect()
+    };
     Schedule {
         per_analysis: schedule
             .per_analysis
             .iter()
             .zip(&suffix.per_analysis)
             .map(|(pre, suf)| {
-                let mut analysis_steps: Vec<usize> = pre
-                    .analysis_steps
-                    .iter()
-                    .copied()
-                    .filter(|&j| j <= step)
-                    .collect();
-                analysis_steps.extend(suf.analysis_steps.iter().map(|&t| step + t));
-                let mut output_steps: Vec<usize> = pre
-                    .output_steps
-                    .iter()
-                    .copied()
-                    .filter(|&j| j <= step)
-                    .collect();
-                output_steps.extend(suf.output_steps.iter().map(|&t| step + t));
-                insitu_types::AnalysisSchedule {
-                    analysis_steps,
-                    output_steps,
-                }
+                AnalysisSchedule::new(
+                    splice(pre.analysis_steps(), suf.analysis_steps()),
+                    splice(pre.output_steps(), suf.output_steps()),
+                )
             })
             .collect(),
     }
@@ -273,7 +256,7 @@ pub fn splice_schedule(schedule: &Schedule, step: usize, suffix: &Schedule) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insitu_types::{AnalysisProfile, AnalysisSchedule};
+    use insitu_types::AnalysisProfile;
 
     fn two_analysis_problem() -> ScheduleProblem {
         ScheduleProblem::new(
@@ -331,18 +314,18 @@ mod tests {
         s.per_analysis[0] = AnalysisSchedule::new(vec![2, 4, 6, 8], vec![4, 8]);
         s.per_analysis[1] = AnalysisSchedule::new(vec![5], vec![]);
         let tail = schedule_tail(&s, 4);
-        assert_eq!(tail.per_analysis[0].analysis_steps, vec![2, 4]);
-        assert_eq!(tail.per_analysis[0].output_steps, vec![4]);
-        assert_eq!(tail.per_analysis[1].analysis_steps, vec![1]);
+        assert_eq!(tail.per_analysis[0].analysis_steps(), vec![2, 4]);
+        assert_eq!(tail.per_analysis[0].output_steps(), vec![4]);
+        assert_eq!(tail.per_analysis[1].analysis_steps(), vec![1]);
         // splicing a tail back in at the same step reproduces the original
         assert_eq!(splice_schedule(&s, 4, &tail), s);
         // and a different suffix replaces only the future
         let mut new_suffix = Schedule::empty(2);
         new_suffix.per_analysis[0] = AnalysisSchedule::new(vec![3], vec![3]);
         let spliced = splice_schedule(&s, 4, &new_suffix);
-        assert_eq!(spliced.per_analysis[0].analysis_steps, vec![2, 4, 7]);
-        assert_eq!(spliced.per_analysis[0].output_steps, vec![4, 7]);
-        assert!(spliced.per_analysis[1].analysis_steps.is_empty());
+        assert_eq!(spliced.per_analysis[0].analysis_steps(), vec![2, 4, 7]);
+        assert_eq!(spliced.per_analysis[0].output_steps(), vec![4, 7]);
+        assert!(spliced.per_analysis[1].analysis_steps().is_empty());
     }
 
     #[test]

@@ -373,7 +373,7 @@ mod tests {
         )
         .unwrap();
         let s = solve_aggregate(&p, &opts(), None).unwrap().schedule;
-        assert!(s.validate_structure(&p).is_ok());
+        assert!(crate::validate_schedule(&p, &s).is_feasible());
         assert_eq!(s.per_analysis[0].count(), 10);
         // output every 2 analyses => 5 outputs
         assert_eq!(s.per_analysis[0].output_count(), 5);

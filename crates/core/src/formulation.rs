@@ -311,13 +311,13 @@ pub fn schedule_hint(
         let a = &problem.analyses[i];
         let itv = a.min_interval.max(1);
         let runs: Vec<usize> = s
-            .analysis_steps
+            .analysis_steps()
             .iter()
             .copied()
             .filter(|&j| j >= itv && j <= steps)
             .collect();
         let outs: Vec<usize> = s
-            .output_steps
+            .output_steps()
             .iter()
             .copied()
             .filter(|&j| runs.binary_search(&j).is_ok())
@@ -450,7 +450,7 @@ mod tests {
         assert_eq!(obj.round(), 5.0); // 1 (|A|) + 4 (w=1 count)
         assert!(s.per_analysis[0].min_gap().unwrap_or(usize::MAX) >= 5);
         // first analysis only after itv steps have elapsed
-        assert!(*s.per_analysis[0].analysis_steps.first().unwrap() >= 5);
+        assert!(*s.per_analysis[0].analysis_steps().first().unwrap() >= 5);
     }
 
     #[test]
@@ -521,7 +521,7 @@ mod tests {
         let s = solve_exact(&p, &opts(), None).unwrap().schedule;
         assert_eq!(s.per_analysis[0].count(), 2);
         assert_eq!(s.per_analysis[0].output_count(), 2);
-        assert!(s.validate_structure(&p).is_ok());
+        assert!(crate::validate_schedule(&p, &s).is_feasible());
     }
 
     #[test]
@@ -576,7 +576,7 @@ mod tests {
         assert!(a.output_count() > 0, "outputs are required to reset memory");
         // no gap between consecutive outputs (or from start) may exceed 5
         let mut last = 0usize;
-        for &o in &a.output_steps {
+        for &o in a.output_steps() {
             assert!(o - last <= 5, "memory would exceed cap between {last} and {o}");
             last = o;
         }

@@ -164,7 +164,7 @@ mod tests {
         let s = place_schedule(&p, &[4], &[2]);
         assert_eq!(s.per_analysis[0].count(), 4);
         assert_eq!(s.per_analysis[0].output_count(), 2);
-        assert!(s.validate_structure(&p).is_ok());
+        assert!(crate::validate_schedule(&p, &s).is_feasible());
         let s0 = place_schedule(&p, &[0], &[0]);
         assert_eq!(s0.per_analysis[0].count(), 0);
     }

@@ -652,7 +652,7 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
                     .per_analysis
                     .iter()
                     .map(|s| {
-                        s.analysis_steps
+                        s.analysis_steps()
                             .iter()
                             .rev()
                             .find(|&&r| r <= j)
@@ -1132,7 +1132,7 @@ mod tests {
         assert!(r.measured_cum > 0.002, "the hog's 5 ms run must show");
         assert!(r.new_objective < r.old_objective);
         // the composite schedule keeps the executed prefix, drops the rest
-        assert_eq!(report.schedule.per_analysis[0].analysis_steps, vec![2]);
+        assert_eq!(report.schedule.per_analysis[0].analysis_steps(), vec![2]);
         // one spin where the static schedule has four: at the spin's 5 ms
         // floor the static run (>= 20 ms) could not have met the 8 ms
         // budget. The adaptive run's own wall total is not asserted — a

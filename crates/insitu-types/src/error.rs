@@ -28,22 +28,6 @@ pub enum TypeError {
     },
     /// The problem must simulate at least one step.
     ZeroSteps,
-    /// A schedule referenced a step outside `1..=steps`.
-    StepOutOfRange {
-        /// Which analysis the step belongs to.
-        analysis: String,
-        /// The offending step index.
-        step: usize,
-        /// Total number of steps in the problem.
-        steps: usize,
-    },
-    /// An output step was scheduled where no analysis step exists.
-    OutputWithoutAnalysis {
-        /// Which analysis the output belongs to.
-        analysis: String,
-        /// The offending output step.
-        step: usize,
-    },
     /// Two analyses share the same name; names key the schedule.
     DuplicateAnalysis {
         /// The duplicated name.
@@ -77,18 +61,6 @@ impl fmt::Display for TypeError {
                 write!(f, "analysis `{analysis}`: minimum interval itv must be >= 1")
             }
             TypeError::ZeroSteps => write!(f, "problem must have at least one simulation step"),
-            TypeError::StepOutOfRange {
-                analysis,
-                step,
-                steps,
-            } => write!(
-                f,
-                "analysis `{analysis}`: step {step} outside valid range 1..={steps}"
-            ),
-            TypeError::OutputWithoutAnalysis { analysis, step } => write!(
-                f,
-                "analysis `{analysis}`: output at step {step} has no matching analysis step"
-            ),
             TypeError::DuplicateAnalysis { analysis } => {
                 write!(f, "duplicate analysis name `{analysis}`")
             }

@@ -678,11 +678,11 @@ impl ToJson for AnalysisSchedule {
         let mut m = BTreeMap::new();
         m.insert(
             "analysis_steps".into(),
-            Value::Array(self.analysis_steps.iter().map(|&j| unum(j)).collect()),
+            Value::Array(self.analysis_steps().iter().map(|&j| unum(j)).collect()),
         );
         m.insert(
             "output_steps".into(),
-            Value::Array(self.output_steps.iter().map(|&j| unum(j)).collect()),
+            Value::Array(self.output_steps().iter().map(|&j| unum(j)).collect()),
         );
         Value::Object(m)
     }

@@ -1,23 +1,27 @@
 //! Schedules: the decision variables `C` (analysis steps) and `O` (output
 //! steps) of the optimization problem, per analysis.
 
-use crate::error::TypeError;
 use crate::problem::ScheduleProblem;
 use crate::units::Seconds;
 
 /// The schedule of one analysis: which simulation steps it runs after, and
 /// at which of those it writes output. Steps are 1-based (step `j` means
 /// "after the j-th simulation step"), matching the paper's `j ∈ {1..Steps}`.
+///
+/// `C_i` and `O_i` are sets, as in the paper: both lists are strictly
+/// increasing, because [`AnalysisSchedule::new`] is the only way to fill
+/// them. What depends on the problem — step 0, steps past `Steps`, an
+/// output without an analysis step — stays representable; the exact replay
+/// (`certify::replay`) judges it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct AnalysisSchedule {
-    /// `C_i` — sorted, deduplicated analysis steps.
-    pub analysis_steps: Vec<usize>,
-    /// `O_i ⊆ C_i` — sorted, deduplicated output steps.
-    pub output_steps: Vec<usize>,
+    analysis_steps: Vec<usize>,
+    output_steps: Vec<usize>,
 }
 
 impl AnalysisSchedule {
-    /// Builds a schedule from (possibly unsorted) step lists.
+    /// Builds a schedule from step lists in any order, with repeats: each
+    /// list is sorted and deduplicated into the set it names.
     pub fn new(mut analysis_steps: Vec<usize>, mut output_steps: Vec<usize>) -> Self {
         analysis_steps.sort_unstable();
         analysis_steps.dedup();
@@ -27,6 +31,16 @@ impl AnalysisSchedule {
             analysis_steps,
             output_steps,
         }
+    }
+
+    /// `C_i` — the analysis steps, strictly increasing.
+    pub fn analysis_steps(&self) -> &[usize] {
+        &self.analysis_steps
+    }
+
+    /// `O_i` — the output steps, strictly increasing.
+    pub fn output_steps(&self) -> &[usize] {
+        &self.output_steps
     }
 
     /// `|C_i|` — how many times the analysis runs.
@@ -104,33 +118,6 @@ impl Schedule {
             .filter(|(_, s)| s.count() > 0)
             .map(|(i, s)| problem.analyses[i].total_time(steps, s.count(), s.output_count()))
             .sum()
-    }
-
-    /// Basic structural validation: steps in range, outputs subset of
-    /// analysis steps, one schedule per candidate analysis.
-    pub fn validate_structure(&self, problem: &ScheduleProblem) -> Result<(), TypeError> {
-        let steps = problem.resources.steps;
-        for (i, s) in self.per_analysis.iter().enumerate() {
-            let name = &problem.analyses[i].name;
-            for &j in s.analysis_steps.iter().chain(&s.output_steps) {
-                if j == 0 || j > steps {
-                    return Err(TypeError::StepOutOfRange {
-                        analysis: name.clone(),
-                        step: j,
-                        steps,
-                    });
-                }
-            }
-            for &j in &s.output_steps {
-                if !s.runs_at(j) {
-                    return Err(TypeError::OutputWithoutAnalysis {
-                        analysis: name.clone(),
-                        step: j,
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Renders a human-readable frequency summary like the paper's tables:
@@ -219,26 +206,6 @@ mod tests {
         assert_eq!(sched.total_time(&p), 0.0);
         assert_eq!(sched.objective(&p), 0.0);
         assert!(sched.active().is_empty());
-    }
-
-    #[test]
-    fn structure_validation() {
-        let p = problem();
-        let mut sched = Schedule::empty(2);
-        sched.per_analysis[0] = AnalysisSchedule::new(vec![101], vec![]);
-        assert!(matches!(
-            sched.validate_structure(&p),
-            Err(TypeError::StepOutOfRange { .. })
-        ));
-        let mut sched = Schedule::empty(2);
-        sched.per_analysis[0] = AnalysisSchedule::new(vec![10], vec![10]);
-        assert!(sched.validate_structure(&p).is_ok());
-        sched.per_analysis[0].output_steps = vec![11];
-        // bypass constructor to simulate corrupt data
-        assert!(matches!(
-            sched.validate_structure(&p),
-            Err(TypeError::OutputWithoutAnalysis { .. })
-        ));
     }
 
     #[test]

@@ -222,6 +222,6 @@ mod tests {
     fn sim_output_events_do_not_advance_analysis_steps() {
         let trace = CouplingTrace::parse("S Os S A").unwrap();
         let sched = trace.to_schedule(1);
-        assert_eq!(sched.per_analysis[0].analysis_steps, vec![2]);
+        assert_eq!(sched.per_analysis[0].analysis_steps(), vec![2]);
     }
 }

@@ -45,16 +45,16 @@ proptest! {
     fn schedules_are_canonical((schedule, _steps) in arb_schedule()) {
         for s in &schedule.per_analysis {
             // sorted and deduplicated
-            prop_assert!(s.analysis_steps.windows(2).all(|w| w[0] < w[1]));
-            prop_assert!(s.output_steps.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(s.analysis_steps().windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(s.output_steps().windows(2).all(|w| w[0] < w[1]));
             // outputs are a subset of analysis steps by construction here
-            for &o in &s.output_steps {
+            for &o in s.output_steps() {
                 prop_assert!(s.runs_at(o));
             }
             // min_gap consistent with the raw list
             if let Some(g) = s.min_gap() {
                 prop_assert!(g >= 1);
-                prop_assert!(s.analysis_steps.windows(2).any(|w| w[1] - w[0] == g));
+                prop_assert!(s.analysis_steps().windows(2).any(|w| w[1] - w[0] == g));
             }
         }
     }

@@ -43,6 +43,23 @@ fn schedule_round_trips_through_json() {
     let back: Schedule = json::from_str(&text).unwrap();
     assert_eq!(back, s);
     assert_eq!(back.per_analysis[0].count(), 3);
+
+    // a hand-edited document: steps out of order and repeated decode to the
+    // sets `AnalysisSchedule::new` makes of them, and re-encode sorted
+    let edited = r#"{"per_analysis": [
+        {"analysis_steps": [300, 100, 200, 100], "output_steps": [300, 300]},
+        {"analysis_steps": [7, 7], "output_steps": []}
+    ]}"#;
+    let back: Schedule = json::from_str(edited).unwrap();
+    let mut sets = s.clone();
+    sets.per_analysis[1] = insitu_types::AnalysisSchedule::new(vec![7], vec![]);
+    assert_eq!(back, sets);
+    assert_eq!(back.per_analysis[0].analysis_steps(), [100, 200, 300]);
+    assert_eq!(back.per_analysis[0].output_steps(), [300]);
+    assert_eq!(
+        json::to_string(&back),
+        r#"{"per_analysis":[{"analysis_steps":[100,200,300],"output_steps":[300]},{"analysis_steps":[7],"output_steps":[]}]}"#
+    );
 }
 
 #[test]

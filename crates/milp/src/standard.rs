@@ -20,7 +20,6 @@
 //! solve (and once per change of the root cut-row set), never per LP.
 
 use crate::error::SolveError;
-use crate::expr::LinExpr;
 use crate::model::{Cmp, Model, Sense, VarKind};
 
 /// Compressed-sparse-column matrix — the native storage of the
@@ -369,15 +368,10 @@ impl StandardForm {
     }
 }
 
-/// Builds the `LinExpr` objective evaluated against model variables — test
-/// helper exported for integration tests.
-pub fn eval_objective(model: &Model, assignment: &[f64]) -> f64 {
-    LinExpr::eval(&model.objective, assignment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::LinExpr;
     use crate::model::{Cmp, Model, Sense};
 
     #[test]

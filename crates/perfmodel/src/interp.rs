@@ -35,7 +35,7 @@ impl BilinearGrid {
     /// `xs.len()` values.
     ///
     /// # Panics
-    /// Panics when the axes are not strictly increasing or sizes mismatch.
+    /// Panics unless both axes are strictly increasing, or when sizes mismatch.
     pub fn new(xs: Vec<f64>, ys: Vec<f64>, z: Vec<f64>) -> Self {
         Self::with_scales(xs, ys, z, false, false, false)
     }

@@ -8,7 +8,7 @@
 //! allocation sizes exactly).
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A simple wall-clock stopwatch.
 #[derive(Debug, Clone)]
@@ -136,11 +136,6 @@ pub fn spin_for(secs: f64) {
     while sw.elapsed() < secs {
         std::hint::spin_loop();
     }
-}
-
-/// Converts a [`Duration`] to seconds (convenience re-export point).
-pub fn duration_secs(d: Duration) -> f64 {
-    d.as_secs_f64()
 }
 
 #[cfg(test)]

@@ -36,10 +36,12 @@ run cargo test --release -q -p integration-tests --test search_pin
 
 # likewise the exact replay: its differential against the per-step
 # recursion kept as `replay::reference`, and the two recordings made
-# before it became event-driven (`replay_pin`: 2 304 triples, broken
+# before it became event-driven (`replay_pin`: 1 920 triples, broken
 # schedules and carries included; `replay_pin_events`: the time series,
 # sparse long runs, the overflow boundary), on the optimised build every
-# reply is checked with. Deeper soaks: PROPTEST_CASES=300000
+# reply is checked with. A step list out of order or repeating a step is
+# out of both families: `AnalysisSchedule` cannot hold one.
+# Deeper soaks: PROPTEST_CASES=300000
 run cargo test --release -q -p certify
 run cargo test --release -q -p integration-tests --test replay_pin --test replay_pin_events
 
@@ -100,7 +102,9 @@ run head -n 4 target/trace_view.tree.txt
 # Eqs. 1-9 have one formulation and no discrete-event replay beside the
 # exact one, and since PR 22 each model has one solve function and every
 # door one solve-and-stamp body; the search is one serial loop with no
-# worker count to report. History files (CHANGES.md, ROADMAP.md,
+# worker count to report; step lists are sets by construction, so the
+# replay is the one structural judge and has no unordered-list complaint.
+# History files (CHANGES.md, ROADMAP.md,
 # EXPERIMENTS.md) and benchmark/ are not searched.
 retired='service_bench|sim_bench|bench_diff|adaptive_smoke|timeline_smoke|obs_smoke'
 retired="$retired|BENCH_service\\.json|BENCH_sim\\.json|observe_agg"
@@ -109,6 +113,8 @@ retired="$retired|cosched|ReplaySite|ReplayCost"
 retired="$retired|solve_aggregate_counts|solve_exact_with_hint|solve_exact_with_stats"
 retired="$retired|AggregateSolution|RescheduleOutcome"
 retired="$retired|milp\\.threads|THREAD_SWEEP"
+retired="$retired|validate_structure|StepOutOfRange|OutputWithoutAnalysis"
+retired="$retired|eval_objective|duration_secs|not strictly increasing"
 echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then

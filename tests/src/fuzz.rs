@@ -20,7 +20,7 @@ use insitu_core::placement::place_schedule;
 use insitu_core::{build_aggregate, formulation, validate_schedule};
 use insitu_types::json::{FromJson, ToJson, Value};
 use insitu_types::{
-    AnalysisProfile, ResourceConfig, Schedule, ScheduleProblem, SearchCertificate,
+    AnalysisProfile, AnalysisSchedule, ResourceConfig, Schedule, ScheduleProblem, SearchCertificate,
 };
 use milp::{Solution, SolveError, SolveOptions, SolveStats};
 use rand::rngs::StdRng;
@@ -259,8 +259,9 @@ pub fn witness_agrees(
 ) -> Result<(), String> {
     let mut truncated = schedule.clone();
     for s in &mut truncated.per_analysis {
-        if let Some(last) = s.analysis_steps.pop() {
-            s.output_steps.retain(|&j| j != last);
+        if let Some((&last, kept)) = s.analysis_steps().split_last() {
+            let outs = s.output_steps().iter().copied().filter(|&j| j != last).collect();
+            *s = AnalysisSchedule::new(kept.to_vec(), outs);
         }
     }
     let schedules = [schedule.clone(), Schedule::empty(problem.len()), truncated];

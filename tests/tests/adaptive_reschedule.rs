@@ -135,7 +135,7 @@ fn adaptive_finishes_within_the_budget_the_static_schedule_blows() {
         first.verdict
     );
     // fewer hog runs than the static 10, and the executed prefix is kept
-    let hog_runs = &adaptive.schedule.per_analysis[0].analysis_steps;
+    let hog_runs = adaptive.schedule.per_analysis[0].analysis_steps();
     assert!(hog_runs.len() < 10, "hog must be throttled: {hog_runs:?}");
     assert_eq!(hog_runs[0], 4);
 

@@ -109,8 +109,8 @@ fn exact_model_admits_outputs_after_accumulated_compute_buffers() {
         ..
     } = solve_aggregate(&p, &opts(), None).unwrap();
     assert_eq!(agg_obj, 7.0);
-    assert_eq!(agg_sched.per_analysis[0].analysis_steps, vec![2, 4, 6, 8, 10, 12]);
-    assert_eq!(agg_sched.per_analysis[0].output_steps, vec![4, 8, 12]);
+    assert_eq!(agg_sched.per_analysis[0].analysis_steps(), vec![2, 4, 6, 8, 10, 12]);
+    assert_eq!(agg_sched.per_analysis[0].output_steps(), vec![4, 8, 12]);
     assert!(validate_schedule(&p, &agg_sched).is_feasible());
 
     let Solved {

@@ -99,7 +99,7 @@ fn broken(rng: &mut StdRng, p: &ScheduleProblem, placed: &Schedule, how: Break) 
     let i = rng.gen_range(0..p.len());
     let itv = p.analyses[i].min_interval.max(1);
     let a = &mut s.per_analysis[i];
-    let (mut runs, mut outs) = (a.analysis_steps.clone(), a.output_steps.clone());
+    let (mut runs, mut outs) = (a.analysis_steps().to_vec(), a.output_steps().to_vec());
     if a.count() < 2 || how == Dense {
         runs = (1..=steps).filter(|j| j % itv == 0).collect();
         outs = runs.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
@@ -172,7 +172,7 @@ fn carries(rng: &mut StdRng, p: &ScheduleProblem, s: &Schedule) -> Vec<SuffixCar
         let mut c = SuffixCarry::fresh(n);
         for (i, a) in s.per_analysis.iter().enumerate().take(n) {
             let itv = p.analyses[i].min_interval.max(1);
-            if let Some(&j) = a.analysis_steps.first().filter(|&&j| itv >= j + slack) {
+            if let Some(&j) = a.analysis_steps().first().filter(|&&j| itv >= j + slack) {
                 c.steps_since_run[i] = Some(itv - j - slack);
                 c.held_mem[i] = Some(Held::held(p.analyses[i].fixed_mem));
                 break;
@@ -278,7 +278,7 @@ fn replays_match_the_recording_made_before_they_shared_one_body() {
                 }
                 for (i, a) in s.per_analysis.iter().enumerate() {
                     let itv = p.analyses[i].min_interval.max(1);
-                    if let (Some(gap), Some(&j)) = (carry.steps_since_run[i], a.analysis_steps.first()) {
+                    if let (Some(gap), Some(&j)) = (carry.steps_since_run[i], a.analysis_steps().first()) {
                         count("clock admits a run too early from zero", j < itv && gap + j >= itv);
                         count("clock rejects a first run", gap + j < itv);
                     }

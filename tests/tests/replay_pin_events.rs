@@ -92,7 +92,7 @@ fn broken(rng: &mut StdRng, p: &ScheduleProblem, placed: &Schedule, how: Break) 
     let i = rng.gen_range(0..p.len());
     let itv = p.analyses[i].min_interval.max(1);
     let a = &mut s.per_analysis[i];
-    let (mut runs, mut outs) = (a.analysis_steps.clone(), a.output_steps.clone());
+    let (mut runs, mut outs) = (a.analysis_steps().to_vec(), a.output_steps().to_vec());
     if a.count() < 2 || how == Dense {
         runs = (1..=steps).filter(|j| j % itv == 0).collect();
         outs = runs.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
