@@ -21,12 +21,11 @@ use insitu_core::formulation::build_exact;
 use milp::lu::{Factorization, LuFactors};
 use milp::revised::solve_standard_revised;
 use milp::standard::StandardForm;
-use milp::{Model, SolveOptions};
+use milp::Model;
 
 fn bench_basis(c: &mut Criterion, label: &str, model: &Model) {
     let sf = StandardForm::from_model(model).expect("lowers");
-    let opts = SolveOptions::default();
-    let root = solve_standard_revised(&sf, &opts, None).expect("root LP");
+    let root = solve_standard_revised(&sf, None).expect("root LP");
     println!(
         "  {label}: cold root LP in {} pivots, {} refactorizations",
         root.iterations, root.telemetry.refactorizations
@@ -42,7 +41,7 @@ fn bench_basis(c: &mut Criterion, label: &str, model: &Model) {
     );
     let mut g = c.benchmark_group(format!("lu_kernels/{label}"));
     g.bench_function("cold_root_lp", |b| {
-        b.iter(|| solve_standard_revised(&sf, &opts, None).expect("root LP").objective)
+        b.iter(|| solve_standard_revised(&sf, None).expect("root LP").objective)
     });
     g.bench_function("factor", |b| b.iter(factor));
     let fac = Factorization::new(factor());

@@ -11,7 +11,7 @@ use amrsim::analysis::{f1_vorticity, f2_l1_norm, f3_l2_norm};
 use amrsim::sedov::SedovSetup;
 use amrsim::FlashSim;
 use insitu_core::runtime::Simulator;
-use mdsim::analysis::{a1_hydronium_rdf, a2_ion_rdf, a4_msd, r1_gyration, r2_membrane_histogram};
+use mdsim::analysis::{a1_hydronium_rdf, a4_msd, r1_gyration, r2_membrane_histogram};
 use mdsim::{water_ions, BuilderParams};
 use parallel::Exec;
 use perfmodel::Stopwatch;
@@ -47,19 +47,24 @@ pub struct UnitCosts {
     pub anchor_threads: usize,
 }
 
-/// Wall time of one call of `f`: the fastest of `reps` timed calls after
-/// a warm-up. A rep that the host preempts only ever reads high, so the
-/// minimum is the estimate a loaded machine cannot inflate — the cost
-/// *orderings* the tests and the scheduler rely on survive a busy host.
-fn time_per<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    f();
-    (0..reps)
-        .map(|_| {
-            let sw = Stopwatch::start();
-            std::hint::black_box(f());
-            sw.elapsed()
-        })
-        .fold(f64::INFINITY, f64::min)
+/// Rounds [`measure_all`] makes over the kernels.
+const ROUNDS: usize = 4;
+/// Calls per round of each kernel that costs well under a millisecond.
+const CHEAP_REPS: usize = 8;
+
+/// Runs `f` once and lowers `best` to its wall time if that was faster.
+///
+/// A call that the host preempts or starves only ever reads high, so the
+/// fastest call is the estimate a loaded machine cannot inflate. But
+/// contention comes in stretches, so the calls of one kernel must not all
+/// fall in one stretch: [`measure_all`] makes
+/// several rounds over every kernel and keeps each kernel's fastest call
+/// across all of them. Kernels whose costs the tests compare (F1 and F2)
+/// run back to back in every round and so meet the same conditions.
+fn keep_fastest<T>(best: &mut f64, f: impl FnOnce() -> T) {
+    let sw = Stopwatch::start();
+    std::hint::black_box(f());
+    *best = best.min(sw.elapsed());
 }
 
 /// Measures every unit cost once per process (cached).
@@ -69,6 +74,8 @@ pub fn unit_costs() -> &'static UnitCosts {
 }
 
 fn measure_all() -> UnitCosts {
+    use insitu_core::runtime::Analysis as _;
+
     // --- MD side: one 20k-atom water+ions system ---
     let n_md = 20_000;
     let mut sys = water_ions(&BuilderParams {
@@ -83,26 +90,14 @@ fn measure_all() -> UnitCosts {
         sys.step();
     }
     let mut a1 = a1_hydronium_rdf();
-    let rdf_t = time_per(3, || a1.accumulate(&sys));
-    let mut a2 = a2_ion_rdf();
-    let _ = time_per(1, || a2.accumulate(&sys));
-
-    use insitu_core::runtime::Analysis as _;
     let mut msd = a4_msd();
     msd.setup(&sys);
     let tracked = msd_tracked(&sys);
-    let msd_t = time_per(5, || std::hint::black_box(msd.compute(&sys)));
-
     let mut vacf = mdsim::analysis::a3_vacf(16);
     vacf.setup(&sys);
     for _ in 0..16 {
         vacf.record(&sys);
     }
-    let vacf_t = time_per(5, || {
-        vacf.compute();
-        vacf.correlation.len()
-    });
-
     let mut rho = mdsim::rhodopsin_proxy(&BuilderParams {
         n_particles: n_md,
         ..Default::default()
@@ -110,11 +105,7 @@ fn measure_all() -> UnitCosts {
     rho.exec = Exec::serial();
     let r1 = r1_gyration();
     let protein = rho.species_count(mdsim::Species::Protein).max(1);
-    let r1_t = time_per(5, || std::hint::black_box(r1.compute(&rho)));
     let mut r2 = r2_membrane_histogram(64);
-    let r2_t = time_per(3, || r2.accumulate(&rho));
-
-    let step_t = time_per(3, || sys.step());
 
     // --- hydro side: 4³ blocks of 12³ cells ---
     let mut sim = FlashSim::sedov(4, 12, SedovSetup::default());
@@ -124,13 +115,37 @@ fn measure_all() -> UnitCosts {
     }
     let cells = sim.mesh.total_cells() as f64;
     let mut f1 = f1_vorticity();
-    let f1_t = time_per(3, || std::hint::black_box(f1.compute(&sim)));
     let mut f2 = f2_l1_norm();
-    let f2_t = time_per(3, || std::hint::black_box(f2.compute(&sim)));
     let mut f3 = f3_l2_norm();
     let f3_samples = f3.samples_per_step(&sim) as f64;
-    let f3_t = time_per(5, || std::hint::black_box(f3.compute(&sim)));
-    let hydro_t = time_per(2, || sim.advance());
+
+    let [mut rdf_t, mut msd_t, mut vacf_t, mut r1_t, mut r2_t, mut step_t] = [f64::INFINITY; 6];
+    let [mut f1_t, mut f2_t, mut f3_t, mut hydro_t] = [f64::INFINITY; 4];
+    for _ in 0..ROUNDS {
+        keep_fastest(&mut rdf_t, || a1.accumulate(&sys));
+        for _ in 0..CHEAP_REPS {
+            keep_fastest(&mut msd_t, || msd.compute(&sys));
+        }
+        for _ in 0..CHEAP_REPS {
+            keep_fastest(&mut vacf_t, || {
+                vacf.compute();
+                vacf.correlation.len()
+            });
+        }
+        for _ in 0..CHEAP_REPS {
+            keep_fastest(&mut r1_t, || r1.compute(&rho));
+        }
+        keep_fastest(&mut r2_t, || r2.accumulate(&rho));
+        keep_fastest(&mut step_t, || sys.step());
+        for _ in 0..2 {
+            keep_fastest(&mut f1_t, || f1.compute(&sim));
+            keep_fastest(&mut f2_t, || f2.compute(&sim));
+        }
+        for _ in 0..CHEAP_REPS {
+            keep_fastest(&mut f3_t, || f3.compute(&sim));
+        }
+        keep_fastest(&mut hydro_t, || sim.advance());
+    }
 
     let vacf_window = 16.0;
     UnitCosts {

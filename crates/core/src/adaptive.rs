@@ -8,8 +8,7 @@
 //! the pieces the adaptive coupler composes into a
 //! model-predictive-control loop:
 //!
-//! * [`AdaptiveConfig`] — when to check, what trips a reschedule, and how
-//!   the mid-run re-solve is configured;
+//! * [`AdaptiveConfig`] — how the mid-run re-solve is configured;
 //! * [`remaining_problem`] — rebuilds the [`ScheduleProblem`] for the
 //!   steps still ahead from the *measured* cost prefix and the remaining
 //!   budget;
@@ -33,52 +32,19 @@ use crate::runtime::AnalysisTimes;
 
 /// Configuration of the adaptive control loop.
 ///
-/// The defaults check after every step, trigger only on measured
-/// pro-rated-budget violations (drift triggering is off —
-/// `drift_threshold` is infinite), wait 4 steps between reschedules and
-/// allow at most 3 of them.
-#[derive(Debug, Clone)]
+/// The loop itself is fixed: after every step it checks the budget
+/// trigger, then waits 4 steps after an attempt and stops after 3 attempts
+/// per run (`docs/ADAPTIVE.md`).
+#[derive(Debug, Clone, Default)]
 pub struct AdaptiveConfig {
-    /// Evaluate the triggers every this many steps (min 1).
-    pub check_every: usize,
-    /// Trip when `measured_cum - predicted_cum` exceeds this many seconds
-    /// (absolute, positive drift only — running *faster* than the model
-    /// never forces a reschedule). `f64::INFINITY` disables the drift
-    /// trigger.
-    pub drift_threshold: f64,
-    /// Trip when the measured analysis time since the last adopted
-    /// schedule exceeds that schedule's pro-rated budget (see
-    /// `docs/ADAPTIVE.md` for the reset-baseline semantics).
-    pub trigger_on_budget: bool,
-    /// Minimum number of steps between consecutive reschedules, so one
-    /// slow step cannot thrash the solver.
-    pub cooldown_steps: usize,
-    /// Hard cap on reschedules per run.
-    pub max_reschedules: usize,
     /// Options for the mid-run MILP re-solves, which solve the aggregate
     /// model.
     pub solver: SolveOptions,
 }
 
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            check_every: 1,
-            drift_threshold: f64::INFINITY,
-            trigger_on_budget: true,
-            cooldown_steps: 4,
-            max_reschedules: 3,
-            solver: SolveOptions::default(),
-        }
-    }
-}
-
 /// What tripped a reschedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TriggerReason {
-    /// Cumulative measured-minus-predicted drift crossed
-    /// [`AdaptiveConfig::drift_threshold`].
-    Drift,
     /// Measured analysis time crossed the incumbent schedule's pro-rated
     /// budget.
     Budget,
@@ -87,7 +53,6 @@ pub enum TriggerReason {
 impl std::fmt::Display for TriggerReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            TriggerReason::Drift => "drift",
             TriggerReason::Budget => "budget",
         })
     }
@@ -274,6 +239,21 @@ mod tests {
         .unwrap()
     }
 
+    /// Every field is named and there is no `..`: adding a knob to
+    /// [`AdaptiveConfig`] breaks this test, so the next option is a visible
+    /// diff here and not only in the struct.
+    #[test]
+    fn every_field_is_named() {
+        let c = AdaptiveConfig {
+            solver: SolveOptions::default(),
+        };
+        let d = AdaptiveConfig::default();
+        assert_eq!(
+            (c.solver.max_nodes, c.solver.threads, c.solver.certificate),
+            (d.solver.max_nodes, d.solver.threads, d.solver.certificate)
+        );
+    }
+
     #[test]
     fn remaining_problem_uses_measured_averages_and_remaining_budget() {
         let p = two_analysis_problem();
@@ -351,6 +331,5 @@ mod tests {
         );
         assert_eq!(parsed.get("reason").and_then(Value::as_str), Some("budget"));
         assert_eq!(parsed.get("adopted"), Some(&Value::Bool(true)));
-        assert_eq!(format!("{}", TriggerReason::Drift), "drift");
     }
 }

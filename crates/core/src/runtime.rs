@@ -447,6 +447,12 @@ impl<'a, 'b, Sim: Simulator> Coupler<'a, 'b, Sim> {
     }
 }
 
+/// Steps after a reschedule attempt before the budget trigger is checked
+/// again, so one slow step cannot thrash the solver.
+const COOLDOWN_STEPS: usize = 4;
+/// Reschedule attempts per adaptive run, adopted or not.
+const MAX_RESCHEDULES: usize = 3;
+
 /// Result of an adaptive coupled run ([`run_coupled_adaptive`]).
 #[derive(Debug, Clone)]
 pub struct AdaptiveReport {
@@ -481,21 +487,18 @@ impl AdaptiveReport {
 }
 
 /// [`run_coupled_traced`] wrapped in a model-predictive control loop:
-/// executes `schedule`, monitors measured cost against the Eq. 2–4
-/// prediction after every `adaptive.check_every` steps, and when a
-/// trigger trips re-solves the MILP for the remaining steps from the
-/// *measured* cost prefix and swaps the new schedule in without stopping
-/// the simulation.
+/// executes `schedule`, monitors measured cost against the schedule's
+/// pro-rated budget after every step, and when the trigger trips re-solves
+/// the MILP for the remaining steps from the *measured* cost prefix and
+/// swaps the new schedule in without stopping the simulation. An attempt
+/// is followed by 4 steps without one, and a run makes at most 3.
 ///
 /// The control loop (full contract in `docs/ADAPTIVE.md`):
 ///
 /// 1. **Monitor** — accumulate measured setup/per-step/analyze/output
 ///    time (the same stopwatch brackets as [`run_coupled`]). After step
-///    `j`, trip on either trigger:
-///    * *budget*: measured time since the last adopted schedule exceeds
-///      that schedule's pro-rated budget `cth' · (j − j₀)`;
-///    * *drift*: `measured_cum − predicted[j]` exceeds
-///      [`AdaptiveConfig::drift_threshold`].
+///    `j`, trip when the measured time since the last adopted schedule
+///    exceeds that schedule's pro-rated budget `cth' · (j − j₀)`.
 /// 2. **Re-model** — [`remaining_problem`] rebuilds the suffix problem
 ///    from measured per-call averages and the remaining budget.
 /// 3. **Re-solve** — [`Advisor::recommend_remaining`] warm-starts the
@@ -549,7 +552,6 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
         ));
     }
     let steps = cfg.steps;
-    let check_every = adaptive.check_every.max(1);
     let advisor = Advisor::new(AdvisorOptions {
         solver: adaptive.solver.clone(),
         ..AdvisorOptions::default()
@@ -587,30 +589,20 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
         coupler.step(j, &cur);
         let measured_cum = coupler.measured_cum;
 
-        // ---- control loop: evaluate triggers after step j ----
-        if j == steps || j % check_every != 0 {
-            continue;
-        }
-        if reschedules.len() >= adaptive.max_reschedules {
-            continue;
-        }
-        if let Some(last) = last_attempt {
-            if j < last + adaptive.cooldown_steps.max(1) {
-                continue;
-            }
-        }
-        let drift = measured_cum - predicted[j];
-        let reason = if adaptive.trigger_on_budget
-            && base_rate.is_finite()
-            && measured_cum - base_measured > base_rate * (j - base_step) as f64
+        // ---- control loop: evaluate the trigger after step j ----
+        if j == steps
+            || reschedules.len() >= MAX_RESCHEDULES
+            || last_attempt.is_some_and(|last| j < last + COOLDOWN_STEPS)
         {
-            Some(TriggerReason::Budget)
-        } else if adaptive.drift_threshold.is_finite() && drift > adaptive.drift_threshold {
-            Some(TriggerReason::Drift)
-        } else {
-            None
-        };
-        let Some(reason) = reason else { continue };
+            continue;
+        }
+        let over_budget = base_rate.is_finite()
+            && measured_cum - base_measured > base_rate * (j - base_step) as f64;
+        if !over_budget {
+            continue;
+        }
+        let reason = TriggerReason::Budget;
+        let drift = measured_cum - predicted[j];
         last_attempt = Some(j);
 
         // each attempt gets a derived child context: same lane (trace
@@ -1030,11 +1022,13 @@ mod tests {
 
     #[test]
     fn adaptive_run_with_both_triggers_off_is_the_static_run() {
+        // the default loop over a budget no Recorder can reach: the
+        // trigger never trips, so the run is the static one
         let p = ScheduleProblem::new(
             ["a", "idle", "c"]
                 .map(|n| AnalysisProfile::new(n).with_compute(0.001, 0.0).with_interval(2))
                 .to_vec(),
-            ResourceConfig::from_total_threshold(9, 10.0, 1e9, 1e9),
+            ResourceConfig::from_total_threshold(9, 1e6, 1e9, 1e9),
         )
         .unwrap();
         let mut schedule = Schedule::empty(3);
@@ -1055,13 +1049,14 @@ mod tests {
             let mut sim = CounterSim { step: 0, outputs: 0 };
             let mut analyses = recorders();
             let report = if adaptive {
-                let off = AdaptiveConfig {
-                    trigger_on_budget: false,
-                    drift_threshold: f64::INFINITY,
-                    ..AdaptiveConfig::default()
-                };
                 let r = run_coupled_adaptive(
-                    &mut sim, &mut analyses, &p, &schedule, &cfg, &off, &trace,
+                    &mut sim,
+                    &mut analyses,
+                    &p,
+                    &schedule,
+                    &cfg,
+                    &AdaptiveConfig::default(),
+                    &trace,
                 )
                 .unwrap();
                 assert!(r.reschedules.is_empty());

@@ -118,12 +118,17 @@ impl Ord for Node {
     }
 }
 
+/// Integrality and feasibility tolerance: a value within this of an
+/// integer is integral, and presolve's bound and row tests allow this much
+/// slack. Rounded LP points are checked against the model at ten times it.
+pub(crate) const INT_TOL: f64 = 1e-6;
+
 /// One fractional integer variable of a node's LP point.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     var: usize,
     value: f64,
-    /// Fractional part, in `(tol, 1 - tol)`.
+    /// Fractional part, in `(INT_TOL, 1 - INT_TOL)`.
     frac: f64,
     /// Distance to 0.5 (smaller = more fractional).
     dist: f64,
@@ -131,12 +136,12 @@ struct Candidate {
 
 /// Every fractional variable among `int_vars` (ascending) of an LP point,
 /// in ascending variable order. Empty means the point is integral.
-fn fractional_candidates(int_vars: &[usize], values: &[f64], tol: f64) -> Vec<Candidate> {
+fn fractional_candidates(int_vars: &[usize], values: &[f64]) -> Vec<Candidate> {
     let mut out = Vec::new();
     for &i in int_vars {
         let v = values[i];
         let frac = v - v.floor();
-        if frac > tol && frac < 1.0 - tol {
+        if frac > INT_TOL && frac < 1.0 - INT_TOL {
             out.push(Candidate {
                 var: i,
                 value: v,
@@ -233,12 +238,7 @@ enum Probe {
 /// branching bound, last. Warm-started from the parent's factorized
 /// basis. Reads nothing but its arguments, so a node's probes can run on
 /// any threads; [`Search::account`] counts the result.
-fn child_lp(
-    sf: &StandardForm,
-    opts: &SolveOptions,
-    warm: Option<&FactoredBasis<'_>>,
-    bounds: &[ColBound],
-) -> Probe {
+fn child_lp(sf: &StandardForm, warm: Option<&FactoredBasis<'_>>, bounds: &[ColBound]) -> Probe {
     // the branching column's domain, after every override on it
     let &(col, ..) = bounds.last().expect("a child has a branching bound");
     let (lo, hi) = bounds
@@ -250,7 +250,7 @@ fn child_lp(
     if lo > hi {
         return Probe::Empty;
     }
-    match solve_bound_edit(sf, bounds, opts, warm) {
+    match solve_bound_edit(sf, bounds, warm) {
         Ok(point) => Probe::Solved(Box::new(point)),
         Err(SolveError::Infeasible) => Probe::Infeasible,
         Err(e) => Probe::Fatal(e),
@@ -305,12 +305,12 @@ const STRONG_BRANCH_DEPTH: usize = 4;
 const STRONG_BRANCH_LIMIT: usize = 8;
 
 /// Rounds the integer variables of an LP point and keeps it if feasible.
-fn rounded_candidate(model: &Model, values: &[f64], tol: f64) -> Option<(Vec<f64>, f64)> {
+fn rounded_candidate(model: &Model, values: &[f64]) -> Option<(Vec<f64>, f64)> {
     let mut values = values.to_vec();
     for i in model.integer_vars() {
         values[i] = values[i].round();
     }
-    if model.is_feasible(&values, tol * 10.0) {
+    if model.is_feasible(&values, INT_TOL * 10.0) {
         let objective = model.objective_value(&values);
         Some((values, objective))
     } else {
@@ -464,7 +464,7 @@ impl Search<'_> {
     /// fractional one is branched. Returns the child the dive continues
     /// with; its sibling, if it survives, goes on the heap.
     fn expand(&mut self, node: Node) -> Result<Option<Node>, SolveError> {
-        let cands = fractional_candidates(&self.int_vars, &node.values, self.opts.tol);
+        let cands = fractional_candidates(&self.int_vars, &node.values);
         if cands.is_empty() {
             // integral: candidate incumbent (snap values to integers)
             let mut values = node.values;
@@ -507,7 +507,7 @@ impl Search<'_> {
             let probe = match cached.as_mut() {
                 Some(pair) => pair[side].take().expect("probe consumed once"),
                 None => {
-                    let probe = child_lp(self.sf, self.opts, warm.as_ref(), &overrides);
+                    let probe = child_lp(self.sf, warm.as_ref(), &overrides);
                     self.account(&probe);
                     if let Probe::Solved(point) = &probe {
                         // child solves feed the table too
@@ -593,15 +593,15 @@ impl Search<'_> {
         let mut probes: Vec<Option<[Probe; 2]>> = (0..cands.len()).map(|_| None).collect();
         if !strong.is_empty() {
             self.stats.strong_branch_calls += 1;
-            let (sf, opts) = (self.sf, self.opts);
+            let sf = self.sf;
             let (evals, _) = map_chunks(&self.exec, strong.len(), |k| {
                 let c = &cands[strong[k]];
                 let floor = c.value.floor();
                 let down = child_bounds(sf, node, c.var, f64::NEG_INFINITY, floor);
                 let up = child_bounds(sf, node, c.var, floor + 1.0, f64::INFINITY);
                 [
-                    child_lp(sf, opts, warm, &down),
-                    child_lp(sf, opts, warm, &up),
+                    child_lp(sf, warm, &down),
+                    child_lp(sf, warm, &up),
                 ]
             });
             for (k, pair) in evals.into_iter().enumerate() {
@@ -749,7 +749,7 @@ fn solve_seeded(
     model.validate()?;
     let t_presolve = Instant::now();
     let mut presolved = model.clone();
-    crate::presolve::presolve(&mut presolved, opts.tol)?;
+    crate::presolve::presolve(&mut presolved)?;
     let model = &presolved;
     let presolve_time = t_presolve.elapsed();
     let sign = match model.sense {
@@ -761,7 +761,7 @@ fn solve_seeded(
     // it changes the row set and hands the final form back
     let t_root = Instant::now();
     let sf = StandardForm::from_model(model)?;
-    let (mut root, mut root_point) = solve_lowered(&sf, opts, None)?;
+    let (mut root, mut root_point) = solve_lowered(&sf, None)?;
     let root_lp_time = t_root.elapsed();
 
     // --- root cut separation; the augmented model is frozen for the whole
@@ -776,7 +776,7 @@ fn solve_seeded(
     let int_vars = model.integer_vars();
     let (model, sf) = if !int_vars.is_empty() {
         let t_cuts = Instant::now();
-        let rc = cuts::separate_root(model, sf, opts, root, root_point)?;
+        let rc = cuts::separate_root(model, sf, root, root_point)?;
         cut_stats.separation_time = t_cuts.elapsed();
         cut_stats.gomory_generated = rc.gomory_generated;
         cut_stats.cover_generated = rc.cover_generated;
@@ -818,13 +818,13 @@ fn solve_seeded(
     // the hint vector stays aligned and checkable against `model` here
     if let Some(h) = hint {
         if h.len() == model.num_vars() {
-            if let Some((values, objective)) = rounded_candidate(model, h, opts.tol) {
+            if let Some((values, objective)) = rounded_candidate(model, h) {
                 search.offer_incumbent(values, objective);
                 search.stats.hint_accepted = true;
             }
         }
     }
-    if let Some((values, objective)) = rounded_candidate(model, &root.values, opts.tol) {
+    if let Some((values, objective)) = rounded_candidate(model, &root.values) {
         search.offer_incumbent(values, objective);
     }
     let seq = search.next_id();

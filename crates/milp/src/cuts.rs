@@ -65,7 +65,6 @@ use insitu_types::{CutProof, GomoryVar};
 use crate::error::SolveError;
 use crate::expr::{LinExpr, Var};
 use crate::model::{Cmp, Constraint, Model, VarKind};
-use crate::options::SolveOptions;
 use crate::revised::TableauView;
 use crate::simplex::{solve_lowered, LpPoint};
 use crate::solution::Solution;
@@ -766,7 +765,6 @@ fn derive_gomory(
 pub(crate) fn separate_root(
     base: &Model,
     mut sf: StandardForm,
-    opts: &SolveOptions,
     relax: Solution,
     point: LpPoint,
 ) -> Result<RootCuts, SolveError> {
@@ -819,7 +817,7 @@ pub(crate) fn separate_root(
             model.cons.push(cand.con);
         }
         sf = StandardForm::from_model(&model)?;
-        let (r2, p2) = solve_lowered(&sf, opts, Some(&hint))?;
+        let (r2, p2) = solve_lowered(&sf, Some(&hint))?;
         total_pivots += r2.iterations;
         total_tele.absorb(&p2.telemetry);
         relax = r2;
@@ -899,7 +897,7 @@ pub(crate) fn separate_root(
                 }
                 aged_out += evict.len();
                 sf = StandardForm::from_model(&model)?;
-                let (r3, p3) = solve_lowered(&sf, opts, Some(&hint))?;
+                let (r3, p3) = solve_lowered(&sf, Some(&hint))?;
                 total_pivots += r3.iterations;
                 total_tele.absorb(&p3.telemetry);
                 relax = r3;
@@ -1343,9 +1341,8 @@ mod tests {
     #[test]
     fn gomory_cut_is_violated_by_vertex_and_valid_for_integers() {
         let m = fractional_pair();
-        let opts = SolveOptions::default();
         let sf = StandardForm::from_model(&m).unwrap();
-        let (relax, point) = solve_lowered(&sf, &opts, None).unwrap();
+        let (relax, point) = solve_lowered(&sf, None).unwrap();
         assert!((relax.objective - 2.5).abs() < 1e-6);
         let mut out = Vec::new();
         gomory_cuts_into(&m, &sf, &point, &mut out);
@@ -1364,11 +1361,10 @@ mod tests {
     #[test]
     fn separate_root_tightens_bound_and_is_deterministic() {
         let m = fractional_pair();
-        let opts = SolveOptions::default();
         let run = || {
             let sf = StandardForm::from_model(&m).unwrap();
-            let (relax, point) = solve_lowered(&sf, &opts, None).unwrap();
-            separate_root(&m, sf, &opts, relax, point).unwrap()
+            let (relax, point) = solve_lowered(&sf, None).unwrap();
+            separate_root(&m, sf, relax, point).unwrap()
         };
         let a = run();
         // the GMI cut from x+y = 2.5 closes the gap to the integer hull
@@ -1427,12 +1423,11 @@ mod tests {
     /// candidates, then appends the cuts and goes again (later rounds read
     /// denser rows with longer mantissas). Returns (rows compared, cuts).
     fn compare_derivations(model: &Model, rounds: usize) -> (usize, usize) {
-        let opts = SolveOptions::default();
         let mut model = model.clone();
         let (mut rows, mut cuts) = (0, 0);
         for _ in 0..rounds {
             let sf = StandardForm::from_model(&model).unwrap();
-            let Ok((_, point)) = solve_lowered(&sf, &opts, None) else { break };
+            let Ok((_, point)) = solve_lowered(&sf, None) else { break };
             let Some(mut view) = TableauView::new(&sf, &point.basis) else { break };
             let integral: Vec<bool> =
                 model.vars.iter().map(|v| v.kind == VarKind::Integer).collect();

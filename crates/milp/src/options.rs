@@ -1,25 +1,22 @@
-//! Solver configuration: limits, tolerances, and what to record.
+//! Solver configuration: the search's budget and what to record.
 //!
 //! There is one solve path. Algorithmic choices (LP engine, branching
-//! rule, cut separation, plunging, presolve) are fixed — their tuning
-//! constants live as private `const`s next to the code that reads them,
-//! and `docs/SOLVER.md` § Decisions records the evidence for each.
+//! rule, cut separation, plunging, presolve) are fixed, and so are the
+//! integrality tolerance and the per-LP pivot cap: their values live as
+//! private `const`s next to the code that reads them, and
+//! `docs/SOLVER.md` § Decisions records the evidence for each.
 
-/// Tunable limits and tolerances for [`crate::solve`].
+/// The budget of a [`crate::solve`] and what it records.
 ///
-/// Construct with struct-update syntax so future knobs don't break callers:
+/// Construct with struct-update syntax:
 ///
 /// ```
 /// use milp::SolveOptions;
-/// let opts = SolveOptions { threads: 4, ..SolveOptions::default() };
-/// assert_eq!(opts.effective_threads(), 4);
+/// let opts = SolveOptions { max_nodes: 10_000, ..SolveOptions::default() };
+/// assert_eq!(opts.max_nodes, 10_000);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolveOptions {
-    /// Feasibility / integrality tolerance.
-    pub tol: f64,
-    /// Maximum simplex iterations per LP solve.
-    pub max_simplex_iters: usize,
     /// Maximum branch-and-bound nodes.
     pub max_nodes: usize,
     /// Stop as soon as the incumbent is within this absolute gap of the
@@ -49,8 +46,6 @@ pub struct SolveOptions {
 impl Default for SolveOptions {
     fn default() -> Self {
         SolveOptions {
-            tol: 1e-6,
-            max_simplex_iters: 200_000,
             max_nodes: 200_000,
             abs_gap: 1e-9,
             threads: 1,
@@ -80,10 +75,8 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let o = SolveOptions::default();
-        assert!(o.tol > 0.0 && o.tol < 1e-3);
-        assert!(o.max_simplex_iters > 1000);
         assert!(o.max_nodes > 1000);
-        assert!(o.abs_gap >= 0.0 && o.abs_gap < o.tol);
+        assert!(o.abs_gap >= 0.0 && o.abs_gap < crate::branch::INT_TOL);
         assert_eq!(o.threads, 1);
         assert!(!o.certificate);
         assert!(!o.trace.enabled());
@@ -95,8 +88,6 @@ mod tests {
     #[test]
     fn every_field_is_named() {
         let o = SolveOptions {
-            tol: 1e-6,
-            max_simplex_iters: 200_000,
             max_nodes: 200_000,
             abs_gap: 1e-9,
             threads: 1,
@@ -104,10 +95,7 @@ mod tests {
             trace: obs::TraceHandle::disabled(),
         };
         let d = SolveOptions::default();
-        assert_eq!(
-            (o.tol, o.max_simplex_iters, o.max_nodes, o.abs_gap),
-            (d.tol, d.max_simplex_iters, d.max_nodes, d.abs_gap)
-        );
+        assert_eq!((o.max_nodes, o.abs_gap), (d.max_nodes, d.abs_gap));
         assert_eq!((o.threads, o.certificate), (d.threads, d.certificate));
     }
 

@@ -18,6 +18,7 @@
 //!
 //! Variables are never eliminated, so solutions map back one-to-one.
 
+use crate::branch::INT_TOL;
 use crate::error::SolveError;
 use crate::model::{Cmp, Model, VarKind};
 use std::collections::{BTreeMap, HashMap};
@@ -67,7 +68,7 @@ fn row_coeffs(model: &Model, row: usize) -> BTreeMap<usize, f64> {
 /// under the current variable bounds: for `<=` rows, the maximum possible
 /// activity of `A_cand − A_keeper` stays within the rhs slack; for `>=`
 /// rows, the minimum does.
-fn row_dominates(model: &Model, keeper: usize, cand: usize, tol: f64) -> bool {
+fn row_dominates(model: &Model, keeper: usize, cand: usize) -> bool {
     let mut diff = row_coeffs(model, cand);
     for (i, c) in row_coeffs(model, keeper) {
         *diff.entry(i).or_insert(0.0) -= c;
@@ -85,14 +86,16 @@ fn row_dominates(model: &Model, keeper: usize, cand: usize, tol: f64) -> bool {
         }
     }
     match model.cons[cand].cmp {
-        Cmp::Le => hi <= slack + tol,
-        Cmp::Ge => lo >= slack - tol,
+        Cmp::Le => hi <= slack + INT_TOL,
+        Cmp::Ge => lo >= slack - INT_TOL,
         Cmp::Eq => false,
     }
 }
 
-/// Runs presolve in place. Returns statistics, or an infeasibility proof.
-pub fn presolve(model: &mut Model, tol: f64) -> Result<PresolveStats, SolveError> {
+/// Runs presolve in place, with the solver's integrality tolerance as the
+/// slack of every bound and row test. Returns statistics, or an
+/// infeasibility proof.
+pub fn presolve(model: &mut Model) -> Result<PresolveStats, SolveError> {
     let mut stats = PresolveStats::default();
     let max_passes = 20;
     loop {
@@ -109,25 +112,25 @@ pub fn presolve(model: &mut Model, tol: f64) -> Result<PresolveStats, SolveError
             // infeasibility / redundancy
             match cmp {
                 Cmp::Le => {
-                    if lo > rhs + tol {
+                    if lo > rhs + INT_TOL {
                         return Err(SolveError::Infeasible);
                     }
-                    if hi <= rhs + tol {
+                    if hi <= rhs + INT_TOL {
                         *keep_row = false;
                         continue;
                     }
                 }
                 Cmp::Ge => {
-                    if hi < rhs - tol {
+                    if hi < rhs - INT_TOL {
                         return Err(SolveError::Infeasible);
                     }
-                    if lo >= rhs - tol {
+                    if lo >= rhs - INT_TOL {
                         *keep_row = false;
                         continue;
                     }
                 }
                 Cmp::Eq => {
-                    if lo > rhs + tol || hi < rhs - tol {
+                    if lo > rhs + INT_TOL || hi < rhs - INT_TOL {
                         return Err(SolveError::Infeasible);
                     }
                 }
@@ -207,23 +210,23 @@ pub fn presolve(model: &mut Model, tol: f64) -> Result<PresolveStats, SolveError
                 // integer rounding
                 if model.vars[i].kind == VarKind::Integer {
                     if new_upper.is_finite() {
-                        new_upper = (new_upper + tol).floor();
+                        new_upper = (new_upper + INT_TOL).floor();
                     }
                     if new_lower.is_finite() {
-                        new_lower = (new_lower - tol).ceil();
+                        new_lower = (new_lower - INT_TOL).ceil();
                     }
                 }
-                if new_upper < vu - tol {
+                if new_upper < vu - INT_TOL {
                     model.vars[i].upper = new_upper;
                     stats.bounds_tightened += 1;
                     changed = true;
                 }
-                if new_lower > vl + tol {
+                if new_lower > vl + INT_TOL {
                     model.vars[i].lower = new_lower;
                     stats.bounds_tightened += 1;
                     changed = true;
                 }
-                if model.vars[i].lower > model.vars[i].upper + tol {
+                if model.vars[i].lower > model.vars[i].upper + INT_TOL {
                     return Err(SolveError::Infeasible);
                 }
             }
@@ -256,9 +259,9 @@ pub fn presolve(model: &mut Model, tol: f64) -> Result<PresolveStats, SolveError
                     }
                     // prefer keeping the earlier row so mutually-dominating
                     // (identical) pairs resolve deterministically
-                    if row_dominates(model, r1, r2, tol) {
+                    if row_dominates(model, r1, r2) {
                         dominated[r2] = true;
-                    } else if row_dominates(model, r2, r1, tol) {
+                    } else if row_dominates(model, r2, r1) {
                         dominated[r1] = true;
                     }
                 }
@@ -285,7 +288,7 @@ pub fn presolve(model: &mut Model, tol: f64) -> Result<PresolveStats, SolveError
     stats.vars_fixed = model
         .vars
         .iter()
-        .filter(|v| (v.upper - v.lower).abs() <= tol)
+        .filter(|v| (v.upper - v.lower).abs() <= INT_TOL)
         .count();
     Ok(stats)
 }
@@ -303,7 +306,7 @@ mod tests {
         let x = m.int_var("x", 0.0, 10.0);
         let y = m.int_var("y", 0.0, 10.0);
         m.add_con(LinExpr::new().term(x, 5.0).term(y, 2.0), Cmp::Le, 8.0);
-        let stats = presolve(&mut m, 1e-9).unwrap();
+        let stats = presolve(&mut m).unwrap();
         assert_eq!(m.vars[x.index()].upper, 1.0);
         assert_eq!(m.vars[y.index()].upper, 4.0);
         assert!(stats.bounds_tightened >= 2);
@@ -315,7 +318,7 @@ mod tests {
         let x = m.num_var("x", 0.0, 1.0);
         let y = m.num_var("y", 0.0, 1.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Ge, 3.0);
-        assert_eq!(presolve(&mut m, 1e-9).unwrap_err(), SolveError::Infeasible);
+        assert_eq!(presolve(&mut m).unwrap_err(), SolveError::Infeasible);
     }
 
     #[test]
@@ -324,7 +327,7 @@ mod tests {
         let x = m.num_var("x", 0.0, 1.0);
         m.add_con(LinExpr::var(x), Cmp::Le, 5.0); // can never bind
         m.add_con(LinExpr::var(x), Cmp::Ge, -1.0); // can never bind
-        let stats = presolve(&mut m, 1e-9).unwrap();
+        let stats = presolve(&mut m).unwrap();
         assert_eq!(m.cons.len(), 0);
         assert_eq!(stats.rows_dropped, 2);
     }
@@ -339,7 +342,7 @@ mod tests {
         let y = m.int_var("y", 0.0, 3.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Le, 5.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 2.0), Cmp::Le, 8.0);
-        let stats = presolve(&mut m, 1e-9).unwrap();
+        let stats = presolve(&mut m).unwrap();
         assert_eq!(stats.rows_dominated, 1);
         assert_eq!(m.cons.len(), 1);
         assert_eq!(m.cons[0].rhs, 5.0);
@@ -353,7 +356,7 @@ mod tests {
         let y = m.num_var("y", 0.0, 3.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Ge, 1.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 2.0), Cmp::Ge, 0.5);
-        let stats = presolve(&mut m, 1e-9).unwrap();
+        let stats = presolve(&mut m).unwrap();
         assert_eq!(stats.rows_dominated, 1);
         assert_eq!(m.cons.len(), 1);
         assert_eq!(m.cons[0].rhs, 1.0);
@@ -367,7 +370,7 @@ mod tests {
         for _ in 0..3 {
             m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Le, 5.0);
         }
-        let stats = presolve(&mut m, 1e-9).unwrap();
+        let stats = presolve(&mut m).unwrap();
         assert_eq!(m.cons.len(), 1);
         assert_eq!(stats.rows_dominated, 2);
     }
@@ -381,7 +384,7 @@ mod tests {
         let z = m.int_var("z", 0.0, 3.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Le, 5.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(z, 1.0), Cmp::Le, 5.0);
-        let stats = presolve(&mut m, 1e-9).unwrap();
+        let stats = presolve(&mut m).unwrap();
         assert_eq!(stats.rows_dominated, 0);
         assert_eq!(m.cons.len(), 2);
     }
@@ -393,7 +396,7 @@ mod tests {
         let y = m.num_var("y", 0.0, 3.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Eq, 2.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Le, 2.5);
-        let stats = presolve(&mut m, 1e-9).unwrap();
+        let stats = presolve(&mut m).unwrap();
         // the Le row may tighten/survive, but the Eq row must remain
         assert!(m.cons.iter().any(|c| c.cmp == Cmp::Eq));
         assert_eq!(stats.rows_dominated, 0);
@@ -424,10 +427,10 @@ mod tests {
             m
         };
         let mut with = build(true);
-        let stats = presolve(&mut with, 1e-9).unwrap();
+        let stats = presolve(&mut with).unwrap();
         assert_eq!(stats.rows_dominated, 1);
-        let a = crate::solve(&with, &crate::SolveOptions::default()).unwrap();
-        let b = crate::solve(&build(false), &crate::SolveOptions::default()).unwrap();
+        let a = crate::solve(&with, &Default::default()).unwrap();
+        let b = crate::solve(&build(false), &Default::default()).unwrap();
         assert!((a.objective - b.objective).abs() < 1e-9);
     }
 
@@ -438,7 +441,7 @@ mod tests {
         let x = m.num_var("x", 0.0, 1.0);
         let y = m.num_var("y", 0.0, 1.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Eq, 2.0);
-        let stats = presolve(&mut m, 1e-9).unwrap();
+        let stats = presolve(&mut m).unwrap();
         assert_eq!(m.vars[x.index()].lower, 1.0);
         assert_eq!(m.vars[y.index()].lower, 1.0);
         assert_eq!(stats.vars_fixed, 2);
@@ -450,7 +453,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.int_var("x", 0.0, 100.0);
         m.add_con(LinExpr::new().term(x, 2.0), Cmp::Le, 7.0);
-        presolve(&mut m, 1e-9).unwrap();
+        presolve(&mut m).unwrap();
         assert_eq!(m.vars[x.index()].upper, 3.0);
     }
 
@@ -464,7 +467,7 @@ mod tests {
         m.add_con(LinExpr::var(x), Cmp::Le, 2.0);
         m.add_con(LinExpr::new().term(y, 1.0).term(x, -1.0), Cmp::Le, -1.0);
         m.add_con(LinExpr::new().term(z, 1.0).term(y, -1.0), Cmp::Le, 0.0);
-        presolve(&mut m, 1e-9).unwrap();
+        presolve(&mut m).unwrap();
         assert_eq!(m.vars[y.index()].upper, 1.0);
         assert_eq!(m.vars[z.index()].upper, 1.0);
     }
@@ -486,10 +489,10 @@ mod tests {
             m.set_objective(LinExpr::new().term(a, 5.0).term(b, 4.0).term(c, 1.0));
             m
         };
-        let direct = crate::solve(&build(), &crate::SolveOptions::default()).unwrap();
+        let direct = crate::solve(&build(), &Default::default()).unwrap();
         let mut pre = build();
-        presolve(&mut pre, 1e-9).unwrap();
-        let solved = crate::solve(&pre, &crate::SolveOptions::default()).unwrap();
+        presolve(&mut pre).unwrap();
+        let solved = crate::solve(&pre, &Default::default()).unwrap();
         assert!((direct.objective - solved.objective).abs() < 1e-9);
     }
 }

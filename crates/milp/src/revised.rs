@@ -72,7 +72,6 @@ use std::time::Instant;
 
 use crate::error::SolveError;
 use crate::lu::{Factorization, LuFactors};
-use crate::options::SolveOptions;
 use crate::simplex::{Basis, LpPoint};
 use crate::standard::{ColBound, StandardForm};
 use crate::stats::LpTelemetry;
@@ -83,6 +82,10 @@ const PIVOT_TOL: f64 = 1e-9;
 const COST_TOL: f64 = 1e-7;
 /// Residual threshold for phase-1 feasibility.
 const FEAS_TOL: f64 = 1e-6;
+/// Pivots one LP solve may take, both phases and any dual repair
+/// together, before it fails with [`SolveError::IterationLimit`]. The
+/// dense oracle stops at the same count.
+pub(crate) const MAX_SIMPLEX_ITERS: usize = 200_000;
 /// Smallest partial-pricing candidate block.
 const PRICE_BLOCK_MIN: usize = 64;
 /// The basis is refactorized after this many eta updates. Smaller is more
@@ -486,11 +489,11 @@ impl<'a> Engine<'a> {
     }
 
     /// One simplex phase: minimize `cost · x` until optimal.
-    fn run(&mut self, cost: &[f64], opts: &SolveOptions) -> Result<(), SolveError> {
+    fn run(&mut self, cost: &[f64]) -> Result<(), SolveError> {
         let bland_after = 20 * (self.m + self.n_total) + 200;
         let mut local = 0usize;
         loop {
-            if self.iterations >= opts.max_simplex_iters {
+            if self.iterations >= MAX_SIMPLEX_ITERS {
                 return Err(SolveError::IterationLimit {
                     iterations: self.iterations,
                 });
@@ -625,11 +628,11 @@ impl<'a> Engine<'a> {
     /// keeping the reduced costs optimal-signed. Same contract as the
     /// dense oracle's repair: `Ok(false)` means "fall back to a cold
     /// solve" and is never a feasibility verdict.
-    fn dual_repair(&mut self, cost: &[f64], opts: &SolveOptions) -> Result<bool, SolveError> {
+    fn dual_repair(&mut self, cost: &[f64]) -> Result<bool, SolveError> {
         let budget = 5 * (self.m + self.n_total) + 100;
         let mut local = 0usize;
         loop {
-            if self.iterations >= opts.max_simplex_iters {
+            if self.iterations >= MAX_SIMPLEX_ITERS {
                 return Err(SolveError::IterationLimit {
                     iterations: self.iterations,
                 });
@@ -863,7 +866,6 @@ fn phase2_cost(sf: &StandardForm) -> Vec<f64> {
 pub fn solve_bound_edit(
     sf: &StandardForm,
     bounds: &[ColBound],
-    opts: &SolveOptions,
     warm: Option<&FactoredBasis<'_>>,
 ) -> Result<LpPoint, SolveError> {
     let cost2 = phase2_cost(sf);
@@ -872,26 +874,26 @@ pub fn solve_bound_edit(
             .ok_or(SolveError::Infeasible)?;
         // `Ok(false)` from the repair is "let the cold path decide", never
         // a feasibility verdict
-        if e.primal_infeasibility() <= FEAS_TOL || e.dual_repair(&cost2, opts)? {
-            e.run(&cost2, opts)?;
+        if e.primal_infeasibility() <= FEAS_TOL || e.dual_repair(&cost2)? {
+            e.run(&cost2)?;
             return Ok(e.finish(true));
         }
     }
     let e = Engine::cold(sf, bounds).ok_or(SolveError::Infeasible)?;
-    two_phase(e, &cost2, opts)
+    two_phase(e, &cost2)
 }
 
 /// The cold path from a starting basis of slacks and artificials: phase 1
 /// over the artificials that are basic — none, and it is skipped whole —
 /// then phase 2 on the real objective.
-fn two_phase(mut e: Engine<'_>, cost2: &[f64], opts: &SolveOptions) -> Result<LpPoint, SolveError> {
+fn two_phase(mut e: Engine<'_>, cost2: &[f64]) -> Result<LpPoint, SolveError> {
     if e.basis.iter().any(|&j| j >= e.n) {
         // --- phase 1: minimize the sum of artificials ---
         let mut cost1 = vec![0.0; e.n_total];
         for c in cost1.iter_mut().skip(e.n) {
             *c = 1.0;
         }
-        e.run(&cost1, opts)?;
+        e.run(&cost1)?;
         let art_sum: f64 = (0..e.m)
             .filter(|&k| e.basis[k] >= e.n)
             .map(|k| e.x_basic[k])
@@ -912,20 +914,16 @@ fn two_phase(mut e: Engine<'_>, cost2: &[f64], opts: &SolveOptions) -> Result<Lp
         }
     }
     // --- phase 2: real objective ---
-    e.run(cost2, opts)?;
+    e.run(cost2)?;
     Ok(e.finish(false))
 }
 
 /// Solves the standard-form LP with the revised simplex, optionally
 /// warm-starting from `hint` (factorized here, and counted in the
 /// result's telemetry): [`solve_bound_edit`] with no bound override.
-pub fn solve_standard_revised(
-    sf: &StandardForm,
-    opts: &SolveOptions,
-    hint: Option<&Basis>,
-) -> Result<LpPoint, SolveError> {
+pub fn solve_standard_revised(sf: &StandardForm, hint: Option<&Basis>) -> Result<LpPoint, SolveError> {
     let warm = hint.and_then(|h| FactoredBasis::new(sf, h));
-    let mut point = solve_bound_edit(sf, &[], opts, warm.as_ref())?;
+    let mut point = solve_bound_edit(sf, &[], warm.as_ref())?;
     point.telemetry.refactorizations += usize::from(warm.is_some());
     Ok(point)
 }
@@ -937,10 +935,6 @@ mod tests {
     use crate::model::{Cmp, Model, Sense};
     use crate::simplex::{solve_lp_relaxation, solve_lp_relaxation_dense};
 
-    fn opts() -> SolveOptions {
-        SolveOptions::default()
-    }
-
     #[test]
     fn classic_lp_matches_dense() {
         let mut m = Model::new(Sense::Maximize);
@@ -950,8 +944,8 @@ mod tests {
         m.add_con(LinExpr::new().term(y, 2.0), Cmp::Le, 12.0);
         m.add_con(LinExpr::new().term(x, 3.0).term(y, 2.0), Cmp::Le, 18.0);
         m.set_objective(LinExpr::new().term(x, 3.0).term(y, 5.0));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
-        let d = solve_lp_relaxation_dense(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
+        let d = solve_lp_relaxation_dense(&m).unwrap();
         assert!((s.objective - 36.0).abs() < 1e-6);
         assert!((s.objective - d.objective).abs() < 1e-9);
     }
@@ -962,14 +956,14 @@ mod tests {
         let x = m.num_var("x", 0.0, 1.0);
         m.add_con(LinExpr::var(x), Cmp::Ge, 2.0);
         assert_eq!(
-            solve_lp_relaxation(&m, &opts()).unwrap_err(),
+            solve_lp_relaxation(&m).unwrap_err(),
             SolveError::Infeasible
         );
         let mut m = Model::new(Sense::Maximize);
         let x = m.num_var("x", 0.0, f64::INFINITY);
         m.set_objective(LinExpr::var(x));
         assert_eq!(
-            solve_lp_relaxation(&m, &opts()).unwrap_err(),
+            solve_lp_relaxation(&m).unwrap_err(),
             SolveError::Unbounded
         );
     }
@@ -991,13 +985,13 @@ mod tests {
         }
         m.set_objective(LinExpr::sum(vars.iter().map(|&v| (v, 1.0))));
         let sf = StandardForm::from_model(&m).unwrap();
-        let p = solve_standard_revised(&sf, &opts(), None).unwrap();
+        let p = solve_standard_revised(&sf, None).unwrap();
         assert!(p.iterations > REFACTOR_INTERVAL, "{} pivots", p.iterations);
         // every row starts on its slack, so no refactorization opens phase
         // 2: one counted is the interval firing
         assert!(p.telemetry.refactorizations >= 1, "{:?}", p.telemetry);
         assert!(p.telemetry.max_eta_len <= REFACTOR_INTERVAL);
-        let d = solve_lp_relaxation_dense(&m, &opts()).unwrap();
+        let d = solve_lp_relaxation_dense(&m).unwrap();
         assert!((d.objective - p.objective).abs() < 1e-9);
     }
 
@@ -1010,7 +1004,7 @@ mod tests {
     /// artificials basic, then the same two phases.
     fn solve_all_artificial(sf: &StandardForm) -> Result<LpPoint, SolveError> {
         let e = Engine::cold(sf, &[]).expect("no override, no emptied domain");
-        two_phase(e.all_artificial(), &phase2_cost(sf), &opts())
+        two_phase(e.all_artificial(), &phase2_cost(sf))
     }
 
     #[test]
@@ -1033,8 +1027,8 @@ mod tests {
         assert_eq!(e.primal_infeasibility(), 0.0);
         // the whole solve is phase 2 from that basis: the pivots of a bare
         // `run` on the real objective, not one more
-        e.run(&phase2_cost(&sf), &opts()).unwrap();
-        let p = solve_standard_revised(&sf, &opts(), None).unwrap();
+        e.run(&phase2_cost(&sf)).unwrap();
+        let p = solve_standard_revised(&sf, None).unwrap();
         assert_eq!(p.iterations, e.iterations);
         assert!(!p.warm);
         // and one factorization fewer than from m artificials, which
@@ -1069,8 +1063,8 @@ mod tests {
             assert_eq!(e.basis[r], if artificial { e.n + r } else { sf.n_struct + r });
             assert_eq!(e.banned[e.n + r], !artificial);
         }
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
-        let d = solve_lp_relaxation_dense(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
+        let d = solve_lp_relaxation_dense(&m).unwrap();
         assert!((s.objective - d.objective).abs() < 1e-9);
         assert!((s.objective - 3.0).abs() < 1e-9, "x = 0, y = 3; got {}", s.objective);
     }
@@ -1092,17 +1086,17 @@ mod tests {
         let e = Engine::cold(&sf, &lifted).unwrap();
         assert_eq!(artificial_rows(&e), vec![0]);
         assert_eq!((e.art_sign[0], e.x_basic[0]), (-1.0, 1.0));
-        let edit = solve_bound_edit(&sf, &lifted, &opts(), None).unwrap();
+        let edit = solve_bound_edit(&sf, &lifted, None).unwrap();
         // the same LP the long way: a re-lowered model
         let mut child = m.clone();
         child.vars[x.index()].lower = 3.0;
         let csf = StandardForm::from_model(&child).unwrap();
-        let rebuilt = solve_standard_revised(&csf, &opts(), None).unwrap();
+        let rebuilt = solve_standard_revised(&csf, None).unwrap();
         assert_eq!(edit.objective.to_bits(), rebuilt.objective.to_bits());
         assert_eq!(edit.basis, rebuilt.basis);
         assert_eq!(edit.iterations, rebuilt.iterations);
         assert!(!edit.warm && !rebuilt.warm);
-        let d = solve_lp_relaxation_dense(&child, &opts()).unwrap();
+        let d = solve_lp_relaxation_dense(&child).unwrap();
         assert!((edit.objective - d.objective).abs() < 1e-9);
     }
 
@@ -1131,7 +1125,7 @@ mod tests {
                 overshot += usize::from(!eq);
                 fixed_at_zero += usize::from(eq && e.x_basic[r] == 0.0);
             }
-            match (solve_bound_edit(&sf, &[], &opts(), None), solve_all_artificial(&sf)) {
+            match (solve_bound_edit(&sf, &[], None), solve_all_artificial(&sf)) {
                 (Ok(new), Ok(old)) => {
                     assert!(
                         (new.objective - old.objective).abs() <= 1e-9,
@@ -1183,13 +1177,13 @@ mod tests {
         );
         m.set_objective(LinExpr::new().term(x, 3.0).term(y, 4.0).term(z, 1.0));
         let sf = StandardForm::from_model(&m).unwrap();
-        let parent = solve_standard_revised(&sf, &opts(), None).unwrap();
+        let parent = solve_standard_revised(&sf, None).unwrap();
         assert!(!parent.warm);
         let mut child = m.clone();
         child.vars[0].upper = 1.0;
         let csf = StandardForm::from_model(&child).unwrap();
-        let warm = solve_standard_revised(&csf, &opts(), Some(&parent.basis)).unwrap();
-        let cold = solve_standard_revised(&csf, &opts(), None).unwrap();
+        let warm = solve_standard_revised(&csf, Some(&parent.basis)).unwrap();
+        let cold = solve_standard_revised(&csf, None).unwrap();
         assert!((warm.objective - cold.objective).abs() < 1e-9);
         assert!(warm.warm, "expected the sparse warm path to succeed");
         // the hint was factorized for this solve, and counted
@@ -1209,18 +1203,18 @@ mod tests {
         );
         m.set_objective(LinExpr::new().term(x, 3.0).term(y, 4.0).term(z, 1.0));
         let sf = StandardForm::from_model(&m).unwrap();
-        let parent = solve_standard_revised(&sf, &opts(), None).unwrap();
+        let parent = solve_standard_revised(&sf, None).unwrap();
         // one factorization, two children with different bounds on y
         let fb = FactoredBasis::new(&sf, &parent.basis).expect("optimal basis factorizes");
         for (lo, hi) in [(f64::NEG_INFINITY, 1.0), (2.0, f64::INFINITY)] {
             let bound = sf.col_bound(y.index(), lo, hi).unwrap();
-            let edit = solve_bound_edit(&sf, &[bound], &opts(), Some(&fb)).unwrap();
+            let edit = solve_bound_edit(&sf, &[bound], Some(&fb)).unwrap();
             // the same LP the long way: a re-lowered model, its own factors
             let mut child = m.clone();
             child.vars[y.index()].lower = child.vars[y.index()].lower.max(lo);
             child.vars[y.index()].upper = child.vars[y.index()].upper.min(hi);
             let csf = StandardForm::from_model(&child).unwrap();
-            let rebuilt = solve_standard_revised(&csf, &opts(), Some(&parent.basis)).unwrap();
+            let rebuilt = solve_standard_revised(&csf, Some(&parent.basis)).unwrap();
             assert_eq!(edit.objective.to_bits(), rebuilt.objective.to_bits());
             assert_eq!(edit.basis, rebuilt.basis);
             assert_eq!(edit.iterations, rebuilt.iterations);
@@ -1240,12 +1234,12 @@ mod tests {
         m.add_con(LinExpr::var(x), Cmp::Le, 3.0);
         m.set_objective(LinExpr::var(x));
         let sf = StandardForm::from_model(&m).unwrap();
-        let parent = solve_standard_revised(&sf, &opts(), None).unwrap();
+        let parent = solve_standard_revised(&sf, None).unwrap();
         let fb = FactoredBasis::new(&sf, &parent.basis);
         let crossed = [(0, 5.0, f64::INFINITY)];
         for warm in [fb.as_ref(), None] {
             assert_eq!(
-                solve_bound_edit(&sf, &crossed, &opts(), warm).unwrap_err(),
+                solve_bound_edit(&sf, &crossed, warm).unwrap_err(),
                 SolveError::Infeasible
             );
         }
@@ -1258,14 +1252,14 @@ mod tests {
         small.add_con(LinExpr::var(x), Cmp::Le, 3.0);
         small.set_objective(LinExpr::var(x));
         let ssf = StandardForm::from_model(&small).unwrap();
-        let sp = solve_standard_revised(&ssf, &opts(), None).unwrap();
+        let sp = solve_standard_revised(&ssf, None).unwrap();
         let fb = FactoredBasis::new(&ssf, &sp.basis).unwrap();
         let mut big = small.clone();
         let y = big.num_var("y", 0.0, 1.0);
         big.add_con(LinExpr::var(y), Cmp::Le, 0.5);
         let bsf = StandardForm::from_model(&big).unwrap();
         assert!(FactoredBasis::new(&bsf, &sp.basis).is_none());
-        let p = solve_bound_edit(&bsf, &[], &opts(), Some(&fb)).unwrap();
+        let p = solve_bound_edit(&bsf, &[], Some(&fb)).unwrap();
         assert!(!p.warm, "a basis laid out for another form must not be installed");
         assert!((p.objective - 3.0).abs() < 1e-9);
     }
@@ -1286,8 +1280,8 @@ mod tests {
             basic: vec![0, 1],
             at_upper: vec![false; sf.ncols()],
         };
-        let cold = solve_standard_revised(&sf, &opts(), None).unwrap();
-        let s = solve_standard_revised(&sf, &opts(), Some(&hint)).unwrap();
+        let cold = solve_standard_revised(&sf, None).unwrap();
+        let s = solve_standard_revised(&sf, Some(&hint)).unwrap();
         assert!(!s.warm, "singular hint must fall back");
         assert!((s.objective - cold.objective).abs() < 1e-9);
     }
@@ -1305,7 +1299,7 @@ mod tests {
             );
         }
         m.set_objective(LinExpr::new().term(x, 1.0).term(y, 1.0));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective - 4.0).abs() < 1e-6);
     }
 
@@ -1319,7 +1313,7 @@ mod tests {
         m.set_objective(
             LinExpr::new().term(x, 1.0).term(y, 1.0).term(z, 1.0),
         );
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective - 3.5).abs() < 1e-6);
         assert!((s.values[0] - 2.0).abs() < 1e-9);
     }
@@ -1330,13 +1324,13 @@ mod tests {
         let x = m.num_var("x", f64::NEG_INFINITY, f64::INFINITY);
         m.add_con(LinExpr::var(x), Cmp::Ge, -7.0);
         m.set_objective(LinExpr::var(x));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective + 7.0).abs() < 1e-6);
         let mut m = Model::new(Sense::Maximize);
         let x = m.num_var("x", f64::NEG_INFINITY, 9.0);
         m.add_con(LinExpr::var(x), Cmp::Ge, 1.0);
         m.set_objective(LinExpr::var(x));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective - 9.0).abs() < 1e-6);
     }
 
@@ -1376,8 +1370,8 @@ mod tests {
                 .term(x3, -0.02)
                 .term(x4, 6.0),
         );
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
-        let d = solve_lp_relaxation_dense(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
+        let d = solve_lp_relaxation_dense(&m).unwrap();
         assert!((s.objective + 0.05).abs() < 1e-6, "got {}", s.objective);
         assert!((s.objective - d.objective).abs() < 1e-9);
     }
@@ -1389,7 +1383,7 @@ mod tests {
         let x = m.num_var("x", 0.0, 5.0);
         let y = m.num_var("y", -1.0, 2.0);
         m.set_objective(LinExpr::new().term(x, 2.0).term(y, -1.0));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective - 11.0).abs() < 1e-9);
     }
 }

@@ -41,7 +41,7 @@
 //! proven optimality either way).
 
 use crate::error::SolveError;
-use crate::options::SolveOptions;
+use crate::revised::MAX_SIMPLEX_ITERS;
 use crate::solution::Solution;
 use crate::standard::{Dense, StandardForm};
 use crate::stats::LpTelemetry;
@@ -200,12 +200,12 @@ impl Tableau {
 
     /// One simplex phase: minimize `cost · x` until optimal.
     /// `cost` is the current reduced-cost row (updated in place).
-    fn run(&mut self, cost: &mut [f64], opts: &SolveOptions) -> Result<(), SolveError> {
+    fn run(&mut self, cost: &mut [f64]) -> Result<(), SolveError> {
         let n = self.ncols();
         let bland_after = 20 * (self.nrows() + n) + 200;
         let mut local_iters = 0usize;
         loop {
-            if self.iterations >= opts.max_simplex_iters {
+            if self.iterations >= MAX_SIMPLEX_ITERS {
                 return Err(SolveError::IterationLimit {
                     iterations: self.iterations,
                 });
@@ -370,13 +370,8 @@ fn phase2_costs_into(tab: &Tableau, sf: &StandardForm, cost2: &mut [f64]) {
 }
 
 /// Runs phase 2 on a primal-feasible tableau and extracts the optimum.
-fn finish(
-    mut tab: Tableau,
-    sf: &StandardForm,
-    mut cost2: Vec<f64>,
-    opts: &SolveOptions,
-) -> Result<LpPoint, SolveError> {
-    tab.run(&mut cost2, opts)?;
+fn finish(mut tab: Tableau, sf: &StandardForm, mut cost2: Vec<f64>) -> Result<LpPoint, SolveError> {
+    tab.run(&mut cost2)?;
     let basis = tab.snapshot();
     let xfull = tab.values();
     let n = sf.ncols();
@@ -395,7 +390,7 @@ fn finish(
 /// Solves the standard-form LP on the dense tableau, cold (two phases
 /// from an artificial basis). Returns values for all structural + slack
 /// columns and the objective in the original model sense.
-fn solve_standard_dense(sf: &StandardForm, opts: &SolveOptions) -> Result<LpPoint, SolveError> {
+fn solve_standard_dense(sf: &StandardForm) -> Result<LpPoint, SolveError> {
     let m = sf.nrows();
     let n = sf.ncols();
     let n_total = n + m;
@@ -410,7 +405,7 @@ fn solve_standard_dense(sf: &StandardForm, opts: &SolveOptions) -> Result<LpPoin
         }
         *cj = -s;
     }
-    tab.run(&mut cost, opts)?;
+    tab.run(&mut cost)?;
     let x = tab.values();
     let art_sum: f64 = x[n..n_total].iter().sum();
     if art_sum > FEAS_TOL {
@@ -443,7 +438,7 @@ fn solve_standard_dense(sf: &StandardForm, opts: &SolveOptions) -> Result<LpPoin
     // --- phase 2: real objective ---
     let mut cost2 = vec![0.0; n_total];
     phase2_costs_into(&tab, sf, &mut cost2);
-    finish(tab, sf, cost2, opts)
+    finish(tab, sf, cost2)
 }
 
 /// Maps a standard-form LP optimum back to model-variable space.
@@ -468,8 +463,8 @@ fn to_solution(sf: &StandardForm, point: &LpPoint) -> Solution {
 
 /// Solves the LP relaxation of `model` (integrality dropped) and maps the
 /// optimum back to model-variable space.
-pub fn solve_lp_relaxation(model: &Model, opts: &SolveOptions) -> Result<Solution, SolveError> {
-    let (sol, _) = solve_lp_relaxation_warm(model, opts, None)?;
+pub fn solve_lp_relaxation(model: &Model) -> Result<Solution, SolveError> {
+    let (sol, _) = solve_lp_relaxation_warm(model, None)?;
     Ok(sol)
 }
 
@@ -480,19 +475,17 @@ pub fn solve_lp_relaxation(model: &Model, opts: &SolveOptions) -> Result<Solutio
 /// there. [`LpPoint::warm`] reports which path ran.
 pub fn solve_lp_relaxation_warm(
     model: &Model,
-    opts: &SolveOptions,
     hint: Option<&Basis>,
 ) -> Result<(Solution, LpPoint), SolveError> {
-    solve_lowered(&StandardForm::from_model(model)?, opts, hint)
+    solve_lowered(&StandardForm::from_model(model)?, hint)
 }
 
 /// [`solve_lp_relaxation_warm`] on a model that is already lowered.
 pub(crate) fn solve_lowered(
     sf: &StandardForm,
-    opts: &SolveOptions,
     hint: Option<&Basis>,
 ) -> Result<(Solution, LpPoint), SolveError> {
-    let point = crate::revised::solve_standard_revised(sf, opts, hint)?;
+    let point = crate::revised::solve_standard_revised(sf, hint)?;
     Ok((to_solution(sf, &point), point))
 }
 
@@ -500,12 +493,9 @@ pub(crate) fn solve_lowered(
 /// shipped revised simplex. Test support: the differential suites compare
 /// the two implementations LP by LP. Nothing on a solve path calls this.
 #[doc(hidden)]
-pub fn solve_lp_relaxation_dense(
-    model: &Model,
-    opts: &SolveOptions,
-) -> Result<Solution, SolveError> {
+pub fn solve_lp_relaxation_dense(model: &Model) -> Result<Solution, SolveError> {
     let sf = StandardForm::from_model(model)?;
-    let point = solve_standard_dense(&sf, opts)?;
+    let point = solve_standard_dense(&sf)?;
     Ok(to_solution(&sf, &point))
 }
 
@@ -515,10 +505,6 @@ mod tests {
     use crate::expr::LinExpr;
     use crate::model::{Cmp, Model, Sense};
     use crate::revised::solve_standard_revised;
-
-    fn opts() -> SolveOptions {
-        SolveOptions::default()
-    }
 
     #[test]
     fn simple_max_lp() {
@@ -530,7 +516,7 @@ mod tests {
         m.add_con(LinExpr::new().term(y, 2.0), Cmp::Le, 12.0);
         m.add_con(LinExpr::new().term(x, 3.0).term(y, 2.0), Cmp::Le, 18.0);
         m.set_objective(LinExpr::new().term(x, 3.0).term(y, 5.0));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective - 36.0).abs() < 1e-6);
         assert!((s.values[0] - 2.0).abs() < 1e-6);
         assert!((s.values[1] - 6.0).abs() < 1e-6);
@@ -545,7 +531,7 @@ mod tests {
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Ge, 3.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, -1.0), Cmp::Eq, 1.0);
         m.set_objective(LinExpr::new().term(x, 1.0).term(y, 1.0));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective - 3.0).abs() < 1e-6);
         assert!((s.values[0] - 2.0).abs() < 1e-6);
     }
@@ -558,7 +544,7 @@ mod tests {
         let y = m.num_var("y", 0.0, 1.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Le, 1.5);
         m.set_objective(LinExpr::new().term(x, 1.0).term(y, 1.0));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective - 1.5).abs() < 1e-6);
     }
 
@@ -568,7 +554,7 @@ mod tests {
         let x = m.num_var("x", 0.0, 1.0);
         m.add_con(LinExpr::var(x), Cmp::Ge, 2.0);
         assert_eq!(
-            solve_lp_relaxation(&m, &opts()).unwrap_err(),
+            solve_lp_relaxation(&m).unwrap_err(),
             SolveError::Infeasible
         );
     }
@@ -579,7 +565,7 @@ mod tests {
         let x = m.num_var("x", 0.0, f64::INFINITY);
         m.set_objective(LinExpr::var(x));
         assert_eq!(
-            solve_lp_relaxation(&m, &opts()).unwrap_err(),
+            solve_lp_relaxation(&m).unwrap_err(),
             SolveError::Unbounded
         );
     }
@@ -591,7 +577,7 @@ mod tests {
         let x = m.num_var("x", -5.0, 5.0);
         m.add_con(LinExpr::var(x), Cmp::Ge, -3.0);
         m.set_objective(LinExpr::var(x));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective + 3.0).abs() < 1e-6);
     }
 
@@ -602,7 +588,7 @@ mod tests {
         let x = m.num_var("x", f64::NEG_INFINITY, f64::INFINITY);
         m.add_con(LinExpr::var(x), Cmp::Ge, -7.0);
         m.set_objective(LinExpr::var(x));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective + 7.0).abs() < 1e-6);
     }
 
@@ -613,7 +599,7 @@ mod tests {
         let x = m.num_var("x", f64::NEG_INFINITY, 9.0);
         m.add_con(LinExpr::var(x), Cmp::Ge, 1.0);
         m.set_objective(LinExpr::var(x));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective - 9.0).abs() < 1e-6);
         assert!((s.values[0] - 9.0).abs() < 1e-6);
     }
@@ -632,7 +618,7 @@ mod tests {
             );
         }
         m.set_objective(LinExpr::new().term(x, 1.0).term(y, 1.0));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective - 4.0).abs() < 1e-6);
     }
 
@@ -643,7 +629,7 @@ mod tests {
         let y = m.num_var("y", 0.0, 10.0);
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Le, 5.0);
         m.set_objective(LinExpr::new().term(x, 1.0).term(y, 1.0));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.values[0] - 2.0).abs() < 1e-9);
         assert!((s.objective - 5.0).abs() < 1e-6);
     }
@@ -657,7 +643,7 @@ mod tests {
         m.add_con(LinExpr::new().term(x, 1.0).term(y, 1.0), Cmp::Eq, 2.0);
         m.add_con(LinExpr::new().term(x, 2.0).term(y, 2.0), Cmp::Eq, 4.0);
         m.set_objective(LinExpr::var(x));
-        let s = solve_lp_relaxation(&m, &opts()).unwrap();
+        let s = solve_lp_relaxation(&m).unwrap();
         assert!((s.objective - 2.0).abs() < 1e-6);
     }
 
@@ -680,13 +666,13 @@ mod tests {
     fn warm_start_with_bogus_hint_falls_back() {
         let m = knapsack_lp();
         let sf = StandardForm::from_model(&m).unwrap();
-        let cold = solve_standard_revised(&sf, &opts(), None).unwrap();
+        let cold = solve_standard_revised(&sf, None).unwrap();
         // wrong dimensions: must be ignored
         let bogus = Basis {
             basic: vec![0, 1, 2, 3, 4],
             at_upper: vec![],
         };
-        let s = solve_standard_revised(&sf, &opts(), Some(&bogus)).unwrap();
+        let s = solve_standard_revised(&sf, Some(&bogus)).unwrap();
         assert!(!s.warm);
         assert!((s.objective - cold.objective).abs() < 1e-9);
         // duplicate basis entries: must be ignored too
@@ -694,7 +680,7 @@ mod tests {
             basic: vec![0; sf.nrows()],
             at_upper: vec![false; sf.ncols()],
         };
-        let s2 = solve_standard_revised(&sf, &opts(), Some(&dup)).unwrap();
+        let s2 = solve_standard_revised(&sf, Some(&dup)).unwrap();
         assert!((s2.objective - cold.objective).abs() < 1e-9);
     }
 
@@ -706,12 +692,12 @@ mod tests {
         m.add_con(LinExpr::var(x), Cmp::Ge, 5.0);
         m.set_objective(LinExpr::var(x));
         let sf = StandardForm::from_model(&m).unwrap();
-        let parent = solve_standard_revised(&sf, &opts(), None).unwrap();
+        let parent = solve_standard_revised(&sf, None).unwrap();
         let mut child = m.clone();
         child.vars[0].upper = 3.0; // x >= 5 impossible now
         let csf = StandardForm::from_model(&child).unwrap();
         assert_eq!(
-            solve_standard_revised(&csf, &opts(), Some(&parent.basis)).unwrap_err(),
+            solve_standard_revised(&csf, Some(&parent.basis)).unwrap_err(),
             SolveError::Infeasible
         );
     }

@@ -68,7 +68,7 @@ proptest! {
     #[test]
     fn lp_relaxation_bounds_integer_optimum(model in arb_model()) {
         let opts = SolveOptions::default();
-        if let (Ok(relax), Ok(ip)) = (solve_lp_relaxation(&model, &opts), solve(&model, &opts)) {
+        if let (Ok(relax), Ok(ip)) = (solve_lp_relaxation(&model), solve(&model, &opts)) {
             match model.sense {
                 Sense::Maximize => prop_assert!(relax.objective >= ip.objective - 1e-5),
                 Sense::Minimize => prop_assert!(relax.objective <= ip.objective + 1e-5),
@@ -94,7 +94,7 @@ proptest! {
             loose.add_con(expr.clone(), *cmp, rhs + slacks[i % slacks.len()] as f64);
         }
         let mut pre = loose.clone();
-        let presolved = presolve(&mut pre, 1e-9);
+        let presolved = presolve(&mut pre);
         let direct = solve(&loose, &SolveOptions::default());
         match presolved {
             Err(SolveError::Infeasible) => {

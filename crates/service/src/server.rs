@@ -28,12 +28,12 @@ pub struct ServiceConfig {
     /// so hits can be re-proved. Defaults to a serial solver — the
     /// service parallelizes *across* requests, not within one.
     pub solver: SolveOptions,
-    /// Entries retained by the always-on flight recorder (recent
-    /// spans/events/counter deltas for the `flightrec/v1` post-mortem
-    /// dumped on certify-reject, INVALID and solver-error paths).
-    /// `0` disables the recorder entirely.
-    pub flight_capacity: usize,
 }
+
+/// Entries retained by the always-on flight recorder: recent
+/// spans/events/counter deltas for the `flightrec/v1` post-mortem dumped
+/// on certify-reject, INVALID and solver-error paths.
+const FLIGHT_CAPACITY: usize = 256;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -44,7 +44,6 @@ impl Default for ServiceConfig {
                 certificate: true,
                 ..SolveOptions::default()
             },
-            flight_capacity: 256,
         }
     }
 }
@@ -340,7 +339,7 @@ impl SolveService {
     /// flight recorder.
     pub fn new(config: ServiceConfig) -> Self {
         let cache_capacity = config.cache_capacity;
-        let flight = Arc::new(obs::FlightRecorder::with_capacity(config.flight_capacity));
+        let flight = Arc::new(obs::FlightRecorder::with_capacity(FLIGHT_CAPACITY));
         let registry = Arc::new(obs::Registry::new());
         registry.attach_flight(flight.clone());
         SolveService {
@@ -786,6 +785,27 @@ mod tests {
             ResourceConfig::from_total_threshold(100, 8.0, 1e9, 1e9),
         )
         .unwrap()
+    }
+
+    /// Every field is named and there is no `..`: adding a knob to
+    /// [`ServiceConfig`] breaks this test, so the next option is a visible
+    /// diff here and not only in the struct.
+    #[test]
+    fn every_field_is_named() {
+        let c = ServiceConfig {
+            cache_capacity: 256,
+            solver: SolveOptions {
+                threads: 1,
+                certificate: true,
+                ..SolveOptions::default()
+            },
+        };
+        let d = ServiceConfig::default();
+        assert_eq!(c.cache_capacity, d.cache_capacity);
+        assert_eq!(
+            (c.solver.max_nodes, c.solver.threads, c.solver.certificate),
+            (d.solver.max_nodes, d.solver.threads, d.solver.certificate)
+        );
     }
 
     #[test]

@@ -10,6 +10,13 @@ run() {
     "$@"
 }
 
+# building the benchmark below rewrites benchmark/Cargo.lock; keep a copy
+# and put it back on exit, so a run leaves the file as it found it (a copy,
+# not `git checkout`, which would also throw away a deliberate edit)
+lock_copy="$(mktemp)"
+cp benchmark/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
+
 # build + tests (unit, integration, property)
 run cargo build --release --workspace
 run cargo test -q --workspace
@@ -103,7 +110,9 @@ run head -n 4 target/trace_view.tree.txt
 # exact one, and since PR 22 each model has one solve function and every
 # door one solve-and-stamp body; the search is one serial loop with no
 # worker count to report; step lists are sets by construction, so the
-# replay is the one structural judge and has no unordered-list complaint.
+# replay is the one structural judge and has no unordered-list complaint;
+# the settings only their default ever took are constants, and the
+# adaptive loop has one trigger.
 # History files (CHANGES.md, ROADMAP.md,
 # EXPERIMENTS.md) and benchmark/ are not searched.
 retired='service_bench|sim_bench|bench_diff|adaptive_smoke|timeline_smoke|obs_smoke'
@@ -115,6 +124,8 @@ retired="$retired|AggregateSolution|RescheduleOutcome"
 retired="$retired|milp\\.threads|THREAD_SWEEP"
 retired="$retired|validate_structure|StepOutOfRange|OutputWithoutAnalysis"
 retired="$retired|eval_objective|duration_secs|not strictly increasing"
+retired="$retired|drift_threshold|trigger_on_budget|check_every|cooldown_steps|max_reschedules"
+retired="$retired|max_simplex_iters|flight_capacity|TriggerReason::Drift"
 echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then

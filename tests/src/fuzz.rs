@@ -167,9 +167,9 @@ pub fn differential_check(problem: &ScheduleProblem) -> Result<(), String> {
     // 2. the shipped revised simplex vs the dense-tableau oracle on the
     //    model's LP relaxation (the solve above found an integer point, so
     //    the relaxation is feasible and both must find its optimum)
-    let revised = milp::solve_lp_relaxation(&built.model, &serial_opts())
+    let revised = milp::solve_lp_relaxation(&built.model)
         .map_err(|e| format!("revised LP relaxation failed: {e}"))?;
-    let dense = milp::solve_lp_relaxation_dense(&built.model, &serial_opts())
+    let dense = milp::solve_lp_relaxation_dense(&built.model)
         .map_err(|e| format!("dense LP relaxation failed: {e}"))?;
     if !close(revised.objective, dense.objective) {
         return Err(format!(

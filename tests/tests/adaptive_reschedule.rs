@@ -183,7 +183,6 @@ fn reschedule_trigger_is_deterministic_across_solver_threads() {
     let run_with_threads = |threads: usize| {
         let adaptive_cfg = AdaptiveConfig {
             solver: milp::SolveOptions { threads, ..Default::default() },
-            ..AdaptiveConfig::default()
         };
         run_coupled_adaptive(
             &mut TickSim(0),

@@ -47,7 +47,6 @@ fn check_one(
     sf: &StandardForm,
     overrides: &[Override],
     parent: &Basis,
-    opts: &SolveOptions,
     ctx: &str,
 ) -> Option<LpPoint> {
     let cols: Vec<_> = overrides
@@ -55,7 +54,7 @@ fn check_one(
         .map(|&(v, lo, hi)| sf.col_bound(v, lo, hi).expect("integer variables are never split"))
         .collect();
     let warm = FactoredBasis::new(sf, parent);
-    let edit: Result<LpPoint, SolveError> = solve_bound_edit(sf, &cols, opts, warm.as_ref());
+    let edit: Result<LpPoint, SolveError> = solve_bound_edit(sf, &cols, warm.as_ref());
 
     let child = child_model(model, overrides);
     if child.vars.iter().any(|v| v.lower > v.upper) {
@@ -64,7 +63,7 @@ fn check_one(
         assert_eq!(edit.unwrap_err(), SolveError::Infeasible, "{ctx}");
         return None;
     }
-    match (solve_lp_relaxation_warm(&child, opts, Some(parent)), edit) {
+    match (solve_lp_relaxation_warm(&child, Some(parent)), edit) {
         (Ok((sol, rebuilt)), Ok(edit)) => {
             assert_eq!(edit.objective.to_bits(), rebuilt.objective.to_bits(), "{ctx}: objective");
             assert_eq!(edit.basis, rebuilt.basis, "{ctx}: basis");
@@ -105,9 +104,8 @@ fn check_model(
     down_only: impl Fn(usize) -> bool,
     ctx: &str,
 ) -> usize {
-    let opts = SolveOptions::default();
     let sf = StandardForm::from_model(model).expect("fuzz models lower");
-    let Ok(root) = solve_standard_revised(&sf, &opts, None) else { return 0 };
+    let Ok(root) = solve_standard_revised(&sf, None) else { return 0 };
     let int_vars = model.integer_vars();
     if int_vars.is_empty() {
         return 0;
@@ -121,7 +119,7 @@ fn check_model(
             let var = int_vars[rng.gen_range(0..int_vars.len())];
             overrides.push(random_override(rng, var, values[var], down_only(var)));
             let ctx = format!("{ctx} set {set} depth {depth} overrides {overrides:?}");
-            match check_one(model, &sf, &overrides, &basis, &opts, &ctx) {
+            match check_one(model, &sf, &overrides, &basis, &ctx) {
                 Some(child) => {
                     optima += 1;
                     values = sf.extract(&child.x);
@@ -180,19 +178,18 @@ fn bound_edit_equals_rebuilt_model_on_a_negated_column() {
     // `x >= t` gives the rebuilt model a finite lower bound, which it
     // lowers to a *direct* column — a mirrored but equivalent LP; the edit
     // keeps the solve's one column map (`col <= -t`). Same optimum.
-    let opts = SolveOptions::default();
-    let root = solve_standard_revised(&sf, &opts, None).unwrap();
+    let root = solve_standard_revised(&sf, None).unwrap();
     let warm = FactoredBasis::new(&sf, &root.basis);
     for t in -12..=8 {
         let ovr = [(x, t as f64, f64::INFINITY)];
-        let edit = solve_bound_edit(&sf, &[sf.col_bound(x, ovr[0].1, ovr[0].2).unwrap()], &opts, warm.as_ref());
+        let edit = solve_bound_edit(&sf, &[sf.col_bound(x, ovr[0].1, ovr[0].2).unwrap()], warm.as_ref());
         let child = child_model(&m, &ovr);
         if child.vars[x].lower > child.vars[x].upper {
             assert_eq!(edit.unwrap_err(), SolveError::Infeasible);
             continue;
         }
         assert!(matches!(StandardForm::from_model(&child).unwrap().var_map[x], ColMap::Direct(_)));
-        match (solve_lp_relaxation_warm(&child, &opts, None), edit) {
+        match (solve_lp_relaxation_warm(&child, None), edit) {
             (Ok((sol, _)), Ok(p)) => assert!((sol.objective - p.objective).abs() < 1e-9, "t = {t}"),
             (Err(a), Err(b)) => assert_eq!(a, b, "t = {t}"),
             (a, b) => panic!("t = {t}: {:?} vs {:?}", a.map(|s| s.0.objective), b.map(|p| p.objective)),
@@ -218,7 +215,7 @@ fn search_branches_on_a_negated_column() {
             }
         }
     }
-    let lp = milp::solve_lp_relaxation(&m, &SolveOptions::default()).unwrap();
+    let lp = milp::solve_lp_relaxation(&m).unwrap();
     assert!((lp.values[x] - lp.values[x].round()).abs() > 0.1, "x = {}", lp.values[x]);
     for threads in [1, 2, 4] {
         let s = milp::solve(&m, &SolveOptions { threads, ..SolveOptions::default() }).unwrap();

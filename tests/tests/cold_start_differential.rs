@@ -17,7 +17,7 @@
 //! `COLD_START_FUZZ_CASES` sets the number of LPs (default 600).
 
 use milp::lp_fuzz::random_lp;
-use milp::{solve_lp_relaxation, solve_lp_relaxation_dense, SolveError, SolveOptions};
+use milp::{solve_lp_relaxation, solve_lp_relaxation_dense, SolveError};
 
 #[test]
 fn cold_revised_simplex_agrees_with_the_dense_oracle() {
@@ -25,12 +25,11 @@ fn cold_revised_simplex_agrees_with_the_dense_oracle() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(600);
-    let opts = SolveOptions::default();
     let (mut optimal, mut infeasible, mut unbounded, mut rowless) = (0, 0, 0, 0);
     for case in 0..cases {
         let model = random_lp(case);
         rowless += usize::from(model.cons.is_empty());
-        match (solve_lp_relaxation(&model, &opts), solve_lp_relaxation_dense(&model, &opts)) {
+        match (solve_lp_relaxation(&model), solve_lp_relaxation_dense(&model)) {
             (Ok(s), Ok(d)) => {
                 assert!(
                     (s.objective - d.objective).abs() <= 1e-9,

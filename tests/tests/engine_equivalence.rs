@@ -152,8 +152,8 @@ proptest! {
     #[test]
     fn engines_agree_on_random_bounded_lps(lp in arb_lp()) {
         let model = lp.build();
-        let revised = solve_lp_relaxation(&model, &opts());
-        let dense = solve_lp_relaxation_dense(&model, &opts());
+        let revised = solve_lp_relaxation(&model);
+        let dense = solve_lp_relaxation_dense(&model);
         match (revised, dense) {
             (Ok(r), Ok(d)) => {
                 prop_assert!(close(r.objective, d.objective),
