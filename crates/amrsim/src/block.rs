@@ -50,8 +50,6 @@ pub struct Block {
     data: Vec<f64>,
     /// Block position in the mesh's block grid.
     pub coords: [usize; 3],
-    /// Refinement level (0 = base; used by the refine module).
-    pub level: u8,
 }
 
 impl Block {
@@ -68,7 +66,6 @@ impl Block {
             n,
             data: vec![0.0; NVARS * w * w * w],
             coords,
-            level: 0,
         }
     }
 

@@ -17,24 +17,21 @@
 //!   compressible Euler equations with CFL-controlled time stepping,
 //! * [`sedov`] — the Sedov blast initial condition and the self-similar
 //!   `r_s(t) ∝ (E t²/ρ)^{1/5}` reference used by the error-norm analyses,
-//! * [`refine`] — PARAMESH-style refinement flagging (second-derivative
-//!   criterion) and prolongation/restriction operators,
 //! * [`analysis`] — the F1/F2/F3 kernels implementing
 //!   [`insitu_core::runtime::Analysis`],
 //! * [`sim`] — the [`insitu_core::runtime::Simulator`] wrapper with
 //!   checkpoint output.
 //!
-//! Fidelity note (documented in DESIGN.md): the solver runs on the
-//! block-structured uniform grid; the AMR machinery (flagging, prolong/
-//! restrict) is implemented and tested but the time integration does not
-//! do multi-level flux correction — the paper's scheduling experiments
-//! exercise analysis cost shapes, not AMR accuracy.
+//! Fidelity note (documented in DESIGN.md): the solver runs on a uniform
+//! grid of equal blocks, all at one level. No refinement is modelled —
+//! no flagging, no prolongation or restriction, no multi-level flux
+//! correction — because the paper's scheduling experiments exercise the
+//! analyses' cost shapes, not AMR accuracy.
 
 pub mod analysis;
 pub mod block;
 pub mod euler;
 pub mod mesh;
-pub mod refine;
 pub mod sedov;
 pub mod sim;
 

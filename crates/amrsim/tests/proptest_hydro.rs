@@ -4,7 +4,6 @@
 use amrsim::block::FlowVar;
 use amrsim::euler::{cfl_dt, step};
 use amrsim::mesh::Mesh;
-use amrsim::refine::{prolong, restrict};
 use amrsim::sedov::SedovSetup;
 use proptest::prelude::*;
 
@@ -54,45 +53,6 @@ proptest! {
         let mean = octants.iter().sum::<f64>() / 8.0;
         for o in octants {
             prop_assert!((o - mean).abs() / mean < 1e-6, "{octants:?}");
-        }
-    }
-
-    #[test]
-    fn prolong_restrict_identity(seed in 0u64..1000) {
-        // pseudo-random parent block: restriction(prolongation(x)) == x
-        let mut parent = amrsim::block::Block::new(8, [0, 0, 0]);
-        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-        for k in 0..8 {
-            for j in 0..8 {
-                for i in 0..8 {
-                    state = state
-                        .wrapping_mul(2862933555777941757)
-                        .wrapping_add(3037000493);
-                    let v = (state >> 11) as f64 / (1u64 << 53) as f64;
-                    *parent.cell_mut(FlowVar::Dens, i, j, k) = v + 0.1;
-                    *parent.cell_mut(FlowVar::Pres, i, j, k) = 2.0 * v + 0.1;
-                }
-            }
-        }
-        let children = prolong(&parent);
-        let back = restrict(&children);
-        for k in 0..8 {
-            for j in 0..8 {
-                for i in 0..8 {
-                    prop_assert!(
-                        (back.cell(FlowVar::Dens, i, j, k)
-                            - parent.cell(FlowVar::Dens, i, j, k))
-                        .abs()
-                            < 1e-12
-                    );
-                    prop_assert!(
-                        (back.cell(FlowVar::Pres, i, j, k)
-                            - parent.cell(FlowVar::Pres, i, j, k))
-                        .abs()
-                            < 1e-12
-                    );
-                }
-            }
         }
     }
 }

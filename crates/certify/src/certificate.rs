@@ -99,14 +99,9 @@ pub(crate) fn with_objective_check(
     problems
 }
 
-/// Checks the closure of a pruning certificate against the claimed
-/// `objective`. Returns every problem found (empty = certificate holds).
-pub fn check_certificate(cert: &SearchCertificate, objective: f64) -> Vec<String> {
-    with_objective_check(cert.objective, objective, closure_problems(cert))
-}
-
-/// The objective-independent part of [`check_certificate`]: tree closure,
-/// bound monotonicity and every cut proof. Depends on nothing but `cert`.
+/// The objective-independent checks of a pruning certificate: tree
+/// closure, bound monotonicity and every cut proof. Depends on nothing but
+/// `cert`; returns every problem found (empty = the tree closes).
 fn closure_problems(cert: &SearchCertificate) -> Vec<String> {
     let mut problems = Vec::new();
     // sense-adjusted value: larger is better in both senses
@@ -512,12 +507,12 @@ mod tests {
         }
     }
 
-    /// The problems `check_certificate` finds when handed the certificate's
-    /// own objective (so none of them is about the objective), after
-    /// asserting that [`CheckedCertificate::check`] refuses the certificate
-    /// for exactly those reasons — or admits it when there are none.
+    /// The closure problems of `c` (none of them is about the objective),
+    /// after asserting that [`CheckedCertificate::check`] refuses the
+    /// certificate for exactly those reasons — or admits it when there are
+    /// none.
     fn both(c: &SearchCertificate) -> Vec<String> {
-        let problems = check_certificate(c, c.objective);
+        let problems = closure_problems(c);
         match CheckedCertificate::check(c.clone()) {
             Ok(_) => assert!(problems.is_empty(), "witness built over {problems:?}"),
             Err(refused) => assert_eq!(refused, problems),
@@ -702,7 +697,8 @@ mod tests {
 
     #[test]
     fn objective_mismatch_detected() {
-        let p = check_certificate(&good(), 7.0);
+        let c = good();
+        let p = with_objective_check(c.objective, 7.0, closure_problems(&c));
         assert!(p.iter().any(|m| m.contains("caller expected")));
         // whose objective is "expected" is the requester's business: the
         // witness does not depend on it

@@ -38,7 +38,7 @@ pub mod rational;
 pub mod replay;
 pub mod suffix;
 
-pub use certificate::{check_certificate, CheckedCertificate, BOUND_TOL};
+pub use certificate::{CheckedCertificate, BOUND_TOL};
 pub use fingerprint::{fingerprint, Fingerprint};
 pub use rational::{Rat, RatError};
 pub use replay::{replay, replay_time_series, ReplayReport, Violation, ViolationKind};

@@ -360,9 +360,10 @@ mod tests {
         let cert = rec.solver_stats.certificate.as_ref().expect("certificate");
         assert!(cert.proven_optimal);
         assert!(
-            certify::check_certificate(cert, rec.objective).is_empty(),
+            certify::CheckedCertificate::check(cert.clone()).is_ok(),
             "certificate must re-check clean outside the advisor too"
         );
+        assert!((cert.objective - rec.objective).abs() <= certify::BOUND_TOL);
         // exact-formulation path gets the same stamp
         let small = ScheduleProblem::new(
             vec![AnalysisProfile::new("a")

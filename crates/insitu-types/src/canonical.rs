@@ -29,11 +29,6 @@ pub fn canonical_order(problem: &ScheduleProblem) -> Vec<usize> {
     perm
 }
 
-/// True when the analyses are already in canonical (name-sorted) order.
-pub fn is_canonical(problem: &ScheduleProblem) -> bool {
-    problem.analyses.windows(2).all(|w| w[0].name <= w[1].name)
-}
-
 /// Rewrites the problem into canonical form and returns it together with
 /// the permutation mapping canonical indices back to the original order
 /// (see [`canonical_order`]).
@@ -118,8 +113,8 @@ mod tests {
     fn canonical_form_is_name_sorted_and_order_independent() {
         let p = problem(&["c", "a", "b"]);
         let (cp, perm) = canonicalize(&p);
-        assert!(is_canonical(&cp));
-        assert!(!is_canonical(&p));
+        let names: Vec<&str> = cp.analyses.iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "c"]);
         assert_eq!(perm, vec![1, 2, 0]);
         let q = problem(&["a", "b", "c"]);
         let (cq, perm_q) = canonicalize(&q);
@@ -147,7 +142,6 @@ mod tests {
     #[test]
     fn empty_problem_is_canonical() {
         let p = problem(&[]);
-        assert!(is_canonical(&p));
         let (cp, perm) = canonicalize(&p);
         assert!(cp.is_empty() && perm.is_empty());
     }

@@ -161,14 +161,6 @@ impl SearchCertificate {
     pub fn root(&self) -> Option<&NodeCert> {
         self.nodes.iter().find(|n| n.parent.is_none())
     }
-
-    /// Number of leaf records (everything that is not `Branched`).
-    pub fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.outcome != NodeOutcome::Branched)
-            .count()
-    }
 }
 
 impl ToJson for NodeCert {
@@ -577,7 +569,6 @@ mod tests {
     fn accessors() {
         let c = sample();
         assert_eq!(c.root().unwrap().id, 0);
-        assert_eq!(c.leaf_count(), 2);
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! The scheduling problem: a set of candidate analyses plus resources.
 
 use crate::error::TypeError;
-use crate::profile::{AnalysisId, AnalysisProfile};
+use crate::profile::AnalysisProfile;
 use crate::resources::ResourceConfig;
-use crate::units::Seconds;
 
 /// A complete instance of the paper's optimization problem: the candidate
 /// analysis set `A` (with per-analysis Table-1 parameters) and the global
 /// resource configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleProblem {
-    /// Candidate analyses, indexed by [`AnalysisId`].
+    /// Candidate analyses, indexed by [`AnalysisId`](crate::AnalysisId).
     pub analyses: Vec<AnalysisProfile>,
     /// Global resource limits and step count.
     pub resources: ResourceConfig,
@@ -35,18 +34,6 @@ impl ScheduleProblem {
     /// True when no analyses are requested.
     pub fn is_empty(&self) -> bool {
         self.analyses.is_empty()
-    }
-
-    /// Looks up an analysis index by name.
-    pub fn id_of(&self, name: &str) -> Option<AnalysisId> {
-        self.analyses.iter().position(|a| a.name == name)
-    }
-
-    /// The unavoidable per-run floor cost of enabling analysis `i`: its
-    /// fixed time plus the per-step facilitation time over all steps.
-    pub fn floor_time(&self, i: AnalysisId) -> Seconds {
-        let a = &self.analyses[i];
-        a.fixed_time + a.step_time * self.resources.steps as f64
     }
 
     /// Validates every profile, the resource block, and name uniqueness.
@@ -86,19 +73,10 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_name() {
+    fn len_counts_analyses() {
         let p = problem();
-        assert_eq!(p.id_of("msd"), Some(1));
-        assert_eq!(p.id_of("nope"), None);
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn floor_time_includes_per_step_cost() {
-        let p = problem();
-        assert!((p.floor_time(0) - 0.0).abs() < 1e-12);
-        assert!((p.floor_time(1) - (2.0 + 0.01 * 1000.0)).abs() < 1e-12);
     }
 
     #[test]

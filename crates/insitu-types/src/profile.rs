@@ -122,14 +122,6 @@ impl AnalysisProfile {
             + q as Seconds * self.output_time
     }
 
-    /// Peak memory this analysis can hold at one instant: fixed + per-step
-    /// accumulation is modelled by the recursion in Eqs. 5–7; the worst case
-    /// within one output period of length `p` steps is
-    /// `fm + p*im + cm + om`.
-    pub fn peak_mem_over_period(&self, period: usize) -> Bytes {
-        self.fixed_mem + period as Bytes * self.step_mem + self.compute_mem + self.output_mem
-    }
-
     /// Validates all Table-1 invariants (non-negative, finite, `itv >= 1`).
     pub fn validate(&self) -> Result<(), TypeError> {
         let checks: [(&'static str, f64); 9] = [
@@ -232,12 +224,5 @@ mod tests {
         let mut p = sample();
         p.min_interval = 0;
         assert!(matches!(p.validate(), Err(TypeError::ZeroInterval { .. })));
-    }
-
-    #[test]
-    fn peak_memory_includes_all_buffers() {
-        let p = sample();
-        let peak = p.peak_mem_over_period(10);
-        assert!((peak - (128.0 * MIB + 10.0 * MIB + 16.0 * MIB + 8.0 * MIB)).abs() < 1.0);
     }
 }

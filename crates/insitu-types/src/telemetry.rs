@@ -31,17 +31,6 @@ pub struct KernelRecord {
     pub scratch_reuses: usize,
 }
 
-impl KernelRecord {
-    /// Mean wall seconds per invocation.
-    pub fn mean_wall_s(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.wall_s / self.calls as f64
-        }
-    }
-}
-
 /// Telemetry registry: one [`KernelRecord`] per kernel name.
 ///
 /// Kernel names are dotted lowercase identifiers (`md.force`,
@@ -83,21 +72,6 @@ impl KernelTelemetry {
     /// Record for `kernel`, if any invocation has been recorded.
     pub fn get(&self, kernel: &str) -> Option<&KernelRecord> {
         self.kernels.get(kernel)
-    }
-
-    /// Folds another registry into this one (summing calls and times;
-    /// threads/chunks take the other's most recent values).
-    pub fn merge_from(&mut self, other: &KernelTelemetry) {
-        for (name, r) in &other.kernels {
-            let mine = self.kernels.entry(name.clone()).or_default();
-            mine.calls += r.calls;
-            mine.threads = r.threads;
-            mine.chunks = r.chunks;
-            mine.wall_s += r.wall_s;
-            mine.merge_s += r.merge_s;
-            mine.scratch_allocs += r.scratch_allocs;
-            mine.scratch_reuses += r.scratch_reuses;
-        }
     }
 
     /// Drops all records.
@@ -200,21 +174,7 @@ mod tests {
         assert_eq!(r.calls, 2);
         assert_eq!(r.threads, 2, "threads reflect the latest call");
         assert!((r.wall_s - 0.75).abs() < 1e-12);
-        assert!((r.mean_wall_s() - 0.375).abs() < 1e-12);
         assert!(t.get("md.rdf").is_none());
-    }
-
-    #[test]
-    fn merge_from_sums_counterpart() {
-        let mut a = KernelTelemetry::new();
-        a.record("hydro.step", 1, 8, 1.0, 0.0);
-        let mut b = KernelTelemetry::new();
-        b.record("hydro.step", 2, 8, 2.0, 0.5);
-        b.record("hydro.vorticity", 2, 4, 0.1, 0.0);
-        a.merge_from(&b);
-        assert_eq!(a.get("hydro.step").unwrap().calls, 2);
-        assert!((a.get("hydro.step").unwrap().wall_s - 3.0).abs() < 1e-12);
-        assert_eq!(a.kernels.len(), 2);
     }
 
     #[test]
@@ -262,9 +222,6 @@ mod tests {
         let d = t.delta_since(&baseline);
         let dr = d.get("md.force").unwrap();
         assert_eq!((dr.scratch_allocs, dr.scratch_reuses), (0, 24));
-        let mut merged = KernelTelemetry::new();
-        merged.merge_from(&t);
-        assert_eq!(merged.get("md.force").unwrap().scratch_allocs, 24);
         assert!(t.table().contains("alloc"));
         assert!(t.to_json().to_string_pretty().contains("\"scratch_allocs\""));
     }

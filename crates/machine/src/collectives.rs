@@ -1,22 +1,22 @@
-//! Latency–bandwidth cost models for MPI collectives.
+//! Latency–bandwidth cost model of `MPI_Allreduce`.
 //!
-//! The analyses the paper schedules use collective communication —
+//! The analyses the paper schedules use collective communication, and
 //! `MPI_Allreduce` dominates (histogram merges, error norms). §4 of the
 //! paper observes that the number of hops of a collective is proportional
 //! to the network **diameter**, and uses the diameter as the y-variable of
 //! its communication-time interpolation. This module provides the analytic
-//! forward model with the same structure:
+//! forward model of that one collective, with the same structure:
 //!
 //! ```text
-//! T_coll(bytes, P) = software_latency * ceil(log2 P)
-//!                  + hop_latency      * diameter
-//!                  + bytes * chunks   / link_bandwidth
-//!                  + bytes * reduce_cost                (reductions only)
+//! T_allreduce(bytes, P) = 2 * (software_latency * ceil(log2 P)
+//!                              + hop_latency * diameter)
+//!                       + bytes / link_bandwidth
+//!                       + bytes * reduce_cost
 //! ```
 
 use crate::topology::Torus;
 
-/// Tunable constants of the collective model. Defaults approximate a BG/Q:
+/// Tunable constants of the allreduce model. Defaults approximate a BG/Q:
 /// ~2 µs software overhead per tree level, ~40 ns per hop, 2 GB/s per link
 /// (the BG/Q torus link is 2 GB/s per direction), and ~0.5 ns/byte combine
 /// cost for reductions.
@@ -49,42 +49,11 @@ impl CollectiveModel {
         self.software_latency * levels + self.hop_latency * topo.diameter() as f64
     }
 
-    /// Time for a barrier (pure latency).
-    pub fn barrier(&self, procs: usize, topo: &Torus) -> f64 {
-        self.latency(procs, topo)
-    }
-
-    /// Time for a broadcast of `bytes` from one rank to all.
-    pub fn bcast(&self, bytes: f64, procs: usize, topo: &Torus) -> f64 {
-        self.latency(procs, topo) + bytes / self.link_bandwidth
-    }
-
-    /// Time for a reduce of `bytes` per rank to the root.
-    pub fn reduce(&self, bytes: f64, procs: usize, topo: &Torus) -> f64 {
-        self.latency(procs, topo) + bytes / self.link_bandwidth + bytes * self.reduce_cost
-    }
-
     /// Time for an allreduce of `bytes` per rank (reduce + broadcast along
     /// the same spanning tree; BG/Q does this in-network, hence a single
     /// bandwidth term with a 2x latency factor).
     pub fn allreduce(&self, bytes: f64, procs: usize, topo: &Torus) -> f64 {
         2.0 * self.latency(procs, topo) + bytes / self.link_bandwidth + bytes * self.reduce_cost
-    }
-
-    /// Time for an allgather where every rank contributes `bytes`
-    /// (ring algorithm: (P-1)/P of the total data crosses each link).
-    pub fn allgather(&self, bytes: f64, procs: usize, topo: &Torus) -> f64 {
-        let p = procs.max(1) as f64;
-        self.latency(procs, topo) + bytes * (p - 1.0) / self.link_bandwidth
-    }
-
-    /// Time for an all-to-all personalized exchange of `bytes` per pair.
-    /// Bisection-limited: half the traffic crosses the bisection.
-    pub fn alltoall(&self, bytes_per_pair: f64, procs: usize, topo: &Torus) -> f64 {
-        let p = procs.max(1) as f64;
-        let total = bytes_per_pair * p * p / 2.0;
-        let bis_bw = topo.bisection_links() as f64 * self.link_bandwidth;
-        self.latency(procs, topo) + total / bis_bw.max(self.link_bandwidth)
     }
 }
 
@@ -111,40 +80,6 @@ mod tests {
         let a = m.allreduce(1024.0, 1024, &t);
         let b = m.allreduce(1024.0 * 1024.0, 1024, &t);
         assert!(b > a);
-    }
-
-    #[test]
-    fn allreduce_costs_more_than_reduce() {
-        let m = CollectiveModel::default();
-        let t = topo(512);
-        assert!(m.allreduce(4096.0, 512, &t) > m.reduce(4096.0, 512, &t));
-    }
-
-    #[test]
-    fn barrier_is_pure_latency() {
-        let m = CollectiveModel::default();
-        let t = topo(512);
-        assert!(m.barrier(512, &t) < m.bcast(1e6, 512, &t));
-        assert!(m.barrier(512, &t) > 0.0);
-    }
-
-    #[test]
-    fn allgather_scales_with_procs() {
-        let m = CollectiveModel::default();
-        let t = topo(512);
-        let a = m.allgather(1024.0, 16, &t);
-        let b = m.allgather(1024.0, 8192, &t);
-        assert!(b > a);
-    }
-
-    #[test]
-    fn alltoall_bisection_limited() {
-        let m = CollectiveModel::default();
-        let t = topo(1024);
-        // doubling per-pair bytes roughly doubles the bandwidth term
-        let a = m.alltoall(64.0, 1024, &t);
-        let b = m.alltoall(128.0, 1024, &t);
-        assert!(b > a && b < 2.5 * a);
     }
 
     #[test]

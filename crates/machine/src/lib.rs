@@ -8,8 +8,8 @@
 //! * [`topology`] — N-dimensional torus/mesh partitions with hop counts and
 //!   network **diameter** (the y-variable of the paper's communication-time
 //!   interpolation, §4),
-//! * [`collectives`] — latency–bandwidth cost models for the MPI collectives
-//!   the analysis kernels use (`MPI_Allreduce` et al.),
+//! * [`collectives`] — a latency–bandwidth cost model of `MPI_Allreduce`,
+//!   the one collective the analyses' communication is costed as,
 //! * [`io`] — a shared-filesystem bandwidth model (GPFS-like) plus an
 //!   NVRAM/burst-buffer tier (the Table-7 what-if), and
 //! * [`machine`] — node specs, partition allocation and the

@@ -84,42 +84,6 @@ impl Torus {
             .sum()
     }
 
-    /// Average hop distance from a node to all others, exact by dimension
-    /// decomposition (used by uniform-traffic communication estimates).
-    pub fn mean_hops(&self) -> f64 {
-        // mean over pairs of per-dimension distance; dimensions independent
-        let mut total = 0.0;
-        for d in 0..self.ndims() {
-            let n = self.dims[d];
-            let mut sum = 0usize;
-            for a in 0..n {
-                for b in 0..n {
-                    sum += self.dim_distance(d, a, b);
-                }
-            }
-            total += sum as f64 / (n * n) as f64;
-        }
-        total
-    }
-
-    /// Bisection width in links: the minimum number of links cut when the
-    /// machine is split across its largest dimension.
-    pub fn bisection_links(&self) -> usize {
-        let nodes = self.num_nodes();
-        let (dmax_idx, &dmax) = self
-            .dims
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &d)| d)
-            .expect("at least one dimension");
-        let cross_section = nodes / dmax;
-        if self.wraps[dmax_idx] {
-            2 * cross_section
-        } else {
-            cross_section
-        }
-    }
-
     /// BG/Q partition shape table for Mira-style allocations, keyed by node
     /// count. Shapes follow the published Mira block dimensions (A,B,C,D,E).
     pub fn bgq_partition(nodes: usize) -> Option<Torus> {
@@ -197,22 +161,6 @@ mod tests {
             }
         }
         assert_eq!(t.diameter(), max);
-    }
-
-    #[test]
-    fn mean_hops_below_diameter() {
-        let t = Torus::bgq_partition(1024).unwrap();
-        assert!(t.mean_hops() > 0.0);
-        assert!(t.mean_hops() < t.diameter() as f64);
-    }
-
-    #[test]
-    fn bisection_counts_links() {
-        // 4x4 torus: largest dim 4, cross-section 4, wrapped => 8 links
-        let t = Torus::new(vec![4, 4]);
-        assert_eq!(t.bisection_links(), 8);
-        let mesh = Torus::with_wraps(vec![4, 4], vec![false, false]);
-        assert_eq!(mesh.bisection_links(), 4);
     }
 
     #[test]

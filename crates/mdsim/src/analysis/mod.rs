@@ -77,8 +77,3 @@ pub fn r1_gyration() -> RadiusOfGyration {
 pub fn r2_membrane_histogram(bins: usize) -> DensityHistogram {
     DensityHistogram::new("membrane histogram (R2)", Species::Membrane, bins)
 }
-
-/// Builds the paper's R3 analysis: protein 2-D density histogram.
-pub fn r3_protein_histogram(bins: usize) -> DensityHistogram {
-    DensityHistogram::new("protein histogram (R3)", Species::Protein, bins)
-}

@@ -19,7 +19,8 @@
 //! Every coefficient of every emitted cut is derived exactly from the
 //! *recorded* f64 base row, then rounded **outward** (coefficients up,
 //! right-hand side down) so the recorded [`CutProof`] dominates the exact
-//! GMI inequality — the property `certify::check_certificate` re-verifies.
+//! GMI inequality — the property `certify::CheckedCertificate::check`
+//! re-verifies.
 //! Anything that cannot be represented or would overflow simply skips the
 //! cut: separation is an optimization, never a soundness obligation.
 //!

@@ -112,11 +112,6 @@ impl LinExpr {
                 .map(|&(v, c)| c * assignment[v.0])
                 .sum::<f64>()
     }
-
-    /// Largest variable index referenced, or `None` for constants.
-    pub fn max_var(&self) -> Option<usize> {
-        self.terms.iter().map(|&(v, _)| v.0).max()
-    }
 }
 
 impl From<Var> for LinExpr {
@@ -200,12 +195,4 @@ mod tests {
         assert_eq!(e.terms[0].1, -2.0);
     }
 
-    #[test]
-    fn max_var_reports_width() {
-        assert_eq!(LinExpr::constant(1.0).max_var(), None);
-        assert_eq!(
-            LinExpr::new().term(Var(4), 1.0).term(Var(2), 1.0).max_var(),
-            Some(4)
-        );
-    }
 }

@@ -152,11 +152,6 @@ impl Model {
         self.vars.len()
     }
 
-    /// Number of constraints.
-    pub fn num_cons(&self) -> usize {
-        self.cons.len()
-    }
-
     /// Indices of integer variables.
     pub fn integer_vars(&self) -> Vec<usize> {
         (0..self.vars.len())

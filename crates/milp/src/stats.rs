@@ -68,22 +68,6 @@ pub struct CutStats {
     pub root_bound_after: f64,
 }
 
-impl CutStats {
-    /// Fraction of the root integrality gap closed by cuts:
-    /// `(bound_before - bound_after) / (bound_before - optimum)` in the
-    /// minimization sense, clamped to `[0, 1]`; `0.0` when the root gap
-    /// was already zero or no cut was applied.
-    pub fn root_gap_closed(&self, optimum: f64, maximize: bool) -> f64 {
-        let sign = if maximize { 1.0 } else { -1.0 };
-        let gap = sign * (self.root_bound_before - optimum);
-        let closed = sign * (self.root_bound_before - self.root_bound_after);
-        if gap <= 0.0 || !gap.is_finite() || !closed.is_finite() {
-            return 0.0;
-        }
-        (closed / gap).clamp(0.0, 1.0)
-    }
-}
-
 /// One improvement of the incumbent during branch & bound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncumbentEvent {
@@ -357,29 +341,4 @@ mod tests {
         assert_eq!(s.cuts, CutStats::default());
     }
 
-    #[test]
-    fn root_gap_closed_is_a_clamped_fraction() {
-        // maximize: bound 10 -> 7 with optimum 6 closes 3/4 of the gap
-        let c = CutStats {
-            root_bound_before: 10.0,
-            root_bound_after: 7.0,
-            ..Default::default()
-        };
-        assert!((c.root_gap_closed(6.0, true) - 0.75).abs() < 1e-12);
-        // minimize: bound 2 -> 5 with optimum 6 closes 3/4 of the gap
-        let c = CutStats {
-            root_bound_before: 2.0,
-            root_bound_after: 5.0,
-            ..Default::default()
-        };
-        assert!((c.root_gap_closed(6.0, false) - 0.75).abs() < 1e-12);
-        // integral root (no gap) and the no-cut default are both 0
-        let c = CutStats {
-            root_bound_before: 6.0,
-            root_bound_after: 6.0,
-            ..Default::default()
-        };
-        assert_eq!(c.root_gap_closed(6.0, true), 0.0);
-        assert_eq!(CutStats::default().root_gap_closed(1.0, true), 0.0);
-    }
 }

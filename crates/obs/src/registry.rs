@@ -76,22 +76,6 @@ impl Registry {
         }
     }
 
-    /// Merges a locally-accumulated histogram shard into `name` — the
-    /// cheap path for per-thread or per-batch shards (one lock per
-    /// shard instead of one per observation).
-    pub fn merge_hist(&self, name: &str, shard: &Hist) {
-        if shard.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock().unwrap();
-        match inner.hists.get_mut(name) {
-            Some(h) => h.merge(shard),
-            None => {
-                inner.hists.insert(name.to_string(), shard.clone());
-            }
-        }
-    }
-
     /// Deterministic (name-sorted) copy of the registry's current state.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock().unwrap();
@@ -224,10 +208,7 @@ mod tests {
         let r = Registry::new();
         r.observe_hist("service.request.latency_s.fresh", 0.25);
         r.observe_hist("service.request.latency_s.fresh", 3.0);
-        let mut shard = Hist::new();
-        shard.observe(0.75);
-        r.merge_hist("service.request.latency_s.fresh", &shard);
-        r.merge_hist("ignored.empty", &Hist::new()); // no-op, not registered
+        r.observe_hist("service.request.latency_s.fresh", 0.75);
         let snap = r.snapshot();
         let h = snap.hist("service.request.latency_s.fresh").unwrap();
         assert_eq!(h.count, 3);
@@ -243,19 +224,17 @@ mod tests {
 
     #[test]
     fn hist_snapshot_is_order_invariant() {
-        // same multiset of observations, different arrival orders and
-        // shard splits -> byte-identical snapshot JSON
+        // same multiset of observations, different arrival orders ->
+        // byte-identical snapshot JSON
         let values = [0.1, 0.4, 0.4, 1.7, 2.0, 9.5];
         let a = Registry::new();
         for &v in &values {
             a.observe_hist("h", v);
         }
         let b = Registry::new();
-        let mut shard = Hist::new();
         for &v in values.iter().rev().take(3) {
-            shard.observe(v);
+            b.observe_hist("h", v);
         }
-        b.merge_hist("h", &shard);
         for &v in values.iter().take(3).rev() {
             b.observe_hist("h", v);
         }

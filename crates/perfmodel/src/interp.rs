@@ -149,11 +149,6 @@ impl BilinearGrid {
         let z = if self.log_z { z.exp2() } else { z };
         (self.xs[ix], self.ys[iy], z)
     }
-
-    /// Grid shape `(nx, ny)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.xs.len(), self.ys.len())
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +246,6 @@ mod tests {
     #[test]
     fn shape_and_len() {
         let g = grid_from(|x, y| x + y, &[0.0, 1.0, 2.0], &[0.0, 1.0]);
-        assert_eq!(g.shape(), (3, 2));
         assert_eq!(g.len(), 6);
         assert!(!g.is_empty());
     }

@@ -1,20 +1,9 @@
 //! Closed-form scaling laws.
 //!
-//! Used to synthesize realistic measurement grids in benches/tests, and as
-//! reference shapes when reasoning about kernels: good analyses (RDF)
-//! strong-scale nearly linearly; the paper's MSD "does not scale and takes
-//! similar times on all core counts" (§5.3.3), which is exactly an
-//! Amdahl law with a large serial fraction.
-
-/// Amdahl's-law speedup for `p` processors with serial fraction `s`.
-pub fn amdahl_speedup(s: f64, p: f64) -> f64 {
-    1.0 / (s + (1.0 - s) / p)
-}
-
-/// Execution time under Amdahl's law, given single-process time `t1`.
-pub fn amdahl_time(t1: f64, serial_fraction: f64, procs: f64) -> f64 {
-    t1 / amdahl_speedup(serial_fraction, procs)
-}
+//! Used to synthesize realistic measurement grids in benches and tests:
+//! good analyses (RDF) strong-scale nearly linearly, and the `d` term of
+//! [`KernelLaw`] is the serial work of one that "does not scale and takes
+//! similar times on all core counts" (§5.3.3, the paper's MSD).
 
 /// A generic kernel-time law: `t(n, p) = a*n/p + b*log2(p) + c + d*n`.
 ///
@@ -43,12 +32,6 @@ impl KernelLaw {
     /// A well-scaling kernel (RDF-like): all work parallel.
     pub fn scalable(a: f64, b: f64) -> Self {
         KernelLaw { a, b, c: 0.0, d: 0.0 }
-    }
-
-    /// A non-scaling kernel (MSD-like): dominated by serial per-element
-    /// work, so time is nearly flat in `p`.
-    pub fn serial_bound(d: f64, c: f64) -> Self {
-        KernelLaw { a: 0.0, b: 0.0, c, d }
     }
 }
 
@@ -79,27 +62,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn amdahl_limits() {
-        assert!((amdahl_speedup(0.0, 64.0) - 64.0).abs() < 1e-9);
-        // serial fraction 0.1 caps speedup at 10x
-        assert!(amdahl_speedup(0.1, 1e9) < 10.0 + 1e-6);
-        assert!(amdahl_time(100.0, 0.5, 4.0) > 50.0);
-    }
-
-    #[test]
     fn scalable_law_halves_with_double_procs() {
         let law = KernelLaw::scalable(1e-6, 0.0);
         let t1 = law.time(1e8, 1024.0);
         let t2 = law.time(1e8, 2048.0);
         assert!((t1 / t2 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serial_law_flat_in_procs() {
-        let law = KernelLaw::serial_bound(1e-8, 0.5);
-        let t1 = law.time(1e8, 2048.0);
-        let t2 = law.time(1e8, 32768.0);
-        assert!((t1 - t2).abs() < 1e-9, "MSD-like kernels do not scale");
     }
 
     #[test]

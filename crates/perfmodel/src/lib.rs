@@ -1,4 +1,5 @@
-//! Performance modeling: profiling + interpolation-based prediction (§4).
+//! Performance modeling (§4): the [`Stopwatch`] bracket that measures
+//! Table-1 inputs, plus interpolation-based prediction.
 //!
 //! The paper feeds its optimization model with *estimates* of the time and
 //! memory requirements of each analysis, obtained by measuring a few
@@ -12,8 +13,8 @@
 //!
 //! * [`interp`] — rectilinear-grid bilinear interpolation with linear
 //!   extrapolation and optional log-scaled axes,
-//! * [`profile`] — an `HPM_Start`/`HPM_Stop`-style region profiler with
-//!   wall-clock timers and memory annotations,
+//! * [`profile`] — [`Stopwatch`], the `HPM_Start`/`HPM_Stop` wall-clock
+//!   bracket the coupler measures every region with,
 //! * [`predict`] — the three-grid predictor (compute / communication /
 //!   memory) used to produce [Table-1] inputs at unmeasured scales,
 //! * [`stats`] — prediction-error statistics (mean/max relative error),
@@ -28,5 +29,5 @@ pub mod stats;
 
 pub use interp::BilinearGrid;
 pub use predict::{KernelMeasurement, PerfPredictor};
-pub use profile::{RegionProfiler, Stopwatch};
+pub use profile::Stopwatch;
 pub use stats::PredictionErrors;

@@ -57,11 +57,6 @@ impl PredictionErrors {
     pub fn max_percent(&self) -> f64 {
         self.max() * 100.0
     }
-
-    /// True when the max error is below `percent`.
-    pub fn within_percent(&self, percent: f64) -> bool {
-        self.max_percent() <= percent
-    }
 }
 
 #[cfg(test)]
@@ -76,8 +71,6 @@ mod tests {
         assert_eq!(e.len(), 2);
         assert!((e.mean_percent() - 7.5).abs() < 1e-9);
         assert!((e.max_percent() - 10.0).abs() < 1e-9);
-        assert!(e.within_percent(10.0));
-        assert!(!e.within_percent(9.9));
     }
 
     #[test]

@@ -112,7 +112,10 @@ run head -n 4 target/trace_view.tree.txt
 # worker count to report; step lists are sets by construction, so the
 # replay is the one structural judge and has no unordered-list complaint;
 # the settings only their default ever took are constants, and the
-# adaptive loop has one trigger.
+# adaptive loop has one trigger; and what no run reached is gone: AMR
+# refinement, the HPM region profiler, every collective model but
+# allreduce, the accessors only their own tests called, and the second
+# certificate judge beside `CheckedCertificate::check`.
 # History files (CHANGES.md, ROADMAP.md,
 # EXPERIMENTS.md) and benchmark/ are not searched.
 retired='service_bench|sim_bench|bench_diff|adaptive_smoke|timeline_smoke|obs_smoke'
@@ -126,6 +129,9 @@ retired="$retired|validate_structure|StepOutOfRange|OutputWithoutAnalysis"
 retired="$retired|eval_objective|duration_secs|not strictly increasing"
 retired="$retired|drift_threshold|trigger_on_budget|check_every|cooldown_steps|max_reschedules"
 retired="$retired|max_simplex_iters|flight_capacity|TriggerReason::Drift"
+retired="$retired|RegionProfiler|RegionStats|spin_for|lohner_estimator|flag_for_refinement"
+retired="$retired|amrsim::refine|allgather|alltoall|mean_hops|bisection_links|merge_hist"
+retired="$retired|root_gap_closed|peak_mem_over_period|r3_protein_histogram|check_certificate|amdahl_"
 echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then

@@ -216,12 +216,14 @@ pub fn differential_check(problem: &ScheduleProblem) -> Result<(), String> {
         .certificate
         .as_ref()
         .ok_or("solver did not emit a certificate despite opts.certificate")?;
-    if !cert.proven_optimal {
-        return Err("solver did not claim proven optimality".into());
-    }
-    let problems = certify::check_certificate(cert, report.objective);
-    if !problems.is_empty() {
+    if let Err(problems) = certify::CheckedCertificate::check(cert.clone()) {
         return Err(format!("certificate does not close: {problems:?}"));
+    }
+    if (cert.objective - report.objective).abs() > certify::BOUND_TOL {
+        return Err(format!(
+            "certificate objective {} != replayed objective {}",
+            cert.objective, report.objective
+        ));
     }
     // ... and checking it once then replaying per reply is the same decision
     witness_agrees(problem, &schedule, cert)?;
@@ -246,10 +248,13 @@ pub fn differential_check(problem: &ScheduleProblem) -> Result<(), String> {
 }
 
 /// The check-once / replay-every-reply split must decide exactly what the
-/// one-call path decides. For `cert` and a few corruptions of it:
-/// [`certify::CheckedCertificate::check`] admits the certificate iff
-/// `check_certificate` finds no objective-independent problem and the
-/// solver claimed optimality; and for `schedule`, the empty schedule and a
+/// one-call path decides. For `cert` and a few corruptions of it,
+/// [`certify::CheckedCertificate::check`] must decide what the corruption
+/// implies, worked out here without the checker's code: the as-emitted
+/// certificate is admitted, `unproven` is refused for not claiming
+/// optimality, and every other corruption is refused whenever it changed
+/// the certificate (a child node or a cut exists to tamper with). For each
+/// admitted certificate and for `schedule`, the empty schedule and a
 /// truncated one, [`certify::certify_checked`] returns the verdict, the
 /// problem strings and the replay [`certify::certify`] returns.
 pub fn witness_agrees(
@@ -284,24 +289,27 @@ pub fn witness_agrees(
         }
     }
 
-    for (what, c) in [
-        ("as emitted", cert),
-        ("unproven", &unproven),
-        ("last node dropped", &open_tree),
-        ("child bounds loosened", &loose_prune),
-        ("cuts tampered", &bad_cut),
+    // `None` admits; `Some(m)` refuses with a problem that contains `m`
+    let refused_if_changed = |c: &SearchCertificate, m| (c != cert).then_some(m);
+    for (what, c, expect) in [
+        ("as emitted", cert, None),
+        ("unproven", &unproven, Some("solver did not claim proven optimality")),
+        ("last node dropped", &open_tree, refused_if_changed(&open_tree, "")),
+        (
+            "child bounds loosened",
+            &loose_prune,
+            refused_if_changed(&loose_prune, "improves on parent"),
+        ),
+        ("cuts tampered", &bad_cut, refused_if_changed(&bad_cut, "cut ")),
     ] {
-        let mut independent = certify::check_certificate(c, c.objective);
-        if !c.proven_optimal {
-            independent.push("solver did not claim proven optimality".into());
-        }
-        let checked = match certify::CheckedCertificate::check(c.clone()) {
-            Ok(checked) if independent.is_empty() => checked,
-            Err(refused) if refused == independent => continue,
-            other => {
+        let checked = match (certify::CheckedCertificate::check(c.clone()), expect) {
+            (Ok(checked), None) => checked,
+            (Err(refused), Some(m)) if refused.iter().any(|p| p.contains(m)) => continue,
+            (got, _) => {
                 return Err(format!(
-                    "certificate {what}: check() gave {:?}, check_certificate {independent:?}",
-                    other.map(|_| "a witness")
+                    "certificate {what}: check() gave {:?}, expected {}",
+                    got.map(|_| "a witness"),
+                    expect.map_or("a witness".into(), |m| format!("a refusal naming {m:?}"))
                 ))
             }
         };

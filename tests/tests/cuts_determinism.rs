@@ -88,9 +88,10 @@ fn tampered_cut_coefficient_is_rejected() {
             continue;
         };
         assert!(
-            certify::check_certificate(cert, sol.objective).is_empty(),
+            certify::CheckedCertificate::check(cert.clone()).is_ok(),
             "untampered certificate must close"
         );
+        assert!((cert.objective - sol.objective).abs() <= certify::BOUND_TOL);
         let mut bad = cert.clone();
         if let CutProof::Gomory { vars, cut, .. } = &mut bad.cuts[gomory_at] {
             let (var, coeff) = &mut cut[0];
@@ -103,7 +104,7 @@ fn tampered_cut_coefficient_is_rejected() {
             // effective coefficient below the exact GMI value either way
             *coeff += if at_upper { 0.25 } else { -0.25 };
         }
-        let problems = certify::check_certificate(&bad, sol.objective);
+        let problems = certify::CheckedCertificate::check(bad).unwrap_err();
         assert!(
             problems.iter().any(|p| p.contains("cut")),
             "tampered cut must be called out, got {problems:?}"
