@@ -1,8 +1,9 @@
-//! Renders recorded trace artifacts as a text tree and a Chrome export.
+//! Renders recorded trace artifacts as a text tree, and timelines also as
+//! a Chrome export.
 //!
 //! Usage: `trace_view INPUT.json [--chrome OUT.json]`
 //!
-//! The input schema is auto-detected:
+//! The input kind is auto-detected:
 //!
 //! * `obs/timeline/v1` — a tracer timeline (`Timeline::to_json_string`:
 //!   the repo benchmark's `--trace 1` writes one per workload to
@@ -12,15 +13,20 @@
 //!   warning line reports the exact dropped-record count whenever the
 //!   tracer overflowed, because a lossy tree is easy to misread as a
 //!   complete one.
-//! * `milp/searchtrace/v1` — a branch-&-bound search trace
-//!   (`milp::SearchTrace::to_json_string`, built from any reply's or
-//!   solve's search certificate): printed via its own text-tree renderer.
+//! * a certificate document — any object with a `certificate` member
+//!   holding a search certificate, such as the `{problem, schedule,
+//!   certificate}` files under `tests/corpus/` that
+//!   `certify_differential`'s `UPDATE_CORPUS` writes: printed as the whole
+//!   branch-&-bound tree the certificate records
+//!   (`milp::SearchTrace::to_text_tree`).
 //!
-//! `--chrome OUT.json` additionally writes the Chrome trace-event array
-//! for `chrome://tracing` / `ui.perfetto.dev`; for timelines this is the
-//! per-request-lane export including the `dropped_records` metadata.
+//! `--chrome OUT.json` additionally writes a timeline's Chrome trace-event
+//! array for `chrome://tracing` / `ui.perfetto.dev`: the per-request-lane
+//! export including the `dropped_records` metadata. A search tree has no
+//! timestamps, so `--chrome` with a certificate document is a usage error.
 
-use insitu_types::json::Value;
+use insitu_types::cert::SearchCertificate;
+use insitu_types::json::{FromJson, Value};
 use obs::{EventRecord, SpanRecord, TagValue, Timeline};
 use std::fmt::Write as _;
 
@@ -208,28 +214,27 @@ fn render_timeline(tl: &Timeline) -> String {
     out
 }
 
-/// Renders one artifact: the text tree to print and the Chrome
-/// trace-event array `--chrome` writes. `Err` is the message for a
-/// document that is not JSON, has an unsupported schema, or is malformed.
-fn render(text: &str) -> Result<(String, String), String> {
+/// Renders one artifact: the text tree to print and, for a timeline, the
+/// Chrome trace-event array `--chrome` writes (`None` for a certificate
+/// document). `Err` is the message for a document that is not JSON, is
+/// neither kind, or is malformed.
+fn render(text: &str) -> Result<(String, Option<String>), String> {
     let value = Value::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    match value.get("schema").and_then(Value::as_str).unwrap_or("") {
-        obs::TIMELINE_SCHEMA => {
-            let tl = timeline_from_json(&value)
-                .map_err(|e| format!("malformed {}: {e}", obs::TIMELINE_SCHEMA))?;
-            Ok((render_timeline(&tl), tl.to_chrome_trace_string()))
-        }
-        milp::SEARCHTRACE_SCHEMA => {
-            let trace = milp::SearchTrace::from_json(text)
-                .map_err(|e| format!("malformed {}: {e}", milp::SEARCHTRACE_SCHEMA))?;
-            Ok((trace.to_text_tree(), trace.to_chrome_trace_string()))
-        }
-        other => Err(format!(
-            "unsupported schema `{other}` (expected {} or {})",
-            obs::TIMELINE_SCHEMA,
-            milp::SEARCHTRACE_SCHEMA
-        )),
+    if value.get("schema").and_then(Value::as_str) == Some(obs::TIMELINE_SCHEMA) {
+        let tl = timeline_from_json(&value)
+            .map_err(|e| format!("malformed {}: {e}", obs::TIMELINE_SCHEMA))?;
+        return Ok((render_timeline(&tl), Some(tl.to_chrome_trace_string())));
     }
+    let Some(cert) = value.get("certificate") else {
+        return Err(format!(
+            "expected an {} timeline or a document with a `certificate` member",
+            obs::TIMELINE_SCHEMA
+        ));
+    };
+    let cert =
+        SearchCertificate::from_json(cert).map_err(|e| format!("malformed certificate: {e}"))?;
+    let tree = milp::SearchTrace::from_certificate(&cert, cert.nodes.len()).to_text_tree();
+    Ok((tree, None))
 }
 
 fn main() {
@@ -271,8 +276,15 @@ fn main() {
         eprintln!("trace_view: {input}: {e}");
         std::process::exit(2);
     });
+    if chrome_out.is_some() && chrome.is_none() {
+        eprintln!(
+            "trace_view: {input}: --chrome takes a timeline, and a search tree has no timestamps; \
+             usage: trace_view INPUT.json [--chrome OUT.json]"
+        );
+        std::process::exit(2);
+    }
     print!("{tree}");
-    if let Some(path) = chrome_out {
+    if let (Some(path), Some(chrome)) = (chrome_out, chrome) {
         std::fs::write(&path, chrome).unwrap_or_else(|e| {
             eprintln!("trace_view: cannot write {path}: {e}");
             std::process::exit(2);
@@ -284,37 +296,42 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use insitu_types::cert::{NodeCert, NodeOutcome};
+    use insitu_types::json::ToJson;
 
     #[test]
-    fn searchtrace_document_renders_as_tree_and_chrome_array() {
-        let node = |id, parent, depth, action, objective| milp::TraceNode {
+    fn certificate_document_renders_its_whole_tree() {
+        let node = |id, parent, outcome| NodeCert {
             id,
             parent,
-            depth,
             lp_bound: 7.5,
-            action,
-            objective,
+            outcome,
         };
-        let trace = milp::SearchTrace {
+        let cert = SearchCertificate {
             objective: 7.0,
             dual_bound: 7.5,
+            abs_gap: 1e-9,
             maximize: true,
-            total_nodes: 5,
-            total_cuts: 2,
-            cap: 3,
+            proven_optimal: true,
             nodes: vec![
-                node(0, None, 0, "branched", None),
-                node(1, Some(0), 1, "integral", Some(7.0)),
-                node(2, Some(0), 1, "pruned-bound", None),
+                node(0, None, NodeOutcome::Branched),
+                node(1, Some(0), NodeOutcome::Integral { objective: 7.0 }),
+                node(2, Some(0), NodeOutcome::Branched),
+                node(3, Some(2), NodeOutcome::PrunedBound),
+                node(4, Some(2), NodeOutcome::PrunedInfeasible),
             ],
+            cuts: Vec::new(),
         };
-        let (tree, chrome) = render(&trace.to_json_string()).expect("searchtrace renders");
-        assert_eq!(tree, trace.to_text_tree());
-        assert!(tree.starts_with(milp::SEARCHTRACE_SCHEMA));
-        assert!(tree.contains("└─ #2 bound=7.5 pruned-bound"), "{tree}");
-        assert!(tree.contains("2 deeper nodes not sampled"), "{tree}");
-        let events = Value::parse(&chrome).expect("chrome export is JSON");
-        // one frame per sampled node plus the process_name metadata record
-        assert_eq!(events.as_array().map(<[Value]>::len), Some(4));
+        let mut doc = std::collections::BTreeMap::new();
+        doc.insert("problem".to_string(), Value::Null);
+        doc.insert("certificate".to_string(), cert.to_json());
+        let (tree, chrome) =
+            render(&Value::Object(doc).to_string()).expect("certificate renders");
+        assert!(chrome.is_none(), "a search tree has no Chrome export");
+        assert_eq!(tree, milp::SearchTrace::from_certificate(&cert, 5).to_text_tree());
+        assert!(tree.starts_with("search tree: 5 nodes (5 sampled, cap 5), 0 cuts"), "{tree}");
+        assert!(tree.contains("\n   └─ #4 bound=7.5 pruned-infeasible\n"), "{tree}");
+        assert!(!tree.contains("not sampled"), "{tree}");
+        assert!(render("{\"problem\":null}").is_err());
     }
 }

@@ -23,7 +23,7 @@ use crate::adaptive::{
 };
 use crate::advisor::{Advisor, AdvisorOptions};
 use insitu_types::json::Value;
-use insitu_types::{CouplingTrace, KernelTelemetry, Schedule, ScheduleProblem};
+use insitu_types::{KernelTelemetry, Schedule, ScheduleProblem};
 use perfmodel::Stopwatch;
 
 /// Root span of a traced coupled run (tags: `steps`, `analyses`).
@@ -155,8 +155,6 @@ pub struct RunReport {
     pub sim_time: f64,
     /// Per-analysis measured costs, parallel to the analyses slice.
     pub analysis_times: Vec<AnalysisTimes>,
-    /// The executed coupling trace.
-    pub trace: CouplingTrace,
     /// Per-kernel cost attribution: the simulator's kernel telemetry
     /// accumulated *during this run* (the delta against its pre-run
     /// state). Empty when the simulator records none
@@ -180,11 +178,10 @@ impl RunReport {
     ///
     /// ```
     /// use insitu_core::runtime::{AnalysisTimes, RunReport};
-    /// use insitu_types::{CouplingTrace, KernelTelemetry, Schedule};
+    /// use insitu_types::KernelTelemetry;
     /// let mut report = RunReport {
     ///     sim_time: 10.0,
     ///     analysis_times: vec![AnalysisTimes { analyze: 1.0, ..Default::default() }],
-    ///     trace: CouplingTrace::from_schedule(&Schedule::empty(1), 0, 0),
     ///     kernel_telemetry: KernelTelemetry::new(),
     /// };
     /// assert_eq!(report.overhead_fraction(), 0.1);
@@ -289,7 +286,7 @@ pub fn run_coupled_traced<Sim: Simulator>(
         coupler.step(j, schedule);
     }
     drop(run_span);
-    coupler.report(schedule)
+    coupler.report()
 }
 
 /// A coupled run in progress: what it has measured so far, and the two
@@ -431,13 +428,11 @@ impl<'a, 'b, Sim: Simulator> Coupler<'a, 'b, Sim> {
         }
     }
 
-    /// The report of a finished run that executed `schedule`.
-    fn report(self, schedule: &Schedule) -> RunReport {
-        let (steps, every) = (self.cfg.steps, self.cfg.sim_output_every);
+    /// The report of a finished run.
+    fn report(self) -> RunReport {
         RunReport {
             sim_time: self.sim_time,
             analysis_times: self.times,
-            trace: CouplingTrace::from_schedule(schedule, steps, every),
             kernel_telemetry: self
                 .sim
                 .kernel_telemetry()
@@ -457,7 +452,7 @@ const MAX_RESCHEDULES: usize = 3;
 #[derive(Debug, Clone)]
 pub struct AdaptiveReport {
     /// The wall-clock run report, exactly as [`run_coupled`] would build
-    /// it — `run.trace` reflects the *final composite* schedule.
+    /// it. What ran is in the run's timeline and in [`Self::schedule`].
     pub run: RunReport,
     /// The schedule that was actually executed: the static prefix up to
     /// each reschedule point plus every adopted suffix, in absolute
@@ -713,7 +708,7 @@ pub fn run_coupled_adaptive<Sim: Simulator>(
     drop(run_span);
 
     Ok(AdaptiveReport {
-        run: coupler.report(&cur),
+        run: coupler.report(),
         schedule: cur,
         reschedules,
         predicted,
@@ -787,7 +782,6 @@ mod tests {
         assert_eq!(report.analysis_times[0].analyze_count, 2);
         assert_eq!(report.analysis_times[0].output_count, 1);
         assert_eq!(report.analysis_times[1].analyze_count, 0);
-        assert_eq!(report.trace.sim_steps(), 10);
         assert!(report.sim_time >= 0.0);
         assert!(report.total_analysis_time() >= 0.0);
     }
@@ -1077,7 +1071,6 @@ mod tests {
         let (fixed, fixed_shape) = run(false);
         let (adaptive, adaptive_shape) = run(true);
         assert_eq!(adaptive_shape, fixed_shape);
-        assert_eq!(adaptive.trace, fixed.trace);
         let shape = |r: &RunReport| -> Vec<(String, usize, usize)> {
             r.analysis_times
                 .iter()

@@ -93,4 +93,4 @@ pub use presolve::{presolve, PresolveStats};
 pub use simplex::{solve_lp_relaxation, solve_lp_relaxation_dense, Basis};
 pub use solution::Solution;
 pub use stats::{CutStats, IncumbentEvent, LpTelemetry, SolveStats};
-pub use trace::{SearchTrace, TraceNode, SEARCHTRACE_SCHEMA};
+pub use trace::{SearchTrace, TraceNode};

@@ -16,27 +16,18 @@
 //! children, any sampled node's entire ancestor chain is sampled too —
 //! the rendered tree never has orphans.
 //!
-//! Three renderers:
-//! * [`SearchTrace::to_text_tree`] — box-drawing tree for terminals (the
-//!   `trace_view` CLI's default output),
-//! * [`SearchTrace::to_json_string`] — the `milp/searchtrace/v1` schema
-//!   (round-trips through [`SearchTrace::from_json`]),
-//! * [`SearchTrace::to_chrome_trace_string`] — a synthetic flame graph:
-//!   one complete event per sampled node, positioned by preorder index
-//!   with duration equal to its sampled-subtree size, so
-//!   `chrome://tracing` / Perfetto show the tree as nested frames.
+//! [`SearchTrace::to_text_tree`] renders it as a box-drawing tree for
+//! terminals. The trace has no file format of its own: the certificate is
+//! the record, and `trace_view` renders any certificate document
+//! (`{problem, schedule, certificate}`) through this module.
 //!
 //! This is what makes the cut-ablation node reductions *inspectable*:
 //! `trace_view` renders where the tree was closed, not just how big it
 //! was. See `docs/SOLVER.md` and `docs/OBSERVABILITY.md`.
 
 use insitu_types::cert::{NodeOutcome, SearchCertificate};
-use insitu_types::json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Schema identifier written by [`SearchTrace::to_json_string`].
-pub const SEARCHTRACE_SCHEMA: &str = "milp/searchtrace/v1";
 
 /// One sampled search node.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,16 +73,6 @@ fn action_of(outcome: &NodeOutcome) -> (&'static str, Option<f64>) {
         NodeOutcome::Integral { objective } => ("integral", Some(*objective)),
         NodeOutcome::PrunedBound => ("pruned-bound", None),
         NodeOutcome::PrunedInfeasible => ("pruned-infeasible", None),
-    }
-}
-
-fn action_from_str(s: &str) -> Option<&'static str> {
-    match s {
-        "branched" => Some("branched"),
-        "integral" => Some("integral"),
-        "pruned-bound" => Some("pruned-bound"),
-        "pruned-infeasible" => Some("pruned-infeasible"),
-        _ => None,
     }
 }
 
@@ -167,7 +148,7 @@ impl SearchTrace {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{SEARCHTRACE_SCHEMA}: {} nodes ({} sampled, cap {}), {} cuts, objective {} ({}), dual bound {}",
+            "search tree: {} nodes ({} sampled, cap {}), {} cuts, objective {} ({}), dual bound {}",
             self.total_nodes,
             self.nodes.len(),
             self.cap,
@@ -205,155 +186,6 @@ impl SearchTrace {
                 self.total_nodes - self.nodes.len()
             );
         }
-        out
-    }
-
-    /// Exports the `milp/searchtrace/v1` JSON document.
-    pub fn to_json_string(&self) -> String {
-        let mut obj = BTreeMap::new();
-        obj.insert("schema".into(), Value::String(SEARCHTRACE_SCHEMA.into()));
-        obj.insert("objective".into(), Value::Number(self.objective));
-        obj.insert("dual_bound".into(), Value::Number(self.dual_bound));
-        obj.insert("maximize".into(), Value::Bool(self.maximize));
-        obj.insert("total_nodes".into(), Value::Number(self.total_nodes as f64));
-        obj.insert("total_cuts".into(), Value::Number(self.total_cuts as f64));
-        obj.insert("cap".into(), Value::Number(self.cap as f64));
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let mut m = BTreeMap::new();
-                m.insert("id".into(), Value::Number(n.id as f64));
-                m.insert(
-                    "parent".into(),
-                    match n.parent {
-                        Some(p) => Value::Number(p as f64),
-                        None => Value::Null,
-                    },
-                );
-                m.insert("depth".into(), Value::Number(n.depth as f64));
-                m.insert("lp_bound".into(), Value::Number(n.lp_bound));
-                m.insert("action".into(), Value::String(n.action.into()));
-                m.insert(
-                    "objective".into(),
-                    match n.objective {
-                        Some(o) => Value::Number(o),
-                        None => Value::Null,
-                    },
-                );
-                Value::Object(m)
-            })
-            .collect();
-        obj.insert("nodes".into(), Value::Array(nodes));
-        Value::Object(obj).to_string()
-    }
-
-    /// Parses a `milp/searchtrace/v1` document (the inverse of
-    /// [`SearchTrace::to_json_string`]).
-    pub fn from_json(text: &str) -> Result<SearchTrace, String> {
-        let v = Value::parse(text).map_err(|e| e.to_string())?;
-        let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
-        if schema != SEARCHTRACE_SCHEMA {
-            return Err(format!("expected schema {SEARCHTRACE_SCHEMA}, got `{schema}`"));
-        }
-        let num = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing number `{key}`"))
-        };
-        let nodes = v
-            .get("nodes")
-            .and_then(Value::as_array)
-            .ok_or("missing `nodes` array")?
-            .iter()
-            .map(|n| -> Result<TraceNode, String> {
-                let nnum = |key: &str| -> Result<f64, String> {
-                    n.get(key)
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| format!("node missing number `{key}`"))
-                };
-                let action_str = n
-                    .get("action")
-                    .and_then(Value::as_str)
-                    .ok_or("node missing `action`")?;
-                Ok(TraceNode {
-                    id: nnum("id")? as u64,
-                    parent: n.get("parent").and_then(Value::as_f64).map(|p| p as u64),
-                    depth: nnum("depth")? as u32,
-                    lp_bound: nnum("lp_bound")?,
-                    action: action_from_str(action_str)
-                        .ok_or_else(|| format!("unknown action `{action_str}`"))?,
-                    objective: n.get("objective").and_then(Value::as_f64),
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SearchTrace {
-            objective: num("objective")?,
-            dual_bound: num("dual_bound")?,
-            maximize: v
-                .get("maximize")
-                .and_then(Value::as_bool)
-                .ok_or("missing `maximize`")?,
-            total_nodes: num("total_nodes")? as usize,
-            total_cuts: num("total_cuts")? as usize,
-            cap: num("cap")? as usize,
-            nodes,
-        })
-    }
-
-    /// Exports a Chrome trace-event array visualizing the sampled tree
-    /// as nested frames: each node is a complete event at its preorder
-    /// index with duration equal to its sampled-subtree size, so a
-    /// parent frame exactly spans its children. Time here is tree
-    /// position, not wall clock.
-    pub fn to_chrome_trace_string(&self) -> String {
-        // preorder positions and subtree sizes over the sampled tree
-        fn layout(
-            trace: &SearchTrace,
-            n: &TraceNode,
-            next: &mut u64,
-            out: &mut Vec<(u64, u64, u64)>, // (id, start, size)
-        ) -> u64 {
-            let start = *next;
-            *next += 1;
-            let mut size = 1;
-            for kid in trace.sampled_children(n.id) {
-                size += layout(trace, kid, next, out);
-            }
-            out.push((n.id, start, size));
-            size
-        }
-        let mut frames = Vec::with_capacity(self.nodes.len());
-        let mut next = 0u64;
-        for root in self.sampled_roots() {
-            layout(self, root, &mut next, &mut frames);
-        }
-        frames.sort_by_key(|&(id, _, _)| id);
-        let by_id: BTreeMap<u64, (u64, u64)> = frames
-            .into_iter()
-            .map(|(id, start, size)| (id, (start, size)))
-            .collect();
-        let mut out = String::with_capacity(128 + 128 * self.nodes.len());
-        out.push('[');
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":\"search tree ({} nodes, {} sampled)\"}}}}",
-            self.total_nodes,
-            self.nodes.len()
-        );
-        for n in &self.nodes {
-            let (start, size) = by_id[&n.id];
-            let _ = write!(
-                out,
-                ",{{\"name\":\"#{} {}\",\"cat\":\"milp\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":1,\"args\":{{\"id\":{},\"depth\":{},\"lp_bound\":{},\"action\":\"{}\"",
-                n.id, n.action, start, size, n.id, n.depth, n.lp_bound, n.action
-            );
-            if let Some(obj) = n.objective {
-                let _ = write!(out, ",\"objective\":{obj}");
-            }
-            out.push_str("}}");
-        }
-        out.push(']');
         out
     }
 }
@@ -418,17 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let cert = certified_solve();
-        let t = SearchTrace::from_certificate(&cert, 16);
-        let json = t.to_json_string();
-        assert!(json.contains("\"schema\":\"milp/searchtrace/v1\""));
-        let back = SearchTrace::from_json(&json).unwrap();
-        assert_eq!(back, t);
-        assert!(SearchTrace::from_json("{\"schema\":\"nope\"}").is_err());
-    }
-
-    #[test]
     fn text_tree_renders_every_sampled_node_once() {
         let cert = certified_solve();
         let t = SearchTrace::from_certificate(&cert, 8);
@@ -443,22 +264,5 @@ mod tests {
         if t.nodes.len() < t.total_nodes {
             assert!(text.contains("not sampled"), "{text}");
         }
-    }
-
-    #[test]
-    fn chrome_export_nests_children_inside_parents() {
-        let cert = certified_solve();
-        let t = SearchTrace::from_certificate(&cert, 16);
-        let chrome = t.to_chrome_trace_string();
-        assert!(chrome.starts_with('[') && chrome.ends_with(']'));
-        assert_eq!(chrome.matches("\"ph\":\"X\"").count(), t.nodes.len());
-        // root frame spans the whole sampled tree
-        let root = t.sampled_roots()[0];
-        assert!(chrome.contains(&format!(
-            "\"name\":\"#{} {}\",\"cat\":\"milp\",\"ph\":\"X\",\"ts\":0,\"dur\":{}",
-            root.id,
-            root.action,
-            t.nodes.len()
-        )));
     }
 }

@@ -16,6 +16,12 @@
 //!    [`map_chunks`] output). Which *thread* computed a chunk is
 //!    scheduling noise; the merge order is not.
 //!
+//! One worker loop does the fanning out: [`for_each_mut`] is the only
+//! function that spawns threads. [`map_chunks`] hands it one result slot
+//! per chunk, [`fill_chunks`] the chunk sub-slices of its output, and
+//! [`reduce_chunks`] folds [`map_chunks`]' results. Workers claim items one
+//! at a time from a shared queue, so the load balances itself.
+//!
 //! Thread counts come from an explicit [`Exec`] handle (no global mutable
 //! state — concurrently running tests would race on it). [`Exec::from_env`]
 //! reads the `INSITU_THREADS` environment variable once at construction.
@@ -132,50 +138,20 @@ pub fn chunk_bounds(n_items: usize, chunks: usize, c: usize) -> std::ops::Range<
 /// Runs `f(c)` for every chunk index `c in 0..chunks` and returns the
 /// results **in chunk order** plus timing stats.
 ///
-/// Chunks are claimed dynamically by worker threads (an atomic counter),
-/// so which thread runs a chunk is nondeterministic — but each result is
-/// placed at its chunk index, so the output is not. With 1 thread (or 1
-/// chunk) the chunks run inline in index order over the identical code
-/// path.
+/// Each chunk writes its result into its own slot through
+/// [`for_each_mut`], so which thread ran a chunk is nondeterministic but
+/// the output order is not. With 1 thread (or 1 chunk) the chunks run
+/// inline in index order over the identical code path.
 pub fn map_chunks<T: Send>(
     exec: &Exec,
     chunks: usize,
     f: impl Fn(usize) -> T + Sync,
 ) -> (Vec<T>, ParStats) {
     let t0 = Instant::now();
-    let threads = exec.threads.min(chunks).max(1);
-    let results: Vec<T> = if threads <= 1 {
-        (0..chunks).map(&f).collect()
-    } else {
-        let slots: Vec<Mutex<Option<T>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= chunks {
-                        break;
-                    }
-                    let r = f(c);
-                    *slots[c].lock().expect("chunk slot poisoned") = Some(r);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("chunk slot poisoned")
-                    .expect("chunk ran")
-            })
-            .collect()
-    };
-    let stats = ParStats {
-        threads_used: threads,
-        chunks,
-        wall: t0.elapsed(),
-        merge: Duration::ZERO,
-    };
+    let mut slots: Vec<Option<T>> = (0..chunks).map(|_| None).collect();
+    let mut stats = for_each_mut(exec, &mut slots, |c, slot| *slot = Some(f(c)));
+    let results = slots.into_iter().map(|r| r.expect("chunk ran")).collect();
+    stats.wall = t0.elapsed();
     (results, stats)
 }
 
@@ -205,6 +181,12 @@ pub fn reduce_chunks<T: Send, R>(
 /// invocation owns its item exclusively, so this is trivially
 /// deterministic for independent per-item updates (e.g. one AMR block
 /// per item).
+///
+/// This is the crate's one worker loop: the other primitives hand it
+/// their work as items. `min(threads, items)` scoped workers each claim
+/// the next unclaimed item from a shared iterator under a lock until none
+/// is left, so a slow item does not hold up the rest. With one worker the
+/// items run inline, in index order, on the calling thread.
 pub fn for_each_mut<T: Send>(
     exec: &Exec,
     items: &mut [T],
@@ -251,51 +233,19 @@ pub fn fill_chunks<T: Send>(
 ) -> ParStats {
     let t0 = Instant::now();
     let n = out.len();
-    if n == 0 {
-        return ParStats {
-            threads_used: 1,
-            chunks: 0,
-            wall: t0.elapsed(),
-            merge: Duration::ZERO,
-        };
-    }
-    let chunks = chunks.clamp(1, n);
-    let threads = exec.threads.min(chunks).max(1);
-    // split `out` into the chunk_bounds sub-slices
-    let mut parts: Vec<(usize, usize, &mut [T])> = Vec::with_capacity(chunks);
+    let chunks = if n == 0 { 0 } else { chunks.clamp(1, n) };
+    // split `out` into the chunk_bounds sub-slices, each with its offset
+    let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(chunks);
     let mut rest = out;
-    let mut offset = 0usize;
     for c in 0..chunks {
-        let len = chunk_bounds(n, chunks, c).len();
-        let (head, tail) = rest.split_at_mut(len);
-        parts.push((c, offset, head));
-        offset += len;
+        let range = chunk_bounds(n, chunks, c);
+        let (head, tail) = rest.split_at_mut(range.len());
+        parts.push((range.start, head));
         rest = tail;
     }
-    if threads <= 1 {
-        for (c, start, slice) in parts {
-            f(c, start, slice);
-        }
-    } else {
-        let work = Mutex::new(parts.into_iter());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let claimed = work.lock().expect("work queue poisoned").next();
-                    match claimed {
-                        Some((c, start, slice)) => f(c, start, slice),
-                        None => break,
-                    }
-                });
-            }
-        });
-    }
-    ParStats {
-        threads_used: threads,
-        chunks,
-        wall: t0.elapsed(),
-        merge: Duration::ZERO,
-    }
+    let mut stats = for_each_mut(exec, &mut parts, |c, (start, slice)| f(c, *start, slice));
+    stats.wall = t0.elapsed();
+    stats
 }
 
 /// Allocation/reuse counters of a [`ScratchPool`], for telemetry.
@@ -462,14 +412,36 @@ mod tests {
         }
     }
 
+    /// Thread counts the primitives are exercised at, including more
+    /// threads than items.
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+
     #[test]
     fn map_chunks_returns_in_chunk_order() {
-        for threads in [1usize, 2, 5] {
+        for threads in THREADS {
             let exec = Exec::with_threads(threads);
-            let (v, stats) = map_chunks(&exec, 9, |c| c * 10);
-            assert_eq!(v, (0..9).map(|c| c * 10).collect::<Vec<_>>());
-            assert_eq!(stats.chunks, 9);
-            assert!(stats.threads_used <= threads.max(1));
+            for chunks in [0usize, 1, 5, 9] {
+                let want: Vec<usize> = (0..chunks).map(|c| c * 10).collect();
+                let (v, stats) = map_chunks(&exec, chunks, |c| c * 10);
+                assert_eq!(v, want, "threads={threads} chunks={chunks}");
+                assert_eq!(stats.chunks, chunks);
+                assert_eq!(stats.threads_used, threads.min(chunks).max(1));
+                assert_eq!(stats.merge, Duration::ZERO);
+                // reduce_chunks folds the same results in the same order
+                let (folded, stats) = reduce_chunks(
+                    &exec,
+                    chunks,
+                    |c| c * 10,
+                    Vec::new(),
+                    |mut acc, x| {
+                        acc.push(x);
+                        acc
+                    },
+                );
+                assert_eq!(folded, want, "threads={threads} chunks={chunks}");
+                assert_eq!(stats.chunks, chunks);
+                assert!(stats.merge <= stats.wall);
+            }
         }
     }
 
@@ -499,26 +471,49 @@ mod tests {
 
     #[test]
     fn for_each_mut_touches_every_item_once() {
-        for threads in [1usize, 4] {
+        for threads in THREADS {
             let exec = Exec::with_threads(threads);
-            let mut items = vec![0usize; 100];
-            let stats = for_each_mut(&exec, &mut items, |i, x| *x = i + 1);
-            assert!(items.iter().enumerate().all(|(i, &x)| x == i + 1));
-            assert_eq!(stats.chunks, 100);
+            for n in [0usize, 1, 5, 100] {
+                let mut items = vec![0usize; n];
+                let calls = AtomicUsize::new(0);
+                let stats = for_each_mut(&exec, &mut items, |i, x| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    *x += i + 1;
+                });
+                assert!(
+                    items.iter().enumerate().all(|(i, &x)| x == i + 1),
+                    "threads={threads} n={n}"
+                );
+                assert_eq!(calls.into_inner(), n);
+                assert_eq!(stats.chunks, n);
+                assert_eq!(stats.threads_used, threads.min(n).max(1));
+            }
         }
     }
 
     #[test]
     fn fill_chunks_writes_disjoint_ranges() {
-        for threads in [1usize, 3] {
+        for threads in THREADS {
             let exec = Exec::with_threads(threads);
-            let mut out = vec![0usize; 97];
-            fill_chunks(&exec, &mut out, 7, |_, start, slice| {
-                for (k, x) in slice.iter_mut().enumerate() {
-                    *x = start + k;
+            for n in [0usize, 1, 5, 97] {
+                for chunks in [1usize, 3, 7] {
+                    let used = if n == 0 { 0 } else { chunks.min(n) };
+                    let mut out = vec![0usize; n];
+                    let stats = fill_chunks(&exec, &mut out, chunks, |c, start, slice| {
+                        // each chunk gets exactly its chunk_bounds range
+                        assert_eq!(chunk_bounds(n, used, c), start..start + slice.len());
+                        for (k, x) in slice.iter_mut().enumerate() {
+                            *x += start + k + 1;
+                        }
+                    });
+                    assert!(
+                        out.iter().enumerate().all(|(i, &x)| x == i + 1),
+                        "threads={threads} n={n} chunks={chunks}"
+                    );
+                    assert_eq!(stats.chunks, used);
+                    assert_eq!(stats.threads_used, threads.min(used).max(1));
                 }
-            });
-            assert!(out.iter().enumerate().all(|(i, &x)| x == i));
+            }
         }
     }
 
@@ -582,11 +577,19 @@ mod tests {
 
     #[test]
     fn empty_work_is_fine() {
-        let exec = Exec::with_threads(4);
-        let (v, _) = map_chunks(&exec, 1, |_| 0u32);
-        assert_eq!(v, vec![0]);
-        let mut empty: [u8; 0] = [];
-        for_each_mut(&exec, &mut empty, |_, _| unreachable!());
-        fill_chunks(&exec, &mut empty, 3, |_, _, _| unreachable!());
+        let empty_stats = |s: ParStats| s.threads_used == 1 && s.chunks == 0;
+        for threads in THREADS {
+            let exec = Exec::with_threads(threads);
+            let (v, _) = map_chunks(&exec, 1, |_| 0u32);
+            assert_eq!(v, vec![0]);
+            let (v, stats) = map_chunks(&exec, 0, |_| -> u32 { unreachable!() });
+            assert!(v.is_empty() && empty_stats(stats));
+            let never = |_| -> u32 { unreachable!() };
+            let (sum, stats) = reduce_chunks(&exec, 0, never, 7, |a, b| a + b);
+            assert!(sum == 7 && empty_stats(stats));
+            let mut empty: [u8; 0] = [];
+            assert!(empty_stats(for_each_mut(&exec, &mut empty, |_, _| unreachable!())));
+            assert!(empty_stats(fill_chunks(&exec, &mut empty, 3, |_, _, _| unreachable!())));
+        }
     }
 }

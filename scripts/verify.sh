@@ -93,15 +93,18 @@ run cargo clippy --workspace --all-targets -- -D warnings
 run cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --seed 7 --smoke
 run cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-# trace_view smoke on a real artifact: a traced pass of the benchmark's
+# trace_view smoke on real artifacts: a traced pass of the benchmark's
 # svc-zipf workload writes its obs/timeline/v1 span file; render it as a
-# text tree and re-export the per-request Chrome lanes. (The
-# milp/searchtrace/v1 branch is covered by the bin's own unit test.)
+# text tree and re-export the per-request Chrome lanes. Then render the
+# search tree a committed certificate document records.
 run cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
     --workload svc-zipf --seed 7 --smoke --trace 1
 run bash -c './target/release/trace_view benchmark/out/svc-zipf.trace.json \
     --chrome target/trace_view.chrome.json > target/trace_view.tree.txt'
 run head -n 4 target/trace_view.tree.txt
+run bash -c './target/release/trace_view tests/corpus/exemplar-proved.json \
+    > target/trace_view.search.txt'
+run head -n 4 target/trace_view.search.txt
 
 # retired names stay retired: benchmark/ and `cargo test` are the only
 # gates since PR 16, obs::Registry has no meters, since PR 17
@@ -115,7 +118,8 @@ run head -n 4 target/trace_view.tree.txt
 # adaptive loop has one trigger; and what no run reached is gone: AMR
 # refinement, the HPM region profiler, every collective model but
 # allreduce, the accessors only their own tests called, and the second
-# certificate judge beside `CheckedCertificate::check`.
+# certificate judge beside `CheckedCertificate::check`; the search tree
+# has one format, the certificate, and no JSON schema of its own.
 # History files (CHANGES.md, ROADMAP.md,
 # EXPERIMENTS.md) and benchmark/ are not searched.
 retired='service_bench|sim_bench|bench_diff|adaptive_smoke|timeline_smoke|obs_smoke'
@@ -132,6 +136,7 @@ retired="$retired|max_simplex_iters|flight_capacity|TriggerReason::Drift"
 retired="$retired|RegionProfiler|RegionStats|spin_for|lohner_estimator|flag_for_refinement"
 retired="$retired|amrsim::refine|allgather|alltoall|mean_hops|bisection_links|merge_hist"
 retired="$retired|root_gap_closed|peak_mem_over_period|r3_protein_histogram|check_certificate|amdahl_"
+retired="$retired|SEARCHTRACE_SCHEMA|milp/searchtrace|action_from_str"
 echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then

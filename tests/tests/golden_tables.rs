@@ -60,19 +60,6 @@ fn table5_threshold_golden() {
     check_golden("table5_threshold.txt", render_table5());
 }
 
-/// The committed tables must not depend on the kernel thread count: the
-/// chunked kernels are bitwise deterministic in `INSITU_THREADS` (see
-/// `docs/KERNELS.md`), and the table experiments themselves are driven by
-/// paper-quoted profiles. Re-render Table 5 with the knob set and diff it
-/// against the same golden file.
-#[test]
-fn table5_golden_is_thread_count_invariant() {
-    std::env::set_var("INSITU_THREADS", "4");
-    let rendered = render_table5();
-    std::env::remove_var("INSITU_THREADS");
-    check_golden("table5_threshold.txt", rendered);
-}
-
 #[test]
 fn table6_total_golden() {
     let o = table6_total::run();

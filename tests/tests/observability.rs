@@ -15,8 +15,8 @@
 //!   the *newest* entries when it wraps.
 //! * **Trace contexts**: ids are pure functions of (fingerprint, seq) —
 //!   re-derivation anywhere reproduces them.
-//! * **Search traces** (`milp/searchtrace/v1`): the certificate a
-//!   service reply carries renders to a trace that round-trips its JSON.
+//! * **Search trees**: the certificate a service reply carries renders
+//!   as a text tree with every node it records, root first.
 
 use insitu_types::json::Value;
 use obs::{FlightRecorder, Hist, TraceContext};
@@ -216,7 +216,7 @@ fn flight_ring_keeps_the_newest_entries_when_it_wraps() {
 }
 
 #[test]
-fn searchtrace_of_a_service_reply_round_trips_its_json() {
+fn search_tree_of_a_service_reply_renders_every_certified_node() {
     let problem = insitu_types::ScheduleProblem::new(
         vec![
             insitu_types::AnalysisProfile::new("rdf")
@@ -236,8 +236,20 @@ fn searchtrace_of_a_service_reply_round_trips_its_json() {
     let cert = reply
         .search_certificate()
         .expect("a fresh reply carries its search certificate");
-    let trace = milp::SearchTrace::from_certificate(cert, 64);
-    let round = milp::SearchTrace::from_json(&trace.to_json_string())
-        .expect("milp/searchtrace/v1 parses");
-    assert_eq!(round, trace);
+    let n = cert.nodes.len();
+    let tree = milp::SearchTrace::from_certificate(cert, n).to_text_tree();
+    let mut lines = tree.lines();
+    let header = lines.next().expect("a header line");
+    assert!(
+        header.starts_with(&format!("search tree: {n} nodes ({n} sampled, cap {n})")),
+        "{tree}"
+    );
+    let root = cert.root().expect("a certificate has a root node");
+    let root_line = lines.next().expect("a root line");
+    assert!(
+        root_line.starts_with(&format!("#{} bound={} ", root.id, root.lp_bound)),
+        "{tree}"
+    );
+    assert_eq!(tree.matches(" bound=").count(), n, "one line per node: {tree}");
+    assert!(!tree.contains("not sampled"), "{tree}");
 }
