@@ -856,6 +856,7 @@ fn solve_seeded(
     stats.max_eta_len = lp.max_eta_len;
     stats.ftran_time = Duration::from_nanos(lp.ftran_ns);
     stats.btran_time = Duration::from_nanos(lp.btran_ns);
+    stats.dual_pivots = lp.dual_pivots;
     stats.cuts = cut_stats;
     stats.presolve_time = presolve_time;
     stats.root_lp_time = root_lp_time;

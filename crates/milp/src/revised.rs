@@ -699,6 +699,7 @@ impl<'a> Engine<'a> {
             let rest = if self.at_upper[j] { self.upper[j] } else { self.lower[j] };
             self.at_upper[leaving] = to_upper;
             self.apply_pivot(r, j, step, rest + step)?;
+            self.tele.dual_pivots += 1;
         }
     }
 

@@ -456,6 +456,7 @@ fn to_solution(sf: &StandardForm, point: &LpPoint) -> Solution {
             max_eta_len: point.telemetry.max_eta_len,
             ftran_time: std::time::Duration::from_nanos(point.telemetry.ftran_ns),
             btran_time: std::time::Duration::from_nanos(point.telemetry.btran_ns),
+            dual_pivots: point.telemetry.dual_pivots,
             ..Default::default()
         },
     }

@@ -27,6 +27,9 @@ pub struct LpTelemetry {
     pub ftran_ns: u64,
     /// Nanoseconds spent in BTRAN solves (pricing duals, dual-simplex rows).
     pub btran_ns: u64,
+    /// Basis exchanges made by the dual-simplex warm-start repair (each
+    /// one a dual ratio test over the pivot row).
+    pub dual_pivots: usize,
 }
 
 impl LpTelemetry {
@@ -37,6 +40,7 @@ impl LpTelemetry {
         self.max_eta_len = self.max_eta_len.max(other.max_eta_len);
         self.ftran_ns += other.ftran_ns;
         self.btran_ns += other.btran_ns;
+        self.dual_pivots += other.dual_pivots;
     }
 }
 
@@ -123,6 +127,9 @@ pub struct SolveStats {
     pub ftran_time: Duration,
     /// Total wall time inside BTRAN solves across every LP solve.
     pub btran_time: Duration,
+    /// Dual-simplex pivots of the warm-start repairs across every LP
+    /// solve, counted in [`SolveStats::lp_pivots`] too.
+    pub dual_pivots: usize,
     /// Every incumbent improvement, in the order they were accepted.
     pub incumbent_updates: Vec<IncumbentEvent>,
     /// Wall time spent in presolve.
@@ -152,7 +159,7 @@ impl SolveStats {
     /// ```
     pub fn summary(&self) -> String {
         format!(
-            "nodes {} (pruned {} bound / {} infeas), pivots {} ({} warm{}), \
+            "nodes {} (pruned {} bound / {} infeas), pivots {} ({} dual, {} warm{}), \
              sb {} nodes ({} lps), pc {} nodes, \
              cuts {} ({} gomory / {} cover gen, {} aged), \
              refactor {} (eta peak {}), ftran {:.1?} + btran {:.1?}, \
@@ -161,6 +168,7 @@ impl SolveStats {
             self.nodes_pruned_bound,
             self.nodes_pruned_infeasible,
             self.lp_pivots,
+            self.dual_pivots,
             self.warm_started,
             if self.hint_accepted { ", hint seeded" } else { "" },
             self.strong_branch_calls,
@@ -208,6 +216,7 @@ impl SolveStats {
             self.cuts.separation_time.as_secs_f64(),
         );
         registry.add("milp.lp.refactorizations", self.refactorizations as u64);
+        registry.add("milp.lp.dual_pivots", self.dual_pivots as u64);
         registry.add("milp.incumbents", self.incumbent_updates.len() as u64);
         registry.observe_hist("milp.lp.max_eta_len", self.max_eta_len as f64);
         registry.observe_hist("milp.lp.ftran_s", self.ftran_time.as_secs_f64());
@@ -247,6 +256,7 @@ mod tests {
             nodes_pruned_bound: 3,
             nodes_pruned_infeasible: 2,
             lp_pivots: 99,
+            dual_pivots: 13,
             warm_started: 4,
             strong_branch_calls: 5,
             strong_branch_lps: 12,
@@ -274,6 +284,7 @@ mod tests {
             "3 bound",
             "2 infeas",
             "pivots 99",
+            "13 dual",
             "4 warm",
             "sb 5 nodes (12 lps)",
             "pc 6 nodes",
@@ -297,16 +308,19 @@ mod tests {
             max_eta_len: 5,
             ftran_ns: 100,
             btran_ns: 50,
+            dual_pivots: 6,
         };
         a.absorb(&LpTelemetry {
             refactorizations: 3,
             max_eta_len: 4,
             ftran_ns: 10,
             btran_ns: 20,
+            dual_pivots: 1,
         });
         assert_eq!(a.refactorizations, 5);
         assert_eq!(a.max_eta_len, 5);
         assert_eq!((a.ftran_ns, a.btran_ns), (110, 70));
+        assert_eq!(a.dual_pivots, 7);
     }
 
     #[test]
