@@ -17,9 +17,16 @@
 //! one-sided or free column (unbounded) and models with no row at all. Data
 //! are small half-integers, so optima are exactly representable and two
 //! engines can be compared to 1e-9.
+//!
+//! It also holds the lowering's reference, [`assert_lowering_matches`]:
+//! [`StandardForm::from_model`]'s column-major matrix and its row-major
+//! copy against a dense term-by-term accumulation, used by `standard`'s unit
+//! tests on this family and by `tests/tests/lowering.rs` on the scheduling
+//! models, each also with [`with_cut_rows`] appended.
 
-use crate::expr::LinExpr;
+use crate::expr::{LinExpr, Var};
 use crate::model::{Cmp, Model, Sense};
+use crate::standard::{ColMap, Dense, StandardForm};
 
 /// SplitMix64: the generator is its own so the LPs cannot change with a
 /// dependency.
@@ -143,6 +150,79 @@ pub fn random_lp(case: u64) -> Model {
             }
         }
         m.add_con(e, cmp, rhs);
+    }
+    m
+}
+
+/// `model`'s standard-form matrix accumulated densely, cell by cell in
+/// term order (`0 + t₁ + t₂ + …`, `>=` rows negated, negated columns
+/// flipped, split columns twice) — the reference the lowering is held to.
+pub fn dense_reference(model: &Model, sf: &StandardForm) -> Dense {
+    let mut d = Dense::zeros(sf.nrows(), sf.ncols());
+    for (r, con) in model.cons.iter().enumerate() {
+        let sign = if con.cmp == Cmp::Ge { -1.0 } else { 1.0 };
+        for &(v, coef) in &con.expr.terms {
+            let coef = coef * sign;
+            match sf.var_map[v.0] {
+                ColMap::Direct(c) => *d.at_mut(r, c) += coef,
+                ColMap::Negated(c) => *d.at_mut(r, c) += -coef,
+                ColMap::Split { pos, neg } => {
+                    *d.at_mut(r, pos) += coef;
+                    *d.at_mut(r, neg) += -coef;
+                }
+            }
+        }
+        *d.at_mut(r, sf.n_struct + r) += 1.0;
+    }
+    d
+}
+
+/// Holds `sf.a` and `sf.rows` to [`dense_reference`] — a cell is stored
+/// exactly when its sum is nonzero, with the sum's bits — and to each
+/// other as transposes. Returns the nonzero count.
+pub fn assert_lowering_matches(model: &Model) -> usize {
+    let sf = StandardForm::from_model(model).unwrap();
+    let d = dense_reference(model, &sf);
+    let (m, n) = (sf.nrows(), sf.ncols());
+    let nonzero = d.data.iter().filter(|&&v| v != 0.0).count();
+    assert_eq!((sf.a.nnz(), sf.rows.nnz()), (nonzero, nonzero));
+    assert_eq!((sf.rows.nrows, sf.rows.ncols, sf.a.nrows, sf.a.ncols), (m, n, m, n));
+    for j in 0..n {
+        let col: Vec<_> = sf.a.col(j).collect();
+        assert!(col.windows(2).all(|w| w[0].0 < w[1].0), "column {j} not ascending");
+        for (r, v) in col {
+            assert_eq!(v.to_bits(), d.at(r, j).to_bits(), "a[{r}, {j}]");
+            assert!(v != 0.0);
+        }
+    }
+    for r in 0..m {
+        let (cols, vals) = sf.rows.row(r);
+        let mut seen = vec![false; n];
+        for (&j, &v) in cols.iter().zip(vals) {
+            assert!(!std::mem::replace(&mut seen[j], true), "row {r} repeats column {j}");
+            assert_eq!(v.to_bits(), d.at(r, j).to_bits(), "rows[{r}, {j}]");
+            assert_eq!(v.to_bits(), sf.a.at(r, j).to_bits(), "transpose at [{r}, {j}]");
+        }
+    }
+    nonzero
+}
+
+/// `model` plus two `>=` rows shaped like substituted Gomory cuts: a
+/// long-mantissa coefficient on every variable, and on top the first
+/// variable three more times and the second once more, cancelling.
+pub fn with_cut_rows(model: &Model) -> Model {
+    let mut m = model.clone();
+    let nv = m.num_vars();
+    for k in 0..2 {
+        let mut e = LinExpr::new();
+        for v in 0..nv {
+            e = e.term(Var(v), ((v * 7 + k * 3 + 1) as f64 * 0.37).sin() * 3.0);
+        }
+        if nv >= 2 {
+            let c1 = e.terms[1].1;
+            e = e.term(Var(0), 0.1).term(Var(0), 0.2).term(Var(0), 0.3).term(Var(1), -c1);
+        }
+        m.add_con(e, Cmp::Ge, -1.0 - k as f64 / 3.0);
     }
     m
 }

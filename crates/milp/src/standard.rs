@@ -18,6 +18,17 @@
 //! [`StandardForm::col_bound`]), handed to
 //! [`crate::revised::solve_bound_edit`] — the model is lowered once per
 //! solve (and once per change of the root cut-row set), never per LP.
+//!
+//! # Two copies of `A`, one assembly
+//!
+//! The lowering walks the model's rows in order and assembles the matrix
+//! row-major ([`Csr`], kept as [`StandardForm::rows`]): a row's terms on
+//! one column are summed in term order and a sum of zero leaves no entry.
+//! The column-major matrix the engine factorizes ([`Csc`],
+//! [`StandardForm::a`]) is that copy's counting transpose — no sort, and
+//! every value is the row copy's own bits. The engine reads columns for
+//! pricing, FTRAN and factorization, and rows for `ρᵀA`, the pivot row of
+//! the dual ratio test and of a Gomory base row (see [`crate::revised`]).
 
 use crate::error::SolveError;
 use crate::model::{Cmp, Model, Sense, VarKind};
@@ -26,10 +37,11 @@ use crate::model::{Cmp, Model, Sense, VarKind};
 /// constraint matrix.
 ///
 /// Columns are contiguous runs of `(row, value)` pairs; rows inside a
-/// column are strictly increasing and explicit zeros are dropped at build
-/// time. The revised simplex engine consumes columns directly (pricing
-/// dot products, FTRAN right-hand sides); the dense tableau engine and the
-/// tests expand via [`Csc::to_dense`].
+/// column are strictly increasing and explicit zeros are absent (it is the
+/// counting transpose of the row-major copy, [`Csr::transpose`]). The
+/// revised simplex engine consumes columns directly (pricing dot products,
+/// FTRAN right-hand sides, basis factorizations); the dense tableau engine
+/// and the tests expand via [`Csc::to_dense`].
 #[derive(Debug, Clone)]
 pub struct Csc {
     /// Number of rows.
@@ -45,42 +57,133 @@ pub struct Csc {
     pub values: Vec<f64>,
 }
 
-impl Csc {
-    /// Builds a CSC matrix from unordered `(row, col, value)` triplets.
-    /// Duplicate coordinates are summed (matching `+=` assembly) and
-    /// resulting zeros are dropped.
-    pub fn from_triplets(nrows: usize, ncols: usize, mut t: Vec<(usize, usize, f64)>) -> Self {
-        t.sort_unstable_by_key(|a| (a.1, a.0));
-        let mut col_ptr = vec![0usize; ncols + 1];
-        let mut row_idx = Vec::with_capacity(t.len());
-        let mut values = Vec::with_capacity(t.len());
-        let mut i = 0;
-        while i < t.len() {
-            let (r, c, mut v) = t[i];
-            debug_assert!(r < nrows && c < ncols);
-            i += 1;
-            while i < t.len() && t[i].0 == r && t[i].1 == c {
-                v += t[i].2;
-                i += 1;
-            }
-            if v != 0.0 {
-                col_ptr[c + 1] += 1;
-                row_idx.push(r);
-                values.push(v);
-            }
+/// Compressed-sparse-row matrix — the constraint matrix's row-major copy,
+/// which the dual ratio test and the Gomory base row read one sparse row
+/// at a time (`ρᵀA` over the rows where `ρ` is nonzero).
+///
+/// Rows are contiguous runs of `(col, value)` pairs, each column at most
+/// once per row, in the order the columns first appear in the model row
+/// (its terms, then its slack); explicit zeros are absent.
+#[derive(Debug, Clone)]
+pub struct Csr {
+    /// Number of rows.
+    pub nrows: usize,
+    /// Number of columns.
+    pub ncols: usize,
+    /// Start offset of each row in `col_idx`/`values`; `nrows + 1`
+    /// entries, last = total nonzero count.
+    pub row_ptr: Vec<usize>,
+    /// Column index per nonzero.
+    pub col_idx: Vec<usize>,
+    /// Value per nonzero.
+    pub values: Vec<f64>,
+}
+
+impl Csr {
+    /// The `(columns, values)` of row `r`, as two parallel slices.
+    #[inline]
+    pub fn row(&self, r: usize) -> (&[usize], &[f64]) {
+        let range = self.row_ptr[r]..self.row_ptr[r + 1];
+        (&self.col_idx[range.clone()], &self.values[range])
+    }
+
+    /// Number of stored nonzeros.
+    pub fn nnz(&self) -> usize {
+        self.col_idx.len()
+    }
+
+    /// The same matrix column-major, in one counting pass: column counts,
+    /// their prefix sums, then every row's entries dropped into their
+    /// columns in row order — so rows ascend inside each column, and every
+    /// value is copied, never recomputed.
+    pub fn transpose(&self) -> Csc {
+        let mut col_ptr = vec![0usize; self.ncols + 1];
+        for &j in &self.col_idx {
+            col_ptr[j + 1] += 1;
         }
-        for c in 0..ncols {
-            col_ptr[c + 1] += col_ptr[c];
+        for j in 0..self.ncols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut next = col_ptr[..self.ncols].to_vec();
+        let mut row_idx = vec![0usize; self.nnz()];
+        let mut values = vec![0.0f64; self.nnz()];
+        for r in 0..self.nrows {
+            let (cols, vals) = self.row(r);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let p = next[j];
+                next[j] += 1;
+                row_idx[p] = r;
+                values[p] = v;
+            }
         }
         Csc {
-            nrows,
-            ncols,
+            nrows: self.nrows,
+            ncols: self.ncols,
             col_ptr,
             row_idx,
             values,
         }
     }
+}
 
+/// Row-by-row assembly of a [`Csr`]: what is added to the open row is
+/// summed per column in the order it arrives, and closing the row drops
+/// the columns whose sum is zero.
+struct RowBuilder {
+    csr: Csr,
+    /// Entry of each column in the open row, `usize::MAX` when absent.
+    slot: Vec<usize>,
+}
+
+impl RowBuilder {
+    fn new(nrows: usize, ncols: usize, nnz_hint: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(nrows + 1);
+        row_ptr.push(0);
+        RowBuilder {
+            csr: Csr {
+                nrows,
+                ncols,
+                row_ptr,
+                col_idx: Vec::with_capacity(nnz_hint),
+                values: Vec::with_capacity(nnz_hint),
+            },
+            slot: vec![usize::MAX; ncols],
+        }
+    }
+
+    /// Adds `v` at column `j` of the open row.
+    #[inline]
+    fn add(&mut self, j: usize, v: f64) {
+        match self.slot[j] {
+            usize::MAX => {
+                self.slot[j] = self.csr.col_idx.len();
+                self.csr.col_idx.push(j);
+                self.csr.values.push(v);
+            }
+            k => self.csr.values[k] += v,
+        }
+    }
+
+    /// Closes the open row: zero sums leave, the rest keep their order.
+    fn close_row(&mut self) {
+        let start = self.csr.row_ptr[self.csr.row_ptr.len() - 1];
+        let mut kept = start;
+        for k in start..self.csr.col_idx.len() {
+            let (j, v) = (self.csr.col_idx[k], self.csr.values[k]);
+            self.slot[j] = usize::MAX;
+            if v != 0.0 {
+                self.csr.col_idx[kept] = j;
+                self.csr.values[kept] = v;
+                kept += 1;
+            }
+        }
+        self.csr.col_idx.truncate(kept);
+        self.csr.values.truncate(kept);
+        self.csr.row_ptr.push(kept);
+    }
+}
+
+impl Csc {
     /// Number of stored nonzeros.
     pub fn nnz(&self) -> usize {
         self.row_idx.len()
@@ -206,8 +309,11 @@ thread_local! {
 pub struct StandardForm {
     /// Constraint matrix including slack columns, in compressed sparse
     /// column form. The paper's time-indexed instances are >99 % zeros,
-    /// so every solver-side traversal is per-column and sparse.
+    /// so every solver-side traversal is sparse.
     pub a: Csc,
+    /// The same matrix row-major, entry for entry and bit for bit: `a` is
+    /// its transpose. The dual ratio test and the Gomory base row read it.
+    pub rows: Csr,
     /// Right-hand sides.
     pub b: Vec<f64>,
     /// Objective (always MINIMIZE internally; negated for max models).
@@ -266,24 +372,27 @@ impl StandardForm {
         let m = model.cons.len();
         let n = n_struct + m; // one slack per row
         let nnz_hint: usize = model.cons.iter().map(|c| c.expr.terms.len() + 1).sum();
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(nnz_hint);
+        // row-major first, the model's rows in order: a row's terms on one
+        // column are summed in term order, and a sum of zero leaves no entry
+        let mut rows = RowBuilder::new(m, n, nnz_hint);
         let mut b = vec![0.0; m];
         for (r, con) in model.cons.iter().enumerate() {
             let sign = if con.cmp == Cmp::Ge { -1.0 } else { 1.0 };
             for &(v, coef) in &con.expr.terms {
                 let coef = coef * sign;
                 match var_map[v.0] {
-                    ColMap::Direct(c) => triplets.push((r, c, coef)),
-                    ColMap::Negated(c) => triplets.push((r, c, -coef)),
+                    ColMap::Direct(c) => rows.add(c, coef),
+                    ColMap::Negated(c) => rows.add(c, -coef),
                     ColMap::Split { pos, neg } => {
-                        triplets.push((r, pos, coef));
-                        triplets.push((r, neg, -coef));
+                        rows.add(pos, coef);
+                        rows.add(neg, -coef);
                     }
                 }
             }
             b[r] = con.rhs * sign;
             // slack column
-            triplets.push((r, n_struct + r, 1.0));
+            rows.add(n_struct + r, 1.0);
+            rows.close_row();
             match con.cmp {
                 Cmp::Le | Cmp::Ge => {
                     lower.push(0.0);
@@ -311,8 +420,10 @@ impl StandardForm {
                 }
             }
         }
+        let rows = rows.csr;
         Ok(StandardForm {
-            a: Csc::from_triplets(m, n, triplets),
+            a: rows.transpose(),
+            rows,
             b,
             c,
             lower,
@@ -372,6 +483,7 @@ impl StandardForm {
 mod tests {
     use super::*;
     use crate::expr::LinExpr;
+    use crate::lp_fuzz::{assert_lowering_matches, random_lp, with_cut_rows};
     use crate::model::{Cmp, Model, Sense};
 
     #[test]
@@ -429,31 +541,70 @@ mod tests {
     }
 
     #[test]
-    fn csc_from_triplets_merges_and_sorts() {
-        // duplicates sum; zeros (explicit and cancelled) are dropped
-        let c = Csc::from_triplets(
-            3,
-            2,
-            vec![
-                (2, 0, 1.0),
-                (0, 0, 2.0),
-                (0, 0, 3.0),
-                (1, 1, 4.0),
-                (1, 1, -4.0),
-                (2, 1, 0.0),
-            ],
-        );
-        assert_eq!(c.nnz(), 2);
-        assert_eq!(c.at(0, 0), 5.0);
-        assert_eq!(c.at(2, 0), 1.0);
-        assert_eq!(c.at(1, 1), 0.0); // cancelled pair dropped
-        assert_eq!(c.col_nnz(0), 2);
-        assert_eq!(c.col_nnz(1), 0);
+    fn row_builder_sums_in_term_order_and_transposes() {
+        // duplicates sum in the order they arrive; zeros (explicit and
+        // cancelled) are dropped; a row keeps its first-appearance order
+        let mut b = RowBuilder::new(3, 3, 8);
+        for (j, v) in [(0, 2.0), (2, 0.1), (0, 3.0), (2, 0.2), (2, 0.3)] {
+            b.add(j, v);
+        }
+        b.close_row();
+        for (j, v) in [(1, 4.0), (1, -4.0), (2, 0.0)] {
+            b.add(j, v);
+        }
+        b.close_row();
+        b.add(2, 1.0);
+        b.add(0, 1.0);
+        b.close_row();
+        let rows = b.csr;
+        let sum = (0.1 + 0.2) + 0.3;
+        assert_ne!(sum, 0.1 + (0.2 + 0.3), "the order must be visible");
+        assert_eq!(rows.row(0), (&[0, 2][..], &[5.0, sum][..]));
+        assert_eq!(rows.row(1), (&[][..], &[][..]));
+        assert_eq!(rows.row(2), (&[2, 0][..], &[1.0, 1.0][..]));
+        let c = rows.transpose();
+        assert_eq!((c.nnz(), c.col_nnz(0), c.col_nnz(1)), (4, 2, 0));
         let col0: Vec<_> = c.col(0).collect();
         assert_eq!(col0, vec![(0, 5.0), (2, 1.0)]); // rows ascending
+        let col2: Vec<_> = c.col(2).collect();
+        assert_eq!(col2, vec![(0, sum), (2, 1.0)]);
         let d = c.to_dense();
         assert_eq!(d.at(0, 0), 5.0);
         assert_eq!(d.at(1, 1), 0.0);
+    }
+
+    /// The dense reference is [`crate::lp_fuzz::assert_lowering_matches`];
+    /// `tests/tests/lowering.rs` runs it on the scheduling models.
+    #[test]
+    fn lowering_matches_a_dense_accumulation() {
+        // the edge cases by hand: three terms on one column, a sum that
+        // cancels, `>=` rows, a negated and a split column
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.num_var("x", 0.0, 10.0);
+        let y = m.num_var("y", f64::NEG_INFINITY, f64::INFINITY);
+        let z = m.num_var("z", f64::NEG_INFINITY, 3.0);
+        m.add_con(LinExpr::new().term(x, 0.1).term(x, 0.2).term(x, 0.3).term(y, 1.0), Cmp::Le, 4.0);
+        m.add_con(LinExpr::new().term(x, 1.0).term(z, 2.0).term(x, -1.0), Cmp::Ge, 1.0);
+        m.add_con(LinExpr::new().term(y, 0.5).term(y, -0.25).term(z, 1.0 / 3.0), Cmp::Eq, 2.0);
+        m.add_con(LinExpr::new().term(y, 1.0).term(y, -1.0), Cmp::Ge, -1.0);
+        let sf = StandardForm::from_model(&m).unwrap();
+        let ColMap::Split { pos, neg } = sf.var_map[y.index()] else { panic!("y is free") };
+        let ColMap::Negated(zc) = sf.var_map[z.index()] else { panic!("z is negated") };
+        assert_eq!(sf.a.at(0, 0).to_bits(), ((0.1 + 0.2) + 0.3f64).to_bits());
+        assert_eq!((sf.a.at(0, pos), sf.a.at(0, neg)), (1.0, -1.0));
+        assert_eq!((sf.a.at(1, 0), sf.a.at(1, zc)), (0.0, 2.0)); // cancelled; flipped twice
+        assert_eq!(sf.rows.row(1).0, &[zc, sf.n_struct + 1]);
+        assert_eq!((sf.a.at(2, pos), sf.a.at(2, neg)), (0.25, -0.25));
+        assert_eq!(sf.rows.row(3).0, &[sf.n_struct + 3]); // only its slack
+        assert_eq!(assert_lowering_matches(&m), 11);
+        // the LP fuzz family (every bound shape) with and without cut rows
+        let mut nnz = 0;
+        for case in 0..400 {
+            let model = random_lp(case);
+            nnz += assert_lowering_matches(&model);
+            nnz += assert_lowering_matches(&with_cut_rows(&model));
+        }
+        assert!(nnz > 10_000, "{nnz}");
     }
 
     #[test]
