@@ -45,7 +45,11 @@
 //! * **FTRAN** — `B w = v`, used for the entering column in the ratio
 //!   test and for recomputing the basic-variable values;
 //! * **BTRAN** — `Bᵀ y = c`, used for the pricing duals and for the
-//!   dual-simplex row `eᵣᵀ B⁻¹ A`.
+//!   dual-simplex row `eᵣᵀ B⁻¹ A`. The dual simplex wants both at once, so
+//!   BTRAN takes `K` right-hand sides side by side in one pass over the
+//!   eta file and the factors ([`Factorization::btran2`]); the single
+//!   solve is the same body at `K = 1`, and each right-hand side gets the
+//!   operations of its own solve in the same order.
 
 use std::borrow::Cow;
 
@@ -342,9 +346,13 @@ impl LuFactors {
         }
     }
 
-    /// Solves `Bᵀ y = c`. `c` is in basis-position space (consumed as
-    /// scratch); `y` is written in orig-row space.
-    fn btran(&self, c: &mut [f64], y: &mut [f64], g: &mut [f64]) {
+    /// Solves `Bᵀ yᵢ = cᵢ` for `K` right-hand sides in one pass over the
+    /// factors. `cᵢ` is in basis-position space (consumed as scratch); `yᵢ`
+    /// is written in orig-row space; `g` is scratch holding the `K`
+    /// intermediate vectors interleaved. Every right-hand side sees the
+    /// operations of a solve of its own, in the same order, so the results
+    /// are those of `K` separate solves bit for bit.
+    fn btran<const K: usize>(&self, c: [&mut [f64]; K], y: [&mut [f64]; K], g: &mut [[f64; K]]) {
         // cut to `m` once, as in `ftran`
         let m = self.m;
         let (order, u_diag, pivot_row) = (&self.order[..m], &self.u_diag[..m], &self.pivot_row[..m]);
@@ -352,21 +360,30 @@ impl LuFactors {
         // forward solve Uᵀ g = Pcᵀ c (Uᵀ is lower triangular in pivot
         // sequence space; column k of U is exactly the row needed)
         for k in 0..m {
-            let mut s = c[order[k]];
+            let q = order[k];
+            let mut s: [f64; K] = std::array::from_fn(|i| c[i][q]);
             for &(t, uv) in self.u.get(k) {
-                s -= uv * g[t];
+                let gt = &g[t];
+                for i in 0..K {
+                    s[i] -= uv * gt[i];
+                }
             }
-            g[k] = s / u_diag[k];
+            g[k] = s.map(|x| x / u_diag[k]);
         }
         // back solve Lᵀ h = g in place (rows of L's column k live at later
         // pivot steps, so descending k sees finished values)
         for k in (0..m).rev() {
             let mut s = g[k];
             for &(r, lv) in self.l.get(k) {
-                s -= lv * g[self.pos_of_row[r]];
+                let gr = &g[self.pos_of_row[r]];
+                for i in 0..K {
+                    s[i] -= lv * gr[i];
+                }
             }
             g[k] = s;
-            y[pivot_row[k]] = s;
+            for i in 0..K {
+                y[i][pivot_row[k]] = s[i];
+            }
         }
     }
 
@@ -416,15 +433,33 @@ impl<'a> Factorization<'a> {
         }
     }
 
-    /// Solves `Bᵀ y = c`. `c` (basis-position space) and `g` are consumed
-    /// as scratch; `y` receives the result in orig-row space.
+    /// Solves `Bᵀ y = c`. `c` (basis-position space) and `g` (at least `m`
+    /// long) are consumed as scratch; `y` receives the result in orig-row
+    /// space.
     pub fn btran(&self, c: &mut [f64], y: &mut [f64], g: &mut [f64]) {
+        self.btran_rhs([c], [y], g.as_chunks_mut::<1>().0);
+    }
+
+    /// Two [`Self::btran`]s in one pass over the eta file and the factors —
+    /// the dual simplex's duals `y` and pivot row `ρ` — each result bit for
+    /// bit what its own `btran` returns. `g` is scratch, at least `2m` long.
+    pub fn btran2(&self, c: [&mut [f64]; 2], y: [&mut [f64]; 2], g: &mut [f64]) {
+        self.btran_rhs(c, y, g.as_chunks_mut::<2>().0);
+    }
+
+    /// The one BTRAN body: the eta file backwards, then the LU factors, on
+    /// `K` right-hand sides side by side.
+    fn btran_rhs<const K: usize>(&self, c: [&mut [f64]; K], y: [&mut [f64]; K], g: &mut [[f64; K]]) {
         for (&(r, pivot), col) in self.eta_pivots.iter().zip(self.etas.iter()).rev() {
-            let mut s = c[r];
-            for &(i, ev) in col {
-                s -= ev * c[i];
+            let mut s: [f64; K] = std::array::from_fn(|i| c[i][r]);
+            for &(e, ev) in col {
+                for i in 0..K {
+                    s[i] -= ev * c[i][e];
+                }
             }
-            c[r] = s / pivot;
+            for i in 0..K {
+                c[i][r] = s[i] / pivot;
+            }
         }
         self.lu.btran(c, y, g);
     }
@@ -720,6 +755,43 @@ mod tests {
                 assert_round_trip(&fac, &cols);
             }
         }
+    }
+
+    #[test]
+    fn btran2_is_two_btrans_bit_for_bit() {
+        let (mut solves, mut with_etas) = (0, 0);
+        for (m, etas) in [(1, 0), (9, 0), (9, 5), (40, 12), (300, 0), (300, 64)] {
+            for seed in [3u64, 8, 2015] {
+                let mut cols = random_cols(m, seed);
+                let mut fac = Factorization::new(factor(&cols).expect("nonsingular"));
+                let mut rng = Rng::new(seed ^ 0xb72);
+                for _ in 0..etas {
+                    let p = rng.below(m);
+                    replace_column(&mut fac, &mut cols, p, &mut rng);
+                }
+                // a dense right-hand side and a unit one, as the dual
+                // simplex pairs them (costs of the basis, eᵣ)
+                for r in [0, m / 2, m - 1] {
+                    let dense: Vec<f64> = (0..m).map(|_| (rng.below(17) as f64 - 8.0) / 3.0).collect();
+                    let mut unit = vec![0.0; m];
+                    unit[r] = 1.0;
+                    let (mut c1, mut c2) = (dense.clone(), unit.clone());
+                    let (mut y1, mut y2, mut g) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+                    fac.btran(&mut c1, &mut y1, &mut g);
+                    fac.btran(&mut c2, &mut y2, &mut g);
+                    let (mut d1, mut d2) = (dense, unit);
+                    let (mut z1, mut z2) = (vec![0.0; m], vec![0.0; m]);
+                    let mut g2 = vec![0.0; 2 * m];
+                    fac.btran2([&mut d1, &mut d2], [&mut z1, &mut z2], &mut g2);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&z1), bits(&y1), "m = {m}, {etas} etas, dense");
+                    assert_eq!(bits(&z2), bits(&y2), "m = {m}, {etas} etas, e_{r}");
+                    solves += 1;
+                    with_etas += usize::from(etas > 0);
+                }
+            }
+        }
+        assert_eq!((solves, with_etas), (54, 27));
     }
 
     #[test]

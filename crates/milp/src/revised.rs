@@ -5,7 +5,7 @@
 //! `rows · cols` area of a tableau. It keeps only
 //!
 //! * the constraint matrix in CSC form ([`crate::standard::Csc`], shared,
-//!   read-only),
+//!   read-only) and its row-major copy ([`crate::standard::Csr`], likewise),
 //! * an LU factorization of the current basis with an eta file of
 //!   product-form updates ([`crate::lu`]), refactorized every
 //!   `REFACTOR_INTERVAL` pivots straight from the CSC columns of the basis
@@ -18,6 +18,21 @@
 //! (Dantzig within the block, with an automatic switch to Bland's rule
 //! against cycling), and solves `Bw = a_j` (**FTRAN**) for the
 //! bounded-variable ratio test.
+//!
+//! # The dual ratio test reads one sparse row
+//!
+//! A warm child's dual-simplex repair needs, per pivot, the duals `y` and
+//! the pivot row `ρ = B⁻ᵀeᵣ`: one BTRAN with two right-hand sides
+//! ([`Factorization::btran2`], each result the bits of its own solve). The
+//! ratio test then needs `tⱼ = ρᵀaⱼ` for every nonbasic column, and `ρ` is
+//! sparse: the engine forms `ρᵀA` row by row over `ρ`'s nonzeros from the
+//! row-major copy of `A` ([`crate::standard::Csr::left_mul`]), instead of
+//! one dot product per column over the whole matrix. The products are the same and each `tⱼ` takes them in the
+//! same ascending-row order, so `tⱼ` is the column dot product's value bit
+//! for bit; only the sign of an exact zero can differ, and `|tⱼ| ≤
+//! PIVOT_TOL` drops those. The reduced cost `dⱼ` is still one column dot
+//! product, taken only for the columns that pass. The Gomory separator's
+//! base row (`TableauView::row`) is the same kernel.
 //!
 //! # One lowering, many LPs
 //!
@@ -133,8 +148,14 @@ struct Engine<'a> {
     sy: Vec<f64>,
     /// BTRAN result: dual-simplex row `ρ = B⁻ᵀ eᵣ` (orig-row space).
     sr: Vec<f64>,
-    /// BTRAN internal scratch (pivot-sequence space).
+    /// BTRAN internal scratch (pivot-sequence space), `2m` long: room for
+    /// two interleaved right-hand sides.
     sg: Vec<f64>,
+    /// Second BTRAN right-hand side, for `y` and `ρ` together.
+    sc2: Vec<f64>,
+    /// The pivot row `ρᵀA` over structural + slack columns
+    /// ([`crate::standard::Csr::left_mul`]).
+    st: Vec<f64>,
 }
 
 /// LU factors of `basis` over `sf`, read in place: structural/slack columns
@@ -207,7 +228,9 @@ impl<'a> Engine<'a> {
             sc: vec![0.0; m],
             sy: vec![0.0; m],
             sr: vec![0.0; m],
-            sg: vec![0.0; m],
+            sg: vec![0.0; 2 * m],
+            sc2: vec![0.0; m],
+            st: vec![0.0; n],
         }
     }
 
@@ -333,6 +356,26 @@ impl<'a> Engine<'a> {
         let t0 = Instant::now();
         self.fac.btran(&mut self.sc, &mut self.sy, &mut self.sg);
         self.tele.btran_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// `sy = B⁻ᵀ c_B` and `sr = B⁻ᵀ e_r` in one two-right-hand-side BTRAN
+    /// (timed), each bit for bit what [`Self::duals`] and
+    /// [`Self::inverse_row`] compute — and then `st = ρᵀA`
+    /// ([`crate::standard::Csr::left_mul`]).
+    fn duals_and_pivot_row(&mut self, cost: &[f64], r: usize) {
+        for k in 0..self.m {
+            self.sc[k] = cost[self.basis[k]];
+        }
+        self.sc2.fill(0.0);
+        self.sc2[r] = 1.0;
+        let t0 = Instant::now();
+        self.fac.btran2(
+            [&mut self.sc, &mut self.sc2],
+            [&mut self.sy, &mut self.sr],
+            &mut self.sg,
+        );
+        self.tele.btran_ns += t0.elapsed().as_nanos() as u64;
+        self.sf.rows.left_mul(&self.sr, &mut self.st);
     }
 
     /// `sr = B⁻ᵀ e_r` — row `r` of the basis inverse (timed BTRAN).
@@ -659,15 +702,17 @@ impl<'a> Engine<'a> {
                 return Ok(true); // primal feasible
             };
             // --- dual ratio test over nonbasic columns ---
-            self.duals(cost); // sy: duals for the reduced costs
-            self.inverse_row(r); // sr: pivot row of B^-1
+            // sy: duals for the reduced costs; sr: pivot row of B^-1;
+            // st: the pivot row ρᵀA, read from ρ's rows of A
+            self.duals_and_pivot_row(cost, r);
             let mut enter: Option<(usize, f64)> = None; // (col, ratio)
             for (j, &cj) in cost.iter().enumerate() {
-                if self.in_basis[j] || self.banned[j] || self.lower[j] == self.upper[j] {
-                    continue;
-                }
-                let t = self.col_dot(j, &self.sr);
-                if t.abs() <= PIVOT_TOL {
+                let t = if j < self.n { self.st[j] } else { self.col_dot(j, &self.sr) };
+                if t.abs() <= PIVOT_TOL
+                    || self.in_basis[j]
+                    || self.banned[j]
+                    || self.lower[j] == self.upper[j]
+                {
                     continue;
                 }
                 let increases = if self.at_upper[j] { t > 0.0 } else { t < 0.0 };
@@ -783,9 +828,9 @@ impl<'b> FactoredBasis<'b> {
 /// any simplex iterations, and exposes exactly what cut generation needs:
 /// which column is basic in each row, the basic values, the resting
 /// bounds, and full tableau rows computed on demand via BTRAN
-/// (`ρ = B⁻ᵀeᵣ`) plus one sparse dot product per column — the same
-/// machinery the dual-simplex pricing step uses, so reading a row costs
-/// one BTRAN, not a dense inversion.
+/// (`ρ = B⁻ᵀeᵣ`) and `ρᵀA` read row-wise over `ρ`'s nonzeros — the same
+/// kernel the dual ratio test uses, so reading a row costs one BTRAN and
+/// the rows of `A` that `ρ` touches, not a dense inversion.
 pub(crate) struct TableauView<'a> {
     e: Engine<'a>,
 }
@@ -831,9 +876,8 @@ impl<'a> TableauView<'a> {
     /// with `Ax = b` — it is the base row Gomory cuts derive from.
     pub(crate) fn row(&mut self, r: usize, alpha: &mut Vec<f64>) -> f64 {
         self.e.inverse_row(r);
-        let n = self.e.n;
-        alpha.clear();
-        alpha.extend((0..n).map(|j| self.e.col_dot(j, &self.e.sr)));
+        alpha.resize(self.e.n, 0.0);
+        self.e.sf.rows.left_mul(&self.e.sr, alpha);
         self.e
             .sr
             .iter()
@@ -1162,6 +1206,66 @@ mod tests {
         assert!(overshot >= 100 && fixed_at_zero >= 10);
         assert!(skipped >= 30 && mixed >= 100);
         assert!(optimal >= 200 && infeasible >= 40 && unbounded >= 40);
+    }
+
+    /// Holds the dual ratio test's kernels to what they replaced, at every
+    /// row of `e`'s basis: the two-right-hand-side BTRAN to [`Engine::duals`]
+    /// and [`Engine::inverse_row`] bit for bit, and the row-wise `ρᵀA` to
+    /// [`Engine::col_dot`] bit for bit on nonzeros and as a value on zeros.
+    /// Returns the nonzeros compared.
+    fn assert_pivot_row_kernels(e: &mut Engine<'_>, cost: &[f64]) -> usize {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut nonzeros = 0;
+        for r in 0..e.m {
+            e.duals(cost);
+            let y = bits(&e.sy);
+            e.inverse_row(r);
+            let rho = bits(&e.sr);
+            e.duals_and_pivot_row(cost, r);
+            assert_eq!((bits(&e.sy), bits(&e.sr)), (y, rho), "row {r}");
+            for j in 0..e.n {
+                let (dot, t) = (e.col_dot(j, &e.sr), e.st[j]);
+                if dot == 0.0 {
+                    assert_eq!(t, 0.0, "row {r}, column {j}");
+                } else {
+                    assert_eq!(t.to_bits(), dot.to_bits(), "row {r}, column {j}");
+                    nonzeros += 1;
+                }
+            }
+        }
+        nonzeros
+    }
+
+    #[test]
+    fn row_wise_pivot_row_matches_the_column_dot_products() {
+        let (mut with_etas, mut refactored, mut nonzeros) = (0, 0, 0);
+        for case in 0..600 {
+            let model = crate::lp_fuzz::random_lp(case);
+            let sf = StandardForm::from_model(&model).unwrap();
+            let cost2 = phase2_cost(&sf);
+            // mid-solve: the basis a cold phase (1, or 2 when there is no
+            // artificial) stops at, read through its eta file
+            let mut e = Engine::cold(&sf, &[]).unwrap();
+            let phase1 = e.basis.iter().any(|&j| j >= e.n);
+            let mut cost1 = vec![0.0; e.n_total];
+            cost1[e.n..].fill(1.0);
+            let cost = if phase1 { &cost1 } else { &cost2 };
+            if e.run(cost).is_err() {
+                continue;
+            }
+            with_etas += usize::from(e.fac.eta_len() > 0);
+            nonzeros += assert_pivot_row_kernels(&mut e, cost);
+            // the optimum's basis, freshly factorized, as a child LP and
+            // the Gomory separator see it
+            let Ok(p) = solve_bound_edit(&sf, &[], None) else { continue };
+            let fb = FactoredBasis::new(&sf, &p.basis).expect("optimal basis factorizes");
+            let fac = Factorization::shared(&fb.lu);
+            let mut e = Engine::at_basis(&sf, &[], fb.basis, fac).unwrap();
+            nonzeros += assert_pivot_row_kernels(&mut e, &cost2);
+            refactored += 1;
+        }
+        assert!(with_etas >= 300 && refactored >= 300, "{with_etas} / {refactored}");
+        assert!(nonzeros >= 10_000, "{nonzeros}");
     }
 
     #[test]

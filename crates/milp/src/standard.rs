@@ -92,6 +92,24 @@ impl Csr {
         self.col_idx.len()
     }
 
+    /// `out = ρᵀA`, one sparse row of `A` per nonzero of `ρ`: `out[j]` takes
+    /// the products `ρ_r·a_rj` in ascending `r`, the order a column dot
+    /// product takes them in, so it equals `Σ_r ρ_r·a_rj` over column `j`
+    /// bit for bit except, possibly, in the sign of a zero — the rows
+    /// skipped here only add `±0`. `out` has one entry per column.
+    pub fn left_mul(&self, rho: &[f64], out: &mut [f64]) {
+        out.fill(-0.0);
+        for (r, &p) in rho.iter().enumerate().take(self.nrows) {
+            if p == 0.0 {
+                continue;
+            }
+            let (cols, vals) = self.row(r);
+            for (&j, &v) in cols.iter().zip(vals) {
+                out[j] += p * v;
+            }
+        }
+    }
+
     /// The same matrix column-major, in one counting pass: column counts,
     /// their prefix sums, then every row's entries dropped into their
     /// columns in row order — so rows ascend inside each column, and every

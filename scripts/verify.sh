@@ -52,8 +52,11 @@ run cargo test --release -q -p integration-tests --test search_pin
 run cargo test --release -q -p certify
 run cargo test --release -q -p integration-tests --test replay_pin --test replay_pin_events
 
-# the replay kernels bench compiles and runs once (`--test` times nothing)
+# the replay kernels bench and the LP kernels bench (lowering, LU factor,
+# FTRAN, BTRAN, the two-right-hand-side BTRAN, the row-wise pivot row)
+# compile and run once (`--test` times nothing)
 run cargo bench -q -p bench --bench replay_kernels -- --test
+run cargo bench -q -p bench --bench lu_kernels -- --test
 
 # doc-tests, separately: `cargo test` runs them per-crate, but this keeps
 # a failure attributable when only docs change
