@@ -887,14 +887,6 @@ impl<'a> TableauView<'a> {
     }
 }
 
-/// Phase-2 cost vector: the standard-form objective on structural + slack
-/// columns, zero on artificials.
-fn phase2_cost(sf: &StandardForm) -> Vec<f64> {
-    let mut cost = vec![0.0; sf.ncols() + sf.nrows()];
-    cost[..sf.ncols()].copy_from_slice(&sf.c);
-    cost
-}
-
 /// Solves the LP "`sf` with the column bounds `bounds` intersected in",
 /// optionally warm-starting from `warm`: the engine installs the basis,
 /// shares its factors read-only, computes `x_B` from this LP's own bounds
@@ -913,19 +905,19 @@ pub fn solve_bound_edit(
     bounds: &[ColBound],
     warm: Option<&FactoredBasis<'_>>,
 ) -> Result<LpPoint, SolveError> {
-    let cost2 = phase2_cost(sf);
+    let cost2 = &sf.phase2_cost;
     if let Some(fb) = warm.filter(|fb| fb.fits(sf)) {
         let mut e = Engine::at_basis(sf, bounds, fb.basis, Factorization::shared(&fb.lu))
             .ok_or(SolveError::Infeasible)?;
         // `Ok(false)` from the repair is "let the cold path decide", never
         // a feasibility verdict
-        if e.primal_infeasibility() <= FEAS_TOL || e.dual_repair(&cost2)? {
-            e.run(&cost2)?;
+        if e.primal_infeasibility() <= FEAS_TOL || e.dual_repair(cost2)? {
+            e.run(cost2)?;
             return Ok(e.finish(true));
         }
     }
     let e = Engine::cold(sf, bounds).ok_or(SolveError::Infeasible)?;
-    two_phase(e, &cost2)
+    two_phase(e, cost2)
 }
 
 /// The cold path from a starting basis of slacks and artificials: phase 1
@@ -1049,7 +1041,7 @@ mod tests {
     /// artificials basic, then the same two phases.
     fn solve_all_artificial(sf: &StandardForm) -> Result<LpPoint, SolveError> {
         let e = Engine::cold(sf, &[]).expect("no override, no emptied domain");
-        two_phase(e.all_artificial(), &phase2_cost(sf))
+        two_phase(e.all_artificial(), &sf.phase2_cost)
     }
 
     #[test]
@@ -1072,7 +1064,7 @@ mod tests {
         assert_eq!(e.primal_infeasibility(), 0.0);
         // the whole solve is phase 2 from that basis: the pivots of a bare
         // `run` on the real objective, not one more
-        e.run(&phase2_cost(&sf)).unwrap();
+        e.run(&sf.phase2_cost).unwrap();
         let p = solve_standard_revised(&sf, None).unwrap();
         assert_eq!(p.iterations, e.iterations);
         assert!(!p.warm);
@@ -1242,7 +1234,7 @@ mod tests {
         for case in 0..600 {
             let model = crate::lp_fuzz::random_lp(case);
             let sf = StandardForm::from_model(&model).unwrap();
-            let cost2 = phase2_cost(&sf);
+            let cost2 = sf.phase2_cost.clone();
             // mid-solve: the basis a cold phase (1, or 2 when there is no
             // artificial) stops at, read through its eta file
             let mut e = Engine::cold(&sf, &[]).unwrap();

@@ -336,6 +336,9 @@ pub struct StandardForm {
     pub b: Vec<f64>,
     /// Objective (always MINIMIZE internally; negated for max models).
     pub c: Vec<f64>,
+    /// The simplex engine's phase-2 cost: `c`, then a zero for each row's
+    /// artificial column. Built once here for every LP over this form.
+    pub phase2_cost: Vec<f64>,
     /// Per-column lower bounds (all finite).
     pub lower: Vec<f64>,
     /// Per-column upper bounds (may be `+inf`).
@@ -439,11 +442,15 @@ impl StandardForm {
             }
         }
         let rows = rows.csr;
+        let mut phase2_cost = Vec::with_capacity(n + m);
+        phase2_cost.extend_from_slice(&c);
+        phase2_cost.resize(n + m, 0.0);
         Ok(StandardForm {
             a: rows.transpose(),
             rows,
             b,
             c,
+            phase2_cost,
             lower,
             upper,
             var_map,
