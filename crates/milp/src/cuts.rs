@@ -131,6 +131,77 @@ fn shl(n: i128, s: u32) -> Option<i128> {
     (r >> s == n).then_some(r)
 }
 
+// The derivation's numbers are f64 mantissas shifted about, so nearly every
+// product, quotient and gcd below has operands that fit 64 bits. Those take
+// the 64-bit instruction; the 128-bit one (a library call for checked
+// multiplication, division and conversion to f64) is left to the rest. The
+// results are the same numbers either way.
+
+/// `n` as the nearest f64: `i64`'s conversion where `n` fits, which rounds
+/// the same integer the same way.
+fn i128_to_f64(n: i128) -> f64 {
+    match i64::try_from(n) {
+        Ok(n) => n as f64,
+        Err(_) => n as f64,
+    }
+}
+
+/// `a · b`, `None` on overflow; one 64×64→128 multiply when both fit `i64`.
+fn mul_i128(a: i128, b: i128) -> Option<i128> {
+    match (i64::try_from(a), i64::try_from(b)) {
+        (Ok(a), Ok(b)) => Some(i128::from(a) * i128::from(b)),
+        _ => a.checked_mul(b),
+    }
+}
+
+/// `a · b`, `None` on overflow; one 64×64→128 multiply when both fit `u64`.
+fn mul_u128(a: u128, b: u128) -> Option<u128> {
+    match (u64::try_from(a), u64::try_from(b)) {
+        (Ok(a), Ok(b)) => Some(u128::from(a) * u128::from(b)),
+        _ => a.checked_mul(b),
+    }
+}
+
+/// `a / b` for `b > 0`, in 64 bits when `a` fits them.
+fn div_u128(a: u128, b: u128) -> u128 {
+    match (u64::try_from(a), u64::try_from(b)) {
+        (Ok(a), Ok(b)) => u128::from(a / b),
+        _ => a / b,
+    }
+}
+
+/// Greatest common divisor of two odd numbers by subtract-and-shift, in
+/// 64-bit registers once both operands fit them.
+fn odd_gcd(mut a: u128, mut c: u128) -> u128 {
+    while a != c {
+        if let (Ok(a), Ok(c)) = (u64::try_from(a), u64::try_from(c)) {
+            return u128::from(odd_gcd64(a, c));
+        }
+        if a < c {
+            (a, c) = (c, a);
+        }
+        a -= c;
+        a >>= a.trailing_zeros();
+    }
+    a
+}
+
+/// [`odd_gcd`] in 64 bits, with the order of the pair kept by `min`/`max`
+/// instead of a branch the data decides.
+fn odd_gcd64(mut a: u64, mut c: u64) -> u64 {
+    while a != c {
+        let (lo, hi) = (a.min(c), a.max(c));
+        let d = hi - lo;
+        (a, c) = (d >> d.trailing_zeros(), lo);
+    }
+    a
+}
+
+/// `2^k` as an f64, exactly, for `k <= 1023`.
+fn pow2(k: u32) -> f64 {
+    f64::from_bits((1023 + u64::from(k)) << 52)
+}
+
 impl R {
     const ZERO: R = R { n: 0, k: 0 };
     const ONE: R = R { n: 1, k: 0 };
@@ -205,7 +276,7 @@ impl R {
         if k > 126 {
             return None;
         }
-        R::make((self.n >> s1).checked_mul(o.n >> s2)?, k)
+        R::make(mul_i128(self.n >> s1, o.n >> s2)?, k)
     }
 
     fn neg(&self) -> Option<R> {
@@ -239,7 +310,7 @@ impl R {
     }
 
     fn to_f64(self) -> f64 {
-        self.n as f64 / (1i128 << self.k) as f64
+        i128_to_f64(self.n) / pow2(self.k)
     }
 }
 
@@ -323,8 +394,17 @@ impl RatioTimes {
             return false;
         }
         let low = self.t.k.min(h.k);
-        let lhs = U256::product(self.p, self.t.n.unsigned_abs()).shl(h.k - low);
-        let rhs = U256::product(self.q, h.n.unsigned_abs()).shl(self.t.k - low);
+        let (tn, hn) = (self.t.n.unsigned_abs(), h.n.unsigned_abs());
+        let (ls, rs) = (h.k - low, self.t.k - low);
+        // both products fit 128 bits, both nonzero, one shift is zero: a
+        // shift that pushes a set bit out makes its side the larger
+        if let (Some(l), Some(r)) = (mul_u128(self.p, tn), mul_u128(self.q, hn)) {
+            if l.leading_zeros() >= ls && r.leading_zeros() >= rs {
+                return l << ls <= r << rs;
+            }
+        }
+        let lhs = U256::product(self.p, tn).shl(ls);
+        let rhs = U256::product(self.q, hn).shl(rs);
         match (lhs, rhs) {
             (Some(l), Some(r)) => l <= r,
             (None, _) => false,
@@ -341,25 +421,19 @@ impl RatioTimes {
     /// two roundings do not commute with cancelling it.
     fn estimate(&self) -> Option<f64> {
         let tn = self.t.n.unsigned_abs();
-        let (mut a, mut c) = (tn >> tn.trailing_zeros(), self.q);
-        while a != c {
-            if a < c {
-                (a, c) = (c, a);
-            }
-            a -= c;
-            a >>= a.trailing_zeros();
-        }
-        let n = i128::try_from(self.p.checked_mul(tn / c)?).ok()?;
-        let d = i128::try_from((self.q / c).checked_mul(1 << self.t.k)?).ok()?;
-        Some(n as f64 / d as f64)
+        let c = odd_gcd(tn >> tn.trailing_zeros(), self.q);
+        let (tn, q) = if c == 1 { (tn, self.q) } else { (div_u128(tn, c), div_u128(self.q, c)) };
+        let n = i128::try_from(mul_u128(self.p, tn)?).ok()?;
+        // `q · 2^k` fits `i128` exactly when no set bit reaches bit 127
+        let d = if q.leading_zeros() > self.t.k { (q << self.t.k) as i128 } else { return None };
+        Some(i128_to_f64(n) / i128_to_f64(d))
     }
 
     /// Whether [`Self::estimate`] exists — answered without the gcd when the
     /// pair already fits `i128` before anything is cancelled.
     fn in_window(&self) -> bool {
-        let inside = |n: Option<u128>| n.is_some_and(|n| n <= i128::MAX as u128);
-        let unreduced = inside(self.p.checked_mul(self.t.n.unsigned_abs()))
-            && inside(self.q.checked_mul(1 << self.t.k));
+        let unreduced = mul_u128(self.p, self.t.n.unsigned_abs()).is_some_and(|n| n <= i128::MAX as u128)
+            && self.q.leading_zeros() > self.t.k;
         unreduced || self.estimate().is_some()
     }
 
@@ -619,13 +693,15 @@ fn derive_gomory(
         at_upper: bool,
         int_shift: bool,
     }
-    let mut base: Vec<BaseVar> = Vec::new();
+    let kept = |a: f64| a.abs() > COEF_EPS && a.is_finite();
+    let width = alpha.iter().filter(|&&a| kept(a)).count();
+    if width > MAX_BASE_NNZ {
+        return None;
+    }
+    let mut base: Vec<BaseVar> = Vec::with_capacity(width);
     for (col, &a) in alpha.iter().enumerate() {
-        if a.abs() <= COEF_EPS || !a.is_finite() {
+        if !kept(a) {
             continue;
-        }
-        if base.len() >= MAX_BASE_NNZ {
-            return None;
         }
         // standard form gives every column a finite lower bound, so basic
         // survivors (numerical leakage from other rows) shift from below
@@ -634,10 +710,11 @@ fn derive_gomory(
         if !bound.is_finite() {
             return None;
         }
+        // an integral bound: below 9e15 the cast to i64 is exact
         let int_shift = col < n_struct
             && integral[col]
-            && bound.fract() == 0.0
-            && bound.abs() < 9.0e15;
+            && bound.abs() < 9.0e15
+            && bound == bound as i64 as f64;
         let exact = (R::from_f64(a)?, R::from_f64(bound)?);
         base.push(BaseVar { col, coeff: a, bound, exact, at_upper, int_shift });
     }
@@ -662,7 +739,7 @@ fn derive_gomory(
     // per-variable GMI coefficient in shifted space, rounded outward into
     // the original space; the rhs is f₀ back-shifted by the recorded
     // coefficients, rounded down
-    let mut cut: Vec<(usize, f64)> = Vec::new();
+    let mut cut: Vec<(usize, f64)> = Vec::with_capacity(base.len());
     let mut target = f0;
     for v in &base {
         let d = if v.at_upper { v.exact.0.neg()? } else { v.exact.0 };
@@ -695,21 +772,6 @@ fn derive_gomory(
         }
     }
     let cut_rhs = f64_at_most(&target)?;
-    let proof = CutProof::Gomory {
-        vars: base
-            .iter()
-            .map(|v| GomoryVar {
-                var: v.col,
-                coeff: v.coeff,
-                bound: v.bound,
-                integral: v.int_shift,
-                at_upper: v.at_upper,
-            })
-            .collect(),
-        base_rhs: beta,
-        cut: cut.clone(),
-        cut_rhs,
-    };
     // substitute slacks (s_r = b_r − Σ a_rk·x_k, Ge rows sign-flipped in
     // standard form) to land the cut in model-variable space
     let nv = model.num_vars();
@@ -747,6 +809,21 @@ fn derive_gomory(
         ),
         cmp: Cmp::Ge,
         rhs: safe_rhs,
+    };
+    let proof = CutProof::Gomory {
+        vars: base
+            .iter()
+            .map(|v| GomoryVar {
+                var: v.col,
+                coeff: v.coeff,
+                bound: v.bound,
+                integral: v.int_shift,
+                at_upper: v.at_upper,
+            })
+            .collect(),
+        base_rhs: beta,
+        cut,
+        cut_rhs,
     };
     let key = cut_key(&con);
     Some(CutCandidate { con, proof, key, violation, gomory: true })
@@ -1039,6 +1116,36 @@ mod tests {
                 _ => (-(wide(&mut next).abs()), (next() as i128) << (next() % 60)),
             };
             assert_eq!(gcd(a, b), euclid(a.unsigned_abs(), b.unsigned_abs()), "gcd({a}, {b})");
+        }
+    }
+
+    /// The separator's own gcd, 64- and 128-bit legs, against Euclid on
+    /// the odd pairs it is called with (an odd part and an odd `q`).
+    #[test]
+    fn odd_gcd_agrees_with_euclid() {
+        fn euclid(mut a: u128, mut b: u128) -> u128 {
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            a
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..4000 {
+            let odd = |x: u128| (x >> x.trailing_zeros()).max(1);
+            let wide = |n: &mut dyn FnMut() -> u64| (u128::from(n()) << 64 | u128::from(n())) >> (n() % 128);
+            let common = odd(u128::from(next() % 10_000 + 1));
+            let (a, c) = match i % 3 {
+                0 => (odd(wide(&mut next)), odd(wide(&mut next))),
+                1 => (odd(u128::from(next())) * common, odd(u128::from(next() >> 20)) * common),
+                _ => (odd(wide(&mut next)), odd(u128::from(next()))),
+            };
+            assert_eq!(odd_gcd(a, c), euclid(a, c), "gcd({a}, {c})");
         }
     }
 
