@@ -1137,7 +1137,7 @@ mod tests {
             state
         };
         for i in 0..4000 {
-            let odd = |x: u128| (x >> x.trailing_zeros()).max(1);
+            let odd = |x: u128| if x == 0 { 1 } else { x >> x.trailing_zeros() };
             let wide = |n: &mut dyn FnMut() -> u64| (u128::from(n()) << 64 | u128::from(n())) >> (n() % 128);
             let common = odd(u128::from(next() % 10_000 + 1));
             let (a, c) = match i % 3 {

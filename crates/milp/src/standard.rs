@@ -38,7 +38,7 @@ use crate::model::{Cmp, Model, Sense, VarKind};
 ///
 /// Columns are contiguous runs of `(row, value)` pairs; rows inside a
 /// column are strictly increasing and explicit zeros are absent (it is the
-/// counting transpose of the row-major copy, [`Csr::transpose`]). The
+/// counting transpose of the row-major copy, `Csr::transpose`). The
 /// revised simplex engine consumes columns directly (pricing dot products,
 /// FTRAN right-hand sides, basis factorizations); the dense tableau engine
 /// and the tests expand via [`Csc::to_dense`].
@@ -82,7 +82,7 @@ pub struct Csr {
 impl Csr {
     /// The `(columns, values)` of row `r`, as two parallel slices.
     #[inline]
-    pub fn row(&self, r: usize) -> (&[usize], &[f64]) {
+    pub(crate) fn row(&self, r: usize) -> (&[usize], &[f64]) {
         let range = self.row_ptr[r]..self.row_ptr[r + 1];
         (&self.col_idx[range.clone()], &self.values[range])
     }
@@ -114,7 +114,7 @@ impl Csr {
     /// their prefix sums, then every row's entries dropped into their
     /// columns in row order — so rows ascend inside each column, and every
     /// value is copied, never recomputed.
-    pub fn transpose(&self) -> Csc {
+    pub(crate) fn transpose(&self) -> Csc {
         let mut col_ptr = vec![0usize; self.ncols + 1];
         for &j in &self.col_idx {
             col_ptr[j + 1] += 1;
@@ -338,7 +338,7 @@ pub struct StandardForm {
     pub c: Vec<f64>,
     /// The simplex engine's phase-2 cost: `c`, then a zero for each row's
     /// artificial column. Built once here for every LP over this form.
-    pub phase2_cost: Vec<f64>,
+    pub(crate) phase2_cost: Vec<f64>,
     /// Per-column lower bounds (all finite).
     pub lower: Vec<f64>,
     /// Per-column upper bounds (may be `+inf`).
