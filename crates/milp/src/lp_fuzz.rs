@@ -157,7 +157,7 @@ pub fn random_lp(case: u64) -> Model {
 /// `model`'s standard-form matrix accumulated densely, cell by cell in
 /// term order (`0 + t₁ + t₂ + …`, `>=` rows negated, negated columns
 /// flipped, split columns twice) — the reference the lowering is held to.
-pub fn dense_reference(model: &Model, sf: &StandardForm) -> Dense {
+fn dense_reference(model: &Model, sf: &StandardForm) -> Dense {
     let mut d = Dense::zeros(sf.nrows(), sf.ncols());
     for (r, con) in model.cons.iter().enumerate() {
         let sign = if con.cmp == Cmp::Ge { -1.0 } else { 1.0 };

@@ -27,10 +27,10 @@
 //! ratio test then needs `tⱼ = ρᵀaⱼ` for every nonbasic column, and `ρ` is
 //! sparse: the engine forms `ρᵀA` row by row over `ρ`'s nonzeros from the
 //! row-major copy of `A` ([`crate::standard::Csr::left_mul`]), instead of
-//! one dot product per column over the whole matrix. The products are the same and each `tⱼ` takes them in the
-//! same ascending-row order, so `tⱼ` is the column dot product's value bit
-//! for bit; only the sign of an exact zero can differ, and `|tⱼ| ≤
-//! PIVOT_TOL` drops those. The reduced cost `dⱼ` is still one column dot
+//! one dot product per column over the whole matrix. The products are the
+//! same and each `tⱼ` takes them in the same ascending-row order, so `tⱼ`
+//! is the column dot product's value bit for bit; only the sign of an exact
+//! zero can differ, and `|tⱼ| ≤ PIVOT_TOL` drops those. The reduced cost `dⱼ` is still one column dot
 //! product, taken only for the columns that pass. The Gomory separator's
 //! base row (`TableauView::row`) is the same kernel.
 //!
@@ -1234,14 +1234,14 @@ mod tests {
         for case in 0..600 {
             let model = crate::lp_fuzz::random_lp(case);
             let sf = StandardForm::from_model(&model).unwrap();
-            let cost2 = sf.phase2_cost.clone();
+            let cost2 = &sf.phase2_cost;
             // mid-solve: the basis a cold phase (1, or 2 when there is no
             // artificial) stops at, read through its eta file
             let mut e = Engine::cold(&sf, &[]).unwrap();
             let phase1 = e.basis.iter().any(|&j| j >= e.n);
             let mut cost1 = vec![0.0; e.n_total];
             cost1[e.n..].fill(1.0);
-            let cost = if phase1 { &cost1 } else { &cost2 };
+            let cost = if phase1 { &cost1 } else { cost2 };
             if e.run(cost).is_err() {
                 continue;
             }
@@ -1253,7 +1253,7 @@ mod tests {
             let fb = FactoredBasis::new(&sf, &p.basis).expect("optimal basis factorizes");
             let fac = Factorization::shared(&fb.lu);
             let mut e = Engine::at_basis(&sf, &[], fb.basis, fac).unwrap();
-            nonzeros += assert_pivot_row_kernels(&mut e, &cost2);
+            nonzeros += assert_pivot_row_kernels(&mut e, cost2);
             refactored += 1;
         }
         assert!(with_etas >= 300 && refactored >= 300, "{with_etas} / {refactored}");
