@@ -177,7 +177,7 @@ fn dense_reference(model: &Model, sf: &StandardForm) -> Dense {
     d
 }
 
-/// Holds `sf.a` and `sf.rows` to [`dense_reference`] — a cell is stored
+/// Holds `sf.a` and `sf.rows` to `dense_reference` — a cell is stored
 /// exactly when its sum is nonzero, with the sum's bits — and to each
 /// other as transposes. Returns the nonzero count.
 pub fn assert_lowering_matches(model: &Model) -> usize {
