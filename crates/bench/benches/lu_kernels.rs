@@ -5,8 +5,9 @@
 //! the pivot row `ρᵀA` read row-wise for the basis row with the densest `ρ`
 //! (`pivot_row`) — the cold
 //! root LP that reaches that basis (`cold_root_lp`, with its pivot and
-//! refactorization counts printed once), and the lowering of the model to
-//! standard form (`lower`), of
+//! refactorization counts printed once), the lowering of the model to
+//! standard form (`lower`) and presolve of a copy of the model, as
+//! `milp::solve` runs it (`presolve`, the copy included), of
 //!
 //! * `Exact/160x4`, the largest LP of the repo benchmark's `solve-scale`
 //!   workload (m = 1 625, mostly slack and singleton columns), and
@@ -25,7 +26,7 @@ use insitu_core::formulation::build_exact;
 use milp::lu::{Factorization, LuFactors};
 use milp::revised::solve_standard_revised;
 use milp::standard::StandardForm;
-use milp::Model;
+use milp::{presolve, Model};
 
 fn bench_basis(c: &mut Criterion, label: &str, model: &Model) {
     let sf = StandardForm::from_model(model).expect("lowers");
@@ -44,6 +45,12 @@ fn bench_basis(c: &mut Criterion, label: &str, model: &Model) {
         factor().fill()
     );
     let mut g = c.benchmark_group(format!("lu_kernels/{label}"));
+    g.bench_function("presolve", |b| {
+        b.iter(|| {
+            let mut presolved = model.clone();
+            presolve(&mut presolved).expect("feasible").bounds_tightened
+        })
+    });
     g.bench_function("lower", |b| {
         b.iter(|| StandardForm::from_model(model).expect("lowers").rows.nnz())
     });

@@ -18,6 +18,9 @@
 //! are small half-integers, so optima are exactly representable and two
 //! engines can be compared to 1e-9.
 //!
+//! `presolve`'s unit tests draw them too: each LP's relaxation must keep its
+//! status and objective through presolve.
+//!
 //! It also holds the lowering's reference, [`assert_lowering_matches`]:
 //! [`StandardForm::from_model`]'s column-major matrix and its row-major
 //! copy against a dense term-by-term accumulation, used by `standard`'s unit

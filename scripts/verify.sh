@@ -122,7 +122,8 @@ run head -n 4 target/trace_view.search.txt
 # refinement, the HPM region profiler, every collective model but
 # allreduce, the accessors only their own tests called, and the second
 # certificate judge beside `CheckedCertificate::check`; the search tree
-# has one format, the certificate, and no JSON schema of its own.
+# has one format, the certificate, and no JSON schema of its own; presolve
+# has no dominated-row pass.
 # History files (CHANGES.md, ROADMAP.md,
 # EXPERIMENTS.md) and benchmark/ are not searched.
 retired='service_bench|sim_bench|bench_diff|adaptive_smoke|timeline_smoke|obs_smoke'
@@ -140,6 +141,7 @@ retired="$retired|RegionProfiler|RegionStats|spin_for|lohner_estimator|flag_for_
 retired="$retired|amrsim::refine|allgather|alltoall|mean_hops|bisection_links|merge_hist"
 retired="$retired|root_gap_closed|peak_mem_over_period|r3_protein_histogram|check_certificate|amdahl_"
 retired="$retired|SEARCHTRACE_SCHEMA|milp/searchtrace|action_from_str"
+retired="$retired|row_dominates|rows_dominated"
 echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then
