@@ -16,7 +16,8 @@
 //! so a row costs its length, not its length squared. A residual with an
 //! infinite contribution left in it implies nothing: one infinite
 //! contribution leaves only its own variable's residual finite, two leave
-//! none.
+//! none. A finite contribution above 1e6 counts as infinite too, so that
+//! no residual is the difference of two large, rounded numbers.
 //!
 //! A fourth reduction, dominated-row elimination among rows over the same
 //! support, was deleted: it was written for the per-step time rows of
@@ -51,8 +52,22 @@ fn contribution(c: f64, l: f64, u: f64) -> (f64, f64) {
     }
 }
 
-/// One side of a row's activity: the finite contributions summed in term
-/// order, the infinite ones counted.
+/// Contributions larger than this count as infinite. A residual is the
+/// activity minus the term's own contribution, and the activity carries
+/// the rounding of every sum it took, up to `HUGE·2⁻⁵³` per term: were a
+/// term of 1e17 subtracted back out, the residual of `-1` beside it would
+/// read `0`. At 1e6 the error stays four orders under `INT_TOL`; the
+/// scheduling formulations rescale their rows far below it.
+const HUGE: f64 = 1e6;
+
+/// Whether a contribution is counted in an [`Activity`] rather than
+/// summed: above [`HUGE`], infinite, or `0·∞`.
+fn counted(x: f64) -> bool {
+    x.is_nan() || x.abs() > HUGE
+}
+
+/// One side of a row's activity: the contributions up to [`HUGE`] summed
+/// in term order, the larger and the infinite ones counted.
 #[derive(Clone, Copy, Default)]
 struct Activity {
     finite: f64,
@@ -61,14 +76,14 @@ struct Activity {
 
 impl Activity {
     fn add(&mut self, x: f64) {
-        if x.is_finite() {
-            self.finite += x;
-        } else {
+        if counted(x) {
             self.infinite += 1;
+        } else {
+            self.finite += x;
         }
     }
 
-    /// The activity itself: `inf` once a contribution is infinite.
+    /// The activity itself: `inf` once a contribution is counted.
     fn total(self, inf: f64) -> f64 {
         if self.infinite == 0 {
             self.finite
@@ -78,14 +93,13 @@ impl Activity {
     }
 
     /// The activity of the other terms of a row, given one term's own
-    /// contribution `own`, or `None` when an infinite contribution is left.
+    /// contribution `own`, or `None` when a counted contribution is left.
     fn without(self, own: f64) -> Option<f64> {
-        let rest = match (self.infinite, own.is_finite()) {
-            (0, _) => self.finite - own,
-            (1, false) => self.finite,
-            _ => return None,
-        };
-        rest.is_finite().then_some(rest)
+        match (self.infinite, counted(own)) {
+            (0, _) => Some(self.finite - own),
+            (1, true) => Some(self.finite),
+            _ => None,
+        }
     }
 }
 
@@ -309,6 +323,27 @@ mod tests {
         for (a, b) in m.vars.iter().zip(&before.vars) {
             assert_eq!((a.lower, a.upper), (b.lower, b.upper));
         }
+    }
+
+    #[test]
+    fn a_huge_contribution_is_not_subtracted_back_out() {
+        // y - x <= 0 with y in [-1e17, 10], x in [0, 1]: y's residual is -1,
+        // so y <= 1; summed with y's -1e17 and subtracted back out it would
+        // read 0 and cut off the optimum y = x = 1
+        let build = || {
+            let mut m = Model::new(Sense::Maximize);
+            let x = m.num_var("x", 0.0, 1.0);
+            let y = m.num_var("y", -1e17, 10.0);
+            m.add_con(LinExpr::new().term(y, 1.0).term(x, -1.0), Cmp::Le, 0.0);
+            m.set_objective(LinExpr::var(y));
+            m
+        };
+        let mut pre = build();
+        presolve(&mut pre).unwrap();
+        assert_eq!((pre.vars[0].lower, pre.vars[0].upper), (0.0, 1.0));
+        assert_eq!((pre.vars[1].lower, pre.vars[1].upper), (-1e17, 1.0));
+        let solved = crate::solve(&build(), &Default::default()).unwrap();
+        assert_eq!(solved.objective, 1.0);
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //! Recorded at commit `59b6cd8`, before bound tightening computed each
 //! row's activity once instead of re-summing the other terms for each term,
 //! and before dominated-row elimination was deleted. That deletion moved one
-//! value on purpose: the aggregate model of fuzz case 562 has one analysis,
-//! so its time row and its memory row share one support, and the memory row
-//! implies the time row under the bounds; the deleted pass dropped the time
-//! row, now it stays (3 rows kept instead of 2). Every bound of every model
-//! held, bit for bit (the `bounds` digests are the recorded ones). From here
-//! on a value that moves means presolve derived, rounded or kept something
-//! else — find it, do not re-pin.
+//! model on purpose, so it is pinned apart from the recording: the aggregate
+//! model of fuzz case 562 has one analysis, so its time row and its memory
+//! row share one support, and the memory row implies the time row under the
+//! bounds; the deleted pass dropped the time row, now it stays (3 rows kept
+//! instead of 2, every bound as recorded). A value that moves means
+//! presolve derived, rounded or kept something else — find it, do not
+//! re-pin.
 
 use bench::instances::{exact_leg, service_like};
 use insitu_core::{build_aggregate, formulation::build_exact};
@@ -107,22 +107,33 @@ fn fuzz_models(cases: usize) -> (Vec<Model>, Vec<Model>) {
         .unzip()
 }
 
+/// The fuzz case whose aggregate model kept, after dominated-row
+/// elimination was deleted, the one row that pass removed.
+const KEPT_DOMINATED_ROW: usize = 562;
+
 #[test]
 fn presolve_of_the_fuzz_models_matches_the_recording() {
     let (aggregate, exact) = fuzz_models(600);
+    let (moved, held): (Vec<_>, Vec<_>) =
+        aggregate.iter().enumerate().partition(|&(case, _)| case == KEPT_DOMINATED_ROW);
     assert_eq!(
-        record(&aggregate),
+        record(held.into_iter().map(|(_, m)| m)),
         Tally {
-            models: 600,
+            models: 599,
             infeasible: 0,
-            // 2 400 and 15_070_555_717_146_852_335 at `59b6cd8`: case 562
-            // kept a row the deleted dominated-row pass removed
-            kept_rows: 2_401,
-            rows: 15_670_283_310_333_039_662,
-            bounds: 7_469_900_220_102_397_826,
+            kept_rows: 2_398,
+            rows: 13_373_703_968_131_255_405,
+            bounds: 14_722_783_118_135_148_459,
         },
         "presolve of the aggregate models moved"
     );
+    let moved = record(moved.into_iter().map(|(_, m)| m));
+    assert_eq!(
+        (moved.models, moved.infeasible, moved.bounds),
+        (1, 0, 7_671_093_867_544_896_472),
+        "presolve of case {KEPT_DOMINATED_ROW}'s aggregate model moved a bound"
+    );
+    assert_eq!(moved.kept_rows, 3, "2 at `59b6cd8`, with the dominated time row dropped");
     assert_eq!(
         record(&exact),
         Tally {
