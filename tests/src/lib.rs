@@ -8,3 +8,4 @@
 //! `tests/corpus/`.
 
 pub mod fuzz;
+pub mod model_file;

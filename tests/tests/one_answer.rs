@@ -307,3 +307,30 @@ fn lp_bound_not_monotone_is_refused_by_every_door() {
     let found = milp::solve(&built.model, &fuzz::serial_opts()).unwrap();
     assert_eq!(found.objective, 11.0);
 }
+
+/// The model behind the open defect above, as the aggregate builder made it
+/// when the defect was found, committed bit for bit so the defect stays
+/// reproducible whatever the builder makes of the instance later.
+/// `milp::solve` of it, with its certificate, must still be refused by the
+/// certificate check with the same complaint, while the optimum it found
+/// and brute force's agree on 11.
+#[test]
+fn lp_bound_not_monotone_model_is_refused_by_the_certificate_check() {
+    use integration_tests::model_file;
+    let path = fuzz::corpus_dir().join("open/lp-bound-not-monotone.model");
+    let text = std::fs::read_to_string(&path).expect("readable model fixture");
+    let model = model_file::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(model_file::render(&model), text, "the fixture reads back bit for bit");
+    assert_eq!((model.vars.len(), model.cons.len()), (13, 5));
+
+    let solved = milp::solve(&model, &fuzz::serial_opts()).expect("the model solves");
+    assert_eq!(solved.objective, 11.0);
+    let certificate = solved.stats.certificate.expect("a certificate was asked for");
+    let complaint = "node 9: bound 11.310572422927393 improves on parent 2 bound 11.276222689958933";
+    assert_eq!(
+        certify::CheckedCertificate::check(certificate).err(),
+        Some(vec![complaint.to_string()])
+    );
+    let brute = milp::brute::brute_force(&model, fuzz::BRUTE_CAP).unwrap();
+    assert_eq!(brute.objective, 11.0);
+}
