@@ -26,8 +26,27 @@
 //! that. (The differential fuzz harness caught an earlier version that
 //! took `fm + cm + om` as the peak whenever `im == 0` — wrong as soon as
 //! `cm > 0` buffers pile up across sparse outputs.)
+//!
+//! # When the expansion is built
+//!
+//! Only where memory can decide which `(k, q)` is chosen. Two cases take
+//! the integer `k`, `q` form instead, and both are exact:
+//!
+//! - **A flat peak.** With `output_every == 1` the cadence forces `q = k`,
+//!   and with `im == 0` each run's `cm + om` is freed at its own output
+//!   step, so the even placement peaks at `fm + cm + om` for every
+//!   `k >= 1`. The expansion would carry that one coefficient on every
+//!   column; the integer form carries it once, on `run`, at any `k_max`.
+//! - **A memory row that cannot bind.** Each analysis's peak is at most
+//!   its flat peak, or else the no-reset bound `fm + om + im·Steps +
+//!   cm·k_max`. When those bounds sum to at most `mth`, no count vector
+//!   can violate the row, so it is left out and every analysis is
+//!   integer.
+//!
+//! The expansion is left for `im > 0`, or `output_every != 1`, under a
+//! memory threshold that can bind.
 
-use insitu_types::{Schedule, ScheduleProblem};
+use insitu_types::{AnalysisProfile, Schedule, ScheduleProblem};
 use milp::{Cmp, LinExpr, Model, Sense, SolveError, SolveOptions, SolveStats, Var};
 
 use crate::formulation::Solved;
@@ -47,7 +66,8 @@ pub fn peak_memory(problem: &ScheduleProblem, i: usize, k: usize, q: usize) -> f
 }
 
 /// Per analysis: run binary; unary selection y_{i,(k,q)} over feasible
-/// (k, q) pairs when small, otherwise integer k, q with linear bounds.
+/// (k, q) pairs where memory can decide the pair and `k_max` is small,
+/// otherwise integer k, q with linear bounds.
 struct PerAnalysis {
     run: Var,
     /// `Some(pairs)` when unary-expanded: (k, q, y-var).
@@ -135,6 +155,28 @@ impl AggregateModel {
     }
 }
 
+/// Whether analysis `a` peaks at `fm + cm + om` whatever its count: it
+/// outputs at every run (`output_every == 1`, so `q = k`) and holds no
+/// per-step state (`im == 0`), so Eq. 6 frees what each run added before
+/// the next one (see [`crate::placement::exact_peak_memory`]).
+fn has_flat_peak(a: &AnalysisProfile) -> bool {
+    a.output_every == 1 && a.step_mem == 0.0
+}
+
+/// The largest peak memory analysis `a` reaches at any admissible `(k, q)`:
+/// exact for a flat peak, otherwise the no-reset bound, with `im` piled up
+/// over all Steps and `cm` over all `k_max` runs.
+fn peak_bound(a: &AnalysisProfile, steps: usize) -> f64 {
+    if has_flat_peak(a) {
+        a.fixed_mem + a.compute_mem + a.output_mem
+    } else {
+        a.fixed_mem
+            + a.output_mem
+            + a.step_mem * steps as f64
+            + a.compute_mem * a.max_analysis_steps(steps).max(1) as f64
+    }
+}
+
 /// Builds the aggregate model without solving it. See the module docs for
 /// the equivalence argument; [`solve_aggregate`] is the convenience
 /// wrapper that solves the returned model and places its counts.
@@ -145,6 +187,15 @@ pub fn build_aggregate(problem: &ScheduleProblem) -> Result<AggregateModel, Solv
     let steps = problem.resources.steps;
     let n = problem.len();
     let mut m = Model::new(Sense::Maximize);
+    // the memory row can only exclude a count vector if the analyses'
+    // largest peaks together exceed mth; when they cannot, it is dropped
+    let mem_binds = problem
+        .analyses
+        .iter()
+        .filter(|a| a.max_analysis_steps(steps) > 0)
+        .map(|a| peak_bound(a, steps))
+        .sum::<f64>()
+        > problem.resources.mem_threshold;
 
     let mut pa: Vec<PerAnalysis> = Vec::with_capacity(n);
     for (i, a) in problem.analyses.iter().enumerate() {
@@ -161,9 +212,12 @@ pub fn build_aggregate(problem: &ScheduleProblem) -> Result<AggregateModel, Solv
             continue;
         }
         // im and cm both accumulate between outputs (Eq. 6), so either
-        // forces the position-aware expansion
-        let needs_expansion =
-            (a.step_mem > 0.0 || a.compute_mem > 0.0) && kmax <= EXPANSION_LIMIT;
+        // forces the position-aware expansion, unless memory cannot decide
+        // the choice of (k, q)
+        let needs_expansion = mem_binds
+            && !has_flat_peak(a)
+            && (a.step_mem > 0.0 || a.compute_mem > 0.0)
+            && kmax <= EXPANSION_LIMIT;
         if needs_expansion {
             // enumerate feasible (k, q): q bounded by k, and q must satisfy
             // the output cadence (output_every*q >= k) when declared.
@@ -236,10 +290,7 @@ pub fn build_aggregate(problem: &ScheduleProblem) -> Result<AggregateModel, Solv
     m.add_con(time, Cmp::Le, problem.resources.total_threshold());
 
     // --- memory (Eq. 8, conservative peak form) ---
-    let any_mem = problem.analyses.iter().any(|a| {
-        a.fixed_mem > 0.0 || a.step_mem > 0.0 || a.compute_mem > 0.0 || a.output_mem > 0.0
-    });
-    if any_mem {
+    if mem_binds {
         // express the row in units of mth: raw byte coefficients (1e9+)
         // against an O(1) objective wreck the simplex tolerances
         let mem_scale = problem.resources.mem_threshold.max(1.0);
@@ -251,17 +302,7 @@ pub fn build_aggregate(problem: &ScheduleProblem) -> Result<AggregateModel, Solv
                         mem = mem.term(y, peak_memory(problem, i, k, q) / mem_scale);
                     }
                 }
-                None => {
-                    // no accumulation (im == cm == 0) or the kmax-too-big
-                    // fallback: without outputs, im piles up over all
-                    // Steps and cm over all kmax analysis executions
-                    let kmax = a.max_analysis_steps(steps);
-                    let worst = a.fixed_mem
-                        + a.output_mem
-                        + a.step_mem * steps as f64
-                        + a.compute_mem * kmax.max(1) as f64;
-                    mem = mem.term(pa[i].run, worst / mem_scale);
-                }
+                None => mem = mem.term(pa[i].run, peak_bound(a, steps) / mem_scale),
             }
         }
         m.add_con(mem, Cmp::Le, problem.resources.mem_threshold / mem_scale);
@@ -313,7 +354,8 @@ pub fn solve_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use insitu_types::{AnalysisProfile, ResourceConfig};
+    use insitu_types::ResourceConfig;
+    use proptest::prelude::*;
 
     fn opts() -> SolveOptions {
         SolveOptions::default()
@@ -501,6 +543,135 @@ mod tests {
         let silly = solve_aggregate(&p, &opts(), Some(&beyond)).unwrap();
         assert_eq!(counts(&silly), counts(&cold));
         assert_eq!(silly.objective.to_bits(), cold.objective.to_bits());
+    }
+
+    /// An analysis that outputs at every run frees its memory at every
+    /// run. Above `EXPANSION_LIMIT` the model used to charge it `cm·k_max`
+    /// anyway, shut it out and stamp the empty schedule PROVED 0, while the
+    /// every-step schedule replays feasible at 101.
+    #[test]
+    fn a_flat_peak_above_the_expansion_limit_is_charged_its_exact_peak() {
+        let flat = |name: &str| {
+            AnalysisProfile::new(name)
+                .with_compute(0.01, 10.0)
+                .with_output(0.0, 0.0, 1)
+                .with_interval(1)
+        };
+        // one analysis under mth 50: the memory row cannot bind at all;
+        // two under mth 15: it binds, and holds one of them at its peak 10
+        for (analyses, mth) in [(vec![flat("a")], 50.0), (vec![flat("a"), flat("b")], 15.0)] {
+            let p = ScheduleProblem::new(
+                analyses,
+                ResourceConfig::from_total_threshold(100, 50.0, mth, 1e9),
+            )
+            .unwrap();
+            assert!(p.analyses[0].max_analysis_steps(100) > EXPANSION_LIMIT);
+            // four linking rows per integer pair, the time row, and a
+            // memory row only where it binds
+            let rows = build_aggregate(&p).unwrap().model.cons.len();
+            assert_eq!(rows, 4 * p.len() + 1 + usize::from(mth < 50.0), "mth {mth}");
+            let agg = solve_aggregate(&p, &opts(), None).unwrap();
+            assert_eq!(agg.objective, 101.0, "mth {mth}");
+            assert_eq!(counts(&agg).iter().sum::<usize>(), 100);
+            let report = crate::validate_schedule(&p, &agg.schedule);
+            assert!(report.is_feasible(), "{:?}", report.violations);
+            assert_eq!(report.objective, 101.0);
+        }
+    }
+
+    /// The models whose memory binds with `output_every > 1` or `im > 0`
+    /// keep the expansion: the cm-accumulation regression of the corpus
+    /// and the hinted round-trip instance above.
+    #[test]
+    fn accumulating_memory_that_can_bind_keeps_the_expansion() {
+        let text = include_str!("../../../tests/corpus/regression-cm-accumulation.json");
+        let doc = insitu_types::json::Value::parse(text).unwrap();
+        let insitu_types::json::Value::Object(fields) = doc else {
+            panic!("a corpus case is an object")
+        };
+        let p = <ScheduleProblem as insitu_types::json::FromJson>::from_json(&fields["problem"])
+            .unwrap();
+        assert!(p.analyses.iter().all(|a| a.output_every == 2));
+        let built = build_aggregate(&p).unwrap();
+        assert!(built.per_analysis.iter().all(|pa| pa.unary.is_some()));
+
+        let p = ScheduleProblem::new(
+            vec![
+                AnalysisProfile::new("temporal")
+                    .with_per_step(0.0, 1.0)
+                    .with_compute(0.1, 0.0)
+                    .with_output(0.1, 0.0, 1)
+                    .with_interval(100),
+                AnalysisProfile::new("plain").with_compute(0.5, 0.0).with_interval(100),
+            ],
+            ResourceConfig::from_total_threshold(1000, 100.0, 250.0, 1e9),
+        )
+        .unwrap();
+        let built = build_aggregate(&p).unwrap();
+        assert!(built.per_analysis[0].unary.is_some(), "im > 0 under a binding mth");
+        assert!(built.per_analysis[1].ints.is_some(), "no memory at all");
+    }
+
+    /// Analyses in the differential-fuzz generator's ranges (`fm` < 30,
+    /// `im` < 3, `cm` < 40, `om` < 20, `output_every` 0..=2, `k_max` 1..=5
+    /// over 4..=24 steps), and the same with `k_max` up to 100.
+    fn fuzz_shaped() -> impl Strategy<Value = (AnalysisProfile, usize)> {
+        let mem =
+            |hi: f64| (any::<bool>(), 0.0..hi).prop_map(|(zero, x)| if zero { 0.0 } else { x });
+        (
+            (4usize..=24, 1usize..=5),
+            (4usize..=120, 1usize..=100),
+            any::<bool>(),
+            (mem(30.0), mem(3.0), mem(40.0), mem(20.0), 0usize..=2),
+        )
+            .prop_map(|(small, wide, is_small, (fm, im, cm, om, every))| {
+                let (steps, kmax) = if is_small { small } else { wide };
+                let a = AnalysisProfile::new("a")
+                    .with_fixed(0.0, fm)
+                    .with_per_step(0.0, im)
+                    .with_compute(1.0, cm)
+                    .with_output(1.0, om, every)
+                    .with_interval((steps / kmax).max(1));
+                (a, steps)
+            })
+    }
+
+    proptest! {
+        /// The two premises the integer form rests on, against the Eq. 5–7
+        /// simulation of the even placement: a flat peak is the same at
+        /// every count, to the bit, and `peak_bound` is at least the peak
+        /// of every admissible `(k, q)`. The simulation adds `im` once a
+        /// step where the bound multiplies it by Steps, so the two round
+        /// apart by a few ulps; the bound is held to 1e-12 relative, a
+        /// thousandth of the dust `certify::EXCESS_TOL` forgives.
+        #[test]
+        fn peak_bound_is_exact_when_flat_and_an_upper_bound_always(
+            (a, steps) in fuzz_shaped()
+        ) {
+            let p = ScheduleProblem::new(
+                vec![a],
+                ResourceConfig::from_total_threshold(steps, 1.0, 1e9, 1e9),
+            )
+            .unwrap();
+            let a = &p.analyses[0];
+            let bound = peak_bound(a, steps);
+            for k in 1..=a.max_analysis_steps(steps) {
+                if has_flat_peak(a) {
+                    prop_assert_eq!(peak_memory(&p, 0, k, k).to_bits(), bound.to_bits(), "k {}", k);
+                }
+                let qs = match a.output_every {
+                    0 => 0..=0,
+                    every => k.div_ceil(every)..=k,
+                };
+                for q in qs {
+                    let peak = peak_memory(&p, 0, k, q);
+                    prop_assert!(
+                        peak <= bound * (1.0 + 1e-12),
+                        "(k, q) = ({}, {}): peak {} > bound {}", k, q, peak, bound
+                    );
+                }
+            }
+        }
     }
 
     #[test]

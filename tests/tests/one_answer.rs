@@ -285,32 +285,34 @@ fn an_excess_just_above_the_tolerance_is_invalid_through_every_door() {
     }
 }
 
-/// An open defect, pinned at its *safe* behaviour (ROADMAP, first open
-/// item): on this instance one warm-started child LP reports an optimum
-/// 0.034 below its own child's, so the certificate's bounds are not
-/// monotone and every door refuses the solve. The optimum the solver found
-/// is right (brute force agrees) — what is wrong is a bound that could
-/// prune wrongly elsewhere, and `certify` stopping the reply is the gate
-/// working. When the LP defect is fixed this flips to `PROVED 11`.
+/// The instance of an open defect (ROADMAP, first open item). When it was
+/// found, one warm-started child LP of its aggregate model reported an
+/// optimum 0.034 below its own child's, so the certificate's bounds were
+/// not monotone and every door refused the solve. Two of its three
+/// analyses output at every run and hold no per-step memory, so the
+/// builder now gives them integer counts instead of one binary per count;
+/// the search on that smaller model no longer reaches the defect, and
+/// every door stamps brute force's optimum. The defect itself is still
+/// there: the next test holds it on the model as it was built then.
 #[test]
-fn lp_bound_not_monotone_is_refused_by_every_door() {
+fn lp_bound_not_monotone_instance_is_proved_by_every_door() {
     let path = fuzz::corpus_dir().join("open/lp-bound-not-monotone.json");
     let text = std::fs::read_to_string(&path).expect("readable corpus case");
     let (p, _, _) = fuzz::parse_case(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let complaint = "node 9: bound 11.310572422927393 improves on parent 2 bound 11.276222689958933";
-    assert_eq!(one_answer("lp-bound-not-monotone", &p, 0), Err(vec![complaint.to_string()]));
-    let oracle = fuzz::differential_check(&p).expect_err("the differential check refuses it too");
-    assert!(oracle.contains(complaint), "{oracle}");
+    assert_eq!(
+        one_answer("lp-bound-not-monotone", &p, 0),
+        Ok((certify::Verdict::Proved, 11.0))
+    );
+    fuzz::differential_check(&p).expect("every oracle agrees");
     let built = insitu_core::build_aggregate(&p).unwrap();
     let brute = milp::brute::brute_force(&built.model, fuzz::BRUTE_CAP).unwrap();
     assert_eq!(brute.objective, 11.0);
-    let found = milp::solve(&built.model, &fuzz::serial_opts()).unwrap();
-    assert_eq!(found.objective, 11.0);
 }
 
 /// The model behind the open defect above, as the aggregate builder made it
-/// when the defect was found, committed bit for bit so the defect stays
-/// reproducible whatever the builder makes of the instance later.
+/// when the defect was found (13 binaries, 5 rows), committed bit for bit
+/// so the defect stays reproducible whatever the builder makes of the
+/// instance now.
 /// `milp::solve` of it, with its certificate, must still be refused by the
 /// certificate check with the same complaint, while the optimum it found
 /// and brute force's agree on 11.
@@ -333,4 +335,23 @@ fn lp_bound_not_monotone_model_is_refused_by_the_certificate_check() {
     );
     let brute = milp::brute::brute_force(&model, fuzz::BRUTE_CAP).unwrap();
     assert_eq!(brute.objective, 11.0);
+}
+
+/// One analysis that outputs at every run, at `itv` 1 over 100 steps, so
+/// `k_max` = 100 is above `aggregate::EXPANSION_LIMIT`. Before the builder
+/// knew flat peaks, it charged this analysis `cm·k_max` = 1 000 against
+/// `mth` 50 and every door stamped the empty schedule PROVED 0, while the
+/// every-step schedule replays feasible at 101.
+#[test]
+fn a_flat_peak_above_the_expansion_limit_is_proved_at_its_optimum_by_every_door() {
+    use insitu_types::{AnalysisProfile, ResourceConfig};
+    let p = ScheduleProblem::new(
+        vec![AnalysisProfile::new("a")
+            .with_compute(0.01, 10.0)
+            .with_output(0.0, 0.0, 1)
+            .with_interval(1)],
+        ResourceConfig::from_total_threshold(100, 50.0, 50.0, 1e9),
+    )
+    .unwrap();
+    assert_eq!(one_answer("flat peak", &p, 0), Ok((certify::Verdict::Proved, 101.0)));
 }
