@@ -23,9 +23,15 @@
 //! model of fuzz case 562 has one analysis, so its time row and its memory
 //! row share one support, and the memory row implies the time row under the
 //! bounds; the deleted pass dropped the time row, now it stays (3 rows kept
-//! instead of 2, every bound as recorded). A value that moves means
-//! presolve derived, rounded or kept something else — find it, do not
-//! re-pin.
+//! instead of 2, every bound as recorded). The aggregate family (case 562
+//! aside, which did not move) and the service-family model were re-recorded
+//! when `build_aggregate` stopped expanding `(k, q)` where memory cannot
+//! decide the pair (commit `7652804`): their models have other columns and
+//! rows, so presolve has other input. They read
+//! `(2 398 kept rows, rows 13_373_703_968_131_255_405, bounds
+//! 14_722_783_118_135_148_459)` and `(22, 6_520_889_763_169_322_899,
+//! 1_646_832_966_919_450_341)` before. A value that moves means presolve
+//! derived, rounded or kept something else — find it, do not re-pin.
 
 use bench::instances::{exact_leg, service_like};
 use insitu_core::{build_aggregate, formulation::build_exact};
@@ -121,9 +127,9 @@ fn presolve_of_the_fuzz_models_matches_the_recording() {
         Tally {
             models: 599,
             infeasible: 0,
-            kept_rows: 2_398,
-            rows: 13_373_703_968_131_255_405,
-            bounds: 14_722_783_118_135_148_459,
+            kept_rows: 2_918,
+            rows: 13_623_005_367_185_563_141,
+            bounds: 3_552_876_332_086_225_855,
         },
         "presolve of the aggregate models moved"
     );
@@ -155,9 +161,9 @@ fn presolve_of_the_benchmark_shapes_matches_the_recording() {
         Tally {
             models: 1,
             infeasible: 0,
-            kept_rows: 22,
-            rows: 6_520_889_763_169_322_899,
-            bounds: 1_646_832_966_919_450_341,
+            kept_rows: 25,
+            rows: 8_164_984_352_168_075_964,
+            bounds: 4_143_399_045_012_933_093,
         },
         "presolve of the service-family model moved"
     );
