@@ -165,13 +165,15 @@ fn has_flat_peak(a: &AnalysisProfile) -> bool {
 
 /// The largest peak memory analysis `a` reaches at any admissible `(k, q)`:
 /// exact for a flat peak, otherwise the no-reset bound, with `im` piled up
-/// over all Steps and `cm` over all `k_max` runs.
+/// over all Steps and `cm` over all `k_max` runs. An analysis that never
+/// outputs (`output_every` = 0) never holds `om`.
 fn peak_bound(a: &AnalysisProfile, steps: usize) -> f64 {
+    let om = if a.output_every > 0 { a.output_mem } else { 0.0 };
     if has_flat_peak(a) {
-        a.fixed_mem + a.compute_mem + a.output_mem
+        a.fixed_mem + a.compute_mem + om
     } else {
         a.fixed_mem
-            + a.output_mem
+            + om
             + a.step_mem * steps as f64
             + a.compute_mem * a.max_analysis_steps(steps).max(1) as f64
     }
@@ -577,6 +579,29 @@ mod tests {
             assert!(report.is_feasible(), "{:?}", report.violations);
             assert_eq!(report.objective, 101.0);
         }
+    }
+
+    /// An analysis with `output_every` = 0 never outputs, so `om` is never
+    /// held: its peak is `fm` = 10, under `mth` 20, and the every-10-steps
+    /// schedule is optimal at 11. Charged `fm + om` = 60, it was held at
+    /// the empty schedule.
+    #[test]
+    fn an_analysis_that_never_outputs_is_not_charged_its_output_memory() {
+        let p = ScheduleProblem::new(
+            vec![AnalysisProfile::new("silent")
+                .with_fixed(0.0, 10.0)
+                .with_compute(0.1, 0.0)
+                .with_output(0.0, 50.0, 0)
+                .with_interval(10)],
+            ResourceConfig::from_total_threshold(100, 50.0, 20.0, 1e9),
+        )
+        .unwrap();
+        assert_eq!(peak_bound(&p.analyses[0], 100), 10.0);
+        let agg = solve_aggregate(&p, &opts(), None).unwrap();
+        assert_eq!(agg.objective, 11.0);
+        let report = crate::validate_schedule(&p, &agg.schedule);
+        assert!(report.is_feasible(), "{:?}", report.violations);
+        assert_eq!(report.objective, 11.0);
     }
 
     /// The models whose memory binds with `output_every > 1` or `im > 0`

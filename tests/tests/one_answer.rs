@@ -355,3 +355,23 @@ fn a_flat_peak_above_the_expansion_limit_is_proved_at_its_optimum_by_every_door(
     .unwrap();
     assert_eq!(one_answer("flat peak", &p, 0), Ok((certify::Verdict::Proved, 101.0)));
 }
+
+/// One analysis with `output_every` = 0: it never outputs, so its output
+/// memory `om` = 50 is never held and its peak is `fm` = 10, under `mth`
+/// 20. While the builder charged it `fm + om` = 60, every door stamped the
+/// empty schedule PROVED 0, while the every-10-steps schedule replays
+/// feasible at 11.
+#[test]
+fn an_analysis_that_never_outputs_is_proved_at_its_optimum_by_every_door() {
+    use insitu_types::{AnalysisProfile, ResourceConfig};
+    let p = ScheduleProblem::new(
+        vec![AnalysisProfile::new("silent")
+            .with_fixed(0.0, 10.0)
+            .with_compute(0.1, 0.0)
+            .with_output(0.0, 50.0, 0)
+            .with_interval(10)],
+        ResourceConfig::from_total_threshold(100, 50.0, 20.0, 1e9),
+    )
+    .unwrap();
+    assert_eq!(one_answer("never outputs", &p, 0), Ok((certify::Verdict::Proved, 11.0)));
+}
