@@ -1,4 +1,4 @@
-//! Deterministic parallel-for / parallel-reduce on scoped std threads.
+//! Deterministic parallel-for / parallel-reduce on a persistent worker set.
 //!
 //! The kernels in `mdsim`/`amrsim` must produce **bitwise identical**
 //! results at any thread count so that profiling runs, golden tables and
@@ -17,20 +17,48 @@
 //!    scheduling noise; the merge order is not.
 //!
 //! One worker loop does the fanning out: [`for_each_mut`] is the only
-//! function that spawns threads. [`map_chunks`] hands it one result slot
-//! per chunk, [`fill_chunks`] the chunk sub-slices of its output, and
-//! [`reduce_chunks`] folds [`map_chunks`]' results. Workers claim items one
-//! at a time from a shared queue, so the load balances itself.
+//! function that runs work on other threads. [`map_chunks`] hands it one
+//! result slot per chunk, [`fill_chunks`] the chunk sub-slices of its
+//! output, and [`reduce_chunks`] folds [`map_chunks`]' results. Workers
+//! claim items one at a time from a shared queue, so the load balances
+//! itself.
+//!
+//! # The worker set
 //!
 //! Thread counts come from an explicit [`Exec`] handle (no global mutable
 //! state — concurrently running tests would race on it). [`Exec::from_env`]
 //! reads the `INSITU_THREADS` environment variable once at construction.
+//! The handle also owns the threads a fork runs on, so a kernel that forks
+//! every step does not create threads every step:
+//!
+//! - **Helpers.** `threads − 1` helper threads are started on the first
+//!   call that needs more than one thread, never at construction. Between
+//!   calls they sleep on a `Condvar`.
+//! - **The caller is the first worker.** It posts the job, claims items
+//!   like any helper, and returns only after every helper that joined the
+//!   job has left it. At most `min(threads, items) − 1` helpers join.
+//! - **Panics.** A panicking item is re-raised on the caller once the
+//!   helpers have left; the handle stays usable.
+//! - **Busy handle.** A nested or concurrent call on a handle whose helpers
+//!   are already in a job runs its items on the calling thread alone —
+//!   the same items, so the same bits.
+//! - **Clone and drop.** A clone starts with no helpers (like
+//!   [`ScratchPool`]'s empty clone); dropping the handle stops its helpers
+//!   and joins them.
+//!
+//! The job a helper runs borrows the caller's stack, so its lifetime is
+//! erased to hand it over; that is the crate's one `unsafe` block, and its
+//! invariant is the rule above: the caller does not return — nor unwind
+//! past the job — while a helper is inside it.
 
 #![warn(missing_docs)]
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Upper bound on chunks per kernel invocation. Bounds per-chunk scratch
@@ -38,24 +66,26 @@ use std::time::{Duration, Instant};
 /// enough slack for dynamic load balancing on oversubscribed machines.
 pub const MAX_CHUNKS: usize = 32;
 
-/// An execution context: how many worker threads kernels may use.
+/// An execution context: how many worker threads kernels may use, and the
+/// helper threads that run them (see [the module docs](self#the-worker-set)).
 ///
 /// Carried by value on simulation state (`System`, `FlashSim`) so analyses
 /// that only see `&state` inherit the choice without new plumbing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Equality compares the thread count only.
 pub struct Exec {
     threads: usize,
+    crew: OnceLock<Crew>,
 }
 
 impl Exec {
     /// Single-threaded execution (used to pin profiling anchors).
     pub fn serial() -> Self {
-        Exec { threads: 1 }
+        Exec::with_threads(1)
     }
 
     /// Execution with exactly `n` worker threads (clamped to >= 1).
     pub fn with_threads(n: usize) -> Self {
-        Exec { threads: n.max(1) }
+        Exec { threads: n.max(1), crew: OnceLock::new() }
     }
 
     /// Reads the worker count from `INSITU_THREADS`, falling back to the
@@ -70,12 +100,17 @@ impl Exec {
                     .map(|n| n.get())
                     .unwrap_or(1)
             });
-        Exec { threads }
+        Exec::with_threads(threads)
     }
 
     /// Number of worker threads this context allows.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The helper set, started on first use.
+    fn crew(&self) -> &Crew {
+        self.crew.get_or_init(|| Crew::start(self.threads - 1))
     }
 }
 
@@ -84,6 +119,181 @@ impl Default for Exec {
     /// `INSITU_THREADS` without extra wiring.
     fn default() -> Self {
         Exec::from_env()
+    }
+}
+
+impl Clone for Exec {
+    /// The same thread count with no helpers: a cloned state must not
+    /// share threads with its original.
+    fn clone(&self) -> Self {
+        Exec::with_threads(self.threads)
+    }
+}
+
+impl PartialEq for Exec {
+    fn eq(&self, other: &Self) -> bool {
+        self.threads == other.threads
+    }
+}
+
+impl Eq for Exec {}
+
+impl std::fmt::Debug for Exec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Exec").field("threads", &self.threads).finish()
+    }
+}
+
+/// A job as the helpers see it: the caller's claim loop, lifetime erased.
+type Job = &'static (dyn Fn() + Sync);
+
+/// An [`Exec`]'s helper threads and the one slot they take jobs from.
+struct Crew {
+    shared: Arc<Shared>,
+    helpers: Vec<JoinHandle<()>>,
+}
+
+struct Shared {
+    state: Mutex<State>,
+    /// Signalled when a job is posted or the crew shuts down.
+    posted: Condvar,
+    /// Signalled when the last helper leaves a job.
+    left: Condvar,
+}
+
+#[derive(Default)]
+struct State {
+    /// A caller owns the crew (between posting a job and retiring it).
+    busy: bool,
+    /// The posted job; `None` once the caller retires it.
+    job: Option<Job>,
+    /// Helpers that may still join the posted job.
+    seats: usize,
+    /// Helpers inside the job now.
+    inside: usize,
+    /// The first panic a helper caught in the job.
+    panic: Option<Box<dyn Any + Send>>,
+    /// The handle is being dropped: every helper ends.
+    shutdown: bool,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("worker set poisoned")
+    }
+
+    /// A helper's life: join each posted job that has a seat left, run it
+    /// to the end, leave; sleep otherwise.
+    fn serve(&self) {
+        let mut state = self.lock();
+        loop {
+            if state.shutdown {
+                return;
+            }
+            match state.job {
+                Some(job) if state.seats > 0 => {
+                    state.seats -= 1;
+                    state.inside += 1;
+                    drop(state);
+                    let ran = panic::catch_unwind(AssertUnwindSafe(job));
+                    state = self.lock();
+                    if let Err(payload) = ran {
+                        state.panic.get_or_insert(payload);
+                    }
+                    state.inside -= 1;
+                    if state.inside == 0 {
+                        self.left.notify_all();
+                    }
+                }
+                _ => state = self.posted.wait(state).expect("worker set poisoned"),
+            }
+        }
+    }
+
+    /// Takes the job down, waits until no helper is inside it and frees
+    /// the crew; returns the first helper panic.
+    fn retire(&self) -> Option<Box<dyn Any + Send>> {
+        let mut state = self.lock();
+        state.job = None;
+        state.seats = 0;
+        while state.inside > 0 {
+            state = self.left.wait(state).expect("worker set poisoned");
+        }
+        state.busy = false;
+        state.panic.take()
+    }
+}
+
+/// Retires a posted job when dropped, so the caller cannot unwind past the
+/// job while a helper is inside it.
+struct Retire<'a>(Option<&'a Shared>);
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        if let Some(shared) = self.0.take() {
+            // the caller's own panic is the one that propagates
+            drop(shared.retire());
+        }
+    }
+}
+
+impl Crew {
+    fn start(helpers: usize) -> Self {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State::default()),
+            posted: Condvar::new(),
+            left: Condvar::new(),
+        });
+        let helpers = (0..helpers)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || shared.serve())
+            })
+            .collect();
+        Crew { shared, helpers }
+    }
+
+    /// Runs `job` on the calling thread with up to `seats` helpers beside
+    /// it, and returns once every helper that joined has left. Returns
+    /// `false` without running anything if the crew is already in a job.
+    fn fork(&self, seats: usize, job: &(dyn Fn() + Sync)) -> bool {
+        let shared = &*self.shared;
+        {
+            let mut state = shared.lock();
+            if state.busy {
+                return false;
+            }
+            // SAFETY: the erased `'static` is never relied on. A helper
+            // calls the job only between taking a seat and leaving, and
+            // from here on this frame does not return or unwind past `job`
+            // until `retire` has taken the job down (so no helper can take
+            // a seat) and seen every helper that took one leave: on the
+            // normal path below, and through `Retire`'s drop if anything
+            // after this point panics.
+            let erased = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Job>(job) };
+            state.busy = true;
+            state.job = Some(erased);
+            state.seats = seats;
+        }
+        let mut guard = Retire(Some(shared));
+        shared.posted.notify_all();
+        job();
+        guard.0 = None;
+        if let Some(payload) = shared.retire() {
+            panic::resume_unwind(payload);
+        }
+        true
+    }
+}
+
+impl Drop for Crew {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.posted.notify_all();
+        for helper in self.helpers.drain(..) {
+            // a helper catches every job panic, so it cannot end in one
+            helper.join().expect("helper thread panicked");
+        }
     }
 }
 
@@ -183,10 +393,12 @@ pub fn reduce_chunks<T: Send, R>(
 /// per item).
 ///
 /// This is the crate's one worker loop: the other primitives hand it
-/// their work as items. `min(threads, items)` scoped workers each claim
-/// the next unclaimed item from a shared iterator under a lock until none
-/// is left, so a slow item does not hold up the rest. With one worker the
-/// items run inline, in index order, on the calling thread.
+/// their work as items. The calling thread and up to `min(threads, items)
+/// − 1` of `exec`'s helpers each claim the next unclaimed item from a
+/// shared iterator under a lock until none is left, so a slow item does
+/// not hold up the rest. With one worker the items run inline, in index
+/// order, on the calling thread; so do they, through the same claim loop,
+/// when `exec`'s helpers are busy with another call.
 pub fn for_each_mut<T: Send>(
     exec: &Exec,
     items: &mut [T],
@@ -194,24 +406,24 @@ pub fn for_each_mut<T: Send>(
 ) -> ParStats {
     let t0 = Instant::now();
     let n = items.len();
-    let threads = exec.threads.min(n).max(1);
+    let mut threads = exec.threads.min(n).max(1);
     if threads <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
     } else {
         let work = Mutex::new(items.iter_mut().enumerate());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let claimed = work.lock().expect("work queue poisoned").next();
-                    match claimed {
-                        Some((i, item)) => f(i, item),
-                        None => break,
-                    }
-                });
+        let claim_loop = || loop {
+            let claimed = work.lock().expect("work queue poisoned").next();
+            match claimed {
+                Some((i, item)) => f(i, item),
+                None => break,
             }
-        });
+        };
+        if !exec.crew().fork(threads - 1, &claim_loop) {
+            claim_loop();
+            threads = 1;
+        }
     }
     ParStats {
         threads_used: threads,
@@ -383,6 +595,7 @@ impl ScratchPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn chunk_count_depends_only_on_size() {
@@ -514,6 +727,133 @@ mod tests {
                     assert_eq!(stats.threads_used, threads.min(used).max(1));
                 }
             }
+        }
+    }
+
+    /// Thread counts the worker set is exercised at.
+    const FORKING: [usize; 3] = [2, 3, 8];
+
+    /// One call with `threads` items that each wait for all the others:
+    /// it only returns if `threads` distinct threads ran them, so every
+    /// helper took part. Returns the ids of the threads that did.
+    fn all_hands(exec: &Exec) -> Vec<std::thread::ThreadId> {
+        let threads = exec.threads();
+        let barrier = std::sync::Barrier::new(threads);
+        let mut ids = vec![None; threads];
+        for_each_mut(exec, &mut ids, |_, id| {
+            barrier.wait();
+            *id = Some(std::thread::current().id());
+        });
+        ids.into_iter().map(|id| id.expect("item ran")).collect()
+    }
+
+    #[test]
+    fn helpers_start_once_and_serve_every_later_call() {
+        for threads in FORKING {
+            let exec = Exec::with_threads(threads);
+            assert!(exec.crew.get().is_none(), "construction starts nothing");
+            // a call one thread can do alone starts nothing either
+            for_each_mut(&exec, &mut [0u8], |_, x| *x += 1);
+            assert!(exec.crew.get().is_none(), "threads={threads}");
+            let first: HashSet<_> = all_hands(&exec).into_iter().collect();
+            assert_eq!(first.len(), threads);
+            assert!(first.contains(&std::thread::current().id()), "the caller is a worker");
+            // every later call runs on exactly the same threads: none is new
+            for _ in 0..20 {
+                let again: HashSet<_> = all_hands(&exec).into_iter().collect();
+                assert_eq!(again, first, "threads={threads}");
+            }
+            assert_eq!(exec.crew.get().expect("started").helpers.len(), threads - 1);
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_and_the_handle_stays_usable() {
+        let caller = std::thread::current().id();
+        for threads in FORKING {
+            let exec = Exec::with_threads(threads);
+            for on_caller in [false, true] {
+                let barrier = std::sync::Barrier::new(threads);
+                let mut items = vec![0usize; threads];
+                let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                    for_each_mut(&exec, &mut items, |i, x| {
+                        barrier.wait();
+                        if (std::thread::current().id() == caller) == on_caller {
+                            panic!("item {i} failed");
+                        }
+                        *x = i + 1;
+                    })
+                }));
+                let payload = caught.expect_err("the item's panic reaches the caller");
+                let message = payload.downcast_ref::<String>().expect("panic!'s payload");
+                assert!(message.starts_with("item "), "{message}");
+                // the same handle, its helpers included, runs the next call
+                assert_eq!(all_hands(&exec).len(), threads, "threads={threads}");
+                let mut items = vec![0usize; 50];
+                for_each_mut(&exec, &mut items, |i, x| *x = i + 1);
+                assert!(items.iter().enumerate().all(|(i, &x)| x == i + 1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_nested_or_concurrent_call_runs_inline() {
+        for threads in FORKING {
+            let exec = Exec::with_threads(threads);
+            let mut outer = vec![Vec::new(); 2 * threads];
+            let stats = for_each_mut(&exec, &mut outer, |i, inner| {
+                *inner = vec![0usize; 7];
+                let nested = for_each_mut(&exec, inner, |j, x| *x = 10 * i + j);
+                assert_eq!(nested.threads_used, 1, "the helpers are busy");
+            });
+            assert_eq!(stats.threads_used, threads);
+            for (i, inner) in outer.iter().enumerate() {
+                assert!(inner.iter().enumerate().all(|(j, &x)| x == 10 * i + j));
+            }
+            // two callers on one handle: one forks, the other runs alone
+            let sums: Vec<u64> = std::thread::scope(|scope| {
+                let calls: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let (parts, _) = map_chunks(&exec, 9, |c| c as u64);
+                            parts.iter().sum()
+                        })
+                    })
+                    .collect();
+                calls.into_iter().map(|c| c.join().expect("no panic")).collect()
+            });
+            assert_eq!(sums, vec![36, 36]);
+        }
+    }
+
+    #[test]
+    fn a_clone_shares_no_helpers() {
+        let caller = std::thread::current().id();
+        for threads in FORKING {
+            let exec = Exec::with_threads(threads);
+            let helpers = |exec: &Exec| -> HashSet<_> {
+                all_hands(exec).into_iter().filter(|&id| id != caller).collect()
+            };
+            let own = helpers(&exec);
+            let cloned = exec.clone();
+            assert_eq!(cloned, exec);
+            assert!(cloned.crew.get().is_none(), "a clone starts with no helpers");
+            let theirs = helpers(&cloned);
+            assert_eq!((own.len(), theirs.len()), (threads - 1, threads - 1));
+            assert!(own.is_disjoint(&theirs), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn dropping_a_handle_joins_its_helpers() {
+        for threads in FORKING {
+            let exec = Exec::with_threads(threads);
+            all_hands(&exec);
+            let shared = Arc::downgrade(&exec.crew.get().expect("started").shared);
+            assert_eq!(shared.strong_count(), threads, "the crew's and one per helper");
+            drop(exec);
+            // each helper holds the shared state until its thread ends
+            assert_eq!(shared.strong_count(), 0, "threads={threads}");
         }
     }
 
