@@ -26,6 +26,9 @@ run cargo test -q --workspace
 # runs: `debug_assert!` is off there and the codegen differs, and a
 # bit-for-bit claim has to hold on the bits that ship
 run cargo test --release -q -p amrsim
+# and the worker set's own tests, so the fork path whose job lifetime is
+# erased (the workspace's one `unsafe` block) runs optimised too
+run cargo test --release -q -p parallel
 run cargo test --release -q -p integration-tests --test sim_kernel_determinism
 
 # likewise the LU factorization: its differential against the full-scan
@@ -148,6 +151,21 @@ echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then
     echo "verify: a tracked file still names a retired binary, recording, API or knob"
+    exit 1
+fi
+
+# one `unsafe` block in the workspace: the worker set's job hand-over in
+# `parallel` (its SAFETY comment states the invariant); no other Rust file
+# of the workspace says `unsafe` at all
+echo
+echo ">>> git grep -nw unsafe -- '*.rs' ':!crates/parallel/src/lib.rs' ':!benchmark'"
+if git grep -nw unsafe -- '*.rs' ':!crates/parallel/src/lib.rs' ':!benchmark'; then
+    echo "verify: \`unsafe\` outside crates/parallel/src/lib.rs"
+    exit 1
+fi
+unsafe_blocks="$(grep -c 'unsafe {' crates/parallel/src/lib.rs || true)"
+if [ "$unsafe_blocks" != 1 ]; then
+    echo "verify: crates/parallel/src/lib.rs has $unsafe_blocks \`unsafe\` blocks, not one"
     exit 1
 fi
 
