@@ -57,7 +57,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -169,8 +169,11 @@ struct State {
 }
 
 impl Shared {
+    /// The state's lock. No section under it can panic part-way through
+    /// an update, and drops take it, so a poisoned lock is recovered
+    /// rather than turned into a panic inside a drop.
     fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("worker set poisoned")
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A helper's life: join each posted job that has a seat left, run it
@@ -196,7 +199,7 @@ impl Shared {
                         self.left.notify_all();
                     }
                 }
-                _ => state = self.posted.wait(state).expect("worker set poisoned"),
+                _ => state = self.posted.wait(state).unwrap_or_else(PoisonError::into_inner),
             }
         }
     }
@@ -208,7 +211,7 @@ impl Shared {
         state.job = None;
         state.seats = 0;
         while state.inside > 0 {
-            state = self.left.wait(state).expect("worker set poisoned");
+            state = self.left.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
         state.busy = false;
         state.panic.take()
