@@ -9,7 +9,6 @@
 use crate::block::{FlowVar, GHOST};
 use crate::sim::FlashSim;
 use insitu_core::runtime::Analysis;
-use insitu_types::KernelTelemetry;
 
 /// F2: L1 error norms of density and pressure vs the Sedov reference.
 #[derive(Debug, Default)]
@@ -21,8 +20,6 @@ pub struct L1ErrorNorm {
     pub series: Vec<(usize, f64, f64)>,
     /// Bytes written at output steps.
     pub bytes_out: u64,
-    /// Per-kernel execution telemetry (`hydro.l1norm`).
-    pub telemetry: KernelTelemetry,
 }
 
 impl L1ErrorNorm {
@@ -77,7 +74,7 @@ impl L1ErrorNorm {
         let w = nb + 2 * GHOST;
         let nblocks = mesh.blocks.len();
         let chunks = parallel::chunk_count(nblocks, 1);
-        let ((dens_err, pres_err), stats) = parallel::reduce_chunks(
+        let (dens_err, pres_err) = parallel::reduce_chunks(
             &sim.exec,
             chunks,
             |c| {
@@ -122,13 +119,6 @@ impl L1ErrorNorm {
             (0.0f64, 0.0f64),
             |(da, pa), (db, pb)| (da + db, pa + pb),
         );
-        self.telemetry.record(
-            "hydro.l1norm",
-            stats.threads_used,
-            stats.chunks,
-            stats.wall_s(),
-            stats.merge_s(),
-        );
         let n = mesh.total_cells() as f64;
         let result = (dens_err / n, pres_err / n);
         self.last = result;
@@ -167,8 +157,6 @@ pub struct L2VelocityNorm {
     pub series: Vec<(usize, [f64; 3])>,
     /// Bytes written at output steps.
     pub bytes_out: u64,
-    /// Per-kernel execution telemetry (`hydro.l2norm`).
-    pub telemetry: KernelTelemetry,
 }
 
 impl L2VelocityNorm {
@@ -188,7 +176,7 @@ impl L2VelocityNorm {
         let stride = self.stride;
         let nblocks = mesh.blocks.len();
         let chunks = parallel::chunk_count(nblocks, 1);
-        let ((sums, count), stats) = parallel::reduce_chunks(
+        let (sums, count) = parallel::reduce_chunks(
             &sim.exec,
             chunks,
             |c| {
@@ -220,13 +208,6 @@ impl L2VelocityNorm {
             },
             ([0.0f64; 3], 0usize),
             |(sa, ca), (sb, cb)| ([sa[0] + sb[0], sa[1] + sb[1], sa[2] + sb[2]], ca + cb),
-        );
-        self.telemetry.record(
-            "hydro.l2norm",
-            stats.threads_used,
-            stats.chunks,
-            stats.wall_s(),
-            stats.merge_s(),
         );
         let inv = 1.0 / count.max(1) as f64;
         let result = [

@@ -8,7 +8,6 @@
 use crate::block::{FlowVar, GHOST};
 use crate::sim::FlashSim;
 use insitu_core::runtime::Analysis;
-use insitu_types::KernelTelemetry;
 
 /// Vorticity kernel.
 #[derive(Debug, Default)]
@@ -22,8 +21,6 @@ pub struct Vorticity {
     pub series: Vec<(usize, f64, f64)>,
     /// Bytes written at output steps.
     pub bytes_out: u64,
-    /// Per-kernel execution telemetry (`hydro.vorticity`).
-    pub telemetry: KernelTelemetry,
 }
 
 impl Vorticity {
@@ -49,7 +46,7 @@ impl Vorticity {
         let n = mesh.block_cells;
         let nblocks = mesh.blocks.len();
         let chunks = parallel::chunk_count(nblocks, 1);
-        let ((max_mag, enstrophy), stats) = parallel::reduce_chunks(
+        let (max_mag, enstrophy) = parallel::reduce_chunks(
             &sim.exec,
             chunks,
             |c| {
@@ -89,13 +86,6 @@ impl Vorticity {
             |(m, e), (cm, ce)| (m.max(cm), e + ce),
         );
         let enstrophy = enstrophy * mesh.cell_volume();
-        self.telemetry.record(
-            "hydro.vorticity",
-            stats.threads_used,
-            stats.chunks,
-            stats.wall_s(),
-            stats.merge_s(),
-        );
         self.max_magnitude = max_mag;
         self.enstrophy = enstrophy;
         (max_mag, enstrophy)
@@ -128,6 +118,7 @@ mod tests {
     use crate::sedov::SedovSetup;
     use crate::sim::FlashSim;
     use insitu_core::runtime::Simulator;
+    use parallel::{Exec, ScratchPool};
 
     /// Installs a rigid-rotation velocity field ω = 2Ω ẑ.
     fn rigid_rotation(sim: &mut FlashSim, omega: f64) {
@@ -144,7 +135,7 @@ mod tests {
             *mesh.blocks[b].cell_mut(FlowVar::Vely, i, j, k) = v;
             *mesh.blocks[b].cell_mut(FlowVar::Velz, i, j, k) = 0.0;
         }
-        mesh.exchange_ghosts();
+        mesh.exchange_ghosts(&Exec::serial(), &ScratchPool::new());
     }
 
     #[test]

@@ -83,19 +83,14 @@ fn prim_at(block: &crate::block::Block, gi: usize, gj: usize, gk: usize) -> Prim
     }
 }
 
-/// Largest stable time step at CFL number `cfl`.
-pub fn cfl_dt(mesh: &Mesh, cfl: f64) -> f64 {
-    cfl_dt_ex(mesh, cfl, &Exec::from_env())
-}
-
-/// [`cfl_dt`] on an explicit execution context: per-block maximum rates
-/// are reduced in block order (`max` is order-independent, so this is
-/// exact for any thread count and chunking).
-pub fn cfl_dt_ex(mesh: &Mesh, cfl: f64, exec: &Exec) -> f64 {
+/// Largest stable time step at CFL number `cfl`, on `exec`: per-block
+/// maximum rates are reduced in block order (`max` is order-independent,
+/// so this is exact for any thread count and chunking).
+pub fn cfl_dt(mesh: &Mesh, cfl: f64, exec: &Exec) -> f64 {
     let d = mesh.dx();
     let nblocks = mesh.blocks.len();
     let chunks = parallel::chunk_count(nblocks, 1);
-    let (max_rate, _) = parallel::reduce_chunks(
+    let max_rate = parallel::reduce_chunks(
         exec,
         chunks,
         |c| {
@@ -127,23 +122,14 @@ pub fn cfl_dt_ex(mesh: &Mesh, cfl: f64, exec: &Exec) -> f64 {
     }
 }
 
-/// Advances the mesh by `dt` with one unsplit first-order HLL step.
+/// Advances the mesh by `dt` with one unsplit first-order HLL step on
+/// `exec`, recording `hydro.step` and `hydro.ghosts` in `telemetry`.
 ///
 /// Ghost layers must be current on entry ([`Mesh::ghosts_current`]) and are
 /// current again on return: the sweep reads them, then the one exchange of
 /// the step refreshes them from the updated interiors. A caller that wrote
-/// interior cells itself calls [`Mesh::exchange_ghosts`] before stepping.
-pub fn step(mesh: &mut Mesh, dt: f64) {
-    step_ex(
-        mesh,
-        dt,
-        &Exec::from_env(),
-        &mut KernelTelemetry::new(),
-        &ScratchPool::new(),
-    );
-}
-
-/// [`step`] on an explicit execution context, recording telemetry.
+/// interior cells itself calls [`Mesh::exchange_ghosts`] before stepping;
+/// a stale mesh fails a `debug_assert!` here.
 ///
 /// Blocks read only their own cells + ghost layers and write only their
 /// own cells, so the block sweep is embarrassingly parallel and trivially
@@ -151,12 +137,9 @@ pub fn step(mesh: &mut Mesh, dt: f64) {
 /// `⌈blocks / threads⌉`, each with one scratch buffer taken from `pool`
 /// before the fork (no result crosses a block, so unlike a reduction the
 /// split may follow the thread count). The ghost exchange after it is the
-/// two-phase parallel gather/scatter of [`Mesh::exchange_ghosts_ex`]. After
+/// two-phase parallel gather/scatter of [`Mesh::exchange_ghosts`]. After
 /// the first step a steady-state step allocates nothing from `pool`.
-///
-/// The same ghost contract as [`step`]; a stale mesh fails a
-/// `debug_assert!` here.
-pub fn step_ex(
+pub fn step(
     mesh: &mut Mesh,
     dt: f64,
     exec: &Exec,
@@ -165,7 +148,7 @@ pub fn step_ex(
 ) {
     debug_assert!(
         mesh.ghosts_current(),
-        "step on stale ghosts: whoever writes interior cells calls exchange_ghosts()"
+        "step on stale ghosts: whoever writes interior cells calls Mesh::exchange_ghosts"
     );
     let n = mesh.block_cells;
     let inv_d = mesh.dx().map(|spacing| 1.0 / spacing);
@@ -187,7 +170,7 @@ pub fn step_ex(
         pool.put(scratch);
     }
     let s1 = pool.counters();
-    let ghosts = mesh.exchange_ghosts_ex(exec, pool);
+    let ghosts = mesh.exchange_ghosts(exec, pool);
     let s2 = pool.counters();
     for (kernel, stats, scratch) in [
         ("hydro.step", sweep, s1.since(&s0)),
@@ -603,6 +586,16 @@ mod tests {
     use super::*;
     use crate::block::FlowVar;
 
+    /// One serial step with throwaway telemetry and scratch.
+    fn serial_step(m: &mut Mesh, dt: f64) {
+        step(m, dt, &Exec::serial(), &mut KernelTelemetry::new(), &ScratchPool::new());
+    }
+
+    /// A serial ghost exchange with throwaway scratch.
+    fn exchange(m: &mut Mesh) {
+        m.exchange_ghosts(&Exec::serial(), &ScratchPool::new());
+    }
+
     fn uniform_mesh(rho: f64, p: f64) -> Mesh {
         let mut m = Mesh::new([2, 1, 1], 8, [2.0, 1.0, 1.0]);
         for b in &mut m.blocks {
@@ -618,9 +611,9 @@ mod tests {
     #[test]
     fn uniform_state_is_stationary() {
         let mut m = uniform_mesh(1.0, 1.0);
-        let dt = cfl_dt(&m, 0.4);
+        let dt = cfl_dt(&m, 0.4, &Exec::serial());
         for _ in 0..5 {
-            step(&mut m, dt);
+            serial_step(&mut m, dt);
         }
         m.for_each_cell(|b, i, j, k, _| {
             assert!((m.blocks[b].cell(FlowVar::Dens, i, j, k) - 1.0).abs() < 1e-12);
@@ -632,7 +625,7 @@ mod tests {
     fn cfl_dt_scales_with_sound_speed() {
         let slow = uniform_mesh(1.0, 0.1);
         let fast = uniform_mesh(1.0, 10.0);
-        assert!(cfl_dt(&slow, 0.4) > cfl_dt(&fast, 0.4));
+        assert!(cfl_dt(&slow, 0.4, &Exec::serial()) > cfl_dt(&fast, 0.4, &Exec::serial()));
     }
 
     #[test]
@@ -654,12 +647,12 @@ mod tests {
                 }
             }
         }
-        m.exchange_ghosts();
+        exchange(&mut m);
         let mass0 = m.integral(FlowVar::Dens);
         let mut t = 0.0;
         while t < 0.2 {
-            let dt = cfl_dt(&m, 0.4).min(0.2 - t);
-            step(&mut m, dt);
+            let dt = cfl_dt(&m, 0.4, &Exec::serial()).min(0.2 - t);
+            serial_step(&mut m, dt);
             t += dt;
         }
         // mass conserved (nothing reached the outflow boundary yet)
@@ -703,10 +696,10 @@ mod tests {
                 }
             }
         }
-        m.exchange_ghosts();
+        exchange(&mut m);
         for _ in 0..10 {
-            let dt = cfl_dt(&m, 0.4);
-            step(&mut m, dt);
+            let dt = cfl_dt(&m, 0.4, &Exec::serial());
+            serial_step(&mut m, dt);
         }
         let mut px = 0.0;
         m.for_each_cell(|b, i, j, k, _| {
@@ -724,7 +717,7 @@ mod tests {
         // an interior write next to the block face, and no exchange after it
         *m.blocks[0].cell_mut(FlowVar::Pres, 7, 3, 3) = 2.0;
         assert!(!m.ghosts_current());
-        step(&mut m, 1e-3);
+        serial_step(&mut m, 1e-3);
     }
 
     /// SplitMix64, mapped to `[0, 1)`.
@@ -765,20 +758,20 @@ mod tests {
                 *b.cell_mut(FlowVar::Pres, i, j, k) = p;
             }
         }
-        m.exchange_ghosts();
+        exchange(&mut m);
         m
     }
 
     /// The step as it was before the face-once walk: exchange, the per-cell
     /// sweep of `reference`, exchange.
     fn reference_step(m: &mut Mesh, dt: f64) {
-        m.exchange_ghosts();
+        exchange(m);
         let (n, d) = (m.block_cells, m.dx());
         let mut delta = vec![0.0; 5 * n * n * n];
         for b in &mut m.blocks {
             reference::update_block(b, n, d, dt, &mut delta);
         }
-        m.exchange_ghosts();
+        exchange(m);
     }
 
     /// Faces along `axis` inside block 0 whose two cells both outrun their
@@ -845,10 +838,10 @@ mod tests {
                     }
                 }
                 for steps in 1..=10 {
-                    let dt = cfl_dt(&new, 0.4);
+                    let dt = cfl_dt(&new, 0.4, &Exec::serial());
                     assert!(dt.is_finite() && dt > 0.0, "{what}: dt {dt}");
                     // two workers: blocks split 1/1, 6/6 — or one share
-                    step_ex(
+                    step(
                         &mut new,
                         dt,
                         &Exec::with_threads(2),

@@ -8,7 +8,7 @@ use parallel::{Exec, ParStats, ScratchPool};
 /// **Ghost invariant:** the face ghosts of the hydro state are current —
 /// [`Mesh::ghosts_current`] — whenever the mesh is at rest, i.e. between
 /// calls. Whoever writes interior cells exchanges before handing the mesh
-/// on: [`crate::sedov::SedovSetup::init`] and [`crate::euler::step_ex`] end
+/// on: [`crate::sedov::SedovSetup::init`] and [`crate::euler::step`] end
 /// with [`Mesh::exchange_ghosts`], and a test that pokes cells calls it
 /// itself. Readers (the Euler sweep, the vorticity stencil) rely on it and
 /// never exchange on entry.
@@ -146,7 +146,7 @@ impl Mesh {
 
     /// Whether every face ghost of the exchanged variables equals, bit for
     /// bit, the interior plane it mirrors — the invariant the type documents
-    /// and [`crate::euler::step_ex`] asserts in debug builds. O(surface);
+    /// and [`crate::euler::step`] asserts in debug builds. O(surface);
     /// meant for assertions and tests.
     pub fn ghosts_current(&self) -> bool {
         let plane = self.block_cells * self.block_cells;
@@ -168,17 +168,9 @@ impl Mesh {
 
     /// Fills the ghost layers of every block: interior faces copy the
     /// neighbouring block's edge cells; domain faces use outflow
-    /// (zero-gradient) boundaries.
-    ///
-    /// Serial convenience wrapper over [`Mesh::exchange_ghosts_ex`] with a
-    /// transient scratch pool.
-    pub fn exchange_ghosts(&mut self) {
-        self.exchange_ghosts_ex(&Exec::serial(), &ScratchPool::new());
-    }
-
-    /// [`Mesh::exchange_ghosts`] on an explicit execution context, with
-    /// gather buffers drawn from `pool`. Returns the shape and directly
-    /// timed wall of the two phases together.
+    /// (zero-gradient) boundaries. Runs on `exec`, with gather buffers
+    /// drawn from `pool`, and returns the shape and directly timed wall of
+    /// its two phases together.
     ///
     /// Runs in two phases: **gather** reads, for every block, the six
     /// source planes (neighbour far-interior plane, or the block's own
@@ -190,7 +182,7 @@ impl Mesh {
     /// count — no write is visible to any read. Both phases move whole
     /// planes: the rows of a y or z face as slices, an x face in one
     /// strided loop.
-    pub fn exchange_ghosts_ex(&mut self, exec: &Exec, pool: &ScratchPool) -> ParStats {
+    pub fn exchange_ghosts(&mut self, exec: &Exec, pool: &ScratchPool) -> ParStats {
         let n = self.block_cells;
         let plane = n * n;
         // phase 1: gather. One flat buffer per block, face-major then
@@ -226,7 +218,6 @@ impl Mesh {
             threads_used: gather.threads_used.max(scatter.threads_used),
             chunks: gather.chunks + scatter.chunks,
             wall: gather.wall + scatter.wall,
-            merge: gather.merge + scatter.merge,
         }
     }
 }
@@ -245,6 +236,11 @@ fn ghost_plane(n: usize, neg: bool) -> usize {
 mod tests {
     use super::*;
 
+    /// A serial ghost exchange with throwaway scratch.
+    fn exchange(m: &mut Mesh) {
+        m.exchange_ghosts(&Exec::serial(), &ScratchPool::new());
+    }
+
     #[test]
     fn geometry() {
         let m = Mesh::new([2, 1, 1], 4, [2.0, 1.0, 1.0]);
@@ -262,7 +258,7 @@ mod tests {
         // block 0 density 1, block 1 density 2
         m.blocks[0].fill(FlowVar::Dens, 1.0);
         m.blocks[1].fill(FlowVar::Dens, 2.0);
-        m.exchange_ghosts();
+        exchange(&mut m);
         // block 0's +x ghost plane must hold 2.0 (from block 1)
         let b0 = &m.blocks[0];
         assert_eq!(b0.at(FlowVar::Dens, 4 + GHOST, GHOST, GHOST), 2.0);
@@ -282,7 +278,7 @@ mod tests {
                 }
             }
         }
-        m.exchange_ghosts();
+        exchange(&mut m);
         let b = &m.blocks[0];
         assert_eq!(b.at(FlowVar::Pres, 0, GHOST, GHOST), 0.0); // -x ghost = cell 0
         assert_eq!(b.at(FlowVar::Pres, 5, GHOST, GHOST), 3.0); // +x ghost = cell 3
@@ -313,7 +309,7 @@ mod tests {
         // copies: interior and outflow faces on every axis
         let mut m = numbered_mesh([3, 2, 2]);
         assert!(!m.ghosts_current());
-        m.exchange_ghosts();
+        exchange(&mut m);
         assert!(m.ghosts_current());
         let n = m.block_cells;
         for (b, block) in m.blocks.iter().enumerate() {
@@ -353,13 +349,13 @@ mod tests {
     fn parallel_ghost_exchange_matches_serial() {
         let mut serial = numbered_mesh([2, 2, 2]);
         let mut par = serial.clone();
-        serial.exchange_ghosts();
+        exchange(&mut serial);
         let pool = ScratchPool::new();
-        par.exchange_ghosts_ex(&Exec::with_threads(4), &pool);
+        par.exchange_ghosts(&Exec::with_threads(4), &pool);
         assert_eq!(serial, par, "ghost exchange must be thread-count invariant");
         // a second exchange reuses every gather buffer
         let before = pool.counters();
-        par.exchange_ghosts_ex(&Exec::with_threads(4), &pool);
+        par.exchange_ghosts(&Exec::with_threads(4), &pool);
         let after = pool.counters();
         assert_eq!(after.allocs, before.allocs, "warm exchange must not allocate");
         assert_eq!(after.reuses, before.reuses + par.blocks.len());

@@ -16,6 +16,7 @@
 use crate::block::FlowVar;
 use crate::euler::GAMMA;
 use crate::mesh::Mesh;
+use parallel::{Exec, ScratchPool};
 
 /// Sedov problem parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,7 +83,7 @@ impl SedovSetup {
             *blk.cell_mut(FlowVar::Temp, i, j, k) = p / self.rho0;
             *blk.cell_mut(FlowVar::Gamc, i, j, k) = GAMMA;
         }
-        mesh.exchange_ghosts();
+        mesh.exchange_ghosts(&Exec::serial(), &ScratchPool::new());
     }
 
     /// Self-similar shock radius at time `t`.
@@ -161,6 +162,7 @@ pub fn measured_shock_radius(mesh: &Mesh) -> f64 {
 mod tests {
     use super::*;
     use crate::euler::{cfl_dt, step};
+    use insitu_types::KernelTelemetry;
 
     #[test]
     fn shock_radius_scales_t_two_fifths() {
@@ -205,11 +207,12 @@ mod tests {
         let mut m = Mesh::new([2, 2, 2], 12, [1.0, 1.0, 1.0]);
         let s = SedovSetup::default();
         s.init(&mut m);
+        let (exec, pool) = (Exec::serial(), ScratchPool::new());
         let mut t = 0.0f64;
         let mut radii: Vec<(f64, f64)> = Vec::new();
         while t < 0.04 {
-            let dt = cfl_dt(&m, 0.4);
-            step(&mut m, dt);
+            let dt = cfl_dt(&m, 0.4, &exec);
+            step(&mut m, dt, &exec, &mut KernelTelemetry::new(), &pool);
             t += dt;
             if t > 0.01 {
                 radii.push((t, measured_shock_radius(&m)));

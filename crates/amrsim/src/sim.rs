@@ -1,6 +1,6 @@
 //! The FLASH-style simulation driver.
 
-use crate::euler::{cfl_dt_ex, step_ex};
+use crate::euler::{cfl_dt, step};
 use crate::mesh::Mesh;
 use crate::sedov::SedovSetup;
 use insitu_core::runtime::Simulator;
@@ -90,7 +90,7 @@ impl Simulator for FlashSim {
         let dt = {
             let mut span = tracer.span("hydro.cfl_dt");
             span.tag("threads", self.exec.threads());
-            cfl_dt_ex(&self.mesh, self.cfl, &self.exec)
+            cfl_dt(&self.mesh, self.cfl, &self.exec)
         };
         self.telemetry.record(
             "hydro.cfl_dt",
@@ -102,7 +102,7 @@ impl Simulator for FlashSim {
         {
             let mut span = tracer.span("hydro.step");
             span.tag("threads", self.exec.threads());
-            step_ex(
+            step(
                 &mut self.mesh,
                 dt,
                 &self.exec,

@@ -5,6 +5,8 @@ use amrsim::block::FlowVar;
 use amrsim::euler::{cfl_dt, step};
 use amrsim::mesh::Mesh;
 use amrsim::sedov::SedovSetup;
+use insitu_types::KernelTelemetry;
+use parallel::{Exec, ScratchPool};
 use proptest::prelude::*;
 
 proptest! {
@@ -24,10 +26,11 @@ proptest! {
         };
         setup.init(&mut mesh);
         let mass0 = mesh.integral(FlowVar::Dens);
+        let (exec, pool) = (Exec::serial(), ScratchPool::new());
         for _ in 0..nsteps {
-            let dt = cfl_dt(&mesh, 0.4);
+            let dt = cfl_dt(&mesh, 0.4, &exec);
             prop_assert!(dt.is_finite() && dt > 0.0);
-            step(&mut mesh, dt);
+            step(&mut mesh, dt, &exec, &mut KernelTelemetry::new(), &pool);
         }
         // positivity
         let mut all_positive = true;

@@ -1,11 +1,12 @@
 //! Per-kernel execution telemetry.
 //!
-//! Every parallelized simulation/analysis kernel records how long it ran,
-//! how many threads it used, how the work was chunked and how long the
-//! ordered merge of partial results took. The records accumulate on the
-//! owning state (`System`, `FlashSim`) or kernel struct and surface in the
-//! coupler's `RunReport`, from which the repo benchmark reads its
-//! `mdsim.*`, `amrsim.*` and `parallel.*` layer metrics.
+//! Every parallelized simulation kernel records how long it ran, how many
+//! threads it used, how the work was chunked and how long the ordered
+//! merge of partial results took. The records accumulate on the owning
+//! state (`System`, `FlashSim`) and surface in the coupler's `RunReport`,
+//! from which the repo benchmark reads its `mdsim.*`, `amrsim.*` and
+//! `parallel.*` layer metrics. Analysis kernels record nothing here: the
+//! coupler times each analysis call (`RunReport::analysis_times`).
 
 use crate::json::Value;
 use std::collections::BTreeMap;

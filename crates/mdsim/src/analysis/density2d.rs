@@ -9,8 +9,6 @@
 use crate::analysis::sink::OutputSink;
 use crate::system::{Species, System};
 use insitu_core::runtime::Analysis;
-use insitu_types::KernelTelemetry;
-use std::time::Instant;
 
 /// 2-D (x, y) density histogram of one species.
 #[derive(Debug)]
@@ -22,8 +20,6 @@ pub struct DensityHistogram {
     pub counts: Vec<u64>,
     /// Snapshots accumulated since last output.
     pub samples: usize,
-    /// Per-kernel execution telemetry (`md.histogram`).
-    pub telemetry: KernelTelemetry,
     /// Output destination.
     pub sink: OutputSink,
 }
@@ -37,7 +33,6 @@ impl DensityHistogram {
             bins: bins.max(1),
             counts: vec![0; bins.max(1) * bins.max(1)],
             samples: 0,
-            telemetry: KernelTelemetry::new(),
             sink: OutputSink::null(),
         }
     }
@@ -54,7 +49,7 @@ impl DensityHistogram {
         let bins = self.bins;
         let n = system.len();
         let chunks = parallel::chunk_count(n, 4096);
-        let (parts, stats) = parallel::map_chunks(&system.exec, chunks, |c| {
+        let (parts, _) = parallel::map_chunks(&system.exec, chunks, |c| {
             let mut counts = vec![0u64; bins * bins];
             for i in parallel::chunk_bounds(n, chunks, c) {
                 if system.species[i] != s {
@@ -66,20 +61,11 @@ impl DensityHistogram {
             }
             counts
         });
-        let m0 = Instant::now();
         for part in parts {
             for (a, b) in self.counts.iter_mut().zip(part) {
                 *a += b;
             }
         }
-        let merge = m0.elapsed().as_secs_f64();
-        self.telemetry.record(
-            "md.histogram",
-            stats.threads_used,
-            stats.chunks,
-            stats.wall_s() + merge,
-            merge,
-        );
         self.samples += 1;
     }
 

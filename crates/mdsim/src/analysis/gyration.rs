@@ -9,8 +9,6 @@
 use crate::analysis::sink::OutputSink;
 use crate::system::{Species, System};
 use insitu_core::runtime::Analysis;
-use insitu_types::KernelTelemetry;
-use std::time::Instant;
 
 /// Radius-of-gyration kernel for one species group.
 #[derive(Debug)]
@@ -20,8 +18,6 @@ pub struct RadiusOfGyration {
     members: Vec<usize>,
     /// `(step, Rg)` series accumulated since the last output.
     pub series: Vec<(usize, f64)>,
-    /// Per-kernel execution telemetry (`md.gyration`).
-    pub telemetry: KernelTelemetry,
     /// Output destination.
     pub sink: OutputSink,
 }
@@ -34,7 +30,6 @@ impl RadiusOfGyration {
             species,
             members: Vec::new(),
             series: Vec::new(),
-            telemetry: KernelTelemetry::new(),
             sink: OutputSink::null(),
         }
     }
@@ -64,7 +59,7 @@ pub fn radius_of_gyration(system: &System, members: &[usize]) -> f64 {
     let n = members.len();
     let chunks = parallel::chunk_count(n, 2048);
     // pass 1: centre of mass in the unwrapped frame of the first member
-    let ((com_sum, mass_total), _) = parallel::reduce_chunks(
+    let (com_sum, mass_total) = parallel::reduce_chunks(
         &system.exec,
         chunks,
         |c| {
@@ -95,7 +90,7 @@ pub fn radius_of_gyration(system: &System, members: &[usize]) -> f64 {
         com_sum[2] / mass_total,
     ];
     // pass 2: second moment about the centre of mass
-    let (sum, _) = parallel::reduce_chunks(
+    let sum = parallel::reduce_chunks(
         &system.exec,
         chunks,
         |c| {
@@ -127,15 +122,7 @@ impl Analysis<System> for RadiusOfGyration {
     }
 
     fn analyze(&mut self, state: &System) {
-        let t0 = Instant::now();
         let rg = radius_of_gyration(state, &self.members);
-        self.telemetry.record(
-            "md.gyration",
-            state.exec.threads(),
-            parallel::chunk_count(self.members.len().max(1), 2048),
-            t0.elapsed().as_secs_f64(),
-            0.0,
-        );
         self.series.push((state.step_count, rg));
     }
 

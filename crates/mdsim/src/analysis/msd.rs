@@ -11,8 +11,6 @@
 use crate::analysis::sink::OutputSink;
 use crate::system::{Species, System};
 use insitu_core::runtime::Analysis;
-use insitu_types::KernelTelemetry;
-use parallel::ParStats;
 
 /// Tracked particles whose unwrapped positions [`Msd::compute`] gathers
 /// before it sums any of them, so the scattered loads overlap each other
@@ -30,8 +28,6 @@ pub struct Msd {
     reference: [Vec<f64>; 3],
     /// `(step, msd)` series accumulated since the last output.
     pub series: Vec<(usize, f64)>,
-    /// Per-kernel execution telemetry (`md.msd`).
-    pub telemetry: KernelTelemetry,
     /// Output destination.
     pub sink: OutputSink,
 }
@@ -45,7 +41,6 @@ impl Msd {
             tracked: Vec::new(),
             reference: [Vec::new(), Vec::new(), Vec::new()],
             series: Vec::new(),
-            telemetry: KernelTelemetry::new(),
             sink: OutputSink::null(),
         }
     }
@@ -73,16 +68,12 @@ impl Msd {
     /// Chunked over the tracked set with an ordered sum merge, so the
     /// value is bitwise identical for any thread count.
     pub fn compute(&self, system: &System) -> f64 {
-        self.compute_with_stats(system).0
-    }
-
-    fn compute_with_stats(&self, system: &System) -> (f64, ParStats) {
         if self.tracked.is_empty() {
-            return (0.0, ParStats::default());
+            return 0.0;
         }
         let n = self.tracked.len();
         let chunks = parallel::chunk_count(n, 2048);
-        let (sum, stats) = parallel::reduce_chunks(
+        let sum = parallel::reduce_chunks(
             &system.exec,
             chunks,
             |c| {
@@ -109,7 +100,7 @@ impl Msd {
             0.0f64,
             |a, b| a + b,
         );
-        (sum / n as f64, stats)
+        sum / n as f64
     }
 
     /// Bytes held by the reference buffer (the `fm` the scheduler sees).
@@ -128,14 +119,7 @@ impl Analysis<System> for Msd {
     }
 
     fn analyze(&mut self, state: &System) {
-        let (msd, stats) = self.compute_with_stats(state);
-        self.telemetry.record(
-            "md.msd",
-            stats.threads_used,
-            stats.chunks,
-            stats.wall_s(),
-            stats.merge_s(),
-        );
+        let msd = self.compute(state);
         self.series.push((state.step_count, msd));
     }
 

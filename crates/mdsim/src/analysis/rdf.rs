@@ -10,8 +10,6 @@ use crate::analysis::sink::OutputSink;
 use crate::neighbor::CellList;
 use crate::system::{Species, System};
 use insitu_core::runtime::Analysis;
-use insitu_types::KernelTelemetry;
-use std::time::Instant;
 
 /// One RDF kernel covering several species pairs.
 #[derive(Debug)]
@@ -26,8 +24,6 @@ pub struct Rdf {
     samples: usize,
     /// Persistent cell list, rebuilt in place every snapshot.
     cells: Option<CellList>,
-    /// Per-kernel execution telemetry (`md.rdf`).
-    pub telemetry: KernelTelemetry,
     /// Output destination.
     pub sink: OutputSink,
 }
@@ -44,7 +40,6 @@ impl Rdf {
             hist: vec![vec![0; bins]; n],
             samples: 0,
             cells: None,
-            telemetry: KernelTelemetry::new(),
             sink: OutputSink::null(),
         }
     }
@@ -63,7 +58,7 @@ impl Rdf {
         let chunks = cells.pair_chunks();
         let ncells = cells.num_cells();
         let cells_ref = &cells;
-        let (parts, stats) = parallel::map_chunks(&system.exec, chunks, move |c| {
+        let (parts, _) = parallel::map_chunks(&system.exec, chunks, move |c| {
             let mut hist = vec![vec![0u64; bins]; pairs.len()];
             let range = parallel::chunk_bounds(ncells, chunks, c);
             cells_ref.for_each_pair_in(&system.bounds, &system.pos, range, |i, j, r2| {
@@ -81,7 +76,6 @@ impl Rdf {
             });
             hist
         });
-        let m0 = Instant::now();
         for part in parts {
             for (mine, theirs) in self.hist.iter_mut().zip(part) {
                 for (a, b) in mine.iter_mut().zip(theirs) {
@@ -89,14 +83,6 @@ impl Rdf {
                 }
             }
         }
-        let merge = m0.elapsed().as_secs_f64();
-        self.telemetry.record(
-            "md.rdf",
-            stats.threads_used,
-            stats.chunks,
-            stats.wall_s() + merge,
-            merge,
-        );
         self.cells = Some(cells);
         self.samples += 1;
     }
@@ -167,8 +153,10 @@ impl Analysis<System> for Rdf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{a1_hydronium_rdf, a2_ion_rdf};
     use crate::builder::{water_ions, BuilderParams};
     use crate::force::ForceField;
+    use crate::neighbor::brute_force_pairs;
     use crate::system::SimBox;
 
     #[test]
@@ -239,6 +227,48 @@ mod tests {
             assert!((a - b).abs() < 1e-9);
         }
         assert_eq!(rdf.samples(), 2);
+    }
+
+    /// Adds one snapshot of `rdf`'s histograms to `hist`, binned from the
+    /// O(N²) pair oracle with the bin arithmetic of [`Rdf::accumulate`].
+    fn bin_brute_force(rdf: &Rdf, system: &System, hist: &mut [Vec<u64>]) {
+        let inv_dr = rdf.bins as f64 / rdf.r_max;
+        brute_force_pairs(&system.bounds, &system.pos, rdf.r_max, |i, j, r2| {
+            let si = Species::from_index(system.species[i] as usize);
+            let sj = Species::from_index(system.species[j] as usize);
+            let b = (r2.sqrt() * inv_dr) as usize;
+            if b >= rdf.bins {
+                return;
+            }
+            for (p, &(a, c)) in rdf.pairs.iter().enumerate() {
+                if (si == a && sj == c) || (si == c && sj == a) {
+                    hist[p][b] += 1;
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a1_and_a2_match_the_brute_force_pair_oracle() {
+        // the benchmark's system size, a few steps off the lattice
+        let mut s = water_ions(&BuilderParams {
+            n_particles: 2000,
+            ..Default::default()
+        });
+        for mut rdf in [a1_hydronium_rdf(), a2_ion_rdf()] {
+            let mut want = vec![vec![0u64; rdf.bins]; rdf.pairs.len()];
+            for _ in 0..3 {
+                for _ in 0..5 {
+                    s.step();
+                }
+                rdf.accumulate(&s);
+                bin_brute_force(&rdf, &s, &mut want);
+            }
+            assert_eq!(rdf.hist, want, "{}", rdf.name);
+            for p in 0..rdf.pairs.len() {
+                assert!(rdf.total_counts(p) > 0, "{} pair {p} binned nothing", rdf.name);
+            }
+        }
     }
 
     #[test]

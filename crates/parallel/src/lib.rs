@@ -23,6 +23,12 @@
 //! claim items one at a time from a shared queue, so the load balances
 //! itself.
 //!
+//! [`for_each_mut`] and [`map_chunks`] return a [`ParStats`] (threads
+//! used, chunks, wall) for the simulation kernels that record one;
+//! [`reduce_chunks`] returns only its folded value and [`fill_chunks`]
+//! nothing. An analysis kernel records nothing: the coupler times each
+//! analysis call.
+//!
 //! # The worker set
 //!
 //! Thread counts come from an explicit [`Exec`] handle (no global mutable
@@ -300,21 +306,14 @@ pub struct ParStats {
     pub threads_used: usize,
     /// Number of chunks the work was split into.
     pub chunks: usize,
-    /// Wall time of the whole invocation (including the merge, if any).
+    /// Wall time of the whole invocation.
     pub wall: Duration,
-    /// Time spent in the ordered merge of partial results.
-    pub merge: Duration,
 }
 
 impl ParStats {
     /// Wall seconds as `f64` (telemetry convenience).
     pub fn wall_s(&self) -> f64 {
         self.wall.as_secs_f64()
-    }
-
-    /// Merge seconds as `f64` (telemetry convenience).
-    pub fn merge_s(&self) -> f64 {
-        self.merge.as_secs_f64()
     }
 }
 
@@ -369,18 +368,10 @@ pub fn reduce_chunks<T: Send, R>(
     chunks: usize,
     map: impl Fn(usize) -> T + Sync,
     init: R,
-    mut fold: impl FnMut(R, T) -> R,
-) -> (R, ParStats) {
-    let t0 = Instant::now();
-    let (parts, mut stats) = map_chunks(exec, chunks, map);
-    let m0 = Instant::now();
-    let mut acc = init;
-    for p in parts {
-        acc = fold(acc, p);
-    }
-    stats.merge = m0.elapsed();
-    stats.wall = t0.elapsed();
-    (acc, stats)
+    fold: impl FnMut(R, T) -> R,
+) -> R {
+    let (parts, _) = map_chunks(exec, chunks, map);
+    parts.into_iter().fold(init, fold)
 }
 
 /// Runs `f(i, &mut items[i])` for every item, in parallel. Each closure
@@ -425,7 +416,6 @@ pub fn for_each_mut<T: Send>(
         threads_used: threads,
         chunks: n,
         wall: t0.elapsed(),
-        merge: Duration::ZERO,
     }
 }
 
@@ -438,8 +428,7 @@ pub fn fill_chunks<T: Send>(
     out: &mut [T],
     chunks: usize,
     f: impl Fn(usize, usize, &mut [T]) + Sync,
-) -> ParStats {
-    let t0 = Instant::now();
+) {
     let n = out.len();
     let chunks = if n == 0 { 0 } else { chunks.clamp(1, n) };
     // split `out` into the chunk_bounds sub-slices, each with its offset
@@ -451,9 +440,7 @@ pub fn fill_chunks<T: Send>(
         parts.push((range.start, head));
         rest = tail;
     }
-    let mut stats = for_each_mut(exec, &mut parts, |c, (start, slice)| f(c, *start, slice));
-    stats.wall = t0.elapsed();
-    stats
+    for_each_mut(exec, &mut parts, |c, (start, slice)| f(c, *start, slice));
 }
 
 /// Allocation/reuse counters of a [`ScratchPool`], for telemetry.
@@ -500,11 +487,11 @@ const MAX_POOLED_PER_SIZE: usize = 256;
 ///
 /// # Ownership
 ///
-/// The pool lives on the owning state (`System`, `FlashSim`, a kernel
-/// struct) next to its `KernelTelemetry`. It is `Sync`: chunks running on
-/// worker threads take and return buffers concurrently through an internal
-/// lock held only for the shelf operation, never while the buffer is in
-/// use. `Clone` yields a fresh **empty** pool (clones of a simulation
+/// The pool lives on the object whose kernels use it (`System`,
+/// `FlashSim`, a kernel struct), never in a global. It is `Sync`: chunks
+/// running on worker threads take and return buffers concurrently through
+/// an internal lock held only for the shelf operation, never while the
+/// buffer is in use. `Clone` yields a fresh **empty** pool (clones of a simulation
 /// state must not share buffers), so cloned states simply re-warm.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
@@ -635,9 +622,8 @@ mod tests {
                 assert_eq!(v, want, "threads={threads} chunks={chunks}");
                 assert_eq!(stats.chunks, chunks);
                 assert_eq!(stats.threads_used, threads.min(chunks).max(1));
-                assert_eq!(stats.merge, Duration::ZERO);
                 // reduce_chunks folds the same results in the same order
-                let (folded, stats) = reduce_chunks(
+                let folded = reduce_chunks(
                     &exec,
                     chunks,
                     |c| c * 10,
@@ -648,8 +634,6 @@ mod tests {
                     },
                 );
                 assert_eq!(folded, want, "threads={threads} chunks={chunks}");
-                assert_eq!(stats.chunks, chunks);
-                assert!(stats.merge <= stats.wall);
             }
         }
     }
@@ -663,14 +647,13 @@ mod tests {
         let chunks = chunk_count(data.len(), 128);
         let run = |threads| {
             let exec = Exec::with_threads(threads);
-            let (sum, _) = reduce_chunks(
+            reduce_chunks(
                 &exec,
                 chunks,
                 |c| chunk_bounds(data.len(), chunks, c).map(|i| data[i]).sum::<f64>(),
                 0.0f64,
                 |a, b| a + b,
-            );
-            sum
+            )
         };
         let s1 = run(1);
         for threads in [2, 3, 8] {
@@ -708,7 +691,9 @@ mod tests {
                 for chunks in [1usize, 3, 7] {
                     let used = if n == 0 { 0 } else { chunks.min(n) };
                     let mut out = vec![0usize; n];
-                    let stats = fill_chunks(&exec, &mut out, chunks, |c, start, slice| {
+                    let calls = AtomicUsize::new(0);
+                    fill_chunks(&exec, &mut out, chunks, |c, start, slice| {
+                        calls.fetch_add(1, Ordering::Relaxed);
                         // each chunk gets exactly its chunk_bounds range
                         assert_eq!(chunk_bounds(n, used, c), start..start + slice.len());
                         for (k, x) in slice.iter_mut().enumerate() {
@@ -719,8 +704,7 @@ mod tests {
                         out.iter().enumerate().all(|(i, &x)| x == i + 1),
                         "threads={threads} n={n} chunks={chunks}"
                     );
-                    assert_eq!(stats.chunks, used);
-                    assert_eq!(stats.threads_used, threads.min(used).max(1));
+                    assert_eq!(calls.into_inner(), used);
                 }
             }
         }
@@ -921,11 +905,10 @@ mod tests {
             let (v, stats) = map_chunks(&exec, 0, |_| -> u32 { unreachable!() });
             assert!(v.is_empty() && empty_stats(stats));
             let never = |_| -> u32 { unreachable!() };
-            let (sum, stats) = reduce_chunks(&exec, 0, never, 7, |a, b| a + b);
-            assert!(sum == 7 && empty_stats(stats));
+            assert_eq!(reduce_chunks(&exec, 0, never, 7, |a, b| a + b), 7);
             let mut empty: [u8; 0] = [];
             assert!(empty_stats(for_each_mut(&exec, &mut empty, |_, _| unreachable!())));
-            assert!(empty_stats(fill_chunks(&exec, &mut empty, 3, |_, _, _| unreachable!())));
+            fill_chunks(&exec, &mut empty, 3, |_, _, _| unreachable!());
         }
     }
 }

@@ -17,8 +17,18 @@
 //!   re-derivation anywhere reproduces them.
 //! * **Search trees**: the certificate a service reply carries renders
 //!   as a text tree with every node it records, root first.
+//! * **Run reports**: a coupled run's `kernel_telemetry` names exactly the
+//!   simulation's own kernels; each analysis is timed once, by the
+//!   coupler, in `analysis_times`.
 
+use amrsim::analysis::{f1_vorticity, f2_l1_norm, f3_l2_norm};
+use amrsim::sedov::SedovSetup;
+use amrsim::FlashSim;
+use insitu_core::runtime::{run_coupled, Analysis, CouplerConfig, RunReport, Simulator};
 use insitu_types::json::Value;
+use insitu_types::{AnalysisSchedule, Schedule};
+use mdsim::analysis::{a1_hydronium_rdf, a2_ion_rdf, a3_vacf, a4_msd};
+use mdsim::{water_ions, BuilderParams, System};
 use obs::{FlightRecorder, Hist, TraceContext};
 use proptest::prelude::*;
 
@@ -252,4 +262,78 @@ fn search_tree_of_a_service_reply_renders_every_certified_node() {
     );
     assert_eq!(tree.matches(" bound=").count(), n, "one line per node: {tree}");
     assert!(!tree.contains("not sampled"), "{tree}");
+}
+
+/// Steps of the coupled runs below.
+const RUN_STEPS: usize = 6;
+
+/// Runs every analysis on `sim` for [`RUN_STEPS`] steps, analysis `i` at
+/// every `(i + 1)`-th step (so each has its own run count) with one output
+/// at its last run, and returns the report with those run counts.
+fn report_of<Sim: Simulator>(
+    sim: &mut Sim,
+    analyses: &mut [Box<dyn Analysis<Sim::State> + '_>],
+) -> (RunReport, Vec<usize>) {
+    let mut schedule = Schedule::empty(analyses.len());
+    let mut counts = Vec::new();
+    for (i, entry) in schedule.per_analysis.iter_mut().enumerate() {
+        let steps: Vec<usize> = (1..=RUN_STEPS).filter(|s| s % (i + 1) == 0).collect();
+        counts.push(steps.len());
+        let last = *steps.last().expect("every analysis runs");
+        *entry = AnalysisSchedule::new(steps, vec![last]);
+    }
+    let cfg = CouplerConfig { steps: RUN_STEPS, sim_output_every: 0 };
+    (run_coupled(sim, analyses, &schedule, &cfg), counts)
+}
+
+/// What reaches `RunReport`: the simulation's kernels by name, each once a
+/// step; the analyses by their coupler brackets, each with its run count.
+/// No analysis kernel adds a name of its own.
+fn assert_report(report: &RunReport, kernels: &[&str], names: &[&str], counts: &[usize]) {
+    let reported: Vec<&str> = report.kernel_telemetry.kernels.keys().map(String::as_str).collect();
+    assert_eq!(reported, kernels);
+    for (name, record) in &report.kernel_telemetry.kernels {
+        assert_eq!(record.calls, RUN_STEPS, "{name}");
+    }
+    let timed: Vec<(&str, usize, usize)> = report
+        .analysis_times
+        .iter()
+        .map(|t| (t.name.as_str(), t.analyze_count, t.output_count))
+        .collect();
+    let want: Vec<(&str, usize, usize)> =
+        names.iter().zip(counts).map(|(&name, &count)| (name, count, 1)).collect();
+    assert_eq!(timed, want);
+    for t in &report.analysis_times {
+        assert!(t.analyze > 0.0, "{} ran, so its analyze bracket is timed", t.name);
+    }
+}
+
+#[test]
+fn a_coupled_run_reports_the_sim_kernels_and_times_each_analysis_once() {
+    let mut flash = FlashSim::sedov(2, 8, SedovSetup::default());
+    let mut analyses: Vec<Box<dyn Analysis<FlashSim>>> =
+        vec![Box::new(f1_vorticity()), Box::new(f2_l1_norm()), Box::new(f3_l2_norm())];
+    let names: Vec<String> = analyses.iter().map(|a| a.name().to_string()).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let (report, counts) = report_of(&mut flash, &mut analyses);
+    assert_report(&report, &["hydro.cfl_dt", "hydro.ghosts", "hydro.step"], &names, &counts);
+
+    let mut md = water_ions(&BuilderParams {
+        n_particles: 500,
+        ..Default::default()
+    });
+    // one step first, so the run's first step is not also the initial
+    // force evaluation
+    md.step();
+    let mut analyses: Vec<Box<dyn Analysis<System>>> = vec![
+        Box::new(a1_hydronium_rdf()),
+        Box::new(a2_ion_rdf()),
+        Box::new(a3_vacf(4)),
+        Box::new(a4_msd()),
+    ];
+    let names: Vec<String> = analyses.iter().map(|a| a.name().to_string()).collect();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let (report, counts) = report_of(&mut md, &mut analyses);
+    assert_eq!(counts, [6, 3, 2, 1]);
+    assert_report(&report, &["md.cell_rebuild", "md.force", "md.integrate"], &names, &counts);
 }
