@@ -128,7 +128,8 @@ run head -n 4 target/trace_view.search.txt
 # allreduce, the accessors only their own tests called, and the second
 # certificate judge beside `CheckedCertificate::check`; the search tree
 # has one format, the certificate, and no JSON schema of its own; presolve
-# has no dominated-row pass.
+# has no dominated-row pass; an analysis is timed once, by the coupler
+# (no `_with_stats` twin), and each hydro kernel has one entry point.
 # History files (CHANGES.md, ROADMAP.md,
 # EXPERIMENTS.md) and benchmark/ are not searched.
 retired='service_bench|sim_bench|bench_diff|adaptive_smoke|timeline_smoke|obs_smoke'
@@ -147,10 +148,20 @@ retired="$retired|amrsim::refine|allgather|alltoall|mean_hops|bisection_links|me
 retired="$retired|root_gap_closed|peak_mem_over_period|r3_protein_histogram|check_certificate|amdahl_"
 retired="$retired|SEARCHTRACE_SCHEMA|milp/searchtrace|action_from_str"
 retired="$retired|row_dominates|rows_dominated"
+retired="$retired|compute_with_stats|cfl_dt_ex|step_ex|exchange_ghosts_ex"
 echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then
     echo "verify: a tracked file still names a retired binary, recording, API or knob"
+    exit 1
+fi
+
+# the analysis kernels keep no telemetry of their own: the coupler's
+# brackets (`AnalysisTimes`) are an analysis call's one measurement
+echo
+echo ">>> git grep -n KernelTelemetry -- 'crates/*/src/analysis/'"
+if git grep -n KernelTelemetry -- 'crates/*/src/analysis/'; then
+    echo "verify: an analysis kernel keeps a KernelTelemetry; the coupler times analyses"
     exit 1
 fi
 
