@@ -17,6 +17,7 @@ use crate::block::{split_fields, Block, FlowVar, GHOST};
 use crate::mesh::Mesh;
 use insitu_types::KernelTelemetry;
 use parallel::{Exec, ScratchPool};
+use std::time::Instant;
 
 /// Ratio of specific heats (FLASH's default ideal gamma for Sedov).
 pub const GAMMA: f64 = 1.4;
@@ -152,7 +153,7 @@ pub fn step(
     );
     let n = mesh.block_cells;
     let inv_d = mesh.dx().map(|spacing| 1.0 / spacing);
-    let s0 = pool.counters();
+    let allocs0 = pool.allocs();
     // one contiguous run of blocks per worker, its scratch taken up front:
     // nothing inside the fork touches the pool
     let share = mesh.blocks.len().div_ceil(exec.threads()).max(1);
@@ -161,29 +162,26 @@ pub fn step(
         .chunks_mut(share)
         .map(|share| (pool.take(SweepScratch::len(n)), share))
         .collect();
-    let sweep = parallel::for_each_mut(exec, &mut shares, |_, (scratch, share)| {
+    let t0 = Instant::now();
+    parallel::for_each_mut(exec, &mut shares, |_, (scratch, share)| {
         for b in share.iter_mut() {
             update_block(b, inv_d, dt, scratch);
         }
     });
+    let sweep_s = t0.elapsed().as_secs_f64();
     for (scratch, _) in shares {
         pool.put(scratch);
     }
-    let s1 = pool.counters();
-    let ghosts = mesh.exchange_ghosts(exec, pool);
-    let s2 = pool.counters();
-    for (kernel, stats, scratch) in [
-        ("hydro.step", sweep, s1.since(&s0)),
-        ("hydro.ghosts", ghosts, s2.since(&s1)),
+    let allocs1 = pool.allocs();
+    let t1 = Instant::now();
+    mesh.exchange_ghosts(exec, pool);
+    let ghosts_s = t1.elapsed().as_secs_f64();
+    for (kernel, wall_s, allocs) in [
+        ("hydro.step", sweep_s, allocs1 - allocs0),
+        ("hydro.ghosts", ghosts_s, pool.allocs() - allocs1),
     ] {
-        telemetry.record(
-            kernel,
-            stats.threads_used,
-            stats.chunks,
-            stats.wall_s(),
-            0.0,
-        );
-        telemetry.record_scratch(kernel, scratch.allocs, scratch.reuses);
+        telemetry.record(kernel, wall_s, 0.0);
+        telemetry.record_scratch(kernel, allocs);
     }
 }
 

@@ -1,7 +1,7 @@
 //! The block-structured mesh: block grid, ghost exchange, boundaries.
 
 use crate::block::{Block, FlowVar, GHOST};
-use parallel::{Exec, ParStats, ScratchPool};
+use parallel::{Exec, ScratchPool};
 
 /// A block-structured uniform mesh over an orthorhombic domain.
 ///
@@ -169,8 +169,7 @@ impl Mesh {
     /// Fills the ghost layers of every block: interior faces copy the
     /// neighbouring block's edge cells; domain faces use outflow
     /// (zero-gradient) boundaries. Runs on `exec`, with gather buffers
-    /// drawn from `pool`, and returns the shape and directly timed wall of
-    /// its two phases together.
+    /// drawn from `pool`.
     ///
     /// Runs in two phases: **gather** reads, for every block, the six
     /// source planes (neighbour far-interior plane, or the block's own
@@ -182,7 +181,7 @@ impl Mesh {
     /// count — no write is visible to any read. Both phases move whole
     /// planes: the rows of a y or z face as slices, an x face in one
     /// strided loop.
-    pub fn exchange_ghosts(&mut self, exec: &Exec, pool: &ScratchPool) -> ParStats {
+    pub fn exchange_ghosts(&mut self, exec: &Exec, pool: &ScratchPool) {
         let n = self.block_cells;
         let plane = n * n;
         // phase 1: gather. One flat buffer per block, face-major then
@@ -193,7 +192,7 @@ impl Mesh {
             start..start + plane
         };
         let mesh = &*self;
-        let (gathered, gather) = parallel::map_chunks(exec, mesh.blocks.len(), |b| {
+        let gathered = parallel::map_chunks(exec, mesh.blocks.len(), |b| {
             let mut buf = pool.take(FACES.len() * EXCHANGED.len() * plane);
             let sources = mesh.face_sources(b);
             for (fi, (&(axis, _), (src, sc))) in FACES.iter().zip(sources).enumerate() {
@@ -204,7 +203,7 @@ impl Mesh {
             buf
         });
         // phase 2: scatter each block's gathered planes into its ghosts
-        let scatter = parallel::for_each_mut(exec, &mut self.blocks, |b, block| {
+        parallel::for_each_mut(exec, &mut self.blocks, |b, block| {
             for (fi, &(axis, neg)) in FACES.iter().enumerate() {
                 for (vi, &var) in EXCHANGED.iter().enumerate() {
                     block.write_plane(var, axis, ghost_plane(n, neg), &gathered[b][slot(fi, vi)]);
@@ -213,11 +212,6 @@ impl Mesh {
         });
         for buf in gathered {
             pool.put(buf);
-        }
-        ParStats {
-            threads_used: gather.threads_used.max(scatter.threads_used),
-            chunks: gather.chunks + scatter.chunks,
-            wall: gather.wall + scatter.wall,
         }
     }
 }
@@ -354,11 +348,14 @@ mod tests {
         par.exchange_ghosts(&Exec::with_threads(4), &pool);
         assert_eq!(serial, par, "ghost exchange must be thread-count invariant");
         // a second exchange reuses every gather buffer
-        let before = pool.counters();
+        let before = pool.allocs();
         par.exchange_ghosts(&Exec::with_threads(4), &pool);
-        let after = pool.counters();
-        assert_eq!(after.allocs, before.allocs, "warm exchange must not allocate");
-        assert_eq!(after.reuses, before.reuses + par.blocks.len());
+        assert_eq!(pool.allocs(), before, "warm exchange must not allocate");
+        assert_eq!(
+            pool.pooled(),
+            par.blocks.len(),
+            "one buffer per block, all returned"
+        );
     }
 
     #[test]

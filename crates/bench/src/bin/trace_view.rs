@@ -233,7 +233,7 @@ fn render(text: &str) -> Result<(String, Option<String>), String> {
     };
     let cert =
         SearchCertificate::from_json(cert).map_err(|e| format!("malformed certificate: {e}"))?;
-    let tree = milp::SearchTrace::from_certificate(&cert, cert.nodes.len()).to_text_tree();
+    let tree = milp::SearchTrace::from_certificate(&cert).to_text_tree();
     Ok((tree, None))
 }
 
@@ -328,10 +328,15 @@ mod tests {
         let (tree, chrome) =
             render(&Value::Object(doc).to_string()).expect("certificate renders");
         assert!(chrome.is_none(), "a search tree has no Chrome export");
-        assert_eq!(tree, milp::SearchTrace::from_certificate(&cert, 5).to_text_tree());
-        assert!(tree.starts_with("search tree: 5 nodes (5 sampled, cap 5), 0 cuts"), "{tree}");
-        assert!(tree.contains("\n   └─ #4 bound=7.5 pruned-infeasible\n"), "{tree}");
-        assert!(!tree.contains("not sampled"), "{tree}");
+        assert_eq!(
+            tree,
+            milp::SearchTrace::from_certificate(&cert).to_text_tree()
+        );
+        assert!(tree.starts_with("search tree: 5 nodes, 0 cuts"), "{tree}");
+        assert!(
+            tree.contains("\n   └─ #4 bound=7.5 pruned-infeasible\n"),
+            "{tree}"
+        );
         assert!(render("{\"problem\":null}").is_err());
     }
 }

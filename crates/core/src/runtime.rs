@@ -931,7 +931,7 @@ mod tests {
         }
         fn advance(&mut self) {
             self.step += 1;
-            self.telemetry.record("toy.step", 1, 1, 0.25, 0.0);
+            self.telemetry.record("toy.step", 0.25, 0.0);
         }
         fn kernel_telemetry(&self) -> Option<&KernelTelemetry> {
             Some(&self.telemetry)

@@ -1,14 +1,14 @@
 //! Per-kernel execution telemetry.
 //!
-//! Every parallelized simulation kernel records how long it ran, how many
-//! threads it used, how the work was chunked and how long the ordered
-//! merge of partial results took. The records accumulate on the owning
+//! Every parallelized simulation kernel records how long it ran, how long
+//! the ordered merge of partial results took and how many scratch buffers
+//! it had to allocate. Each call is timed once, by one `Instant` bracket
+//! in the code that records it. The records accumulate on the owning
 //! state (`System`, `FlashSim`) and surface in the coupler's `RunReport`,
 //! from which the repo benchmark reads its `mdsim.*`, `amrsim.*` and
 //! `parallel.*` layer metrics. Analysis kernels record nothing here: the
 //! coupler times each analysis call (`RunReport::analysis_times`).
 
-use crate::json::Value;
 use std::collections::BTreeMap;
 
 /// Accumulated telemetry of one kernel.
@@ -16,10 +16,6 @@ use std::collections::BTreeMap;
 pub struct KernelRecord {
     /// Number of invocations recorded.
     pub calls: usize,
-    /// Threads used by the most recent invocation.
-    pub threads: usize,
-    /// Chunk count of the most recent invocation.
-    pub chunks: usize,
     /// Total wall seconds across all invocations.
     pub wall_s: f64,
     /// Total seconds spent in ordered merges across all invocations.
@@ -28,15 +24,12 @@ pub struct KernelRecord {
     /// misses). Zero in steady state once the kernel's scratch pool is
     /// warm.
     pub scratch_allocs: usize,
-    /// Scratch buffers served from the pool across all invocations.
-    pub scratch_reuses: usize,
 }
 
 /// Telemetry registry: one [`KernelRecord`] per kernel name.
 ///
 /// Kernel names are dotted lowercase identifiers (`md.force`,
-/// `hydro.step`, ...); the `BTreeMap` keeps reports and JSON output in a
-/// stable order.
+/// `hydro.step`, ...); the `BTreeMap` keeps reports in a stable order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelTelemetry {
     /// Records keyed by kernel name.
@@ -49,25 +42,25 @@ impl KernelTelemetry {
         Self::default()
     }
 
-    /// Records one invocation of `kernel`.
-    pub fn record(&mut self, kernel: &str, threads: usize, chunks: usize, wall_s: f64, merge_s: f64) {
+    /// Records one invocation of `kernel`: its wall seconds and the
+    /// seconds of its ordered merge (a part of the wall).
+    pub fn record(&mut self, kernel: &str, wall_s: f64, merge_s: f64) {
         let r = self.kernels.entry(kernel.to_string()).or_default();
         r.calls += 1;
-        r.threads = threads;
-        r.chunks = chunks;
         r.wall_s += wall_s;
         r.merge_s += merge_s;
     }
 
-    /// Adds scratch-pool activity to `kernel` without counting a call.
+    /// Adds scratch allocations to `kernel` without counting a call.
     /// Kernels call this right after [`KernelTelemetry::record`] with the
-    /// pool-counter delta of the invocation, so a run report can show
-    /// steady-state allocations reaching zero (`mdsim.scratch_allocs` in
-    /// `BENCHMARK.json`).
-    pub fn record_scratch(&mut self, kernel: &str, allocs: usize, reuses: usize) {
-        let r = self.kernels.entry(kernel.to_string()).or_default();
-        r.scratch_allocs += allocs;
-        r.scratch_reuses += reuses;
+    /// pool's allocation count over the invocation, so a run report can
+    /// show steady-state allocations reaching zero (`mdsim.scratch_allocs`
+    /// in `BENCHMARK.json`).
+    pub fn record_scratch(&mut self, kernel: &str, allocs: usize) {
+        self.kernels
+            .entry(kernel.to_string())
+            .or_default()
+            .scratch_allocs += allocs;
     }
 
     /// Record for `kernel`, if any invocation has been recorded.
@@ -97,12 +90,9 @@ impl KernelTelemetry {
                     name.clone(),
                     KernelRecord {
                         calls: r.calls - base.calls,
-                        threads: r.threads,
-                        chunks: r.chunks,
                         wall_s: r.wall_s - base.wall_s,
                         merge_s: r.merge_s - base.merge_s,
                         scratch_allocs: r.scratch_allocs - base.scratch_allocs,
-                        scratch_reuses: r.scratch_reuses - base.scratch_reuses,
                     },
                 );
             }
@@ -126,39 +116,17 @@ impl KernelTelemetry {
 
     /// Plain-text table: one line per kernel.
     pub fn table(&self) -> String {
-        let mut out = String::from(
-            "kernel                 calls thr chk   wall(ms)  merge(ms)  alloc reuse\n",
-        );
+        let mut out = String::from("kernel                 calls   wall(ms)  merge(ms)  alloc\n");
         for (name, r) in &self.kernels {
             out.push_str(&format!(
-                "{name:<22} {:>5} {:>3} {:>3} {:>10.3} {:>10.3} {:>6} {:>5}\n",
+                "{name:<22} {:>5} {:>10.3} {:>10.3} {:>6}\n",
                 r.calls,
-                r.threads,
-                r.chunks,
                 r.wall_s * 1e3,
                 r.merge_s * 1e3,
                 r.scratch_allocs,
-                r.scratch_reuses,
             ));
         }
         out
-    }
-
-    /// JSON object keyed by kernel name.
-    pub fn to_json(&self) -> Value {
-        let mut root = BTreeMap::new();
-        for (name, r) in &self.kernels {
-            let mut o = BTreeMap::new();
-            o.insert("calls".into(), Value::Number(r.calls as f64));
-            o.insert("threads".into(), Value::Number(r.threads as f64));
-            o.insert("chunks".into(), Value::Number(r.chunks as f64));
-            o.insert("wall_ms".into(), Value::Number(r.wall_s * 1e3));
-            o.insert("merge_ms".into(), Value::Number(r.merge_s * 1e3));
-            o.insert("scratch_allocs".into(), Value::Number(r.scratch_allocs as f64));
-            o.insert("scratch_reuses".into(), Value::Number(r.scratch_reuses as f64));
-            root.insert(name.clone(), Value::Object(o));
-        }
-        Value::Object(root)
     }
 }
 
@@ -169,22 +137,22 @@ mod tests {
     #[test]
     fn record_accumulates() {
         let mut t = KernelTelemetry::new();
-        t.record("md.force", 4, 16, 0.5, 0.1);
-        t.record("md.force", 2, 16, 0.25, 0.05);
+        t.record("md.force", 0.5, 0.1);
+        t.record("md.force", 0.25, 0.05);
         let r = t.get("md.force").unwrap();
         assert_eq!(r.calls, 2);
-        assert_eq!(r.threads, 2, "threads reflect the latest call");
         assert!((r.wall_s - 0.75).abs() < 1e-12);
+        assert!((r.merge_s - 0.15).abs() < 1e-12);
         assert!(t.get("md.rdf").is_none());
     }
 
     #[test]
     fn delta_since_subtracts_the_baseline() {
         let mut t = KernelTelemetry::new();
-        t.record("md.force", 4, 16, 0.5, 0.1);
+        t.record("md.force", 0.5, 0.1);
         let baseline = t.clone();
-        t.record("md.force", 4, 16, 0.25, 0.05);
-        t.record("md.rdf", 4, 8, 0.2, 0.0);
+        t.record("md.force", 0.25, 0.05);
+        t.record("md.rdf", 0.2, 0.0);
         let d = t.delta_since(&baseline);
         let force = d.get("md.force").unwrap();
         assert_eq!(force.calls, 1);
@@ -198,8 +166,8 @@ mod tests {
     #[test]
     fn export_into_populates_the_registry() {
         let mut t = KernelTelemetry::new();
-        t.record("md.force", 4, 16, 0.5, 0.1);
-        t.record("md.force", 4, 16, 0.3, 0.1);
+        t.record("md.force", 0.5, 0.1);
+        t.record("md.force", 0.3, 0.1);
         let reg = obs::Registry::new();
         t.export_into("sim", &reg);
         let snap = reg.snapshot();
@@ -211,32 +179,27 @@ mod tests {
     }
 
     #[test]
-    fn scratch_counters_accumulate_and_delta() {
+    fn scratch_allocs_accumulate_and_delta() {
         let mut t = KernelTelemetry::new();
-        t.record("md.force", 1, 8, 0.1, 0.0);
-        t.record_scratch("md.force", 24, 0); // cold step: all misses
+        t.record("md.force", 0.1, 0.0);
+        t.record_scratch("md.force", 24); // cold step: all misses
         let baseline = t.clone();
-        t.record("md.force", 1, 8, 0.1, 0.0);
-        t.record_scratch("md.force", 0, 24); // warm step: all reuses
-        let r = t.get("md.force").unwrap();
-        assert_eq!((r.scratch_allocs, r.scratch_reuses), (24, 24));
+        t.record("md.force", 0.1, 0.0);
+        t.record_scratch("md.force", 0); // warm step: served by the pool
+        assert_eq!(t.get("md.force").unwrap().scratch_allocs, 24);
         let d = t.delta_since(&baseline);
-        let dr = d.get("md.force").unwrap();
-        assert_eq!((dr.scratch_allocs, dr.scratch_reuses), (0, 24));
+        assert_eq!(d.get("md.force").unwrap().scratch_allocs, 0);
         assert!(t.table().contains("alloc"));
-        assert!(t.to_json().to_string_pretty().contains("\"scratch_allocs\""));
     }
 
     #[test]
-    fn table_and_json_render_all_kernels() {
+    fn table_renders_all_kernels() {
         let mut t = KernelTelemetry::new();
-        t.record("md.force", 4, 16, 0.5, 0.1);
-        t.record("md.rdf", 4, 8, 0.2, 0.02);
+        t.record("md.force", 0.5, 0.1);
+        t.record("md.rdf", 0.2, 0.02);
         let table = t.table();
         assert!(table.contains("md.force") && table.contains("md.rdf"));
-        let json = t.to_json().to_string_pretty();
-        assert!(json.contains("\"wall_ms\""));
-        Value::parse(&json).expect("valid JSON");
+        assert!(table.contains("500.000"), "wall in ms: {table}");
         t.clear();
         assert!(t.kernels.is_empty());
     }

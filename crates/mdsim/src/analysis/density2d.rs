@@ -49,7 +49,7 @@ impl DensityHistogram {
         let bins = self.bins;
         let n = system.len();
         let chunks = parallel::chunk_count(n, 4096);
-        let (parts, _) = parallel::map_chunks(&system.exec, chunks, |c| {
+        let parts = parallel::map_chunks(&system.exec, chunks, |c| {
             let mut counts = vec![0u64; bins * bins];
             for i in parallel::chunk_bounds(n, chunks, c) {
                 if system.species[i] != s {

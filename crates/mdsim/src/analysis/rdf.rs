@@ -58,7 +58,7 @@ impl Rdf {
         let chunks = cells.pair_chunks();
         let ncells = cells.num_cells();
         let cells_ref = &cells;
-        let (parts, _) = parallel::map_chunks(&system.exec, chunks, move |c| {
+        let parts = parallel::map_chunks(&system.exec, chunks, move |c| {
             let mut hist = vec![vec![0u64; bins]; pairs.len()];
             let range = parallel::chunk_bounds(ncells, chunks, c);
             cells_ref.for_each_pair_in(&system.bounds, &system.pos, range, |i, j, r2| {

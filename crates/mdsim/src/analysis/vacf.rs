@@ -10,7 +10,6 @@
 use crate::analysis::sink::OutputSink;
 use crate::system::{Species, System};
 use insitu_core::runtime::Analysis;
-use parallel::ScratchPool;
 use std::collections::VecDeque;
 
 /// VACF kernel over a set of tracked species.
@@ -21,12 +20,10 @@ pub struct Vacf {
     tracked: Vec<usize>,
     /// Ring buffer of velocity snapshots, each 3×N_tracked flattened.
     /// A `VecDeque` so eviction at capacity is O(1), not an O(window)
-    /// front-shift.
+    /// front-shift. Once the window is full, `record` overwrites the
+    /// evicted snapshot in place: it allocates only while the window fills.
     window: VecDeque<Vec<f64>>,
     capacity: usize,
-    /// Evicted/flushed snapshot buffers, reused for new snapshots: in
-    /// steady state the per-step `record` allocates nothing.
-    pool: ScratchPool,
     /// Most recent correlation curve.
     pub correlation: Vec<f64>,
     /// Output destination.
@@ -42,41 +39,23 @@ impl Vacf {
             tracked: Vec::new(),
             window: VecDeque::new(),
             capacity: capacity.max(2),
-            pool: ScratchPool::new(),
             correlation: Vec::new(),
             sink: OutputSink::null(),
         }
     }
 
-    fn snapshot(&self, system: &System) -> Vec<f64> {
-        // pooled buffer, overwritten in full below
-        let mut v = self.pool.take(3 * self.tracked.len());
-        for (k, &i) in self.tracked.iter().enumerate() {
-            let vel = system.velocity(i);
-            v[3 * k] = vel[0];
-            v[3 * k + 1] = vel[1];
-            v[3 * k + 2] = vel[2];
-        }
-        v
-    }
-
-    /// Appends the current velocities to the history window.
+    /// Appends the current velocities to the history window, evicting the
+    /// oldest snapshot once the window is full and reusing its buffer.
     pub fn record(&mut self, system: &System) {
-        // evict BEFORE snapshotting so the freed buffer serves the new
-        // snapshot — steady state then cycles one buffer with zero allocs
-        if self.window.len() == self.capacity {
-            if let Some(old) = self.window.pop_front() {
-                self.pool.put(old);
-            }
+        let mut snap = if self.window.len() == self.capacity {
+            self.window.pop_front().expect("a full window is not empty")
+        } else {
+            vec![0.0; 3 * self.tracked.len()]
+        };
+        for (v, &i) in snap.chunks_exact_mut(3).zip(&self.tracked) {
+            v.copy_from_slice(&system.velocity(i));
         }
-        let snap = self.snapshot(system);
         self.window.push_back(snap);
-    }
-
-    /// Scratch-pool counters: `(allocations, reuses)` since construction.
-    pub fn scratch_counters(&self) -> (usize, usize) {
-        let c = self.pool.counters();
-        (c.allocs, c.reuses)
     }
 
     /// Computes the normalized correlation `C(τ)` for `τ = 0..window-1`,
@@ -104,13 +83,6 @@ impl Vacf {
     pub fn window_len(&self) -> usize {
         self.window.len()
     }
-
-    /// Empties the window, returning every snapshot buffer to the pool.
-    fn drain_window_to_pool(&mut self) {
-        while let Some(b) = self.window.pop_front() {
-            self.pool.put(b);
-        }
-    }
 }
 
 impl Analysis<System> for Vacf {
@@ -124,9 +96,8 @@ impl Analysis<System> for Vacf {
             .iter()
             .flat_map(|&s| state.of_species(s))
             .collect();
-        // tracked-set (and hence snapshot length) may change: drop the
-        // window but keep the buffers — the pool shelves by size
-        self.drain_window_to_pool();
+        // the tracked set (and hence the snapshot length) may change
+        self.window.clear();
     }
 
     fn per_step(&mut self, state: &System) {
@@ -143,7 +114,7 @@ impl Analysis<System> for Vacf {
             text.push_str(&format!("{tau} {c:.8}\n"));
         }
         self.sink.emit(text.as_bytes());
-        self.drain_window_to_pool(); // history released at output
+        self.window.clear(); // history released at output
     }
 }
 
@@ -228,27 +199,24 @@ mod tests {
 
     #[test]
     fn snapshot_pool_reaches_steady_state() {
-        let s = free_system();
+        let mut s = free_system();
         let mut vacf = Vacf::new("t", vec![Species::Water], 5);
         vacf.setup(&s);
-        // fill the window: one fresh buffer per snapshot
         for _ in 0..5 {
             vacf.record(&s);
         }
-        let (cold, _) = vacf.scratch_counters();
-        assert_eq!(cold, 5);
-        // steady state: every eviction feeds the next snapshot
-        for _ in 0..50 {
+        // steady state: each record overwrites the buffer it evicts
+        for step in 0..50 {
+            s.vel[0][1] = step as f64;
+            let evicted = vacf.window[0].as_ptr();
             vacf.record(&s);
+            assert_eq!(vacf.window_len(), 5);
+            let newest = vacf.window.back().expect("a full window");
+            assert_eq!(newest.as_ptr(), evicted, "step {step} allocated");
+            assert_eq!(newest[..], [1.0, 0.0, 0.0, step as f64, -1.0, 0.0]);
         }
-        let (allocs, reuses) = vacf.scratch_counters();
-        assert_eq!(allocs, cold, "steady-state record must allocate nothing");
-        assert_eq!(reuses, 50);
-        // output drains the window into the pool; refills reuse it all
+        // output frees the history
         vacf.output(&s);
-        for _ in 0..5 {
-            vacf.record(&s);
-        }
-        assert_eq!(vacf.scratch_counters().0, cold);
+        assert_eq!(vacf.window_bytes(), 0);
     }
 }

@@ -158,7 +158,7 @@ pub struct System {
     /// Reusable per-chunk scratch buffers for the force kernel. After the
     /// first step every per-chunk accumulator is served from here, so
     /// steady-state stepping performs zero scratch allocations (tracked as
-    /// `scratch_allocs` / `scratch_reuses` on the `md.force` telemetry).
+    /// `scratch_allocs` on the `md.force` telemetry).
     /// Cloning a `System` starts the clone with an empty pool.
     pub scratch: ScratchPool,
     /// Cell-sorted copy of the positions, re-sorted in place every step.
@@ -304,22 +304,20 @@ impl System {
                 self.cells
                     .rebuild(&self.bounds, &self.pos, ff.cutoff, &self.exec);
             }
-            self.telemetry.record(
-                "md.cell_rebuild",
-                threads,
-                parallel::chunk_count(n, 2048),
-                t0.elapsed().as_secs_f64(),
-                0.0,
-            );
+            self.telemetry
+                .record("md.cell_rebuild", t0.elapsed().as_secs_f64(), 0.0);
             let cells = &self.cells;
             let chunks = cells.pair_chunks().min(FORCE_CHUNK_CAP);
             let ncells = cells.num_cells();
             let pool = &self.scratch;
-            let scratch0 = pool.counters();
+            let allocs0 = pool.allocs();
             let mut force_span = self.tracer.span("md.force");
             force_span.tag("threads", threads);
             force_span.tag("chunks", chunks);
-            let (parts, stats) = parallel::map_chunks(&self.exec, chunks, |c| {
+            // one bracket from the fork to the end of the scatter, the
+            // merge's own bracket inside it
+            let t0 = Instant::now();
+            let parts = parallel::map_chunks(&self.exec, chunks, |c| {
                 let mut cf = [
                     pool.take_zeroed(n),
                     pool.take_zeroed(n),
@@ -361,17 +359,12 @@ impl System {
                 }
                 pool.put(sum);
             }
-            let merge = m0.elapsed();
+            let (merge, wall) = (m0.elapsed(), t0.elapsed());
             drop(force_span);
-            self.telemetry.record(
-                "md.force",
-                stats.threads_used,
-                stats.chunks,
-                stats.wall_s() + merge.as_secs_f64(),
-                merge.as_secs_f64(),
-            );
-            let ds = self.scratch.counters().since(&scratch0);
-            self.telemetry.record_scratch("md.force", ds.allocs, ds.reuses);
+            self.telemetry
+                .record("md.force", wall.as_secs_f64(), merge.as_secs_f64());
+            self.telemetry
+                .record_scratch("md.force", self.scratch.allocs() - allocs0);
         }
         // bonds
         let [fx, fy, fz] = &mut self.force;
@@ -407,8 +400,8 @@ impl System {
         let dt = self.dt;
         let masses = self.masses;
         let lengths = self.bounds.lengths;
+        // the sum of the three forks' brackets
         let mut integrate_s = 0.0;
-        let mut threads_used = 1;
         // half kick + drift
         {
             let species = &self.species;
@@ -425,27 +418,26 @@ impl System {
                 (1, py, vy, iy, fy),
                 (2, pz, vz, iz, fz),
             ];
-            let stats =
-                parallel::for_each_mut(&self.exec, &mut dims, |_, (d, pos, vel, image, force)| {
-                    let l = lengths[*d];
-                    for i in 0..n {
-                        let inv_m = 1.0 / masses[species[i] as usize];
-                        vel[i] += 0.5 * dt * force[i] * inv_m;
-                        let mut x = pos[i] + dt * vel[i];
-                        if x < 0.0 {
-                            x += l;
-                            image[i] -= 1;
-                        } else if x >= l {
-                            x -= l;
-                            image[i] += 1;
-                        }
-                        // guard against large excursions (should not
-                        // happen at sane dt)
-                        pos[i] = x.rem_euclid(l);
+            let t0 = Instant::now();
+            parallel::for_each_mut(&self.exec, &mut dims, |_, (d, pos, vel, image, force)| {
+                let l = lengths[*d];
+                for i in 0..n {
+                    let inv_m = 1.0 / masses[species[i] as usize];
+                    vel[i] += 0.5 * dt * force[i] * inv_m;
+                    let mut x = pos[i] + dt * vel[i];
+                    if x < 0.0 {
+                        x += l;
+                        image[i] -= 1;
+                    } else if x >= l {
+                        x -= l;
+                        image[i] += 1;
                     }
-                });
-            integrate_s += stats.wall_s();
-            threads_used = threads_used.max(stats.threads_used);
+                    // guard against large excursions (should not
+                    // happen at sane dt)
+                    pos[i] = x.rem_euclid(l);
+                }
+            });
+            integrate_s += t0.elapsed().as_secs_f64();
         }
         self.compute_forces();
         // second half kick
@@ -454,14 +446,14 @@ impl System {
             let [vx, vy, vz] = &mut self.vel;
             let [fx, fy, fz] = &self.force;
             let mut dims: [(&mut [f64], &[f64]); 3] = [(vx, fx), (vy, fy), (vz, fz)];
-            let stats = parallel::for_each_mut(&self.exec, &mut dims, |_, (vel, force)| {
+            let t0 = Instant::now();
+            parallel::for_each_mut(&self.exec, &mut dims, |_, (vel, force)| {
                 for i in 0..n {
                     let inv_m = 1.0 / masses[species[i] as usize];
                     vel[i] += 0.5 * dt * force[i] * inv_m;
                 }
             });
-            integrate_s += stats.wall_s();
-            threads_used = threads_used.max(stats.threads_used);
+            integrate_s += t0.elapsed().as_secs_f64();
         }
         // Berendsen thermostat
         if self.target_temp > 0.0 {
@@ -469,15 +461,14 @@ impl System {
             if t > 1e-12 {
                 let lambda =
                     (1.0 + self.thermostat_coupling * (self.target_temp / t - 1.0)).sqrt();
-                let stats = parallel::for_each_mut(&self.exec, &mut self.vel, |_, v| {
+                let t0 = Instant::now();
+                parallel::for_each_mut(&self.exec, &mut self.vel, |_, v| {
                     v.iter_mut().for_each(|x| *x *= lambda);
                 });
-                integrate_s += stats.wall_s();
-                threads_used = threads_used.max(stats.threads_used);
+                integrate_s += t0.elapsed().as_secs_f64();
             }
         }
-        self.telemetry
-            .record("md.integrate", threads_used, 3, integrate_s, 0.0);
+        self.telemetry.record("md.integrate", integrate_s, 0.0);
         self.step_count += 1;
     }
 }
@@ -627,7 +618,11 @@ mod tests {
             r.scratch_allocs, cold,
             "steady-state steps must allocate nothing"
         );
-        assert!(r.scratch_reuses > 0, "warm steps must reuse the pool");
+        assert_eq!(
+            s.scratch.allocs(),
+            cold,
+            "the record is the pool's own count"
+        );
     }
 
     #[test]

@@ -594,7 +594,7 @@ impl Search<'_> {
         if !strong.is_empty() {
             self.stats.strong_branch_calls += 1;
             let sf = self.sf;
-            let (evals, _) = map_chunks(&self.exec, strong.len(), |k| {
+            let evals = map_chunks(&self.exec, strong.len(), |k| {
                 let c = &cands[strong[k]];
                 let floor = c.value.floor();
                 let down = child_bounds(sf, node, c.var, f64::NEG_INFINITY, floor);

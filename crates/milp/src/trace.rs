@@ -1,20 +1,17 @@
 //! Search-tree traces: the solver's deep telemetry, derived from the
 //! pruning certificate.
 //!
-//! A [`SearchTrace`] is a bounded, deterministically-sampled view of the
-//! branch-and-cut tree: node id, parent, depth, LP bound and fathoming
-//! action for a sample of nodes, plus the whole-solve summary (objective,
-//! dual bound, total node and cut counts). It is built **offline** from
+//! A [`SearchTrace`] is the branch-and-cut tree: node id, parent, depth,
+//! LP bound and fathoming action for every node, plus the whole-solve
+//! summary (objective, dual bound, cut count). It is built **offline** from
 //! the [`SearchCertificate`] the search already records when
 //! [`crate::SolveOptions::certificate`] is on — the hot path pays
 //! nothing beyond the certificate it was already paying for, and the
 //! trace inherits the certificate's determinism (serial solves produce
 //! identical certificates, so identical traces).
 //!
-//! Sampling is deterministic: nodes sort by `(depth, id)` and the first
-//! `cap` survive. Because a parent is always strictly shallower than its
-//! children, any sampled node's entire ancestor chain is sampled too —
-//! the rendered tree never has orphans.
+//! Nodes sort by `(depth, id)`, so a parent always comes before its
+//! children.
 //!
 //! [`SearchTrace::to_text_tree`] renders it as a box-drawing tree for
 //! terminals. The trace has no file format of its own: the certificate is
@@ -29,7 +26,7 @@ use insitu_types::cert::{NodeOutcome, SearchCertificate};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One sampled search node.
+/// One search node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceNode {
     /// Node id (the search's creation sequence number).
@@ -47,8 +44,7 @@ pub struct TraceNode {
     pub objective: Option<f64>,
 }
 
-/// A bounded, deterministically-sampled search tree. See the
-/// [module docs](self).
+/// A search tree. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchTrace {
     /// Proven-optimal objective of the solve.
@@ -57,13 +53,9 @@ pub struct SearchTrace {
     pub dual_bound: f64,
     /// Optimization sense.
     pub maximize: bool,
-    /// Nodes in the full certificate (before sampling).
-    pub total_nodes: usize,
     /// Cut proofs carried by the certificate.
     pub total_cuts: usize,
-    /// The sample cap this trace was built with.
-    pub cap: usize,
-    /// Sampled nodes, sorted by `(depth, id)`; ancestor-closed.
+    /// Every node of the certificate, sorted by `(depth, id)`.
     pub nodes: Vec<TraceNode>,
 }
 
@@ -77,11 +69,9 @@ fn action_of(outcome: &NodeOutcome) -> (&'static str, Option<f64>) {
 }
 
 impl SearchTrace {
-    /// Builds the trace from a certificate, keeping at most `cap`
-    /// sampled nodes (`cap` is clamped to at least 1 when the
-    /// certificate has any node). Deterministic: same certificate + cap
-    /// → identical trace.
-    pub fn from_certificate(cert: &SearchCertificate, cap: usize) -> SearchTrace {
+    /// Builds the trace of every node of a certificate. Deterministic:
+    /// same certificate → identical trace.
+    pub fn from_certificate(cert: &SearchCertificate) -> SearchTrace {
         let parent_of: BTreeMap<u64, Option<u64>> =
             cert.nodes.iter().map(|n| (n.id, n.parent)).collect();
         let mut depth_memo: BTreeMap<u64, u32> = BTreeMap::new();
@@ -114,44 +104,38 @@ impl SearchTrace {
             })
             .collect();
         nodes.sort_by_key(|n| (n.depth, n.id));
-        let cap = cap.max(usize::from(!nodes.is_empty()));
-        nodes.truncate(cap);
         SearchTrace {
             objective: cert.objective,
             dual_bound: cert.dual_bound,
             maximize: cert.maximize,
-            total_nodes: cert.nodes.len(),
             total_cuts: cert.cuts.len(),
-            cap,
             nodes,
         }
     }
 
-    /// Direct children of `id` *within the sample*, ascending by id.
-    fn sampled_children(&self, id: u64) -> Vec<&TraceNode> {
+    /// Direct children of `id`, ascending by id.
+    fn children(&self, id: u64) -> Vec<&TraceNode> {
         let mut kids: Vec<&TraceNode> =
             self.nodes.iter().filter(|n| n.parent == Some(id)).collect();
         kids.sort_by_key(|n| n.id);
         kids
     }
 
-    fn sampled_roots(&self) -> Vec<&TraceNode> {
+    fn roots(&self) -> Vec<&TraceNode> {
         let mut roots: Vec<&TraceNode> =
             self.nodes.iter().filter(|n| n.parent.is_none()).collect();
         roots.sort_by_key(|n| n.id);
         roots
     }
 
-    /// Renders the sampled tree with box-drawing characters, one node
-    /// per line, preceded by a summary header.
+    /// Renders the tree with box-drawing characters, one node per line,
+    /// preceded by a summary header.
     pub fn to_text_tree(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "search tree: {} nodes ({} sampled, cap {}), {} cuts, objective {} ({}), dual bound {}",
-            self.total_nodes,
+            "search tree: {} nodes, {} cuts, objective {} ({}), dual bound {}",
             self.nodes.len(),
-            self.cap,
             self.total_cuts,
             self.objective,
             if self.maximize { "maximize" } else { "minimize" },
@@ -165,7 +149,7 @@ impl SearchTrace {
             out.push('\n');
         }
         fn render(out: &mut String, trace: &SearchTrace, n: &TraceNode, prefix: &str) {
-            let kids = trace.sampled_children(n.id);
+            let kids = trace.children(n.id);
             for (i, kid) in kids.iter().enumerate() {
                 let last = i + 1 == kids.len();
                 out.push_str(prefix);
@@ -175,16 +159,9 @@ impl SearchTrace {
                 render(out, trace, kid, &deeper);
             }
         }
-        for root in self.sampled_roots() {
+        for root in self.roots() {
             node_line(&mut out, root);
             render(&mut out, self, root, "");
-        }
-        if self.nodes.len() < self.total_nodes {
-            let _ = writeln!(
-                out,
-                "… {} deeper nodes not sampled (raise the cap to see them)",
-                self.total_nodes - self.nodes.len()
-            );
         }
         out
     }
@@ -224,35 +201,31 @@ mod tests {
     fn trace_is_deterministic_and_ancestor_closed() {
         let cert = certified_solve();
         assert!(cert.nodes.len() > 3, "want a real tree, got {}", cert.nodes.len());
-        let a = SearchTrace::from_certificate(&cert, 4);
-        let b = SearchTrace::from_certificate(&cert, 4);
-        assert_eq!(a, b);
-        assert_eq!(a.nodes.len(), 4.min(cert.nodes.len()));
-        assert_eq!(a.total_nodes, cert.nodes.len());
-        // every sampled non-root's parent is sampled
+        let a = SearchTrace::from_certificate(&cert);
+        assert_eq!(a, SearchTrace::from_certificate(&cert));
+        // every node, each once, sorted by (depth, id)
         let ids: std::collections::BTreeSet<u64> = a.nodes.iter().map(|n| n.id).collect();
+        assert_eq!(ids, cert.nodes.iter().map(|n| n.id).collect());
+        assert_eq!(a.nodes.len(), cert.nodes.len());
+        assert!(a
+            .nodes
+            .windows(2)
+            .all(|w| (w[0].depth, w[0].id) < (w[1].depth, w[1].id)));
+        // every non-root's parent is in the trace, one level up
         for n in &a.nodes {
             if let Some(p) = n.parent {
-                assert!(ids.contains(&p), "node {} orphaned (parent {p})", n.id);
+                let parent = a.nodes.iter().find(|m| m.id == p);
+                let parent =
+                    parent.unwrap_or_else(|| panic!("node {} orphaned (parent {p})", n.id));
+                assert_eq!(parent.depth + 1, n.depth);
             }
-        }
-        // sample prefers shallow nodes
-        let max_sampled = a.nodes.iter().map(|n| n.depth).max().unwrap();
-        let unsampled_min = SearchTrace::from_certificate(&cert, usize::MAX)
-            .nodes
-            .iter()
-            .filter(|n| !ids.contains(&n.id))
-            .map(|n| n.depth)
-            .min();
-        if let Some(d) = unsampled_min {
-            assert!(max_sampled <= d);
         }
     }
 
     #[test]
-    fn text_tree_renders_every_sampled_node_once() {
+    fn text_tree_renders_every_node_once() {
         let cert = certified_solve();
-        let t = SearchTrace::from_certificate(&cert, 8);
+        let t = SearchTrace::from_certificate(&cert);
         let text = t.to_text_tree();
         for n in &t.nodes {
             assert_eq!(
@@ -261,8 +234,10 @@ mod tests {
                 "{text}"
             );
         }
-        if t.nodes.len() < t.total_nodes {
-            assert!(text.contains("not sampled"), "{text}");
-        }
+        assert_eq!(
+            text.lines().count(),
+            1 + cert.nodes.len(),
+            "a header, then one line a node"
+        );
     }
 }

@@ -23,11 +23,9 @@
 //! claim items one at a time from a shared queue, so the load balances
 //! itself.
 //!
-//! [`for_each_mut`] and [`map_chunks`] return a [`ParStats`] (threads
-//! used, chunks, wall) for the simulation kernels that record one;
-//! [`reduce_chunks`] returns only its folded value and [`fill_chunks`]
-//! nothing. An analysis kernel records nothing: the coupler times each
-//! analysis call.
+//! The primitives return their results and nothing else, and read no
+//! clock: a simulation kernel that records telemetry times its own call
+//! with one bracket around it, and the coupler times each analysis call.
 //!
 //! # The worker set
 //!
@@ -65,7 +63,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Upper bound on chunks per kernel invocation. Bounds per-chunk scratch
 /// memory (e.g. force accumulators are 3·N floats per chunk) while leaving
@@ -298,25 +295,6 @@ impl Drop for Crew {
     }
 }
 
-/// Timing/shape record of one parallel kernel invocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParStats {
-    /// Threads actually used (min of context threads and chunk count; 1
-    /// when the handle's helpers were busy with another call).
-    pub threads_used: usize,
-    /// Number of chunks the work was split into.
-    pub chunks: usize,
-    /// Wall time of the whole invocation.
-    pub wall: Duration,
-}
-
-impl ParStats {
-    /// Wall seconds as `f64` (telemetry convenience).
-    pub fn wall_s(&self) -> f64 {
-        self.wall.as_secs_f64()
-    }
-}
-
 /// Deterministic chunk count for `n_items` work items with roughly
 /// `granularity` items per chunk, clamped to `[1, MAX_CHUNKS]` and never
 /// exceeding `n_items`. Depends only on the problem size — never on the
@@ -341,23 +319,16 @@ pub fn chunk_bounds(n_items: usize, chunks: usize, c: usize) -> std::ops::Range<
 }
 
 /// Runs `f(c)` for every chunk index `c in 0..chunks` and returns the
-/// results **in chunk order** plus timing stats.
+/// results **in chunk order**.
 ///
 /// Each chunk writes its result into its own slot through
 /// [`for_each_mut`], so which thread ran a chunk is nondeterministic but
 /// the output order is not. With 1 thread (or 1 chunk) the chunks run
 /// inline in index order over the identical code path.
-pub fn map_chunks<T: Send>(
-    exec: &Exec,
-    chunks: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> (Vec<T>, ParStats) {
-    let t0 = Instant::now();
+pub fn map_chunks<T: Send>(exec: &Exec, chunks: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let mut slots: Vec<Option<T>> = (0..chunks).map(|_| None).collect();
-    let mut stats = for_each_mut(exec, &mut slots, |c, slot| *slot = Some(f(c)));
-    let results = slots.into_iter().map(|r| r.expect("chunk ran")).collect();
-    stats.wall = t0.elapsed();
-    (results, stats)
+    for_each_mut(exec, &mut slots, |c, slot| *slot = Some(f(c)));
+    slots.into_iter().map(|r| r.expect("chunk ran")).collect()
 }
 
 /// Maps every chunk with `map`, then folds the partial results into `init`
@@ -370,8 +341,7 @@ pub fn reduce_chunks<T: Send, R>(
     init: R,
     fold: impl FnMut(R, T) -> R,
 ) -> R {
-    let (parts, _) = map_chunks(exec, chunks, map);
-    parts.into_iter().fold(init, fold)
+    map_chunks(exec, chunks, map).into_iter().fold(init, fold)
 }
 
 /// Runs `f(i, &mut items[i])` for every item, in parallel. Each closure
@@ -386,14 +356,8 @@ pub fn reduce_chunks<T: Send, R>(
 /// not hold up the rest. With one worker the items run inline, in index
 /// order, on the calling thread; so do they, through the same claim loop,
 /// when `exec`'s helpers are busy with another call.
-pub fn for_each_mut<T: Send>(
-    exec: &Exec,
-    items: &mut [T],
-    f: impl Fn(usize, &mut T) + Sync,
-) -> ParStats {
-    let t0 = Instant::now();
-    let n = items.len();
-    let mut threads = exec.threads.min(n).max(1);
+pub fn for_each_mut<T: Send>(exec: &Exec, items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+    let threads = exec.threads.min(items.len());
     if threads <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
@@ -409,13 +373,7 @@ pub fn for_each_mut<T: Send>(
         };
         if !exec.crew().fork(threads - 1, &claim_loop) {
             claim_loop();
-            threads = 1;
         }
-    }
-    ParStats {
-        threads_used: threads,
-        chunks: n,
-        wall: t0.elapsed(),
     }
 }
 
@@ -443,26 +401,6 @@ pub fn fill_chunks<T: Send>(
     for_each_mut(exec, &mut parts, |c, (start, slice)| f(c, *start, slice));
 }
 
-/// Allocation/reuse counters of a [`ScratchPool`], for telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScratchCounters {
-    /// Buffers that had to be freshly allocated (pool miss).
-    pub allocs: usize,
-    /// Buffers served from the pool (no allocation).
-    pub reuses: usize,
-}
-
-impl ScratchCounters {
-    /// Component-wise difference since an earlier snapshot (counters are
-    /// monotonic, so this is the activity between the two reads).
-    pub fn since(&self, earlier: &ScratchCounters) -> ScratchCounters {
-        ScratchCounters {
-            allocs: self.allocs - earlier.allocs,
-            reuses: self.reuses - earlier.reuses,
-        }
-    }
-}
-
 /// Bound on buffers retained per size class, so a pathological mix of
 /// sizes cannot hoard memory. Kernels use a handful of sizes, far below
 /// this.
@@ -475,7 +413,7 @@ const MAX_POOLED_PER_SIZE: usize = 256;
 /// deltas, ghost-exchange planes) would otherwise allocate and free those
 /// buffers every step. The pool hands the same allocations back out:
 /// after a warm-up step, steady-state kernel execution performs **zero**
-/// scratch allocations, which the [`ScratchCounters`] prove.
+/// scratch allocations, which [`ScratchPool::allocs`] proves.
 ///
 /// # Determinism
 ///
@@ -497,7 +435,6 @@ const MAX_POOLED_PER_SIZE: usize = 256;
 pub struct ScratchPool {
     shelves: Mutex<BTreeMap<usize, Vec<Vec<f64>>>>,
     allocs: AtomicUsize,
-    reuses: AtomicUsize,
 }
 
 impl Clone for ScratchPool {
@@ -522,16 +459,10 @@ impl ScratchPool {
             .expect("scratch pool poisoned")
             .get_mut(&len)
             .and_then(Vec::pop);
-        match pooled {
-            Some(buf) => {
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                buf
-            }
-            None => {
-                self.allocs.fetch_add(1, Ordering::Relaxed);
-                vec![0.0; len]
-            }
-        }
+        pooled.unwrap_or_else(|| {
+            self.allocs.fetch_add(1, Ordering::Relaxed);
+            vec![0.0; len]
+        })
     }
 
     /// Takes a buffer of exactly `len` zeros — a drop-in replacement for
@@ -556,12 +487,11 @@ impl ScratchPool {
         }
     }
 
-    /// Current allocation/reuse counters (monotonic since construction).
-    pub fn counters(&self) -> ScratchCounters {
-        ScratchCounters {
-            allocs: self.allocs.load(Ordering::Relaxed),
-            reuses: self.reuses.load(Ordering::Relaxed),
-        }
+    /// Buffers freshly allocated since construction (pool misses);
+    /// monotonic, so the difference of two reads is the allocations
+    /// between them.
+    pub fn allocs(&self) -> usize {
+        self.allocs.load(Ordering::Relaxed)
     }
 
     /// Number of buffers currently resting in the pool.
@@ -618,10 +548,8 @@ mod tests {
             let exec = Exec::with_threads(threads);
             for chunks in [0usize, 1, 5, 9] {
                 let want: Vec<usize> = (0..chunks).map(|c| c * 10).collect();
-                let (v, stats) = map_chunks(&exec, chunks, |c| c * 10);
+                let v = map_chunks(&exec, chunks, |c| c * 10);
                 assert_eq!(v, want, "threads={threads} chunks={chunks}");
-                assert_eq!(stats.chunks, chunks);
-                assert_eq!(stats.threads_used, threads.min(chunks).max(1));
                 // reduce_chunks folds the same results in the same order
                 let folded = reduce_chunks(
                     &exec,
@@ -668,7 +596,7 @@ mod tests {
             for n in [0usize, 1, 5, 100] {
                 let mut items = vec![0usize; n];
                 let calls = AtomicUsize::new(0);
-                let stats = for_each_mut(&exec, &mut items, |i, x| {
+                for_each_mut(&exec, &mut items, |i, x| {
                     calls.fetch_add(1, Ordering::Relaxed);
                     *x += i + 1;
                 });
@@ -677,8 +605,6 @@ mod tests {
                     "threads={threads} n={n}"
                 );
                 assert_eq!(calls.into_inner(), n);
-                assert_eq!(stats.chunks, n);
-                assert_eq!(stats.threads_used, threads.min(n).max(1));
             }
         }
     }
@@ -713,13 +639,13 @@ mod tests {
     /// Thread counts the worker set is exercised at.
     const FORKING: [usize; 3] = [2, 3, 8];
 
-    /// One call with `threads` items that each wait for all the others:
-    /// it only returns if `threads` distinct threads ran them, so every
-    /// helper took part. Returns the ids of the threads that did.
-    fn all_hands(exec: &Exec) -> Vec<std::thread::ThreadId> {
-        let threads = exec.threads();
-        let barrier = std::sync::Barrier::new(threads);
-        let mut ids = vec![None; threads];
+    /// One call over `n ≤ threads` items that each wait for all the
+    /// others: it only returns if `n` distinct threads ran them (at
+    /// `n = threads`, every helper took part). Returns the ids of the
+    /// threads that did.
+    fn all_hands(exec: &Exec, n: usize) -> Vec<std::thread::ThreadId> {
+        let barrier = std::sync::Barrier::new(n);
+        let mut ids = vec![None; n];
         for_each_mut(exec, &mut ids, |_, id| {
             barrier.wait();
             *id = Some(std::thread::current().id());
@@ -735,15 +661,28 @@ mod tests {
             // a call one thread can do alone starts nothing either
             for_each_mut(&exec, &mut [0u8], |_, x| *x += 1);
             assert!(exec.crew.get().is_none(), "threads={threads}");
-            let first: HashSet<_> = all_hands(&exec).into_iter().collect();
+            let first: HashSet<_> = all_hands(&exec, threads).into_iter().collect();
             assert_eq!(first.len(), threads);
             assert!(first.contains(&std::thread::current().id()), "the caller is a worker");
             // every later call runs on exactly the same threads: none is new
             for _ in 0..20 {
-                let again: HashSet<_> = all_hands(&exec).into_iter().collect();
+                let again: HashSet<_> = all_hands(&exec, threads).into_iter().collect();
                 assert_eq!(again, first, "threads={threads}");
             }
             assert_eq!(exec.crew.get().expect("started").helpers.len(), threads - 1);
+        }
+    }
+
+    #[test]
+    fn a_call_over_fewer_items_than_threads_runs_on_one_thread_per_item() {
+        let caller = std::thread::current().id();
+        for threads in FORKING {
+            let exec = Exec::with_threads(threads);
+            for n in 1..=threads {
+                let ids: HashSet<_> = all_hands(&exec, n).into_iter().collect();
+                assert_eq!(ids.len(), n, "threads={threads} n={n}");
+                assert!(ids.contains(&caller), "the caller is a worker");
+            }
         }
     }
 
@@ -768,7 +707,11 @@ mod tests {
                 let message = payload.downcast_ref::<String>().expect("panic!'s payload");
                 assert!(message.starts_with("item "), "{message}");
                 // the same handle, its helpers included, runs the next call
-                assert_eq!(all_hands(&exec).len(), threads, "threads={threads}");
+                assert_eq!(
+                    all_hands(&exec, threads).len(),
+                    threads,
+                    "threads={threads}"
+                );
                 let mut items = vec![0usize; 50];
                 for_each_mut(&exec, &mut items, |i, x| *x = i + 1);
                 assert!(items.iter().enumerate().all(|(i, &x)| x == i + 1));
@@ -780,25 +723,32 @@ mod tests {
     fn a_nested_or_concurrent_call_runs_inline() {
         for threads in FORKING {
             let exec = Exec::with_threads(threads);
-            let mut outer = vec![Vec::new(); 2 * threads];
-            let stats = for_each_mut(&exec, &mut outer, |i, inner| {
-                *inner = vec![0usize; 7];
-                let nested = for_each_mut(&exec, inner, |j, x| *x = 10 * i + j);
-                assert_eq!(nested.threads_used, 1, "the helpers are busy");
+            // every outer item waits for the others, so each runs on its
+            // own thread; its nested call finds the helpers busy and runs
+            // every item on that same thread
+            let barrier = std::sync::Barrier::new(threads);
+            let mut outer = vec![(None, Vec::new()); threads];
+            for_each_mut(&exec, &mut outer, |i, (id, inner)| {
+                barrier.wait();
+                *id = Some(std::thread::current().id());
+                *inner = vec![(0usize, None); 7];
+                for_each_mut(&exec, inner, |j, (x, id)| {
+                    *x = 10 * i + j;
+                    *id = Some(std::thread::current().id());
+                });
             });
-            assert_eq!(stats.threads_used, threads);
-            for (i, inner) in outer.iter().enumerate() {
-                assert!(inner.iter().enumerate().all(|(j, &x)| x == 10 * i + j));
+            let outer_ids: HashSet<_> = outer.iter().map(|(id, _)| id.expect("ran")).collect();
+            assert_eq!(outer_ids.len(), threads);
+            for (i, (id, inner)) in outer.iter().enumerate() {
+                for (j, &(x, nested_id)) in inner.iter().enumerate() {
+                    assert_eq!(x, 10 * i + j);
+                    assert_eq!(nested_id, *id, "threads={threads}: nested item {i}.{j}");
+                }
             }
             // two callers on one handle: one forks, the other runs alone
             let sums: Vec<u64> = std::thread::scope(|scope| {
                 let calls: Vec<_> = (0..2)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let (parts, _) = map_chunks(&exec, 9, |c| c as u64);
-                            parts.iter().sum()
-                        })
-                    })
+                    .map(|_| scope.spawn(|| map_chunks(&exec, 9, |c| c as u64).iter().sum()))
                     .collect();
                 calls.into_iter().map(|c| c.join().expect("no panic")).collect()
             });
@@ -812,7 +762,10 @@ mod tests {
         for threads in FORKING {
             let exec = Exec::with_threads(threads);
             let helpers = |exec: &Exec| -> HashSet<_> {
-                all_hands(exec).into_iter().filter(|&id| id != caller).collect()
+                all_hands(exec, threads)
+                    .into_iter()
+                    .filter(|&id| id != caller)
+                    .collect()
             };
             let own = helpers(&exec);
             let cloned = exec.clone();
@@ -828,7 +781,7 @@ mod tests {
     fn dropping_a_handle_joins_its_helpers() {
         for threads in FORKING {
             let exec = Exec::with_threads(threads);
-            all_hands(&exec);
+            all_hands(&exec, threads);
             let shared = Arc::downgrade(&exec.crew.get().expect("started").shared);
             assert_eq!(shared.strong_count(), threads, "the crew's and one per helper");
             drop(exec);
@@ -850,11 +803,15 @@ mod tests {
         let pool = ScratchPool::new();
         let a = pool.take_zeroed(64);
         assert!(a.iter().all(|&x| x == 0.0));
-        assert_eq!(pool.counters(), ScratchCounters { allocs: 1, reuses: 0 });
+        assert_eq!(pool.allocs(), 1);
         pool.put(a);
         assert_eq!(pool.pooled(), 1);
         let mut b = pool.take_zeroed(64);
-        assert_eq!(pool.counters(), ScratchCounters { allocs: 1, reuses: 1 });
+        assert_eq!(
+            (pool.allocs(), pool.pooled()),
+            (1, 0),
+            "served from the shelf"
+        );
         assert_eq!(b.len(), 64);
         // a dirty buffer comes back zeroed from take_zeroed ...
         b.iter_mut().for_each(|x| *x = 7.0);
@@ -867,10 +824,7 @@ mod tests {
         assert!(d.iter().all(|&x| x == 0.0), "was zeroed on last take");
         // different length = different shelf = fresh allocation
         let e = pool.take_zeroed(65);
-        let counters = pool.counters();
-        assert_eq!(counters.allocs, 2);
-        assert_eq!(counters.reuses, 3);
-        assert_eq!(counters.since(&ScratchCounters { allocs: 1, reuses: 1 }).allocs, 1);
+        assert_eq!(pool.allocs(), 2);
         drop((d, e));
     }
 
@@ -887,27 +841,29 @@ mod tests {
                 });
             }
         });
-        let c = pool.counters();
-        assert_eq!(c.allocs + c.reuses, 200);
-        assert!(c.allocs <= 4, "at most one allocation per concurrent taker");
+        assert!(
+            pool.allocs() <= 4,
+            "at most one allocation per concurrent taker"
+        );
+        assert_eq!(
+            pool.pooled(),
+            pool.allocs(),
+            "every buffer came back to the shelf"
+        );
         let cloned = pool.clone();
-        assert_eq!(cloned.pooled(), 0);
-        assert_eq!(cloned.counters(), ScratchCounters::default());
+        assert_eq!((cloned.pooled(), cloned.allocs()), (0, 0));
     }
 
     #[test]
     fn empty_work_is_fine() {
-        let empty_stats = |s: ParStats| s.threads_used == 1 && s.chunks == 0;
         for threads in THREADS {
             let exec = Exec::with_threads(threads);
-            let (v, _) = map_chunks(&exec, 1, |_| 0u32);
-            assert_eq!(v, vec![0]);
-            let (v, stats) = map_chunks(&exec, 0, |_| -> u32 { unreachable!() });
-            assert!(v.is_empty() && empty_stats(stats));
+            assert_eq!(map_chunks(&exec, 1, |_| 0u32), vec![0]);
+            assert!(map_chunks(&exec, 0, |_| -> u32 { unreachable!() }).is_empty());
             let never = |_| -> u32 { unreachable!() };
             assert_eq!(reduce_chunks(&exec, 0, never, 7, |a, b| a + b), 7);
             let mut empty: [u8; 0] = [];
-            assert!(empty_stats(for_each_mut(&exec, &mut empty, |_, _| unreachable!())));
+            for_each_mut(&exec, &mut empty, |_, _| unreachable!());
             fill_chunks(&exec, &mut empty, 3, |_, _, _| unreachable!());
         }
     }

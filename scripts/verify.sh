@@ -129,7 +129,10 @@ run head -n 4 target/trace_view.search.txt
 # certificate judge beside `CheckedCertificate::check`; the search tree
 # has one format, the certificate, and no JSON schema of its own; presolve
 # has no dominated-row pass; an analysis is timed once, by the coupler
-# (no `_with_stats` twin), and each hydro kernel has one entry point.
+# (no `_with_stats` twin), and each hydro kernel has one entry point; a
+# simulation kernel is timed once, by its own bracket: the `parallel`
+# primitives return no stats, the scratch pool counts only allocations,
+# and VACF's window reuses its own evicted snapshot (no pool).
 # History files (CHANGES.md, ROADMAP.md,
 # EXPERIMENTS.md) and benchmark/ are not searched.
 retired='service_bench|sim_bench|bench_diff|adaptive_smoke|timeline_smoke|obs_smoke'
@@ -149,6 +152,7 @@ retired="$retired|root_gap_closed|peak_mem_over_period|r3_protein_histogram|chec
 retired="$retired|SEARCHTRACE_SCHEMA|milp/searchtrace|action_from_str"
 retired="$retired|row_dominates|rows_dominated"
 retired="$retired|compute_with_stats|cfl_dt_ex|step_ex|exchange_ghosts_ex"
+retired="$retired|ParStats|ScratchCounters|scratch_reuses|threads_used|scratch_counters|drain_window_to_pool"
 echo
 echo ">>> git grep -nE \"$retired\" -- crates tests examples docs README.md DESIGN.md .claude"
 if git grep -nE "$retired" -- crates tests examples docs README.md DESIGN.md .claude; then
@@ -162,6 +166,15 @@ echo
 echo ">>> git grep -n KernelTelemetry -- 'crates/*/src/analysis/'"
 if git grep -n KernelTelemetry -- 'crates/*/src/analysis/'; then
     echo "verify: an analysis kernel keeps a KernelTelemetry; the coupler times analyses"
+    exit 1
+fi
+
+# the parallel primitives read no clock: a simulation kernel's one
+# bracket is in the code that records it
+echo
+echo ">>> git grep -nwE 'Instant|Duration' -- crates/parallel/src/lib.rs"
+if git grep -nwE 'Instant|Duration' -- crates/parallel/src/lib.rs; then
+    echo "verify: crates/parallel/src/lib.rs names Instant or Duration; kernels time themselves"
     exit 1
 fi
 
